@@ -14,10 +14,6 @@
 //! * [`sortbench`] — old-vs-new sortition comparison (naive-ladder
 //!   serial reference against the fixed-base/Straus + O(n)-selection +
 //!   batch-verification rewrite), emitting `BENCH_sortition.json`.
-//! * [`streambench`] — streaming-vs-one-shot ingestion over a standing
-//!   session setup (per-window checkpoint + handoff overhead against
-//!   the bitwise-equivalence contract), emitting
-//!   `BENCH_streaming.json`.
 //!
 //! Criterion micro-benchmarks of the substrates (the inputs to the cost
 //! model calibration) live in `benches/`.
@@ -32,5 +28,4 @@ pub mod netbench;
 pub mod nttbench;
 pub mod parbench;
 pub mod sortbench;
-pub mod streambench;
 pub mod validation;

@@ -149,7 +149,10 @@ impl Arboretum {
         })
     }
 
-    /// Executes a prepared query on a concrete (simulated) deployment.
+    /// Executes a prepared query on a concrete (simulated) deployment:
+    /// one ingestion epoch whose single window holds every device, with
+    /// the session setup (sortition, keygen) built inline and charged
+    /// to the report.
     ///
     /// # Errors
     ///
@@ -160,13 +163,25 @@ impl Arboretum {
         deployment: &Deployment,
         cfg: &ExecutionConfig,
     ) -> Result<ExecutionReport, ArboretumError> {
-        execute(&prepared.plan, &prepared.logical, deployment, cfg).map_err(ArboretumError::Execute)
+        execute(
+            &prepared.plan,
+            &prepared.logical,
+            deployment,
+            cfg,
+            None,
+            None,
+            None,
+        )
+        .map(|(report, _)| report)
+        .map_err(ArboretumError::Execute)
     }
 
     /// Executes a prepared query as a windowed ingestion stream:
     /// devices arrive over `windows` seed-derived churn windows, each
     /// window's uploads fold into a checkpointed accumulator, and the
-    /// epoch decrypts once at close. Outputs, budget, and audit verdict
+    /// epoch decrypts once at close. It is the same epoch [`Self::run`]
+    /// drives, over more windows and on a standing setup (so the report
+    /// shows zero setup counters): outputs, budget, and audit verdict
     /// are bitwise identical to [`Self::run`] over the same surviving
     /// device set.
     ///
@@ -201,8 +216,9 @@ impl Arboretum {
             &prepared.logical,
             deployment,
             cfg,
-            &setup,
             &schedule,
+            Some(&setup),
+            None,
             None,
         )
         .map_err(ArboretumError::Stream)

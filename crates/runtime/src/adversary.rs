@@ -403,26 +403,48 @@ impl CommitteeBehavior {
 }
 
 /// Behavior oracle consulted by the executor at attacker-controllable
-/// points. Implementations must be pure functions of their inputs so a
-/// run reproduces bitwise from its seed.
+/// points. Every method defaults to honest, so an implementation names
+/// only the behaviors it injects. Implementations must be pure
+/// functions of their inputs so a run reproduces bitwise from its seed.
 pub trait Adversary {
-    /// Behavior of uploading device `device` (registry index).
-    fn device_behavior(&self, device: usize) -> DeviceBehavior {
-        let _ = device;
+    /// Behavior of uploading device `device` (registry index) when it
+    /// uploads in ingestion window `window` (always 0 for a one-window
+    /// epoch, i.e. [`crate::executor::execute`]).
+    fn device_behavior(&self, window: usize, device: usize) -> DeviceBehavior {
+        let _ = (window, device);
         DeviceBehavior::Honest
     }
 
-    /// Behavior of seat `member` on committee `committee`.
+    /// Behavior of seat `member` on committee `committee`: consulted
+    /// when committee 0 signs the query certificate and again when it
+    /// hands the key to the decryption committee at epoch close.
     fn committee_behavior(&self, committee: usize, member: usize) -> CommitteeBehavior {
         let _ = (committee, member);
         CommitteeBehavior::Honest
     }
 
+    /// Behavior of committee seat `member` during the VSR handoff at
+    /// window boundary `boundary` (between windows `boundary` and
+    /// `boundary + 1`).
+    fn handoff_behavior(&self, boundary: usize, member: usize) -> CommitteeBehavior {
+        let _ = (boundary, member);
+        CommitteeBehavior::Honest
+    }
+
+    /// Whether committee seat `member` crashes during the handoff at
+    /// `boundary`: its subshare batch never arrives. Survivable while
+    /// ≥ t+1 honest batches remain; always yields a typed
+    /// [`DetectionKind::HandoffDropout`].
+    fn handoff_crash(&self, boundary: usize, member: usize) -> bool {
+        let _ = (boundary, member);
+        false
+    }
+
     /// Behavior of the aggregator (the untrusted server, §5.3).
     ///
-    /// Consulted once, immediately before the ⊞-aggregation phase, so
-    /// adaptive implementations decide from the traffic observed up to
-    /// that deterministic barrier.
+    /// Consulted once, immediately before the first ⊞-fold, so adaptive
+    /// implementations decide from the traffic observed up to that
+    /// deterministic barrier.
     fn aggregator_behavior(&self) -> AggregatorBehavior {
         AggregatorBehavior::Honest
     }
@@ -572,7 +594,7 @@ mod tests {
     #[test]
     fn honest_adversary_is_a_no_op() {
         let adv = HonestAdversary;
-        assert_eq!(adv.device_behavior(3), DeviceBehavior::Honest);
+        assert_eq!(adv.device_behavior(0, 3), DeviceBehavior::Honest);
         assert_eq!(adv.committee_behavior(0, 4), CommitteeBehavior::Honest);
         assert_eq!(adv.aggregator_behavior(), AggregatorBehavior::Honest);
         assert!(adv.traffic_sink().is_none());

@@ -30,10 +30,7 @@ pub use audit::{
     adversarial_audit, audit, challenges_per_device, collate_detection, ChallengeRecord, StepLog,
     DROPPED_MARKER,
 };
-pub use executor::{
-    execute, execute_on_setup, execute_with_adversary, AdversarialReport, Deployment, ExecError,
-    ExecutionConfig, ExecutionReport, QueryCert,
-};
+pub use executor::{execute, Deployment, ExecError, ExecutionConfig, ExecutionReport, QueryCert};
 pub use mpc_eval::{MVal, MechStyle, MpcEvalError, MpcEvaluator};
 pub use net_exec::{
     run_concurrent, run_concurrent_sharded, run_with_failover, NetExecConfig, NetExecError,
@@ -45,7 +42,7 @@ pub use setup::{
     SetupCounters, SETUP_ROLES,
 };
 pub use stream::{
-    execute_stream, ArrivalSchedule, HonestStream, StreamAdversary, StreamDetection, StreamError,
-    StreamExecutor, StreamReport, WindowCheckpoint, DEFAULT_STREAM_CHUNK,
+    execute_stream, ArrivalSchedule, StreamDetection, StreamError, StreamExecutor, StreamReport,
+    WindowCheckpoint, DEFAULT_STREAM_CHUNK,
 };
 pub use wave::{run_wave, sortition_parity, WaveConfig, WaveReport};

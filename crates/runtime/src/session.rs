@@ -90,7 +90,8 @@ impl Session {
             seed: base_cfg.seed ^ self.query_index.wrapping_mul(0x9e37_79b9_7f4a_7c15),
             ..base_cfg.clone()
         };
-        let report = execute(plan, logical, &self.deployment, &cfg).map_err(SessionError::Exec)?;
+        let (report, _) = execute(plan, logical, &self.deployment, &cfg, None, None, None)
+            .map_err(SessionError::Exec)?;
         self.ledger.charge(cost).map_err(SessionError::Budget)?;
         // The beacon advances to the certificate's next block, so the
         // next query seats fresh committees.

@@ -9,14 +9,14 @@
 //! and hand it to every subsequent execution, which then reports zero
 //! [`SetupCounters`] of its own.
 //!
-//! The one-shot path ([`crate::executor::execute`]) builds the same
-//! structure inline from the *main* execution RNG, preserving its
-//! historical byte-for-byte behavior; the cached path builds it from a
-//! catalog-owned RNG stream so per-query randomness is independent of
-//! which query (if any) triggered the build.
+//! The one-shot path ([`crate::executor::execute`] without a setup)
+//! builds the same structure inline from the `cfg.seed` stream; the
+//! cached path builds it from a catalog-owned RNG stream so per-query
+//! randomness is independent of which query (if any) triggered the
+//! build.
 
 use arboretum_bgv::{keygen as bgv_keygen, BgvContext, BgvParams, PublicKey, SecretKey};
-use arboretum_crypto::sha256::{sha256, Digest};
+use arboretum_crypto::sha256::{domain_tag, sha256, Digest};
 use arboretum_field::fixed::Fix;
 use arboretum_mpc::engine::MpcEngine;
 use arboretum_mpc::fixp::{inject_with_cost, FunctionalityCost};
@@ -164,7 +164,7 @@ pub fn build_session_setup_observed(
     let (sk, pk) = bgv_keygen(&ctx, rng);
 
     // Meter the distributed keygen in an MPC engine.
-    let mut keygen_mpc = MpcEngine::new_on(m, t, true, seed ^ keygen_tag(), fabric);
+    let mut keygen_mpc = MpcEngine::new_on(m, t, true, seed ^ domain_tag(b"keygen-mpc"), fabric);
     keygen_mpc.set_frame_sink(sink);
     let keygen_cost = FunctionalityCost {
         mults: 500,
@@ -206,11 +206,6 @@ pub fn build_session_setup_observed(
         committee_size: m,
         beacon: deployment.beacon,
     })
-}
-
-fn keygen_tag() -> u64 {
-    let d = sha256(b"keygen-mpc");
-    u64::from_be_bytes([d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]])
 }
 
 #[cfg(test)]

@@ -1,45 +1,50 @@
-//! Streaming windowed aggregation with device churn (§5 + ROADMAP's
-//! "streaming/incremental aggregation" direction).
+//! The ingestion epoch: the one implementation of the query path
+//! (§5.2–§5.5), windowed so devices can arrive and churn.
 //!
-//! The batch executor ([`crate::executor`]) ingests every upload in one
-//! shot. Real deployments (PAPAYA-style longitudinal services) see
-//! devices arrive and drop continuously; this module adds that mode
-//! without giving up a single bit of the repo's determinism contract:
+//! Real deployments (PAPAYA-style longitudinal services) see devices
+//! arrive and drop continuously, so the pipeline — certificate →
+//! per-device prove/verify/encrypt → ⊞ → VSR handoff → decrypt →
+//! mechanism MPC → audit — is written once, as an epoch of ingestion
+//! windows. A one-shot execution ([`crate::executor::execute`]) is the
+//! same epoch with a single window holding every device.
 //!
 //! * an [`ArrivalSchedule`] is a *pure function of a seed* assigning
 //!   every device an arrival window and an optional drop window
 //!   (mirroring `testkit::AdversarySchedule`'s SHA-256 draw style), so
 //!   any churn pattern replays bitwise from `(seed, n, windows)`;
-//! * a [`StreamExecutor`] runs the existing verify phase per window on
-//!   that window's arrivals only and folds their BGV ⊞-partials into a
-//!   checkpointed accumulator via the sharded chunk kernels
-//!   (`arboretum_bgv::par_sum_chunks_sharded`);
-//! * committee key state crosses every window boundary through the
-//!   existing `vsr::redistribute_share` path, and each handoff is
-//!   committed to the step log exactly like the aggregation step, so
-//!   the device audit covers the handoff chain;
-//! * at epoch close the accumulator is decrypted *once* against the
-//!   standing [`SessionSetup`] and the mechanism vignettes run with the
-//!   same derived RNG streams as the batch path.
+//! * a [`StreamExecutor`] opens the epoch (budget charge, signed
+//!   certificate, initial committee key sharing), runs the verify phase
+//!   per window on that window's arrivals only, and folds their BGV
+//!   ⊞-partials into a checkpointed accumulator via the sharded chunk
+//!   kernels (`arboretum_bgv::par_sum_chunks_sharded`);
+//! * committee key state crosses every window boundary — and, at close,
+//!   the keygen → decryption-committee boundary — through
+//!   `vsr::redistribute_share`, and each handoff is committed to the
+//!   step log exactly like the aggregation step, so the device audit
+//!   covers the handoff chain;
+//! * at epoch close the accumulator is decrypted *once*, the mechanism
+//!   vignettes run on secret shares, and the participants spot-audit
+//!   the aggregator's step log.
 //!
 //! **Checkpoint-equivalence contract.** BGV ⊞ is exact coefficient-wise
 //! modular addition — fully associative *and* commutative — and every
-//! per-device random draw here (proving RNG, encryption RNG, legacy
-//! malicious-fraction draw) is a pure function of the device's global
-//! registry index, never of the window it arrived in. Consequently any
-//! window partition of the same surviving-device set produces a bitwise
-//! identical accumulator, and therefore bitwise identical outputs,
-//! budget ledger, and audit verdict, at every thread count, shard
-//! count, fold chunk width, and network fabric. The test batteries in
-//! `crates/runtime/tests/stream_props.rs` and `stream_determinism.rs`
-//! pin this contract down.
+//! per-device random draw here (proving RNG, encryption RNG, sampling
+//! decision, legacy malicious-fraction draw) is a pure function of the
+//! device's global registry index, never of the window it arrived in.
+//! Consequently any window partition of the same surviving-device set
+//! produces a bitwise identical accumulator, and therefore bitwise
+//! identical outputs, budget ledger, and audit verdict, at every thread
+//! count, shard count, fold chunk width, and network fabric. One-window
+//! ≡ batch holds by construction (they are the same code); the test
+//! batteries in `crates/runtime/tests/stream_props.rs` and
+//! `stream_determinism.rs` guard partition invariance.
 
 use arboretum_bgv::{
     decrypt as bgv_decrypt, encode_coeffs, encrypt as bgv_encrypt, Ciphertext, RnsPoly,
 };
 use arboretum_crypto::group::{scalar_from_hash, GroupElem, Scalar};
 use arboretum_crypto::pedersen::PedersenParams;
-use arboretum_crypto::sha256::{sha256, Digest};
+use arboretum_crypto::sha256::{domain_tag, seed_draw, sha256, Digest};
 use arboretum_dp::budget::BudgetLedger;
 use arboretum_field::fixed::Fix;
 use arboretum_mpc::engine::MpcEngine;
@@ -58,22 +63,22 @@ use arboretum_zkp::onehot::{
 };
 use arboretum_zkp::range::{prove_range, verify_range_detailed, RangeVerifyError};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::adversary::{
-    ciphertext_digest, forge_one_hot, CommitteeBehavior, Detection, DetectionKind, DeviceBehavior,
-    Subject,
+    ciphertext_digest, forge_one_hot, Adversary, AggregatorBehavior, CommitteeBehavior, Detection,
+    DetectionKind, DeviceBehavior, Subject,
 };
-use crate::audit::{audit, challenges_per_device, StepLog};
-use crate::executor::{
-    find_aggregation, upload_tag, x0p5_tag, Deployment, ExecError, ExecutionConfig,
-    ExecutionReport, QueryCert,
+use crate::audit::{
+    adversarial_audit, audit, challenges_per_device, collate_detection, StepLog, DROPPED_MARKER,
 };
+use crate::executor::{Deployment, ExecError, ExecutionConfig, ExecutionReport, QueryCert};
 use crate::mpc_eval::{MVal, MechStyle, MpcEvaluator};
-use crate::setup::{SessionSetup, SetupCounters};
+use crate::setup::{build_session_setup_observed, SessionSetup, SetupCounters};
 
 /// Default ⊞-fold fan-in per accumulator chunk when the caller's
 /// [`arboretum_par::ParConfig::chunk`] is unset. Chunk width never
@@ -85,36 +90,32 @@ const CHECKPOINT_VERSION: u16 = 1;
 /// Checkpoint magic bytes (`"ArbS"`).
 const CHECKPOINT_MAGIC: [u8; 4] = *b"ArbS";
 
-/// The seed-derived draw every schedule decision flows through: the
-/// first eight big-endian bytes of `SHA-256(seed ‖ domain ‖ index)`,
-/// mirroring `testkit::schedule`'s derivation style.
-fn draw(seed: u64, domain: &[u8], index: u64) -> u64 {
-    let mut bytes = Vec::with_capacity(16 + domain.len());
-    bytes.extend_from_slice(&seed.to_be_bytes());
-    bytes.extend_from_slice(domain);
-    bytes.extend_from_slice(&index.to_be_bytes());
-    let d = sha256(&bytes);
-    u64::from_be_bytes([d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]])
-}
-
 fn mix(i: u64) -> u64 {
     i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-fn stream_encrypt_tag() -> u64 {
-    crate::executor::_tag(b"stream-encrypt")
-}
-
-fn stream_handoff_tag() -> u64 {
-    crate::executor::_tag(b"stream-handoff")
-}
-
-fn stream_keyshare_tag() -> u64 {
-    crate::executor::_tag(b"stream-keyshare")
-}
-
-fn stream_audit_tag() -> u64 {
-    crate::executor::_tag(b"stream-audit")
+/// Finds the top-level aggregation statement `var = sum(<db view>)`,
+/// returning the bound variable name and the index of the statement
+/// *after* it.
+fn find_aggregation(program: &arboretum_lang::ast::Program) -> Option<(String, usize)> {
+    use arboretum_lang::ast::{Builtin, Expr, Stmt};
+    let mut db_views = vec!["db".to_string()];
+    for (i, stmt) in program.stmts.iter().enumerate() {
+        if let Stmt::Assign(name, expr) = stmt {
+            match expr {
+                Expr::Call(Builtin::SampleUniform, _) => db_views.push(name.clone()),
+                Expr::Call(Builtin::Sum, args) => {
+                    let over_db = matches!(&args[0], Expr::Var(v) if db_views.contains(v))
+                        || matches!(&args[0], Expr::Call(Builtin::SampleUniform, _));
+                    if over_db {
+                        return Some((name.clone(), i + 1));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    None
 }
 
 /// Which devices arrive and drop in which ingestion window — a pure
@@ -155,10 +156,10 @@ impl ArrivalSchedule {
         let mut arrival = Vec::with_capacity(n_devices);
         let mut drop = Vec::with_capacity(n_devices);
         for i in 0..n_devices as u64 {
-            arrival.push((draw(seed, b"arrival", i) % w) as usize);
-            let churns = draw(seed, b"drop", i) % 100 < 25;
+            arrival.push((seed_draw(seed, b"arrival", i) % w) as usize);
+            let churns = seed_draw(seed, b"drop", i) % 100 < 25;
             drop.push(if churns {
-                Some((draw(seed, b"drop-window", i) % w) as usize)
+                Some((seed_draw(seed, b"drop-window", i) % w) as usize)
             } else {
                 None
             });
@@ -250,41 +251,6 @@ impl ArrivalSchedule {
     }
 }
 
-/// Mid-stream Byzantine behavior oracle: the streaming analogue of
-/// [`crate::adversary::Adversary`], window- and boundary-indexed so a
-/// schedule can target exactly one window. Implementations must be pure
-/// functions of their inputs.
-pub trait StreamAdversary {
-    /// Behavior of `device` when it uploads in window `window`.
-    fn device_behavior(&self, window: usize, device: usize) -> DeviceBehavior {
-        let _ = (window, device);
-        DeviceBehavior::Honest
-    }
-
-    /// Behavior of committee seat `member` during the VSR handoff at
-    /// window boundary `boundary` (between windows `boundary` and
-    /// `boundary + 1`).
-    fn handoff_behavior(&self, boundary: usize, member: usize) -> CommitteeBehavior {
-        let _ = (boundary, member);
-        CommitteeBehavior::Honest
-    }
-
-    /// Whether committee seat `member` crashes during the handoff at
-    /// `boundary`: its subshare batch never arrives. Survivable while
-    /// ≥ t+1 honest batches remain; always yields a typed
-    /// [`DetectionKind::HandoffDropout`].
-    fn handoff_crash(&self, boundary: usize, member: usize) -> bool {
-        let _ = (boundary, member);
-        false
-    }
-}
-
-/// The no-op streaming adversary.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HonestStream;
-
-impl StreamAdversary for HonestStream {}
-
 /// A [`Detection`] tagged with the window it was raised in — the
 /// "window-exact attribution" the mid-stream adversary battery asserts.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -292,8 +258,28 @@ pub struct StreamDetection {
     /// The ingestion window (for handoff faults: the boundary's left
     /// window) the fault was detected in.
     pub window: usize,
-    /// The typed detection, attributed exactly as in the batch path.
+    /// The typed detection.
     pub detection: Detection,
+}
+
+impl StreamDetection {
+    fn new(window: usize, subject: Subject, kind: DetectionKind) -> Self {
+        Self {
+            window,
+            detection: Detection { subject, kind },
+        }
+    }
+
+    /// A detection against seat `member` of the committee seated on
+    /// `roster` (committee 0: the keygen/ingestion committee).
+    fn seat(window: usize, roster: &[usize], member: usize, kind: DetectionKind) -> Self {
+        let subject = Subject::CommitteeMember {
+            committee: 0,
+            member,
+            device: roster[member],
+        };
+        Self::new(window, subject, kind)
+    }
 }
 
 /// The public per-window record: what this window folded, the digests
@@ -402,21 +388,32 @@ enum Upload {
     },
 }
 
-/// Windowed ingestion over a standing [`SessionSetup`].
+/// One ingestion epoch: the query path of §5.2–§5.5.
 ///
-/// Drive it window by window with [`Self::ingest_next`], snapshot the
-/// resumable state any time with [`Self::checkpoint_bytes`], and close
-/// the epoch once with [`Self::close`]. The convenience wrapper
-/// [`execute_stream`] drives an entire schedule in one call.
+/// Open it with [`Self::open`], drive it window by window with
+/// [`Self::ingest_next`], snapshot the resumable state any time with
+/// [`Self::checkpoint_bytes`], and close the epoch once with
+/// [`Self::close`]. [`execute_stream`] drives an entire schedule in one
+/// call.
+///
+/// What an adversarial run accumulates (detections, the accepted-step
+/// index, the aggregator's cheat material) lives in the driving process
+/// only: it is not serialized into checkpoints.
 pub struct StreamExecutor<'a> {
     plan: &'a Plan,
     logical: &'a LogicalPlan,
     deployment: &'a Deployment,
     cfg: &'a ExecutionConfig,
-    setup: &'a SessionSetup,
     schedule: &'a ArrivalSchedule,
+    /// Borrowed from a session catalog, or built inline at open (and
+    /// then charged to this epoch's report).
+    setup: Cow<'a, SessionSetup>,
     lease: Option<&'a ShardedPool>,
     owned_pool: Option<ShardedPool>,
+    adversary: Option<&'a dyn Adversary>,
+    /// The legacy malicious-fraction draw per device, consulted only
+    /// when no adversary is supplied.
+    malicious: Vec<bool>,
 
     next_window: usize,
     acc: Option<Ciphertext>,
@@ -430,67 +427,96 @@ pub struct StreamExecutor<'a> {
     shares: Vec<VShare>,
     commitments: Vec<GroupElem>,
     key_secret: Scalar,
-    ledger: BudgetLedger,
     cert: QueryCert,
     detections: Vec<StreamDetection>,
     checkpoints: Vec<WindowCheckpoint>,
+
+    /// Consulted once, at the first fold (see
+    /// [`Adversary::aggregator_behavior`]).
+    agg_behavior: Option<AggregatorBehavior>,
+    /// Step-log indices of accepted input steps, in acceptance order.
+    /// The aggregator behaviors target these (drop a victim, reorder a
+    /// pair).
+    ok_steps: Vec<usize>,
+    /// Accepted ciphertexts a cheating aggregator needs after the ⊞
+    /// kernels consumed them: the first one (`WrongPartialSum`) or all
+    /// of them, aligned with `ok_steps` (`DropUpload`).
+    cheat_cts: Vec<Ciphertext>,
 }
 
 impl<'a> StreamExecutor<'a> {
-    /// Opens a streaming epoch: charges the budget once, builds and
-    /// signs the query certificate, and deals the committee's initial
-    /// Feldman key sharing from a derived pure RNG stream.
+    /// Opens an epoch: builds the session setup inline unless a cached
+    /// one is supplied, charges the budget once, builds and signs the
+    /// query certificate, and deals the committee's initial Feldman key
+    /// sharing from a derived pure RNG stream.
     ///
     /// # Errors
     ///
     /// [`ExecError::BudgetExhausted`] (wrapped) if the certificate cost
     /// does not fit the remaining budget, and
-    /// [`ExecError::Unsupported`] for committee-size mismatches or
-    /// sampled queries (sampling consumes the batch path's serial RNG
-    /// and is not partition-invariant).
-    pub fn new(
+    /// [`ExecError::Unsupported`] for committee-size or schedule-size
+    /// mismatches.
+    #[allow(clippy::too_many_arguments)]
+    pub fn open(
         plan: &'a Plan,
         logical: &'a LogicalPlan,
         deployment: &'a Deployment,
         cfg: &'a ExecutionConfig,
-        setup: &'a SessionSetup,
         schedule: &'a ArrivalSchedule,
+        setup: Option<&'a SessionSetup>,
         lease: Option<&'a ShardedPool>,
+        adversary: Option<&'a dyn Adversary>,
     ) -> Result<Self, StreamError> {
         let m = cfg.committee_size;
-        if setup.committee_size != m {
+        let n = deployment.db.len();
+        if schedule.n_devices != n {
             return Err(ExecError::Unsupported(format!(
-                "session setup seated committees of {}, config wants {m}",
-                setup.committee_size
+                "schedule covers {} devices, deployment has {n}",
+                schedule.n_devices
             ))
             .into());
         }
-        if logical.certificate.sampling_rate.is_some() {
-            return Err(ExecError::Unsupported(
-                "sampled queries are not streamable: the sampling decision \
-                 consumes the batch path's serial RNG"
-                    .into(),
-            )
-            .into());
-        }
-        if schedule.n_devices != deployment.db.len() {
-            return Err(ExecError::Unsupported(format!(
-                "schedule covers {} devices, deployment has {}",
-                schedule.n_devices,
-                deployment.db.len()
-            ))
-            .into());
-        }
+        // ---- Setup (§5.1–§5.2): cached in a session catalog, or built
+        // inline (sortition, BGV keygen from the `cfg.seed` stream,
+        // keygen-MPC metering observed by the adversary's sink). ----
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let setup = match setup {
+            Some(s) if s.committee_size != m => {
+                return Err(ExecError::Unsupported(format!(
+                    "session setup seated committees of {}, config wants {m}",
+                    s.committee_size
+                ))
+                .into());
+            }
+            Some(s) => Cow::Borrowed(s),
+            None => Cow::Owned(build_session_setup_observed(
+                deployment,
+                m,
+                cfg.seed,
+                &mut rng,
+                FabricKind::resolve(cfg.fabric, FabricKind::Sim),
+                adversary.and_then(|a| a.traffic_sink()),
+            )?),
+        };
+        // The malformed-upload draws continue the `cfg.seed` stream as
+        // one pre-pass over every device before any window, so which
+        // devices misbehave never depends on the window partition.
+        let malicious: Vec<bool> = (0..n)
+            .map(|_| rng.gen::<f64>() < cfg.malicious_fraction)
+            .collect();
+
+        // Budget check before authorizing (§5.2).
         let t = (m - 1) / 2;
         let mut ledger = BudgetLedger::new(cfg.budget);
         ledger
             .charge(logical.certificate.cost)
             .map_err(|_| ExecError::BudgetExhausted)?;
 
-        // Certificate: identical body and signatures to the batch path
-        // (signing is deterministic Schnorr — no RNG is consumed).
-        let committees = &setup.committees;
-        let contributions: Vec<Digest> = committees.committees[0]
+        // Certificate: pk digest, registry root, budget, next beacon,
+        // signed by every keygen-committee member (deterministic
+        // Schnorr — no RNG is consumed).
+        let roster = &setup.committees.committees[0];
+        let contributions: Vec<Digest> = roster
             .iter()
             .map(|&d| sha256(&(d as u64).to_be_bytes()))
             .collect();
@@ -504,19 +530,60 @@ impl<'a> StreamExecutor<'a> {
             signatures: Vec::new(),
         };
         let body = cert.body();
-        cert.signatures = committees.committees[0]
+        // A stale body a misbehaving member might sign instead: same
+        // certificate, but carrying the *previous* beacon forward.
+        let stale_body = QueryCert {
+            next_beacon: deployment.beacon,
+            ..cert.clone()
+        }
+        .body();
+        cert.signatures = roster
             .iter()
-            .map(|&d| (d, deployment.registry.device(d).keypair.sign(&body)))
+            .enumerate()
+            .map(|(j, &d)| {
+                let signed = match adversary {
+                    Some(adv)
+                        if adv.committee_behavior(0, j) == CommitteeBehavior::StaleSignature =>
+                    {
+                        &stale_body
+                    }
+                    _ => &body,
+                };
+                (d, deployment.registry.device(d).keypair.sign(signed))
+            })
             .collect();
+        let mut detections = Vec::new();
+        if adversary.is_some() {
+            // The rest of the committee cross-checks the signatures
+            // before publishing: bad signers are flagged and their
+            // signatures dropped, so the published certificate still
+            // verifies under the honest majority.
+            let bad = cert.verify_detailed(&deployment.registry);
+            detections.extend(
+                bad.iter().map(|&pos| {
+                    StreamDetection::seat(0, roster, pos, DetectionKind::StaleSignature)
+                }),
+            );
+            cert.signatures = cert
+                .signatures
+                .iter()
+                .enumerate()
+                .filter(|(pos, _)| !bad.contains(pos))
+                .map(|(_, s)| *s)
+                .collect();
+        }
 
         // Initial committee key sharing from a derived pure stream, so
         // the handoff chain is independent of everything else.
         let key_secret = scalar_from_hash(&sha256(
             &setup.sk.s.iter().map(|&c| c as u8).collect::<Vec<u8>>(),
         ));
-        let mut share_rng = StdRng::seed_from_u64(cfg.seed ^ stream_keyshare_tag());
+        let mut share_rng = StdRng::seed_from_u64(cfg.seed ^ domain_tag(b"stream-keyshare"));
         let sharing = feldman_share(key_secret, t, m, &mut share_rng);
 
+        // Sharded pools: leased from the caller's pool bank, or fresh so
+        // the per-phase counter deltas cover exactly this epoch (they
+        // feed `planner::cost::PoolCalibration`).
         let owned_pool = match lease {
             Some(_) => None,
             None => Some(cfg.par.sharded_pool()),
@@ -526,10 +593,12 @@ impl<'a> StreamExecutor<'a> {
             logical,
             deployment,
             cfg,
-            setup,
             schedule,
+            setup,
             lease,
             owned_pool,
+            adversary,
+            malicious,
             next_window: 0,
             acc: None,
             accepted_count: 0,
@@ -542,26 +611,18 @@ impl<'a> StreamExecutor<'a> {
             shares: sharing.shares,
             commitments: sharing.commitments,
             key_secret,
-            ledger,
             cert,
-            detections: Vec::new(),
+            detections,
             checkpoints: Vec::new(),
+            agg_behavior: None,
+            ok_steps: Vec::new(),
+            cheat_cts: Vec::new(),
         })
     }
 
     /// The window the executor will ingest next.
     pub fn next_window(&self) -> usize {
         self.next_window
-    }
-
-    /// Total windows in the epoch.
-    pub fn windows(&self) -> usize {
-        self.schedule.n_windows
-    }
-
-    /// The checkpoints recorded so far.
-    pub fn checkpoints(&self) -> &[WindowCheckpoint] {
-        &self.checkpoints
     }
 
     /// Ingests the next window: verifies this window's arrivals, folds
@@ -574,14 +635,12 @@ impl<'a> StreamExecutor<'a> {
     /// [`StreamError::EpochClosed`] once every window was ingested, and
     /// wrapped [`ExecError`]s for protocol failures (e.g. a handoff
     /// left fewer than t+1 valid batches).
-    pub fn ingest_next(
-        &mut self,
-        adversary: Option<&dyn StreamAdversary>,
-    ) -> Result<&WindowCheckpoint, StreamError> {
+    pub fn ingest_next(&mut self) -> Result<&WindowCheckpoint, StreamError> {
         let w = self.next_window;
         if w >= self.schedule.n_windows {
             return Err(StreamError::EpochClosed);
         }
+        let adversary = self.adversary;
         let arrivals = self.schedule.window(w);
         let ctx = Arc::clone(&self.setup.ctx);
         let pk = &self.setup.pk;
@@ -591,10 +650,14 @@ impl<'a> StreamExecutor<'a> {
         };
 
         // ---- Phase A (parallel, pure per device): arrivals build
-        // their uploads. Proving RNGs are seeded from the *global*
-        // registry index with the same tag as the batch path, so a
-        // device's upload is byte-identical no matter which window it
-        // lands in. ----
+        // their uploads — the claimed values plus a proof of
+        // well-formedness. Behaviors are resolved serially up front (an
+        // adversary overrides the legacy malicious-fraction draw, which
+        // maps to the same two behaviors the executor always
+        // simulated), so the proving closure stays a pure function of
+        // its job; proving RNGs are seeded from the *global* registry
+        // index, so a device's upload is byte-identical no matter which
+        // window, shard or thread it lands on. ----
         let one_hot_schema = self.deployment.schema.one_hot;
         let (schema_lo, schema_hi) = (self.deployment.schema.lo, self.deployment.schema.hi);
         let range_bits = {
@@ -605,18 +668,14 @@ impl<'a> StreamExecutor<'a> {
             .iter()
             .map(|&i| match adversary {
                 Some(adv) => adv.device_behavior(w, i),
-                None => {
-                    let r = draw(self.cfg.seed, b"stream-malicious", i as u64);
-                    if (r as f64 / u64::MAX as f64) < self.cfg.malicious_fraction {
-                        if one_hot_schema {
-                            DeviceBehavior::TruncatedProof
-                        } else {
-                            DeviceBehavior::OutOfRangeValue
-                        }
+                None if self.malicious[i] => {
+                    if one_hot_schema {
+                        DeviceBehavior::TruncatedProof
                     } else {
-                        DeviceBehavior::Honest
+                        DeviceBehavior::OutOfRangeValue
                     }
                 }
+                None => DeviceBehavior::Honest,
             })
             .collect();
         let jobs: Vec<(usize, Vec<i64>, DeviceBehavior)> = arrivals
@@ -626,12 +685,14 @@ impl<'a> StreamExecutor<'a> {
             .collect();
         let jobs = Arc::new(jobs);
         let pp = PedersenParams::standard();
-        let upload_seed = self.cfg.seed ^ upload_tag();
+        let upload_seed = self.cfg.seed ^ domain_tag(b"phase-a-uploads");
         let uploads: Vec<Upload> =
             par_map_arc_sharded(shard_set, &jobs, move |_, (global_i, row, behavior)| {
                 let mut dev_rng = StdRng::seed_from_u64(upload_seed ^ mix(*global_i as u64));
                 let bits: Vec<u64> = row.iter().map(|&v| v as u64).collect();
                 if !one_hot_schema {
+                    // Numerical inputs: per-field range proofs (§5.3's
+                    // "1,000 years old" defense).
                     let effective_row: Vec<i64> = if *behavior == DeviceBehavior::OutOfRangeValue {
                         row.iter()
                             .map(|&v| v + (schema_hi - schema_lo + 1))
@@ -668,12 +729,23 @@ impl<'a> StreamExecutor<'a> {
                     let vals: Vec<u64> = effective_row.iter().map(|&v| v as u64).collect();
                     return Upload::Ranges { vals, proofs };
                 }
+                // The device's row with the first coordinate equal to
+                // `from` claimed as `to` instead.
+                let claim = |from: u64, to: u64| {
+                    let mut bad = bits.clone();
+                    if let Some(slot) = bad.iter_mut().find(|b| **b == from) {
+                        *slot = to;
+                    }
+                    bad
+                };
                 match behavior {
                     DeviceBehavior::TruncatedProof => {
-                        let mut bad = bits.clone();
-                        if let Some(slot) = bad.iter_mut().find(|b| **b == 0) {
-                            *slot = 1;
-                        }
+                        // Malformed input: claims two categories at once.
+                        let bad = claim(0, 1);
+                        // A malicious client cannot produce a valid
+                        // proof for a non-one-hot vector; it sends a
+                        // proof for different data, tampered so
+                        // verification fails.
                         let p = prove_one_hot(&pp, &bits, &mut dev_rng).ok();
                         Upload::OneHot {
                             bits: bad,
@@ -693,10 +765,11 @@ impl<'a> StreamExecutor<'a> {
                         Upload::OneHot { bits, proof: p }
                     }
                     DeviceBehavior::MalformedOneHot => {
-                        let mut bad = bits.clone();
-                        if let Some(slot) = bad.iter_mut().find(|b| **b == 0) {
-                            *slot = 1;
-                        }
+                        // Claims two categories with a best-effort
+                        // forged proof: every coordinate is still a
+                        // bit, so the first failure is the
+                        // coordinate-sum proof.
+                        let bad = claim(0, 1);
                         let proof = forge_one_hot(&pp, &bad, &mut dev_rng);
                         Upload::OneHot {
                             bits: bad,
@@ -704,10 +777,9 @@ impl<'a> StreamExecutor<'a> {
                         }
                     }
                     DeviceBehavior::OutOfRangeValue => {
-                        let mut bad = bits.clone();
-                        if let Some(slot) = bad.iter_mut().find(|b| **b == 1) {
-                            *slot = 2;
-                        }
+                        // Claims a coordinate of 2; the forged bit
+                        // proof at the hot coordinate cannot verify.
+                        let bad = claim(1, 2);
                         let proof = forge_one_hot(&pp, &bad, &mut dev_rng);
                         Upload::OneHot {
                             bits: bad,
@@ -721,7 +793,12 @@ impl<'a> StreamExecutor<'a> {
                 }
             });
 
-        // ---- Phase B (parallel, pure): verify this window's proofs. ----
+        // ---- Phase B (parallel, pure): the aggregator verifies this
+        // window's proofs across the device shards. Verification
+        // touches no RNG, so the verdict vector — and everything
+        // downstream — is identical at any shard and thread count.
+        // `None` = accept; `Some(kind)` = reject for that typed
+        // reason. ----
         let uploads = Arc::new(uploads);
         self.verify_ops += uploads.len() as u64;
         let verify_before = shard_set.stats();
@@ -755,32 +832,46 @@ impl<'a> StreamExecutor<'a> {
                     }),
                 },
             });
-        let verify_delta: Vec<PoolStats> = shard_set
-            .stats()
-            .iter()
-            .zip(&verify_before)
-            .map(|(now, before)| now.since(before))
-            .collect();
+        let verify_delta = stats_since(shard_set, &verify_before);
         add_stats(&mut self.verify_pool_total, &verify_delta);
 
-        // ---- Phase C (serial, pure per device): accepted arrivals
-        // encrypt from their own derived RNG stream (seeded by global
-        // index), so ciphertexts are window-placement invariant. ----
+        // The aggregator hook is consulted exactly once, at the last
+        // deterministic serial point before the first ⊞ fold.
+        let agg_behavior = *self.agg_behavior.get_or_insert_with(|| {
+            adversary.map_or(AggregatorBehavior::Honest, |a| a.aggregator_behavior())
+        });
+
+        // ---- Phase C (serial, pure per device): accepted arrivals go
+        // through the sampling decision (§6's secrecy of the sample)
+        // and encrypt, each from its own derived stream (seeded by
+        // global index), so both are window-placement invariant. ----
         let mut window_accepted = 0usize;
         let mut window_rejected = 0usize;
         let mut cts: Vec<Ciphertext> = Vec::new();
-        let encrypt_seed = self.cfg.seed ^ stream_encrypt_tag();
-        for ((&i, upload), verdict) in arrivals.iter().zip(uploads.iter()).zip(&verdicts) {
-            if let Some(kind) = verdict {
+        let encrypt_seed = self.cfg.seed ^ domain_tag(b"stream-encrypt");
+        for (((&i, upload), verdict), &behavior) in arrivals
+            .iter()
+            .zip(uploads.iter())
+            .zip(&verdicts)
+            .zip(&behaviors)
+        {
+            let mut reject = |kind: DetectionKind| {
                 window_rejected += 1;
-                self.detections.push(StreamDetection {
-                    window: w,
-                    detection: Detection {
-                        subject: Subject::Device(i),
-                        kind: kind.clone(),
-                    },
-                });
+                self.detections
+                    .push(StreamDetection::new(w, Subject::Device(i), kind));
+            };
+            if let Some(kind) = verdict {
+                reject(kind.clone());
                 continue;
+            }
+            if let Some(phi) = self.logical.certificate.sampling_rate {
+                // 53 uniform bits → [0, 1), so φ = 1 keeps every device.
+                let r = seed_draw(self.cfg.seed, b"stream-sample", i as u64) >> 11;
+                if r as f64 / (1u64 << 53) as f64 >= phi {
+                    self.step_results
+                        .push(format!("input-{i}-binned-out").into_bytes());
+                    continue;
+                }
             }
             let vals = match upload {
                 Upload::OneHot { bits, .. } => bits,
@@ -790,33 +881,45 @@ impl<'a> StreamExecutor<'a> {
             let msg =
                 encode_coeffs(&ctx, vals).map_err(|e| ExecError::Unsupported(e.to_string()))?;
             let ct = bgv_encrypt(&ctx, pk, &msg, &mut enc_rng);
-            let behavior = adversary.map_or(DeviceBehavior::Honest, |a| a.device_behavior(w, i));
             if behavior == DeviceBehavior::WrongBgvCiphertext {
+                // The validated upload binds the device to `vals`; this
+                // device instead submits a ciphertext of different
+                // data. The aggregator cross-checks the digest of the
+                // submitted ciphertext against the one recomputed from
+                // the upload.
                 let mut wrong = vals.clone();
                 wrong[0] = wrong[0].wrapping_add(1);
                 let wrong_msg = encode_coeffs(&ctx, &wrong)
                     .map_err(|e| ExecError::Unsupported(e.to_string()))?;
                 let submitted = bgv_encrypt(&ctx, pk, &wrong_msg, &mut enc_rng);
                 if ciphertext_digest(&submitted) != ciphertext_digest(&ct) {
-                    window_rejected += 1;
-                    self.detections.push(StreamDetection {
-                        window: w,
-                        detection: Detection {
-                            subject: Subject::Device(i),
-                            kind: DetectionKind::CiphertextMismatch,
-                        },
-                    });
+                    reject(DetectionKind::CiphertextMismatch);
                     continue;
                 }
             }
             window_accepted += 1;
+            // Behaviors that perturb the *published* log need
+            // ciphertexts the ⊞ kernels consume by value, so the
+            // cheat's raw material is cloned up front.
+            match agg_behavior {
+                AggregatorBehavior::WrongPartialSum if self.cheat_cts.is_empty() => {
+                    self.cheat_cts.push(ct.clone());
+                }
+                AggregatorBehavior::DropUpload { .. } => self.cheat_cts.push(ct.clone()),
+                _ => {}
+            }
+            self.ok_steps.push(self.step_results.len());
             self.step_results.push(format!("input-{i}-ok").into_bytes());
             cts.push(ct);
         }
         self.accepted_count += window_accepted;
         self.rejected_count += window_rejected;
 
-        // ---- Fold this window's partials into the accumulator. ----
+        // ---- Fold this window's partials into the accumulator on the
+        // sharded pools. BGV ⊞ is associative row-wise modular
+        // addition, so the chunked merges are bitwise identical to a
+        // serial fold for every shard and thread count (see
+        // `arboretum_bgv::batch`). ----
         let aggregate_before = shard_set.stats();
         let mut partials: Vec<Ciphertext> = Vec::with_capacity(cts.len() + 1);
         if let Some(acc) = self.acc.take() {
@@ -832,17 +935,15 @@ impl<'a> StreamExecutor<'a> {
             self.acc = Some(partials.remove(0));
             self.aggregate_ops += adds;
         }
-        let aggregate_delta: Vec<PoolStats> = shard_set
-            .stats()
-            .iter()
-            .zip(&aggregate_before)
-            .map(|(now, before)| now.since(before))
-            .collect();
+        let aggregate_delta = stats_since(shard_set, &aggregate_before);
         add_stats(&mut self.aggregate_pool_total, &aggregate_delta);
+        // The fold step commits its label *and* the accumulator's
+        // digest, so a wrong partial sum is observable evidence in the
+        // step log rather than an invisible lie.
         let acc_digest = self.acc.as_ref().map(ciphertext_digest);
         let fold_step = match &acc_digest {
             Some(d) => {
-                let mut s = format!("window-{w}-fold").into_bytes();
+                let mut s = fold_label(w);
                 s.extend_from_slice(d);
                 s
             }
@@ -852,7 +953,11 @@ impl<'a> StreamExecutor<'a> {
 
         // ---- VSR handoff to the next window's committee (audited). ----
         let (handoff_digest, handoff_bytes, handoff_frames) = if w + 1 < self.schedule.n_windows {
-            let (d, b, f) = self.handoff(w, adversary)?;
+            let (d, b, f) = self.handoff(w, |j| match adversary {
+                Some(a) if a.handoff_crash(w, j) => None,
+                Some(a) => Some(a.handoff_behavior(w, j)),
+                None => Some(CommitteeBehavior::Honest),
+            })?;
             (Some(d), b, f)
         } else {
             (None, 0, 0)
@@ -877,14 +982,16 @@ impl<'a> StreamExecutor<'a> {
     }
 
     /// Runs the boundary-`b` key handoff: every seat redistributes its
-    /// share to the next window's committee over derived pure RNG
-    /// streams, batches are Feldman-verified against the standing
-    /// commitments, and the surviving t+1 batches define the new
-    /// sharing. Returns the commitments digest plus wire metering.
+    /// share to the next committee over derived pure RNG streams,
+    /// batches are Feldman-verified against the standing commitments,
+    /// and the surviving t+1 batches define the new sharing. `seat`
+    /// gives each member's behavior, `None` for a member that crashed
+    /// (its batch never arrives). Commits the handoff to the step log
+    /// and returns the commitments digest plus wire metering.
     fn handoff(
         &mut self,
         b: usize,
-        adversary: Option<&dyn StreamAdversary>,
+        seat: impl Fn(usize) -> Option<CommitteeBehavior>,
     ) -> Result<(Digest, u64, u64), StreamError> {
         let m = self.cfg.committee_size;
         let t = (m - 1) / 2;
@@ -893,25 +1000,19 @@ impl<'a> StreamExecutor<'a> {
         let mut handoff_bytes = 0u64;
         let mut handoff_frames = 0u64;
         for (j, share) in self.shares.iter().enumerate() {
-            if adversary.is_some_and(|a| a.handoff_crash(b, j)) {
-                self.detections.push(StreamDetection {
-                    window: b,
-                    detection: Detection {
-                        subject: Subject::CommitteeMember {
-                            committee: 0,
-                            member: j,
-                            device: roster[j],
-                        },
-                        kind: DetectionKind::HandoffDropout { boundary: b },
-                    },
-                });
+            let Some(behavior) = seat(j) else {
+                let kind = DetectionKind::HandoffDropout { boundary: b };
+                self.detections
+                    .push(StreamDetection::seat(b, roster, j, kind));
                 continue;
-            }
+            };
             let mut rng = StdRng::seed_from_u64(
-                self.cfg.seed ^ stream_handoff_tag() ^ mix((b * m + j) as u64 + 1),
+                self.cfg.seed ^ domain_tag(b"stream-handoff") ^ mix((b * m + j) as u64 + 1),
             );
-            let behavior =
-                adversary.map_or(CommitteeBehavior::Honest, |a| a.handoff_behavior(b, j));
+            // Corrupt members either re-share a wrong value
+            // (equivocation, caught by the constant-term check) or
+            // publish an inconsistent batch (caught by per-subshare
+            // Feldman verification).
             let batch = match behavior {
                 CommitteeBehavior::EquivocateCommit => {
                     let lie = VShare {
@@ -936,26 +1037,16 @@ impl<'a> StreamExecutor<'a> {
         }
         let (new_shares, rejections) = combine_batches_detailed(&batches, &self.commitments, t, m)
             .map_err(|e| ExecError::KeyTransfer(e.to_string()))?;
-        for r in &rejections {
+        for r in rejections {
+            let kind = match r.reason {
+                BatchRejectReason::WrongConstantTerm => DetectionKind::VsrEquivocation,
+                BatchRejectReason::BadSubshares(subshares) => {
+                    DetectionKind::VsrBadSubshares { subshares }
+                }
+            };
             let member = (r.from - 1) as usize;
-            self.detections.push(StreamDetection {
-                window: b,
-                detection: Detection {
-                    subject: Subject::CommitteeMember {
-                        committee: 0,
-                        member,
-                        device: roster[member],
-                    },
-                    kind: match &r.reason {
-                        BatchRejectReason::WrongConstantTerm => DetectionKind::VsrEquivocation,
-                        BatchRejectReason::BadSubshares(subshares) => {
-                            DetectionKind::VsrBadSubshares {
-                                subshares: subshares.clone(),
-                            }
-                        }
-                    },
-                },
-            });
+            self.detections
+                .push(StreamDetection::seat(b, roster, member, kind));
         }
         // The new commitments come from the same t+1 batches the
         // combine step chose: the first t+1 valid, in input order.
@@ -977,11 +1068,12 @@ impl<'a> StreamExecutor<'a> {
         Ok((digest, handoff_bytes, handoff_frames))
     }
 
-    /// Closes the epoch: reconstructs the session key from the standing
-    /// committee's shares (across however many handoffs the schedule
-    /// crossed), decrypts the accumulator once, runs the mechanism
-    /// vignettes on the same derived RNG streams as the batch path, and
-    /// spot-audits the full step log — inputs, folds, and handoffs.
+    /// Closes the epoch: hands the key from the last ingestion
+    /// committee to the decryption committee (§5.2), reconstructs it
+    /// from the standing shares (across however many handoffs the
+    /// schedule crossed), decrypts the accumulator once, runs the
+    /// mechanism vignettes, and spot-audits the full step log — inputs,
+    /// folds, and handoffs.
     ///
     /// # Errors
     ///
@@ -989,36 +1081,50 @@ impl<'a> StreamExecutor<'a> {
     /// [`StreamError::NoSurvivors`] if nothing was ever accepted, and
     /// wrapped [`ExecError`]s for key-transfer or MPC failures.
     pub fn close(mut self) -> Result<StreamReport, StreamError> {
-        if self.next_window < self.schedule.n_windows {
+        let n_windows = self.schedule.n_windows;
+        if self.next_window < n_windows {
             return Err(StreamError::WindowOutOfOrder {
                 expected: self.next_window,
-                got: self.schedule.n_windows,
+                got: n_windows,
             });
         }
+        let adversary = self.adversary;
         let m = self.cfg.committee_size;
         let t = (m - 1) / 2;
         let total_ct = self.acc.take().ok_or(StreamError::NoSurvivors)?;
         let ctx = Arc::clone(&self.setup.ctx);
         let categories = self.deployment.schema.row_width;
         let n = self.deployment.db.len();
+        // The final window's fold is the last step `ingest_next` logged
+        // (no boundary handoff follows the final window).
+        let agg_step = self.step_results.len() - 1;
 
-        // Final committee must still hold the session key.
+        // ---- VSR: key handoff keygen → decryption committee (§5.2),
+        // logged like every boundary handoff but outside the per-window
+        // checkpoints. The final committee must still hold the key. ----
+        self.handoff(n_windows - 1, |j| {
+            Some(adversary.map_or(CommitteeBehavior::Honest, |a| a.committee_behavior(0, j)))
+        })?;
         let recovered =
             vsr_reconstruct(&self.shares, t).map_err(|e| ExecError::KeyTransfer(e.to_string()))?;
         if recovered != self.key_secret {
             return Err(ExecError::KeyTransfer("key digest mismatch".into()).into());
         }
 
-        // ---- Decrypt once against the standing setup (§5.4). ----
+        // ---- Decryption to shares (§5.4). ----
         let counts_raw = bgv_decrypt(&ctx, &self.setup.sk, &total_ct);
         let counts: Vec<i64> = counts_raw[..categories].iter().map(|&v| v as i64).collect();
         let mut mpc = MpcEngine::new_on(
             m,
             t,
             true,
-            self.cfg.seed ^ x0p5_tag(),
+            self.cfg.seed ^ domain_tag(b"mechanism-mpc"),
             FabricKind::resolve(self.cfg.fabric, FabricKind::Sim),
         );
+        // Message-observing callback for adaptive adversaries.
+        // Read-only, so a sink never changes outputs or metrics.
+        mpc.set_frame_sink(adversary.and_then(|a| a.traffic_sink()));
+        // Charge the distributed-decryption cost.
         inject_with_cost(
             &mut mpc,
             Fix::ZERO,
@@ -1029,7 +1135,13 @@ impl<'a> StreamExecutor<'a> {
         );
         self.step_results.push(b"decrypt-to-shares".to_vec());
 
-        // ---- Mechanism vignettes, same RNG streams as the batch path. ----
+        // ---- Mechanism and post-processing vignettes (§5.4). ----
+        //
+        // The generalized MPC evaluator executes every statement after
+        // the aggregation on secret shares: score preparation (prefix
+        // sums, revenue scores, rank distances), DP mechanisms (metered
+        // noise injection + secure argmax), and cleartext
+        // post-processing of released values.
         let style = if self
             .plan
             .vignettes
@@ -1040,6 +1152,8 @@ impl<'a> StreamExecutor<'a> {
         } else {
             MechStyle::Gumbel
         };
+        // Find the aggregation statement `var = sum(db-view)` to bind
+        // the decrypted counts and resume execution after it.
         let (sum_var, resume_at) = find_aggregation(&self.logical.program)
             .ok_or_else(|| ExecError::Unsupported("no sum(db) aggregation found".into()))?;
         let mut env = HashMap::new();
@@ -1057,58 +1171,187 @@ impl<'a> StreamExecutor<'a> {
             evaluator.outputs
         };
         self.step_results.push(b"mechanism-vignettes".to_vec());
+
+        // ---- Output committee releases; aggregator logs steps (§5.5). ----
         self.step_results.push(
             outputs
                 .iter()
                 .flat_map(|o| o.to_be_bytes())
                 .collect::<Vec<u8>>(),
         );
-
-        // ---- Device spot-audit over the full windowed log (§5.5). ----
         let log = StepLog::new(std::mem::take(&mut self.step_results));
         let root = log.root();
         let k = challenges_per_device(log.len(), n as u64, self.cfg.p_max);
         let honest: Vec<Vec<u8>> = (0..log.len()).map(|i| log.respond(i).0).collect();
-        let mut audit_rng = StdRng::seed_from_u64(self.cfg.seed ^ stream_audit_tag());
+        let mut audit_rng = StdRng::seed_from_u64(self.cfg.seed ^ domain_tag(b"stream-audit"));
         let mut audit_ok = true;
         for _ in 0..n.min(50) {
             if !audit(&log, &root, k, |i| honest[i].clone(), &mut audit_rng) {
                 audit_ok = false;
             }
         }
+        if let Some(kind) = self.aggregator_audit(&total_ct, agg_step, &honest, k) {
+            self.detections.push(StreamDetection::new(
+                n_windows - 1,
+                Subject::Aggregator,
+                kind,
+            ));
+        }
 
+        // The keygen-MPC cost is charged to whoever performed the
+        // keygen: an epoch that built its setup inline merges it here;
+        // the session-catalog path paid it once at setup build time, so
+        // cached executions report only their own per-query MPC work.
+        let mut metrics = mpc.net.metrics.clone();
+        let setup_counters = match &self.setup {
+            Cow::Owned(built) => {
+                metrics.rounds += built.keygen_metrics.rounds;
+                metrics.bytes_sent_total += built.keygen_metrics.bytes_sent_total;
+                metrics.field_mults += built.keygen_metrics.field_mults;
+                metrics.triples += built.keygen_metrics.triples;
+                built.counters.clone()
+            }
+            Cow::Borrowed(_) => SetupCounters::default(),
+        };
+
+        // Elapsed-time estimate under the configured heterogeneity
+        // models (reference per-multiplication cost from the §7.5
+        // calibration).
         let compute = self
             .cfg
             .compute
             .clone()
             .unwrap_or_else(|| arboretum_mpc::network::ComputeModel::uniform(m));
-        let per_mult_secs = 9.0e-4;
+        let per_mult_secs = 9.0e-4; // 73.8 s / ~80k mults, the §7.5 anchor.
         let mpc_elapsed_estimate_secs =
             mpc.net
                 .elapsed_secs(&self.cfg.latency, &compute, per_mult_secs);
 
+        let budget_after = self.cert.budget_after;
         Ok(StreamReport {
             report: ExecutionReport {
                 outputs,
                 certificate: self.cert,
                 rejected_inputs: self.rejected_count,
                 accepted_inputs: self.accepted_count,
-                mpc_metrics: mpc.net.metrics.clone(),
+                mpc_metrics: metrics,
                 audit_ok,
                 mpc_elapsed_estimate_secs,
-                budget_after: self.ledger.remaining(),
+                budget_after,
                 verify_pool: self.verify_pool_total,
                 verify_ops: self.verify_ops,
                 aggregate_pool: self.aggregate_pool_total,
                 aggregate_ops: self.aggregate_ops,
                 ring_degree: ctx.params.n as u64,
-                // Streams always run on a standing setup: sortition and
-                // keygen were amortized at session-open time.
-                setup: SetupCounters::default(),
+                setup: setup_counters,
             },
             checkpoints: self.checkpoints,
             detections: self.detections,
         })
+    }
+
+    /// The adversarial aggregator (§5.3): the cheat perturbs what the
+    /// server *publishes* — log, root, or challenge responses — while
+    /// the honest values stay in the pipeline, so the run detects and
+    /// recovers: outputs, budget, and the honest audit verdict remain
+    /// bitwise identical to an honest replay, plus at most one typed
+    /// detection, returned here. The device audit draws from its own
+    /// derived RNG stream.
+    fn aggregator_audit(
+        &self,
+        total_ct: &Ciphertext,
+        agg_step: usize,
+        honest: &[Vec<u8>],
+        k: usize,
+    ) -> Option<DetectionKind> {
+        let behavior = self.agg_behavior.unwrap_or(AggregatorBehavior::Honest);
+        let ok_steps = &self.ok_steps;
+        behavior.expected_kind(ok_steps, agg_step, honest.len())?;
+        let ctx = &self.setup.ctx;
+        let n_windows = self.schedule.n_windows;
+        let forged_agg_step = |forged: &Ciphertext| {
+            let mut contents = fold_label(n_windows - 1);
+            contents.extend_from_slice(&ciphertext_digest(forged));
+            contents
+        };
+        let mut published_steps = honest.to_vec();
+        // Responder state for post-commitment cheats: a tampered tree
+        // (ForgedLeaf) or an alternating second answer (Equivocation).
+        let mut tampered: Option<(usize, StepLog)> = None;
+        let mut equivocation: Option<(usize, StepLog)> = None;
+        match behavior {
+            AggregatorBehavior::WrongPartialSum => {
+                let extra = self.cheat_cts.first()?;
+                let forged = arboretum_bgv::scheme::add(ctx, total_ct, extra);
+                published_steps[agg_step] = forged_agg_step(&forged);
+            }
+            AggregatorBehavior::DropUpload { draw } => {
+                let j = (draw % ok_steps.len() as u64) as usize;
+                let victim_ct = self.cheat_cts.get(j)?;
+                let victim_step = ok_steps[j];
+                let mut dropped = honest[victim_step]
+                    .strip_suffix(b"-ok")
+                    .expect("ok-step contents end in -ok")
+                    .to_vec();
+                dropped.extend_from_slice(DROPPED_MARKER);
+                published_steps[victim_step] = dropped;
+                let forged = arboretum_bgv::scheme::sub(ctx, total_ct, victim_ct);
+                published_steps[agg_step] = forged_agg_step(&forged);
+            }
+            AggregatorBehavior::ForgedLeaf { draw } => {
+                let step = (draw % honest.len() as u64) as usize;
+                let mut forged_steps = honest.to_vec();
+                forged_steps[step].extend_from_slice(b"-forged");
+                tampered = Some((step, StepLog::new(forged_steps)));
+            }
+            // Perturbs the root below, once the log it should commit is
+            // built.
+            AggregatorBehavior::ForgedRoot => {}
+            AggregatorBehavior::ReorderedSteps { draw } => {
+                let j = (draw % (ok_steps.len() - 1) as u64) as usize;
+                published_steps.swap(ok_steps[j], ok_steps[j + 1]);
+            }
+            AggregatorBehavior::EquivocatingResponses { draw } => {
+                let step = (draw % honest.len() as u64) as usize;
+                let mut forged_steps = honest.to_vec();
+                forged_steps[step].extend_from_slice(b"-equivocated");
+                equivocation = Some((step, StepLog::new(forged_steps)));
+            }
+            AggregatorBehavior::Honest => unreachable!("expected_kind is None for Honest"),
+        }
+        let published = StepLog::new(published_steps);
+        let mut published_root = published.root();
+        if behavior == AggregatorBehavior::ForgedRoot {
+            published_root[0] ^= 0x01;
+        }
+        let mut equiv_hits = 0usize;
+        let respond = |i: usize| {
+            if let Some((step, forged)) = &tampered {
+                if i == *step {
+                    return forged.respond(i);
+                }
+            }
+            if let Some((step, forged)) = &equivocation {
+                if i == *step {
+                    equiv_hits += 1;
+                    if equiv_hits.is_multiple_of(2) {
+                        return forged.respond(i);
+                    }
+                }
+            }
+            published.respond(i)
+        };
+        let mut audit_rng = StdRng::seed_from_u64(self.cfg.seed ^ domain_tag(b"aggregator-audit"));
+        let records = adversarial_audit(
+            honest.len(),
+            &published_root,
+            self.deployment.db.len().min(50),
+            k,
+            respond,
+            |i| honest[i].clone(),
+            &mut audit_rng,
+        );
+        collate_detection(&records)
     }
 
     /// Serializes the resumable mid-stream state: accumulator
@@ -1192,51 +1435,51 @@ impl<'a> StreamExecutor<'a> {
     }
 
     /// Restores mid-stream state from [`Self::checkpoint_bytes`] into a
-    /// freshly constructed executor for the *same* plan, deployment,
-    /// config, setup, and schedule. Continuing from the restored state
+    /// freshly opened executor for the *same* plan, deployment, config,
+    /// setup, and schedule. Continuing from the restored state
     /// reproduces the uninterrupted run bitwise.
+    ///
+    /// The bytes are untrusted (a crashed process or an attacker wrote
+    /// them): every length is bounded by the bytes that remain before
+    /// anything is allocated for it, and nothing is committed to `self`
+    /// until the whole checkpoint parsed.
     ///
     /// # Errors
     ///
     /// [`StreamError::Checkpoint`] on truncation, version/magic or
-    /// schedule-digest mismatch, or malformed frames.
+    /// schedule-digest mismatch, implausible counts, or malformed
+    /// frames.
     pub fn restore_from(&mut self, bytes: &[u8]) -> Result<(), StreamError> {
         let bad = |s: &str| StreamError::Checkpoint(s.to_string());
         let mut pos = 0usize;
-        let take = |pos: &mut usize, k: usize| -> Result<&[u8], StreamError> {
-            if *pos + k > bytes.len() {
-                return Err(StreamError::Checkpoint("truncated checkpoint".into()));
-            }
-            let s = &bytes[*pos..*pos + k];
-            *pos += k;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != CHECKPOINT_MAGIC {
+        if take(bytes, &mut pos, 4)? != CHECKPOINT_MAGIC {
             return Err(bad("bad checkpoint magic"));
         }
-        let v = take(&mut pos, 2)?;
+        let v = take(bytes, &mut pos, 2)?;
         if u16::from_be_bytes([v[0], v[1]]) != CHECKPOINT_VERSION {
             return Err(bad("unsupported checkpoint version"));
         }
-        if take(&mut pos, 32)? != self.schedule.digest() {
+        if take(bytes, &mut pos, 32)? != self.schedule.digest() {
             return Err(bad("checkpoint was taken under a different schedule"));
         }
-        let next_window = get_u64(bytes, &mut pos)? as usize;
-        if next_window > self.schedule.n_windows {
+        let next_window = get_u64(bytes, &mut pos)?;
+        if next_window > self.schedule.n_windows as u64 {
             return Err(bad("checkpoint window exceeds the schedule"));
         }
         let accepted_count = get_u64(bytes, &mut pos)? as usize;
         let rejected_count = get_u64(bytes, &mut pos)? as usize;
         let verify_ops = get_u64(bytes, &mut pos)?;
         let aggregate_ops = get_u64(bytes, &mut pos)?;
-        let acc = match take(&mut pos, 1)?[0] {
+        let acc = match take(bytes, &mut pos, 1)?[0] {
             0 => None,
             1 => {
-                let limbs = take(&mut pos, 1)?[0] as usize;
-                let degree = self.setup.ctx.params.n;
+                let params = &self.setup.ctx.params;
+                if take(bytes, &mut pos, 1)?[0] as usize != params.moduli.len() {
+                    return Err(bad("accumulator limb count does not match the session"));
+                }
                 let mut polys = [RnsPoly { rows: Vec::new() }, RnsPoly { rows: Vec::new() }];
                 for (poly, slot) in polys.iter_mut().enumerate() {
-                    for limb in 0..limbs {
+                    for limb in 0..params.moduli.len() {
                         let (msg, used) = Message::decode_frame(&bytes[pos..])
                             .map_err(|e| StreamError::Checkpoint(e.to_string()))?;
                         pos += used;
@@ -1248,7 +1491,7 @@ impl<'a> StreamExecutor<'a> {
                                 coeffs,
                             } if p as usize == poly
                                 && l as usize == limb
-                                && coeffs.len() == degree =>
+                                && coeffs.len() == params.n =>
                             {
                                 slot.rows.push(coeffs);
                             }
@@ -1265,15 +1508,19 @@ impl<'a> StreamExecutor<'a> {
             .map_err(|e| StreamError::Checkpoint(e.to_string()))?;
         pos += used;
         let committee = message_to_vsr_batch(&msg).ok_or_else(|| bad("missing committee frame"))?;
-        let n_steps = get_u32(bytes, &mut pos)? as usize;
+        if committee.from != next_window || committee.sharing.shares.len() != self.shares.len() {
+            return Err(bad("committee frame does not match the epoch"));
+        }
+        // A step is at least its 4-byte length prefix.
+        let n_steps = get_count(bytes, &mut pos, 4)?;
         let mut step_results = Vec::with_capacity(n_steps);
         for _ in 0..n_steps {
             let len = get_u32(bytes, &mut pos)? as usize;
-            step_results.push(take(&mut pos, len)?.to_vec());
+            step_results.push(take(bytes, &mut pos, len)?.to_vec());
         }
         let verify_pool_total = get_stats(bytes, &mut pos)?;
         let aggregate_pool_total = get_stats(bytes, &mut pos)?;
-        let n_checkpoints = get_u32(bytes, &mut pos)? as usize;
+        let n_checkpoints = get_count(bytes, &mut pos, CHECKPOINT_MIN_BYTES)?;
         let mut checkpoints = Vec::with_capacity(n_checkpoints);
         for _ in 0..n_checkpoints {
             checkpoints.push(WindowCheckpoint {
@@ -1293,7 +1540,7 @@ impl<'a> StreamExecutor<'a> {
         if pos != bytes.len() {
             return Err(bad("trailing bytes after checkpoint"));
         }
-        self.next_window = next_window;
+        self.next_window = next_window as usize;
         self.accepted_count = accepted_count;
         self.rejected_count = rejected_count;
         self.verify_ops = verify_ops;
@@ -1306,31 +1553,51 @@ impl<'a> StreamExecutor<'a> {
         self.aggregate_pool_total = aggregate_pool_total;
         self.checkpoints = checkpoints;
         self.detections.clear();
+        self.ok_steps.clear();
+        self.cheat_cts.clear();
         Ok(())
     }
 }
 
-/// Drives an entire [`ArrivalSchedule`] through a [`StreamExecutor`] —
-/// every window then the close — on a standing [`SessionSetup`].
+/// Drives an entire [`ArrivalSchedule`] through a [`StreamExecutor`]:
+/// open, every window, then the close. `setup`, `pool` and `adversary`
+/// are the three things that vary between callers; see
+/// [`crate::executor::execute`], the one-window case.
 ///
 /// # Errors
 ///
-/// See [`StreamExecutor::new`], [`StreamExecutor::ingest_next`], and
+/// See [`StreamExecutor::open`], [`StreamExecutor::ingest_next`], and
 /// [`StreamExecutor::close`].
+#[allow(clippy::too_many_arguments)]
 pub fn execute_stream(
     plan: &Plan,
     logical: &LogicalPlan,
     deployment: &Deployment,
     cfg: &ExecutionConfig,
-    setup: &SessionSetup,
     schedule: &ArrivalSchedule,
-    adversary: Option<&dyn StreamAdversary>,
+    setup: Option<&SessionSetup>,
+    pool: Option<&ShardedPool>,
+    adversary: Option<&dyn Adversary>,
 ) -> Result<StreamReport, StreamError> {
-    let mut exec = StreamExecutor::new(plan, logical, deployment, cfg, setup, schedule, None)?;
+    let mut exec = StreamExecutor::open(
+        plan, logical, deployment, cfg, schedule, setup, pool, adversary,
+    )?;
     for _ in 0..schedule.n_windows {
-        exec.ingest_next(adversary)?;
+        exec.ingest_next()?;
     }
     exec.close()
+}
+
+fn fold_label(window: usize) -> Vec<u8> {
+    format!("window-{window}-fold").into_bytes()
+}
+
+fn stats_since(pool: &ShardedPool, before: &[PoolStats]) -> Vec<PoolStats> {
+    pool.stats()
+        .iter()
+        .zip(before)
+        .map(|(now, before)| now.since(before))
+        .collect()
 }
 
 fn add_stats(total: &mut Vec<PoolStats>, delta: &[PoolStats]) {
@@ -1375,49 +1642,60 @@ fn put_stats(out: &mut Vec<u8>, stats: &[PoolStats]) {
     }
 }
 
+/// Serialized size of one [`PoolStats`]: five `u64` counters.
+const STATS_BYTES: usize = 40;
+/// Least a serialized [`WindowCheckpoint`] can occupy: seven `u64`
+/// fields, two digest flags, two (empty) stats vectors.
+const CHECKPOINT_MIN_BYTES: usize = 7 * 8 + 2 + 2 * 4;
+
+/// The next `k` checkpoint bytes, advancing `pos`. The one bounds check
+/// every reader below goes through; `checked_add` so a hostile length
+/// cannot wrap the offset on a 32-bit `usize`.
+fn take<'b>(bytes: &'b [u8], pos: &mut usize, k: usize) -> Result<&'b [u8], StreamError> {
+    let end = pos
+        .checked_add(k)
+        .filter(|&end| end <= bytes.len())
+        .ok_or_else(|| StreamError::Checkpoint("truncated checkpoint".into()))?;
+    let s = &bytes[*pos..end];
+    *pos = end;
+    Ok(s)
+}
+
 fn get_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, StreamError> {
-    if *pos + 4 > bytes.len() {
-        return Err(StreamError::Checkpoint("truncated checkpoint".into()));
-    }
-    let v = u32::from_be_bytes(bytes[*pos..*pos + 4].try_into().expect("length checked"));
-    *pos += 4;
-    Ok(v)
+    let b = take(bytes, pos, 4)?;
+    Ok(u32::from_be_bytes(b.try_into().expect("took 4 bytes")))
 }
 
 fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, StreamError> {
-    if *pos + 8 > bytes.len() {
-        return Err(StreamError::Checkpoint("truncated checkpoint".into()));
+    let b = take(bytes, pos, 8)?;
+    Ok(u64::from_be_bytes(b.try_into().expect("took 8 bytes")))
+}
+
+/// An element count whose elements each occupy at least `min_bytes`:
+/// refused when the bytes that remain could not hold that many, so the
+/// caller's allocation is bounded by the input length.
+fn get_count(bytes: &[u8], pos: &mut usize, min_bytes: usize) -> Result<usize, StreamError> {
+    let n = get_u32(bytes, pos)? as usize;
+    if n > (bytes.len() - *pos) / min_bytes {
+        return Err(StreamError::Checkpoint(
+            "count exceeds the checkpoint's length".into(),
+        ));
     }
-    let v = u64::from_be_bytes(bytes[*pos..*pos + 8].try_into().expect("length checked"));
-    *pos += 8;
-    Ok(v)
+    Ok(n)
 }
 
 fn get_digest(bytes: &[u8], pos: &mut usize) -> Result<Option<Digest>, StreamError> {
-    if *pos + 1 > bytes.len() {
-        return Err(StreamError::Checkpoint("truncated checkpoint".into()));
-    }
-    let flag = bytes[*pos];
-    *pos += 1;
-    match flag {
+    match take(bytes, pos, 1)?[0] {
         0 => Ok(None),
-        1 => {
-            if *pos + 32 > bytes.len() {
-                return Err(StreamError::Checkpoint("truncated checkpoint".into()));
-            }
-            let d: Digest = bytes[*pos..*pos + 32].try_into().expect("length checked");
-            *pos += 32;
-            Ok(Some(d))
-        }
+        1 => Ok(Some(
+            take(bytes, pos, 32)?.try_into().expect("took 32 bytes"),
+        )),
         _ => Err(StreamError::Checkpoint("bad digest flag".into())),
     }
 }
 
 fn get_stats(bytes: &[u8], pos: &mut usize) -> Result<Vec<PoolStats>, StreamError> {
-    let k = get_u32(bytes, pos)? as usize;
-    if k > 4096 {
-        return Err(StreamError::Checkpoint("implausible shard count".into()));
-    }
+    let k = get_count(bytes, pos, STATS_BYTES)?;
     let mut out = Vec::with_capacity(k);
     for _ in 0..k {
         out.push(PoolStats {

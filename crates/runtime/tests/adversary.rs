@@ -302,8 +302,7 @@ fn honest_aggregator_hook_leaves_no_trace_on_any_fabric() {
     use arboretum_planner::logical::extract;
     use arboretum_planner::search::{plan, PlannerConfig};
     use arboretum_runtime::{
-        execute, execute_with_adversary, Adversary, AggregatorBehavior, Deployment,
-        ExecutionConfig, ExecutionReport,
+        execute, Adversary, AggregatorBehavior, Deployment, ExecutionConfig, ExecutionReport,
     };
 
     struct HonestAggregatorOnly;
@@ -348,16 +347,23 @@ fn honest_aggregator_hook_leaves_no_trace_on_any_fabric() {
             fabric: Some(fabric),
             ..ExecutionConfig::default()
         };
-        let plain = execute(&physical, &lp, &deployment, &cfg).unwrap();
-        let adv = execute_with_adversary(&physical, &lp, &deployment, &cfg, &HonestAggregatorOnly)
-            .unwrap();
+        let (plain, _) = execute(&physical, &lp, &deployment, &cfg, None, None, None).unwrap();
+        let (adv, detections) = execute(
+            &physical,
+            &lp,
+            &deployment,
+            &cfg,
+            None,
+            None,
+            Some(&HonestAggregatorOnly),
+        )
+        .unwrap();
         assert!(
-            adv.detections.is_empty(),
-            "{fabric}: false positives: {:?}",
-            adv.detections
+            detections.is_empty(),
+            "{fabric}: false positives: {detections:?}"
         );
         assert_eq!(
-            det_view(&adv.report),
+            det_view(&adv),
             det_view(&plain),
             "{fabric}: honest-aggregator adversary left a trace"
         );
@@ -396,9 +402,7 @@ fn honest_adversary_leaves_no_trace() {
     use arboretum_lang::privacy::CertifyConfig;
     use arboretum_planner::logical::extract;
     use arboretum_planner::search::{plan, PlannerConfig};
-    use arboretum_runtime::{
-        execute, execute_with_adversary, Deployment, ExecutionConfig, HonestAdversary,
-    };
+    use arboretum_runtime::{execute, Deployment, ExecutionConfig, HonestAdversary};
 
     let assignments: Vec<usize> = (0..30).map(|i| i % 3).collect();
     let deployment = Deployment::one_hot(&assignments, 3);
@@ -413,20 +417,25 @@ fn honest_adversary_leaves_no_trace() {
         },
         ..ExecutionConfig::default()
     };
-    let plain = execute(&physical, &lp, &deployment, &cfg).unwrap();
-    let adv = execute_with_adversary(&physical, &lp, &deployment, &cfg, &HonestAdversary).unwrap();
-    assert!(
-        adv.detections.is_empty(),
-        "false positives: {:?}",
-        adv.detections
-    );
-    assert_eq!(adv.report.outputs, plain.outputs);
-    assert_eq!(adv.report.accepted_inputs, plain.accepted_inputs);
-    assert_eq!(adv.report.rejected_inputs, 0);
+    let (plain, _) = execute(&physical, &lp, &deployment, &cfg, None, None, None).unwrap();
+    let (adv, detections) = execute(
+        &physical,
+        &lp,
+        &deployment,
+        &cfg,
+        None,
+        None,
+        Some(&HonestAdversary),
+    )
+    .unwrap();
+    assert!(detections.is_empty(), "false positives: {detections:?}");
+    assert_eq!(adv.outputs, plain.outputs);
+    assert_eq!(adv.accepted_inputs, plain.accepted_inputs);
+    assert_eq!(adv.rejected_inputs, 0);
     assert_eq!(
-        adv.report.budget_after.epsilon.to_bits(),
+        adv.budget_after.epsilon.to_bits(),
         plain.budget_after.epsilon.to_bits()
     );
-    assert_eq!(adv.report.certificate.signatures.len(), cfg.committee_size);
-    assert!(adv.report.certificate.verify(&deployment.registry));
+    assert_eq!(adv.certificate.signatures.len(), cfg.committee_size);
+    assert!(adv.certificate.verify(&deployment.registry));
 }

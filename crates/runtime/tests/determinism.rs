@@ -99,7 +99,9 @@ fn executor_report_is_identical_at_any_thread_count() {
             par: ParConfig::fixed(threads),
             ..ExecutionConfig::default()
         };
-        execute(&physical, &lp, &deployment, &cfg).unwrap()
+        execute(&physical, &lp, &deployment, &cfg, None, None, None)
+            .unwrap()
+            .0
     };
 
     let reference = run(0);
@@ -145,7 +147,7 @@ fn executor_respects_budget_across_thread_counts() {
             par: ParConfig::fixed(threads),
             ..ExecutionConfig::default()
         };
-        let err = execute(&physical, &lp, &deployment, &cfg).unwrap_err();
+        let err = execute(&physical, &lp, &deployment, &cfg, None, None, None).unwrap_err();
         assert_eq!(
             err,
             arboretum_runtime::executor::ExecError::BudgetExhausted,
@@ -228,7 +230,9 @@ fn executor_report_is_identical_at_any_shard_and_thread_count() {
             par: ParConfig::fixed(threads).with_shards(shards),
             ..ExecutionConfig::default()
         };
-        execute(&physical, &lp, &deployment, &cfg).unwrap()
+        execute(&physical, &lp, &deployment, &cfg, None, None, None)
+            .unwrap()
+            .0
     };
 
     // The serial single-shard run is the reference everything else must

@@ -41,7 +41,16 @@ fn top1_end_to_end_finds_dominant_category() {
         "aggr = sum(db); r = em(aggr, 8.0); output(r);",
         &[5, 3, 60, 4],
     );
-    let report = execute(&physical, &lp, &deployment, &ExecutionConfig::default()).unwrap();
+    let (report, _) = execute(
+        &physical,
+        &lp,
+        &deployment,
+        &ExecutionConfig::default(),
+        None,
+        None,
+        None,
+    )
+    .unwrap();
     assert_eq!(report.outputs, vec![2]);
     assert_eq!(report.rejected_inputs, 0);
     assert_eq!(report.accepted_inputs, 72);
@@ -59,7 +68,16 @@ fn laplace_histogram_end_to_end() {
         "aggr = sum(db); r = laplace(aggr, 1, 4.0); output(r);",
         &[30, 10, 20],
     );
-    let report = execute(&physical, &lp, &deployment, &ExecutionConfig::default()).unwrap();
+    let (report, _) = execute(
+        &physical,
+        &lp,
+        &deployment,
+        &ExecutionConfig::default(),
+        None,
+        None,
+        None,
+    )
+    .unwrap();
     assert_eq!(report.outputs.len(), 3);
     for (got, want) in report.outputs.iter().zip([30i64, 10, 20]) {
         assert!(
@@ -75,7 +93,16 @@ fn topk_end_to_end_returns_k_categories() {
         "aggr = sum(db); t = emTopK(aggr, 2, 6.0); output(t);",
         &[40, 2, 35, 1],
     );
-    let report = execute(&physical, &lp, &deployment, &ExecutionConfig::default()).unwrap();
+    let (report, _) = execute(
+        &physical,
+        &lp,
+        &deployment,
+        &ExecutionConfig::default(),
+        None,
+        None,
+        None,
+    )
+    .unwrap();
     assert_eq!(report.outputs.len(), 2);
     assert!(report.outputs.contains(&0));
     assert!(report.outputs.contains(&2));
@@ -91,7 +118,7 @@ fn malicious_inputs_rejected_but_result_stands() {
         malicious_fraction: 0.1,
         ..Default::default()
     };
-    let report = execute(&physical, &lp, &deployment, &cfg).unwrap();
+    let (report, _) = execute(&physical, &lp, &deployment, &cfg, None, None, None).unwrap();
     assert!(report.rejected_inputs > 0, "some inputs must be rejected");
     assert_eq!(
         report.rejected_inputs + report.accepted_inputs,
@@ -112,7 +139,7 @@ fn budget_exhaustion_blocks_query() {
         ..Default::default()
     };
     assert_eq!(
-        execute(&physical, &lp, &deployment, &cfg).unwrap_err(),
+        execute(&physical, &lp, &deployment, &cfg, None, None, None).unwrap_err(),
         ExecError::BudgetExhausted
     );
 }
@@ -124,8 +151,8 @@ fn deterministic_given_seed() {
         &[20, 25, 18],
     );
     let cfg = ExecutionConfig::default();
-    let a = execute(&physical, &lp, &deployment, &cfg).unwrap();
-    let b = execute(&physical, &lp, &deployment, &cfg).unwrap();
+    let (a, _) = execute(&physical, &lp, &deployment, &cfg, None, None, None).unwrap();
+    let (b, _) = execute(&physical, &lp, &deployment, &cfg, None, None, None).unwrap();
     assert_eq!(a.outputs, b.outputs);
     assert_eq!(a.mpc_metrics, b.mpc_metrics);
 }
@@ -141,8 +168,8 @@ fn wan_execution_estimate_exceeds_lan() {
         latency: arboretum_mpc::network::LatencyModel::geo_distributed(5),
         ..Default::default()
     };
-    let lan = execute(&physical, &lp, &deployment, &lan_cfg).unwrap();
-    let wan = execute(&physical, &lp, &deployment, &wan_cfg).unwrap();
+    let (lan, _) = execute(&physical, &lp, &deployment, &lan_cfg, None, None, None).unwrap();
+    let (wan, _) = execute(&physical, &lp, &deployment, &wan_cfg, None, None, None).unwrap();
     assert_eq!(lan.outputs, wan.outputs, "latency must not change results");
     assert!(
         wan.mpc_elapsed_estimate_secs > 2.0 * lan.mpc_elapsed_estimate_secs,
@@ -161,7 +188,16 @@ fn program_without_aggregation_rejected() {
     let (physical, mut lp, deployment) =
         setup("aggr = sum(db); r = em(aggr, 8.0); output(r);", &[10, 20]);
     lp.program = parse("x = 1; output(x);").unwrap();
-    let err = execute(&physical, &lp, &deployment, &ExecutionConfig::default()).unwrap_err();
+    let err = execute(
+        &physical,
+        &lp,
+        &deployment,
+        &ExecutionConfig::default(),
+        None,
+        None,
+        None,
+    )
+    .unwrap_err();
     assert!(matches!(err, ExecError::Unsupported(_)), "{err:?}");
 }
 
@@ -173,7 +209,7 @@ fn all_inputs_rejected_is_an_error_not_a_panic() {
         malicious_fraction: 1.0,
         ..Default::default()
     };
-    let err = execute(&physical, &lp, &deployment, &cfg).unwrap_err();
+    let err = execute(&physical, &lp, &deployment, &cfg, None, None, None).unwrap_err();
     assert!(matches!(err, ExecError::Unsupported(_)), "{err:?}");
 }
 
@@ -181,7 +217,16 @@ fn all_inputs_rejected_is_an_error_not_a_panic() {
 fn certificate_rejects_wrong_registry() {
     let (physical, lp, deployment) =
         setup("aggr = sum(db); r = em(aggr, 8.0); output(r);", &[10, 20]);
-    let report = execute(&physical, &lp, &deployment, &ExecutionConfig::default()).unwrap();
+    let (report, _) = execute(
+        &physical,
+        &lp,
+        &deployment,
+        &ExecutionConfig::default(),
+        None,
+        None,
+        None,
+    )
+    .unwrap();
     // A different registry (different devices) must not accept the cert.
     let other = Deployment::one_hot(&assignments(&[15, 15]), 2);
     // Note: same device count but the cert signers' indices point at

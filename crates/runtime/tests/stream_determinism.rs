@@ -88,8 +88,9 @@ fn run_shape(
         &f.lp,
         &f.deployment,
         &cfg,
-        &f.setup,
         schedule,
+        Some(&f.setup),
+        None,
         None,
     )
     .expect("streamed epoch failed")

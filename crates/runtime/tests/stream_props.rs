@@ -8,8 +8,8 @@
 //! ciphertext digest bitwise identical to the single-shot run of the
 //! same set. A checkpoint taken at any window boundary restores into a
 //! fresh executor and continues to the same epoch bitwise. Degenerate
-//! schedules (all devices drop, epochs driven out of order, sampled
-//! queries) resolve to typed [`StreamError`]s, never panics.
+//! schedules (all devices drop, epochs driven out of order) and hostile
+//! checkpoint bytes resolve to typed [`StreamError`]s, never panics.
 //!
 //! The vendored proptest harness seeds its RNG from the test name, so
 //! every run draws the same cases — no CI flake surface.
@@ -21,16 +21,73 @@ use arboretum_par::ParConfig;
 use arboretum_planner::logical::{extract, LogicalPlan};
 use arboretum_planner::plan::Plan;
 use arboretum_planner::search::{plan, PlannerConfig};
-use arboretum_runtime::adversary::DeviceBehavior;
-use arboretum_runtime::executor::{execute_on_setup, Deployment, ExecError, ExecutionConfig};
+use arboretum_runtime::adversary::{Adversary, DeviceBehavior};
+use arboretum_runtime::executor::{execute, Deployment, ExecutionConfig};
 use arboretum_runtime::setup::{build_session_setup, SessionSetup};
 use arboretum_runtime::stream::{
-    execute_stream, ArrivalSchedule, StreamAdversary, StreamError, StreamExecutor, StreamReport,
+    execute_stream, ArrivalSchedule, StreamError, StreamExecutor, StreamReport,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::OnceLock;
+
+/// The system allocator, plus a per-thread record of the largest single
+/// request made while [`largest_alloc_during`] is measuring — how the
+/// hostile-checkpoint property sees an attacker-sized `with_capacity`
+/// that overcommit would otherwise let through silently.
+struct PeakAlloc;
+
+thread_local! {
+    /// `Some(largest request so far)` while this thread is measuring.
+    static PEAK: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn note_request(size: usize) {
+    // `try_with`: allocations during thread teardown must not panic.
+    let _ = PEAK.try_with(|peak| {
+        if let Some(largest) = peak.get() {
+            peak.set(Some(largest.max(size)));
+        }
+    });
+}
+
+// SAFETY: every operation is forwarded unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping only touches a
+// const-initialized thread-local `Cell`, which neither allocates nor
+// unwinds.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        // SAFETY: the caller's layout, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size);
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and returns its result with the largest single allocation
+/// the calling thread requested meanwhile.
+fn largest_alloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|peak| peak.set(Some(0)));
+    let out = f();
+    let largest = PEAK.with(|peak| peak.replace(None)).unwrap_or(0);
+    (out, largest)
+}
 
 /// Deployment size for every property. Prime, so shard/window splits
 /// always leave remainders (and ≥ 25: sortition seats 5 committees of
@@ -42,8 +99,17 @@ struct Fixture {
     deployment: Deployment,
     lp: LogicalPlan,
     plan: Plan,
+    /// The same query over a `sampleUniform(0.5)` view of the database.
+    sampled: (LogicalPlan, Plan),
     setup: SessionSetup,
     cfg: ExecutionConfig,
+}
+
+fn planned(src: &str) -> (LogicalPlan, Plan) {
+    let schema = DbSchema::one_hot(N_DEVICES as u64, CATEGORIES);
+    let lp = extract(&parse(src).unwrap(), &schema, CertifyConfig::default()).unwrap();
+    let (physical, _) = plan(&lp, &PlannerConfig::paper_defaults(1 << 30)).unwrap();
+    (lp, physical)
 }
 
 fn fixture() -> &'static Fixture {
@@ -53,10 +119,9 @@ fn fixture() -> &'static Fixture {
             .map(|i| [0, 0, 2, 2, 2, 1, 3][i % 7])
             .collect();
         let deployment = Deployment::one_hot(&assignments, CATEGORIES);
-        let schema = DbSchema::one_hot(N_DEVICES as u64, CATEGORIES);
-        let src = "aggr = sum(db); r = em(aggr, 8.0); output(r);";
-        let lp = extract(&parse(src).unwrap(), &schema, CertifyConfig::default()).unwrap();
-        let (physical, _) = plan(&lp, &PlannerConfig::paper_defaults(1 << 30)).unwrap();
+        let (lp, physical) = planned("aggr = sum(db); r = em(aggr, 8.0); output(r);");
+        let sampled =
+            planned("s = sampleUniform(0.5); aggr = sum(s); r = em(aggr, 8.0); output(r);");
         let cfg = ExecutionConfig {
             par: ParConfig::serial(),
             ..ExecutionConfig::default()
@@ -68,23 +133,34 @@ fn fixture() -> &'static Fixture {
             deployment,
             lp,
             plan: physical,
+            sampled,
             setup,
             cfg,
         }
     })
 }
 
-fn run_stream(schedule: &ArrivalSchedule) -> Result<StreamReport, StreamError> {
+fn run_query(
+    lp: &LogicalPlan,
+    physical: &Plan,
+    schedule: &ArrivalSchedule,
+) -> Result<StreamReport, StreamError> {
     let f = fixture();
     execute_stream(
-        &f.plan,
-        &f.lp,
+        physical,
+        lp,
         &f.deployment,
         &f.cfg,
-        &f.setup,
         schedule,
+        Some(&f.setup),
+        None,
         None,
     )
+}
+
+fn run_stream(schedule: &ArrivalSchedule) -> Result<StreamReport, StreamError> {
+    let f = fixture();
+    run_query(&f.lp, &f.plan, schedule)
 }
 
 /// The stream-vs-stream comparable projection: everything the contract
@@ -177,6 +253,24 @@ proptest! {
             ArrivalSchedule::from_partition(&[survivors], N_DEVICES);
         let one_shot = run_stream(&one_shot_schedule).unwrap();
         assert_equivalent(&streamed, &one_shot, "partition vs one-shot");
+
+        // The same holds for a sampled query: the secrecy-of-the-sample
+        // draw is per device, so which uploads are binned out cannot
+        // depend on the partition either (down to sampling every
+        // survivor away, which both runs must refuse alike).
+        let (lp, physical) = &fixture().sampled;
+        match (
+            run_query(lp, physical, &schedule),
+            run_query(lp, physical, &one_shot_schedule),
+        ) {
+            (Ok(streamed), Ok(one_shot)) => {
+                assert_equivalent(&streamed, &one_shot, "sampled partition vs one-shot");
+            }
+            (streamed, one_shot) => {
+                prop_assert_eq!(streamed.unwrap_err(), StreamError::NoSurvivors);
+                prop_assert_eq!(one_shot.unwrap_err(), StreamError::NoSurvivors);
+            }
+        }
     }
 
     /// A checkpoint taken at an arbitrary window boundary restores into
@@ -193,16 +287,16 @@ proptest! {
         }
         let f = fixture();
         let cut = ((schedule.n_windows as f64 * cut_frac) as usize).min(schedule.n_windows);
-        let mut interrupted = StreamExecutor::new(
-            &f.plan, &f.lp, &f.deployment, &f.cfg, &f.setup, &schedule, None,
+        let mut interrupted = StreamExecutor::open(
+            &f.plan, &f.lp, &f.deployment, &f.cfg, &schedule, Some(&f.setup), None, None,
         ).unwrap();
         for _ in 0..cut {
-            interrupted.ingest_next(None).unwrap();
+            interrupted.ingest_next().unwrap();
         }
         let bytes = interrupted.checkpoint_bytes().unwrap();
 
-        let mut resumed = StreamExecutor::new(
-            &f.plan, &f.lp, &f.deployment, &f.cfg, &f.setup, &schedule, None,
+        let mut resumed = StreamExecutor::open(
+            &f.plan, &f.lp, &f.deployment, &f.cfg, &schedule, Some(&f.setup), None, None,
         ).unwrap();
         resumed.restore_from(&bytes).unwrap();
         prop_assert_eq!(resumed.next_window(), cut);
@@ -210,8 +304,8 @@ proptest! {
         prop_assert_eq!(&resumed.checkpoint_bytes().unwrap(), &bytes);
 
         for _ in cut..schedule.n_windows {
-            interrupted.ingest_next(None).unwrap();
-            resumed.ingest_next(None).unwrap();
+            interrupted.ingest_next().unwrap();
+            resumed.ingest_next().unwrap();
         }
         let a = interrupted.close().unwrap();
         let b = resumed.close().unwrap();
@@ -222,6 +316,87 @@ proptest! {
             prop_assert_eq!(ca.accumulator_digest, cb.accumulator_digest);
             prop_assert_eq!(ca.handoff_digest, cb.handoff_digest);
             prop_assert_eq!(ca.accepted, cb.accepted);
+        }
+    }
+
+    /// Checkpoint bytes are untrusted input. Truncating them, flipping
+    /// a byte, overwriting a length field with `u32::MAX`, or appending
+    /// junk yields a typed error or a state that round-trips through
+    /// `checkpoint_bytes` — never a panic, and never an allocation
+    /// beyond a small multiple of the input length.
+    #[test]
+    fn hostile_checkpoint_bytes_are_refused_or_restore_a_valid_state(
+        schedule in ScheduleStrategy,
+        cut_frac in 0.0f64..1.0,
+        mutation_seed in any::<u64>(),
+    ) {
+        let f = fixture();
+        let open = || StreamExecutor::open(
+            &f.plan, &f.lp, &f.deployment, &f.cfg, &schedule, Some(&f.setup), None, None,
+        ).unwrap();
+        let check = |mutated: &[u8], tag: &str| -> Result<(), StreamError> {
+            let mut victim = open();
+            let (restored, largest) = largest_alloc_during(|| victim.restore_from(mutated));
+            assert!(
+                largest <= 8 * mutated.len() + (64 << 10),
+                "{tag}: a {}-byte checkpoint made restore_from request {largest} bytes at once",
+                mutated.len(),
+            );
+            restored?;
+            let bytes = victim.checkpoint_bytes().unwrap();
+            let mut again = open();
+            again.restore_from(&bytes).unwrap();
+            assert_eq!(again.checkpoint_bytes().unwrap(), bytes, "{tag}: restored state");
+            Ok(())
+        };
+
+        // A fresh executor's checkpoint ends in four u32 counts: steps,
+        // two pool-stat vectors, checkpoints. Either hostile count used
+        // to abort the process inside `Vec::with_capacity`.
+        let fresh = open().checkpoint_bytes().unwrap();
+        for (field, at) in [("n_steps", fresh.len() - 16), ("n_checkpoints", fresh.len() - 4)] {
+            let mut mutated = fresh.clone();
+            mutated[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+            prop_assert!(
+                matches!(check(&mutated, field), Err(StreamError::Checkpoint(_))),
+                "{field} = u32::MAX must be a typed checkpoint error"
+            );
+        }
+
+        // Mid-stream checkpoints, mutated at seed-derived positions.
+        let cut = ((schedule.n_windows as f64 * cut_frac) as usize).min(schedule.n_windows);
+        let mut exec = open();
+        for _ in 0..cut {
+            exec.ingest_next().unwrap();
+        }
+        let valid = exec.checkpoint_bytes().unwrap();
+        check(&valid, "unmutated").unwrap();
+        let mut rng = StdRng::seed_from_u64(mutation_seed);
+        for _ in 0..24 {
+            let at = rng.gen_range(0..valid.len());
+            let mut mutated = valid.clone();
+            let tag = match rng.gen_range(0u32..4) {
+                0 => {
+                    mutated.truncate(at);
+                    "truncated"
+                }
+                1 => {
+                    mutated[at] ^= 1 << rng.gen_range(0u32..8);
+                    "flipped"
+                }
+                2 => {
+                    let end = (at + 4).min(mutated.len());
+                    mutated[at..end].fill(0xFF);
+                    "length overwritten"
+                }
+                _ => {
+                    mutated.extend((0..=at % 40).map(|_| rng.gen::<u8>()));
+                    "junk appended"
+                }
+            };
+            if let Err(e) = check(&mutated, tag) {
+                prop_assert!(matches!(e, StreamError::Checkpoint(_)), "{tag} at {at}: {e:?}");
+            }
         }
     }
 }
@@ -300,8 +475,16 @@ fn the_stream_matches_the_legacy_batch_executor_when_no_device_churns() {
         ..schedule
     };
     let streamed = run_stream(&schedule).unwrap();
-    let (legacy, detections) =
-        execute_on_setup(&f.plan, &f.lp, &f.deployment, &f.cfg, &f.setup, None, None).unwrap();
+    let (legacy, detections) = execute(
+        &f.plan,
+        &f.lp,
+        &f.deployment,
+        &f.cfg,
+        Some(&f.setup),
+        None,
+        None,
+    )
+    .unwrap();
     assert!(detections.is_empty());
     assert_eq!(streamed.report.outputs, legacy.outputs);
     assert_eq!(streamed.report.accepted_inputs, legacy.accepted_inputs);
@@ -320,76 +503,51 @@ fn the_stream_matches_the_legacy_batch_executor_when_no_device_churns() {
 }
 
 #[test]
-fn sampled_queries_are_rejected_with_a_typed_error() {
-    let f = fixture();
-    let schema = DbSchema::one_hot(N_DEVICES as u64, CATEGORIES);
-    let src = "s = sampleUniform(0.5); aggr = sum(s); r = em(aggr, 8.0); output(r);";
-    let lp = extract(&parse(src).unwrap(), &schema, CertifyConfig::default()).unwrap();
-    let (physical, _) = plan(&lp, &PlannerConfig::paper_defaults(1 << 30)).unwrap();
-    let schedule = ArrivalSchedule::derive(1, N_DEVICES, 2);
-    let err = execute_stream(
-        &physical,
-        &lp,
-        &f.deployment,
-        &f.cfg,
-        &f.setup,
-        &schedule,
-        None,
-    )
-    .unwrap_err();
-    assert!(
-        matches!(err, StreamError::Exec(ExecError::Unsupported(ref s)) if s.contains("sampl")),
-        "got {err:?}"
-    );
-}
-
-#[test]
 fn driving_the_epoch_out_of_order_is_a_typed_error() {
     let f = fixture();
     let schedule = ArrivalSchedule::from_partition(
         &[(0..N_DEVICES).collect::<Vec<_>>(), Vec::new()],
         N_DEVICES,
     );
-    let mut exec = StreamExecutor::new(
+    let mut exec = StreamExecutor::open(
         &f.plan,
         &f.lp,
         &f.deployment,
         &f.cfg,
-        &f.setup,
         &schedule,
+        Some(&f.setup),
+        None,
         None,
     )
     .unwrap();
-    exec.ingest_next(None).unwrap();
+    exec.ingest_next().unwrap();
     // Closing with a window still pending is typed, and the executor
     // can even be driven on afterwards.
-    let mut exec2 = StreamExecutor::new(
+    let mut exec2 = StreamExecutor::open(
         &f.plan,
         &f.lp,
         &f.deployment,
         &f.cfg,
-        &f.setup,
         &schedule,
+        Some(&f.setup),
+        None,
         None,
     )
     .unwrap();
-    exec2.ingest_next(None).unwrap();
+    exec2.ingest_next().unwrap();
     assert!(matches!(
         exec2.close(),
         Err(StreamError::WindowOutOfOrder { expected: 1, .. })
     ));
-    exec.ingest_next(None).unwrap();
-    assert_eq!(
-        exec.ingest_next(None).unwrap_err(),
-        StreamError::EpochClosed
-    );
+    exec.ingest_next().unwrap();
+    assert_eq!(exec.ingest_next().unwrap_err(), StreamError::EpochClosed);
     exec.close().unwrap();
 }
 
 #[test]
 fn checkpointing_a_stream_with_detections_is_refused() {
     struct TamperInWindowZero;
-    impl StreamAdversary for TamperInWindowZero {
+    impl Adversary for TamperInWindowZero {
         fn device_behavior(&self, window: usize, device: usize) -> DeviceBehavior {
             if window == 0 && device == 0 {
                 DeviceBehavior::TamperSigmaProof
@@ -403,17 +561,18 @@ fn checkpointing_a_stream_with_detections_is_refused() {
         &[(0..N_DEVICES).collect::<Vec<_>>(), Vec::new()],
         N_DEVICES,
     );
-    let mut exec = StreamExecutor::new(
+    let mut exec = StreamExecutor::open(
         &f.plan,
         &f.lp,
         &f.deployment,
         &f.cfg,
-        &f.setup,
         &schedule,
+        Some(&f.setup),
         None,
+        Some(&TamperInWindowZero),
     )
     .unwrap();
-    exec.ingest_next(Some(&TamperInWindowZero)).unwrap();
+    exec.ingest_next().unwrap();
     assert!(matches!(
         exec.checkpoint_bytes(),
         Err(StreamError::Checkpoint(_))
@@ -425,25 +584,27 @@ fn restoring_under_a_different_schedule_is_refused() {
     let f = fixture();
     let schedule = ArrivalSchedule::derive(5, N_DEVICES, 3);
     let other = ArrivalSchedule::derive(6, N_DEVICES, 3);
-    let mut exec = StreamExecutor::new(
+    let mut exec = StreamExecutor::open(
         &f.plan,
         &f.lp,
         &f.deployment,
         &f.cfg,
-        &f.setup,
         &schedule,
+        Some(&f.setup),
+        None,
         None,
     )
     .unwrap();
-    exec.ingest_next(None).unwrap();
+    exec.ingest_next().unwrap();
     let bytes = exec.checkpoint_bytes().unwrap();
-    let mut wrong = StreamExecutor::new(
+    let mut wrong = StreamExecutor::open(
         &f.plan,
         &f.lp,
         &f.deployment,
         &f.cfg,
-        &f.setup,
         &other,
+        Some(&f.setup),
+        None,
         None,
     )
     .unwrap();
@@ -452,13 +613,14 @@ fn restoring_under_a_different_schedule_is_refused() {
         Err(StreamError::Checkpoint(_))
     ));
     // Truncation is typed too.
-    let mut fresh = StreamExecutor::new(
+    let mut fresh = StreamExecutor::open(
         &f.plan,
         &f.lp,
         &f.deployment,
         &f.cfg,
-        &f.setup,
         &schedule,
+        Some(&f.setup),
+        None,
         None,
     )
     .unwrap();

@@ -25,15 +25,12 @@ use arboretum_dp::budget::{LedgerBook, LedgerBookError, PrivacyCost};
 use arboretum_lang::privacy::CertifyConfig;
 use arboretum_par::ShardedPool;
 use arboretum_planner::cache::{CachedPlan, PlanCache};
-use arboretum_planner::logical::LogicalPlan;
-use arboretum_planner::plan::Plan;
 use arboretum_planner::search::PlannerConfig;
-use arboretum_runtime::adversary::{Adversary, Detection};
 use arboretum_runtime::executor::{
-    execute_on_setup, Deployment, ExecError, ExecutionConfig, ExecutionReport,
+    execute, Deployment, ExecError, ExecutionConfig, ExecutionReport,
 };
 use arboretum_runtime::setup::{build_session_setup, SessionSetup};
-use arboretum_runtime::stream::{ArrivalSchedule, StreamError, StreamExecutor, StreamReport};
+use arboretum_runtime::stream::{execute_stream, ArrivalSchedule, StreamError, StreamReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -207,12 +204,12 @@ impl SessionCatalog {
             budget: budget_before,
             ..self.config.base.clone()
         };
-        execute_on_setup(
+        execute(
             &prepared.plan,
             &prepared.logical,
             &self.deployment,
             &cfg,
-            &self.setup,
+            Some(&self.setup),
             pool,
             None,
         )
@@ -248,46 +245,15 @@ impl SessionCatalog {
             ..self.config.base.clone()
         };
         let schedule = ArrivalSchedule::derive(cfg.seed, self.deployment.db.len(), windows.max(1));
-        let mut ex = StreamExecutor::new(
+        execute_stream(
             &prepared.plan,
             &prepared.logical,
             &self.deployment,
             &cfg,
-            &self.setup,
             &schedule,
+            Some(&self.setup),
             pool,
-        )?;
-        for _ in 0..schedule.n_windows {
-            ex.ingest_next(None)?;
-        }
-        ex.close()
-    }
-
-    /// Executes an arbitrary plan against the cached setup under an
-    /// explicit [`ExecutionConfig`] and optional adversary — the
-    /// low-level entry point the adversary harness drives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] on protocol failures, including
-    /// [`ExecError::Unsupported`] when `cfg.committee_size` differs
-    /// from the setup's.
-    pub fn execute_raw(
-        &self,
-        plan: &Plan,
-        logical: &LogicalPlan,
-        cfg: &ExecutionConfig,
-        pool: Option<&ShardedPool>,
-        adversary: Option<&dyn Adversary>,
-    ) -> Result<(ExecutionReport, Vec<Detection>), ExecError> {
-        execute_on_setup(
-            plan,
-            logical,
-            &self.deployment,
-            cfg,
-            &self.setup,
-            pool,
-            adversary,
+            None,
         )
     }
 }

@@ -32,11 +32,11 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use arboretum_crypto::sha256::sha256;
+use arboretum_crypto::sha256::{seed_draw_with, sha256};
 use arboretum_net::{FrameSink, SharedSink};
 use arboretum_runtime::{Adversary, AggregatorBehavior, CommitteeBehavior, DeviceBehavior};
 
-use crate::schedule::{NetFault, COMMITTEE_SEATS, SORTITION_FLOOR};
+use crate::schedule::{device_catalog, NetFault, COMMITTEE_SEATS, SORTITION_FLOOR};
 
 /// Order-insensitive running summary of observed traffic.
 ///
@@ -155,26 +155,6 @@ pub struct AdaptiveSchedule {
     state: Mutex<AdaptiveState>,
 }
 
-/// One deterministic draw: SHA-256 over `(seed, domain, index, digest)`.
-fn adaptive_draw(seed: u64, domain: &[u8], index: u64, digest: &[u8; 32]) -> u64 {
-    let mut bytes = seed.to_be_bytes().to_vec();
-    bytes.extend_from_slice(domain);
-    bytes.extend_from_slice(&index.to_be_bytes());
-    bytes.extend_from_slice(digest);
-    let d = sha256(&bytes);
-    u64::from_be_bytes([d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]])
-}
-
-fn device_catalog(r: u64) -> DeviceBehavior {
-    match r % 5 {
-        0 => DeviceBehavior::TamperSigmaProof,
-        1 => DeviceBehavior::MalformedOneHot,
-        2 => DeviceBehavior::TruncatedProof,
-        3 => DeviceBehavior::OutOfRangeValue,
-        _ => DeviceBehavior::WrongBgvCiphertext,
-    }
-}
-
 impl AdaptiveSchedule {
     /// A fresh adaptive adversary for `n_devices` uploading devices.
     ///
@@ -214,7 +194,7 @@ impl AdaptiveSchedule {
         let digest = self.transcript.digest();
         let mut faults: Vec<NetFault> = (0..n_committees)
             .map(|c| {
-                let r = adaptive_draw(self.seed, b"adaptive-net", c as u64, &digest);
+                let r = seed_draw_with(self.seed, b"adaptive-net", c as u64, &digest);
                 let party = ((r >> 3) % COMMITTEE_SEATS as u64) as usize;
                 let fault = match r % 8 {
                     0 => NetFault::Crash { party },
@@ -257,13 +237,13 @@ impl AdaptiveSchedule {
 }
 
 impl Adversary for AdaptiveSchedule {
-    fn device_behavior(&self, device: usize) -> DeviceBehavior {
+    fn device_behavior(&self, _window: usize, device: usize) -> DeviceBehavior {
         let mut state = self.state.lock().expect("adaptive state lock");
         if let Some(b) = state.devices.get(&device) {
             return *b;
         }
         let digest = self.transcript.digest();
-        let r = adaptive_draw(self.seed, b"adaptive-device", device as u64, &digest);
+        let r = seed_draw_with(self.seed, b"adaptive-device", device as u64, &digest);
         let cap = (self.n_devices / 3).min(self.n_devices.saturating_sub(SORTITION_FLOOR));
         // Last-queried-device force: every adaptive run must exercise
         // at least one device attack, like the static schedule.
@@ -291,7 +271,7 @@ impl Adversary for AdaptiveSchedule {
         }
         let digest = self.transcript.digest();
         let index = (committee * COMMITTEE_SEATS + member) as u64;
-        let r = adaptive_draw(self.seed, b"adaptive-committee", index, &digest);
+        let r = seed_draw_with(self.seed, b"adaptive-committee", index, &digest);
         let seated = state.corrupt_seats.entry(committee).or_insert(0);
         let candidate = match r % 10 {
             0 => CommitteeBehavior::StaleSignature,
@@ -323,8 +303,8 @@ impl Adversary for AdaptiveSchedule {
         }
         let behavior = if self.aggregator_axis {
             let digest = self.transcript.digest();
-            let r = adaptive_draw(self.seed, b"adaptive-aggregator", 0, &digest);
-            let d = adaptive_draw(self.seed, b"adaptive-aggregator-target", 0, &digest);
+            let r = seed_draw_with(self.seed, b"adaptive-aggregator", 0, &digest);
+            let d = seed_draw_with(self.seed, b"adaptive-aggregator-target", 0, &digest);
             let behavior = match r % 6 {
                 0 => AggregatorBehavior::WrongPartialSum,
                 1 => AggregatorBehavior::DropUpload { draw: d },
@@ -375,16 +355,16 @@ mod tests {
     #[test]
     fn decisions_are_memoized_and_transcript_sensitive() {
         let s = AdaptiveSchedule::new(7, 48, true);
-        let before = s.device_behavior(0);
+        let before = s.device_behavior(0, 0);
         s.transcript().on_frame(0, 1, 64);
         // Memoized: the same query never flips after new traffic.
-        assert_eq!(s.device_behavior(0), before);
+        assert_eq!(s.device_behavior(0, 0), before);
         // But a fresh schedule seeing different traffic first may
         // decide differently — the decision conditioned on the digest.
         let t = AdaptiveSchedule::new(7, 48, true);
         t.transcript().on_frame(0, 1, 64);
         let log_s = &s.realized().decisions[0];
-        let t0 = t.device_behavior(0);
+        let t0 = t.device_behavior(0, 0);
         let log_t = &t.realized().decisions[0];
         assert_ne!(log_s.digest, log_t.digest);
         assert_ne!(log_s.draw, log_t.draw);
@@ -398,7 +378,7 @@ mod tests {
                 let s = AdaptiveSchedule::new(11, 48, true);
                 s.transcript().on_frame(1, 2, 32);
                 for i in 0..48 {
-                    s.device_behavior(i);
+                    s.device_behavior(0, i);
                 }
                 s.transcript().on_frame(2, 1, 16);
                 for c in 0..3 {
@@ -422,7 +402,7 @@ mod tests {
         let s = AdaptiveSchedule::new(3, 48, true);
         // Query devices in reverse to stress the running caps.
         for i in (0..48).rev() {
-            s.device_behavior(i);
+            s.device_behavior(0, i);
         }
         let realized = s.realized();
         let corrupt = realized.corrupt_devices().len();
@@ -446,7 +426,7 @@ mod tests {
         for seed in 0..8u64 {
             let s = AdaptiveSchedule::new(seed, 48, false);
             for i in 0..48 {
-                s.device_behavior(i);
+                s.device_behavior(0, i);
             }
             assert!(
                 !s.realized().corrupt_devices().is_empty(),

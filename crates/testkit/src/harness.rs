@@ -26,9 +26,9 @@ use arboretum_planner::logical::{extract, LogicalPlan};
 use arboretum_planner::plan::Plan;
 use arboretum_planner::search::{plan as plan_physical, PlannerConfig};
 use arboretum_runtime::{
-    execute, execute_with_adversary, run_with_failover, AdversarialReport, AggregatorBehavior,
-    CommitteeBehavior, Deployment, DetectionClass, DetectionKind, ExecutionConfig, ExecutionReport,
-    NetExecConfig, NetExecReport, NetParty, Subject,
+    execute, run_with_failover, AggregatorBehavior, CommitteeBehavior, Deployment, Detection,
+    DetectionClass, DetectionKind, ExecutionConfig, ExecutionReport, NetExecConfig, NetExecReport,
+    NetParty, Subject,
 };
 use arboretum_service::{CatalogConfig, SessionCatalog};
 use arboretum_sortition::select::select_committees;
@@ -94,6 +94,16 @@ impl AttackConfig {
             adaptive: false,
         }
     }
+}
+
+/// An [`ExecutionReport`] plus the typed detections an adversarial run
+/// produced.
+#[derive(Clone, Debug)]
+pub struct AdversarialReport {
+    /// The ordinary execution report over the surviving inputs.
+    pub report: ExecutionReport,
+    /// Every rejection, attributed to its subject.
+    pub detections: Vec<Detection>,
 }
 
 /// Everything one attack run produced, plus every cross-check failure.
@@ -326,16 +336,19 @@ fn run_attack_impl(
         _ => unreachable!("exactly one adversary is built"),
     };
 
-    let adversarial = match catalog {
-        Some(c) => {
-            let (report, detections) = c
-                .execute_raw(&plan, &lp, &exec_cfg, None, Some(adversary))
-                .map_err(|e| format!("adversarial run: {e}"))?;
-            AdversarialReport { report, detections }
-        }
-        None => execute_with_adversary(&plan, &lp, &deployment, &exec_cfg, adversary)
-            .map_err(|e| format!("adversarial run: {e}"))?,
-    };
+    // The service path is the same entry point over the catalog's cached
+    // setup instead of one built inline.
+    let (report, detections) = execute(
+        &plan,
+        &lp,
+        &deployment,
+        &exec_cfg,
+        catalog.map(SessionCatalog::setup),
+        None,
+        Some(adversary),
+    )
+    .map_err(|e| format!("adversarial run: {e}"))?;
+    let adversarial = AdversarialReport { report, detections };
 
     // The schedule view the cross-checks run against: the static
     // schedule verbatim, or the adaptive adversary's realized
@@ -382,14 +395,15 @@ fn run_attack_impl(
 
     // Predicted detections: devices and committee seats by class, the
     // aggregator by exact kind (resolved over the harness step layout:
-    // one `input-…-ok` step per honest device, then the ⊞-aggregation
-    // step, decrypt, mechanism, and outputs steps).
+    // one `input-…-ok` step per honest device, then the ⊞-fold step,
+    // the keygen → decryption handoff, decrypt, mechanism, and outputs
+    // steps).
     let n_honest = schedule.n_honest_devices();
     let harness_ok_steps: Vec<usize> = (0..n_honest).collect();
     let expected_aggregator =
         schedule
             .aggregator
-            .expected_kind(&harness_ok_steps, n_honest, n_honest + 4);
+            .expected_kind(&harness_ok_steps, n_honest, n_honest + 5);
     let mut expected = expected_detections(&schedule, &deployment, exec_cfg.committee_size);
     if let Some(kind) = &expected_aggregator {
         expected.push((Subject::Aggregator, kind.class()));
@@ -412,33 +426,35 @@ fn run_attack_impl(
         DbSchema::one_hot(honest_rows.len() as u64, cfg.categories)
     };
     let ref_deployment = Deployment::from_rows(honest_rows, ref_schema);
-    let reference = match catalog {
-        Some(_) => {
-            // Mirror the service path: the honest subset gets its own
-            // catalog at the same seed, so both runs amortize setup the
-            // same way and stay bitwise comparable.
-            let ref_catalog = SessionCatalog::new(
-                ref_deployment,
-                CatalogConfig {
-                    seed: cfg.seed,
-                    ..CatalogConfig::default()
-                },
-            )
-            .map_err(|e| format!("reference catalog: {e}"))?;
-            let (report, detections) = ref_catalog
-                .execute_raw(&plan, &lp, &exec_cfg, None, None)
-                .map_err(|e| format!("reference run: {e}"))?;
-            if !detections.is_empty() {
-                problems.push(format!(
-                    "honest reference produced {} detection(s) on the service path",
-                    detections.len()
-                ));
-            }
-            report
-        }
-        None => execute(&plan, &lp, &ref_deployment, &exec_cfg)
-            .map_err(|e| format!("reference run: {e}"))?,
-    };
+    // Mirror the service path: the honest subset gets its own catalog
+    // at the same seed, so both runs amortize setup the same way and
+    // stay bitwise comparable.
+    let ref_catalog = catalog
+        .map(|_| {
+            let catalog_cfg = CatalogConfig {
+                seed: cfg.seed,
+                ..CatalogConfig::default()
+            };
+            SessionCatalog::new(ref_deployment.clone(), catalog_cfg)
+        })
+        .transpose()
+        .map_err(|e| format!("reference catalog: {e}"))?;
+    let (reference, ref_detections) = execute(
+        &plan,
+        &lp,
+        &ref_deployment,
+        &exec_cfg,
+        ref_catalog.as_ref().map(SessionCatalog::setup),
+        None,
+        None,
+    )
+    .map_err(|e| format!("reference run: {e}"))?;
+    if !ref_detections.is_empty() {
+        problems.push(format!(
+            "honest reference produced {} detection(s)",
+            ref_detections.len()
+        ));
+    }
 
     // Service-path runs execute against a cached setup: re-paying
     // sortition or keygen inside a query would break the amortization

@@ -33,8 +33,8 @@ pub mod stream;
 pub use adaptive::{AdaptiveSchedule, Decision, RealizedSchedule, TranscriptAccumulator};
 pub use forgery::{forgery_plan, run_forgery_sweep, Corruption, ForgeryPlan};
 pub use harness::{
-    build_attack_catalog, dump_failure_artifact, run_attack, run_attack_on_catalog, AttackConfig,
-    AttackOutcome,
+    build_attack_catalog, dump_failure_artifact, run_attack, run_attack_on_catalog,
+    AdversarialReport, AttackConfig, AttackOutcome,
 };
 pub use schedule::{AdversarySchedule, NetFault};
 pub use stream::{

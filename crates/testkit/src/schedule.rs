@@ -15,7 +15,7 @@
 //! committee, and at least one committee with a survivable network
 //! fault.
 
-use arboretum_crypto::sha256::sha256;
+use arboretum_crypto::sha256::seed_draw;
 use arboretum_net::fault::FaultPlan;
 use arboretum_runtime::{Adversary, AggregatorBehavior, CommitteeBehavior, DeviceBehavior};
 
@@ -99,15 +99,6 @@ pub struct AdversarySchedule {
     pub aggregator: AggregatorBehavior,
 }
 
-/// One deterministic 64-bit draw: SHA-256 over `(seed, domain, index)`.
-pub(crate) fn draw(seed: u64, domain: &[u8], index: u64) -> u64 {
-    let mut bytes = seed.to_be_bytes().to_vec();
-    bytes.extend_from_slice(domain);
-    bytes.extend_from_slice(&index.to_be_bytes());
-    let d = sha256(&bytes);
-    u64::from_be_bytes([d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]])
-}
-
 pub(crate) fn device_catalog(r: u64) -> DeviceBehavior {
     match r % 5 {
         0 => DeviceBehavior::TamperSigmaProof,
@@ -136,7 +127,7 @@ impl AdversarySchedule {
         let mut corrupt = 0usize;
         let mut device_behaviors: Vec<DeviceBehavior> = (0..n_devices)
             .map(|i| {
-                let r = draw(seed, b"device", i as u64);
+                let r = seed_draw(seed, b"device", i as u64);
                 if corrupt < cap && r % 100 < 35 {
                     corrupt += 1;
                     device_catalog(r / 100)
@@ -147,7 +138,7 @@ impl AdversarySchedule {
             .collect();
         if corrupt == 0 && cap > 0 {
             // Every sweep seed must exercise at least one device attack.
-            device_behaviors[0] = device_catalog(draw(seed, b"device-force", 0));
+            device_behaviors[0] = device_catalog(seed_draw(seed, b"device-force", 0));
         }
 
         // Committee seats: light corruption pressure, capped at t = 2
@@ -157,7 +148,7 @@ impl AdversarySchedule {
                 let mut seated = 0usize;
                 (0..COMMITTEE_SEATS)
                     .map(|s| {
-                        let r = draw(seed, b"committee", (c * COMMITTEE_SEATS + s) as u64);
+                        let r = seed_draw(seed, b"committee", (c * COMMITTEE_SEATS + s) as u64);
                         let behavior = match r % 10 {
                             0 => CommitteeBehavior::StaleSignature,
                             1 => CommitteeBehavior::EquivocateCommit,
@@ -179,7 +170,7 @@ impl AdversarySchedule {
         // guaranteed survivable so the failover chain terminates.
         let mut net_faults: Vec<NetFault> = (0..n_committees)
             .map(|c| {
-                let r = draw(seed, b"net", c as u64);
+                let r = seed_draw(seed, b"net", c as u64);
                 let party = ((r >> 3) % COMMITTEE_SEATS as u64) as usize;
                 match r % 8 {
                     0 => NetFault::Crash { party },
@@ -209,7 +200,7 @@ impl AdversarySchedule {
     /// SHA-256 draw resolved against the realized step layout inside
     /// the executor.
     pub fn aggregator_axis(seed: u64) -> AggregatorBehavior {
-        let d = draw(seed, b"aggregator", 0);
+        let d = seed_draw(seed, b"aggregator", 0);
         match seed % 6 {
             0 => AggregatorBehavior::WrongPartialSum,
             1 => AggregatorBehavior::DropUpload { draw: d },
@@ -289,7 +280,7 @@ impl AdversarySchedule {
 }
 
 impl Adversary for AdversarySchedule {
-    fn device_behavior(&self, device: usize) -> DeviceBehavior {
+    fn device_behavior(&self, _window: usize, device: usize) -> DeviceBehavior {
         self.device_behaviors
             .get(device)
             .copied()

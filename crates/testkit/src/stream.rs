@@ -26,24 +26,23 @@
 //! [`dump_stream_failure_artifact`]) and reproduces bitwise with
 //! `arboretum attack --stream --seed N`.
 
+use arboretum_crypto::sha256::seed_draw;
 use arboretum_dp::budget::PrivacyCost;
 use arboretum_net::FabricKind;
 use arboretum_par::ParConfig;
 use arboretum_runtime::adversary::{
-    CommitteeBehavior, DetectionClass, DetectionKind, DeviceBehavior, Subject,
+    Adversary, DetectionClass, DetectionKind, DeviceBehavior, HonestAdversary, Subject,
 };
 use arboretum_runtime::executor::ExecutionConfig;
 use arboretum_runtime::setup::build_session_setup;
-use arboretum_runtime::stream::{
-    execute_stream, ArrivalSchedule, HonestStream, StreamAdversary, StreamReport,
-};
+use arboretum_runtime::stream::{execute_stream, ArrivalSchedule, StreamReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use std::path::PathBuf;
 
 use crate::harness::{build_query, AttackConfig};
-use crate::schedule::{device_catalog, draw, COMMITTEE_SEATS};
+use crate::schedule::{device_catalog, COMMITTEE_SEATS};
 
 /// Configuration of one mid-stream attack run.
 #[derive(Clone, Debug)]
@@ -113,22 +112,23 @@ impl StreamAttackSchedule {
     pub fn derive(seed: u64, n_devices: usize, windows: usize) -> Result<Self, String> {
         let windows = windows.max(1);
         let arrivals = ArrivalSchedule::derive(seed, n_devices, windows);
-        let start = (draw(seed, b"stream-tamper-window", 0) % windows as u64) as usize;
+        let start = (seed_draw(seed, b"stream-tamper-window", 0) % windows as u64) as usize;
         let (tamper_window, candidates) = (0..windows)
             .map(|k| (start + k) % windows)
             .map(|w| (w, arrivals.window(w)))
             .find(|(_, devices)| !devices.is_empty())
             .ok_or_else(|| "derived schedule has no contributing device to tamper".to_string())?;
-        let tamper_device =
-            candidates[(draw(seed, b"stream-tamper-device", 0) % candidates.len() as u64) as usize];
-        let tamper_behavior = device_catalog(draw(seed, b"stream-tamper-behavior", 0));
+        let tamper_device = candidates
+            [(seed_draw(seed, b"stream-tamper-device", 0) % candidates.len() as u64) as usize];
+        let tamper_behavior = device_catalog(seed_draw(seed, b"stream-tamper-behavior", 0));
         // One crashing seat out of m = 5 leaves 4 ≥ t+1 = 3 honest
         // batches, so the crash is always survivable — and always
         // detected.
         let crash = (windows >= 2).then(|| {
             let boundary =
-                (draw(seed, b"stream-crash-boundary", 0) % (windows as u64 - 1)) as usize;
-            let member = (draw(seed, b"stream-crash-member", 0) % COMMITTEE_SEATS as u64) as usize;
+                (seed_draw(seed, b"stream-crash-boundary", 0) % (windows as u64 - 1)) as usize;
+            let member =
+                (seed_draw(seed, b"stream-crash-member", 0) % COMMITTEE_SEATS as u64) as usize;
             (boundary, member)
         });
         Ok(Self {
@@ -170,17 +170,13 @@ impl StreamAttackSchedule {
     }
 }
 
-impl StreamAdversary for StreamAttackSchedule {
+impl Adversary for StreamAttackSchedule {
     fn device_behavior(&self, window: usize, device: usize) -> DeviceBehavior {
         if window == self.tamper_window && device == self.tamper_device {
             self.tamper_behavior
         } else {
             DeviceBehavior::Honest
         }
-    }
-
-    fn handoff_behavior(&self, _boundary: usize, _member: usize) -> CommitteeBehavior {
-        CommitteeBehavior::Honest
     }
 
     fn handoff_crash(&self, boundary: usize, member: usize) -> bool {
@@ -270,21 +266,22 @@ pub fn run_stream_attack(cfg: &StreamAttackConfig) -> Result<StreamAttackOutcome
     let schedule = StreamAttackSchedule::derive(cfg.seed, cfg.n_devices, cfg.windows)?;
     let reference_arrivals = schedule.reference_partition();
 
-    let run = |arrivals: &ArrivalSchedule, adv: &dyn StreamAdversary, tag: &str| {
+    let run = |arrivals: &ArrivalSchedule, adv: &dyn Adversary, tag: &str| {
         execute_stream(
             &plan,
             &lp,
             &deployment,
             &exec_cfg,
-            &setup,
             arrivals,
+            Some(&setup),
+            None,
             Some(adv),
         )
         .map_err(|e| format!("{tag} stream: {e}"))
     };
     let adversarial = run(&schedule.arrivals, &schedule, "adversarial")?;
-    let honest = run(&schedule.arrivals, &HonestStream, "honest")?;
-    let reference = run(&reference_arrivals, &HonestStream, "reference")?;
+    let honest = run(&schedule.arrivals, &HonestAdversary, "honest")?;
+    let reference = run(&reference_arrivals, &HonestAdversary, "reference")?;
 
     let problems = cross_check(
         &deployment,

@@ -49,8 +49,12 @@ fn run(
         &prepared.logical,
         deployment,
         &exec_cfg(eps_budget),
+        None,
+        None,
+        None,
     )
     .expect("executes")
+    .0
     .outputs
 }
 
@@ -258,7 +262,16 @@ fn numeric_malicious_inputs_rejected_by_range_proofs() {
         },
         ..Default::default()
     };
-    let report = execute(&prepared.plan, &prepared.logical, &d, &cfg).unwrap();
+    let (report, _) = execute(
+        &prepared.plan,
+        &prepared.logical,
+        &d,
+        &cfg,
+        None,
+        None,
+        None,
+    )
+    .unwrap();
     assert!(
         report.rejected_inputs > 0,
         "out-of-range inputs must be rejected"

@@ -60,11 +60,14 @@ fn run_small(system: &Arboretum, prepared: &PreparedQuery, counts: &[usize]) -> 
         .flat_map(|(c, &n)| std::iter::repeat_n(c, n))
         .collect();
     let deployment = Deployment::one_hot(&assignments, counts.len());
-    let report = execute(
+    let (report, _) = execute(
         &prepared.plan,
         &prepared.logical,
         &deployment,
         &ExecutionConfig::default(),
+        None,
+        None,
+        None,
     )
     .expect("execution succeeds");
     let _ = system;
