@@ -1,18 +1,12 @@
-//! Criterion benchmark of the three transport fabrics: framed messages
-//! per second through the instant simulated path, the threaded
-//! per-party path (real channels, real threads), and the evented
-//! virtual-time path (shared core, pooled buffers). The threaded gap is
-//! the price of actual concurrency; the evented population axis shows
-//! the per-party overhead staying flat as the gather grows — useful
-//! when deciding which fabric an experiment harness should run on.
-
-use std::time::Duration;
+//! Criterion benchmark of the two transport fabrics: framed messages
+//! per second through the instant simulated path and the evented
+//! virtual-time path (shared core, pooled buffers). The evented
+//! population axis shows the per-party overhead staying flat as the
+//! gather grows — useful when deciding which fabric an experiment
+//! harness should run on.
 
 use arboretum_field::FGold;
-use arboretum_net::{
-    evented_fabric, threaded_fabric, EventedConfig, Message, SimTransport, ThreadedConfig,
-    Transport,
-};
+use arboretum_net::{evented_fabric, EventedConfig, Message, SimTransport, Transport};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 const PARTIES: usize = 5;
@@ -39,30 +33,6 @@ fn bench_sim(c: &mut Criterion) {
     });
 }
 
-fn bench_threaded(c: &mut Criterion) {
-    let cfg = ThreadedConfig {
-        timeout: Duration::from_secs(5),
-        ..ThreadedConfig::default()
-    };
-    c.bench_function("net/threaded_gather_5x64", |b| {
-        b.iter(|| {
-            let mut endpoints = threaded_fabric(PARTIES, &cfg);
-            let mut king = endpoints.remove(0);
-            std::thread::scope(|s| {
-                for mut ep in endpoints {
-                    s.spawn(move || {
-                        let id = ep.id();
-                        ep.send(id, 0, &payload()).unwrap();
-                    });
-                }
-                for p in 1..PARTIES {
-                    std::hint::black_box(king.recv(0, p).unwrap());
-                }
-            });
-        })
-    });
-}
-
 /// The same king-gather on the evented fabric's blocking endpoints,
 /// driven from one thread: sends queue on the virtual clock, so the
 /// king's receives never block.
@@ -82,8 +52,8 @@ fn bench_evented(c: &mut Criterion) {
     });
 }
 
-/// Evented gathers across a population axis no threaded run could
-/// finish per-iteration: per-party cost should stay flat.
+/// Evented gathers across a population axis: per-party cost should
+/// stay flat.
 fn bench_evented_populations(c: &mut Criterion) {
     let msg = payload();
     let mut group = c.benchmark_group("net/evented_gather_population");
@@ -104,11 +74,5 @@ fn bench_evented_populations(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_sim,
-    bench_threaded,
-    bench_evented,
-    bench_evented_populations
-);
+criterion_group!(benches, bench_sim, bench_evented, bench_evented_populations);
 criterion_main!(benches);

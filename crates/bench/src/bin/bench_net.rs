@@ -1,9 +1,8 @@
 //! Fabric × population network benchmark.
 //!
-//! Gathers one frame from every device into an aggregator on the sim,
-//! evented, and threaded fabrics, and writes `BENCH_net.json` into the
-//! working directory. The dense fabrics (sim's m² queues, threaded's
-//! per-link channels plus one OS thread per device) only run at
+//! Gathers one frame from every device into an aggregator on the sim
+//! and evented fabrics, and writes `BENCH_net.json` into the working
+//! directory. The dense sim fabric (m² queues) only runs at
 //! populations up to `--dense-cap`; the evented virtual-time fabric
 //! runs the full axis — that asymmetry is the point of the benchmark.
 //! `--smoke` shrinks populations and repetitions to finish in seconds;
@@ -62,10 +61,6 @@ fn main() {
             p.identical
         );
     }
-    println!(
-        "threaded / evented per-party overhead at the largest shared population: {:.1}x",
-        bench.threaded_over_evented
-    );
     std::fs::write("BENCH_net.json", bench.to_json()).expect("write BENCH_net.json");
     println!("wrote BENCH_net.json");
 }

@@ -6,8 +6,8 @@
 //! * [`energy`] — the Figure 11 battery-energy model.
 //! * [`heterogeneity`] — the §7.5 geo-distribution and slow-device
 //!   experiments, run concretely on the MPC simulator.
-//! * [`parbench`] — serial-vs-parallel baselines for the aggregator
-//!   hot paths, emitting `BENCH_aggregation.json` / `BENCH_planner.json`.
+//! * [`parbench`] — serial-vs-parallel baseline for the aggregator's
+//!   ⊞ hot path, emitting `BENCH_aggregation.json`.
 //! * [`nttbench`] — old-vs-new NTT kernel comparison (division-based
 //!   reference against the Shoup/Barrett rewrite), emitting
 //!   `BENCH_ntt.json`.

@@ -2,34 +2,33 @@
 //! every device on each network fabric, timing the whole gather and the
 //! per-party overhead.
 //!
-//! The threaded fabric pays for real OS threads and per-link channels,
-//! so it is only run at small populations; the evented virtual-time
-//! fabric drives the same gather from a single thread over pooled
+//! The sim fabric holds a dense queue per ordered pair of parties, so
+//! it is only run at small populations; the evented virtual-time
+//! fabric drives the same gather over sparse link queues and pooled
 //! buffers, which is what lets one process reach 10^5–10^6 devices.
 //! Every cell also cross-checks its measured [`TransportMetrics`]
-//! against the closed-form model (`identical`), so the speedups are
+//! against the closed-form model (`identical`), so the rows are
 //! comparisons between runs that provably moved the same bytes.
 
 use std::time::{Duration, Instant};
 
 use arboretum_field::FGold;
 use arboretum_net::{
-    evented_fabric, threaded_fabric, EventedConfig, Message, SimTransport, ThreadedConfig,
-    Transport, TransportMetrics, HEADER_BYTES,
+    evented_fabric, EventedConfig, Message, SimTransport, Transport, TransportMetrics, HEADER_BYTES,
 };
 
 /// Field elements in each device's frame (the shape of an encrypted
 /// one-hot upload digest).
 const ELEMS: usize = 32;
 
-/// Devices per send/drain batch on the single-threaded fabrics, so the
-/// evented arena's peak live-buffer count stays bounded.
+/// Devices per send/drain batch, so the evented arena's peak
+/// live-buffer count stays bounded.
 const BATCH: usize = 4096;
 
 /// One measured (fabric, population) cell.
 #[derive(Clone, Debug)]
 pub struct NetPoint {
-    /// Fabric name: `"sim"`, `"threaded"`, or `"evented"`.
+    /// Fabric name: `"sim"` or `"evented"`.
     pub fabric: &'static str,
     /// Devices gathered from (the fabric holds one more party, the
     /// aggregator).
@@ -42,7 +41,7 @@ pub struct NetPoint {
     pub ns_per_party: f64,
     /// Peak simultaneously-live frame buffers (evented only; the arena
     /// allocation counter is the memory proxy — everything beyond it
-    /// was recycled). Zero on other fabrics.
+    /// was recycled). Zero on the sim fabric.
     pub peak_buffers: u64,
     /// Whether the measured transport metrics equal the closed-form
     /// model bitwise.
@@ -50,17 +49,13 @@ pub struct NetPoint {
 }
 
 /// The network fabric benchmark: one [`NetPoint`] per (fabric,
-/// population) cell, plus the headline ratio.
+/// population) cell.
 #[derive(Clone, Debug)]
 pub struct NetBench {
-    /// CPUs available to the process (the threaded fabric uses them;
-    /// the others are single-threaded).
+    /// CPUs available to the process (every gather runs on one thread).
     pub host_cpus: usize,
     /// One measurement per cell.
     pub points: Vec<NetPoint>,
-    /// Threaded ÷ evented per-party overhead at the largest population
-    /// both fabrics ran (the cost of real threads over virtual time).
-    pub threaded_over_evented: f64,
 }
 
 fn host_cpus() -> usize {
@@ -123,31 +118,6 @@ fn gather_evented(n: usize) -> (Duration, TransportMetrics, u64) {
     (elapsed, metrics, peak)
 }
 
-/// One gather on the threaded fabric: one OS thread per device, real
-/// channels. Returns (elapsed, measured metrics).
-fn gather_threaded(n: usize) -> (Duration, TransportMetrics) {
-    let cfg = ThreadedConfig {
-        timeout: Duration::from_secs(30),
-        ..ThreadedConfig::default()
-    };
-    let start = Instant::now();
-    let mut eps = threaded_fabric(n + 1, &cfg);
-    let mut agg = eps.pop().unwrap();
-    let handle = agg.metrics_handle();
-    std::thread::scope(|s| {
-        for mut ep in eps {
-            s.spawn(move || {
-                let id = ep.id();
-                ep.send(id, n, &frame()).unwrap();
-            });
-        }
-        for i in 0..n {
-            std::hint::black_box(agg.recv(n, i).unwrap());
-        }
-    });
-    (start.elapsed(), handle.snapshot())
-}
-
 fn point(
     fabric: &'static str,
     devices: usize,
@@ -176,9 +146,8 @@ fn point(
 }
 
 /// Runs the gather grid: the evented fabric at every population in
-/// `sizes`; sim and threaded only at populations `≤ dense_cap`, because
-/// both hold dense per-pair state (m² queues / channels) and threaded
-/// additionally spawns one OS thread per device.
+/// `sizes`; sim only at populations `≤ dense_cap`, because it holds
+/// dense per-pair state (m² queues).
 pub fn bench_net(sizes: &[usize], dense_cap: usize, reps: usize) -> NetBench {
     let mut points = Vec::new();
     for &n in sizes {
@@ -189,33 +158,10 @@ pub fn bench_net(sizes: &[usize], dense_cap: usize, reps: usize) -> NetBench {
             }));
         }
         points.push(point("evented", n, reps, || gather_evented(n)));
-        if n <= dense_cap {
-            points.push(point("threaded", n, reps, || {
-                let (d, m) = gather_threaded(n);
-                (d, m, 0)
-            }));
-        }
     }
-    let largest_both = points
-        .iter()
-        .filter(|p| p.fabric == "threaded")
-        .map(|p| p.devices)
-        .max();
-    let threaded_over_evented = largest_both
-        .and_then(|n| {
-            let th = points
-                .iter()
-                .find(|p| p.fabric == "threaded" && p.devices == n)?;
-            let ev = points
-                .iter()
-                .find(|p| p.fabric == "evented" && p.devices == n)?;
-            Some(th.ns_per_party / ev.ns_per_party)
-        })
-        .unwrap_or(f64::NAN);
     NetBench {
         host_cpus: host_cpus(),
         points,
-        threaded_over_evented,
     }
 }
 
@@ -243,9 +189,8 @@ impl NetBench {
             .collect();
         format!(
             "{{\n  \"bench\": \"net_fabrics\",\n  \"host_cpus\": {},\n  \
-             \"threaded_over_evented\": {:.2},\n  \"results\": [\n{}\n  ]\n}}\n",
+             \"results\": [\n{}\n  ]\n}}\n",
             self.host_cpus,
-            self.threaded_over_evented,
             rows.join(",\n")
         )
     }
@@ -258,7 +203,7 @@ mod tests {
     #[test]
     fn every_cell_moves_exactly_the_modeled_bytes() {
         let b = bench_net(&[64, 300], 300, 1);
-        assert_eq!(b.points.len(), 6, "three fabrics at both populations");
+        assert_eq!(b.points.len(), 4, "both fabrics at both populations");
         for p in &b.points {
             assert!(
                 p.identical,
@@ -267,7 +212,6 @@ mod tests {
             );
             assert!(p.ns_per_party > 0.0);
         }
-        assert!(b.threaded_over_evented.is_finite());
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! Serial-vs-parallel benchmarks for the aggregator hot paths, with
-//! machine-readable JSON output (`BENCH_aggregation.json`,
-//! `BENCH_planner.json` at the repo root).
+//! Serial-vs-parallel benchmark for the aggregator's ⊞ hot path, with
+//! machine-readable JSON output (`BENCH_aggregation.json` at the repo
+//! root).
 //!
-//! Each benchmark runs the serial reference and the parallel kernel on
+//! The benchmark runs the serial reference and the parallel kernel on
 //! the *same* workload and records wall times, the speedup, and —
 //! because speed without the determinism contract is worthless here —
-//! whether the two results were identical (bitwise for BGV aggregates,
-//! cost + [`Plan::signature`](arboretum_planner::plan::Plan::signature)
-//! for plans).
+//! whether the two aggregates were bitwise identical.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -17,9 +15,6 @@ use arboretum_bgv::{
     Ciphertext,
 };
 use arboretum_par::{ParConfig, ShardedPool};
-use arboretum_planner::logical::extract;
-use arboretum_planner::search::{plan, PlannerConfig};
-use arboretum_queries::corpus::top1;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,8 +23,7 @@ use rand::SeedableRng;
 pub struct ParPoint {
     /// Worker threads used by the parallel run.
     pub threads: usize,
-    /// Aggregator shards the workload was partitioned across (1 for
-    /// benchmarks without a shard axis, e.g. the planner search).
+    /// Aggregator shards the workload was partitioned across.
     pub shards: usize,
     /// Serial reference wall time (seconds).
     pub serial_secs: f64,
@@ -136,64 +130,6 @@ pub fn bench_aggregation(
     }
 }
 
-/// The planner benchmark: branch-and-bound over the top1 corpus query.
-#[derive(Clone, Debug)]
-pub struct PlannerBench {
-    /// Population size `N`.
-    pub n: u64,
-    /// Category count of the benchmarked query.
-    pub categories: usize,
-    /// Full candidates scored by the serial search.
-    pub serial_candidates: u64,
-    /// CPUs available to the benchmarking process — speedups are
-    /// hardware-capped at this number no matter the thread count.
-    pub host_cpus: usize,
-    /// One measurement per benchmarked thread count.
-    pub points: Vec<ParPoint>,
-}
-
-/// Runs the planner branch-and-bound benchmark on `top1` with the
-/// given category count. `identical` in each point means the parallel
-/// search returned the same plan (goal cost and structural signature)
-/// as the serial search.
-pub fn bench_planner(n: u64, categories: usize, thread_counts: &[usize]) -> PlannerBench {
-    let q = top1(n, categories);
-    let lp = extract(&q.program(), &q.schema, q.certify).expect("corpus query extracts");
-    let mut cfg = PlannerConfig::paper_defaults(n);
-    cfg.par = ParConfig::serial();
-
-    let start = Instant::now();
-    let (serial_plan, serial_stats) = plan(&lp, &cfg).expect("corpus query plans");
-    let serial_secs = start.elapsed().as_secs_f64();
-
-    let points = thread_counts
-        .iter()
-        .map(|&threads| {
-            cfg.par = ParConfig::fixed(threads);
-            let start = Instant::now();
-            let (par_plan, _) = plan(&lp, &cfg).expect("corpus query plans");
-            let parallel_secs = start.elapsed().as_secs_f64();
-            let identical = par_plan.metrics.get(cfg.goal) == serial_plan.metrics.get(cfg.goal)
-                && par_plan.signature() == serial_plan.signature();
-            ParPoint {
-                threads,
-                shards: 1,
-                serial_secs,
-                parallel_secs,
-                speedup: serial_secs / parallel_secs.max(1e-12),
-                identical,
-            }
-        })
-        .collect();
-    PlannerBench {
-        n,
-        categories,
-        serial_candidates: serial_stats.full_candidates,
-        host_cpus: host_cpus(),
-        points,
-    }
-}
-
 fn json_points(points: &[ParPoint]) -> String {
     let rows: Vec<String> = points
         .iter()
@@ -225,23 +161,6 @@ impl AggBench {
     }
 }
 
-impl PlannerBench {
-    /// Renders the benchmark as a JSON document (the schema of
-    /// `BENCH_planner.json`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"planner_bnb\",\n  \"query\": \"top1\",\n  \"n\": {},\n  \
-             \"categories\": {},\n  \"serial_candidates\": {},\n  \"host_cpus\": {},\n  \
-             \"results\": [\n{}\n  ]\n}}\n",
-            self.n,
-            self.categories,
-            self.serial_candidates,
-            self.host_cpus,
-            json_points(&self.points)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,13 +181,6 @@ mod tests {
         }
         assert_eq!(b.points[0].shards, 1);
         assert_eq!(b.points[1].shards, 3);
-    }
-
-    #[test]
-    fn planner_bench_smoke_returns_identical_plans() {
-        let b = bench_planner(1 << 26, 1 << 10, &[2]);
-        assert!(b.points[0].identical, "parallel plan must match serial");
-        assert!(b.serial_candidates >= 1);
     }
 
     #[test]

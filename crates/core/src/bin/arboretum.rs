@@ -22,13 +22,13 @@
 //!                         bitwise identical to the batch run over the
 //!                         same surviving devices)
 //!   --seed S              simulation seed                      [default 7]
-//!   --threads N           worker threads for the planner's parallel
-//!                         search and the aggregator's parallel phases
-//!                         (0 = run inline)     [default: all host CPUs]
+//!   --threads N           worker threads for the aggregator's parallel
+//!                         phases (0 = run inline)
+//!                                              [default: all host CPUs]
 //!   --shards K            independent aggregator pools, each pinned to
 //!                         a contiguous device shard       [default: 1]
 //!   --fabric F            network fabric for the simulated MPC engines:
-//!                         sim | threaded | evented      [default: sim]
+//!                         sim | evented                 [default: sim]
 //!
 //! attack options:
 //!   --seed S              adversary schedule seed              [default 0]
@@ -52,9 +52,10 @@
 //!                         attribution and bitwise-untouched honest
 //!                         checkpoints
 //!   --windows N           ingestion windows for --stream       [default 4]
-//!   --fabric F            fabric for the MPC engines and the networked
-//!                         fault phase: sim | threaded | evented
-//!                         (outcomes are identical on every fabric)
+//!   --fabric F            fabric for the MPC engines: sim | evented
+//!                         (outcomes are identical on either; the
+//!                         networked fault phase always runs per-thread
+//!                         parties on evented endpoints)
 //!
 //! serve options:
 //!   --devices N           simulated deployment size            [default 48]
@@ -63,8 +64,7 @@
 //!   --workers W           scheduler worker threads (0 = inline) [default 2]
 //!   --pool-capacity P     leasable aggregator pools            [default 2]
 //!   --open NAME:EPS:DELTA pre-open an analyst session (repeatable)
-//!   --fabric F            process-wide fabric default:
-//!                         sim | threaded | evented
+//!   --fabric F            process-wide fabric default: sim | evented
 //! ```
 //!
 //! `serve` speaks the line protocol from `arboretum-service` — `OPEN`,

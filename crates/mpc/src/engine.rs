@@ -56,10 +56,9 @@ impl std::error::Error for MpcError {}
 
 /// The in-process fabric an engine's protocol messages cross. The
 /// engine is a single act-as-anyone object, so only the single-object
-/// fabrics apply: the instant sim and the virtual-time evented fabric
-/// (the threaded fabric's one-endpoint-per-thread shape doesn't fit a
-/// mirror; [`FabricKind::Threaded`] maps to sim here). With no latency
-/// model configured both backends meter bitwise identically.
+/// fabrics apply: the instant sim and the virtual-time evented fabric.
+/// With no latency model configured both backends meter bitwise
+/// identically.
 #[derive(Debug)]
 enum EngineFabric {
     Sim(SimTransport),
@@ -135,11 +134,10 @@ impl MpcEngine {
     }
 
     /// Creates an engine whose protocol messages cross the selected
-    /// fabric. [`FabricKind::Sim`] and [`FabricKind::Threaded`] run the
-    /// instant sim fabric (the engine is one act-as-anyone object, so
-    /// per-party endpoint threads don't apply); [`FabricKind::Evented`]
-    /// runs the virtual-time fabric. All choices produce bitwise
-    /// identical outputs and transport metrics.
+    /// fabric: [`FabricKind::Sim`] the instant sim fabric,
+    /// [`FabricKind::Evented`] the virtual-time fabric's act-as-anyone
+    /// frontend. Both produce bitwise identical outputs and transport
+    /// metrics.
     ///
     /// # Panics
     ///
@@ -151,7 +149,7 @@ impl MpcEngine {
             "honest majority requires 2t < m (got t={t}, m={m})"
         );
         let fabric = match kind {
-            FabricKind::Sim | FabricKind::Threaded => EngineFabric::Sim(SimTransport::new(m)),
+            FabricKind::Sim => EngineFabric::Sim(SimTransport::new(m)),
             FabricKind::Evented => EngineFabric::Evented(Box::new(EventedFabric::new(m))),
         };
         Self {

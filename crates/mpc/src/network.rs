@@ -39,7 +39,7 @@ impl LatencyModel {
     }
 
     /// Expands this model into a full `m × m` one-way latency matrix
-    /// (the shape `arboretum-net`'s threaded fabric consumes). A
+    /// (the shape `arboretum-net`'s evented fabric consumes). A
     /// uniform model yields its latency on every off-diagonal link; a
     /// matrix smaller than `m` tiles by site assignment `i mod dim`.
     pub fn one_way_matrix(&self, m: usize) -> Vec<Vec<f64>> {

@@ -4,12 +4,12 @@
 //! Where [`crate::engine::MpcEngine`] animates a whole committee from a
 //! single object, a `Party` holds only its own Shamir share of every
 //! secret and must talk to its peers for anything non-linear. Running
-//! `m` parties of a committee on `m` threads over the threaded fabric
+//! `m` parties of a committee on `m` threads over evented endpoints
 //! executes the same protocols [`crate::compare`] defines generically —
 //! and because both engines issue identical communication sequences, the
 //! fabric's measured payload bytes and rounds equal the analytic
 //! [`crate::network::NetMeter`] model exactly (asserted in the
-//! `threaded_validation` integration tests).
+//! `threaded_validation` integration test).
 //!
 //! Preprocessing (Beaver triples, random bits) comes from a [`Dealer`]
 //! shared behind a mutex, mirroring the engine's zero-online-cost dealer
@@ -311,21 +311,21 @@ impl<T: Transport> MpcOps for Party<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arboretum_net::{threaded_fabric, ThreadedConfig};
+    use arboretum_net::{evented_fabric, EventedConfig, EventedEndpoint};
     use std::time::Duration;
 
     /// Runs `f` as every party of an `m`-party committee on `m` threads.
     fn run_committee<R, F>(m: usize, t: usize, f: F) -> Vec<Result<R, MpcError>>
     where
         R: Send,
-        F: Fn(&mut Party<arboretum_net::ThreadedEndpoint>) -> Result<R, MpcError> + Send + Sync,
+        F: Fn(&mut Party<EventedEndpoint>) -> Result<R, MpcError> + Send + Sync,
     {
-        let cfg = ThreadedConfig {
+        let cfg = EventedConfig {
             timeout: Duration::from_secs(2),
-            ..ThreadedConfig::default()
+            ..EventedConfig::default()
         };
         let dealer = shared_dealer(m, t, 7);
-        let endpoints = threaded_fabric(m, &cfg);
+        let endpoints = evented_fabric(m, &cfg);
         std::thread::scope(|s| {
             let handles: Vec<_> = endpoints
                 .into_iter()

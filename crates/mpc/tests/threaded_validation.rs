@@ -1,11 +1,10 @@
 //! Measured-vs-modeled validation: the same protocol, written once
 //! against [`MpcOps`], runs on the analytic [`MpcEngine`] (which meters
-//! costs through `NetMeter`), on a real 5-party committee of OS threads
-//! over the `arboretum-net` threaded fabric (which counts the actual
-//! framed bytes crossing its channels), and on the evented virtual-time
-//! fabric — both its act-as-anyone engine frontend and its per-party
-//! blocking endpoints. Every fabric's measured payload bytes and rounds
-//! must equal the model **exactly** — for Beaver multiplication, masked
+//! costs through `NetMeter`) over both of its fabrics, and on a real
+//! 5-party committee — one OS thread per member, each blocking on its
+//! own `arboretum-net` evented endpoint, which counts the actual framed
+//! bytes crossing the links. The measured payload bytes and rounds must
+//! equal the model **exactly** — for Beaver multiplication, masked
 //! comparison, and the argmax tournament.
 
 use std::time::Duration;
@@ -14,9 +13,7 @@ use arboretum_field::FGold;
 use arboretum_mpc::{
     argmax_tournament, less_than, shared_dealer, MpcEngine, MpcError, MpcOps, Party,
 };
-use arboretum_net::{
-    evented_fabric, threaded_fabric, EventedConfig, FabricKind, ThreadedConfig, TransportMetrics,
-};
+use arboretum_net::{evented_fabric, EventedConfig, FabricKind};
 
 const M: usize = 5;
 const T: usize = 2;
@@ -57,13 +54,41 @@ fn expected() -> Vec<FGold> {
     ]
 }
 
-/// Runs the protocol on one OS thread per committee member over the
-/// given endpoints, asserts every party opens the expected results, and
-/// returns the fabric-wide metrics snapshot.
-fn measure_committee<E: arboretum_net::Transport + Send>(
-    endpoints: Vec<E>,
-    snapshot: impl FnOnce() -> TransportMetrics,
-) -> TransportMetrics {
+#[test]
+fn threaded_measured_traffic_equals_netmeter_model_exactly() {
+    // Modeled run: the analytic all-party engine, semi-honest (the
+    // per-thread parties run the semi-honest protocol).
+    let mut engine = MpcEngine::new(M, T, false, 42);
+    let modeled_out = protocol(&mut engine).expect("modeled protocol");
+    assert_eq!(modeled_out, expected());
+    let modeled = engine.net.metrics.clone();
+    // The engine's own fabric already agrees with its meter (payload
+    // bytes are defined by the wire format in both).
+    let engine_fabric = engine.transport_metrics();
+    assert_eq!(engine_fabric.payload_bytes_total, modeled.bytes_sent_total);
+    assert_eq!(engine_fabric.payload_bytes_max, modeled.bytes_sent_max);
+    assert_eq!(engine_fabric.rounds, modeled.rounds);
+
+    // The same act-as-anyone engine on the evented fabric's engine
+    // frontend must be bitwise identical to the sim fabric.
+    let mut ev_engine = MpcEngine::new_on(M, T, false, 42, FabricKind::Evented);
+    let out = protocol(&mut ev_engine).expect("evented-engine protocol");
+    assert_eq!(out, expected());
+    assert_eq!(
+        ev_engine.transport_metrics(),
+        engine_fabric,
+        "evented engine fabric must meter bitwise identically to sim"
+    );
+
+    // Measured run: one OS thread per committee member, real frames
+    // between blocking evented endpoints, with receive timeouts so a
+    // wedged run fails rather than hangs.
+    let cfg = EventedConfig {
+        timeout: Duration::from_secs(10),
+        ..EventedConfig::default()
+    };
+    let endpoints = evented_fabric(M, &cfg);
+    let handle = endpoints[0].metrics_handle();
     let dealer = shared_dealer(M, T, 7);
     let outs: Vec<Vec<FGold>> = std::thread::scope(|s| {
         let handles: Vec<_> = endpoints
@@ -85,35 +110,8 @@ fn measure_committee<E: arboretum_net::Transport + Send>(
     for out in &outs {
         assert_eq!(out, &expected(), "every party must open the same results");
     }
-    snapshot()
-}
-
-#[test]
-fn threaded_measured_traffic_equals_netmeter_model_exactly() {
-    // Modeled run: the analytic all-party engine, semi-honest (the
-    // threaded path runs the semi-honest protocol).
-    let mut engine = MpcEngine::new(M, T, false, 42);
-    let modeled_out = protocol(&mut engine).expect("modeled protocol");
-    assert_eq!(modeled_out, expected());
-    let modeled = engine.net.metrics.clone();
-    // The engine's own fabric already agrees with its meter (payload
-    // bytes are defined by the wire format in both).
-    let engine_fabric = engine.transport_metrics();
-    assert_eq!(engine_fabric.payload_bytes_total, modeled.bytes_sent_total);
-    assert_eq!(engine_fabric.payload_bytes_max, modeled.bytes_sent_max);
-    assert_eq!(engine_fabric.rounds, modeled.rounds);
-
-    // Measured run: one OS thread per committee member, real frames
-    // over per-link channels, with receive timeouts so a wedged run
-    // fails rather than hangs.
-    let cfg = ThreadedConfig {
-        timeout: Duration::from_secs(10),
-        ..ThreadedConfig::default()
-    };
-    let endpoints = threaded_fabric(M, &cfg);
-    let handle = endpoints[0].metrics_handle();
     // The acceptance assertion: measured == modeled, exactly.
-    let measured = measure_committee(endpoints, || handle.snapshot());
+    let measured = handle.snapshot();
     assert_eq!(
         measured.payload_bytes_total, modeled.bytes_sent_total,
         "measured payload bytes must equal the NetMeter model exactly"
@@ -133,47 +131,4 @@ fn threaded_measured_traffic_equals_netmeter_model_exactly() {
         "framed bytes are payload plus one 8-byte header per frame"
     );
     assert!(measured.frames > 0 && measured.rounds > 0);
-}
-
-#[test]
-fn evented_fabrics_measure_identically_to_threaded_and_the_model() {
-    // Modeled reference: the analytic engine on its default sim fabric.
-    let mut sim_engine = MpcEngine::new(M, T, false, 42);
-    let out = protocol(&mut sim_engine).expect("sim-engine protocol");
-    assert_eq!(out, expected());
-    let modeled = sim_engine.net.metrics.clone();
-
-    // Evented engine frontend: the same act-as-anyone engine run on the
-    // virtual-time core must be bitwise identical to the sim fabric.
-    let mut ev_engine = MpcEngine::new_on(M, T, false, 42, FabricKind::Evented);
-    let out = protocol(&mut ev_engine).expect("evented-engine protocol");
-    assert_eq!(out, expected());
-    assert_eq!(
-        ev_engine.transport_metrics(),
-        sim_engine.transport_metrics(),
-        "evented engine fabric must meter bitwise identically to sim"
-    );
-
-    // Evented endpoints: a real committee of OS threads blocking on the
-    // shared virtual-time core.
-    let endpoints = evented_fabric(M, &EventedConfig::default());
-    let ev_handle = endpoints[0].metrics_handle();
-    let evented = measure_committee(endpoints, || ev_handle.snapshot());
-
-    // Threaded endpoints: the wall-clock reference committee.
-    let cfg = ThreadedConfig {
-        timeout: Duration::from_secs(10),
-        ..ThreadedConfig::default()
-    };
-    let endpoints = threaded_fabric(M, &cfg);
-    let th_handle = endpoints[0].metrics_handle();
-    let threaded = measure_committee(endpoints, || th_handle.snapshot());
-
-    assert_eq!(
-        evented, threaded,
-        "evented endpoints must measure bitwise identically to threaded"
-    );
-    assert_eq!(evented.payload_bytes_total, modeled.bytes_sent_total);
-    assert_eq!(evented.payload_bytes_max, modeled.bytes_sent_max);
-    assert_eq!(evented.rounds, modeled.rounds);
 }

@@ -1,21 +1,21 @@
 //! Fabric selection: which transport backend a consumer should build.
 //!
-//! [`FabricKind`] names the three interchangeable fabrics (instant sim,
-//! one-OS-thread-per-party threaded, virtual-time evented) and
-//! [`configure_global_fabric`] installs a process-wide default, mirroring
-//! `arboretum-par`'s global thread configuration: the first call wins and
-//! later calls are ignored, so a CLI flag set at startup reaches every
-//! component without threading a parameter through each layer.
+//! [`FabricKind`] names the two fabrics (instant sim, virtual-time
+//! evented) and [`configure_global_fabric`] installs a process-wide
+//! default, mirroring `arboretum-par`'s global thread configuration: the
+//! first call wins and later calls are ignored, so a CLI flag set at
+//! startup reaches every component without threading a parameter
+//! through each layer.
 //!
 //! Resolution order everywhere a fabric is chosen:
-//! explicit per-config value → global default → the consumer's
-//! historical default (so existing invocations are unchanged).
+//! explicit per-config value → global default → the consumer's own
+//! fallback.
 
 use std::sync::OnceLock;
 
 /// Which transport fabric to run committee traffic on.
 ///
-/// All three fabrics implement the same `Transport` trait and the same
+/// Both fabrics implement the same `Transport` trait and the same
 /// metering contract: byte/round totals and typed failure outcomes are
 /// bitwise identical across them at any population.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -23,9 +23,6 @@ pub enum FabricKind {
     /// The instant single-threaded fabric (`sim`): dense per-link
     /// queues, immediate delivery, no clock.
     Sim,
-    /// The concurrent fabric (`threaded`): one OS thread per party,
-    /// mpsc channels per link, wall-clock latency and timeouts.
-    Threaded,
     /// The event-driven fabric (`evented`): virtual-time scheduling of
     /// modeled delays, sparse link queues, pooled frame buffers —
     /// scales to 10^5–10^6 simulated parties in one process.
@@ -34,21 +31,19 @@ pub enum FabricKind {
 
 impl FabricKind {
     /// All variants, in CLI order.
-    pub const ALL: [FabricKind; 3] = [FabricKind::Sim, FabricKind::Threaded, FabricKind::Evented];
+    pub const ALL: [FabricKind; 2] = [FabricKind::Sim, FabricKind::Evented];
 
     /// The CLI name of this fabric.
     pub fn name(self) -> &'static str {
         match self {
             Self::Sim => "sim",
-            Self::Threaded => "threaded",
             Self::Evented => "evented",
         }
     }
 
     /// Resolves the fabric a consumer should use: an explicit config
     /// value wins, then the process-wide default installed by
-    /// [`configure_global_fabric`], then `fallback` (the consumer's
-    /// historical behavior).
+    /// [`configure_global_fabric`], then `fallback`.
     pub fn resolve(explicit: Option<FabricKind>, fallback: FabricKind) -> FabricKind {
         explicit.or_else(global_fabric).unwrap_or(fallback)
     }
@@ -66,11 +61,8 @@ impl std::str::FromStr for FabricKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "sim" => Ok(Self::Sim),
-            "threaded" => Ok(Self::Threaded),
             "evented" => Ok(Self::Evented),
-            other => Err(format!(
-                "unknown fabric {other:?}; expected sim | threaded | evented"
-            )),
+            other => Err(format!("unknown fabric {other:?}; expected sim | evented")),
         }
     }
 }
@@ -95,9 +87,11 @@ mod tests {
     #[test]
     fn parses_cli_names() {
         assert_eq!("sim".parse(), Ok(FabricKind::Sim));
-        assert_eq!("Threaded".parse(), Ok(FabricKind::Threaded));
-        assert_eq!(" evented ".parse(), Ok(FabricKind::Evented));
-        assert!("tcp".parse::<FabricKind>().is_err());
+        assert_eq!(" Evented ".parse(), Ok(FabricKind::Evented));
+        for bad in ["threaded", "Threaded", "tcp"] {
+            let err = bad.parse::<FabricKind>().unwrap_err();
+            assert!(err.ends_with("expected sim | evented"), "{err}");
+        }
     }
 
     #[test]

@@ -10,10 +10,24 @@
 //! to `max(clock[at], deliver_at)`. Nothing ever sleeps, so the fabric
 //! simulates 10^5–10^6 parties in one process at queue-push speed.
 //!
-//! The timeout rule is the threaded fabric's, applied on the virtual
-//! clock: a queued frame is delivered iff its modeled delay is at most
-//! the receive timeout (equality delivers); a slower frame is consumed
-//! off the link and reported as [`NetError::Timeout`].
+//! The timeout rule: a queued frame is delivered iff its modeled
+//! one-way delay is at most the receive timeout (equality delivers); a
+//! slower frame is consumed off the link and reported as
+//! [`NetError::Timeout`]. The decision compares modeled values only —
+//! never wall-clock arrival — so it is the same on every run.
+//!
+//! The fault rules ([`FaultPlan`], applied by [`FaultState`]): every
+//! send and every receive first checks whether the acting party has
+//! crashed — its count of transport operations has reached its crash
+//! budget — and then counts as one operation. A send then, in order,
+//! fails if the link is partitioned (either direction of the pair),
+//! charges a slow sender's extra delay to its virtual clock, and
+//! samples a drop from that party's own stream (every party's stream is
+//! seeded `plan.seed` and advances only on its own sends, only when
+//! `drop_prob > 0`). A dropped frame still reports a successful send
+//! but is neither metered nor shown to the frame sink. (A send to a
+//! peer whose endpoint has exited is `Closed` before any of this and
+//! counts no operation.)
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
@@ -29,12 +43,9 @@ use crate::wire::{Message, HEADER_BYTES};
 
 /// Configuration for an evented fabric (either frontend).
 ///
-/// Field-for-field the evented analogue of `ThreadedConfig`, plus an
-/// optional [`FaultPlan`] expressed as events on the virtual clock
-/// (instead of a `FaultyTransport` wrapper): crashes trigger on the
-/// same per-party operation counts, partitions refuse the same sends,
-/// slow parties advance their own clock instead of sleeping, and drops
-/// consume the same per-party sampling streams.
+/// Timeout, latency model and jitter, plus an optional [`FaultPlan`]
+/// applied as events on the virtual clock (the module docs give the
+/// rules) and an optional passive frame observer.
 #[derive(Clone, Debug)]
 pub struct EventedConfig {
     /// The receive timeout, interpreted on the virtual clock: a frame
@@ -44,17 +55,16 @@ pub struct EventedConfig {
     /// One-way link latencies in seconds, `latency[from][to]`; `None`
     /// models zero delay.
     pub latency: Option<Vec<Vec<f64>>>,
-    /// Uniform jitter as a fraction of each link's latency, sampled
-    /// from the same per-sender streams the threaded fabric uses.
+    /// Uniform jitter as a fraction of each link's latency (`0.2`
+    /// means up to +20%), sampled from one stream per sender.
     pub jitter: f64,
     /// Seed for the per-sender jitter streams.
     pub seed: u64,
     /// Optional fault schedule applied natively on the virtual clock.
     pub faults: Option<FaultPlan>,
     /// Optional passive observer of every frame entering the wire.
-    /// Frames lost to fault-injected drops are not observed, matching
-    /// the threaded fabric (where the `FaultyTransport` wrapper drops
-    /// before the endpoint's send runs).
+    /// Frames lost to fault-injected drops never enter it and are not
+    /// observed.
     pub sink: Option<SharedSink>,
 }
 
@@ -99,16 +109,16 @@ pub(super) struct Waiter {
     pub fired: bool,
 }
 
-/// Fault bookkeeping mirroring `FaultyTransport` exactly.
+/// Fault bookkeeping: the one implementation of the fault rules in the
+/// module docs.
 #[derive(Debug)]
 struct FaultState {
     plan: FaultPlan,
     /// Per-party transport-operation counts (sends + receives).
     ops: Vec<u64>,
-    /// Per-party drop-sampling streams, all seeded `plan.seed` — the
-    /// same streams `m` per-party `FaultyTransport` instances consume.
-    /// Empty unless `drop_prob > 0` (the streams are only advanced on
-    /// sends when drops are enabled, matching the wrapper).
+    /// Per-party drop-sampling streams, all seeded `plan.seed`. Empty
+    /// unless `drop_prob > 0` (the streams are only advanced on sends
+    /// when drops are enabled).
     drop_rngs: Vec<StdRng>,
 }
 
@@ -237,9 +247,9 @@ impl EventedCore {
     }
 
     /// Modeled one-way delay for a frame sent now on `from → to`, in
-    /// nanoseconds — the same `base * (1 + U[0, jitter))` computation,
-    /// per-sender stream, and nanosecond rounding as the threaded
-    /// fabric, so both fabrics make bitwise-identical timeout decisions.
+    /// nanoseconds: `base * (1 + U[0, jitter))` with the uniform draw
+    /// from the sender's own stream (seeded from `seed` and the sender
+    /// id), converted to whole nanoseconds.
     fn link_delay(&mut self, from: usize, to: usize) -> u64 {
         let Some(l) = &self.latency else {
             return 0;
@@ -278,8 +288,9 @@ impl EventedCore {
         }
     }
 
-    /// Fault gate applied at the top of every receive (crash check plus
-    /// operation bump, once per call — exactly a `FaultyTransport`'s).
+    /// Fault gate applied at the top of every receive: crash check,
+    /// then one operation counted, once per call however long the
+    /// receive then blocks.
     pub(super) fn recv_fault_gate(&mut self, at: usize) -> Result<(), NetError> {
         self.check_crashed(at)?;
         self.bump(at);

@@ -1,12 +1,12 @@
 //! The per-party evented frontend: blocking endpoints over one shared
 //! virtual-time core.
 //!
-//! [`evented_fabric`] hands out `m` [`EventedEndpoint`]s that plug into
-//! the same `Party`-closure code the threaded fabric runs — each
+//! [`evented_fabric`] hands out `m` [`EventedEndpoint`]s for
+//! `Party`-closure code that runs one party per OS thread — each
 //! endpoint can only act as itself and its `recv` blocks — but every
 //! latency, jitter, and timeout is decided on the shared virtual clock,
-//! so nothing ever sleeps and fault scenarios that cost wall-clock
-//! seconds on the threaded fabric resolve instantly.
+//! so nothing ever sleeps and fault scenarios whose modeled timeouts
+//! add up to seconds resolve instantly.
 //!
 //! Blocking semantics (the virtual-time contract, also documented in
 //! the crate README):
@@ -16,7 +16,7 @@
 //!   frame is consumed and the receive times out.
 //! - A receive on an empty link whose sender has exited (endpoint
 //!   dropped) returns [`NetError::Closed`] — queued frames are drained
-//!   first, matching mpsc disconnect semantics.
+//!   first, as on a disconnected channel.
 //! - A receive on an empty live link blocks. When *every* live party is
 //!   blocked this way, no frame can ever arrive, so virtual time jumps
 //!   to the earliest receive deadline (`blocked party's clock +

@@ -119,7 +119,15 @@ mod tests {
     fn metering_is_bitwise_identical_to_sim() {
         let mut sim = SimTransport::new(4);
         let mut ev = EventedFabric::new(4);
-        for t in [&mut sim as &mut dyn Transport, &mut ev] {
+        // A fault plan that schedules nothing changes nothing.
+        let mut ev_zero_plan = EventedFabric::with_config(
+            4,
+            &EventedConfig {
+                faults: Some(FaultPlan::default()),
+                ..EventedConfig::default()
+            },
+        );
+        for t in [&mut sim as &mut dyn Transport, &mut ev, &mut ev_zero_plan] {
             t.send(0, 1, &msg(7)).unwrap();
             t.send(1, 2, &Message::Sync { round: 1 }).unwrap();
             t.send(2, 3, &msg(9)).unwrap();
@@ -129,6 +137,7 @@ mod tests {
             t.round(1);
         }
         assert_eq!(sim.metrics(), ev.metrics());
+        assert_eq!(sim.metrics(), ev_zero_plan.metrics());
         assert_eq!(
             ev.recv(0, 1),
             Err(NetError::Timeout { at: 0, from: 1 }),

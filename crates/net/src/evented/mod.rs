@@ -1,8 +1,6 @@
 //! The event-driven virtual-time fabric.
 //!
-//! The threaded fabric spends one OS thread and real sleeps per party,
-//! capping simulated populations at a few thousand. This module
-//! replaces threads-and-sleeps with a discrete event clock: every party
+//! A discrete event clock in place of wall-clock sleeps: every party
 //! carries a virtual `u64`-nanosecond clock, modeled `LatencyModel`
 //! delays schedule frames on that clock, timeouts are decided by
 //! comparing modeled values (never wall time), faults are events on the
@@ -17,8 +15,8 @@
 //!   latency configured its metering is bitwise identical to sim's.
 //! - [`evented_fabric`] / [`EventedEndpoint`] — per-party blocking
 //!   endpoints for `Party`-closure code (committee execution, churn
-//!   failover); the threaded fabric's semantics with the wall clock
-//!   replaced by quiescence-resolved virtual time.
+//!   failover): one endpoint per OS thread, each acting only as itself,
+//!   with blocked receives resolved by quiescence on virtual time.
 //!
 //! The precise virtual-time contract (delivery rule, quiescence
 //! timeouts, tie-breaks, fault composition) is specified in

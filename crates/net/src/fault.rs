@@ -1,19 +1,19 @@
-//! Fault injection: a [`Transport`] wrapper that loses messages, crashes
-//! parties, partitions links, and slows senders.
+//! Fault schedules: message loss, party crashes, link partitions, and
+//! slow senders, as data.
+//!
+//! A [`FaultPlan`] is carried in [`crate::EventedConfig::faults`] and
+//! applied by the evented core as events on its virtual clock (the
+//! rules — operation counting, check order, drop sampling — are
+//! specified where they are implemented, in `evented/core.rs`).
 //!
 //! Faults compose with the failover machinery in `arboretum-runtime`:
 //! a crashed party's operations return [`NetError::Crashed`], its peers
 //! observe [`NetError::Timeout`] / [`NetError::Closed`], and the session
 //! layer's churn-reassignment decides whether another committee takes
-//! over. Nothing in this module blocks forever.
+//! over. Nothing blocks forever.
 
-use std::time::Duration;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use crate::transport::{NetError, Transport, TransportMetrics};
-use crate::wire::Message;
+#[cfg(doc)]
+use crate::transport::NetError;
 
 /// A deterministic fault schedule for one committee run.
 #[derive(Clone, Debug, Default)]
@@ -28,10 +28,11 @@ pub struct FaultPlan {
     /// Undirected party pairs whose links are partitioned: sends in
     /// either direction return [`NetError::Partitioned`].
     pub partitions: Vec<(usize, usize)>,
-    /// Extra delay injected before each send by the given party
-    /// (a slow or overloaded member), in seconds.
+    /// Extra delay, in seconds, charged to the given party's virtual
+    /// clock before each of its sends (a slow or overloaded member).
     pub slow: Vec<(usize, f64)>,
-    /// Seed for the drop-sampling stream.
+    /// Seed for the drop-sampling streams: every party draws from its
+    /// own stream, and all of them start from this seed.
     pub seed: u64,
 }
 
@@ -71,159 +72,5 @@ impl FaultPlan {
             .iter()
             .find(|&&(p, _)| p == party)
             .map(|&(_, s)| s)
-    }
-}
-
-/// A transport with a [`FaultPlan`] applied on top of an inner fabric.
-pub struct FaultyTransport<T: Transport> {
-    inner: T,
-    plan: FaultPlan,
-    ops: Vec<u64>,
-    rng: StdRng,
-}
-
-impl<T: Transport> FaultyTransport<T> {
-    /// Wraps `inner` with the given fault schedule.
-    pub fn new(inner: T, plan: FaultPlan) -> Self {
-        let m = inner.parties();
-        let rng = StdRng::seed_from_u64(plan.seed);
-        Self {
-            inner,
-            plan,
-            ops: vec![0; m],
-            rng,
-        }
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    fn check_crashed(&self, party: usize) -> Result<(), NetError> {
-        match self.plan.crash_threshold(party) {
-            Some(n) if self.ops.get(party).copied().unwrap_or(0) >= n => {
-                Err(NetError::Crashed { party })
-            }
-            _ => Ok(()),
-        }
-    }
-
-    fn bump(&mut self, party: usize) {
-        if let Some(c) = self.ops.get_mut(party) {
-            *c += 1;
-        }
-    }
-}
-
-impl<T: Transport> Transport for FaultyTransport<T> {
-    fn parties(&self) -> usize {
-        self.inner.parties()
-    }
-
-    fn local_party(&self) -> Option<usize> {
-        self.inner.local_party()
-    }
-
-    fn send(&mut self, from: usize, to: usize, msg: &Message) -> Result<usize, NetError> {
-        self.check_crashed(from)?;
-        self.bump(from);
-        if self.plan.partitioned(from, to) {
-            return Err(NetError::Partitioned { from, to });
-        }
-        if let Some(extra) = self.plan.slowdown(from) {
-            std::thread::sleep(Duration::from_secs_f64(extra));
-        }
-        if self.plan.drop_prob > 0.0 && self.rng.gen_range(0.0..1.0) < self.plan.drop_prob {
-            // Lost before the wire: the receiver will time out. The
-            // payload size is still reported to the caller, who believes
-            // the send succeeded; fabric metrics do not count it.
-            return Ok(msg.payload_len());
-        }
-        self.inner.send(from, to, msg)
-    }
-
-    fn recv(&mut self, at: usize, from: usize) -> Result<Message, NetError> {
-        self.check_crashed(at)?;
-        self.bump(at);
-        self.inner.recv(at, from)
-    }
-
-    fn round(&mut self, at: usize) {
-        self.inner.round(at);
-    }
-
-    fn metrics(&self) -> TransportMetrics {
-        self.inner.metrics()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sim::SimTransport;
-    use arboretum_field::FGold;
-
-    fn msg() -> Message {
-        Message::FieldElems(vec![FGold::new(9)])
-    }
-
-    #[test]
-    fn crash_after_budget_of_operations() {
-        let mut t = FaultyTransport::new(SimTransport::new(3), FaultPlan::crash(0, 2));
-        t.send(0, 1, &msg()).unwrap();
-        t.send(0, 2, &msg()).unwrap();
-        assert_eq!(t.send(0, 1, &msg()), Err(NetError::Crashed { party: 0 }));
-        assert_eq!(t.recv(0, 1), Err(NetError::Crashed { party: 0 }));
-        // Other parties are unaffected.
-        t.send(1, 2, &msg()).unwrap();
-        assert_eq!(t.recv(2, 1).unwrap(), msg());
-    }
-
-    #[test]
-    fn partitions_block_both_directions() {
-        let plan = FaultPlan {
-            partitions: vec![(0, 1)],
-            ..FaultPlan::default()
-        };
-        let mut t = FaultyTransport::new(SimTransport::new(3), plan);
-        assert!(matches!(
-            t.send(0, 1, &msg()),
-            Err(NetError::Partitioned { .. })
-        ));
-        assert!(matches!(
-            t.send(1, 0, &msg()),
-            Err(NetError::Partitioned { .. })
-        ));
-        t.send(0, 2, &msg()).unwrap();
-    }
-
-    #[test]
-    fn lossy_links_drop_roughly_the_requested_fraction() {
-        let mut t = FaultyTransport::new(SimTransport::new(2), FaultPlan::lossy(0.5, 42));
-        let n = 200;
-        for _ in 0..n {
-            t.send(0, 1, &msg()).unwrap();
-        }
-        let mut delivered = 0;
-        while t.recv(1, 0).is_ok() {
-            delivered += 1;
-        }
-        assert!(
-            (40..=160).contains(&delivered),
-            "≈50% of {n} should survive, got {delivered}"
-        );
-        // Fabric metrics count only frames that reached the wire.
-        assert_eq!(t.metrics().frames, delivered);
-    }
-
-    #[test]
-    fn zero_fault_plan_is_transparent() {
-        let mut plain = SimTransport::new(2);
-        let mut wrapped = FaultyTransport::new(SimTransport::new(2), FaultPlan::default());
-        plain.send(0, 1, &msg()).unwrap();
-        wrapped.send(0, 1, &msg()).unwrap();
-        assert_eq!(plain.metrics(), wrapped.metrics());
-        assert_eq!(plain.recv(1, 0).unwrap(), wrapped.recv(1, 0).unwrap());
     }
 }

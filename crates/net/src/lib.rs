@@ -10,23 +10,21 @@
 //!   [`TransportMetrics`] (rounds, payload bytes, framed bytes);
 //! - [`sim`] — the instant single-threaded fabric the analytic
 //!   simulator runs on;
-//! - [`threaded`] — a real concurrent fabric, one OS thread per party,
-//!   channels per link, modeled latency and jitter, timeouts everywhere;
 //! - [`evented`] — the event-driven virtual-time fabric: modeled
 //!   delays, timeouts, and faults advance per-party virtual clocks
 //!   instead of sleeping, frames recycle through a pooled buffer arena,
 //!   and sparse link queues let one process simulate 10^5–10^6 parties;
-//! - [`fault`] — message loss, party crashes, partitions, and slow
-//!   parties layered over any fabric;
+//! - [`fault`] — the [`FaultPlan`] schedule of message loss, party
+//!   crashes, partitions, and slow parties the evented fabric applies;
 //! - [`observe`] — passive, read-only frame observation
 //!   ([`FrameSink`]) feeding adaptive adversaries on every fabric;
 //! - [`config`] — the [`FabricKind`] selector and the process-wide
 //!   default installed by the CLI's `--fabric` flag.
 //!
-//! Payload byte counts are defined so the threaded fabric's *measured*
-//! traffic equals the analytic `NetMeter` model in `arboretum-mpc`
-//! exactly — that equality is asserted in `arboretum-mpc`'s
-//! threaded-validation tests.
+//! Payload byte counts are defined so the *measured* traffic of a
+//! committee of per-thread parties on evented endpoints equals the
+//! analytic `NetMeter` model in `arboretum-mpc` exactly — that equality
+//! is asserted in `arboretum-mpc`'s `threaded_validation` test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +34,6 @@ pub mod evented;
 pub mod fault;
 pub mod observe;
 pub mod sim;
-pub mod threaded;
 pub mod transport;
 pub mod wire;
 
@@ -45,9 +42,8 @@ pub use evented::{
     evented_fabric, ArenaCounters, BufferArena, EventedConfig, EventedEndpoint, EventedFabric,
     EventedMetricsHandle,
 };
-pub use fault::{FaultPlan, FaultyTransport};
+pub use fault::FaultPlan;
 pub use observe::{FrameSink, SharedSink};
 pub use sim::SimTransport;
-pub use threaded::{threaded_fabric, MetricsHandle, ThreadedConfig, ThreadedEndpoint};
 pub use transport::{NetError, Transport, TransportMetrics};
 pub use wire::{Message, Wire, WireError, WireShare, HEADER_BYTES};

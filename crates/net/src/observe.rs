@@ -3,16 +3,16 @@
 //! An adaptive adversary conditions its behavior on the protocol
 //! traffic it can see. [`FrameSink`] is the tap: every fabric calls
 //! `on_frame` for each frame that actually enters the wire (dropped
-//! frames never reach the sink on any fabric, so all three fabrics
-//! observe identical traffic). The sink is strictly read-only — it
+//! frames never reach the sink, so both fabrics observe identical
+//! traffic). The sink is strictly read-only — it
 //! cannot delay, reorder, or mutate frames — so wiring one up never
 //! changes transport behavior, metrics, or outputs.
 //!
-//! Sinks must be order-insensitive to stay deterministic: the threaded
-//! fabric delivers `on_frame` calls from many OS threads at
-//! wall-clock-dependent times, so a sink that accumulates per-link
-//! totals (counts and byte sums) observes the same state on every
-//! fabric and at every thread count, while a sink that records a
+//! Sinks must be order-insensitive to stay deterministic: a committee
+//! of per-party evented endpoints delivers `on_frame` calls from many
+//! OS threads in scheduling-dependent order, so a sink that accumulates
+//! per-link totals (counts and byte sums) observes the same state on
+//! every fabric and at every thread count, while a sink that records a
 //! global sequence would not.
 
 use std::fmt;
@@ -22,8 +22,8 @@ use std::sync::Arc;
 ///
 /// `on_frame` receives the sender, receiver, and *payload* byte count
 /// (framing excluded, matching [`crate::TransportMetrics`]'s payload
-/// accounting). Implementations must be `Send + Sync`: the threaded
-/// fabric invokes the sink concurrently from every party's thread.
+/// accounting). Implementations must be `Send + Sync`: per-party
+/// endpoints invoke the sink from every party's thread.
 pub trait FrameSink: Send + Sync {
     /// Called once per frame that enters the wire.
     fn on_frame(&self, from: usize, to: usize, payload_bytes: usize);

@@ -1,9 +1,11 @@
 //! The [`Transport`] abstraction over committee message fabrics.
 //!
-//! Two implementations exist: [`crate::sim::SimTransport`] delivers
+//! Two fabrics implement it: [`crate::sim::SimTransport`] delivers
 //! instantly in-process (the planner's analytic path), and
-//! [`crate::threaded::ThreadedEndpoint`] carries frames between OS
-//! threads over channels with modeled link latency. Both meter the same
+//! [`crate::evented`] schedules frames on per-party virtual clocks with
+//! modeled link latency, timeouts and faults — as one act-as-anyone
+//! [`crate::EventedFabric`] or as per-party blocking
+//! [`crate::EventedEndpoint`]s moved into OS threads. All meter the same
 //! quantities so measured and modeled costs can be compared exactly.
 
 use crate::wire::{Message, WireError};
@@ -93,7 +95,7 @@ impl From<WireError> for NetError {
 ///
 /// The same trait serves two call shapes: the single-threaded simulator
 /// holds one `SimTransport` and animates every party through it, while
-/// each thread of a distributed run owns one `ThreadedEndpoint` and may
+/// each thread of a distributed run owns one `EventedEndpoint` and may
 /// only act as itself (`from`/`at` must equal the endpoint's own id).
 pub trait Transport: Send {
     /// Number of parties on this fabric.
@@ -113,7 +115,7 @@ pub trait Transport: Send {
     fn send(&mut self, from: usize, to: usize, msg: &Message) -> Result<usize, NetError>;
 
     /// Receives the next message at party `at` from party `from`,
-    /// blocking (threaded fabric) up to its configured timeout.
+    /// blocking (per-party endpoints) up to its configured timeout.
     ///
     /// # Errors
     ///

@@ -13,7 +13,7 @@
 //! length prefixes for their outermost list — the element count is derived
 //! from the header's payload length — so a batch of `k` field elements
 //! costs exactly `k · FIELD_BYTES` payload bytes. That identity is what
-//! lets the threaded transport's measured payload bytes be compared
+//! lets a fabric's measured payload bytes be compared
 //! *exactly* against the analytic cost model in `arboretum-mpc`'s
 //! `NetMeter` (framing overhead is metered separately).
 //!
@@ -365,6 +365,11 @@ impl Message {
             4 => {
                 let from = get_u64(buf)?;
                 let k = get_u32(buf)? as usize;
+                // `k` is the sender's claim: bound it by the bytes that
+                // are actually left before allocating for it.
+                if k > buf.len() / (2 * ELEM_BYTES) {
+                    return Err(WireError::BadLength(n));
+                }
                 let mut shares = Vec::with_capacity(k);
                 for _ in 0..k {
                     let x = get_u64(buf)?;
@@ -465,7 +470,9 @@ impl Message {
         }
         let kind = buf[3];
         let payload_len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
-        let total = HEADER_BYTES + payload_len;
+        let total = HEADER_BYTES
+            .checked_add(payload_len)
+            .ok_or(WireError::BadLength(payload_len))?;
         if buf.len() < total {
             return Err(WireError::Truncated {
                 need: total,

@@ -12,8 +12,6 @@
 //! out-of-memory).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use arboretum_par::ParConfig;
@@ -38,9 +36,9 @@ pub struct PlannerConfig {
     pub cost_model: CostModel,
     /// Branch-and-bound pruning (disable to reproduce the §7.3 ablation).
     pub use_heuristics: bool,
-    /// Thread configuration for parallel subtree expansion. The chosen
-    /// plan is identical at every thread count (see [`plan`]); only
-    /// wall-clock time and the search statistics vary.
+    /// Thread configuration the service and CLI read to size the
+    /// execution pools of the queries they plan. The search itself is
+    /// serial and ignores it.
     pub par: ParConfig,
     /// Streaming deployments: when `Some(w)`, the aggregation stage
     /// additionally offers a [`PhysOp::WindowedIngest`] alternative
@@ -245,17 +243,10 @@ fn mechanism_alternatives(kind: MechanismKind, c: u64, k: u64) -> Vec<Vec<Vignet
     alts
 }
 
-/// Runs the planner on a logical plan.
-///
-/// When `cfg.par` resolves to one or more worker threads, independent
-/// subtrees of the alternative space are expanded in parallel with a
-/// shared best-cost bound. The chosen plan is **identical at every
-/// thread count** (cost and structure, cf. [`Plan::signature`]):
-/// every full candidate carries a global lexicographic index (its
-/// coordinates in the cartesian product of alternatives), ties are
-/// broken by smallest index, and the shared bound only prunes
-/// strictly-worse prefixes — so scheduling affects which prefixes get
-/// pruned (the statistics) but never which plan wins.
+/// Runs the planner on a logical plan: a serial depth-first walk of
+/// the alternative space in lexicographic order. Among candidates of
+/// equal cost the first one visited wins, so the chosen plan and the
+/// search statistics are a pure function of `(lp, cfg)`.
 ///
 /// # Errors
 ///
@@ -401,277 +392,19 @@ pub fn plan(lp: &LogicalPlan, cfg: &PlannerConfig) -> Result<(Plan, PlanStats), 
         ));
     }
 
-    let pool = cfg.par.pool();
-    if pool.workers() == 0 {
-        let mut acc = prologue;
-        {
-            let mut ctx = Ctx {
-                cfg,
-                categories,
-                choices: &choices,
-                stats: &mut stats,
-                best: &mut best,
-                m_lb,
-                m_cache: &mut m_cache,
-            };
-            dfs(&mut ctx, 0, &mut acc, base);
-        }
-        stats.elapsed = start.elapsed();
-        return best.ok_or(PlanError::Infeasible).map(|p| (p, stats));
-    }
-
-    let best = par_search(
-        &pool, cfg, categories, choices, prologue, base, m_lb, &mut stats,
-    );
+    let mut acc = prologue;
+    let mut ctx = Ctx {
+        cfg,
+        categories,
+        choices: &choices,
+        stats: &mut stats,
+        best: &mut best,
+        m_lb,
+        m_cache: &mut m_cache,
+    };
+    dfs(&mut ctx, 0, &mut acc, base);
     stats.elapsed = start.elapsed();
     best.ok_or(PlanError::Infeasible).map(|p| (p, stats))
-}
-
-/// How many independent prefix tasks the parallel search aims to seed
-/// the pool with. Fixed (never derived from the thread count) so the
-/// task decomposition — like everything else that could influence the
-/// outcome — is a pure function of the search space.
-const TARGET_PREFIX_TASKS: usize = 64;
-
-/// The best full candidate found so far, shared across search tasks.
-///
-/// `bound_bits` caches the best cost as `f64` bits for cheap, possibly
-/// stale pruning loads; the authoritative state lives in `slot`, where
-/// candidates compete under the `(cost, lexicographic index)` order.
-/// Because the order is total over candidates and every non-pruned
-/// candidate is offered, the winner is independent of task scheduling.
-struct SharedBest {
-    bound_bits: AtomicU64,
-    slot: Mutex<Option<(f64, u128, Plan)>>,
-}
-
-impl SharedBest {
-    fn new() -> Self {
-        Self {
-            bound_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            slot: Mutex::new(None),
-        }
-    }
-
-    fn bound(&self) -> f64 {
-        f64::from_bits(self.bound_bits.load(Ordering::Relaxed))
-    }
-
-    fn offer(&self, cost: f64, index: u128, plan: Plan) {
-        let mut slot = self.slot.lock().unwrap();
-        let better = match slot.as_ref() {
-            None => true,
-            Some((c, i, _)) => cost < *c || (cost == *c && index < *i),
-        };
-        if better {
-            self.bound_bits.store(cost.to_bits(), Ordering::Relaxed);
-            *slot = Some((cost, index, plan));
-        }
-    }
-}
-
-#[derive(Default)]
-struct SharedStats {
-    prefixes: AtomicU64,
-    full: AtomicU64,
-    pruned: AtomicU64,
-}
-
-/// Everything a search task needs, shared behind one `Arc`.
-struct ParCtx {
-    cfg: PlannerConfig,
-    categories: u64,
-    choices: Vec<Vec<Vec<Vignette>>>,
-    /// `stride[d]` = number of full candidates per alternative chosen
-    /// at depth `d` (the suffix product of alternative counts), i.e.
-    /// the index weight of coordinate `d`.
-    stride: Vec<u128>,
-    m_lb: u64,
-    best: SharedBest,
-    stats: SharedStats,
-}
-
-/// A subtree handed to one pool task: the chosen prefix, its partial
-/// metrics, and the lexicographic index of its first candidate.
-struct PrefixTask {
-    depth: usize,
-    acc: Vec<Vignette>,
-    partial: Metrics,
-    index: u128,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn par_search(
-    pool: &arboretum_par::ThreadPool,
-    cfg: &PlannerConfig,
-    categories: u64,
-    choices: Vec<Vec<Vec<Vignette>>>,
-    prologue: Vec<Vignette>,
-    base: Metrics,
-    m_lb: u64,
-    stats: &mut PlanStats,
-) -> Option<Plan> {
-    // stride[d] = Π_{e>d} |choices[e]|.
-    let depths = choices.len();
-    let mut stride = vec![1u128; depths];
-    for d in (0..depths.saturating_sub(1)).rev() {
-        stride[d] = stride[d + 1] * choices[d + 1].len() as u128;
-    }
-
-    let ctx = Arc::new(ParCtx {
-        cfg: cfg.clone(),
-        categories,
-        choices,
-        stride,
-        m_lb,
-        best: SharedBest::new(),
-        stats: SharedStats::default(),
-    });
-
-    // Deterministic breadth-first expansion into independent prefix
-    // tasks. No pruning here: the frontier is tiny and bound state
-    // must not influence which tasks exist.
-    let mut frontier = vec![PrefixTask {
-        depth: 0,
-        acc: prologue,
-        partial: base,
-        index: 0,
-    }];
-    while frontier.len() < TARGET_PREFIX_TASKS && frontier.iter().any(|p| p.depth < depths) {
-        let mut next = Vec::with_capacity(frontier.len() * 4);
-        for p in frontier {
-            if p.depth == depths {
-                next.push(p);
-                continue;
-            }
-            ctx.stats.prefixes.fetch_add(1, Ordering::Relaxed);
-            for (i, alt) in ctx.choices[p.depth].iter().enumerate() {
-                let mut partial = p.partial;
-                for v in alt {
-                    partial = partial.combine(crate::plan::vignette_metrics(
-                        v,
-                        &ctx.cfg.cost_model,
-                        ctx.cfg.n,
-                        ctx.categories,
-                        ctx.m_lb,
-                    ));
-                }
-                let mut acc = p.acc.clone();
-                acc.extend(alt.iter().cloned());
-                next.push(PrefixTask {
-                    depth: p.depth + 1,
-                    acc,
-                    partial,
-                    index: p.index + i as u128 * ctx.stride[p.depth],
-                });
-            }
-        }
-        frontier = next;
-    }
-
-    pool.scope(|s| {
-        for task in frontier {
-            let ctx = Arc::clone(&ctx);
-            s.spawn(move || {
-                let mut acc = task.acc;
-                let mut m_cache = HashMap::new();
-                par_dfs(
-                    &ctx,
-                    task.depth,
-                    &mut acc,
-                    task.partial,
-                    task.index,
-                    &mut m_cache,
-                );
-            });
-        }
-    });
-
-    stats.prefixes_considered += ctx.stats.prefixes.load(Ordering::Relaxed);
-    stats.full_candidates += ctx.stats.full.load(Ordering::Relaxed);
-    stats.pruned += ctx.stats.pruned.load(Ordering::Relaxed);
-    let ctx = Arc::try_unwrap(ctx).ok()?;
-    let slot = ctx.best.slot.into_inner().unwrap();
-    slot.map(|(_, _, plan)| plan)
-}
-
-fn par_dfs(
-    ctx: &ParCtx,
-    depth: usize,
-    acc: &mut Vec<Vignette>,
-    partial: Metrics,
-    index: u128,
-    m_cache: &mut HashMap<u64, u64>,
-) {
-    ctx.stats.prefixes.fetch_add(1, Ordering::Relaxed);
-    if ctx.cfg.use_heuristics {
-        if ctx.cfg.limits.violated_by(&partial) {
-            ctx.stats.pruned.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // Strictly worse only: an equal-cost candidate must still be
-        // scored so the (cost, index) tie-break sees it — otherwise a
-        // racy bound update could prune the lexicographically smaller
-        // of two equal-cost plans and the winner would depend on
-        // scheduling.
-        if partial.get(ctx.cfg.goal) > ctx.best.bound() {
-            ctx.stats.pruned.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    }
-    if depth == ctx.choices.len() {
-        ctx.stats.full.fetch_add(1, Ordering::Relaxed);
-        let total_committees: u64 = acc
-            .iter()
-            .map(|v| v.op.committees(ctx.categories))
-            .sum::<u64>()
-            .max(1);
-        let sortition = ctx.cfg.sortition;
-        let _ = *m_cache
-            .entry(total_committees)
-            .or_insert_with(|| min_committee_size(total_committees, &sortition));
-        debug_assert!(
-            crate::encryption::validate(acc).is_ok(),
-            "candidate violates encryption inference: {:?}",
-            crate::encryption::validate(acc)
-        );
-        let plan = assemble(
-            acc.clone(),
-            &ctx.cfg.cost_model,
-            ctx.cfg.n,
-            ctx.categories,
-            &ctx.cfg.sortition,
-        );
-        if ctx.cfg.limits.violated_by(&plan.metrics) {
-            return;
-        }
-        let cost = plan.metrics.get(ctx.cfg.goal);
-        ctx.best.offer(cost, index, plan);
-        return;
-    }
-    for (i, alt) in ctx.choices[depth].iter().enumerate() {
-        let mut next = partial;
-        for v in alt {
-            next = next.combine(crate::plan::vignette_metrics(
-                v,
-                &ctx.cfg.cost_model,
-                ctx.cfg.n,
-                ctx.categories,
-                ctx.m_lb,
-            ));
-        }
-        let len_before = acc.len();
-        acc.extend(alt.iter().cloned());
-        par_dfs(
-            ctx,
-            depth + 1,
-            acc,
-            next,
-            index + i as u128 * ctx.stride[depth],
-            m_cache,
-        );
-        acc.truncate(len_before);
-    }
 }
 
 #[cfg(test)]
@@ -898,9 +631,6 @@ mod tests {
     fn heuristics_reduce_explored_prefixes() {
         let lp = top1(1 << 12);
         let mut with = PlannerConfig::paper_defaults(1 << 30);
-        // Serial search: the ablation compares exact node counts, which
-        // under parallel pruning depend on bound-propagation timing.
-        with.par = ParConfig::serial();
         with.use_heuristics = true;
         let mut without = with.clone();
         without.use_heuristics = false;
@@ -917,24 +647,6 @@ mod tests {
         let a = p_with.metrics.get(with.goal);
         let b = p_without.metrics.get(with.goal);
         assert!((a - b).abs() < 1e-9 * a.max(1.0), "{a} vs {b}");
-    }
-
-    #[test]
-    fn parallel_search_returns_identical_plan_at_any_thread_count() {
-        let lp = top1(1 << 15);
-        let mut cfg = PlannerConfig::paper_defaults(1 << 30);
-        cfg.par = ParConfig::serial();
-        let (reference, _) = plan(&lp, &cfg).unwrap();
-        for threads in [1usize, 2, 8] {
-            cfg.par = ParConfig::fixed(threads);
-            let (p, _) = plan(&lp, &cfg).unwrap();
-            assert_eq!(
-                p.metrics.get(cfg.goal),
-                reference.metrics.get(cfg.goal),
-                "threads={threads}"
-            );
-            assert_eq!(p.signature(), reference.signature(), "threads={threads}");
-        }
     }
 
     #[test]

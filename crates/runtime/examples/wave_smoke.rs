@@ -4,13 +4,13 @@
 //! simulated devices, all on the virtual-time evented fabric.
 //! `--profile million` switches to [`WaveConfig::million`] — the
 //! 10^6-device release preset the optimized sortition path is sized
-//! for (the CI `sortition-smoke` job runs it).
+//! for (the CI `wave` job runs it).
 //!
 //! Checks, in order:
 //!
-//! 1. Small-population cross-fabric parity: the same wave on the sim,
-//!    threaded, and evented fabrics produces bitwise-identical
-//!    transport metrics, committee seatings, and aggregates.
+//! 1. Small-population cross-fabric parity: the same wave on the sim
+//!    and evented fabrics produces bitwise-identical transport
+//!    metrics, committee seatings, and aggregates.
 //! 2. Sortition parity: the optimized selection pipeline (fixed-base
 //!    exponentiation, parallel ticket kernels, O(n) partial selection)
 //!    seats committees bitwise identical to the serial full-sort
@@ -117,7 +117,7 @@ fn main() -> ExitCode {
 
     // ---- 1. Cross-fabric parity at a dense-fabric-sized population.
     let small = 256usize;
-    let parity: Vec<WaveReport> = [FabricKind::Sim, FabricKind::Threaded, FabricKind::Evented]
+    let parity: Vec<WaveReport> = FabricKind::ALL
         .into_iter()
         .map(|kind| {
             run_wave(&WaveConfig {
@@ -143,7 +143,7 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "parity: sim == threaded == evented at {small} devices \
+        "parity: sim == evented at {small} devices \
          ({} frames, {} payload bytes, seats identical)",
         parity[0].metrics.frames, parity[0].metrics.payload_bytes_total
     );

@@ -34,7 +34,7 @@ pub use executor::{execute, Deployment, ExecError, ExecutionConfig, ExecutionRep
 pub use mpc_eval::{MVal, MechStyle, MpcEvalError, MpcEvaluator};
 pub use net_exec::{
     run_concurrent, run_concurrent_sharded, run_with_failover, NetExecConfig, NetExecError,
-    NetExecReport, NetFabric, NetParty,
+    NetExecReport, NetParty,
 };
 pub use session::{reassign_for_churn, QueryRecord, Session, SessionError};
 pub use setup::{

@@ -1,89 +1,32 @@
-//! Threaded committee execution with fault injection and churn failover.
+//! Committee execution with fault injection and churn failover.
 //!
 //! Runs an MPC protocol on a *real* concurrent committee — one OS thread
-//! per member over the `arboretum-net` threaded fabric, with an optional
-//! [`FaultPlan`] injected per committee — and composes transport-level
-//! failures with the session layer's churn reassignment (§5.1): when a
-//! committee loses more than `g·m` members (crashes, partitions, losses
-//! all surface as per-party protocol errors, never hangs),
-//! [`reassign_for_churn`] hands its task to the next live committee, and
-//! the protocol reruns there. If every committee is dead, or reassignment
-//! cycles back to a committee that already failed, execution returns a
-//! typed error in bounded time — receive timeouts guarantee no run
-//! blocks forever.
+//! per member, each blocking on its own `arboretum-net` evented
+//! endpoint, with an optional [`FaultPlan`] injected per committee — and
+//! composes transport-level failures with the session layer's churn
+//! reassignment (§5.1): when a committee loses more than `g·m` members
+//! (crashes, partitions, losses all surface as per-party protocol
+//! errors, never hangs), [`reassign_for_churn`] hands its task to the
+//! next live committee, and the protocol reruns there. If every
+//! committee is dead, or reassignment cycles back to a committee that
+//! already failed, execution returns a typed error in bounded time —
+//! receive timeouts guarantee no run blocks forever, and because they
+//! are resolved on the fabric's virtual clock, a dead committee costs no
+//! wall-clock wait either.
 
 use std::time::Duration;
 
 use arboretum_field::FGold;
 use arboretum_mpc::{shared_dealer, LatencyModel, MpcError, Party};
-use arboretum_net::{
-    evented_fabric, threaded_fabric, EventedConfig, EventedEndpoint, FabricKind, FaultPlan,
-    FaultyTransport, Message, NetError, ThreadedConfig, ThreadedEndpoint, Transport,
-    TransportMetrics,
-};
+use arboretum_net::{evented_fabric, EventedConfig, EventedEndpoint, FaultPlan, TransportMetrics};
 
 use crate::session::reassign_for_churn;
 
-/// One committee member's transport, on whichever fabric the config
-/// selected: the threaded fabric with a fault-schedule wrapper, or an
-/// evented endpoint with the same fault schedule expressed as
-/// virtual-clock events. Both produce bitwise-identical outputs,
-/// metrics, and typed failure outcomes at a fixed seed.
-pub enum NetFabric {
-    /// A threaded endpoint wrapped in a [`FaultyTransport`].
-    Threaded(Box<FaultyTransport<ThreadedEndpoint>>),
-    /// An evented endpoint (faults are injected inside the core).
-    Evented(EventedEndpoint),
-}
+/// One committee member: a per-thread party on its own evented
+/// endpoint.
+pub type NetParty = Party<EventedEndpoint>;
 
-impl Transport for NetFabric {
-    fn parties(&self) -> usize {
-        match self {
-            Self::Threaded(t) => t.parties(),
-            Self::Evented(t) => t.parties(),
-        }
-    }
-
-    fn local_party(&self) -> Option<usize> {
-        match self {
-            Self::Threaded(t) => t.local_party(),
-            Self::Evented(t) => t.local_party(),
-        }
-    }
-
-    fn send(&mut self, from: usize, to: usize, msg: &Message) -> Result<usize, NetError> {
-        match self {
-            Self::Threaded(t) => t.send(from, to, msg),
-            Self::Evented(t) => t.send(from, to, msg),
-        }
-    }
-
-    fn recv(&mut self, at: usize, from: usize) -> Result<Message, NetError> {
-        match self {
-            Self::Threaded(t) => t.recv(at, from),
-            Self::Evented(t) => t.recv(at, from),
-        }
-    }
-
-    fn round(&mut self, at: usize) {
-        match self {
-            Self::Threaded(t) => t.round(at),
-            Self::Evented(t) => t.round(at),
-        }
-    }
-
-    fn metrics(&self) -> TransportMetrics {
-        match self {
-            Self::Threaded(t) => t.metrics(),
-            Self::Evented(t) => t.metrics(),
-        }
-    }
-}
-
-/// The transport each committee member runs on.
-pub type NetParty = Party<NetFabric>;
-
-/// Configuration for a threaded, failover-capable execution.
+/// Configuration for a failover-capable committee execution.
 #[derive(Clone, Debug)]
 pub struct NetExecConfig {
     /// Committee size `m`.
@@ -95,7 +38,8 @@ pub struct NetExecConfig {
     /// Churn tolerance `g`: a committee stays alive while at most `g·m`
     /// members are offline.
     pub g: f64,
-    /// Per-receive timeout on the fabric (the no-hang guarantee).
+    /// Per-receive timeout on the fabric's virtual clock (the no-hang
+    /// guarantee).
     pub timeout: Duration,
     /// Optional link-latency model applied to every committee's fabric.
     pub latency: Option<LatencyModel>,
@@ -106,19 +50,11 @@ pub struct NetExecConfig {
     pub dealer_seed: u64,
     /// Seed for the per-party protocol RNGs.
     pub party_seed: u64,
-    /// Which fabric committee traffic crosses. `None` resolves through
-    /// the process-wide default installed by the CLI's `--fabric` flag,
-    /// then falls back to [`FabricKind::Threaded`] (the historical
-    /// behavior). [`FabricKind::Sim`] runs the evented fabric here: the
-    /// instant sim is one act-as-anyone object and cannot host `m`
-    /// concurrent per-party closures, and the evented fabric with zero
-    /// modeled latency is its exact concurrent counterpart.
-    pub fabric: Option<FabricKind>,
     /// Optional passive frame observer attached to every committee's
-    /// fabric (both backends). Observation is read-only and never
-    /// changes outputs, metrics, or timing decisions; on the threaded
-    /// backend the sink is invoked concurrently from many OS threads,
-    /// so sinks must be order-insensitive.
+    /// fabric. Observation is read-only and never changes outputs,
+    /// metrics, or timing decisions; the sink is invoked from every
+    /// party's OS thread in scheduling-dependent order, so sinks must
+    /// be order-insensitive.
     pub sink: Option<arboretum_net::SharedSink>,
 }
 
@@ -134,13 +70,12 @@ impl Default for NetExecConfig {
             faults: Vec::new(),
             dealer_seed: 7,
             party_seed: 99,
-            fabric: None,
             sink: None,
         }
     }
 }
 
-/// Why a threaded execution could not produce a result.
+/// Why a committee execution could not produce a result.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetExecError {
     /// Every committee exceeded its churn tolerance; the query aborts
@@ -182,7 +117,7 @@ impl std::fmt::Display for NetExecError {
 
 impl std::error::Error for NetExecError {}
 
-/// The outcome of a threaded execution.
+/// The outcome of a committee execution.
 #[derive(Debug, Clone)]
 pub struct NetExecReport {
     /// The opened protocol outputs.
@@ -196,8 +131,8 @@ pub struct NetExecReport {
     pub metrics: TransportMetrics,
 }
 
-/// Runs `protocol` on a threaded committee, failing over across
-/// committees on churn.
+/// Runs `protocol` on a committee of per-thread parties, failing over
+/// across committees on churn.
 ///
 /// The protocol closure executes once per committee member, each on its
 /// own OS thread with its own [`NetParty`]; it must be deterministic in
@@ -346,14 +281,11 @@ where
     })
 }
 
-/// Runs one committee attempt: `m` threads, one fabric, one dealer.
-///
-/// The fabric comes from `cfg.fabric` (explicit → global `--fabric`
-/// default → threaded). Both backends get the same timeout, latency
-/// matrix, seed, and fault schedule, so their outputs, metrics, and
-/// typed failures are bitwise identical — the evented fabric just
-/// resolves every modeled delay and timeout on its virtual clock
-/// instead of sleeping.
+/// Runs one committee attempt: `m` threads, one evented fabric, one
+/// dealer. The instant sim fabric is one act-as-anyone object and
+/// cannot host `m` concurrent per-party closures; evented endpoints
+/// can, and resolve every modeled delay and timeout on their shared
+/// virtual clock instead of sleeping.
 fn run_committee<F>(
     cfg: &NetExecConfig,
     committee: usize,
@@ -363,44 +295,16 @@ fn run_committee<F>(
 where
     F: Fn(&mut NetParty) -> Result<Vec<FGold>, MpcError> + Send + Sync,
 {
-    let kind = FabricKind::resolve(cfg.fabric, FabricKind::Threaded);
-    let latency = cfg.latency.as_ref().map(|l| l.one_way_matrix(cfg.m));
-    let seed = cfg.party_seed ^ committee as u64;
-    let (endpoints, snapshot): (Vec<NetFabric>, Box<dyn Fn() -> TransportMetrics>) = match kind {
-        FabricKind::Threaded => {
-            let tcfg = ThreadedConfig {
-                timeout: cfg.timeout,
-                latency,
-                jitter: 0.0,
-                seed,
-                sink: cfg.sink.clone(),
-            };
-            let eps = threaded_fabric(cfg.m, &tcfg);
-            let handle = eps[0].metrics_handle();
-            let eps = eps
-                .into_iter()
-                .map(|ep| NetFabric::Threaded(Box::new(FaultyTransport::new(ep, fault.clone()))))
-                .collect();
-            (eps, Box::new(move || handle.snapshot()))
-        }
-        // The instant sim fabric is one act-as-anyone object and cannot
-        // host m concurrent per-party closures; the evented fabric with
-        // zero wall-clock sleeps is its exact concurrent counterpart.
-        FabricKind::Sim | FabricKind::Evented => {
-            let ecfg = EventedConfig {
-                timeout: cfg.timeout,
-                latency,
-                jitter: 0.0,
-                seed,
-                faults: Some(fault.clone()),
-                sink: cfg.sink.clone(),
-            };
-            let eps = evented_fabric(cfg.m, &ecfg);
-            let handle = eps[0].metrics_handle();
-            let eps = eps.into_iter().map(NetFabric::Evented).collect();
-            (eps, Box::new(move || handle.snapshot()))
-        }
+    let ecfg = EventedConfig {
+        timeout: cfg.timeout,
+        latency: cfg.latency.as_ref().map(|l| l.one_way_matrix(cfg.m)),
+        jitter: 0.0,
+        seed: cfg.party_seed ^ committee as u64,
+        faults: Some(fault),
+        sink: cfg.sink.clone(),
     };
+    let endpoints = evented_fabric(cfg.m, &ecfg);
+    let metrics = endpoints[0].metrics_handle();
     // Fresh preprocessing per attempt: a reassigned committee starts a
     // clean protocol run with its own dealer material.
     let dealer = shared_dealer(cfg.m, cfg.t, cfg.dealer_seed ^ (committee as u64) << 16);
@@ -420,7 +324,7 @@ where
             .map(|h| h.join().expect("party thread must not panic"))
             .collect()
     });
-    (results, snapshot())
+    (results, metrics.snapshot())
 }
 
 #[cfg(test)]

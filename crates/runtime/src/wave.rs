@@ -6,8 +6,8 @@
 //! encrypted-input-sized frame to the aggregator. On the evented fabric
 //! latency and timeouts are virtual and frame buffers come from a
 //! recycling arena, so populations of 10^5–10^6 devices fit in a single
-//! process; the sim and threaded fabrics hold dense per-pair state and
-//! are only sensible for small populations (cross-fabric parity tests).
+//! process; the sim fabric holds dense per-pair state and is only
+//! sensible for small populations (cross-fabric parity tests).
 //!
 //! The driver also computes the closed-form traffic model for the wave
 //! and reports both, so callers (tests, the CI smoke job, `bench_net`)
@@ -19,8 +19,8 @@ use std::time::Duration;
 use arboretum_crypto::sha256::sha256;
 use arboretum_field::FGold;
 use arboretum_net::{
-    evented_fabric, ArenaCounters, EventedConfig, FabricKind, Message, SimTransport,
-    ThreadedConfig, Transport, TransportMetrics, HEADER_BYTES,
+    evented_fabric, ArenaCounters, EventedConfig, FabricKind, Message, SimTransport, Transport,
+    TransportMetrics, HEADER_BYTES,
 };
 use arboretum_sortition::{select_committees, select_committees_reference, Device, Registry};
 
@@ -48,8 +48,8 @@ pub struct WaveConfig {
     /// Query index mixed into the sortition beacon.
     pub query_idx: u64,
     /// Fabric selection; `None` falls back to the process-wide default
-    /// and then [`FabricKind::Evented`]. Sim and threaded hold dense
-    /// per-pair state — keep `devices` small on those.
+    /// and then [`FabricKind::Evented`]. Sim holds dense per-pair
+    /// state — keep `devices` small on it.
     pub fabric: Option<FabricKind>,
     /// Receive timeout for the wave's transport.
     pub timeout: Duration,
@@ -73,7 +73,7 @@ impl WaveConfig {
     /// The million-device release profile: 10^6 devices on the evented
     /// fabric, five committees of seven. This is the population the
     /// fixed-base/batch-verify sortition path is sized for; only run it
-    /// in release builds (the CI `sortition-smoke` job does).
+    /// in release builds (the CI `wave` job does).
     pub fn million() -> Self {
         Self {
             devices: 1_000_000,
@@ -241,32 +241,6 @@ pub fn run_wave(cfg: &WaveConfig) -> WaveReport {
             t.round(n);
             (sum, t.metrics(), None)
         }
-        FabricKind::Threaded => {
-            let thcfg = ThreadedConfig {
-                timeout: cfg.timeout,
-                ..ThreadedConfig::default()
-            };
-            let mut eps = arboretum_net::threaded_fabric(n + 1, &thcfg);
-            let mut agg = eps.pop().expect("fabric has n + 1 endpoints");
-            let handle = agg.metrics_handle();
-            let mut sum = FGold::new(0);
-            for chunk in 0..n.div_ceil(WAVE_BATCH) {
-                let lo = chunk * WAVE_BATCH;
-                let hi = (lo + WAVE_BATCH).min(n);
-                for (i, ep) in eps[lo..hi].iter_mut().enumerate() {
-                    let msg = upload_frame(lo + i, cfg.payload_elems);
-                    ep.send(lo + i, n, &msg).expect("wave send");
-                }
-                for i in lo..hi {
-                    match agg.recv(n, i).expect("wave recv") {
-                        Message::FieldElems(v) => sum += v[0],
-                        other => panic!("unexpected wave frame {:?}", other.kind()),
-                    }
-                }
-            }
-            agg.round(n);
-            (sum, handle.snapshot(), None)
-        }
     };
 
     WaveReport {
@@ -308,13 +282,9 @@ mod tests {
     fn wave_outcomes_are_bitwise_identical_across_fabrics() {
         let sim = run_wave(&small(FabricKind::Sim));
         let ev = run_wave(&small(FabricKind::Evented));
-        let th = run_wave(&small(FabricKind::Threaded));
         assert_eq!(sim.metrics, ev.metrics);
-        assert_eq!(sim.metrics, th.metrics);
         assert_eq!(sim.seats, ev.seats);
-        assert_eq!(sim.seats, th.seats);
         assert_eq!(sim.aggregate, ev.aggregate);
-        assert_eq!(sim.aggregate, th.aggregate);
     }
 
     #[test]

@@ -37,17 +37,7 @@ fn one_hot_seed_sweep_detects_every_injected_behavior_on_every_fabric() {
     // The sweep runs once per fabric; each seed's typed detection set
     // and surviving answer must be bitwise identical across fabrics.
     for seed in 0..sweep_width() {
-        let reference = run_attack(&AttackConfig {
-            fabric: Some(FabricKind::Threaded),
-            ..AttackConfig::new(seed)
-        })
-        .unwrap_or_else(|e| panic!("seed {seed} threaded: {e}"));
-        assert!(
-            reference.ok(),
-            "seed {seed} threaded:\n{}",
-            reference.summary()
-        );
-        for kind in [FabricKind::Evented, FabricKind::Sim] {
+        let run = |kind| {
             let cfg = AttackConfig {
                 fabric: Some(kind),
                 ..AttackConfig::new(seed)
@@ -60,20 +50,22 @@ fn one_hot_seed_sweep_detects_every_injected_behavior_on_every_fabric() {
                     got.summary()
                 );
             }
-            assert_eq!(
-                got.adversarial.detections, reference.adversarial.detections,
-                "seed {seed}: detections drifted between threaded and {kind}"
-            );
-            assert_eq!(
-                got.adversarial.report.outputs, reference.adversarial.report.outputs,
-                "seed {seed}: outputs drifted between threaded and {kind}"
-            );
-            assert_eq!(
-                got.adversarial.report.accepted_inputs,
-                reference.adversarial.report.accepted_inputs,
-                "seed {seed}: accepted inputs drifted between threaded and {kind}"
-            );
-        }
+            got
+        };
+        let reference = run(FabricKind::Evented);
+        let got = run(FabricKind::Sim);
+        assert_eq!(
+            got.adversarial.detections, reference.adversarial.detections,
+            "seed {seed}: detections drifted between evented and sim"
+        );
+        assert_eq!(
+            got.adversarial.report.outputs, reference.adversarial.report.outputs,
+            "seed {seed}: outputs drifted between evented and sim"
+        );
+        assert_eq!(
+            got.adversarial.report.accepted_inputs, reference.adversarial.report.accepted_inputs,
+            "seed {seed}: accepted inputs drifted between evented and sim"
+        );
     }
 }
 
@@ -153,7 +145,7 @@ fn aggregator_seed_sweep_yields_exactly_one_exact_detection_on_every_fabric() {
     // the exact predicted kind (step attribution included), with
     // outputs/budget/audit bitwise identical to the honest reference —
     // both already enforced by the harness cross-checks — and the
-    // detection set identical across all three fabrics.
+    // detection set identical across both fabrics.
     use arboretum_runtime::Subject;
     for seed in 0..sweep_width() {
         let mk = |fabric| AttackConfig {
@@ -162,8 +154,8 @@ fn aggregator_seed_sweep_yields_exactly_one_exact_detection_on_every_fabric() {
             aggregator: true,
             ..AttackConfig::new(seed)
         };
-        let cfg = mk(FabricKind::Threaded);
-        let reference = run_attack(&cfg).unwrap_or_else(|e| panic!("seed {seed} threaded: {e}"));
+        let cfg = mk(FabricKind::Evented);
+        let reference = run_attack(&cfg).unwrap_or_else(|e| panic!("seed {seed} evented: {e}"));
         if !reference.ok() {
             let artifact = dump_failure_artifact(&cfg, &reference).ok();
             panic!(
@@ -187,18 +179,17 @@ fn aggregator_seed_sweep_yields_exactly_one_exact_detection_on_every_fabric() {
             "seed {seed}: want exactly one aggregator detection"
         );
         assert_eq!(agg[0].kind, expected, "seed {seed}: wrong step attribution");
-        for kind in [FabricKind::Evented, FabricKind::Sim] {
-            let got = run_attack(&mk(kind)).unwrap_or_else(|e| panic!("seed {seed} {kind}: {e}"));
-            assert!(got.ok(), "seed {seed} {kind}:\n{}", got.summary());
-            assert_eq!(
-                got.adversarial.detections, reference.adversarial.detections,
-                "seed {seed}: aggregator detections drifted between threaded and {kind}"
-            );
-            assert_eq!(
-                got.adversarial.report.outputs,
-                reference.adversarial.report.outputs
-            );
-        }
+        let got =
+            run_attack(&mk(FabricKind::Sim)).unwrap_or_else(|e| panic!("seed {seed} sim: {e}"));
+        assert!(got.ok(), "seed {seed} sim:\n{}", got.summary());
+        assert_eq!(
+            got.adversarial.detections, reference.adversarial.detections,
+            "seed {seed}: aggregator detections drifted between evented and sim"
+        );
+        assert_eq!(
+            got.adversarial.report.outputs,
+            reference.adversarial.report.outputs
+        );
     }
 }
 
@@ -211,7 +202,7 @@ fn adaptive_sweep_replays_deterministically_across_threads_shards_and_fabrics() 
     // divergence dumps the replayable decision-log artifact.
     for seed in 0..sweep_width().min(6) {
         let base_cfg = AttackConfig {
-            fabric: Some(FabricKind::Threaded),
+            fabric: Some(FabricKind::Evented),
             net_phase: false,
             aggregator: true,
             adaptive: true,
@@ -227,7 +218,7 @@ fn adaptive_sweep_replays_deterministically_across_threads_shards_and_fabrics() 
         }
         let base_realized = base.adaptive.as_ref().expect("adaptive run");
         assert!(!base_realized.decisions.is_empty());
-        for fabric in [FabricKind::Threaded, FabricKind::Evented, FabricKind::Sim] {
+        for fabric in [FabricKind::Evented, FabricKind::Sim] {
             for threads in [1usize, 8] {
                 for shards in [1usize, 2] {
                     let cfg = AttackConfig {
@@ -337,7 +328,7 @@ fn honest_aggregator_hook_leaves_no_trace_on_any_fabric() {
     let program = parse("aggr = sum(db); r = em(aggr, 8.0); output(r);").unwrap();
     let lp = extract(&program, &deployment.schema, CertifyConfig::default()).unwrap();
     let (physical, _) = plan(&lp, &PlannerConfig::paper_defaults(1 << 30)).unwrap();
-    for fabric in [FabricKind::Sim, FabricKind::Threaded, FabricKind::Evented] {
+    for fabric in FabricKind::ALL {
         let cfg = ExecutionConfig {
             seed: 5,
             budget: PrivacyCost {

@@ -5,7 +5,7 @@
 //! identical across execution *shapes* — thread counts, shard counts,
 //! and network fabrics — and invariant to window-boundary placement at
 //! a fixed arrival schedule. This battery sweeps the full shape matrix
-//! `threads {1, 8} × shards {1, 2} × fabrics {sim, threaded, evented}`
+//! `threads {1, 8} × shards {1, 2} × fabrics {sim, evented}`
 //! against a serial baseline, then re-bins the same surviving-device
 //! set into different window partitions on the most parallel shape.
 //!
@@ -192,7 +192,7 @@ fn streamed_epochs_are_bitwise_identical_across_shapes() {
 
     for threads in [1usize, 8] {
         for shards in [1usize, 2] {
-            for fabric in [FabricKind::Sim, FabricKind::Threaded, FabricKind::Evented] {
+            for fabric in FabricKind::ALL {
                 let par = ParConfig::fixed(threads).with_shards(shards);
                 let got = project(&run_shape(&schedule, par, Some(fabric)));
                 if got != baseline {

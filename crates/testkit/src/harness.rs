@@ -56,15 +56,15 @@ pub struct AttackConfig {
     /// Run the numeric (per-field range proof) pipeline instead of the
     /// one-hot pipeline.
     pub numeric: bool,
-    /// Whether to run the networked MPC failover phase (costs real
-    /// wall-clock for timeouts on faulty committees).
+    /// Whether to run the networked MPC failover phase.
     pub net_phase: bool,
     /// Thread configuration for the aggregator's parallel phases.
     pub par: ParConfig,
-    /// Network fabric for the MPC engines and the networked failover
-    /// phase; `None` uses the process-wide default and then each
-    /// consumer's own fallback. Detections and metrics are bitwise
-    /// identical on every fabric.
+    /// Network fabric for the MPC engines; `None` uses the process-wide
+    /// default and then each consumer's own fallback. (The networked
+    /// failover phase always runs per-thread parties on evented
+    /// endpoints.) Detections and metrics are bitwise identical on
+    /// either fabric.
     pub fabric: Option<FabricKind>,
     /// Enable the malicious-aggregator axis: the schedule assigns the
     /// seed-derived [`AggregatorBehavior`] and the cross-checks demand
@@ -630,7 +630,6 @@ fn run_net_phase(
         committees: cfg.n_committees,
         faults: schedule.fault_plans(),
         timeout: Duration::from_millis(200),
-        fabric: cfg.fabric,
         ..NetExecConfig::default()
     };
     let net = run_with_failover(&net_cfg, protocol).map_err(|e| format!("net phase: {e:?}"))?;
@@ -638,7 +637,6 @@ fn run_net_phase(
         committees: cfg.n_committees,
         faults: Vec::new(),
         timeout: Duration::from_millis(200),
-        fabric: cfg.fabric,
         ..NetExecConfig::default()
     };
     let net_ref =
