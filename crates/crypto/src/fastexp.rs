@@ -9,7 +9,9 @@
 //!   (`table[j][d] = base^(d·2^(8j))`): one exponentiation becomes at
 //!   most 8 group multiplications and zero squarings. The generator's
 //!   table is built lazily once per process ([`base_table`]) and backs
-//!   [`crate::group::GroupElem::mul_base`]; per-key tables
+//!   [`crate::group::GroupElem::mul_base`]; Pedersen's standard `h`
+//!   has one next to it ([`crate::pedersen::PedersenParams::h_pow`]),
+//!   so committing and sigma-proving never run a ladder; per-key tables
 //!   ([`crate::schnorr::PreparedPublicKey`]) pay off whenever one public
 //!   key verifies more than a handful of signatures.
 //! * [`straus_base_mul`] — Straus/Shamir interleaved double
@@ -87,6 +89,11 @@ impl FixedBaseTable {
             table.push(row);
         }
         Self { table }
+    }
+
+    /// The base this table exponentiates (`table[0][1] = base^1`).
+    pub fn base(&self) -> GroupElem {
+        self.table[0][1]
     }
 
     /// Computes `base^e` — bitwise equal to `base.pow(e)`.

@@ -6,6 +6,9 @@
 //! which the ZKP crate exploits for one-hot and range proofs, and the
 //! VSR crate for Feldman-style share commitments.
 
+use std::sync::OnceLock;
+
+use crate::fastexp::FixedBaseTable;
 use crate::group::{GroupElem, Scalar};
 use rand::Rng;
 
@@ -37,18 +40,54 @@ impl Default for PedersenParams {
     }
 }
 
+/// The standard blinding generator.
+fn standard_h() -> GroupElem {
+    GroupElem::hash_to_group(b"pedersen-h")
+}
+
+/// The process-wide fixed-base table for [`standard_h`] (16 KiB), built
+/// lazily on first use like the generator's
+/// ([`crate::fastexp::base_table`]).
+fn standard_h_table() -> &'static FixedBaseTable {
+    static TABLE: OnceLock<FixedBaseTable> = OnceLock::new();
+    TABLE.get_or_init(|| FixedBaseTable::new(standard_h()))
+}
+
 impl PedersenParams {
     /// The workspace-standard parameters (`h` derived by hash-to-group).
     pub fn standard() -> Self {
         Self {
             g: GroupElem::generator(),
-            h: GroupElem::hash_to_group(b"pedersen-h"),
+            h: standard_h(),
+        }
+    }
+
+    /// `g^e`, bitwise equal to `self.g.pow(e)`: through the generator's
+    /// fixed-base table (at most 8 multiplications) when `g` is the
+    /// standard generator, the generic ladder otherwise.
+    pub fn g_pow(&self, e: Scalar) -> GroupElem {
+        if self.g == GroupElem::generator() {
+            GroupElem::mul_base(e)
+        } else {
+            self.g.pow(e)
+        }
+    }
+
+    /// `h^e`, bitwise equal to `self.h.pow(e)`: through the standard
+    /// `h`'s fixed-base table when `h` is the standard blinding
+    /// generator, the generic ladder otherwise.
+    pub fn h_pow(&self, e: Scalar) -> GroupElem {
+        let table = standard_h_table();
+        if self.h == table.base() {
+            table.pow(e)
+        } else {
+            self.h.pow(e)
         }
     }
 
     /// Commits to `value` with the given blinding factor.
     pub fn commit_with(&self, value: Scalar, blinding: Scalar) -> Commitment {
-        Commitment(self.g.pow(value) + self.h.pow(blinding))
+        Commitment(self.g_pow(value) + self.h_pow(blinding))
     }
 
     /// Commits to `value` with fresh randomness, returning the opening.

@@ -86,6 +86,27 @@ proptest! {
     }
 
     #[test]
+    fn pedersen_table_pows_are_bitwise_equal_to_pow(e in 0..GROUP_Q, g_exp in 2..GROUP_Q) {
+        // Standard parameters go through the two fixed-base tables;
+        // any other generator pair falls back to the ladder. Both must
+        // equal `pow`, and `commit_with` must equal the two-ladder product.
+        let standard = PedersenParams::standard();
+        let other = PedersenParams {
+            g: standard.g.pow(Scalar::new(g_exp)),
+            h: standard.h.pow(Scalar::new(g_exp)),
+        };
+        let mut scalars = exponents(e);
+        scalars.push(Scalar::new((1 << 60) + (e >> 8)));
+        for pp in [standard, other] {
+            for &s in &scalars {
+                prop_assert_eq!(pp.g_pow(s), pp.g.pow(s));
+                prop_assert_eq!(pp.h_pow(s), pp.h.pow(s));
+                prop_assert_eq!(pp.commit_with(s, -s).0, pp.g.pow(s) + pp.h.pow(-s));
+            }
+        }
+    }
+
+    #[test]
     fn straus_double_exp_is_bitwise_equal_to_pow(y_exp in 1..GROUP_Q, a in 0..GROUP_Q, b in 0..GROUP_Q) {
         let g = GroupElem::generator();
         let y = g.pow(Scalar::new(y_exp));

@@ -502,6 +502,8 @@ pub fn forge_one_hot<R: Rng + ?Sized>(
         // `prove_bit` refuses non-bit openings; the forger lies about
         // the opened value and keeps the real blinding, which is the
         // best any cheater can do without breaking the commitment.
+        // `prove_bit` trusts the opening, so with the lie neither OR
+        // branch verifies at this coordinate.
         let claimed = if b > 1 {
             Opening {
                 value: Scalar::ONE,

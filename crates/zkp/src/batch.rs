@@ -1,43 +1,25 @@
-//! Batch verification of input-validation proofs.
+//! Fan-out of input-validation proofs over a thread pool.
 //!
 //! At input-collection time the aggregator verifies one proof per
 //! participant (§5.3) — embarrassingly parallel, since
-//! [`verify_one_hot`] and [`verify_range`] are pure functions of the
-//! proof and the public parameters. These helpers fan the batch out
-//! over an [`arboretum_par`] pool; verdicts come back in input order,
-//! so accept/reject decisions are identical to a serial loop at any
-//! thread count.
+//! [`verify_one_hot_detailed`] and [`verify_range_detailed`] are pure
+//! functions of the proof and the public parameters. These helpers
+//! spread a list of proofs over an [`arboretum_par`] pool; verdicts
+//! come back in input order, so accept/reject decisions are identical
+//! to a serial loop at any thread count.
+//!
+//! "Batch" here means many proofs, each still verified on its own. It
+//! is unrelated to the fold *inside* one proof (`sigma`'s module docs),
+//! which combines that proof's equations into one multi-exponentiation;
+//! nothing combines equations across proofs.
 
 use std::sync::Arc;
 
 use arboretum_crypto::pedersen::PedersenParams;
 use arboretum_par::{par_map, ThreadPool};
 
-use crate::onehot::{verify_one_hot, verify_one_hot_detailed, OneHotProof, OneHotVerifyError};
-use crate::range::{verify_range, verify_range_detailed, RangeProof, RangeVerifyError};
-
-/// Verifies a batch of one-hot proofs in parallel, returning one
-/// verdict per proof in input order.
-pub fn par_verify_one_hot(
-    pool: &ThreadPool,
-    pp: &PedersenParams,
-    proofs: Vec<OneHotProof>,
-) -> Vec<bool> {
-    let pp = Arc::new(*pp);
-    par_map(pool, proofs, move |_, proof| verify_one_hot(&pp, proof))
-}
-
-/// Verifies a batch of range proofs (each claiming its value fits in
-/// `bits` bits) in parallel, returning verdicts in input order.
-pub fn par_verify_ranges(
-    pool: &ThreadPool,
-    pp: &PedersenParams,
-    proofs: Vec<RangeProof>,
-    bits: u32,
-) -> Vec<bool> {
-    let pp = Arc::new(*pp);
-    par_map(pool, proofs, move |_, proof| verify_range(&pp, proof, bits))
-}
+use crate::onehot::{verify_one_hot_detailed, OneHotProof, OneHotVerifyError};
+use crate::range::{verify_range_detailed, RangeProof, RangeVerifyError};
 
 /// Verifies a batch of one-hot proofs in parallel, returning a typed
 /// verdict per proof in input order. A bad proof is isolated to its own
@@ -72,7 +54,6 @@ pub fn par_verify_ranges_detailed(
 mod tests {
     use super::*;
     use crate::onehot::prove_one_hot;
-    use crate::range::prove_range;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -87,32 +68,15 @@ mod tests {
                 prove_one_hot(&pp, &bits, &mut rng).unwrap()
             })
             .collect();
-        let serial: Vec<bool> = proofs.iter().map(|p| verify_one_hot(&pp, p)).collect();
+        let serial: Vec<_> = proofs
+            .iter()
+            .map(|p| verify_one_hot_detailed(&pp, p))
+            .collect();
         for threads in [0usize, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let par = par_verify_one_hot(&pool, &pp, proofs.clone());
+            let par = par_verify_one_hot_detailed(&pool, &pp, proofs.clone());
             assert_eq!(par, serial, "threads={threads}");
         }
-        assert!(serial.iter().all(|&ok| ok));
-    }
-
-    #[test]
-    fn batch_ranges_flags_bad_proofs_in_place() {
-        let pp = PedersenParams::standard();
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut proofs: Vec<RangeProof> = (0..10)
-            .map(|i| prove_range(&pp, i, 8, &mut rng).unwrap().0)
-            .collect();
-        // Corrupt one proof by swapping in another's bit commitments
-        // structure: re-prove out-of-range is rejected at prove time,
-        // so instead verify against a smaller bit width.
-        let pool = ThreadPool::new(4);
-        let ok = par_verify_ranges(&pool, &pp, proofs.clone(), 8);
-        assert!(ok.iter().all(|&v| v));
-        // Mismatched widths fail verification, and the failure lands
-        // at the right index.
-        proofs.swap(3, 7);
-        let ok = par_verify_ranges(&pool, &pp, proofs, 8);
-        assert_eq!(ok.len(), 10);
+        assert!(serial.iter().all(|v| v.is_ok()));
     }
 }

@@ -17,9 +17,7 @@ pub mod onehot;
 pub mod range;
 pub mod sigma;
 
-pub use batch::{
-    par_verify_one_hot, par_verify_one_hot_detailed, par_verify_ranges, par_verify_ranges_detailed,
-};
+pub use batch::{par_verify_one_hot_detailed, par_verify_ranges_detailed};
 pub use cost::SnarkCostModel;
 pub use onehot::{
     prove_one_hot, verify_one_hot, verify_one_hot_detailed, OneHotError, OneHotProof,

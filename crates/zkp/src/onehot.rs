@@ -6,12 +6,15 @@
 //! The proof commits to each coordinate, proves each commitment holds a
 //! bit, and proves the product of commitments opens to exactly 1.
 
-use arboretum_crypto::group::Scalar;
+use arboretum_crypto::group::{GroupElem, Scalar};
 use arboretum_crypto::pedersen::{Commitment, Opening, PedersenParams};
 use arboretum_crypto::transcript::Transcript;
 use rand::Rng;
 
-use crate::sigma::{prove_bit, prove_dlog, verify_bit, verify_dlog, BitProof, DlogProof};
+use crate::sigma::{
+    dlog_challenge, fold_holds, prove_bit, prove_dlog, replay_bit_challenges, verify_bit,
+    verify_dlog, BitProof, DlogProof, TailEquation,
+};
 
 /// A non-interactive proof that a committed vector is one-hot.
 #[derive(Clone, Debug)]
@@ -73,8 +76,6 @@ pub fn prove_one_hot<R: Rng + ?Sized>(
     }
     let mut transcript = Transcript::new(b"one-hot");
     transcript.append_u64(b"len", bits.len() as u64);
-    let openings: Vec<Opening> = Vec::new();
-    let _ = openings;
     let mut commitments = Vec::with_capacity(bits.len());
     let mut opens = Vec::with_capacity(bits.len());
     for &b in bits {
@@ -97,12 +98,7 @@ pub fn prove_one_hot<R: Rng + ?Sized>(
         },
         |acc, o| acc.add(*o),
     );
-    let d = commitments
-        .iter()
-        .skip(1)
-        .fold(commitments[0], |acc, c| acc.add(*c))
-        .0
-        - pp.g;
+    let d = sum_statement(pp, &commitments);
     let sum_proof = prove_dlog(pp, &d, total.blinding, &mut transcript, rng);
     Ok(OneHotProof {
         commitments,
@@ -138,11 +134,37 @@ impl std::fmt::Display for OneHotVerifyError {
 
 impl std::error::Error for OneHotVerifyError {}
 
+/// The sum proof's statement `d = Π Cᵢ · g^{-1}`: it equals `h^{Σ rᵢ}`
+/// exactly when the committed values sum to one. (`commitments` is
+/// nonempty; `g^{-1}` comes from the generator's table, not an
+/// inversion.)
+fn sum_statement(pp: &PedersenParams, commitments: &[Commitment]) -> GroupElem {
+    commitments
+        .iter()
+        .fold(pp.g_pow(-Scalar::ONE), |acc, c| acc + c.0)
+}
+
+/// The transcript of a structurally sound proof, up to and including the
+/// commitments.
+fn verifier_transcript(proof: &OneHotProof) -> Transcript {
+    let mut transcript = Transcript::new(b"one-hot");
+    transcript.append_u64(b"len", proof.commitments.len() as u64);
+    for c in &proof.commitments {
+        transcript.append_point(b"c", &c.0);
+    }
+    transcript
+}
+
 /// Verifies a one-hot proof, reporting *which* check failed.
 ///
-/// Checks run in the same order as [`verify_one_hot`] — structure, then
-/// bit proofs in coordinate order, then the sum proof — so the reported
-/// error is the first failure, deterministically.
+/// A structurally sound proof is `2k + 1` equations (two per bit proof,
+/// one for the sum proof). They are first checked all at once: the
+/// transcript is replayed for every challenge and the equations folded
+/// into one multi-exponentiation (see `sigma`'s module docs; the fold
+/// accepts a proof with a failing equation with probability at most
+/// `(2k + 1)/q`). Only when the fold fails do the checks run one by one,
+/// in a fixed order — bit proofs in coordinate order, then the sum proof
+/// — so the reported error is the first failure, deterministically.
 ///
 /// # Errors
 ///
@@ -154,23 +176,36 @@ pub fn verify_one_hot_detailed(
     if proof.commitments.is_empty() || proof.commitments.len() != proof.bit_proofs.len() {
         return Err(OneHotVerifyError::Structure);
     }
-    let mut transcript = Transcript::new(b"one-hot");
-    transcript.append_u64(b"len", proof.commitments.len() as u64);
-    for c in &proof.commitments {
-        transcript.append_point(b"c", &c.0);
+    let d = sum_statement(pp, &proof.commitments);
+
+    let mut transcript = verifier_transcript(proof);
+    let e1 = replay_bit_challenges(&proof.commitments, &proof.bit_proofs, &mut transcript);
+    let e = dlog_challenge(&d, &proof.sum_proof.a, &mut transcript);
+    // h^z == A · d^e, with d's g^{-1} moved to the left.
+    let sum_equation = TailEquation {
+        h_exp: proof.sum_proof.z,
+        g_exp: e,
+        point: proof.sum_proof.a,
+        point_exp: Scalar::ONE,
+        weight: |_| e,
+    };
+    if fold_holds(
+        pp,
+        &proof.commitments,
+        &proof.bit_proofs,
+        &e1,
+        sum_equation,
+        &mut transcript,
+    ) {
+        return Ok(());
     }
+
+    let mut transcript = verifier_transcript(proof);
     for (i, (c, bp)) in proof.commitments.iter().zip(&proof.bit_proofs).enumerate() {
         if !verify_bit(pp, c, bp, &mut transcript) {
             return Err(OneHotVerifyError::BitProof(i));
         }
     }
-    let d = proof
-        .commitments
-        .iter()
-        .skip(1)
-        .fold(proof.commitments[0], |acc, c| acc.add(*c))
-        .0
-        - pp.g;
     if !verify_dlog(pp, &d, &proof.sum_proof, &mut transcript) {
         return Err(OneHotVerifyError::SumProof);
     }

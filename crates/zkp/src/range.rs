@@ -11,7 +11,9 @@ use arboretum_crypto::pedersen::{Commitment, Opening, PedersenParams};
 use arboretum_crypto::transcript::Transcript;
 use rand::Rng;
 
-use crate::sigma::{prove_bit, verify_bit, BitProof};
+use crate::sigma::{
+    fold_holds, prove_bit, replay_bit_challenges, verify_bit, BitProof, TailEquation,
+};
 
 /// A non-interactive range proof for `v ∈ [0, 2^k)`.
 #[derive(Clone, Debug)]
@@ -90,22 +92,17 @@ pub fn prove_range<R: Rng + ?Sized>(
     // The value commitment is the 2^i-weighted product of bit
     // commitments, so its opening is the weighted sum of bit openings —
     // the verifier can recompute the product, which binds the bits to the
-    // value with no extra proof.
-    let mut total = Opening {
-        value: Scalar::ZERO,
-        blinding: Scalar::ZERO,
-    };
-    let mut commitment = None::<Commitment>;
-    for (i, (c, o)) in bit_commitments.iter().zip(&bit_openings).enumerate() {
-        let w = Scalar::new(1u64 << i);
-        total = total.add(o.scale(w));
-        let weighted = c.scale(w);
-        commitment = Some(match commitment {
-            None => weighted,
-            Some(acc) => acc.add(weighted),
-        });
-    }
-    let commitment = commitment.expect("bits >= 1");
+    // value with no extra proof. The prover holds that opening, so it
+    // commits to it directly instead of exponentiating each bit
+    // commitment: the same group element from two table lookups.
+    let total = bit_openings.iter().enumerate().fold(
+        Opening {
+            value: Scalar::ZERO,
+            blinding: Scalar::ZERO,
+        },
+        |acc, (i, o)| acc.add(o.scale(Scalar::new(1u64 << i))),
+    );
+    let commitment = pp.commit_with(total.value, total.blinding);
     transcript.append_point(b"value", &commitment.0);
     for c in &bit_commitments {
         transcript.append_point(b"bit", &c.0);
@@ -152,12 +149,29 @@ impl std::fmt::Display for RangeVerifyError {
 
 impl std::error::Error for RangeVerifyError {}
 
+/// The transcript of a structurally sound proof, up to and including the
+/// bit commitments.
+fn verifier_transcript(proof: &RangeProof, bits: u32) -> Transcript {
+    let mut transcript = Transcript::new(b"range");
+    transcript.append_u64(b"bits", bits as u64);
+    transcript.append_point(b"value", &proof.commitment.0);
+    for c in &proof.bit_commitments {
+        transcript.append_point(b"bit", &c.0);
+    }
+    transcript
+}
+
 /// Verifies a range proof, reporting *which* check failed.
 ///
-/// Checks run in the same order as [`verify_range`] — structure, then
-/// the weighted-product binding, then bit proofs least-significant
-/// first — so the reported error is the first failure,
-/// deterministically.
+/// A structurally sound proof is `2k + 1` equations (the
+/// weighted-product binding and two per bit proof). They are first
+/// checked all at once: the transcript is replayed for every challenge
+/// and the equations folded into one multi-exponentiation (see `sigma`'s
+/// module docs; the fold accepts a proof with a failing equation with
+/// probability at most `(2k + 1)/q`). Only when the fold fails do the
+/// checks run one by one, in a fixed order — the binding, then bit
+/// proofs least-significant first — so the reported error is the first
+/// failure, deterministically.
 ///
 /// # Errors
 ///
@@ -173,6 +187,28 @@ pub fn verify_range_detailed(
     {
         return Err(RangeVerifyError::Structure);
     }
+
+    let mut transcript = verifier_transcript(proof, bits);
+    let e1 = replay_bit_challenges(&proof.bit_commitments, &proof.bit_proofs, &mut transcript);
+    // 1 == C^{-1} · Π cᵢ^{2^i}.
+    let binding = TailEquation {
+        h_exp: Scalar::ZERO,
+        g_exp: Scalar::ZERO,
+        point: proof.commitment.0,
+        point_exp: -Scalar::ONE,
+        weight: |i| Scalar::new(1u64 << i),
+    };
+    if fold_holds(
+        pp,
+        &proof.bit_commitments,
+        &proof.bit_proofs,
+        &e1,
+        binding,
+        &mut transcript,
+    ) {
+        return Ok(());
+    }
+
     // Recompute the weighted product and match the value commitment.
     let mut acc = None::<Commitment>;
     for (i, c) in proof.bit_commitments.iter().enumerate() {
@@ -185,12 +221,7 @@ pub fn verify_range_detailed(
     if acc != Some(proof.commitment) {
         return Err(RangeVerifyError::Binding);
     }
-    let mut transcript = Transcript::new(b"range");
-    transcript.append_u64(b"bits", bits as u64);
-    transcript.append_point(b"value", &proof.commitment.0);
-    for c in &proof.bit_commitments {
-        transcript.append_point(b"bit", &c.0);
-    }
+    let mut transcript = verifier_transcript(proof, bits);
     for (i, (c, bp)) in proof
         .bit_commitments
         .iter()
