@@ -6,17 +6,12 @@
 //! * [`energy`] — the Figure 11 battery-energy model.
 //! * [`heterogeneity`] — the §7.5 geo-distribution and slow-device
 //!   experiments, run concretely on the MPC simulator.
-//! * [`parbench`] — serial-vs-parallel baseline for the aggregator's
-//!   ⊞ hot path, emitting `BENCH_aggregation.json`.
-//! * [`nttbench`] — old-vs-new NTT kernel comparison (division-based
-//!   reference against the Shoup/Barrett rewrite), emitting
-//!   `BENCH_ntt.json`.
-//! * [`sortbench`] — old-vs-new sortition comparison (naive-ladder
-//!   serial reference against the fixed-base/Straus + O(n)-selection +
-//!   batch-verification rewrite), emitting `BENCH_sortition.json`.
+//! * [`validation`] — concrete MPC metering against the cost model's
+//!   prediction for the same circuit.
 //!
-//! Criterion micro-benchmarks of the substrates (the inputs to the cost
-//! model calibration) live in `benches/`.
+//! This crate models and extrapolates. Measured time lives in one place:
+//! the end-to-end benchmark (`BENCHMARK.json` + `benchmark/`), whose
+//! per-layer probes are the micro-costs a calibration would read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,8 +19,4 @@
 pub mod energy;
 pub mod figures;
 pub mod heterogeneity;
-pub mod netbench;
-pub mod nttbench;
-pub mod parbench;
-pub mod sortbench;
 pub mod validation;

@@ -16,7 +16,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod advanced;
 pub mod batch;
 pub mod encode;
 pub mod params;
@@ -25,13 +24,10 @@ pub mod scheme;
 
 pub use batch::{par_sum, par_sum_chunks, par_sum_chunks_sharded, par_sum_sharded, sum};
 
-pub use advanced::{
-    apply_automorphism_poly, apply_galois, galois_keygen, mod_switch, AdvancedError, GaloisKey,
-};
 pub use encode::{decode_coeffs, encode_coeffs, EncodeError, SlotEncoder};
 pub use params::{BgvParams, ParamError};
 pub use poly::{BgvContext, RnsPoly};
 pub use scheme::{
     add, decrypt, encrypt, keygen, mul, mul_plain, mul_scalar, noise_budget_bits, relin_keygen,
-    restrict_secret_key, sub, Ciphertext, PublicKey, RelinKey, SecretKey,
+    sub, Ciphertext, PublicKey, RelinKey, SecretKey,
 };

@@ -182,11 +182,6 @@ impl BgvParams {
         2 * self.n * self.moduli.len() * 8
     }
 
-    /// Serialized public-key size in bytes.
-    pub fn public_key_bytes(&self) -> usize {
-        self.ciphertext_bytes()
-    }
-
     /// Number of relinearization gadget digits.
     pub fn relin_digits(&self) -> usize {
         (self.q_bits() as usize).div_ceil(self.relin_base_bits as usize)

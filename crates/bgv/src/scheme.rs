@@ -244,33 +244,6 @@ fn gadget_decompose(ctx: &BgvContext, p: &RnsPoly) -> Vec<RnsPoly> {
     out
 }
 
-/// Samples a uniform ring element (shared with the advanced module).
-pub(crate) fn sample_uniform_pub<R: Rng + ?Sized>(ctx: &BgvContext, rng: &mut R) -> RnsPoly {
-    sample_uniform(ctx, rng)
-}
-
-/// Samples an error polynomial (shared with the advanced module).
-pub(crate) fn sample_error_pub<R: Rng + ?Sized>(ctx: &BgvContext, rng: &mut R) -> RnsPoly {
-    RnsPoly::from_signed(ctx, &sample_error(ctx.n(), ctx.params.error_bound, rng))
-}
-
-/// Gadget decomposition (shared with the advanced module).
-pub(crate) fn gadget_decompose_pub(ctx: &BgvContext, p: &RnsPoly) -> Vec<RnsPoly> {
-    gadget_decompose(ctx, p)
-}
-
-/// Restricts a secret key to a (smaller) RNS basis, e.g. after modulus
-/// switching.
-pub fn restrict_secret_key(new_ctx: &BgvContext, sk: &SecretKey) -> SecretKey {
-    let s_rns = RnsPoly::from_signed(new_ctx, &sk.s);
-    let s2_rns = s_rns.mul(&s_rns, new_ctx);
-    SecretKey {
-        s: sk.s.clone(),
-        s_rns,
-        s2_rns,
-    }
-}
-
 /// Measures the remaining noise budget of a ciphertext, in bits.
 ///
 /// Returns `log2(q / (2·|v|·t))`-ish: the number of additional doublings

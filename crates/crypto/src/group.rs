@@ -97,7 +97,7 @@ impl GroupElem {
             return None;
         }
         let e = Base::new(v);
-        // Euler's criterion: e^q == 1 iff e is in the QR subgroup.
+        // Euler's test: e^q == 1 iff e is in the QR subgroup.
         if e.pow(GROUP_Q) == Base::new(1) {
             Some(Self(e))
         } else {

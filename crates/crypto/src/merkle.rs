@@ -7,7 +7,7 @@
 //! Leaves and interior nodes are domain-separated (prefix bytes `0x00` /
 //! `0x01`) to prevent second-preimage splicing attacks.
 
-use crate::sha256::{sha256, Digest, Sha256};
+use crate::sha256::{Digest, Sha256};
 
 fn hash_leaf(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
@@ -138,11 +138,6 @@ impl MerkleTree {
         }
         acc == *root
     }
-}
-
-/// Convenience digest of an arbitrary structure's canonical bytes.
-pub fn leaf_digest(data: &[u8]) -> Digest {
-    sha256(data)
 }
 
 #[cfg(test)]

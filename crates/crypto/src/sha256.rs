@@ -324,14 +324,6 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// One-shot SHA-256 over the concatenation of two byte strings.
-pub fn sha256_pair(a: &[u8], b: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(a);
-    h.update(b);
-    h.finalize()
-}
-
 fn digest_prefix(parts: &[&[u8]]) -> u64 {
     let mut h = Sha256::new();
     for p in parts {
@@ -446,11 +438,6 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
         }
-    }
-
-    #[test]
-    fn pair_is_concatenation() {
-        assert_eq!(sha256_pair(b"foo", b"bar"), sha256(b"foobar"));
     }
 
     #[test]

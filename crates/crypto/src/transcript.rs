@@ -45,11 +45,6 @@ impl Transcript {
         self.append(label, &p.to_bytes());
     }
 
-    /// Absorbs a scalar.
-    pub fn append_scalar(&mut self, label: &[u8], s: &Scalar) {
-        self.append(label, &s.value().to_be_bytes());
-    }
-
     /// Absorbs a u64 (counters, indices, sizes).
     pub fn append_u64(&mut self, label: &[u8], v: u64) {
         self.append(label, &v.to_be_bytes());
@@ -70,22 +65,6 @@ impl Transcript {
             r.finalize()
         };
         scalar_from_hash(&d)
-    }
-
-    /// Squeezes 32 challenge bytes.
-    pub fn challenge_bytes(&mut self, label: &[u8]) -> Digest {
-        let mut h = Sha256::new();
-        h.update(&self.state);
-        h.update(b"challenge-bytes/");
-        h.update(label);
-        let d = h.finalize();
-        self.state = {
-            let mut r = Sha256::new();
-            r.update(&d);
-            r.update(b"ratchet");
-            r.finalize()
-        };
-        d
     }
 }
 

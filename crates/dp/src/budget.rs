@@ -130,14 +130,6 @@ impl BudgetLedger {
         self.spent
     }
 
-    /// Checks whether a charge fits without applying it.
-    pub fn can_afford(&self, cost: PrivacyCost) -> bool {
-        cost.epsilon >= 0.0
-            && cost.delta >= 0.0
-            && cost.epsilon <= self.remaining.epsilon
-            && cost.delta <= self.remaining.delta
-    }
-
     /// Checks a charge without applying it, with the typed reason a
     /// [`Self::charge`] of the same cost would fail for.
     ///
@@ -349,7 +341,6 @@ mod tests {
             epsilon: 1.0,
             delta: 1e-8,
         });
-        assert!(l.can_afford(PrivacyCost::pure(0.5)));
         l.charge(PrivacyCost::pure(0.7)).unwrap();
         let err = l.charge(PrivacyCost::pure(0.5)).unwrap_err();
         assert!(matches!(err, BudgetError::EpsilonExhausted { .. }));

@@ -8,7 +8,6 @@
 //!   Gumbel argmax), one-shot top-k, and the free-gap variant.
 //! * [`budget`] — `(ε, δ)` accounting, sequential and `√k` composition,
 //!   amplification by subsampling.
-//! * [`sampling`] — the bin-based secrecy-of-the-sample protocol (§6).
 //! * [`sketch`] — the count-mean sketch behind the Honeycrisp `cms` query.
 
 #![forbid(unsafe_code)]
@@ -17,7 +16,6 @@
 pub mod budget;
 pub mod mechanisms;
 pub mod noise;
-pub mod sampling;
 pub mod sketch;
 
 pub use budget::{BudgetError, BudgetLedger, LedgerBook, LedgerBookError, PrivacyCost};
@@ -25,5 +23,4 @@ pub use mechanisms::{
     em_exponentiate, em_gumbel, em_with_gap, laplace_mechanism, top_k_oneshot, MechanismError,
 };
 pub use noise::{gumbel_f64, gumbel_fix, laplace_f64, laplace_fix, uniform_open_fix};
-pub use sampling::BinSampling;
 pub use sketch::CountMeanSketch;

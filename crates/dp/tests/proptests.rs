@@ -2,7 +2,6 @@
 
 use arboretum_dp::budget::{BudgetLedger, PrivacyCost};
 use arboretum_dp::mechanisms::{em_exponentiate, em_gumbel, top_k_oneshot};
-use arboretum_dp::sampling::BinSampling;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,14 +57,5 @@ proptest! {
         let amplified = PrivacyCost::pure(eps).amplify_by_sampling(phi);
         prop_assert!(amplified.epsilon <= eps + 1e-12);
         prop_assert!(amplified.epsilon > 0.0);
-    }
-
-    #[test]
-    fn bin_window_covers_exactly_selected(bins in 2usize..128, sel_seed in any::<u64>(), offset_seed in any::<u64>()) {
-        let selected = 1 + (sel_seed as usize) % bins;
-        let s = BinSampling::new(bins, selected);
-        let offset = (offset_seed as usize) % bins;
-        let covered = (0..bins).filter(|&b| s.in_window(offset, b)).count();
-        prop_assert_eq!(covered, selected);
     }
 }

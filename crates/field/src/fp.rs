@@ -78,17 +78,6 @@ impl<const M: u64> Fp<M> {
         self.0
     }
 
-    /// Wraps a raw residue without reducing.
-    ///
-    /// Crate-internal escape hatch for the lazy NTT kernels in
-    /// [`crate::ntt`], which keep transient values in `[0, 4M)` between
-    /// butterfly stages. Any value stored through this constructor must
-    /// be canonicalized before it escapes a public entry point.
-    #[inline]
-    pub(crate) const fn from_raw(v: u64) -> Self {
-        Self(v)
-    }
-
     /// Returns the signed representative in `(-M/2, M/2]`.
     ///
     /// Useful for decoding BGV plaintexts, where small negative values are
@@ -131,21 +120,6 @@ impl<const M: u64> Fp<M> {
         assert!(!self.is_zero(), "attempted to invert zero in Z_{M}");
         // Fermat's little theorem: a^(M-2) = a^-1 for prime M.
         self.pow(M - 2)
-    }
-
-    /// Returns the multiplicative inverse, or `None` for zero.
-    pub fn checked_inv(self) -> Option<Self> {
-        if self.is_zero() {
-            None
-        } else {
-            Some(self.pow(M - 2))
-        }
-    }
-
-    /// Doubles the element.
-    #[inline]
-    pub fn double(self) -> Self {
-        self + self
     }
 
     /// Squares the element.

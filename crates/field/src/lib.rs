@@ -6,8 +6,8 @@
 //! * [`fp::Fp`] — const-generic prime-field elements.
 //! * [`primes`] — the named NTT-friendly moduli used across the workspace,
 //!   plus an exact 64-bit Miller–Rabin test.
-//! * [`ntt::NttTable`] — cyclic and negacyclic number-theoretic transforms,
-//!   the workhorse of the BGV polynomial ring.
+//! * [`zq`] — runtime-modulus arithmetic and [`zq::RtNttTable`], the
+//!   negacyclic number-theoretic transform behind the BGV polynomial ring.
 //! * [`fixed::Fix`] — `sfix`-style Q30.16 fixed point with deterministic
 //!   `exp2`/`log2`, used by the differential-privacy mechanisms to avoid
 //!   floating-point side channels.
@@ -17,13 +17,11 @@
 
 pub mod fixed;
 pub mod fp;
-pub mod ntt;
 pub mod primes;
 pub mod zq;
 
 pub use fixed::Fix;
 pub use fp::Fp;
-pub use ntt::NttTable;
 
 /// Field element over the Goldilocks prime, the workspace's MPC and
 /// commitment field.

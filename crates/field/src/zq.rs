@@ -4,7 +4,7 @@
 //! at compile time (MPC field, commitment group), but the BGV RNS layer
 //! picks its ciphertext-modulus primes at runtime from a parameter set.
 //! This module provides the same arithmetic with the modulus as data, plus
-//! a runtime-modulus negacyclic NTT mirror of [`crate::ntt::NttTable`].
+//! the workspace's negacyclic NTT, [`RtNttTable`].
 //!
 //! # Reduction strategy
 //!
@@ -267,12 +267,11 @@ impl ShoupVec {
 
 /// Precomputed tables for runtime-modulus negacyclic NTTs.
 ///
-/// Functionally identical to [`crate::ntt::NttTable`] but with the prime
-/// modulus chosen at runtime, as the BGV RNS layer requires. All
-/// transforms are division-free: twiddles are stored with their Shoup
-/// quotients, butterflies run lazily in `[0, 4q)`, and the pointwise
-/// stage of [`RtNttTable::negacyclic_mul`] reduces through a Barrett
-/// reducer. Every public entry point returns canonical values in
+/// The prime modulus is chosen at runtime, as the BGV RNS layer
+/// requires. All transforms are division-free: twiddles are stored with
+/// their Shoup quotients, butterflies run lazily in `[0, 4q)`, and the
+/// pointwise stage of [`RtNttTable::negacyclic_mul`] reduces through a
+/// Barrett reducer. Every public entry point returns canonical values in
 /// `[0, q)` and is bitwise identical to the division-based reference.
 #[derive(Clone, Debug)]
 pub struct RtNttTable {
@@ -584,22 +583,31 @@ mod tests {
     }
 
     #[test]
-    fn rt_matches_const_generic_ntt() {
-        use crate::fp::Fp;
-        use crate::ntt::NttTable;
-        let rt = RtNttTable::new(64, BGV_Q1, BGV_Q_ROOTS[0]);
-        let cg = NttTable::<BGV_Q1>::new(64, BGV_Q_ROOTS[0]);
-        let a: Vec<u64> = (0..64).map(|i| i * 31 + 1).collect();
-        let b: Vec<u64> = (0..64).map(|i| i * 17 + 5).collect();
-        let got = rt.negacyclic_mul(&a, &b);
-        let fa: Vec<Fp<BGV_Q1>> = a.iter().map(|&x| Fp::new(x)).collect();
-        let fb: Vec<Fp<BGV_Q1>> = b.iter().map(|&x| Fp::new(x)).collect();
-        let want: Vec<u64> = cg
-            .negacyclic_mul(&fa, &fb)
-            .iter()
-            .map(|x| x.value())
-            .collect();
-        assert_eq!(got, want);
+    fn negacyclic_mul_matches_schoolbook() {
+        // The definition, with no transform in it: coefficient i + j of
+        // a·b, negated when it wraps past X^n.
+        for (&q, &r) in [BGV_Q1, BGV_Q2].iter().zip(&BGV_Q_ROOTS[..2]) {
+            let n = 64;
+            let a: Vec<u64> = (0..n as u64).map(|i| (i * i * 977 + 3) % q).collect();
+            let b: Vec<u64> = (0..n as u64).map(|i| q - 1 - i * 104_729).collect();
+            let mut want = vec![0u64; n];
+            for (i, &ai) in a.iter().enumerate() {
+                for (j, &bj) in b.iter().enumerate() {
+                    let term = naive::mul_mod(ai, bj, q);
+                    let k = (i + j) % n;
+                    want[k] = if i + j < n {
+                        add_mod(want[k], term, q)
+                    } else {
+                        sub_mod(want[k], term, q)
+                    };
+                }
+            }
+            assert_eq!(
+                RtNttTable::new(n, q, r).negacyclic_mul(&a, &b),
+                want,
+                "q={q}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 
 use arboretum_field::fixed::Fix;
 use arboretum_field::fp::Fp;
-use arboretum_field::ntt::{negacyclic_mul_naive, NttTable};
 use arboretum_field::primes::{BGV_Q1, BGV_Q2, BGV_Q_ROOTS, BGV_T_PRIME, BGV_T_ROOT, GOLDILOCKS};
 use arboretum_field::zq::{
     mul_mod_shoup, mul_mod_shoup_lazy, pow_mod, shoup_precompute, Barrett, RtNttTable,
@@ -13,7 +12,6 @@ use arboretum_field::zq::{
 use proptest::prelude::*;
 
 type F = Fp<GOLDILOCKS>;
-type Fq = Fp<BGV_Q1>;
 
 /// The division-based kernels exactly as they looked before the
 /// Shoup/Barrett/lazy rewrite, retained as the equivalence oracle.
@@ -180,27 +178,6 @@ proptest! {
     }
 
     #[test]
-    fn ntt_roundtrip(coeffs in prop::collection::vec(any::<u64>(), 64)) {
-        let t = NttTable::<BGV_Q1>::new(64, BGV_Q_ROOTS[0]);
-        let orig: Vec<Fq> = coeffs.iter().map(|&c| Fq::new(c)).collect();
-        let mut a = orig.clone();
-        t.forward_negacyclic(&mut a);
-        t.inverse_negacyclic(&mut a);
-        prop_assert_eq!(a, orig);
-    }
-
-    #[test]
-    fn ntt_mul_matches_naive(
-        a in prop::collection::vec(0u64..1_000_000, 16),
-        b in prop::collection::vec(0u64..1_000_000, 16),
-    ) {
-        let t = NttTable::<BGV_Q1>::new(16, BGV_Q_ROOTS[0]);
-        let fa: Vec<Fq> = a.iter().map(|&c| Fq::new(c)).collect();
-        let fb: Vec<Fq> = b.iter().map(|&c| Fq::new(c)).collect();
-        prop_assert_eq!(t.negacyclic_mul(&fa, &fb), negacyclic_mul_naive(&fa, &fb));
-    }
-
-    #[test]
     fn fix_add_sub_roundtrip(a in -1_000_000_000i64..1_000_000_000, b in -1_000_000_000i64..1_000_000_000) {
         let fa = Fix::from_raw(a).unwrap();
         let fb = Fix::from_raw(b).unwrap();
@@ -315,22 +292,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn const_generic_ntt_matches_division_reference(
-        raw in prop::collection::vec(any::<u64>(), 64),
-    ) {
-        // The const-generic lazy kernels against the same reference.
-        let fast = NttTable::<BGV_Q1>::new(64, BGV_Q_ROOTS[0]);
-        let refk = reference::RefNtt::new(64, BGV_Q1, BGV_Q_ROOTS[0]);
-        let mut a: Vec<Fq> = raw.iter().map(|&x| Fq::new(x)).collect();
-        let mut want: Vec<u64> = a.iter().map(|x| x.value()).collect();
-        fast.forward_negacyclic(&mut a);
-        refk.forward(&mut want);
-        prop_assert_eq!(a.iter().map(|x| x.value()).collect::<Vec<_>>(), want.clone());
-        fast.inverse_negacyclic(&mut a);
-        refk.inverse(&mut want);
-        prop_assert_eq!(a.iter().map(|x| x.value()).collect::<Vec<_>>(), want);
-    }
 }
 
 /// Deterministic boundary sweep: values pinned near `q` (and near 0)

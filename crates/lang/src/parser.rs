@@ -10,6 +10,10 @@
 //!
 //! Operator precedence (loosest to tightest): `||`, `&&`, comparisons,
 //! `+ -`, `* /`, unary `! -`, postfix indexing.
+//!
+//! Source text comes from analysts, so nesting is bounded (see
+//! `MAX_NESTING`): a program past the bound is a [`ParseError`], never a
+//! stack overflow here or in any later walk of the tree.
 
 use crate::ast::{BinOp, Builtin, Expr, Program, Stmt, UnOp};
 use crate::lexer::{lex, LexError, Token};
@@ -40,14 +44,33 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting [`parse`] accepts. The one bound is applied twice:
+/// to how deep the parser recurses (statements inside `for`/`if` blocks,
+/// then parentheses, call arguments, index expressions and unary
+/// operators inside a statement) and to the height of every expression
+/// tree it builds, which also catches operator and index chains
+/// (`1+1+…`, `x[0][0]…`) that recurse nowhere while parsing but nest to
+/// the left. Whatever walks a parsed program — type inference,
+/// certification, plan extraction, the interpreters, `Drop` — therefore
+/// recurses at most `2 * MAX_NESTING` levels (blocks, then one expression).
+const MAX_NESTING: usize = 64;
+
+/// An expression and the height of its tree (a leaf is 1).
+type Tall = (Expr, usize);
+
 /// Parses query-language source into a [`Program`].
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input.
+/// Returns [`ParseError`] on malformed input, including input nested
+/// deeper than the parser's fixed bound.
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let stmts = p.stmt_list(&[])?;
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing tokens after program"));
@@ -58,6 +81,8 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Live levels of [`Parser::nested`] recursion.
+    depth: usize,
 }
 
 impl Parser {
@@ -66,6 +91,32 @@ impl Parser {
             at: self.pos,
             message: format!("{msg} (next token: {:?})", self.tokens.get(self.pos)),
         }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err(&format!("nesting deeper than {MAX_NESTING}"))
+    }
+
+    /// Runs `f` one recursion level down, refusing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Height of a node whose tallest child has height `child`.
+    fn above(&self, child: usize) -> Result<usize, ParseError> {
+        if child >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(child + 1)
     }
 
     fn peek(&self) -> Option<&Token> {
@@ -107,7 +158,7 @@ impl Parser {
                 Some(t) if stops.contains(t) => break,
                 _ => {}
             }
-            out.push(self.stmt()?);
+            out.push(self.nested(Self::stmt)?);
             // Optional semicolons between statements.
             while self.eat(&Token::Semi) {}
         }
@@ -195,29 +246,44 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        Ok(self.expr_h()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&Token::OrOr) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
+    fn expr_h(&mut self) -> Result<Tall, ParseError> {
+        self.nested(Self::or_expr)
+    }
+
+    /// Left-associative `operand (op operand)*`, one level taller per
+    /// operator.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Tall, ParseError>,
+        op_for: fn(&Token) -> Option<BinOp>,
+    ) -> Result<Tall, ParseError> {
+        let (mut lhs, mut height) = operand(self)?;
+        while let Some(op) = self.peek().and_then(op_for) {
+            self.bump();
+            let (rhs, rhs_height) = operand(self)?;
+            height = self.above(height.max(rhs_height))?;
+            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat(&Token::AndAnd) {
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    fn or_expr(&mut self) -> Result<Tall, ParseError> {
+        self.chain(Self::and_expr, |t| {
+            matches!(t, Token::OrOr).then_some(BinOp::Or)
+        })
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.add_expr()?;
+    fn and_expr(&mut self) -> Result<Tall, ParseError> {
+        self.chain(Self::cmp_expr, |t| {
+            matches!(t, Token::AndAnd).then_some(BinOp::And)
+        })
+    }
+
+    fn cmp_expr(&mut self) -> Result<Tall, ParseError> {
+        let (lhs, height) = self.add_expr()?;
         let op = match self.peek() {
             Some(Token::Lt) => BinOp::Lt,
             Some(Token::Le) => BinOp::Le,
@@ -225,77 +291,62 @@ impl Parser {
             Some(Token::Ge) => BinOp::Ge,
             Some(Token::EqEq) => BinOp::Eq,
             Some(Token::NotEq) => BinOp::Ne,
-            _ => return Ok(lhs),
+            _ => return Ok((lhs, height)),
         };
         self.bump();
-        let rhs = self.add_expr()?;
-        Ok(Expr::Bin(op, Box::new(lhs), Box::new(rhs)))
+        let (rhs, rhs_height) = self.add_expr()?;
+        let height = self.above(height.max(rhs_height))?;
+        Ok((Expr::Bin(op, Box::new(lhs), Box::new(rhs)), height))
     }
 
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinOp::Add,
-                Some(Token::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    fn add_expr(&mut self) -> Result<Tall, ParseError> {
+        self.chain(Self::mul_expr, |t| match t {
+            Token::Plus => Some(BinOp::Add),
+            Token::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BinOp::Mul,
-                Some(Token::Slash) => BinOp::Div,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    fn mul_expr(&mut self) -> Result<Tall, ParseError> {
+        self.chain(Self::unary_expr, |t| match t {
+            Token::Star => Some(BinOp::Mul),
+            Token::Slash => Some(BinOp::Div),
+            _ => None,
+        })
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
-            Some(Token::Bang) => {
-                self.bump();
-                Ok(Expr::Un(UnOp::Not, Box::new(self.unary_expr()?)))
-            }
-            Some(Token::Minus) => {
-                self.bump();
-                Ok(Expr::Un(UnOp::Neg, Box::new(self.unary_expr()?)))
-            }
-            _ => self.postfix_expr(),
-        }
+    fn unary_expr(&mut self) -> Result<Tall, ParseError> {
+        let op = match self.peek() {
+            Some(Token::Bang) => UnOp::Not,
+            Some(Token::Minus) => UnOp::Neg,
+            _ => return self.postfix_expr(),
+        };
+        self.bump();
+        let (operand, height) = self.nested(Self::unary_expr)?;
+        Ok((Expr::Un(op, Box::new(operand)), self.above(height)?))
     }
 
-    fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.atom()?;
+    fn postfix_expr(&mut self) -> Result<Tall, ParseError> {
+        let (mut e, mut height) = self.atom()?;
         while self.eat(&Token::LBracket) {
-            let idx = self.expr()?;
+            let (idx, idx_height) = self.expr_h()?;
             self.expect(&Token::RBracket)?;
+            height = self.above(height.max(idx_height))?;
             e = Expr::Index(Box::new(e), Box::new(idx));
         }
-        Ok(e)
+        Ok((e, height))
     }
 
-    fn atom(&mut self) -> Result<Expr, ParseError> {
+    fn atom(&mut self) -> Result<Tall, ParseError> {
         match self.bump() {
-            Some(Token::Int(v)) => Ok(Expr::Int(v)),
-            Some(Token::Float(v)) => Ok(Expr::Fix(v)),
-            Some(Token::True) => Ok(Expr::Bool(true)),
-            Some(Token::False) => Ok(Expr::Bool(false)),
+            Some(Token::Int(v)) => Ok((Expr::Int(v), 1)),
+            Some(Token::Float(v)) => Ok((Expr::Fix(v), 1)),
+            Some(Token::True) => Ok((Expr::Bool(true), 1)),
+            Some(Token::False) => Ok((Expr::Bool(false), 1)),
             Some(Token::LParen) => {
-                let e = self.expr()?;
+                let inner = self.expr_h()?;
                 self.expect(&Token::RParen)?;
-                Ok(e)
+                Ok(inner)
             }
             Some(Token::Ident(name)) => {
                 if self.eat(&Token::LParen) {
@@ -303,18 +354,21 @@ impl Parser {
                     let builtin = Builtin::from_name(&name)
                         .ok_or_else(|| self.err(&format!("unknown function {name:?}")))?;
                     let mut args = Vec::new();
+                    let mut tallest = 0;
                     if !self.eat(&Token::RParen) {
                         loop {
-                            args.push(self.expr()?);
+                            let (arg, height) = self.expr_h()?;
+                            args.push(arg);
+                            tallest = tallest.max(height);
                             if self.eat(&Token::RParen) {
                                 break;
                             }
                             self.expect(&Token::Comma)?;
                         }
                     }
-                    Ok(Expr::Call(builtin, args))
+                    Ok((Expr::Call(builtin, args), self.above(tallest)?))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok((Expr::Var(name), 1))
                 }
             }
             other => {
@@ -431,6 +485,40 @@ mod tests {
         assert!(parse("for i = 0 to 3 do x = 1;").is_err());
         assert!(parse("if x > 1 then y = 2;").is_err());
         assert!(parse("x = (1 + 2;").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_in_every_direction() {
+        // (opening, closing) text per level, and how many levels fit.
+        let shapes = [
+            ("(", ")", MAX_NESTING - 2),
+            ("-", "", MAX_NESTING - 2),
+            ("exp(", ")", MAX_NESTING - 2),
+            ("a[", "]", MAX_NESTING - 2),
+            ("1||", "", MAX_NESTING - 1),
+        ];
+        for (open, close, fits) in shapes {
+            let nest = |k: usize| format!("x = {}1{};", open.repeat(k), close.repeat(k));
+            assert!(parse(&nest(fits)).is_ok(), "{open:?} x {fits}");
+            for k in [fits + 1, 100_000] {
+                let err = parse(&nest(k)).unwrap_err();
+                assert!(err.message.contains("nesting deeper"), "{open:?} x {k}");
+            }
+        }
+        // Chains that grow to the left of what is already parsed.
+        for (tail, fits) in [("+1", MAX_NESTING - 1), ("[0]", MAX_NESTING - 1)] {
+            let grow = |k: usize| format!("x = a{};", tail.repeat(k));
+            assert!(parse(&grow(fits)).is_ok(), "{tail:?} x {fits}");
+            assert!(parse(&grow(fits + 1)).is_err(), "{tail:?} x {fits}+1");
+            assert!(parse(&grow(1_000_000)).is_err(), "{tail:?} x 10^6");
+        }
+        // Blocks.
+        let blocks =
+            |k: usize| format!("{}x = 1;{}", "if 1 < 2 then ".repeat(k), " endif".repeat(k));
+        assert!(parse(&blocks(MAX_NESTING - 2)).is_ok());
+        for k in [MAX_NESTING - 1, 100_000] {
+            assert!(parse(&blocks(k)).is_err(), "{k} blocks");
+        }
     }
 
     #[test]

@@ -1,11 +1,89 @@
 //! Property-based tests for the query language.
 
-use arboretum_lang::ast::DbSchema;
+use arboretum_lang::ast::{DbSchema, Expr, Stmt};
 use arboretum_lang::interp::{Interp, Value};
 use arboretum_lang::parser::parse;
 use arboretum_lang::privacy::{certify, CertifyConfig};
 use arboretum_lang::types::infer;
+use arboretum_queries::corpus::all_queries;
 use proptest::prelude::*;
+
+/// The parser's (private) nesting bound, restated: what it accepts must
+/// stay within it.
+const MAX_NESTING: usize = 64;
+
+/// Height of an expression tree (a leaf is 1).
+fn expr_height(e: &Expr) -> usize {
+    1 + match e {
+        Expr::Int(_) | Expr::Fix(_) | Expr::Bool(_) | Expr::Var(_) => 0,
+        Expr::Un(_, a) => expr_height(a),
+        Expr::Index(a, b) | Expr::Bin(_, a, b) => expr_height(a).max(expr_height(b)),
+        Expr::Call(_, args) => args.iter().map(expr_height).max().unwrap_or(0),
+    }
+}
+
+/// `(deepest block nesting, tallest expression)` of a statement list.
+fn nesting(stmts: &[Stmt]) -> (usize, usize) {
+    let both = |a: (usize, usize), b: (usize, usize)| (a.0.max(b.0), a.1.max(b.1));
+    stmts
+        .iter()
+        .map(|s| {
+            let (exprs, inner) = match s {
+                Stmt::Assign(_, e) | Stmt::Expr(e) => (vec![e], (0, 0)),
+                Stmt::IndexAssign(_, i, e) => (vec![i, e], (0, 0)),
+                Stmt::For { from, to, body, .. } => (vec![from, to], nesting(body)),
+                Stmt::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => (vec![cond], both(nesting(then_branch), nesting(else_branch))),
+            };
+            let tallest = exprs.into_iter().map(expr_height).max().unwrap_or(0);
+            (1 + inner.0, tallest.max(inner.1))
+        })
+        .fold((0, 0), both)
+}
+
+/// `parse` on hostile text: an error or a program within the bound,
+/// never a panic or a stack overflow.
+fn parse_stays_bounded(src: &str) {
+    if let Ok(p) = parse(src) {
+        let (blocks, height) = nesting(&p.stmts);
+        assert!(
+            blocks <= MAX_NESTING && height <= MAX_NESTING,
+            "accepted {blocks} blocks, height {height}: {:.80}",
+            src
+        );
+    }
+}
+
+#[test]
+fn corpus_mutations_error_or_stay_within_the_nesting_bound() {
+    for q in all_queries(1 << 20) {
+        let src = q.source.as_str();
+        assert!(src.is_ascii(), "{}", q.name);
+        parse(src).unwrap_or_else(|e| panic!("{}: {e}", q.name));
+        for at in 0..=src.len() {
+            parse_stays_bounded(&src[..at]);
+        }
+        for at in 0..src.len() {
+            let mut bytes = src.as_bytes().to_vec();
+            bytes[at] ^= 1 << (at % 7);
+            parse_stays_bounded(std::str::from_utf8(&bytes).expect("ASCII stays ASCII"));
+        }
+        for piece in ["(", "-", "!", "+1", "if 1 then "] {
+            let splice = |at: usize, k: usize| {
+                parse_stays_bounded(&[&src[..at], &piece.repeat(k), &src[at..]].concat());
+            };
+            for k in [1, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1] {
+                (0..=src.len()).for_each(|at| splice(at, k));
+            }
+            for at in [0, src.len() / 3, 2 * src.len() / 3, src.len()] {
+                splice(at, 100_000);
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

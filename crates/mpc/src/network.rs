@@ -183,11 +183,6 @@ impl NetMeter {
         self.metrics.triples += n;
     }
 
-    /// Records a public opening.
-    pub fn open_event(&mut self) {
-        self.metrics.opens += 1;
-    }
-
     /// Bytes sent by one party.
     pub fn sent_by(&self, party: usize) -> u64 {
         self.per_party_sent[party]

@@ -4,9 +4,8 @@
 //! this arena and returns the buffer once the frame is decoded, so
 //! steady-state traffic recycles a small working set of allocations
 //! instead of building a fresh `Vec` per message. The fresh/reused
-//! counters double as the allocation-pressure proxy reported in
-//! `BENCH_net.json`: `fresh` bounds the peak number of frame buffers
-//! ever live at once.
+//! counters double as an allocation-pressure proxy: `fresh` bounds the
+//! peak number of frame buffers ever live at once.
 
 /// A freelist of frame buffers with allocation counters.
 #[derive(Debug, Default)]

@@ -98,15 +98,6 @@ impl PoolBank {
             free = self.state.available.wait(free).expect("bank lock poisoned");
         }
     }
-
-    /// Checks out a pool if one is free right now, without blocking.
-    pub fn try_checkout(&self) -> Option<PoolLease> {
-        let mut free = self.state.free.lock().expect("bank lock poisoned");
-        free.pop().map(|pool| PoolLease {
-            state: Arc::clone(&self.state),
-            pool: Some(pool),
-        })
-    }
 }
 
 /// An exclusive lease on one [`ShardedPool`]; returns the pool to its
@@ -154,7 +145,6 @@ mod tests {
         let a = bank.checkout();
         let b = bank.checkout();
         assert_eq!(bank.free(), 0);
-        assert!(bank.try_checkout().is_none());
         assert_eq!(a.shards(), 2);
         drop(a);
         assert_eq!(bank.free(), 1);

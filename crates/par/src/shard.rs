@@ -173,11 +173,6 @@ impl ShardedPool {
         self.pools.iter().map(|p| p.stats()).collect()
     }
 
-    /// Aggregate busy core-time across all shard pools, in seconds.
-    pub fn busy_secs_total(&self) -> f64 {
-        self.pools.iter().map(|p| p.stats().busy_secs()).sum()
-    }
-
     /// Runs `per_shard(s, pool_s)` for every shard concurrently (one
     /// driver thread per shard; a single-shard set runs inline on the
     /// caller), returning results in shard order.

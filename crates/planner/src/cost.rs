@@ -234,8 +234,8 @@ impl Default for CostModel {
 }
 
 /// Measured aggregator-phase counters from the executor's sharded
-/// pools — the pool-aware counterpart of the standalone Criterion
-/// micro-benches the cost model's aggregator constants default to.
+/// pools — the pool-aware counterpart of the fixed defaults the cost
+/// model's aggregator constants start from.
 ///
 /// `PoolStats::busy_secs` is busy *core*-time summed across a phase's
 /// tasks, exactly the unit of [`Metrics::agg_secs`]; dividing by the

@@ -412,27 +412,6 @@ impl Plan {
         h
     }
 
-    /// Committee counts by role (for Figure 7).
-    pub fn committees_by_role(&self) -> Vec<(CommitteeRole, u64)> {
-        let mut keygen = 0;
-        let mut dec = 0;
-        let mut ops = 0;
-        for v in &self.vignettes {
-            let c = v.op.committees(self.categories);
-            match v.role {
-                Some(CommitteeRole::KeyGen) => keygen += c,
-                Some(CommitteeRole::Decryption) => dec += c,
-                Some(CommitteeRole::Operations) => ops += c,
-                None => {}
-            }
-        }
-        vec![
-            (CommitteeRole::KeyGen, keygen),
-            (CommitteeRole::Decryption, dec),
-            (CommitteeRole::Operations, ops),
-        ]
-    }
-
     /// Per-member cost `(seconds, bytes)` of the most expensive vignette
     /// with the given role (for Figure 7), if any.
     pub fn role_member_cost(&self, role: CommitteeRole, cm: &CostModel) -> Option<(f64, f64)> {

@@ -10,7 +10,7 @@
 //! sensible for small populations (cross-fabric parity tests).
 //!
 //! The driver also computes the closed-form traffic model for the wave
-//! and reports both, so callers (tests, the CI smoke job, `bench_net`)
+//! and reports both, so callers (tests, the CI smoke job)
 //! can assert the measured [`TransportMetrics`] are bitwise identical
 //! to the model — and, transitively, identical across fabrics.
 

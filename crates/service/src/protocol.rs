@@ -282,4 +282,31 @@ QUIT
         assert!(lines[4].starts_with("ERR unknown command"));
         assert_eq!(lines[5], "OK bye");
     }
+
+    #[test]
+    fn hostile_nesting_is_an_error_line_and_the_service_keeps_serving() {
+        let handle = service();
+        let deep = format!(
+            "x = {}1{}; output(x);",
+            "(".repeat(10_000),
+            ")".repeat(10_000)
+        );
+        let script = format!(
+            "OPEN alice 5.0 1e-6\n\
+             RUN alice {deep}\n\
+             STATUS\n\
+             RUN alice aggr = sum(db); r = em(aggr, 1.0); output(r);\n\
+             QUIT\n"
+        );
+        let mut out = Vec::new();
+        serve_connection(&handle, script.as_bytes(), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 5, "one response per request: {out}");
+        assert!(lines[1].starts_with("ERR"), "{}", lines[1]);
+        assert!(lines[1].contains("nesting deeper"), "{}", lines[1]);
+        assert!(lines[2].starts_with("OK queries="), "{}", lines[2]);
+        assert!(lines[3].starts_with("OK id="), "{}", lines[3]);
+        assert_eq!(lines[4], "OK bye");
+    }
 }

@@ -237,8 +237,8 @@ pub fn seat_committees(mut tickets: Vec<Ticket>, c: usize, m: usize) -> Committe
 }
 
 /// The pre-optimization seating path: a full O(n log n) sort of every
-/// ticket. Kept (and exercised by tests, `wave_smoke`, and
-/// `bench_sortition`) as the parity baseline for [`seat_committees`].
+/// ticket. Kept (and exercised by tests and `wave_smoke`) as the parity
+/// baseline for [`seat_committees`].
 ///
 /// # Panics
 ///
@@ -288,8 +288,7 @@ pub fn select_committees(
 }
 
 /// [`select_committees`] on an explicit thread pool (a zero-worker pool
-/// generates tickets inline on the caller — the single-thread baseline
-/// `bench_sortition` measures).
+/// generates tickets inline on the caller).
 ///
 /// # Panics
 ///
@@ -318,7 +317,7 @@ pub fn select_committees_on(
 /// The pre-optimization selection path: serial ticket generation and a
 /// full sort. Bitwise-identical committees to [`select_committees`];
 /// kept as the parity baseline (asserted by tests and the 10^6-device
-/// wave profile) and as the "old" side of `bench_sortition`.
+/// wave profile).
 ///
 /// # Panics
 ///

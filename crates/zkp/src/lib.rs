@@ -4,21 +4,17 @@
 //! well-formedness (§5.3): one-hot vectors for categorical queries, range
 //! constraints for numerical ones. We implement real sigma-protocol
 //! proofs (Fiat–Shamir non-interactive) over the workspace Pedersen
-//! commitments, plus a Groth16-shaped [`cost::SnarkCostModel`] the
-//! planner uses for aggregator-side verification costs (the paper's
-//! prototype uses ZoKrates/G16, whose proofs are constant-size).
+//! commitments (the paper's prototype uses ZoKrates/G16).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod cost;
 pub mod onehot;
 pub mod range;
 pub mod sigma;
 
 pub use batch::{par_verify_one_hot_detailed, par_verify_ranges_detailed};
-pub use cost::SnarkCostModel;
 pub use onehot::{
     prove_one_hot, verify_one_hot, verify_one_hot_detailed, OneHotError, OneHotProof,
     OneHotVerifyError,

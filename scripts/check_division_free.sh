@@ -6,8 +6,7 @@
 # quietly reintroduces a hardware divide per coefficient. This script
 # fails if a division-based modular reduction appears in those crates'
 # sources, unless the line carries a `// div-ok` marker (reserved for
-# sanctioned reference implementations, e.g. `zq::mul_mod` and the
-# bench harness's old-kernel baseline).
+# sanctioned reference implementations, e.g. `zq::mul_mod`).
 #
 # Usage: scripts/check_division_free.sh   (run from anywhere)
 
