@@ -100,7 +100,7 @@ impl BgvParams {
                     required,
                 });
             }
-            if t.is_multiple_of(q) || q % t == 0 {
+            if t.is_multiple_of(q) || q.is_multiple_of(t) {
                 return Err(ParamError::PlaintextNotCoprime);
             }
         }

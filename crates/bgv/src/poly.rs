@@ -8,15 +8,20 @@
 //!
 //! The hot paths are division-free and allocation-light: each context
 //! carries one [`Barrett`] reducer per prime (CRT decomposition, noise
-//! measurement), the Garner constant is stored with its Shoup quotient,
-//! and a [`ScratchPool`] recycles the per-prime transform buffers so
-//! [`RnsPoly::mul`] does not allocate two fresh vectors per prime per
-//! call.
+//! measurement, residues of out-of-range coefficients), the Garner
+//! constant is stored with its Shoup quotient, and a [`ScratchPool`]
+//! recycles per-prime buffers (the second transform buffer of
+//! [`RnsPoly::mul`], relinearization digits, the rows `encrypt` fills).
+//! Fixed multiplicands — the keys — are kept transformed ([`EvalPoly`]),
+//! so a product with one costs one forward and one inverse transform per
+//! prime. Evaluation form never leaves this crate: every [`RnsPoly`] is
+//! coefficient form.
 
 use std::sync::Mutex;
 
 use arboretum_field::zq::{
-    add_mod, inv_mod, mul_mod_shoup, neg_mod, shoup_precompute, sub_mod, Barrett, RtNttTable,
+    add_mod, inv_mod, mul_mod_shoup, mul_mod_shoup_lazy, neg_mod, shoup_precompute, sub_mod,
+    Barrett, RtNttTable,
 };
 
 use crate::params::BgvParams;
@@ -75,7 +80,7 @@ pub struct BgvContext {
     /// Garner constant `q_0^{-1} mod q_1` with its Shoup quotient
     /// (two-prime case).
     garner_inv: Option<(u64, u64)>,
-    /// Reusable transform buffers for [`RnsPoly::mul`].
+    /// Reusable per-prime coefficient buffers.
     pub scratch: ScratchPool,
 }
 
@@ -91,7 +96,7 @@ impl BgvContext {
         let barretts = params.moduli.iter().map(|&q| Barrett::new(q)).collect();
         let garner_inv = if params.moduli.len() == 2 {
             let q1 = params.moduli[1];
-            let g = inv_mod(params.moduli[0] % q1, q1);
+            let g = inv_mod(params.moduli[0] % q1, q1); // div-ok: once per context
             Some((g, shoup_precompute(g, q1)))
         } else {
             None
@@ -144,6 +149,66 @@ impl BgvContext {
     }
 }
 
+/// `c mod q`: a compare for the values that occur in volume (plaintexts,
+/// secrets, errors — all below every prime), Barrett for the rest.
+#[inline]
+fn residue(c: u64, b: &Barrett) -> u64 {
+    if c < b.modulus() {
+        c
+    } else {
+        b.reduce(c as u128)
+    }
+}
+
+/// The canonical residue of a signed coefficient.
+#[inline]
+pub(crate) fn signed_residue(c: i64, b: &Barrett) -> u64 {
+    let r = residue(c.unsigned_abs(), b);
+    if c < 0 {
+        neg_mod(r, b.modulus())
+    } else {
+        r
+    }
+}
+
+/// A ring element in evaluation form, for use as a fixed multiplicand:
+/// per prime, the forward transform of its coefficient row and the Shoup
+/// quotients of those values. Built only from an [`RnsPoly`] and never
+/// mutated, so it cannot disagree with the coefficient form it caches.
+#[derive(Clone, Debug)]
+pub(crate) struct EvalPoly {
+    rows: Vec<(Vec<u64>, Vec<u64>)>,
+}
+
+impl EvalPoly {
+    pub(crate) fn new(ctx: &BgvContext, p: &RnsPoly) -> Self {
+        let rows = p
+            .rows
+            .iter()
+            .zip(&ctx.ntts)
+            .map(|(row, ntt)| {
+                let mut w = row.clone();
+                ntt.forward(&mut w);
+                let q = ntt.modulus();
+                let shoup = w.iter().map(|&x| shoup_precompute(x, q)).collect();
+                (w, shoup)
+            })
+            .collect();
+        Self { rows }
+    }
+
+    /// Turns the transformed row `x` of prime `i` into the coefficients
+    /// of its product with this element. The pointwise products stay in
+    /// `[0, 2q)`, which [`RtNttTable::inverse`] accepts.
+    pub(crate) fn mul_inverse_row(&self, i: usize, ntt: &RtNttTable, x: &mut [u64]) {
+        let (w, shoup) = &self.rows[i];
+        for ((x, &w), &ws) in x.iter_mut().zip(w).zip(shoup) {
+            *x = mul_mod_shoup_lazy(*x, w, ws, ntt.modulus());
+        }
+        ntt.inverse(x);
+    }
+}
+
 /// An element of `Z_q[x]/(x^n + 1)` in RNS representation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RnsPoly {
@@ -168,21 +233,9 @@ impl RnsPoly {
     pub fn from_signed(ctx: &BgvContext, coeffs: &[i64]) -> Self {
         assert_eq!(coeffs.len(), ctx.n(), "coefficient count mismatch");
         let rows = ctx
-            .params
-            .moduli
+            .barretts
             .iter()
-            .map(|&q| {
-                coeffs
-                    .iter()
-                    .map(|&c| {
-                        if c >= 0 {
-                            c as u64 % q
-                        } else {
-                            neg_mod(c.unsigned_abs() % q, q)
-                        }
-                    })
-                    .collect()
-            })
+            .map(|b| coeffs.iter().map(|&c| signed_residue(c, b)).collect())
             .collect();
         Self { rows }
     }
@@ -192,10 +245,9 @@ impl RnsPoly {
     pub fn from_unsigned(ctx: &BgvContext, coeffs: &[u64]) -> Self {
         assert_eq!(coeffs.len(), ctx.n(), "coefficient count mismatch");
         let rows = ctx
-            .params
-            .moduli
+            .barretts
             .iter()
-            .map(|&q| coeffs.iter().map(|&c| c % q).collect())
+            .map(|b| coeffs.iter().map(|&c| residue(c, b)).collect())
             .collect();
         Self { rows }
     }
@@ -256,14 +308,34 @@ impl RnsPoly {
         Self { rows }
     }
 
+    /// Ring multiplication by an element kept in evaluation form: one
+    /// forward and one inverse transform per prime, no second buffer.
+    pub(crate) fn mul_eval(&self, other: &EvalPoly, ctx: &BgvContext) -> Self {
+        let rows = self
+            .rows
+            .iter()
+            .zip(&ctx.ntts)
+            .enumerate()
+            .map(|(i, (a, ntt))| {
+                let mut fa = ctx.scratch.take(a.len());
+                fa.copy_from_slice(a);
+                ntt.forward(&mut fa);
+                other.mul_inverse_row(i, ntt, &mut fa);
+                fa
+            })
+            .collect();
+        Self { rows }
+    }
+
     /// Multiplication by an unsigned scalar.
     pub fn scale(&self, k: u64, ctx: &BgvContext) -> Self {
         let rows = self
             .rows
             .iter()
-            .zip(&ctx.params.moduli)
-            .map(|(row, &q)| {
-                let kq = k % q;
+            .zip(&ctx.barretts)
+            .map(|(row, b)| {
+                let q = b.modulus();
+                let kq = residue(k, b);
                 let kq_shoup = shoup_precompute(kq, q);
                 row.iter()
                     .map(|&c| mul_mod_shoup(c, kq, kq_shoup, q))

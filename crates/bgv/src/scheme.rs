@@ -8,29 +8,61 @@
 //! * decryption: `m = (c0 + c1·s mod q) mod t` with centered reduction;
 //! * homomorphic addition, plaintext multiplication, and one level of
 //!   ciphertext multiplication with gadget-decomposition relinearization.
+//!
+//! Keys, ciphertexts and plaintexts are coefficient form at every public
+//! boundary. The keys additionally cache their evaluation form
+//! ([`crate::poly::EvalPoly`]), so `encrypt` transforms only `u` and the
+//! decryption phase `c0 + c1·s` only `c1`.
 
+use arboretum_field::zq::add_mod;
 use rand::Rng;
 
-use crate::poly::{BgvContext, RnsPoly};
+use crate::poly::{signed_residue, BgvContext, EvalPoly, RnsPoly};
 
 /// A BGV secret key.
 #[derive(Clone, Debug)]
 pub struct SecretKey {
     /// Ternary secret coefficients.
     pub s: Vec<i64>,
-    /// `s` in RNS form.
-    pub s_rns: RnsPoly,
+    /// `s` in evaluation form, built from `s` at key generation.
+    s_eval: EvalPoly,
     /// `s²` in RNS form (cached for relin-key generation).
     s2_rns: RnsPoly,
 }
 
 /// A BGV public key `(b, a)`.
+///
+/// The fields are private so the cached evaluation forms cannot drift
+/// from the coefficient forms: the only constructor derives one from the
+/// other.
 #[derive(Clone, Debug)]
 pub struct PublicKey {
+    b: RnsPoly,
+    a: RnsPoly,
+    b_eval: EvalPoly,
+    a_eval: EvalPoly,
+}
+
+impl PublicKey {
+    fn new(ctx: &BgvContext, b: RnsPoly, a: RnsPoly) -> Self {
+        let (b_eval, a_eval) = (EvalPoly::new(ctx, &b), EvalPoly::new(ctx, &a));
+        Self {
+            b,
+            a,
+            b_eval,
+            a_eval,
+        }
+    }
+
     /// `b = -(a·s) + t·e`.
-    pub b: RnsPoly,
-    /// Uniform ring element.
-    pub a: RnsPoly,
+    pub fn b(&self) -> &RnsPoly {
+        &self.b
+    }
+
+    /// The uniform ring element `a`.
+    pub fn a(&self) -> &RnsPoly {
+        &self.a
+    }
 }
 
 /// A relinearization (key-switching) key for `s² → s`.
@@ -81,14 +113,16 @@ fn sample_uniform<R: Rng + ?Sized>(ctx: &BgvContext, rng: &mut R) -> RnsPoly {
 pub fn keygen<R: Rng + ?Sized>(ctx: &BgvContext, rng: &mut R) -> (SecretKey, PublicKey) {
     let s = sample_ternary(ctx.n(), rng);
     let s_rns = RnsPoly::from_signed(ctx, &s);
-    let s2_rns = s_rns.mul(&s_rns, ctx);
+    let s_eval = EvalPoly::new(ctx, &s_rns);
+    let s2_rns = s_rns.mul_eval(&s_eval, ctx);
     let a = sample_uniform(ctx, rng);
     let e = RnsPoly::from_signed(ctx, &sample_error(ctx.n(), ctx.params.error_bound, rng));
     let b = a
-        .mul(&s_rns, ctx)
+        .mul_eval(&s_eval, ctx)
         .neg(ctx)
         .add(&e.scale(ctx.params.t, ctx), ctx);
-    (SecretKey { s, s_rns, s2_rns }, PublicKey { b, a })
+    let sk = SecretKey { s, s_eval, s2_rns };
+    (sk, PublicKey::new(ctx, b, a))
 }
 
 /// Generates the relinearization key for one multiplication level.
@@ -109,7 +143,7 @@ pub fn relin_keygen<R: Rng + ?Sized>(ctx: &BgvContext, sk: &SecretKey, rng: &mut
                 *c = arboretum_field::zq::mul_mod_shoup(*c, wj, wj_shoup, q);
             }
         }
-        let mut b_j = a_j.mul(&sk.s_rns, ctx).neg(ctx);
+        let mut b_j = a_j.mul_eval(&sk.s_eval, ctx).neg(ctx);
         b_j.add_assign(&e_j.scale(ctx.params.t, ctx), ctx);
         b_j.add_assign(&wj_s2, ctx);
         bs.push(b_j);
@@ -119,31 +153,75 @@ pub fn relin_keygen<R: Rng + ?Sized>(ctx: &BgvContext, sk: &SecretKey, rng: &mut
 }
 
 /// Encrypts a plaintext polynomial (coefficients reduced mod `t`).
+///
+/// Per prime: one forward transform of `u`, a pointwise product with
+/// each half of the transformed public key, two inverse transforms, and
+/// one pass adding `t·e + m`.
+///
+/// # Panics
+///
+/// Panics if `m` does not have one length-`n` row per RNS prime.
 pub fn encrypt<R: Rng + ?Sized>(
     ctx: &BgvContext,
     pk: &PublicKey,
     m: &RnsPoly,
     rng: &mut R,
 ) -> Ciphertext {
-    let t = ctx.params.t;
-    let u = RnsPoly::from_signed(ctx, &sample_ternary(ctx.n(), rng));
-    let e0 = RnsPoly::from_signed(ctx, &sample_error(ctx.n(), ctx.params.error_bound, rng));
-    let e1 = RnsPoly::from_signed(ctx, &sample_error(ctx.n(), ctx.params.error_bound, rng));
-    let mut c0 = pk.b.mul(&u, ctx);
-    c0.add_assign(&e0.scale(t, ctx), ctx);
-    c0.add_assign(m, ctx);
-    let mut c1 = pk.a.mul(&u, ctx);
-    c1.add_assign(&e1.scale(t, ctx), ctx);
-    Ciphertext { c0, c1 }
+    let (n, primes) = (ctx.n(), ctx.ntts.len());
+    assert_eq!(m.rows.len(), primes, "plaintext row count mismatch");
+    assert!(
+        m.rows.iter().all(|row| row.len() == n),
+        "plaintext row length mismatch"
+    );
+    let bound = i64::from(ctx.params.error_bound);
+    let u = sample_ternary(n, rng);
+    let e0 = sample_error(n, ctx.params.error_bound, rng);
+    let e1 = sample_error(n, ctx.params.error_bound, rng);
+    let (mut c0, mut c1) = (Vec::with_capacity(primes), Vec::with_capacity(primes));
+    for (i, (ntt, m_row)) in ctx.ntts.iter().zip(&m.rows).enumerate() {
+        let (q, barrett) = (ntt.modulus(), ctx.barrett(i));
+        let mut bu = ctx.scratch.take(n);
+        for (x, &c) in bu.iter_mut().zip(&u) {
+            *x = signed_residue(c, barrett);
+        }
+        ntt.forward(&mut bu);
+        let mut au = ctx.scratch.take(n);
+        au.copy_from_slice(&bu);
+        pk.b_eval.mul_inverse_row(i, ntt, &mut bu);
+        pk.a_eval.mul_inverse_row(i, ntt, &mut au);
+        // t·e mod q takes 2·bound + 1 values; tabulate them.
+        let t_e: Vec<u64> = (-bound..=bound)
+            .map(|e| barrett.mul_mod(ctx.params.t, signed_residue(e, barrett)))
+            .collect();
+        let t_e = |e: i64| t_e[(e + bound) as usize];
+        for ((x, &e), &m) in bu.iter_mut().zip(&e0).zip(m_row) {
+            *x = add_mod(add_mod(*x, t_e(e), q), m, q);
+        }
+        for (x, &e) in au.iter_mut().zip(&e1) {
+            *x = add_mod(*x, t_e(e), q);
+        }
+        c0.push(bu);
+        c1.push(au);
+    }
+    Ciphertext {
+        c0: RnsPoly { rows: c0 },
+        c1: RnsPoly { rows: c1 },
+    }
+}
+
+/// The decryption phase `c0 + c1·s mod q`, centered.
+fn phase(ctx: &BgvContext, sk: &SecretKey, ct: &Ciphertext) -> Vec<i128> {
+    let mut d = ct.c1.mul_eval(&sk.s_eval, ctx);
+    d.add_assign(&ct.c0, ctx);
+    d.centered_coeffs(ctx)
 }
 
 /// Decrypts a ciphertext to its plaintext coefficients in `[0, t)`.
 pub fn decrypt(ctx: &BgvContext, sk: &SecretKey, ct: &Ciphertext) -> Vec<u64> {
     let t = ctx.params.t as i128;
-    let d = ct.c0.add(&ct.c1.mul(&sk.s_rns, ctx), ctx);
-    d.centered_coeffs(ctx)
+    phase(ctx, sk, ct)
         .into_iter()
-        .map(|c| (((c % t) + t) % t) as u64)
+        .map(|c| c.rem_euclid(t) as u64) // div-ok: i128 phase mod t, once per released coefficient
         .collect()
 }
 
@@ -251,14 +329,9 @@ fn gadget_decompose(ctx: &BgvContext, p: &RnsPoly) -> Vec<RnsPoly> {
 /// negative, clamped to zero) means the ciphertext is at the edge.
 pub fn noise_budget_bits(ctx: &BgvContext, sk: &SecretKey, ct: &Ciphertext) -> i32 {
     let t = ctx.params.t as i128;
-    let d = ct.c0.add(&ct.c1.mul(&sk.s_rns, ctx), ctx);
-    let max_v = d
-        .centered_coeffs(ctx)
+    let max_v = phase(ctx, sk, ct)
         .into_iter()
-        .map(|c| {
-            let m = ((c % t) + t) % t;
-            ((c - m) / t).unsigned_abs()
-        })
+        .map(|c| c.div_euclid(t).unsigned_abs()) // div-ok: diagnostic, not on the query path
         .max()
         .unwrap_or(0);
     let q = ctx.params.q();

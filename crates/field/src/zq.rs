@@ -14,20 +14,23 @@
 //! * **Shoup multiplication** when one operand is a precomputable
 //!   constant `w`: store `w' = ⌊w·2^64/q⌋` next to `w`, then
 //!   `a·w mod q` costs one `mulhi`, two wrapping multiplies, and one
-//!   conditional subtract ([`mul_mod_shoup`]). The twiddle and psi
-//!   tables of [`RtNttTable`] are stored in this paired form.
+//!   conditional subtract ([`mul_mod_shoup`]). The twiddle tables of
+//!   [`RtNttTable`] are stored in this paired form.
 //! * **Barrett reduction** when both operands vary: [`Barrett`]
 //!   precomputes `⌊2^128/q⌋` once and reduces any `u128` with a handful
 //!   of word multiplies and two conditional subtracts.
 //! * **Lazy reduction** inside the butterfly passes: values live in
-//!   `[0, 4q)` (Harvey), with canonicalization fused into the last
-//!   butterfly stage (forward) or the merged `psi^{-i}·n^{-1}` pass
-//!   (inverse). Requires `q < 2^62` so `4q` fits in a `u64`.
+//!   `[0, 4q)` forward and `[0, 2q)` inverse (Harvey), corrected without
+//!   branches (`x.min(x.wrapping_sub(2q))`), with canonicalization fused
+//!   into the last stage of either direction. Requires `q < 2^62` so
+//!   `4q` fits in a `u64`.
 //!
 //! All of this is *exact* modular arithmetic: every public entry point
-//! returns the canonical representative in `[0, q)`, bitwise identical
-//! to the division-based reference kernels (property-tested in
-//! `tests/proptests.rs` against a retained naive implementation).
+//! returns the canonical representative in `[0, q)`, and every
+//! coefficient-form result is bitwise identical to the division-based
+//! reference kernels (property-tested in `tests/proptests.rs` against a
+//! retained naive implementation). Only the *order* of a transformed
+//! vector's entries is private to [`RtNttTable`].
 
 use crate::primes::two_adicity;
 
@@ -234,6 +237,24 @@ impl Barrett {
     }
 }
 
+/// Keeps the loop it is called from scalar. Left alone, LLVM vectorizes
+/// the butterfly loops for baseline x86-64, where SSE2 has neither a
+/// 64-bit multiply nor an unsigned compare: lanes are emulated in 32-bit
+/// pieces around the scalar multiplier, 40 % slower than plain
+/// `mul`/`cmov` (EXPERIMENTS.md, "Encrypt at the floor").
+#[inline(always)]
+fn keep_scalar() {
+    std::hint::black_box(());
+}
+
+/// The low `bits` bits of `i`, reversed.
+fn bit_reverse(i: usize, bits: u32) -> usize {
+    // A shift by the full width (`bits == 0`) is index 0.
+    i.reverse_bits()
+        .checked_shr(usize::BITS - bits)
+        .unwrap_or(0)
+}
+
 /// A twiddle table stored as `(w, ⌊w·2^64/q⌋)` pairs.
 #[derive(Clone, Debug)]
 struct ShoupVec {
@@ -242,48 +263,51 @@ struct ShoupVec {
 }
 
 impl ShoupVec {
-    /// Builds the paired table from successive powers of `base`.
-    fn powers(base: u64, n: usize, q: u64) -> Self {
-        let mut w = Vec::with_capacity(n);
-        let mut acc = 1u64 % q;
-        for _ in 0..n {
-            w.push(acc);
+    /// Entry `i` is `base^{bitrev(i)}`: the order in which the merged
+    /// butterflies consume their twiddles, stage after stage.
+    fn bit_reversed_powers(base: u64, n: usize, q: u64) -> Self {
+        let bits = n.trailing_zeros();
+        let mut w = vec![0u64; n];
+        let mut acc = 1u64;
+        for i in 0..n {
+            w[bit_reverse(i, bits)] = acc;
             acc = mul_mod(acc, base, q);
         }
         let shoup = w.iter().map(|&x| shoup_precompute(x, q)).collect();
         Self { w, shoup }
-    }
-
-    /// Multiplies every entry by the constant `k` (mod `q`), refreshing
-    /// the Shoup quotients.
-    fn scale(mut self, k: u64, q: u64) -> Self {
-        for x in self.w.iter_mut() {
-            *x = mul_mod(*x, k, q);
-        }
-        self.shoup = self.w.iter().map(|&x| shoup_precompute(x, q)).collect();
-        self
     }
 }
 
 /// Precomputed tables for runtime-modulus negacyclic NTTs.
 ///
 /// The prime modulus is chosen at runtime, as the BGV RNS layer
-/// requires. All transforms are division-free: twiddles are stored with
-/// their Shoup quotients, butterflies run lazily in `[0, 4q)`, and the
-/// pointwise stage of [`RtNttTable::negacyclic_mul`] reduces through a
-/// Barrett reducer. Every public entry point returns canonical values in
-/// `[0, q)` and is bitwise identical to the division-based reference.
+/// requires. The transform is the merged-ψ form (Longa–Naehrig):
+/// Cooley–Tukey forward from natural to bit-reversed order,
+/// Gentleman–Sande inverse back, the powers of `ψ` folded into the
+/// twiddles and `n⁻¹` into the last inverse stage — no permutation, no
+/// scaling pass, no division (Shoup twiddles, lazy Harvey butterflies, a
+/// Barrett reducer for [`RtNttTable::negacyclic_mul`]'s pointwise stage).
+///
+/// Every public entry point returns canonical values in `[0, q)`, and
+/// every *coefficient-form* result is bitwise identical to the
+/// division-based reference. The order of a transformed vector's entries
+/// is unspecified: only pointwise operations are defined on it.
 #[derive(Clone, Debug)]
 pub struct RtNttTable {
     modulus: u64,
     two_q: u64,
     n: usize,
-    psi: ShoupVec,
-    omega: ShoupVec,
-    omega_inv: ShoupVec,
-    /// Merged final-pass table `psi^{-i}·n^{-1}`, fusing the inverse
-    /// psi twist and the `1/n` scaling into a single multiply.
-    psi_inv_n_inv: ShoupVec,
+    /// `ψ^{bitrev(i)}`, the forward twiddles.
+    psi_rev: ShoupVec,
+    /// `ψ^{-bitrev(i)}`, the inverse twiddles.
+    psi_inv_rev: ShoupVec,
+    /// The last inverse stage's multipliers `(w, ⌊w·2^64/q⌋)` with `n⁻¹`
+    /// folded in: `n⁻¹` for the sum lane, `ψ^{-n/2}·n⁻¹` for the
+    /// difference lane.
+    last_inv: [(u64, u64); 2],
+    /// Shoup quotient of the constant 1: multiplying by it reduces any
+    /// `u64` without dividing.
+    one_shoup: u64,
     barrett: Barrett,
 }
 
@@ -308,18 +332,19 @@ impl RtNttTable {
             "modulus {modulus} cannot support negacyclic NTT of length {n}"
         );
         let psi = pow_mod(root, (modulus - 1) >> (log2n + 1), modulus);
-        let psi_inv = inv_mod(psi, modulus);
-        let omega = mul_mod(psi, psi, modulus);
-        let omega_inv = inv_mod(omega, modulus);
+        let psi_inv_rev = ShoupVec::bit_reversed_powers(inv_mod(psi, modulus), n, modulus);
         let n_inv = inv_mod(n as u64, modulus);
+        // The one-stage twiddle is entry 1; a length-1 transform has no
+        // stage and uses the sum lane alone.
+        let last_twiddle = mul_mod(psi_inv_rev.w[n.min(2) - 1], n_inv, modulus);
         Self {
             modulus,
             two_q: modulus << 1,
             n,
-            psi: ShoupVec::powers(psi, n, modulus),
-            omega: ShoupVec::powers(omega, n, modulus),
-            omega_inv: ShoupVec::powers(omega_inv, n, modulus),
-            psi_inv_n_inv: ShoupVec::powers(psi_inv, n, modulus).scale(n_inv, modulus),
+            psi_rev: ShoupVec::bit_reversed_powers(psi, n, modulus),
+            psi_inv_rev,
+            last_inv: [n_inv, last_twiddle].map(|w| (w, shoup_precompute(w, modulus))),
+            one_shoup: shoup_precompute(1, modulus),
             barrett: Barrett::new(modulus),
         }
     }
@@ -339,126 +364,116 @@ impl RtNttTable {
         self.n == 0
     }
 
-    /// Bit-reversal permutation without scaling (inverse-side entry).
-    fn permute(&self, a: &mut [u64]) {
-        let n = self.n;
-        let mut j = 0usize;
-        for i in 1..n {
-            let mut bit = n >> 1;
-            while j & bit != 0 {
-                j ^= bit;
-                bit >>= 1;
-            }
-            j |= bit;
-            if i < j {
-                a.swap(i, j);
-            }
-        }
-    }
-
-    /// Fused psi-twist + bit-reversal permutation (forward-side entry):
-    /// element `i` is multiplied by `psi^i` exactly once while the
-    /// permutation runs, eliminating the separate scaling pass. Output
-    /// values are canonical (`mul_mod_shoup` reduces any `u64` input).
-    fn twist_permute(&self, a: &mut [u64]) {
-        let n = self.n;
-        let q = self.modulus;
-        let (pw, ps) = (&self.psi.w, &self.psi.shoup);
-        // Index 0 is a fixed point; psi^0 = 1 canonicalizes it.
-        a[0] = mul_mod_shoup(a[0], pw[0], ps[0], q);
-        let mut j = 0usize;
-        for i in 1..n {
-            let mut bit = n >> 1;
-            while j & bit != 0 {
-                j ^= bit;
-                bit >>= 1;
-            }
-            j |= bit;
-            if i < j {
-                let ai = mul_mod_shoup(a[i], pw[i], ps[i], q);
-                let aj = mul_mod_shoup(a[j], pw[j], ps[j], q);
-                a[i] = aj;
-                a[j] = ai;
-            } else if i == j {
-                a[i] = mul_mod_shoup(a[i], pw[i], ps[i], q);
-            }
-        }
-    }
-
-    /// Lazy Cooley–Tukey butterfly passes over bit-reversed input.
+    /// One Cooley–Tukey stage: `m` blocks of `2t` elements, block `i`
+    /// using twiddle `psi_rev[m + i]`.
     ///
-    /// Values stay in `[0, 4q)` between stages (Harvey); when
-    /// `canonical_last` is set the final stage folds the
-    /// canonicalization in, so no separate pass is needed.
-    fn core_lazy(&self, a: &mut [u64], tw: &ShoupVec, canonical_last: bool) {
-        let n = self.n;
-        let q = self.modulus;
-        let two_q = self.two_q;
-        let mut len = 2;
-        while len <= n {
-            let step = n / len;
-            let half = len / 2;
-            let last = canonical_last && len == n;
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let w = tw.w[k * step];
-                    let ws = tw.shoup[k * step];
-                    let mut u = a[start + k];
-                    if u >= two_q {
-                        u -= two_q;
-                    }
-                    let t = mul_mod_shoup_lazy(a[start + k + half], w, ws, q);
-                    let mut x = u + t;
-                    let mut y = u + two_q - t;
-                    if last {
-                        if x >= two_q {
-                            x -= two_q;
-                        }
-                        if x >= q {
-                            x -= q;
-                        }
-                        if y >= two_q {
-                            y -= two_q;
-                        }
-                        if y >= q {
-                            y -= q;
-                        }
-                    }
-                    a[start + k] = x;
-                    a[start + k + half] = y;
+    /// Values stay in `[0, 4q)` between stages (Harvey). The `FIRST`
+    /// stage instead takes arbitrary `u64` input, reducing the
+    /// unmultiplied lane by a Shoup multiplication with 1; the `LAST`
+    /// stage canonicalizes what it writes.
+    #[inline(always)]
+    fn forward_stage<const FIRST: bool, const LAST: bool>(
+        &self,
+        a: &mut [u64],
+        m: usize,
+        t: usize,
+    ) {
+        let (q, two_q) = (self.modulus, self.two_q);
+        let twiddles = self.psi_rev.w[m..2 * m]
+            .iter()
+            .zip(&self.psi_rev.shoup[m..2 * m]);
+        for (block, (&w, &ws)) in a.chunks_exact_mut(2 * t).zip(twiddles) {
+            let (lo, hi) = block.split_at_mut(t);
+            for (x, y) in lo.iter_mut().zip(hi) {
+                let u = if FIRST {
+                    mul_mod_shoup_lazy(*x, 1, self.one_shoup, q)
+                } else {
+                    (*x).min((*x).wrapping_sub(two_q))
+                };
+                let v = mul_mod_shoup_lazy(*y, w, ws, q);
+                let (mut s, mut d) = (u + v, u + two_q - v);
+                if LAST {
+                    s = s.min(s.wrapping_sub(two_q));
+                    s = s.min(s.wrapping_sub(q));
+                    d = d.min(d.wrapping_sub(two_q));
+                    d = d.min(d.wrapping_sub(q));
                 }
+                *x = s;
+                *y = d;
+                keep_scalar();
             }
-            len <<= 1;
         }
     }
 
-    /// In-place forward negacyclic NTT. Output is canonical (`< q`).
+    /// In-place forward negacyclic NTT. Input may be any `u64` residues;
+    /// output is canonical (`< q`), in an unspecified order that
+    /// [`Self::inverse`] undoes.
     ///
     /// # Panics
     ///
     /// Panics on length mismatch.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length mismatch");
-        self.twist_permute(a);
-        self.core_lazy(a, &self.omega, true);
+        match self.n {
+            1 => a[0] = mul_mod_shoup(a[0], 1, self.one_shoup, self.modulus),
+            2 => self.forward_stage::<true, true>(a, 1, 1),
+            n => {
+                self.forward_stage::<true, false>(a, 1, n / 2);
+                let (mut m, mut t) = (2, n / 4);
+                while t > 1 {
+                    self.forward_stage::<false, false>(a, m, t);
+                    m <<= 1;
+                    t >>= 1;
+                }
+                self.forward_stage::<false, true>(a, m, 1);
+            }
+        }
     }
 
-    /// In-place inverse negacyclic NTT. Input must be canonical; output
-    /// is canonical (`< q`).
+    /// In-place inverse negacyclic NTT of a vector [`Self::forward`]
+    /// produced (or a pointwise combination of such vectors). Input must
+    /// be below `2q`; output is canonical (`< q`).
     ///
     /// # Panics
     ///
     /// Panics on length mismatch.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length mismatch");
-        self.permute(a);
-        // Butterflies stay lazy: the merged psi^{-i}·n^{-1} pass below
-        // accepts any u64 and canonicalizes.
-        self.core_lazy(a, &self.omega_inv, false);
-        let q = self.modulus;
-        let (mw, ms) = (&self.psi_inv_n_inv.w, &self.psi_inv_n_inv.shoup);
-        for (i, x) in a.iter_mut().enumerate() {
-            *x = mul_mod_shoup(*x, mw[i], ms[i], q);
+        let (q, two_q) = (self.modulus, self.two_q);
+        // Gentleman–Sande stages of `h` blocks of `2t` elements, block `i`
+        // using twiddle `psi_inv_rev[h + i]`; values in `[0, 2q)`
+        // throughout.
+        let (mut h, mut t) = (self.n / 2, 1);
+        while h > 1 {
+            let twiddles = self.psi_inv_rev.w[h..2 * h]
+                .iter()
+                .zip(&self.psi_inv_rev.shoup[h..2 * h]);
+            for (block, (&w, &ws)) in a.chunks_exact_mut(2 * t).zip(twiddles) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi) {
+                    let (u, v) = (*x, *y);
+                    let s = u + v;
+                    *x = s.min(s.wrapping_sub(two_q));
+                    *y = mul_mod_shoup_lazy(u + two_q - v, w, ws, q);
+                    keep_scalar();
+                }
+            }
+            h >>= 1;
+            t <<= 1;
+        }
+        // The last stage multiplies both lanes by a constant carrying
+        // n⁻¹, which also canonicalizes them.
+        let [(w_sum, ws_sum), (w_diff, ws_diff)] = self.last_inv;
+        if self.n == 1 {
+            a[0] = mul_mod_shoup(a[0], w_sum, ws_sum, q);
+            return;
+        }
+        let (lo, hi) = a.split_at_mut(t);
+        for (x, y) in lo.iter_mut().zip(hi) {
+            let (u, v) = (*x, *y);
+            *x = mul_mod_shoup(u + v, w_sum, ws_sum, q);
+            *y = mul_mod_shoup(u + two_q - v, w_diff, ws_diff, q);
+            keep_scalar();
         }
     }
 
@@ -490,7 +505,7 @@ impl RtNttTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::primes::{BGV_Q1, BGV_Q2, BGV_Q_ROOTS};
+    use crate::primes::{BGV_Q1, BGV_Q2, BGV_Q_ROOTS, BGV_T_PRIME, BGV_T_ROOT};
 
     /// Division-based reference kernels, retained for equivalence tests.
     mod naive {
@@ -569,16 +584,61 @@ mod tests {
         }
     }
 
+    /// Both BGV ciphertext primes and the plaintext prime.
+    const NTT_PRIMES: [(u64, u64); 3] = [
+        (BGV_Q1, BGV_Q_ROOTS[0]),
+        (BGV_Q2, BGV_Q_ROOTS[1]),
+        (BGV_T_PRIME, BGV_T_ROOT),
+    ];
+
+    /// Lengths where the merged first/last stages coincide or vanish,
+    /// plus ordinary ones.
+    const LENGTHS: [usize; 5] = [1, 2, 4, 16, 128];
+
+    fn arbitrary(n: usize, salt: u64) -> Vec<u64> {
+        (0..n as u64)
+            .map(|i| (i + salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (u64::MAX >> (i % 3)))
+            .collect()
+    }
+
     #[test]
     fn rt_ntt_roundtrip() {
-        for (&q, &r) in [BGV_Q1, BGV_Q2].iter().zip(&BGV_Q_ROOTS[..2]) {
-            let t = RtNttTable::new(128, q, r);
-            let orig: Vec<u64> = (0..128).map(|i| (i * i * 977 + 3) % q).collect();
-            let mut a = orig.clone();
-            t.forward(&mut a);
-            assert!(a.iter().all(|&x| x < q), "forward output not canonical");
-            t.inverse(&mut a);
-            assert_eq!(a, orig);
+        for (q, r) in NTT_PRIMES {
+            for n in LENGTHS {
+                let t = RtNttTable::new(n, q, r);
+                // Arbitrary u64 input, not just canonical residues.
+                let raw = arbitrary(n, q);
+                let mut a = raw.clone();
+                t.forward(&mut a);
+                assert!(a.iter().all(|&x| x < q), "forward output not canonical");
+                t.inverse(&mut a);
+                let want: Vec<u64> = raw.iter().map(|&x| x % q).collect();
+                assert_eq!(a, want, "q={q} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn forward_is_the_bit_reversed_negacyclic_evaluation() {
+        // The definition, with no butterfly in it: entry k of the
+        // transform is a(ψ^{2k+1}). `forward` returns it at index
+        // bitrev(k); nothing outside this module may rely on that.
+        for (q, r) in NTT_PRIMES {
+            for n in LENGTHS {
+                let bits = n.trailing_zeros();
+                let psi = naive::pow_mod(r, (q - 1) >> (bits + 1), q);
+                let a: Vec<u64> = arbitrary(n, 7).iter().map(|&x| x % q).collect();
+                let mut got = a.clone();
+                RtNttTable::new(n, q, r).forward(&mut got);
+                for k in 0..n {
+                    let point = naive::pow_mod(psi, 2 * k as u64 + 1, q);
+                    let want = a
+                        .iter()
+                        .rev()
+                        .fold(0, |acc, &c| add_mod(naive::mul_mod(acc, point, q), c, q));
+                    assert_eq!(got[bit_reverse(k, bits)], want, "q={q} n={n} k={k}");
+                }
+            }
         }
     }
 
@@ -586,27 +646,28 @@ mod tests {
     fn negacyclic_mul_matches_schoolbook() {
         // The definition, with no transform in it: coefficient i + j of
         // a·b, negated when it wraps past X^n.
-        for (&q, &r) in [BGV_Q1, BGV_Q2].iter().zip(&BGV_Q_ROOTS[..2]) {
-            let n = 64;
-            let a: Vec<u64> = (0..n as u64).map(|i| (i * i * 977 + 3) % q).collect();
-            let b: Vec<u64> = (0..n as u64).map(|i| q - 1 - i * 104_729).collect();
-            let mut want = vec![0u64; n];
-            for (i, &ai) in a.iter().enumerate() {
-                for (j, &bj) in b.iter().enumerate() {
-                    let term = naive::mul_mod(ai, bj, q);
-                    let k = (i + j) % n;
-                    want[k] = if i + j < n {
-                        add_mod(want[k], term, q)
-                    } else {
-                        sub_mod(want[k], term, q)
-                    };
+        for (q, r) in NTT_PRIMES {
+            for n in [1, 2, 4, 64] {
+                let a: Vec<u64> = (0..n as u64).map(|i| (i * i * 977 + 3) % q).collect();
+                let b: Vec<u64> = (0..n as u64).map(|i| (q - 1 - i * 104_729) % q).collect();
+                let mut want = vec![0u64; n];
+                for (i, &ai) in a.iter().enumerate() {
+                    for (j, &bj) in b.iter().enumerate() {
+                        let term = naive::mul_mod(ai, bj, q);
+                        let k = (i + j) % n;
+                        want[k] = if i + j < n {
+                            add_mod(want[k], term, q)
+                        } else {
+                            sub_mod(want[k], term, q)
+                        };
+                    }
                 }
+                assert_eq!(
+                    RtNttTable::new(n, q, r).negacyclic_mul(&a, &b),
+                    want,
+                    "q={q} n={n}"
+                );
             }
-            assert_eq!(
-                RtNttTable::new(n, q, r).negacyclic_mul(&a, &b),
-                want,
-                "q={q}"
-            );
         }
     }
 
@@ -636,8 +697,7 @@ mod tests {
 
     #[test]
     fn forward_canonicalizes_unreduced_input() {
-        // The fused twist reduces any u64 input, matching the old
-        // division-based scaling pass.
+        // The first stage reduces any u64 input, as dividing first would.
         let t = RtNttTable::new(16, BGV_Q1, BGV_Q_ROOTS[0]);
         let mut raw: Vec<u64> = (0..16).map(|i| u64::MAX - i).collect();
         let mut reduced: Vec<u64> = raw.iter().map(|&x| x % BGV_Q1).collect();

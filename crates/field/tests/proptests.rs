@@ -257,22 +257,30 @@ proptest! {
     #[test]
     fn rt_ntt_matches_division_reference(raw in prop::collection::vec(any::<u64>(), 64)) {
         for &(q, root) in &NTT_PARAM_SETS {
-            let fast = RtNttTable::new(64, q, root);
-            let refk = reference::RefNtt::new(64, q, root);
-            let input: Vec<u64> = raw.iter().map(|&x| x % q).collect();
+            // The merged first and last stages coincide at n = 2 and
+            // vanish at n = 1.
+            for n in [1usize, 2, 4, 64] {
+                let fast = RtNttTable::new(n, q, root);
+                let refk = reference::RefNtt::new(n, q, root);
+                // Arbitrary u64 input: `forward` owes the same answer as
+                // reducing first.
+                let mut got = raw[..n].to_vec();
+                let input: Vec<u64> = got.iter().map(|&x| x % q).collect();
+                let mut want = input.clone();
+                fast.forward(&mut got);
+                refk.forward(&mut want);
+                prop_assert!(got.iter().all(|&x| x < q), "forward output not canonical");
+                // Same evaluations, in bit-reversed order.
+                let bits = n.trailing_zeros();
+                for (i, &w) in want.iter().enumerate() {
+                    let rev = i.reverse_bits().checked_shr(usize::BITS - bits).unwrap_or(0);
+                    prop_assert_eq!(got[rev], w, "forward mismatch, q={} n={} i={}", q, n, i);
+                }
 
-            let mut got = input.clone();
-            let mut want = input.clone();
-            fast.forward(&mut got);
-            refk.forward(&mut want);
-            prop_assert_eq!(&got, &want, "forward mismatch, q={}", q);
-            prop_assert!(got.iter().all(|&x| x < q), "forward output not canonical");
-
-            fast.inverse(&mut got);
-            refk.inverse(&mut want);
-            prop_assert_eq!(&got, &want, "inverse mismatch, q={}", q);
-            prop_assert!(got.iter().all(|&x| x < q), "inverse output not canonical");
-            prop_assert_eq!(&got, &input, "roundtrip mismatch, q={}", q);
+                fast.inverse(&mut got);
+                prop_assert!(got.iter().all(|&x| x < q), "inverse output not canonical");
+                prop_assert_eq!(&got, &input, "roundtrip mismatch, q={} n={}", q, n);
+            }
         }
     }
 
@@ -282,13 +290,20 @@ proptest! {
         b_raw in prop::collection::vec(any::<u64>(), 32),
     ) {
         for &(q, root) in &NTT_PARAM_SETS {
-            let fast = RtNttTable::new(32, q, root);
-            let refk = reference::RefNtt::new(32, q, root);
-            let a: Vec<u64> = a_raw.iter().map(|&x| x % q).collect();
-            let b: Vec<u64> = b_raw.iter().map(|&x| x % q).collect();
-            let got = fast.negacyclic_mul(&a, &b);
-            prop_assert!(got.iter().all(|&x| x < q), "product not canonical");
-            prop_assert_eq!(got, refk.negacyclic_mul(&a, &b), "q={}", q);
+            for n in [1usize, 2, 4, 32] {
+                let fast = RtNttTable::new(n, q, root);
+                let refk = reference::RefNtt::new(n, q, root);
+                let a: Vec<u64> = a_raw[..n].iter().map(|&x| x % q).collect();
+                let b: Vec<u64> = b_raw[..n].iter().map(|&x| x % q).collect();
+                let got = fast.negacyclic_mul(&a, &b);
+                prop_assert!(got.iter().all(|&x| x < q), "product not canonical");
+                prop_assert_eq!(got, refk.negacyclic_mul(&a, &b), "q={} n={}", q, n);
+                // Unreduced operands multiply to the same product.
+                prop_assert_eq!(
+                    fast.negacyclic_mul(&a_raw[..n], &b_raw[..n]),
+                    refk.negacyclic_mul(&a, &b)
+                );
+            }
         }
     }
 

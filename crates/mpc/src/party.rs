@@ -9,7 +9,7 @@
 //! and because both engines issue identical communication sequences, the
 //! fabric's measured payload bytes and rounds equal the analytic
 //! [`crate::network::NetMeter`] model exactly (asserted in the
-//! `threaded_validation` integration test).
+//! `fabric_validation` integration test).
 //!
 //! Preprocessing (Beaver triples, random bits) comes from a [`Dealer`]
 //! shared behind a mutex, mirroring the engine's zero-online-cost dealer

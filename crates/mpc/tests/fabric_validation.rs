@@ -55,7 +55,7 @@ fn expected() -> Vec<FGold> {
 }
 
 #[test]
-fn threaded_measured_traffic_equals_netmeter_model_exactly() {
+fn per_party_measured_traffic_equals_netmeter_model_exactly() {
     // Modeled run: the analytic all-party engine, semi-honest (the
     // per-thread parties run the semi-honest protocol).
     let mut engine = MpcEngine::new(M, T, false, 42);

@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 /// bitwise identical across them at any population.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FabricKind {
-    /// The instant single-threaded fabric (`sim`): dense per-link
+    /// The instant in-process fabric (`sim`): dense per-link
     /// queues, immediate delivery, no clock.
     Sim,
     /// The event-driven fabric (`evented`): virtual-time scheduling of

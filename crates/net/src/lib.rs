@@ -8,8 +8,8 @@
 //!   message kind, with strict decoding;
 //! - [`transport`] — the [`Transport`] trait plus unified
 //!   [`TransportMetrics`] (rounds, payload bytes, framed bytes);
-//! - [`sim`] — the instant single-threaded fabric the analytic
-//!   simulator runs on;
+//! - [`sim`] — the instant in-process fabric the analytic simulator
+//!   runs on;
 //! - [`evented`] — the event-driven virtual-time fabric: modeled
 //!   delays, timeouts, and faults advance per-party virtual clocks
 //!   instead of sleeping, frames recycle through a pooled buffer arena,
@@ -24,7 +24,7 @@
 //! Payload byte counts are defined so the *measured* traffic of a
 //! committee of per-thread parties on evented endpoints equals the
 //! analytic `NetMeter` model in `arboretum-mpc` exactly — that equality
-//! is asserted in `arboretum-mpc`'s `threaded_validation` test.
+//! is asserted in `arboretum-mpc`'s `fabric_validation` test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

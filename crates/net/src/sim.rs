@@ -1,4 +1,4 @@
-//! The instant in-process fabric used by the single-threaded simulator.
+//! The instant in-process fabric the analytic simulator runs on.
 //!
 //! Frames are genuinely encoded and decoded — the wire format is
 //! load-bearing, not decorative — but delivery is immediate and the
@@ -12,7 +12,7 @@ use crate::observe::SharedSink;
 use crate::transport::{NetError, Transport, TransportMetrics};
 use crate::wire::Message;
 
-/// An instant, single-threaded fabric for all `m` parties.
+/// An instant fabric for all `m` parties, driven from one thread.
 #[derive(Debug)]
 pub struct SimTransport {
     m: usize,

@@ -93,8 +93,8 @@ impl From<WireError> for NetError {
 
 /// A message fabric connecting the `m` parties of one committee.
 ///
-/// The same trait serves two call shapes: the single-threaded simulator
-/// holds one `SimTransport` and animates every party through it, while
+/// The same trait serves two call shapes: the analytic simulator holds
+/// one `SimTransport` and animates every party through it, while
 /// each thread of a distributed run owns one `EventedEndpoint` and may
 /// only act as itself (`from`/`at` must equal the endpoint's own id).
 pub trait Transport: Send {

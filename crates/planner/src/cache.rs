@@ -247,13 +247,13 @@ mod tests {
             par: ParConfig::serial(),
             ..PlannerConfig::paper_defaults(1 << 20)
         };
-        let threaded = PlannerConfig {
+        let pooled = PlannerConfig {
             par: ParConfig::fixed(8),
             ..PlannerConfig::paper_defaults(1 << 20)
         };
         assert_eq!(
             QuerySignature::new(SRC, &schema, &CertifyConfig::default(), &serial),
-            QuerySignature::new(SRC, &schema, &CertifyConfig::default(), &threaded),
+            QuerySignature::new(SRC, &schema, &CertifyConfig::default(), &pooled),
         );
     }
 

@@ -181,7 +181,7 @@ pub fn build_session_setup_observed(
 
     let pk_digest = {
         let mut bytes = Vec::new();
-        for row in &pk.a.rows {
+        for row in &pk.a().rows {
             for &c in row.iter().take(8) {
                 bytes.extend_from_slice(&c.to_be_bytes());
             }

@@ -12,7 +12,7 @@
 //!
 //! Determinism argument: every decision point in the executor sits on
 //! a serial, seed-deterministic section (the MPC engines the executor
-//! builds run on instant single-threaded fabrics regardless of the
+//! builds run on instant in-process `sim` fabrics regardless of the
 //! session fabric, and the networked phase starts only after all
 //! decisions for the main pipeline are logged), so the transcript
 //! prefix at each query — and therefore every decision — is identical

@@ -3,10 +3,17 @@
 #
 # The field and bgv crates' modular arithmetic went through a
 # Shoup/Barrett rewrite; a stray `(a as u128 * b as u128) % q as u128`
-# quietly reintroduces a hardware divide per coefficient. This script
-# fails if a division-based modular reduction appears in those crates'
-# sources, unless the line carries a `// div-ok` marker (reserved for
-# sanctioned reference implementations, e.g. `zq::mul_mod`).
+# or `c % q` quietly reintroduces a hardware divide per coefficient.
+# This script fails if one appears in those crates' sources, unless the
+# line carries a `// div-ok` marker (reserved for sanctioned reference
+# implementations, e.g. `zq::mul_mod`, and once-per-context set-up).
+#
+# Two patterns:
+#   * a `u128` remainder, anywhere in the sources (tests mark theirs);
+#   * a remainder by a runtime modulus — `% q`, `%= m`, `% self.modulus`,
+#     `.rem_euclid(t)` and the like — in non-test code, i.e. above a
+#     file's `#[cfg(test)]` line. A remainder by a literal or by a
+#     const-generic `M` compiles to a multiply and is not matched.
 #
 # Usage: scripts/check_division_free.sh   (run from anywhere)
 
@@ -14,6 +21,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 hot_paths=(crates/field/src crates/bgv/src)
+
+wide='%[[:space:]]*[A-Za-z_][A-Za-z0-9_]*[[:space:]]+as[[:space:]]+u128|as[[:space:]]+u128[^;]*%'
+modulus='(self\.)?(q|m|p|t|kq|q[0-9]+|modulus)'
+narrow="%=?[[:space:]]*${modulus}([^A-Za-z0-9_(]|\$)|\.(rem|div)_euclid\("
+
+# `file:line:text` for every source line above the file's test module.
+non_test_lines() {
+  find "${hot_paths[@]}" -name '*.rs' -print0 | sort -z | while IFS= read -r -d '' f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" NR ":" $0 }' "$f"
+  done
+}
 
 fail=0
 while IFS= read -r hit; do
@@ -27,7 +45,10 @@ while IFS= read -r hit; do
   echo "  $hit" >&2
   echo "  (use zq::Barrett / mul_mod_shoup, or mark a reference with // div-ok)" >&2
   fail=1
-done < <(grep -rn --include='*.rs' -E '%[[:space:]]*[A-Za-z_][A-Za-z0-9_]*[[:space:]]+as[[:space:]]+u128|as[[:space:]]+u128[^;]*%' "${hot_paths[@]}" || true)
+done < <(
+  grep -rn --include='*.rs' -E "$wide" "${hot_paths[@]}" || true
+  non_test_lines | grep -E "^[^:]*:[0-9]+:.*(${narrow})" || true
+)
 
 if [[ $fail -ne 0 ]]; then
   exit 1
