@@ -8,7 +8,7 @@
 //! within a small constant factor and strict monotonicity.
 
 use arboretum_field::FGold;
-use arboretum_mpc::compare::{argmax, less_than};
+use arboretum_mpc::compare::{argmax_tournament, less_than};
 use arboretum_mpc::engine::MpcEngine;
 use arboretum_mpc::network::FIELD_BYTES;
 
@@ -73,8 +73,9 @@ pub fn validate_compare(m: usize, bits: usize) -> ValidationRow {
     }
 }
 
-/// Runs a `k`-way argmax concretely and compares to a model built from
-/// `k − 1` comparisons plus two selections each.
+/// Runs a `k`-way argmax tournament concretely and compares to a model
+/// of `⌈log₂ k⌉` levels, each one comparison plus one batched selection
+/// deep, moving `k − 1` comparisons and `2(k − 1)` selections in all.
 pub fn validate_argmax(m: usize, k: usize, bits: usize) -> ValidationRow {
     let t = (m - 1) / 2;
     let mut e = MpcEngine::new(m, t, true, 0xa12);
@@ -82,13 +83,16 @@ pub fn validate_argmax(m: usize, k: usize, bits: usize) -> ValidationRow {
         .map(|i| e.input(0, FGold::new(i as u64 * 7 + 1)))
         .collect();
     let before = e.net.metrics.clone();
-    argmax(&mut e, &xs, bits).expect("argmax succeeds");
+    argmax_tournament(&mut e, &xs, bits).expect("argmax succeeds");
     let after = e.net.metrics.clone();
     let (cr, cb) = predict_compare(m as u64, bits as u64);
-    // Each tournament step: one comparison + two oblivious selections
-    // (one multiplication each).
+    // Rounds follow the depth: a level's comparisons share one chain
+    // and its selections one opening (3 rounds in malicious mode).
+    // Bytes follow the work: each of the `k − 1` matches is one
+    // comparison plus two selections (one multiplication each).
     let per_open_bytes = 2 * FIELD_BYTES as u64 * (2 * (m as u64 - 1) + m as u64);
-    let pr = (k as u64 - 1) * (cr + 6);
+    let levels = u64::from(k.next_power_of_two().trailing_zeros());
+    let pr = levels * (cr + 3);
     let pb = (k as u64 - 1) * (cb + 2 * per_open_bytes);
     ValidationRow {
         protocol: format!("argmax_{k}way_m{m}"),

@@ -15,6 +15,13 @@ use rand::{Rng, SeedableRng};
 
 use crate::ast::{BinOp, Builtin, Expr, Program, Stmt, UnOp};
 
+/// Longest array an indexed assignment may grow. Arrays a query builds
+/// are indexed by category, and a database row has at most one BGV
+/// ciphertext's `2^15` slots of them (§7.1's largest schema), so a
+/// larger index is a hostile or mistaken literal — an error, not an
+/// allocation. The secure evaluator enforces the same bound.
+pub const MAX_ARRAY_LEN: usize = 1 << 15;
+
 /// Runtime values.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -143,10 +150,12 @@ impl<'a> Interp<'a> {
             }
             Stmt::IndexAssign(name, idx, value) => {
                 let i = self.expr(idx)?.as_int()?;
-                if i < 0 {
-                    return Err(EvalError::new(format!("negative index {i} into {name}")));
-                }
-                let i = i as usize;
+                let i = usize::try_from(i)
+                    .ok()
+                    .filter(|&i| i < MAX_ARRAY_LEN)
+                    .ok_or_else(|| {
+                        EvalError::new(format!("index {i} into {name} outside 0..{MAX_ARRAY_LEN}"))
+                    })?;
                 let v = self.expr(value)?;
                 let entry = self.env.entry(name.clone()).or_insert_with(|| match v {
                     Value::Fix(_) => Value::FixArray(Vec::new()),
@@ -320,7 +329,10 @@ impl<'a> Interp<'a> {
                             if b == 0 {
                                 return Err(EvalError::new("division by zero"));
                             }
-                            Value::Int(a / b)
+                            Value::Int(
+                                a.checked_div(b)
+                                    .ok_or_else(|| EvalError::new("integer overflow in /"))?,
+                            )
                         }
                         Lt => Value::Bool(a < b),
                         Le => Value::Bool(a <= b),
@@ -663,6 +675,17 @@ mod tests {
         assert!(Interp::new(&db, 0).run(&p).is_err());
         let p = parse("a = sum(db); x = a[99];").unwrap();
         assert!(Interp::new(&db, 0).run(&p).is_err());
+        // Hostile literals: an error, not a 32 TB `resize` or a panic.
+        for src in [
+            "x[4000000000000] = 1;",
+            "x[0 - 1] = 1;",
+            "x = (0 - 9223372036854775807 - 1) / (0 - 1);",
+        ] {
+            assert!(
+                Interp::new(&db, 0).run(&parse(src).unwrap()).is_err(),
+                "{src}"
+            );
+        }
     }
 
     #[test]

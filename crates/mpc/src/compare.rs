@@ -11,9 +11,15 @@
 //! 3. compute `z = c − R mod 2^{L+1}` bit-by-bit with a borrow chain —
 //!    one secure AND per bit — and return bit `L`.
 //!
-//! Costs are the real protocol's: `L + 2` multiplications over `L + 1`
-//! sequential rounds per comparison, which is why the paper's planner
-//! prefers to keep comparisons in small committees and batch them.
+//! Costs are the real protocol's: `L + 1` multiplications over `L + 2`
+//! sequential openings per comparison, which is why the paper's planner
+//! prefers to keep comparisons in small committees and batch them. There
+//! is one borrow-chain body, [`less_than_batch`]: the chains of a batch
+//! advance in lockstep, so the openings are `L + 2` however many pairs
+//! ride along, and [`less_than`] is its one-pair call. A log-depth prefix
+//! circuit was measured and declined — it needs ~72 multiplications per
+//! 40-bit comparison where the chain needs 41, and on this fabric a
+//! multiplication costs more than the frames it saves (EXPERIMENTS.md).
 
 use arboretum_field::FGold;
 
@@ -45,59 +51,7 @@ pub fn less_than<E: MpcOps>(
     y: &E::Secret,
     bits: usize,
 ) -> Result<E::Secret, MpcError> {
-    assert!(
-        bits <= MAX_COMPARE_BITS,
-        "comparison width {bits} too large"
-    );
-    // z = x - y + 2^bits, in (0, 2^{bits+1}).
-    let offset = FGold::new(1u64 << bits);
-    let z = e.add_const(&e.sub(x, y), offset);
-
-    // Dealer random bits forming the mask R.
-    let r_shares = e.random_bits(MASK_BITS)?;
-    let mut r_shared = e.zero();
-    for (i, rb) in r_shares.iter().enumerate() {
-        let scaled = e.mul_const(rb, FGold::new(1u64 << i));
-        r_shared = e.add(&r_shared, &scaled);
-    }
-
-    // Open c = z + R.
-    let masked = e.add(&z, &r_shared);
-    let c = e.open(&masked)?.value();
-
-    // Borrow-chain subtraction of R from c over the low bits+1 bits.
-    // borrow_{i+1} = c_i == 0 ? (r_i OR b_i) : (r_i AND b_i).
-    let mut borrow = e.zero();
-    #[allow(clippy::needless_range_loop)] // The bit index drives both `c` and the shares.
-    for i in 0..bits {
-        let c_i = (c >> i) & 1;
-        let r_i = &r_shares[i];
-        let rb = e.mul(r_i, &borrow)?;
-        borrow = if c_i == 0 {
-            // r + b - r·b.
-            let sum = e.add(r_i, &borrow);
-            e.sub(&sum, &rb)
-        } else {
-            rb
-        };
-    }
-    // z_bit = c_bit XOR r_bit XOR borrow.
-    let c_top = (c >> bits) & 1;
-    let r_top = &r_shares[bits];
-    let rx = {
-        let r_top = r_top.clone();
-        e.xor(&r_top, &borrow)?
-    };
-    let z_top = if c_top == 0 {
-        rx
-    } else {
-        // 1 XOR v = 1 - v.
-        let one = e.constant(FGold::ONE);
-        e.sub(&one, &rx)
-    };
-    // z's bit `bits` set means x >= y; we want x < y.
-    let one = e.constant(FGold::ONE);
-    Ok(e.sub(&one, &z_top))
+    Ok(less_than_batch(e, &[(x, y)], bits)?.remove(0))
 }
 
 /// Batched strict comparison: for every pair `(x, y)` returns a shared
@@ -130,8 +84,9 @@ pub fn less_than_batch<E: MpcOps>(
     if k == 0 {
         return Ok(Vec::new());
     }
+    // z = x - y + 2^bits, in (0, 2^{bits+1}).
     let offset = FGold::new(1u64 << bits);
-    // Per pair: mask bits and the masked value.
+    // Per pair: dealer random bits forming the mask R, and c = z + R.
     let mut all_r_shares: Vec<Vec<E::Secret>> = Vec::with_capacity(k);
     let mut masked: Vec<E::Secret> = Vec::with_capacity(k);
     for (x, y) in pairs {
@@ -151,8 +106,9 @@ pub fn less_than_batch<E: MpcOps>(
         .into_iter()
         .map(|v| v.value())
         .collect();
-    // Borrow chains advance in lockstep: one batched multiplication per
-    // bit level across all pairs.
+    // Borrow-chain subtraction of R from c over the low `bits` bits:
+    // borrow_{i+1} = c_i == 0 ? (r_i OR b_i) : (r_i AND b_i). The chains
+    // advance in lockstep, one batched multiplication per bit level.
     let mut borrows: Vec<E::Secret> = vec![e.zero(); k];
     #[allow(clippy::needless_range_loop)] // The bit index drives all pairs' chains.
     for i in 0..bits {
@@ -169,7 +125,8 @@ pub fn less_than_batch<E: MpcOps>(
             };
         }
     }
-    // Final XORs, batched: r_top XOR borrow = r + b - 2rb.
+    // z_bit = c_bit XOR r_bit XOR borrow, batched: r XOR b = r + b - 2rb
+    // and 1 XOR v = 1 - v. z's bit `bits` set means x >= y; we want x < y.
     let xor_pairs: Vec<(&E::Secret, &E::Secret)> = (0..k)
         .map(|p| (&all_r_shares[p][bits], &borrows[p]))
         .collect();
@@ -190,8 +147,9 @@ pub fn less_than_batch<E: MpcOps>(
 /// Log-depth argmax tournament over shared values in `[0, 2^bits)`.
 ///
 /// Pairs values level by level, batching every level's comparisons and
-/// selections: `⌈log2 n⌉ · O(bits)` rounds total, versus the sequential
-/// [`argmax`]'s `(n − 1) · O(bits)`.
+/// selections: `⌈log2 n⌉` levels of one [`less_than_batch`] plus one
+/// `mul_batch`, with `n − 1` comparisons and `2(n − 1)` selections in
+/// all. Ties keep the lower index.
 ///
 /// Returns shared `(max, argmax)`.
 ///
@@ -247,45 +205,6 @@ pub fn argmax_tournament<E: MpcOps>(
         idxs = next_idxs;
     }
     Ok((vals.remove(0), idxs.remove(0)))
-}
-
-/// Returns shared `(max, argmax)` of a non-empty slice of shared values in
-/// `[0, 2^bits)`.
-///
-/// Sequential tournament: `len − 1` comparisons and `2(len − 1)`
-/// selections, mirroring the Gumbel-argmax vignette of Figure 5.
-///
-/// # Errors
-///
-/// Propagates opening failures.
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn argmax<E: MpcOps>(
-    e: &mut E,
-    xs: &[E::Secret],
-    bits: usize,
-) -> Result<(E::Secret, E::Secret), MpcError> {
-    assert!(!xs.is_empty(), "argmax of empty slice");
-    let mut best = xs[0].clone();
-    let mut best_idx = e.constant(FGold::ZERO);
-    for (i, x) in xs.iter().enumerate().skip(1) {
-        let is_greater = less_than(e, &best, x, bits)?;
-        best = e.select(&is_greater, x, &best)?;
-        let idx_const = e.constant(FGold::new(i as u64));
-        best_idx = e.select(&is_greater, &idx_const, &best_idx)?;
-    }
-    Ok((best, best_idx))
-}
-
-/// Returns the shared maximum of the slice (see [`argmax`]).
-///
-/// # Errors
-///
-/// Propagates opening failures.
-pub fn max<E: MpcOps>(e: &mut E, xs: &[E::Secret], bits: usize) -> Result<E::Secret, MpcError> {
-    Ok(argmax(e, xs, bits)?.0)
 }
 
 #[cfg(test)]
@@ -351,7 +270,7 @@ mod tests {
         let mut e = engine();
         let vals = [37u64, 12, 99, 99, 4, 55];
         let shares: Vec<Shared> = vals.iter().map(|&v| e.input(0, FGold::new(v))).collect();
-        let (mx, idx) = argmax(&mut e, &shares, 8).unwrap();
+        let (mx, idx) = argmax_tournament(&mut e, &shares, 8).unwrap();
         assert_eq!(e.open(&mx).unwrap(), FGold::new(99));
         // Ties keep the first occurrence (strict less-than).
         assert_eq!(e.open(&idx).unwrap(), FGold::new(2));
@@ -361,7 +280,7 @@ mod tests {
     fn argmax_single_element() {
         let mut e = engine();
         let shares = vec![e.input(0, FGold::new(7))];
-        let (mx, idx) = argmax(&mut e, &shares, 8).unwrap();
+        let (mx, idx) = argmax_tournament(&mut e, &shares, 8).unwrap();
         assert_eq!(e.open(&mx).unwrap(), FGold::new(7));
         assert_eq!(e.open(&idx).unwrap(), FGold::ZERO);
     }
@@ -433,32 +352,23 @@ mod tests {
 
     #[test]
     fn tournament_is_log_depth() {
-        let mut seq = engine();
-        let mut tour = engine();
-        let mk = |e: &mut MpcEngine| -> Vec<Shared> {
-            (0..16u64)
-                .map(|v| e.input(0, FGold::new(v * 3 + 1)))
-                .collect()
-        };
-        let s = mk(&mut seq);
-        let t = mk(&mut tour);
-        let r0 = seq.net.metrics.rounds;
-        argmax(&mut seq, &s, 8).unwrap();
-        let seq_rounds = seq.net.metrics.rounds - r0;
-        let r0 = tour.net.metrics.rounds;
-        argmax_tournament(&mut tour, &t, 8).unwrap();
-        let tour_rounds = tour.net.metrics.rounds - r0;
-        assert!(
-            tour_rounds * 2 < seq_rounds,
-            "tournament {tour_rounds} vs sequential {seq_rounds}"
-        );
+        // 16 values, 8 bits: ⌈log2 16⌉ = 4 levels, each one comparison
+        // batch (bits + 2 openings) plus one batched selection, two
+        // rounds per semi-honest opening — whatever the level's width.
+        let mut e = engine();
+        let xs: Vec<Shared> = (0..16u64)
+            .map(|v| e.input(0, FGold::new(v * 3 + 1)))
+            .collect();
+        let r0 = e.net.metrics.rounds;
+        argmax_tournament(&mut e, &xs, 8).unwrap();
+        assert_eq!(e.net.metrics.rounds - r0, 4 * (8 + 2 + 1) * 2);
     }
 
     #[test]
     fn max_of_increasing_sequence() {
         let mut e = engine();
         let shares: Vec<Shared> = (0..10u64).map(|v| e.input(0, FGold::new(v))).collect();
-        let mx = max(&mut e, &shares, 8).unwrap();
+        let (mx, _) = argmax_tournament(&mut e, &shares, 8).unwrap();
         assert_eq!(e.open(&mx).unwrap(), FGold::new(9));
     }
 }

@@ -13,6 +13,13 @@
 //! flag applies the SPDZ-wise overhead (doubled share material and
 //! verification opens), exactly the quantity the paper's cost model
 //! needs (§4.6, §6).
+//!
+//! The unit of cost is the *opening* ([`MpcEngine::open_batch`]): two
+//! rounds and `2(m − 1)` frames (three and `3m − 2` with the malicious
+//! echo) however many values ride in it, so protocols batch. The king
+//! reconstructs against Lagrange coefficients computed once per engine
+//! for the points `1..=t+1` — a `t + 1`-term dot product per value, not
+//! `t + 1` field inversions.
 
 use arboretum_field::FGold;
 use arboretum_net::{EventedFabric, FabricKind, Message, NetError, SimTransport, Transport};
@@ -21,7 +28,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::network::NetMeter;
 use crate::ops::MpcOps;
-use crate::shamir::{reconstruct, share, Share};
+use crate::shamir::{committee_basis, share};
 
 /// A secret-shared field element (all parties' shares, simulation-side).
 #[derive(Clone, Debug)]
@@ -119,6 +126,9 @@ pub struct MpcEngine {
     pub net: NetMeter,
     /// The in-process fabric every protocol message crosses.
     fabric: EngineFabric,
+    /// Lagrange coefficients at zero over the points `1..=t+1` — fixed
+    /// for the committee's lifetime, so every opening is a dot product.
+    basis: Vec<FGold>,
     rng: StdRng,
 }
 
@@ -158,6 +168,7 @@ impl MpcEngine {
             malicious,
             net: NetMeter::new(m),
             fabric,
+            basis: committee_basis(t),
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -286,33 +297,19 @@ impl MpcEngine {
             self.net.send(p, sent);
         }
         self.sync_round();
-        // King reconstructs each value from its own share plus the
-        // decoded wire shares.
-        let mut cols: Vec<Vec<Share>> = xs
-            .iter()
-            .map(|x| {
-                let mut col = Vec::with_capacity(self.m);
-                col.push(Share {
-                    x: 1,
-                    y: x.shares[0],
-                });
-                col
-            })
-            .collect();
+        // King reconstructs from its own share plus the decoded wire
+        // shares of parties `1..=t`: one dot product per value against
+        // the committee's basis.
+        let mut opened: Vec<FGold> = xs.iter().map(|x| self.basis[0] * x.shares[0]).collect();
         for p in 1..self.m {
             let got = self.fabric.recv(0, p).expect("frame in flight");
-            let elems = self.unframe_elems(&got);
-            for (col, &y) in cols.iter_mut().zip(&elems) {
-                col.push(Share { x: p as u64 + 1, y });
+            if let Some(&lambda) = self.basis.get(p) {
+                for (acc, y) in opened.iter_mut().zip(self.unframe_elems(&got)) {
+                    *acc += lambda * y;
+                }
             }
         }
-        let opened = cols
-            .iter()
-            .map(|col| {
-                self.net.metrics.opens += 1;
-                reconstruct(col, self.t).map_err(|e| MpcError::OpenFailed(e.to_string()))
-            })
-            .collect::<Result<Vec<FGold>, MpcError>>()?;
+        self.net.metrics.opens += xs.len() as u64;
         // King → parties.
         let mut sent = 0u64;
         for p in 1..self.m {
@@ -621,6 +618,22 @@ mod tests {
         let mut e = engine();
         let x = e.input(0, FGold::new(1234));
         assert_eq!(e.open(&x).unwrap(), FGold::new(1234));
+    }
+
+    #[test]
+    fn openings_use_the_committee_basis_at_every_size() {
+        for (m, t) in [(5, 2), (7, 3), (9, 4), (13, 6), (40, 19)] {
+            for malicious in [false, true] {
+                let mut e = MpcEngine::new(m, t, malicious, 7);
+                let xs: Vec<Shared> = (0..4)
+                    .map(|i| e.input(i, FGold::new(1000 + i as u64)))
+                    .collect();
+                let refs: Vec<&Shared> = xs.iter().collect();
+                let want: Vec<FGold> = (0..4).map(|i| FGold::new(1000 + i)).collect();
+                assert_eq!(e.open_batch(&refs).unwrap(), want, "m={m} t={t}");
+                assert_eq!(e.net.metrics.opens, 4);
+            }
+        }
     }
 
     #[test]

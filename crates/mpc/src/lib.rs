@@ -20,7 +20,7 @@ pub mod ops;
 pub mod party;
 pub mod shamir;
 
-pub use compare::{argmax, argmax_tournament, less_than, less_than_batch, max, MAX_COMPARE_BITS};
+pub use compare::{argmax_tournament, less_than, less_than_batch, MAX_COMPARE_BITS};
 pub use engine::{MpcEngine, MpcError, Shared};
 pub use fixp::{
     field_to_fix, fix_to_field, inject_with_cost, shift_right, FunctionalityCost, SharedFix,
@@ -28,4 +28,6 @@ pub use fixp::{
 pub use network::{ComputeModel, LatencyModel, NetMeter, NetMetrics, FIELD_BYTES};
 pub use ops::MpcOps;
 pub use party::{shared_dealer, Dealer, Party, SharedDealer};
-pub use shamir::{lagrange_at_zero, reconstruct, share, ShamirError, Share};
+pub use shamir::{
+    basis_at_zero, committee_basis, lagrange_at_zero, reconstruct, share, ShamirError, Share,
+};

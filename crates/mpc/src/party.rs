@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::engine::MpcError;
 use crate::ops::MpcOps;
-use crate::shamir::{reconstruct, share, Share};
+use crate::shamir::{committee_basis, share};
 
 /// Preprocessing dealer: generates consistent share material for every
 /// party of one committee, on demand.
@@ -105,6 +105,9 @@ pub struct Party<T: Transport> {
     pub t: usize,
     net: T,
     dealer: SharedDealer,
+    /// Lagrange coefficients at zero over the points `1..=t+1` (what the
+    /// king reconstructs with).
+    basis: Vec<FGold>,
     rng: StdRng,
 }
 
@@ -128,6 +131,7 @@ impl<T: Transport> Party<T> {
             t,
             net,
             dealer,
+            basis: committee_basis(t),
             rng: StdRng::seed_from_u64(seed ^ (id as u64) << 32),
         }
     }
@@ -273,15 +277,9 @@ impl<T: Transport> MpcOps for Party<T> {
             }
             return Ok(opened);
         }
-        // King: collect every party's shares, reconstruct, broadcast.
-        let mut cols: Vec<Vec<Share>> = xs
-            .iter()
-            .map(|x| {
-                let mut col = Vec::with_capacity(self.m);
-                col.push(Share { x: 1, y: **x });
-                col
-            })
-            .collect();
+        // King: collect every party's shares, reconstruct each value as
+        // a dot product against the committee's basis, broadcast.
+        let mut opened: Vec<FGold> = xs.iter().map(|x| self.basis[0] * **x).collect();
         for p in 1..self.m {
             let elems = self.recv_elems(p)?;
             if elems.len() != xs.len() {
@@ -291,15 +289,13 @@ impl<T: Transport> MpcOps for Party<T> {
                     xs.len()
                 )));
             }
-            for (col, &y) in cols.iter_mut().zip(&elems) {
-                col.push(Share { x: p as u64 + 1, y });
+            if let Some(&lambda) = self.basis.get(p) {
+                for (acc, &y) in opened.iter_mut().zip(&elems) {
+                    *acc += lambda * y;
+                }
             }
         }
         self.round();
-        let opened = cols
-            .iter()
-            .map(|col| reconstruct(col, self.t).map_err(|e| MpcError::OpenFailed(e.to_string())))
-            .collect::<Result<Vec<FGold>, MpcError>>()?;
         for p in 1..self.m {
             self.send_elems(p, opened.clone())?;
         }

@@ -86,31 +86,45 @@ pub fn lagrange_at_zero(xs: &[u64]) -> Vec<FGold> {
         .collect()
 }
 
+/// Lagrange coefficients at zero over the first `t + 1` of `xs`: the
+/// basis a committee computes once, after which every value shared over
+/// those points reconstructs as a `t + 1`-term dot product.
+///
+/// # Errors
+///
+/// Returns [`ShamirError`] on too few or repeated points.
+pub fn basis_at_zero(xs: &[u64], t: usize) -> Result<Vec<FGold>, ShamirError> {
+    if xs.len() < t + 1 {
+        return Err(ShamirError::NotEnoughShares {
+            got: xs.len(),
+            need: t + 1,
+        });
+    }
+    let xs = &xs[..t + 1];
+    for (i, &x) in xs.iter().enumerate() {
+        if xs[i + 1..].contains(&x) {
+            return Err(ShamirError::DuplicatePoint(x));
+        }
+    }
+    Ok(lagrange_at_zero(xs))
+}
+
+/// [`basis_at_zero`] over a committee's own points `1..=t+1`: what an
+/// engine computes once and opens every value against.
+pub fn committee_basis(t: usize) -> Vec<FGold> {
+    let xs: Vec<u64> = (1..=t as u64 + 1).collect();
+    basis_at_zero(&xs, t).expect("points 1..=t+1 are distinct")
+}
+
 /// Reconstructs the secret from at least `t + 1` shares.
 ///
 /// # Errors
 ///
 /// Returns [`ShamirError`] on insufficient or inconsistent inputs.
 pub fn reconstruct(shares: &[Share], t: usize) -> Result<FGold, ShamirError> {
-    if shares.len() < t + 1 {
-        return Err(ShamirError::NotEnoughShares {
-            got: shares.len(),
-            need: t + 1,
-        });
-    }
-    let pts = &shares[..t + 1];
-    let xs: Vec<u64> = pts.iter().map(|s| s.x).collect();
-    for (i, &x) in xs.iter().enumerate() {
-        if xs[i + 1..].contains(&x) {
-            return Err(ShamirError::DuplicatePoint(x));
-        }
-    }
-    let lambda = lagrange_at_zero(&xs);
-    Ok(pts
-        .iter()
-        .zip(&lambda)
-        .map(|(s, &l)| s.y * l)
-        .fold(FGold::ZERO, |a, b| a + b))
+    let xs: Vec<u64> = shares.iter().map(|s| s.x).collect();
+    let lambda = basis_at_zero(&xs, t)?;
+    Ok(shares.iter().zip(&lambda).map(|(s, &l)| s.y * l).sum())
 }
 
 #[cfg(test)]
@@ -159,6 +173,30 @@ mod tests {
         shares[1] = shares[0];
         assert!(matches!(
             reconstruct(&shares[..3], 2),
+            Err(ShamirError::DuplicatePoint(1))
+        ));
+    }
+
+    #[test]
+    fn cached_basis_reconstruction_equals_reconstruct() {
+        // The committee shapes the workspace's tests and harnesses use.
+        let mut rng = StdRng::seed_from_u64(9);
+        for (m, t) in [(5, 2), (7, 3), (9, 4), (13, 6), (40, 19)] {
+            let lambda = committee_basis(t);
+            assert_eq!(lambda.len(), t + 1);
+            for secret in [0u64, 1, 42, u64::MAX - 5] {
+                let shares = share(FGold::new(secret), t, m, &mut rng);
+                let dot: FGold = shares.iter().zip(&lambda).map(|(s, &l)| s.y * l).sum();
+                assert_eq!(dot, reconstruct(&shares, t).unwrap(), "m={m} t={t}");
+                assert_eq!(dot, FGold::new(secret), "m={m} t={t}");
+            }
+        }
+        assert!(matches!(
+            basis_at_zero(&[1, 2, 3], 3),
+            Err(ShamirError::NotEnoughShares { got: 3, need: 4 })
+        ));
+        assert!(matches!(
+            basis_at_zero(&[1, 1, 3], 2),
             Err(ShamirError::DuplicatePoint(1))
         ));
     }

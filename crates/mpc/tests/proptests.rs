@@ -2,7 +2,7 @@
 
 use arboretum_field::fixed::Fix;
 use arboretum_field::FGold;
-use arboretum_mpc::compare::{argmax, less_than};
+use arboretum_mpc::compare::{argmax_tournament, less_than};
 use arboretum_mpc::engine::MpcEngine;
 use arboretum_mpc::fixp::SharedFix;
 use proptest::prelude::*;
@@ -48,7 +48,7 @@ proptest! {
     fn argmax_matches_clear(vals in prop::collection::vec(0u64..10_000, 1..8), seed in any::<u64>()) {
         let mut e = engine(seed);
         let shares: Vec<_> = vals.iter().map(|&v| e.input(0, FGold::new(v))).collect();
-        let (mx, idx) = argmax(&mut e, &shares, 14).unwrap();
+        let (mx, idx) = argmax_tournament(&mut e, &shares, 14).unwrap();
         let want_max = *vals.iter().max().unwrap();
         let want_idx = vals.iter().position(|&v| v == want_max).unwrap();
         prop_assert_eq!(e.open(&mx).unwrap(), FGold::new(want_max));

@@ -15,17 +15,41 @@
 //! lift them to Q30.16 fixed point internally. Loops and array indices
 //! must be public (the planner's vignette model guarantees this for
 //! certified queries).
+//!
+//! **Committees pay per opening, so secret operations are batched, not
+//! run where the program mentions them** (§3.3, §4.6). A comparison or a
+//! secret × secret multiplication becomes a node of the pending buffer
+//! and its result a [`Sec`] naming that node; linear arithmetic on a
+//! `Sec` is local and stays deferred with it. The buffer is flushed only
+//! where a concrete sharing or a public value is demanded — `declassify`,
+//! every mechanism, `max`/`argmax`, the shift behind `/`, and the end of
+//! [`MpcEvaluator::block`] — and a flush runs it in dependency layers,
+//! one `less_than_batch` plus one `mul_batch` per layer in node order. A
+//! loop of `C` independent comparisons therefore costs the openings of
+//! one; only triples and bytes grow with `C`.
+//!
+//! **A secret `if` merges exactly what its branches wrote.** Both
+//! branches run, each on its own copy of the environment, and every
+//! assignment target is logged in program order: `(name, None)` for a
+//! variable, `(name, Some(i))` for an array slot. The log reveals
+//! nothing: which variables a branch assigns is program text, and slot
+//! indices are public by the convention above. The merge selects
+//! `bit ? then : else` per logged target — one deferred multiplication
+//! each — and never touches a value neither branch assigned.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use arboretum_dp::mechanisms::em_exponentiate;
 use arboretum_dp::noise::{gumbel_fix, laplace_fix};
 use arboretum_field::fixed::Fix;
 use arboretum_field::FGold;
 use arboretum_lang::ast::{BinOp, Builtin, Expr, Stmt, UnOp};
-use arboretum_mpc::compare::{argmax_tournament, less_than};
+use arboretum_lang::interp::MAX_ARRAY_LEN;
+use arboretum_mpc::compare::{argmax_tournament, less_than_batch};
 use arboretum_mpc::engine::{MpcEngine, Shared};
-use arboretum_mpc::fixp::{inject_with_cost, shift_right, FunctionalityCost, SharedFix};
+use arboretum_mpc::fixp::{
+    field_to_fix, inject_with_cost, shift_right, FunctionalityCost, SharedFix,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -47,6 +71,66 @@ pub enum MechStyle {
     ExpSample,
 }
 
+/// A secret integer inside the evaluator: a concrete sharing plus public
+/// multiples of the results of operations still waiting in the pending
+/// buffer (by node index).
+#[derive(Clone, Debug)]
+pub struct Sec {
+    base: Shared,
+    terms: Vec<(FGold, usize)>,
+}
+
+impl From<Shared> for Sec {
+    fn from(base: Shared) -> Self {
+        Self {
+            base,
+            terms: Vec::new(),
+        }
+    }
+}
+
+impl Sec {
+    fn scale(mut self, k: FGold) -> Self {
+        self.base.shares.iter_mut().for_each(|s| *s *= k);
+        self.terms.iter_mut().for_each(|(c, _)| *c *= k);
+        self
+    }
+
+    fn offset(mut self, c: FGold) -> Self {
+        self.base.shares.iter_mut().for_each(|s| *s += c);
+        self
+    }
+
+    fn plus(mut self, other: &Sec) -> Self {
+        for (s, &o) in self.base.shares.iter_mut().zip(&other.base.shares) {
+            *s += o;
+        }
+        self.terms.extend_from_slice(&other.terms);
+        self
+    }
+
+    fn minus(self, other: &Sec) -> Self {
+        self.plus(&other.clone().scale(-FGold::ONE))
+    }
+
+    /// `1 − self`, the negation of a shared bit.
+    fn not(self) -> Self {
+        self.scale(-FGold::ONE).offset(FGold::ONE)
+    }
+}
+
+/// One entry of the pending-operation buffer; operands may name earlier
+/// entries.
+#[derive(Debug)]
+enum Node {
+    /// `x < y`, operands already offset into `[0, 2^CMP_BITS)`.
+    Lt(Sec, Sec),
+    /// `x · y`.
+    Mul(Sec, Sec),
+    /// Flushed: the operation's result.
+    Done(Shared),
+}
+
 /// A value in the evaluator: public or secret-shared.
 #[derive(Clone, Debug)]
 pub enum MVal {
@@ -60,10 +144,15 @@ pub enum MVal {
     PubIntArr(Vec<i64>),
     /// Public fixed-point array.
     PubFixArr(Vec<Fix>),
-    /// Secret-shared integer.
+    /// Secret-shared integer, as a caller hands it in.
     Shared(Shared),
-    /// Secret-shared integer array.
+    /// Secret-shared integer array, as a caller hands it in.
     SharedArr(Vec<Shared>),
+    /// Secret integer inside the evaluator ([`MpcEvaluator::new`] lifts
+    /// the caller's `Shared` to this).
+    Secret(Sec),
+    /// Secret integer array inside the evaluator.
+    SecretArr(Vec<Sec>),
 }
 
 /// Evaluation errors.
@@ -81,10 +170,14 @@ impl std::fmt::Display for MpcEvalError {
 
 impl std::error::Error for MpcEvalError {}
 
-fn err<T>(msg: impl Into<String>) -> Result<T, MpcEvalError> {
-    Err(MpcEvalError {
-        message: msg.into(),
-    })
+fn fail(e: impl std::fmt::Display) -> MpcEvalError {
+    MpcEvalError {
+        message: e.to_string(),
+    }
+}
+
+fn err<T>(msg: impl std::fmt::Display) -> Result<T, MpcEvalError> {
+    Err(fail(msg))
 }
 
 /// The evaluator state.
@@ -94,8 +187,8 @@ pub struct MpcEvaluator<'a> {
     /// Simulation randomness (noise sampling inside metered
     /// functionalities).
     pub rng: &'a mut StdRng,
-    /// Variable environment.
-    pub env: HashMap<String, MVal>,
+    /// Variable environment (secrets held as `Secret`/`SecretArr`).
+    env: HashMap<String, MVal>,
     /// Released outputs (integers; fixed-point outputs are floored).
     pub outputs: Vec<i64>,
     /// Exponential-mechanism instantiation.
@@ -103,6 +196,12 @@ pub struct MpcEvaluator<'a> {
     /// Depth of enclosing branches on secret conditions (outputs and
     /// mechanisms are forbidden inside).
     oblivious_depth: usize,
+    /// Assignment targets of the innermost enclosing secret `if`, both
+    /// branches, in program order.
+    written: Vec<(String, Option<usize>)>,
+    /// The pending-operation buffer; `nodes[..flushed]` are all `Done`.
+    nodes: Vec<Node>,
+    flushed: usize,
 }
 
 #[allow(clippy::should_implement_trait)]
@@ -114,91 +213,50 @@ impl<'a> MpcEvaluator<'a> {
         env: HashMap<String, MVal>,
         mech_style: MechStyle,
     ) -> Self {
+        let lift = |v| match v {
+            MVal::Shared(s) => MVal::Secret(s.into()),
+            MVal::SharedArr(a) => MVal::SecretArr(a.into_iter().map(Sec::from).collect()),
+            v => v,
+        };
         Self {
             engine,
             rng,
-            env,
+            env: env.into_iter().map(|(k, v)| (k, lift(v))).collect(),
             outputs: Vec::new(),
             mech_style,
             oblivious_depth: 0,
+            written: Vec::new(),
+            nodes: Vec::new(),
+            flushed: 0,
         }
     }
 
-    /// Runs a statement block.
+    /// Runs a statement block, then every secret operation it left
+    /// pending.
     ///
     /// # Errors
     ///
     /// Returns [`MpcEvalError`] on unsupported constructs or protocol
     /// failures.
     pub fn block(&mut self, stmts: &[Stmt]) -> Result<(), MpcEvalError> {
-        for s in stmts {
-            self.stmt(s)?;
-        }
-        Ok(())
+        self.stmts(stmts)?;
+        self.flush()
+    }
+
+    fn stmts(&mut self, stmts: &[Stmt]) -> Result<(), MpcEvalError> {
+        stmts.iter().try_for_each(|s| self.stmt(s))
     }
 
     fn stmt(&mut self, stmt: &Stmt) -> Result<(), MpcEvalError> {
         match stmt {
             Stmt::Assign(name, e) => {
                 let v = self.expr(e)?;
-                self.env.insert(name.clone(), v);
-                Ok(())
+                self.store(name, None, v)
             }
             Stmt::IndexAssign(name, idx, value) => {
-                let i = self.pub_int(idx)? as usize;
+                let i = self.pub_index(idx)?;
                 let v = self.expr(value)?;
-                let entry = self.env.entry(name.clone()).or_insert_with(|| match &v {
-                    MVal::Shared(_) => MVal::SharedArr(Vec::new()),
-                    MVal::PubFix(_) => MVal::PubFixArr(Vec::new()),
-                    _ => MVal::PubIntArr(Vec::new()),
-                });
-                match (entry, v) {
-                    (MVal::SharedArr(arr), MVal::Shared(s)) => {
-                        if arr.len() <= i {
-                            arr.resize(
-                                i + 1,
-                                Shared {
-                                    shares: vec![FGold::ZERO; s.shares.len()],
-                                },
-                            );
-                        }
-                        arr[i] = s;
-                        Ok(())
-                    }
-                    (MVal::PubIntArr(arr), MVal::PubInt(x)) => {
-                        if arr.len() <= i {
-                            arr.resize(i + 1, 0);
-                        }
-                        arr[i] = x;
-                        Ok(())
-                    }
-                    (MVal::PubFixArr(arr), MVal::PubFix(x)) => {
-                        if arr.len() <= i {
-                            arr.resize(i + 1, Fix::ZERO);
-                        }
-                        arr[i] = x;
-                        Ok(())
-                    }
-                    // Mixed public/shared array writes promote to shared.
-                    (entry @ MVal::PubIntArr(_), MVal::Shared(s)) => {
-                        let MVal::PubIntArr(old) =
-                            std::mem::replace(entry, MVal::SharedArr(Vec::new()))
-                        else {
-                            unreachable!()
-                        };
-                        let mut arr: Vec<Shared> = old
-                            .iter()
-                            .map(|&x| self_constant(s.shares.len(), x))
-                            .collect();
-                        if arr.len() <= i {
-                            arr.resize(i + 1, self_constant(s.shares.len(), 0));
-                        }
-                        arr[i] = s;
-                        *entry = MVal::SharedArr(arr);
-                        Ok(())
-                    }
-                    (e, v) => err(format!("cannot store {v:?} into {e:?}")),
-                }
+                self.store(name, Some(i), v)
             }
             Stmt::For {
                 var,
@@ -209,8 +267,8 @@ impl<'a> MpcEvaluator<'a> {
                 let a = self.pub_int(from)?;
                 let b = self.pub_int(to)?;
                 for i in a..=b {
-                    self.env.insert(var.clone(), MVal::PubInt(i));
-                    self.block(body)?;
+                    self.store(var, None, MVal::PubInt(i))?;
+                    self.stmts(body)?;
                 }
                 Ok(())
             }
@@ -219,54 +277,93 @@ impl<'a> MpcEvaluator<'a> {
                 then_branch,
                 else_branch,
             } => match self.expr(cond)? {
-                MVal::PubBool(c) => {
-                    if c {
-                        self.block(then_branch)
-                    } else {
-                        self.block(else_branch)
-                    }
-                }
-                MVal::Shared(bit) => self.oblivious_if(&bit, then_branch, else_branch),
+                MVal::PubBool(c) => self.stmts(if c { then_branch } else { else_branch }),
+                MVal::Secret(bit) => self.oblivious_if(&bit, then_branch, else_branch),
                 other => err(format!("if condition must be bool, got {other:?}")),
             },
             Stmt::Expr(e) => self.expr(e).map(|_| ()),
         }
     }
 
-    /// Branch on a secret condition: run both branches on snapshots and
-    /// obliviously select every variable they modify.
-    fn oblivious_if(
-        &mut self,
-        bit: &Shared,
-        then_branch: &[Stmt],
-        else_branch: &[Stmt],
-    ) -> Result<(), MpcEvalError> {
-        self.oblivious_depth += 1;
-        let saved = self.env.clone();
-        self.block(then_branch)?;
-        let then_env = std::mem::replace(&mut self.env, saved.clone());
-        self.block(else_branch)?;
-        let else_env = std::mem::replace(&mut self.env, saved);
-        self.oblivious_depth -= 1;
-        // Merge: select(bit, then, else) for every key in either branch.
-        let keys: std::collections::HashSet<&String> =
-            then_env.keys().chain(else_env.keys()).collect();
-        for key in keys {
-            let t = then_env.get(key);
-            let f = else_env.get(key);
-            let merged = match (t, f) {
-                (Some(tv), Some(fv)) => self.select_val(bit, tv, fv)?,
-                (Some(_), None) | (None, Some(_)) => {
-                    return err(format!("variable {key} defined in only one secret branch"))
-                }
-                (None, None) => unreachable!(),
-            };
-            self.env.insert(key.clone(), merged);
+    /// Writes a variable (`at == None`) or an array slot, logging the
+    /// target while a secret branch is running.
+    fn store(&mut self, name: &str, at: Option<usize>, v: MVal) -> Result<(), MpcEvalError> {
+        fn put<T: Clone>(arr: &mut Vec<T>, i: usize, x: T, zero: T) {
+            if arr.len() <= i {
+                arr.resize(i + 1, zero);
+            }
+            arr[i] = x;
+        }
+        if self.oblivious_depth > 0 {
+            self.written.push((name.to_string(), at));
+        }
+        let Some(i) = at else {
+            self.env.insert(name.to_string(), v);
+            return Ok(());
+        };
+        let constant = |x: i64| Sec::from(self.engine.constant(FGold::from_i64(x)));
+        let entry = self
+            .env
+            .entry(name.to_string())
+            .or_insert_with(|| match &v {
+                MVal::Secret(_) => MVal::SecretArr(Vec::new()),
+                MVal::PubFix(_) => MVal::PubFixArr(Vec::new()),
+                _ => MVal::PubIntArr(Vec::new()),
+            });
+        // Mixed public/shared array writes promote to shared.
+        if let (MVal::PubIntArr(old), MVal::Secret(_)) = (&*entry, &v) {
+            *entry = MVal::SecretArr(old.iter().map(|&x| constant(x)).collect());
+        }
+        match (entry, v) {
+            (MVal::SecretArr(arr), MVal::Secret(s)) => put(arr, i, s, constant(0)),
+            (MVal::PubIntArr(arr), MVal::PubInt(x)) => put(arr, i, x, 0),
+            (MVal::PubFixArr(arr), MVal::PubFix(x)) => put(arr, i, x, Fix::ZERO),
+            (e, v) => return err(format!("cannot store {v:?} into {e:?}")),
         }
         Ok(())
     }
 
-    fn select_val(&mut self, bit: &Shared, t: &MVal, f: &MVal) -> Result<MVal, MpcEvalError> {
+    /// Branch on a secret condition: run both branches, each on its own
+    /// copy of the environment, and obliviously select exactly the
+    /// targets they wrote.
+    fn oblivious_if(
+        &mut self,
+        bit: &Sec,
+        then_branch: &[Stmt],
+        else_branch: &[Stmt],
+    ) -> Result<(), MpcEvalError> {
+        let saved = self.env.clone();
+        let outer = std::mem::take(&mut self.written);
+        self.oblivious_depth += 1;
+        self.stmts(then_branch)?;
+        let then_env = std::mem::replace(&mut self.env, saved);
+        self.stmts(else_branch)?;
+        self.oblivious_depth -= 1;
+        let targets = std::mem::replace(&mut self.written, outer);
+        // `self.env` now holds the else branch's state; overwrite each
+        // written target with the selection. `store` logs the target
+        // again if an enclosing secret branch is still open.
+        let slot = |env: &HashMap<String, MVal>, name: &str, at: Option<usize>| match at {
+            None => env.get(name).cloned(),
+            Some(i) => env.get(name).and_then(|arr| element(arr, i).ok()),
+        };
+        let mut seen = HashSet::new();
+        for (name, at) in &targets {
+            if !seen.insert((name, at)) {
+                continue;
+            }
+            let (Some(t), Some(f)) = (slot(&then_env, name, *at), slot(&self.env, name, *at))
+            else {
+                return err(format!("variable {name} defined in only one secret branch"));
+            };
+            let merged = self.select(bit, &t, &f)?;
+            self.store(name, *at, merged)?;
+        }
+        Ok(())
+    }
+
+    /// `bit ? t : f` for one written target.
+    fn select(&mut self, bit: &Sec, t: &MVal, f: &MVal) -> Result<MVal, MpcEvalError> {
         // Fast path: identical public values need no protocol.
         match (t, f) {
             (MVal::PubInt(a), MVal::PubInt(b)) if a == b => return Ok(MVal::PubInt(*a)),
@@ -277,42 +374,130 @@ impl<'a> MpcEvaluator<'a> {
             }
             _ => {}
         }
-        let ts = self.to_shared(t)?;
-        let fs = self.to_shared(f)?;
-        match (ts, fs) {
-            (ShVal::One(a), ShVal::One(b)) => {
-                let s = self.engine.select(bit, &a, &b).map_err(|e| MpcEvalError {
-                    message: e.to_string(),
-                })?;
-                Ok(MVal::Shared(s))
-            }
-            (ShVal::Many(a), ShVal::Many(b)) if a.len() == b.len() => {
-                let mut out = Vec::with_capacity(a.len());
-                for (x, y) in a.iter().zip(&b) {
-                    out.push(self.engine.select(bit, x, y).map_err(|e| MpcEvalError {
-                        message: e.to_string(),
-                    })?);
+        match (self.as_sec(t), self.as_sec(f)) {
+            (Ok(a), Ok(b)) => Ok(MVal::Secret(self.mux(bit, a, b))),
+            (Err(_), Err(_)) => {
+                let (a, b) = (self.sec_array(t)?, self.sec_array(f)?);
+                if a.len() != b.len() {
+                    return err("mismatched branch values in secret if");
                 }
-                Ok(MVal::SharedArr(out))
+                let merged = a.into_iter().zip(b).map(|(x, y)| self.mux(bit, x, y));
+                Ok(MVal::SecretArr(merged.collect()))
             }
             _ => err("mismatched branch values in secret if"),
         }
     }
 
-    #[allow(clippy::wrong_self_convention)] // Converts the *argument*, not self.
-    fn to_shared(&mut self, v: &MVal) -> Result<ShVal, MpcEvalError> {
-        Ok(match v {
-            MVal::Shared(s) => ShVal::One(s.clone()),
-            MVal::SharedArr(a) => ShVal::Many(a.clone()),
-            MVal::PubInt(x) => ShVal::One(self.engine.constant(FGold::from_i64(*x))),
-            MVal::PubBool(b) => ShVal::One(self.engine.constant(FGold::new(u64::from(*b)))),
-            MVal::PubIntArr(a) => ShVal::Many(
-                a.iter()
-                    .map(|&x| self.engine.constant(FGold::from_i64(x)))
-                    .collect(),
-            ),
-            other => return err(format!("cannot share {other:?}")),
-        })
+    /// Appends a node to the pending buffer; the result names it.
+    fn defer(&mut self, node: Node) -> Sec {
+        self.nodes.push(node);
+        Sec {
+            base: self.engine.zero(),
+            terms: vec![(FGold::ONE, self.nodes.len() - 1)],
+        }
+    }
+
+    /// The shared bit `a < b`, with the offset making sign-embedded
+    /// operands positive.
+    fn lt(&mut self, a: Sec, b: Sec) -> Sec {
+        let off = FGold::new(CMP_OFFSET);
+        self.defer(Node::Lt(a.offset(off), b.offset(off)))
+    }
+
+    /// `bit ? t : f` as `f + bit · (t − f)`.
+    fn mux(&mut self, bit: &Sec, t: Sec, f: Sec) -> Sec {
+        self.defer(Node::Mul(bit.clone(), t.minus(&f))).plus(&f)
+    }
+
+    /// The concrete sharing of `s`, if every node it names has run.
+    fn ready(&self, s: &Sec) -> Option<Shared> {
+        let mut out = s.base.clone();
+        for &(c, id) in &s.terms {
+            let Node::Done(v) = &self.nodes[id] else {
+                return None;
+            };
+            for (o, &y) in out.shares.iter_mut().zip(&v.shares) {
+                *o += c * y;
+            }
+        }
+        Some(out)
+    }
+
+    /// Runs the pending buffer in dependency layers: every waiting node
+    /// whose operands are concrete joins the layer's one comparison
+    /// batch or its one multiplication batch, in node order. A node names
+    /// only earlier nodes, so the first waiting one is always ready and
+    /// every pass makes progress.
+    fn flush(&mut self) -> Result<(), MpcEvalError> {
+        fn pairs(layer: &[(usize, Shared, Shared)]) -> Vec<(&Shared, &Shared)> {
+            layer.iter().map(|(_, x, y)| (x, y)).collect()
+        }
+        while self.flushed < self.nodes.len() {
+            let (mut lts, mut muls) = (Vec::new(), Vec::new());
+            for id in self.flushed..self.nodes.len() {
+                let (layer, x, y) = match &self.nodes[id] {
+                    Node::Lt(x, y) => (&mut lts, x, y),
+                    Node::Mul(x, y) => (&mut muls, x, y),
+                    Node::Done(_) => continue,
+                };
+                if let (Some(x), Some(y)) = (self.ready(x), self.ready(y)) {
+                    layer.push((id, x, y));
+                }
+            }
+            let bits = less_than_batch(self.engine, &pairs(&lts), CMP_BITS).map_err(fail)?;
+            // (An empty comparison batch is free; an empty multiplication
+            // batch would still pay its opening.)
+            let prods = if muls.is_empty() {
+                Vec::new()
+            } else {
+                self.engine.mul_batch(&pairs(&muls)).map_err(fail)?
+            };
+            for ((id, ..), out) in lts.iter().chain(&muls).zip(bits.into_iter().chain(prods)) {
+                self.nodes[*id] = Node::Done(out);
+            }
+            while matches!(self.nodes.get(self.flushed), Some(Node::Done(_))) {
+                self.flushed += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// The concrete sharing of `s`, flushing the buffer first.
+    fn force(&mut self, s: &Sec) -> Result<Shared, MpcEvalError> {
+        self.flush()?;
+        Ok(self.ready(s).expect("flush ran every node"))
+    }
+
+    fn as_sec(&self, v: &MVal) -> Result<Sec, MpcEvalError> {
+        match v {
+            MVal::Secret(s) => Ok(s.clone()),
+            MVal::PubInt(x) => Ok(self.engine.constant(FGold::from_i64(*x)).into()),
+            MVal::PubBool(b) => Ok(self.engine.constant(FGold::new(u64::from(*b))).into()),
+            other => err(format!("expected scalar, got {other:?}")),
+        }
+    }
+
+    fn sec_array(&self, v: &MVal) -> Result<Vec<Sec>, MpcEvalError> {
+        match v {
+            MVal::SecretArr(a) => Ok(a.clone()),
+            MVal::PubIntArr(a) => Ok(a
+                .iter()
+                .map(|&x| self.engine.constant(FGold::from_i64(x)).into())
+                .collect()),
+            MVal::Secret(s) => Ok(vec![s.clone()]),
+            other => err(format!("expected array, got {other:?}")),
+        }
+    }
+
+    /// The concrete sharings of an array (or one scalar), flushing the
+    /// buffer first.
+    fn shared_array(&mut self, v: &MVal) -> Result<Vec<Shared>, MpcEvalError> {
+        let secs = self.sec_array(v)?;
+        self.flush()?;
+        Ok(secs
+            .iter()
+            .map(|s| self.ready(s).expect("flush ran every node"))
+            .collect())
     }
 
     fn pub_int(&mut self, e: &Expr) -> Result<i64, MpcEvalError> {
@@ -322,46 +507,29 @@ impl<'a> MpcEvaluator<'a> {
         }
     }
 
+    /// A public array index: non-negative and below the longest array a
+    /// schema row can seed, so a hostile literal is an error, not a
+    /// wrapped index or a terabyte `resize`.
+    fn pub_index(&mut self, e: &Expr) -> Result<usize, MpcEvalError> {
+        let i = self.pub_int(e)?;
+        usize::try_from(i)
+            .ok()
+            .filter(|&i| i < MAX_ARRAY_LEN)
+            .ok_or_else(|| fail(format!("index {i} outside 0..{MAX_ARRAY_LEN}")))
+    }
+
     fn expr(&mut self, e: &Expr) -> Result<MVal, MpcEvalError> {
         match e {
             Expr::Int(v) => Ok(MVal::PubInt(*v)),
-            Expr::Fix(v) => Fix::from_f64(*v)
-                .map(MVal::PubFix)
-                .map_err(|e| MpcEvalError {
-                    message: e.to_string(),
-                }),
+            Expr::Fix(v) => Fix::from_f64(*v).map(MVal::PubFix).map_err(fail),
             Expr::Bool(b) => Ok(MVal::PubBool(*b)),
-            Expr::Var(name) => self.env.get(name).cloned().ok_or_else(|| MpcEvalError {
-                message: format!("unknown variable {name}"),
-            }),
+            Expr::Var(name) => self.var(name).cloned(),
             Expr::Index(base, idx) => {
-                let i = self.pub_int(idx)? as usize;
-                match self.expr(base)? {
-                    MVal::SharedArr(a) => {
-                        a.get(i)
-                            .cloned()
-                            .map(MVal::Shared)
-                            .ok_or_else(|| MpcEvalError {
-                                message: format!("shared index {i} out of bounds"),
-                            })
-                    }
-                    MVal::PubIntArr(a) => {
-                        a.get(i)
-                            .copied()
-                            .map(MVal::PubInt)
-                            .ok_or_else(|| MpcEvalError {
-                                message: format!("index {i} out of bounds"),
-                            })
-                    }
-                    MVal::PubFixArr(a) => {
-                        a.get(i)
-                            .copied()
-                            .map(MVal::PubFix)
-                            .ok_or_else(|| MpcEvalError {
-                                message: format!("index {i} out of bounds"),
-                            })
-                    }
-                    other => err(format!("cannot index {other:?}")),
+                let i = self.pub_index(idx)?;
+                match &**base {
+                    // Reads one slot without copying the array.
+                    Expr::Var(name) => element(self.var(name)?, i),
+                    _ => element(&self.expr(base)?, i),
                 }
             }
             Expr::Un(UnOp::Neg, inner) => {
@@ -370,10 +538,7 @@ impl<'a> MpcEvaluator<'a> {
             }
             Expr::Un(UnOp::Not, inner) => match self.expr(inner)? {
                 MVal::PubBool(b) => Ok(MVal::PubBool(!b)),
-                MVal::Shared(bit) => {
-                    let one = self.engine.constant(FGold::ONE);
-                    Ok(MVal::Shared(self.engine.sub(&one, &bit)))
-                }
+                MVal::Secret(bit) => Ok(MVal::Secret(bit.not())),
                 other => err(format!("cannot negate {other:?}")),
             },
             Expr::Bin(op, l, r) => {
@@ -385,35 +550,31 @@ impl<'a> MpcEvaluator<'a> {
         }
     }
 
+    fn var(&self, name: &str) -> Result<&MVal, MpcEvalError> {
+        self.env
+            .get(name)
+            .ok_or_else(|| fail(format!("unknown variable {name}")))
+    }
+
     fn bin(&mut self, op: BinOp, l: MVal, r: MVal) -> Result<MVal, MpcEvalError> {
         use BinOp::*;
         // Fully public: delegate to clear arithmetic.
-        let both_public = !matches!(l, MVal::Shared(_) | MVal::SharedArr(_))
-            && !matches!(r, MVal::Shared(_) | MVal::SharedArr(_));
-        if both_public {
+        let secret = |v: &MVal| matches!(v, MVal::Secret(_) | MVal::SecretArr(_));
+        if !secret(&l) && !secret(&r) {
             return self.pub_bin(op, l, r);
         }
         // At least one shared operand: integers only.
-        let ls = self.as_shared_scalar(&l)?;
-        let rs = self.as_shared_scalar(&r)?;
-        match op {
-            Add => Ok(MVal::Shared(self.engine.add(&ls, &rs))),
-            Sub => Ok(MVal::Shared(self.engine.sub(&ls, &rs))),
-            Mul => {
-                // Shared × public uses the cheap linear path.
-                if let MVal::PubInt(k) = r {
-                    return Ok(MVal::Shared(self.engine.mul_const(&ls, FGold::from_i64(k))));
-                }
-                if let MVal::PubInt(k) = l {
-                    return Ok(MVal::Shared(self.engine.mul_const(&rs, FGold::from_i64(k))));
-                }
-                self.engine
-                    .mul(&ls, &rs)
-                    .map(MVal::Shared)
-                    .map_err(|e| MpcEvalError {
-                        message: e.to_string(),
-                    })
-            }
+        let ls = self.as_sec(&l)?;
+        let rs = self.as_sec(&r)?;
+        Ok(MVal::Secret(match op {
+            Add => ls.plus(&rs),
+            Sub => ls.minus(&rs),
+            // Shared × public is linear; shared × shared is deferred.
+            Mul => match (l, r) {
+                (_, MVal::PubInt(k)) => ls.scale(FGold::from_i64(k)),
+                (MVal::PubInt(k), _) => rs.scale(FGold::from_i64(k)),
+                _ => self.defer(Node::Mul(ls, rs)),
+            },
             Div => {
                 let MVal::PubInt(k) = r else {
                     return err("secure division requires a public divisor");
@@ -424,40 +585,23 @@ impl<'a> MpcEvaluator<'a> {
                     ));
                 }
                 if k == 1 {
-                    return Ok(MVal::Shared(ls));
+                    return Ok(MVal::Secret(ls));
                 }
-                shift_right(self.engine, &ls, k.trailing_zeros())
-                    .map(MVal::Shared)
-                    .map_err(|e| MpcEvalError {
-                        message: e.to_string(),
-                    })
+                // The shift opens a masked value: it needs the operand.
+                let x = self.force(&ls)?;
+                shift_right(self.engine, &x, k.trailing_zeros())
+                    .map_err(fail)?
+                    .into()
             }
-            Lt | Le | Gt | Ge => {
-                // Normalize to one strict less-than: a < b, with the
-                // offset making sign-embedded operands positive.
-                let (x, y, negate) = match op {
-                    Lt => (&ls, &rs, false),
-                    Gt => (&rs, &ls, false),
-                    Ge => (&ls, &rs, true), // a >= b == !(a < b)
-                    _ => (&rs, &ls, true),  // a <= b == !(b < a)
-                };
-                let off = FGold::new(CMP_OFFSET);
-                let xo = self.engine.add_const(x, off);
-                let yo = self.engine.add_const(y, off);
-                let bit = less_than(self.engine, &xo, &yo, CMP_BITS).map_err(|e| MpcEvalError {
-                    message: e.to_string(),
-                })?;
-                let bit = if negate {
-                    let one = self.engine.constant(FGold::ONE);
-                    self.engine.sub(&one, &bit)
-                } else {
-                    bit
-                };
-                Ok(MVal::Shared(bit))
-            }
-            Eq | Ne => err("secure equality tests are not supported"),
-            And | Or => err("secure logical connectives are not supported"),
-        }
+            // Normalize to one strict less-than: a >= b == !(a < b) and
+            // a <= b == !(b < a).
+            Lt => self.lt(ls, rs),
+            Gt => self.lt(rs, ls),
+            Ge => self.lt(ls, rs).not(),
+            Le => self.lt(rs, ls).not(),
+            Eq | Ne => return err("secure equality tests are not supported"),
+            And | Or => return err("secure logical connectives are not supported"),
+        }))
     }
 
     fn pub_bin(&mut self, op: BinOp, l: MVal, r: MVal) -> Result<MVal, MpcEvalError> {
@@ -473,12 +617,10 @@ impl<'a> MpcEvaluator<'a> {
             let a = self.as_pub_fix(&l)?;
             let b = self.as_pub_fix(&r)?;
             return Ok(match op {
-                Add => MVal::PubFix(a + b),
-                Sub => MVal::PubFix(a - b),
-                Mul => MVal::PubFix(a * b),
-                Div => MVal::PubFix(a.checked_div(b).map_err(|e| MpcEvalError {
-                    message: e.to_string(),
-                })?),
+                Add => MVal::PubFix(a.checked_add(b).map_err(fail)?),
+                Sub => MVal::PubFix(a.checked_sub(b).map_err(fail)?),
+                Mul => MVal::PubFix(a.checked_mul(b).map_err(fail)?),
+                Div => MVal::PubFix(a.checked_div(b).map_err(fail)?),
                 Lt => MVal::PubBool(a < b),
                 Le => MVal::PubBool(a <= b),
                 Gt => MVal::PubBool(a > b),
@@ -492,16 +634,16 @@ impl<'a> MpcEvaluator<'a> {
             return err(format!("bad public operands: {l:?}, {r:?}"));
         };
         let (a, b) = (*a, *b);
+        let int = |v: Option<i64>| {
+            v.map(MVal::PubInt)
+                .ok_or_else(|| fail(format!("integer overflow in {a} {op:?} {b}")))
+        };
         Ok(match op {
-            Add => MVal::PubInt(a + b),
-            Sub => MVal::PubInt(a - b),
-            Mul => MVal::PubInt(a * b),
-            Div => {
-                if b == 0 {
-                    return err("division by zero");
-                }
-                MVal::PubInt(a / b)
-            }
+            Add => int(a.checked_add(b))?,
+            Sub => int(a.checked_sub(b))?,
+            Mul => int(a.checked_mul(b))?,
+            Div if b == 0 => return err("division by zero"),
+            Div => int(a.checked_div(b))?,
             Lt => MVal::PubBool(a < b),
             Le => MVal::PubBool(a <= b),
             Gt => MVal::PubBool(a > b),
@@ -515,31 +657,8 @@ impl<'a> MpcEvaluator<'a> {
     fn as_pub_fix(&self, v: &MVal) -> Result<Fix, MpcEvalError> {
         match v {
             MVal::PubFix(f) => Ok(*f),
-            MVal::PubInt(i) => Fix::from_int(*i).map_err(|e| MpcEvalError {
-                message: e.to_string(),
-            }),
+            MVal::PubInt(i) => Fix::from_int(*i).map_err(fail),
             other => err(format!("expected public numeric, got {other:?}")),
-        }
-    }
-
-    fn as_shared_scalar(&mut self, v: &MVal) -> Result<Shared, MpcEvalError> {
-        match v {
-            MVal::Shared(s) => Ok(s.clone()),
-            MVal::PubInt(x) => Ok(self.engine.constant(FGold::from_i64(*x))),
-            MVal::PubBool(b) => Ok(self.engine.constant(FGold::new(u64::from(*b)))),
-            other => err(format!("expected scalar, got {other:?}")),
-        }
-    }
-
-    fn shared_array(&mut self, v: &MVal) -> Result<Vec<Shared>, MpcEvalError> {
-        match v {
-            MVal::SharedArr(a) => Ok(a.clone()),
-            MVal::PubIntArr(a) => Ok(a
-                .iter()
-                .map(|&x| self.engine.constant(FGold::from_i64(x)))
-                .collect()),
-            MVal::Shared(s) => Ok(vec![s.clone()]),
-            other => err(format!("expected array, got {other:?}")),
         }
     }
 
@@ -565,28 +684,28 @@ impl<'a> MpcEvaluator<'a> {
                 // The planner only inserts declassify on mechanism-safe
                 // values (§4.5); open the share.
                 match self.expr(&args[0])? {
-                    MVal::Shared(s) => {
-                        let v = self.engine.open(&s).map_err(|e| MpcEvalError {
-                            message: e.to_string(),
-                        })?;
+                    MVal::Secret(s) => {
+                        let s = self.force(&s)?;
+                        let v = self.engine.open(&s).map_err(fail)?;
                         Ok(MVal::PubInt(v.signed_value()))
                     }
                     public => Ok(public),
                 }
             }
             Builtin::Sum => match self.expr(&args[0])? {
-                MVal::SharedArr(a) => {
-                    let mut acc = self.engine.zero();
-                    for s in &a {
-                        acc = self.engine.add(&acc, s);
-                    }
-                    Ok(MVal::Shared(acc))
+                MVal::SecretArr(a) => {
+                    let zero = Sec::from(self.engine.zero());
+                    Ok(MVal::Secret(a.iter().fold(zero, Sec::plus)))
                 }
-                MVal::PubIntArr(a) => Ok(MVal::PubInt(a.iter().sum())),
+                MVal::PubIntArr(a) => a
+                    .iter()
+                    .try_fold(0i64, |acc, &x| acc.checked_add(x))
+                    .map(MVal::PubInt)
+                    .ok_or_else(|| fail("integer overflow in sum")),
                 other => err(format!("cannot sum {other:?} (db sums happen upstream)")),
             },
             Builtin::Len => match self.expr(&args[0])? {
-                MVal::SharedArr(a) => Ok(MVal::PubInt(a.len() as i64)),
+                MVal::SecretArr(a) => Ok(MVal::PubInt(a.len() as i64)),
                 MVal::PubIntArr(a) => Ok(MVal::PubInt(a.len() as i64)),
                 MVal::PubFixArr(a) => Ok(MVal::PubInt(a.len() as i64)),
                 other => err(format!("len of {other:?}")),
@@ -596,14 +715,11 @@ impl<'a> MpcEvaluator<'a> {
                 let arr = self.shared_array(&v)?;
                 let off = FGold::new(CMP_OFFSET);
                 let offs: Vec<Shared> = arr.iter().map(|s| self.engine.add_const(s, off)).collect();
-                let (mx, idx) =
-                    argmax_tournament(self.engine, &offs, CMP_BITS).map_err(|e| MpcEvalError {
-                        message: e.to_string(),
-                    })?;
+                let (mx, idx) = argmax_tournament(self.engine, &offs, CMP_BITS).map_err(fail)?;
                 if b == Builtin::Max {
-                    Ok(MVal::Shared(self.engine.add_const(&mx, -off)))
+                    Ok(MVal::Secret(self.engine.add_const(&mx, -off).into()))
                 } else {
-                    Ok(MVal::Shared(idx))
+                    Ok(MVal::Secret(idx.into()))
                 }
             }
             Builtin::Clip => {
@@ -611,27 +727,16 @@ impl<'a> MpcEvaluator<'a> {
                 let lo = self.pub_int(&args[1])?;
                 let hi = self.pub_int(&args[2])?;
                 match v {
-                    MVal::PubInt(x) => Ok(MVal::PubInt(x.clamp(lo, hi))),
-                    MVal::Shared(s) => {
-                        let lo_c = self.engine.constant(FGold::from_i64(lo));
-                        let hi_c = self.engine.constant(FGold::from_i64(hi));
-                        let clipped_lo = {
-                            let below = self.cmp_lt(&s, &lo_c)?;
-                            self.engine
-                                .select(&below, &lo_c, &s)
-                                .map_err(|e| MpcEvalError {
-                                    message: e.to_string(),
-                                })?
-                        };
-                        let above = self.cmp_lt(&hi_c, &clipped_lo)?;
-                        self.engine
-                            .select(&above, &hi_c, &clipped_lo)
-                            .map(MVal::Shared)
-                            .map_err(|e| MpcEvalError {
-                                message: e.to_string(),
-                            })
+                    MVal::PubInt(x) if lo <= hi => Ok(MVal::PubInt(x.clamp(lo, hi))),
+                    MVal::Secret(s) => {
+                        let lo = self.as_sec(&MVal::PubInt(lo))?;
+                        let hi = self.as_sec(&MVal::PubInt(hi))?;
+                        let below = self.lt(s.clone(), lo.clone());
+                        let clipped_lo = self.mux(&below, lo, s);
+                        let above = self.lt(hi.clone(), clipped_lo.clone());
+                        Ok(MVal::Secret(self.mux(&above, hi, clipped_lo)))
                     }
-                    other => err(format!("cannot clip {other:?}")),
+                    other => err(format!("cannot clip {other:?} to {lo}..{hi}")),
                 }
             }
             Builtin::Em | Builtin::EmTopK | Builtin::EmGap | Builtin::Laplace => {
@@ -654,21 +759,10 @@ impl<'a> MpcEvaluator<'a> {
                 let x = self.expr(&args[0])?;
                 let f = self.as_pub_fix(&x)?;
                 let r = if b == Builtin::Exp { f.exp() } else { f.ln() };
-                r.map(MVal::PubFix).map_err(|e| MpcEvalError {
-                    message: e.to_string(),
-                })
+                r.map(MVal::PubFix).map_err(fail)
             }
             Builtin::SampleUniform => err("sampleUniform must be handled at input time"),
         }
-    }
-
-    fn cmp_lt(&mut self, a: &Shared, b: &Shared) -> Result<Shared, MpcEvalError> {
-        let off = FGold::new(CMP_OFFSET);
-        let ao = self.engine.add_const(a, off);
-        let bo = self.engine.add_const(b, off);
-        less_than(self.engine, &ao, &bo, CMP_BITS).map_err(|e| MpcEvalError {
-            message: e.to_string(),
-        })
     }
 
     /// Mechanism arguments: `(scores_expr, [k], [sens], eps)`.
@@ -695,38 +789,35 @@ impl<'a> MpcEvaluator<'a> {
         }
 
         if b == Builtin::Laplace {
-            let scale = Fix::from_f64(sens / eps).map_err(|e| MpcEvalError {
-                message: e.to_string(),
-            })?;
-            let noise_one = |ev: &mut Self, s: &Shared| -> Result<Fix, MpcEvalError> {
-                let noise = laplace_fix(ev.rng, scale);
-                let injected = inject_with_cost(ev.engine, noise, FunctionalityCost::laplace());
-                // Lift the integer share to Q30.16 and add the noise.
-                let lifted = ev.engine.mul_const(s, FGold::new(1 << 16));
-                let sum = ev.engine.add(&lifted, &injected.inner);
-                let opened =
-                    SharedFix { inner: sum }
-                        .open(ev.engine)
-                        .map_err(|e| MpcEvalError {
-                            message: e.to_string(),
-                        })?;
-                Ok(opened)
+            let scale = Fix::from_f64(sens / eps).map_err(fail)?;
+            let shares = match &scores_val {
+                MVal::PubInt(x) => vec![self.engine.constant(FGold::from_i64(*x))],
+                MVal::Secret(_) | MVal::SecretArr(_) => self.shared_array(&scores_val)?,
+                other => return err(format!("laplace over {other:?}")),
             };
-            return match scores_val {
-                MVal::Shared(s) => Ok(MVal::PubFix(noise_one(self, &s)?)),
-                MVal::SharedArr(a) => {
-                    let mut out = Vec::with_capacity(a.len());
-                    for s in &a {
-                        out.push(noise_one(self, s)?);
-                    }
-                    Ok(MVal::PubFixArr(out))
-                }
-                MVal::PubInt(x) => {
-                    let s = self.engine.constant(FGold::from_i64(x));
-                    Ok(MVal::PubFix(noise_one(self, &s)?))
-                }
-                other => err(format!("laplace over {other:?}")),
-            };
+            // Lift each integer share to Q30.16, add its noise, and open
+            // the whole vector in one round trip.
+            let noised: Vec<Shared> = shares
+                .iter()
+                .map(|s| {
+                    let noise = laplace_fix(self.rng, scale);
+                    let injected =
+                        inject_with_cost(self.engine, noise, FunctionalityCost::laplace());
+                    let lifted = self.engine.mul_const(s, FGold::new(1 << 16));
+                    self.engine.add(&lifted, &injected.inner)
+                })
+                .collect();
+            let mut released = self
+                .engine
+                .open_batch(&noised.iter().collect::<Vec<_>>())
+                .map_err(fail)?
+                .into_iter()
+                .map(|v| field_to_fix(v).map_err(fail))
+                .collect::<Result<Vec<Fix>, _>>()?;
+            return Ok(match scores_val {
+                MVal::SecretArr(_) => MVal::PubFixArr(released),
+                _ => MVal::PubFix(released.remove(0)),
+            });
         }
 
         // Exponential-mechanism family.
@@ -734,6 +825,7 @@ impl<'a> MpcEvaluator<'a> {
         if arr.is_empty() {
             return err("empty score vector");
         }
+        let k = k.min(arr.len());
         match self.mech_style {
             MechStyle::ExpSample => {
                 // Metered ideal functionality: the committee scan +
@@ -746,34 +838,24 @@ impl<'a> MpcEvaluator<'a> {
                         rounds: 2 * arr.len() as u64,
                     },
                 );
-                let mut clear: Vec<i64> = Vec::with_capacity(arr.len());
-                for s in &arr {
-                    clear.push(
-                        self.engine
-                            .open(s)
-                            .map_err(|e| MpcEvalError {
-                                message: e.to_string(),
-                            })?
-                            .signed_value(),
-                    );
-                }
+                let clear: Vec<i64> = self
+                    .engine
+                    .open_batch(&arr.iter().collect::<Vec<_>>())
+                    .map_err(fail)?
+                    .into_iter()
+                    .map(|v| v.signed_value())
+                    .collect();
                 let mut working = clear.clone();
                 let mut winners = Vec::with_capacity(k);
-                for _ in 0..k.min(working.len()) {
-                    let w = em_exponentiate(&working, sens, eps, self.rng).map_err(|e| {
-                        MpcEvalError {
-                            message: e.to_string(),
-                        }
-                    })?;
+                for _ in 0..k {
+                    let w = em_exponentiate(&working, sens, eps, self.rng).map_err(fail)?;
                     winners.push(w as i64);
                     working[w] = i64::MIN / 4;
                 }
                 // The gap variant also releases the noisy winner/runner-up
                 // margin (free under the same epsilon).
                 let gap = if b == Builtin::EmGap && clear.len() >= 2 {
-                    let scale = Fix::from_f64(2.0 * sens / eps).map_err(|e| MpcEvalError {
-                        message: e.to_string(),
-                    })?;
+                    let scale = Fix::from_f64(2.0 * sens / eps).map_err(fail)?;
                     let w = winners[0] as usize;
                     let runner = working
                         .iter()
@@ -791,9 +873,7 @@ impl<'a> MpcEvaluator<'a> {
                 self.em_result(b, winners, gap)
             }
             MechStyle::Gumbel => {
-                let scale = Fix::from_f64(2.0 * sens / eps).map_err(|e| MpcEvalError {
-                    message: e.to_string(),
-                })?;
+                let scale = Fix::from_f64(2.0 * sens / eps).map_err(fail)?;
                 // Noise every score once (one-shot, Durfee–Rogers).
                 let off = FGold::new(CMP_OFFSET);
                 let mut noised: Vec<(usize, Shared)> = Vec::with_capacity(arr.len());
@@ -808,37 +888,21 @@ impl<'a> MpcEvaluator<'a> {
                 let mut winners = Vec::with_capacity(k);
                 let mut gap: Option<Fix> = None;
                 let mut remaining = noised;
-                for pass in 0..k.min(remaining.len()) {
+                for pass in 0..k {
                     let values: Vec<Shared> = remaining.iter().map(|(_, s)| s.clone()).collect();
                     let (mx, idx) =
-                        argmax_tournament(self.engine, &values, CMP_BITS + 2).map_err(|e| {
-                            MpcEvalError {
-                                message: e.to_string(),
-                            }
-                        })?;
-                    let pos = self
-                        .engine
-                        .open(&idx)
-                        .map_err(|e| MpcEvalError {
-                            message: e.to_string(),
-                        })?
-                        .value() as usize;
+                        argmax_tournament(self.engine, &values, CMP_BITS + 2).map_err(fail)?;
+                    let pos = self.engine.open(&idx).map_err(fail)?.value() as usize;
                     let pos = pos.min(remaining.len() - 1);
                     let (orig, _) = remaining.remove(pos);
                     winners.push(orig as i64);
                     // The gap variant also releases best − runner-up.
                     if b == Builtin::EmGap && pass == 0 && !remaining.is_empty() {
                         let rest: Vec<Shared> = remaining.iter().map(|(_, s)| s.clone()).collect();
-                        let (mx2, _) = argmax_tournament(self.engine, &rest, CMP_BITS + 2)
-                            .map_err(|e| MpcEvalError {
-                                message: e.to_string(),
-                            })?;
+                        let (mx2, _) =
+                            argmax_tournament(self.engine, &rest, CMP_BITS + 2).map_err(fail)?;
                         let diff = self.engine.sub(&mx, &mx2);
-                        let opened = SharedFix { inner: diff }.open(self.engine).map_err(|e| {
-                            MpcEvalError {
-                                message: e.to_string(),
-                            }
-                        })?;
+                        let opened = SharedFix { inner: diff }.open(self.engine).map_err(fail)?;
                         gap = Some(opened);
                     }
                 }
@@ -868,18 +932,15 @@ impl<'a> MpcEvaluator<'a> {
     }
 }
 
-/// Internal: scalar-or-array shared value during selection.
-enum ShVal {
-    /// One shared scalar.
-    One(Shared),
-    /// A shared array.
-    Many(Vec<Shared>),
-}
-
-fn self_constant(m: usize, v: i64) -> Shared {
-    Shared {
-        shares: vec![FGold::from_i64(v); m],
-    }
+/// Slot `i` of an array value.
+fn element(v: &MVal, i: usize) -> Result<MVal, MpcEvalError> {
+    let got = match v {
+        MVal::SecretArr(a) => a.get(i).cloned().map(MVal::Secret),
+        MVal::PubIntArr(a) => a.get(i).copied().map(MVal::PubInt),
+        MVal::PubFixArr(a) => a.get(i).copied().map(MVal::PubFix),
+        other => return err(format!("cannot index {other:?}")),
+    };
+    got.ok_or_else(|| fail(format!("index {i} out of bounds")))
 }
 
 #[cfg(test)]
@@ -1110,5 +1171,174 @@ mod tests {
         let src = "aggr = sum(db); h = aggr[0] / 4; r = laplace(h, 1, 60.0); output(r);";
         let out = run(src, &[100], MechStyle::Gumbel, 19);
         assert!((out[0] - 25).abs() <= 1, "100/4: got {}", out[0]);
+    }
+
+    /// Runs `src` past its leading `aggr = sum(db);` on dealer-shared
+    /// counts (no input rounds) and returns the result with the rounds
+    /// and triples the engine metered.
+    fn metered(
+        src: &str,
+        counts: &[i64],
+        style: MechStyle,
+        malicious: bool,
+    ) -> (Result<Vec<i64>, MpcEvalError>, u64, u64) {
+        let program = parse(src).unwrap();
+        let mut engine = MpcEngine::new(5, 2, malicious, 21);
+        let shares = counts
+            .iter()
+            .map(|&c| engine.dealer_share(FGold::from_i64(c)))
+            .collect();
+        let env = HashMap::from([("aggr".to_string(), MVal::SharedArr(shares))]);
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut ev = MpcEvaluator::new(&mut engine, &mut rng, env, style);
+        let out = ev.block(&program.stmts[1..]).map(|()| ev.outputs.clone());
+        (out, engine.net.metrics.rounds, engine.net.metrics.triples)
+    }
+
+    /// Triples of one comparison: 62 dealer mask bits, one multiplication
+    /// per borrow-chain bit, one for the final XOR.
+    const CMP_TRIPLES: u64 = 62 + CMP_BITS as u64 + 1;
+    /// Openings of one comparison *batch*, whatever its size: the masked
+    /// values, one per chain bit, the XOR.
+    const CMP_OPENINGS: u64 = CMP_BITS as u64 + 2;
+
+    /// The corpus `median`/`quantile` shape over `c` buckets:
+    /// `target = total * num / den`.
+    fn rank_query(c: usize, num: i64, den: i64) -> String {
+        format!(
+            "aggr = sum(db);\n\
+             cum[0] = aggr[0];\n\
+             for i = 1 to {last} do cum[i] = cum[i - 1] + aggr[i]; endfor\n\
+             target = cum[{last}] * {num} / {den};\n\
+             for i = 0 to {last} do\n\
+               if cum[i] > target then d[i] = cum[i] - target; else d[i] = target - cum[i]; endif\n\
+               score[i] = 0 - d[i];\n\
+             endfor\n\
+             r = em(score, {num}, 9.0);\n\
+             output(r);",
+            last = c - 1
+        )
+    }
+
+    #[test]
+    fn median_rounds_do_not_grow_with_categories() {
+        // Openings: the shift, one comparison batch, one selection batch,
+        // the score opening — 45 for any C. ExpSample meters 2C rounds
+        // and 4C multiplications of its own; the shift draws 62 bits.
+        for malicious in [false, true] {
+            let per_opening = if malicious { 3 } else { 2 };
+            for c in [4usize, 128] {
+                // Equal buckets: the prefix sum reaches half at C/2 − 1.
+                let (out, rounds, triples) = metered(
+                    &rank_query(c, 1, 2),
+                    &vec![10; c],
+                    MechStyle::ExpSample,
+                    malicious,
+                );
+                assert_eq!(out.unwrap(), vec![c as i64 / 2 - 1], "C={c}");
+                let c = c as u64;
+                assert_eq!(
+                    rounds,
+                    (1 + CMP_OPENINGS + 1 + 1) * per_opening + 2 * c,
+                    "C={c}"
+                );
+                assert_eq!(triples, 62 + c * (CMP_TRIPLES + 1) + 4 * c, "C={c}");
+            }
+        }
+    }
+
+    #[test]
+    fn quantile_costs_what_median_costs() {
+        // `total * 3` is linear; `/ 4` is the one shift.
+        let (out, rounds, triples) = metered(
+            &rank_query(8, 3, 4),
+            &[5, 5, 5, 5, 5, 5, 5, 5],
+            MechStyle::ExpSample,
+            false,
+        );
+        assert_eq!(
+            out.unwrap(),
+            vec![5],
+            "30 of 40 values lie in buckets 0..=5"
+        );
+        assert_eq!(rounds, (1 + CMP_OPENINGS + 1 + 1) * 2 + 2 * 8);
+        assert_eq!(triples, 62 + 8 * (CMP_TRIPLES + 1) + 4 * 8);
+    }
+
+    #[test]
+    fn clip_is_two_compare_and_select_layers() {
+        let src = "aggr = sum(db); c = clip(aggr[0], 0, 10); r = laplace(c, 1, 50.0); output(r);";
+        let (out, rounds, triples) = metered(src, &[100], MechStyle::Gumbel, false);
+        assert!((out.unwrap()[0] - 10).abs() <= 1);
+        let laplace = FunctionalityCost::laplace();
+        assert_eq!(rounds, (2 * (CMP_OPENINGS + 1) + 1) * 2 + laplace.rounds);
+        assert_eq!(triples, 2 * (CMP_TRIPLES + 1) + laplace.mults);
+    }
+
+    #[test]
+    fn nested_secret_ifs_share_one_comparison_batch() {
+        // Three comparisons in one batch; the two inner selections in one
+        // layer, the outer one in the next; then the Laplace opening.
+        let src = "aggr = sum(db);
+             if aggr[0] > aggr[1] then
+               if aggr[0] > aggr[2] then w = 0; else w = 2; endif
+             else
+               if aggr[1] > aggr[2] then w = 1; else w = 2; endif
+             endif
+             r = laplace(w, 1, 100.0);
+             output(r);";
+        let (out, rounds, triples) = metered(src, &[3, 8, 2], MechStyle::Gumbel, false);
+        assert!((out.unwrap()[0] - 1).abs() <= 1);
+        let laplace = FunctionalityCost::laplace();
+        assert_eq!(rounds, (CMP_OPENINGS + 2 + 1) * 2 + laplace.rounds);
+        assert_eq!(triples, 3 * CMP_TRIPLES + 3 + laplace.mults);
+    }
+
+    #[test]
+    fn one_sided_branches_select_against_the_old_value() {
+        // `x` is written only by the then branch and `y` only by the else
+        // branch: one comparison, two selections in one layer, then the
+        // two declassifying openings. `aggr` itself is never merged.
+        let src = "aggr = sum(db); x = aggr[0]; y = 5;
+             if aggr[0] > aggr[1] then x = aggr[1]; else y = 7; endif
+             output(declassify(x)); output(declassify(y));";
+        for (counts, want) in [([9i64, 4], [4i64, 5]), ([4, 9], [4, 7])] {
+            let (out, rounds, triples) = metered(src, &counts, MechStyle::Gumbel, false);
+            assert_eq!(out.unwrap(), want, "{counts:?}");
+            assert_eq!(rounds, (CMP_OPENINGS + 1 + 2) * 2);
+            assert_eq!(triples, CMP_TRIPLES + 2);
+        }
+        // A variable born in one branch only has no old value to select.
+        let src = "aggr = sum(db); if aggr[0] > aggr[1] then z = 1; endif";
+        let e = metered(src, &[9, 4], MechStyle::Gumbel, false)
+            .0
+            .unwrap_err();
+        assert!(e.message.contains("only one secret branch"), "{e}");
+        let src = "aggr = sum(db); if aggr[0] > aggr[1] then d[0] = aggr[0]; endif";
+        let e = metered(src, &[9, 4], MechStyle::Gumbel, false)
+            .0
+            .unwrap_err();
+        assert!(e.message.contains("only one secret branch"), "{e}");
+    }
+
+    #[test]
+    fn hostile_public_indices_and_arithmetic_are_errors() {
+        for (stmt, want) in [
+            ("x[0 - 1] = aggr[0];", "outside 0.."),
+            ("x[4000000000000] = aggr[0];", "outside 0.."),
+            ("x = aggr[0 - 1];", "outside 0.."),
+            ("x = (0 - 9223372036854775807 - 1) / (0 - 1);", "overflow"),
+            ("x = 9223372036854775807 + 1;", "overflow"),
+            ("x = (0 - 9223372036854775807) - 2;", "overflow"),
+            ("x = 4000000000000 * 4000000000000;", "overflow"),
+            ("x = 20000.5 * 200000.5;", "overflow"),
+            ("x = clip(5, 10, 0);", "cannot clip"),
+        ] {
+            let src = format!("aggr = sum(db); {stmt}");
+            let e = metered(&src, &[1, 2], MechStyle::Gumbel, false)
+                .0
+                .unwrap_err();
+            assert!(e.message.contains(want), "{stmt}: {e}");
+        }
     }
 }

@@ -5,7 +5,7 @@ use arboretum::bgv::{add, decrypt, encode_coeffs, encrypt, keygen, BgvContext, B
 use arboretum::crypto::group::Scalar;
 use arboretum::crypto::sha256::sha256;
 use arboretum::field::FGold;
-use arboretum::mpc::compare::argmax;
+use arboretum::mpc::compare::argmax_tournament;
 use arboretum::mpc::engine::MpcEngine;
 use arboretum::sortition::select::{select_committees, Device, Registry};
 use arboretum::sortition::size::{min_committee_size, SortitionParams};
@@ -45,7 +45,7 @@ fn figure5_pipeline_by_hand() {
         .iter()
         .map(|&c| mpc.input(0, FGold::new(c)))
         .collect();
-    let (max_val, max_idx) = argmax(&mut mpc, &shares, 8).unwrap();
+    let (max_val, max_idx) = argmax_tournament(&mut mpc, &shares, 8).unwrap();
     assert_eq!(mpc.open(&max_val).unwrap(), FGold::new(30));
     assert_eq!(mpc.open(&max_idx).unwrap(), FGold::new(2));
     // Malicious-secure MPC metered real traffic.
