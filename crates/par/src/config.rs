@@ -114,10 +114,8 @@ impl ParConfig {
 
     /// A fresh sharded pool set for this config: `resolve_shards()`
     /// pools pinned to disjoint shards, dividing `resolve()` worker
-    /// threads among them. Deliberately *not* cached: each caller (one
-    /// aggregator run, one benchmark point) gets pools whose
-    /// [`crate::PoolStats`] counters cover exactly its own work, which
-    /// is what the planner's pool-aware cost calibration reads.
+    /// threads among them. Not cached: the caller owns the pools, and
+    /// their worker threads are joined when it drops them.
     pub fn sharded_pool(&self) -> ShardedPool {
         ShardedPool::new(self.resolve(), self.resolve_shards())
     }

@@ -2,16 +2,14 @@
 //! bank.
 //!
 //! A multi-tenant service multiplexes concurrent queries over a fixed
-//! set of aggregator pools. Handing two queries the *same*
-//! [`ShardedPool`] at once would interleave their per-shard
-//! [`PoolStats`](crate::PoolStats) counters, making the before/after
-//! deltas the executor feeds to cost calibration meaningless. A
-//! [`PoolBank`] therefore lends each pool to exactly one holder at a
-//! time: [`PoolBank::checkout`] blocks until a pool is free and
-//! returns a [`PoolLease`] that releases the pool when dropped.
+//! set of aggregator pools, so the worker-thread count is bounded by
+//! the bank and not by the number of queries in flight. A
+//! [`PoolBank`] lends each pool to exactly one holder at a time:
+//! [`PoolBank::checkout`] blocks until a pool is free and returns a
+//! [`PoolLease`] that releases the pool when dropped.
 //!
-//! Leasing affects only *where* work runs and *which* counters it
-//! lands on. Every sharded kernel is a pure function of its input (see
+//! Leasing affects only *where* work runs. Every sharded kernel is a
+//! pure function of its input (see
 //! [`crate::shard`]'s determinism contract), so results are bitwise
 //! identical no matter which pool in the bank — or a fresh pool —
 //! executed the phases.

@@ -56,14 +56,12 @@
 
 pub mod config;
 pub mod lease;
-pub mod metrics;
 pub mod ops;
 pub mod pool;
 pub mod shard;
 
 pub use config::{configure_global, global, ParConfig};
 pub use lease::{PoolBank, PoolLease};
-pub use metrics::PoolStats;
 pub use ops::{par_chunks, par_map, par_map_arc, par_reduce};
 pub use pool::{Scope, ScopePanic, ThreadPool};
 pub use shard::{

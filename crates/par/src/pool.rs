@@ -19,9 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use crate::metrics::{PoolMetrics, PoolStats};
+use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -53,7 +51,6 @@ struct Shared {
     work_available: Condvar,
     deques: Vec<Mutex<VecDeque<Job>>>,
     shutdown: AtomicBool,
-    metrics: PoolMetrics,
 }
 
 impl Shared {
@@ -68,7 +65,6 @@ impl Shared {
             }
         }
         self.injector.lock().unwrap().push_back(job);
-        self.metrics.injected.fetch_add(1, Ordering::Relaxed);
         self.work_available.notify_all();
     }
 
@@ -92,19 +88,16 @@ impl Shared {
                 continue;
             }
             if let Some(job) = self.deques[victim].lock().unwrap().pop_front() {
-                self.metrics.steals.fetch_add(1, Ordering::Relaxed);
                 return Some(job);
             }
         }
         None
     }
 
-    /// Runs one job, timing it and containing any panic (scope wrappers
-    /// record the panic; the worker itself must survive).
+    /// Runs one job, containing any panic (scope wrappers record the
+    /// panic; the worker itself must survive).
     fn run(&self, job: Job) {
-        let start = Instant::now();
         let _ = catch_unwind(AssertUnwindSafe(job));
-        self.metrics.note_task(start.elapsed());
     }
 
     /// The worker index of the current thread *if* it belongs to this
@@ -170,7 +163,6 @@ impl ThreadPool {
             work_available: Condvar::new(),
             deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
             shutdown: AtomicBool::new(false),
-            metrics: PoolMetrics::default(),
         });
         let workers = (0..threads)
             .map(|i| {
@@ -187,11 +179,6 @@ impl ThreadPool {
     /// The number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// A snapshot of the pool's execution counters.
-    pub fn stats(&self) -> PoolStats {
-        self.shared.metrics.snapshot()
     }
 
     /// Runs `f` with a [`Scope`] and waits for every task the scope
@@ -283,19 +270,15 @@ impl Scope<'_> {
     /// Spawns a task into the scope. With zero workers the task runs
     /// inline immediately (in spawn order).
     pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
-        let shared = &self.pool.shared;
         if self.pool.workers.is_empty() {
-            let start = Instant::now();
             if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
                 self.state.panics.lock().unwrap().push(panic_message(&*p));
             }
-            shared.metrics.note_task(start.elapsed());
-            shared.metrics.inline_tasks.fetch_add(1, Ordering::Relaxed);
             return;
         }
         *self.state.pending.lock().unwrap() += 1;
         let state = Arc::clone(&self.state);
-        shared.push(Box::new(move || {
+        self.pool.shared.push(Box::new(move || {
             if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
                 state.panics.lock().unwrap().push(panic_message(&*p));
             }
@@ -357,7 +340,6 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert!(pool.stats().tasks >= 100);
     }
 
     #[test]
@@ -371,7 +353,6 @@ mod tests {
             }
         });
         assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
-        assert_eq!(pool.stats().inline_tasks, 10);
     }
 
     #[test]

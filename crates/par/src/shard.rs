@@ -39,7 +39,6 @@
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use crate::metrics::PoolStats;
 use crate::ops::{par_chunks, par_reduce};
 use crate::pool::ThreadPool;
 
@@ -127,10 +126,8 @@ impl ShardPlan {
 ///
 /// The set owns one [`ThreadPool`] per shard, dividing a total worker
 /// budget among them (the first `threads mod K` shards take one extra
-/// worker). Pools are *not* shared with the process-wide cache: each
-/// `ShardedPool` covers exactly the work its owner drives through it,
-/// so [`ShardedPool::stats`] reads clean per-shard counters — the
-/// measured input of the planner's pool-aware cost calibration.
+/// worker). Pools are *not* shared with the process-wide cache: the
+/// set's owner alone drives work through them.
 ///
 /// With a zero-thread budget every shard pool is the zero-worker
 /// inline pool: the same code path runs serially, and — per the
@@ -166,11 +163,6 @@ impl ShardedPool {
     /// The shard plan for `n` items over this set's shards.
     pub fn plan(&self, n: usize) -> ShardPlan {
         ShardPlan::new(n, self.shards())
-    }
-
-    /// Per-shard counter snapshots, in shard order.
-    pub fn stats(&self) -> Vec<PoolStats> {
-        self.pools.iter().map(|p| p.stats()).collect()
     }
 
     /// Runs `per_shard(s, pool_s)` for every shard concurrently (one
@@ -504,15 +496,5 @@ mod tests {
         let p1 = "((4 5) 6)";
         let p2 = "((7 8) 9)";
         assert_eq!(got, format!("(({p0} {p1}) {p2})"));
-    }
-
-    #[test]
-    fn stats_cover_only_own_work() {
-        let set = ShardedPool::new(2, 2);
-        let items = Arc::new((0u64..100).collect::<Vec<_>>());
-        let _ = par_map_arc_sharded(&set, &items, |_, x| x + 1);
-        let stats = set.stats();
-        assert_eq!(stats.len(), 2);
-        assert!(stats.iter().all(|s| s.tasks > 0), "{stats:?}");
     }
 }

@@ -135,9 +135,6 @@ fn oversubscription_tasks_far_exceed_workers() {
     let out = par_map(&pool, (0..n as u64).collect(), |_, x| x + 1);
     assert_eq!(out.len(), n);
     assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
-    let stats = pool.stats();
-    assert!(stats.tasks > 0);
-    assert!(stats.busy_nanos > 0);
 }
 
 #[test]
@@ -161,7 +158,6 @@ fn zero_worker_pool_is_a_serial_fallback() {
         (0..50).collect::<Vec<_>>()
     );
     assert!(seen.iter().all(|&(_, tid)| tid == main_thread));
-    assert_eq!(pool.stats().inline_tasks, 50);
 }
 
 #[test]

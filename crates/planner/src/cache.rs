@@ -9,10 +9,10 @@
 //!
 //! The key is the *exact* rendering of every planning input — no
 //! hashing, so two distinct signatures can never collide and serve the
-//! wrong plan. [`PlannerConfig::par`] is deliberately excluded: thread
-//! configuration affects only search wall-clock, never the chosen plan
-//! (the planner's own determinism contract), so a service may re-plan
-//! on any pool shape and still hit.
+//! wrong plan. Every [`PlannerConfig`] field is part of the key;
+//! execution-pool shape is not a planning input (it lives in the
+//! runtime's `ExecutionConfig`), so a service may run a cached plan on
+//! any pool shape.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,7 +28,7 @@ use crate::search::{plan as search_plan, PlanError, PlanStats, PlannerConfig};
 /// The exact cache key for one planning request.
 ///
 /// Built from the query source plus the `Debug` renderings of the
-/// schema, certifier config, and every plan-relevant planner field.
+/// schema, certifier config, and every planner-config field.
 /// Derived `Debug` on these types prints every field (floats
 /// roundtrip-faithfully), so equal keys imply equal planning inputs.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -237,24 +237,6 @@ mod tests {
         assert_eq!(cache.misses(), 4);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 4);
-    }
-
-    #[test]
-    fn par_shape_does_not_change_the_signature() {
-        use arboretum_par::ParConfig;
-        let schema = DbSchema::one_hot(1 << 20, 8);
-        let serial = PlannerConfig {
-            par: ParConfig::serial(),
-            ..PlannerConfig::paper_defaults(1 << 20)
-        };
-        let pooled = PlannerConfig {
-            par: ParConfig::fixed(8),
-            ..PlannerConfig::paper_defaults(1 << 20)
-        };
-        assert_eq!(
-            QuerySignature::new(SRC, &schema, &CertifyConfig::default(), &serial),
-            QuerySignature::new(SRC, &schema, &CertifyConfig::default(), &pooled),
-        );
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! `crates/bench`). As §4.6 notes, the model need not be exact — it only
 //! has to order candidates correctly.
 
-use arboretum_par::PoolStats;
-
 /// The six metrics of §4.2, plus the streaming refinement of the
 /// aggregator-time metric.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -233,82 +231,7 @@ impl Default for CostModel {
     }
 }
 
-/// Measured aggregator-phase counters from the executor's sharded
-/// pools — the pool-aware counterpart of the fixed defaults the cost
-/// model's aggregator constants start from.
-///
-/// `PoolStats::busy_secs` is busy *core*-time summed across a phase's
-/// tasks, exactly the unit of [`Metrics::agg_secs`]; dividing by the
-/// operation count yields a measured per-operation constant on this
-/// host at this ring degree.
-#[derive(Clone, Debug, Default)]
-pub struct PoolCalibration {
-    /// Per-shard counter deltas for the input-verification phase.
-    pub verify: Vec<PoolStats>,
-    /// Proof verifications performed (one per upload).
-    pub verify_ops: u64,
-    /// Per-shard counter deltas for the ⊞-aggregation phase.
-    pub aggregate: Vec<PoolStats>,
-    /// Homomorphic additions performed (`accepted − 1`, summed over
-    /// all tree levels for a sum-tree plan).
-    pub aggregate_ops: u64,
-    /// Ring degree the aggregation ran at (measured ⊞ cost scales
-    /// linearly in degree up to the model's `full_degree`).
-    pub ring_degree: u64,
-}
-
-impl PoolCalibration {
-    /// Busy core-seconds across all verification shards.
-    pub fn verify_busy_secs(&self) -> f64 {
-        self.verify.iter().map(PoolStats::busy_secs).sum()
-    }
-
-    /// Busy core-seconds across all aggregation shards.
-    pub fn aggregate_busy_secs(&self) -> f64 {
-        self.aggregate.iter().map(PoolStats::busy_secs).sum()
-    }
-
-    /// Measured seconds per proof verification, if the phase ran.
-    pub fn verify_secs_per_op(&self) -> Option<f64> {
-        let busy = self.verify_busy_secs();
-        (self.verify_ops > 0 && busy > 0.0).then(|| busy / self.verify_ops as f64)
-    }
-
-    /// Measured seconds per ⊞ at the measured ring degree, if the
-    /// phase ran.
-    pub fn add_secs_per_op(&self) -> Option<f64> {
-        let busy = self.aggregate_busy_secs();
-        (self.aggregate_ops > 0 && busy > 0.0).then(|| busy / self.aggregate_ops as f64)
-    }
-}
-
 impl CostModel {
-    /// Replaces the aggregator constants with values derived from
-    /// measured pool counters: `zkp_verify_secs` becomes busy
-    /// core-seconds per verified proof, and `bgv_add_secs` becomes
-    /// busy core-seconds per ⊞, rescaled from the measured ring degree
-    /// to the model's reference `full_degree` (⊞ is linear in degree).
-    /// Phases with no recorded work leave their constant untouched, so
-    /// a partial calibration never zeroes a cost.
-    pub fn calibrate_from_pools(&mut self, cal: &PoolCalibration) {
-        if let Some(per_verify) = cal.verify_secs_per_op() {
-            self.zkp_verify_secs = per_verify;
-        }
-        if let Some(per_add) = cal.add_secs_per_op() {
-            if cal.ring_degree > 0 {
-                self.bgv_add_secs = per_add * self.full_degree / cal.ring_degree as f64;
-            }
-        }
-    }
-
-    /// A copy of this model calibrated from measured pool counters.
-    #[must_use]
-    pub fn with_pool_calibration(&self, cal: &PoolCalibration) -> Self {
-        let mut m = self.clone();
-        m.calibrate_from_pools(cal);
-        m
-    }
-
     /// Ring degree used for `categories` slots: enough slots, at least
     /// `2^12` for RLWE security, at most `2^15`.
     pub fn ring_degree(&self, categories: u64) -> f64 {
@@ -445,89 +368,6 @@ mod tests {
         assert!(cm.prove_secs(41_683) > cm.prove_secs(10));
         // Still seconds-scale even for zip codes.
         assert!(cm.prove_secs(41_683) < 10.0);
-    }
-
-    /// Synthetic per-shard `PoolStats` whose busy time sums to
-    /// `secs` over `ops` operations, split across `shards` shards.
-    fn synthetic_stats(secs: f64, ops: u64, shards: usize) -> (Vec<PoolStats>, u64) {
-        let nanos_total = (secs * 1e9).round() as u64;
-        let k = shards as u64;
-        let stats = (0..k)
-            .map(|i| PoolStats {
-                tasks: ops / k + u64::from(i < ops % k),
-                busy_nanos: nanos_total / k + u64::from(i < nanos_total % k),
-                ..PoolStats::default()
-            })
-            .collect();
-        (stats, ops)
-    }
-
-    #[test]
-    fn pool_calibration_derives_constants_from_counters() {
-        // 2,000 verifications at 5 ms of busy core-time each, across 4
-        // shards; 999 ⊞ at 40 µs each at ring degree 2^12.
-        let (verify, verify_ops) = synthetic_stats(2_000.0 * 5e-3, 2_000, 4);
-        let (aggregate, aggregate_ops) = synthetic_stats(999.0 * 4e-5, 999, 4);
-        let cal = PoolCalibration {
-            verify,
-            verify_ops,
-            aggregate,
-            aggregate_ops,
-            ring_degree: 1 << 12,
-        };
-        let cm = CostModel::default().with_pool_calibration(&cal);
-        assert!(
-            (cm.zkp_verify_secs - 5e-3).abs() < 1e-6,
-            "{}",
-            cm.zkp_verify_secs
-        );
-        // Per-⊞ at 2^12 scales ×8 to the 2^15 reference degree.
-        assert!(
-            (cm.bgv_add_secs - 4e-5 * 8.0).abs() < 1e-8,
-            "{}",
-            cm.bgv_add_secs
-        );
-    }
-
-    #[test]
-    fn pool_calibration_with_no_work_leaves_defaults() {
-        let cm = CostModel::default();
-        let calibrated = cm.with_pool_calibration(&PoolCalibration::default());
-        assert_eq!(calibrated.zkp_verify_secs, cm.zkp_verify_secs);
-        assert_eq!(calibrated.bgv_add_secs, cm.bgv_add_secs);
-    }
-
-    #[test]
-    fn default_equivalent_calibration_is_identity() {
-        // Regression guard: synthetic counters that measure exactly the
-        // default constants must reproduce the default model (so the
-        // fig9/fig10 path, which plans from these constants, is
-        // unchanged at the default calibration).
-        let cm = CostModel::default();
-        let n_ver = 10_000u64;
-        let n_add = 4_095u64;
-        let (verify, verify_ops) = synthetic_stats(n_ver as f64 * cm.zkp_verify_secs, n_ver, 3);
-        let (aggregate, aggregate_ops) = synthetic_stats(n_add as f64 * cm.bgv_add_secs, n_add, 3);
-        let cal = PoolCalibration {
-            verify,
-            verify_ops,
-            aggregate,
-            aggregate_ops,
-            ring_degree: cm.full_degree as u64,
-        };
-        let calibrated = cm.with_pool_calibration(&cal);
-        assert!(
-            (calibrated.zkp_verify_secs - cm.zkp_verify_secs).abs() < 1e-9,
-            "{} vs {}",
-            calibrated.zkp_verify_secs,
-            cm.zkp_verify_secs
-        );
-        assert!(
-            (calibrated.bgv_add_secs - cm.bgv_add_secs).abs() < 1e-9,
-            "{} vs {}",
-            calibrated.bgv_add_secs,
-            cm.bgv_add_secs
-        );
     }
 
     #[test]

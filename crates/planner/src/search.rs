@@ -12,9 +12,7 @@
 //! out-of-memory).
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
-use arboretum_par::ParConfig;
 use arboretum_sortition::size::{min_committee_size, SortitionParams};
 
 use crate::cost::{CostModel, Goal, Limits, Metrics};
@@ -36,10 +34,6 @@ pub struct PlannerConfig {
     pub cost_model: CostModel,
     /// Branch-and-bound pruning (disable to reproduce the §7.3 ablation).
     pub use_heuristics: bool,
-    /// Thread configuration the service and CLI read to size the
-    /// execution pools of the queries they plan. The search itself is
-    /// serial and ignores it.
-    pub par: ParConfig,
     /// Streaming deployments: when `Some(w)`, the aggregation stage
     /// additionally offers a [`PhysOp::WindowedIngest`] alternative
     /// that folds uploads over `w` checkpointed windows
@@ -59,14 +53,13 @@ impl PlannerConfig {
             sortition: SortitionParams::default(),
             cost_model: CostModel::default(),
             use_heuristics: true,
-            par: ParConfig::auto(),
             stream_windows: None,
         }
     }
 }
 
 /// Search statistics (Figure 9 / §7.3 reporting).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Plan prefixes examined.
     pub prefixes_considered: u64,
@@ -74,8 +67,6 @@ pub struct PlanStats {
     pub full_candidates: u64,
     /// Prefixes pruned by bound or limit.
     pub pruned: u64,
-    /// Wall-clock planning time.
-    pub elapsed: Duration,
 }
 
 /// Planning errors.
@@ -268,7 +259,6 @@ fn mechanism_alternatives(kind: MechanismKind, c: u64, k: u64) -> Vec<Vec<Vignet
 /// assert!(stats.full_candidates >= 1);
 /// ```
 pub fn plan(lp: &LogicalPlan, cfg: &PlannerConfig) -> Result<(Plan, PlanStats), PlanError> {
-    let start = Instant::now();
     if lp.ops.is_empty() {
         return Err(PlanError::EmptyPlan);
     }
@@ -403,7 +393,6 @@ pub fn plan(lp: &LogicalPlan, cfg: &PlannerConfig) -> Result<(Plan, PlanStats), 
         m_cache: &mut m_cache,
     };
     dfs(&mut ctx, 0, &mut acc, base);
-    stats.elapsed = start.elapsed();
     best.ok_or(PlanError::Infeasible).map(|p| (p, stats))
 }
 
@@ -444,43 +433,6 @@ mod tests {
         assert!(m.agg_secs < 20_000.0 * 3600.0);
         // The committee fraction should be well under 1%.
         assert!(plan.committee_fraction() < 0.01);
-    }
-
-    #[test]
-    fn pool_calibrated_defaults_leave_plan_selection_unchanged() {
-        // Regression guard for pool-aware calibration: counters that
-        // measure exactly the default constants must select the exact
-        // plan (signature and goal cost) the fig9/fig10 path selects
-        // with the stock model.
-        use crate::cost::PoolCalibration;
-        use arboretum_par::PoolStats;
-        let lp = top1(1 << 12);
-        let cfg = PlannerConfig::paper_defaults(1 << 30);
-        let (reference, _) = plan(&lp, &cfg).unwrap();
-        let cm = cfg.cost_model.clone();
-        let mk = |secs: f64, ops: u64| {
-            vec![PoolStats {
-                tasks: ops,
-                busy_nanos: (secs * 1e9).round() as u64,
-                ..PoolStats::default()
-            }]
-        };
-        let ops = 1_000_000u64;
-        let cal = PoolCalibration {
-            verify: mk(ops as f64 * cm.zkp_verify_secs, ops),
-            verify_ops: ops,
-            aggregate: mk(ops as f64 * cm.bgv_add_secs, ops),
-            aggregate_ops: ops,
-            ring_degree: cm.full_degree as u64,
-        };
-        let mut calibrated_cfg = cfg.clone();
-        calibrated_cfg.cost_model = cm.with_pool_calibration(&cal);
-        let (calibrated, _) = plan(&lp, &calibrated_cfg).unwrap();
-        assert_eq!(calibrated.signature(), reference.signature());
-        assert_eq!(
-            calibrated.metrics.get(cfg.goal).to_bits(),
-            reference.metrics.get(cfg.goal).to_bits()
-        );
     }
 
     #[test]

@@ -20,8 +20,7 @@ use arboretum_dp::budget::PrivacyCost;
 use arboretum_lang::ast::DbSchema;
 use arboretum_mpc::network::NetMetrics;
 use arboretum_net::FabricKind;
-use arboretum_par::{ParConfig, PoolStats, ShardedPool};
-use arboretum_planner::cost::PoolCalibration;
+use arboretum_par::{ParConfig, ShardedPool};
 use arboretum_planner::logical::LogicalPlan;
 use arboretum_planner::plan::Plan;
 use arboretum_sortition::select::Registry;
@@ -151,7 +150,7 @@ impl Default for ExecutionConfig {
 }
 
 /// The query authorization certificate (§5.2).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QueryCert {
     /// Digest of the published public key.
     pub pk_digest: Digest,
@@ -223,8 +222,10 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// The result of one end-to-end execution.
-#[derive(Clone, Debug)]
+/// The result of one end-to-end execution: a pure function of the
+/// plan, deployment, and configuration (no field carries a clock), so
+/// two runs the determinism contract calls identical compare with `==`.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExecutionReport {
     /// Released outputs (category indices or noised counts, per the
     /// query's mechanism).
@@ -244,41 +245,15 @@ pub struct ExecutionReport {
     pub mpc_elapsed_estimate_secs: f64,
     /// Remaining budget after the query.
     pub budget_after: PrivacyCost,
-    /// Per-shard pool counters for the input-verification phase.
-    ///
-    /// Timing-bearing: `busy_nanos` varies run to run, so determinism
-    /// comparisons must not include this field.
-    pub verify_pool: Vec<PoolStats>,
     /// Proof verifications performed (one per upload).
     pub verify_ops: u64,
-    /// Per-shard pool counters for the ⊞-aggregation phase
-    /// (timing-bearing, like [`Self::verify_pool`]).
-    pub aggregate_pool: Vec<PoolStats>,
     /// Homomorphic additions performed (`accepted − 1` across all tree
     /// levels).
     pub aggregate_ops: u64,
-    /// Ring degree the aggregation ran at.
-    pub ring_degree: u64,
     /// Fixed-cost setup work this execution performed itself. All-zero
     /// when the execution ran against a cached [`SessionSetup`] (the
     /// session-catalog path): sortition and keygen were amortized.
     pub setup: SetupCounters,
-}
-
-impl ExecutionReport {
-    /// Packages the measured phase counters for
-    /// [`arboretum_planner::cost::CostModel::calibrate_from_pools`]:
-    /// aggregator cost constants derived from what the sharded pools
-    /// actually did, instead of the stock micro-bench defaults.
-    pub fn pool_calibration(&self) -> PoolCalibration {
-        PoolCalibration {
-            verify: self.verify_pool.clone(),
-            verify_ops: self.verify_ops,
-            aggregate: self.aggregate_pool.clone(),
-            aggregate_ops: self.aggregate_ops,
-            ring_degree: self.ring_degree,
-        }
-    }
 }
 
 /// Executes a plan on a deployment: one ingestion epoch

@@ -51,7 +51,7 @@ use arboretum_mpc::engine::MpcEngine;
 use arboretum_mpc::fixp::{inject_with_cost, FunctionalityCost};
 use arboretum_net::wire::{message_to_vsr_batch, vsr_batch_to_message};
 use arboretum_net::{FabricKind, Message};
-use arboretum_par::{par_map_arc_sharded, PoolStats, ShardedPool};
+use arboretum_par::{par_map_arc_sharded, ShardedPool};
 use arboretum_planner::logical::LogicalPlan;
 use arboretum_planner::plan::{PhysOp, Plan};
 use arboretum_vsr::{
@@ -85,8 +85,10 @@ use crate::setup::{build_session_setup_observed, SessionSetup, SetupCounters};
 /// changes results (modular addition is exact), only scheduling.
 pub const DEFAULT_STREAM_CHUNK: usize = 32;
 
-/// Checkpoint wire-format version.
-const CHECKPOINT_VERSION: u16 = 1;
+/// Checkpoint wire-format version. Version 1 carried per-shard pool
+/// timings, so its bytes were not a function of the epoch; it is
+/// refused like any other unknown version.
+const CHECKPOINT_VERSION: u16 = 2;
 /// Checkpoint magic bytes (`"ArbS"`).
 const CHECKPOINT_MAGIC: [u8; 4] = *b"ArbS";
 
@@ -285,7 +287,7 @@ impl StreamDetection {
 /// The public per-window record: what this window folded, the digests
 /// that commit the accumulator and the key handoff, and the metering
 /// deltas attributable to the window alone.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WindowCheckpoint {
     /// The window index.
     pub window: usize,
@@ -308,16 +310,10 @@ pub struct WindowCheckpoint {
     pub handoff_bytes: u64,
     /// Frames the handoff exchanged.
     pub handoff_frames: u64,
-    /// Per-shard pool counter deltas for this window's verify phase
-    /// (timing-bearing: excluded from determinism comparisons).
-    pub verify_pool: Vec<PoolStats>,
-    /// Per-shard pool counter deltas for this window's ⊞ fold
-    /// (timing-bearing).
-    pub aggregate_pool: Vec<PoolStats>,
 }
 
 /// The result of one closed streaming epoch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StreamReport {
     /// The standard execution report — outputs, certificate, budget,
     /// metrics — bitwise comparable with a batch run over the same
@@ -421,8 +417,6 @@ pub struct StreamExecutor<'a> {
     rejected_count: usize,
     verify_ops: u64,
     aggregate_ops: u64,
-    verify_pool_total: Vec<PoolStats>,
-    aggregate_pool_total: Vec<PoolStats>,
     step_results: Vec<Vec<u8>>,
     shares: Vec<VShare>,
     commitments: Vec<GroupElem>,
@@ -581,9 +575,8 @@ impl<'a> StreamExecutor<'a> {
         let mut share_rng = StdRng::seed_from_u64(cfg.seed ^ domain_tag(b"stream-keyshare"));
         let sharing = feldman_share(key_secret, t, m, &mut share_rng);
 
-        // Sharded pools: leased from the caller's pool bank, or fresh so
-        // the per-phase counter deltas cover exactly this epoch (they
-        // feed `planner::cost::PoolCalibration`).
+        // Sharded pools: leased from the caller's pool bank, or owned by
+        // this epoch.
         let owned_pool = match lease {
             Some(_) => None,
             None => Some(cfg.par.sharded_pool()),
@@ -605,8 +598,6 @@ impl<'a> StreamExecutor<'a> {
             rejected_count: 0,
             verify_ops: 0,
             aggregate_ops: 0,
-            verify_pool_total: Vec::new(),
-            aggregate_pool_total: Vec::new(),
             step_results: Vec::new(),
             shares: sharing.shares,
             commitments: sharing.commitments,
@@ -801,7 +792,6 @@ impl<'a> StreamExecutor<'a> {
         // reason. ----
         let uploads = Arc::new(uploads);
         self.verify_ops += uploads.len() as u64;
-        let verify_before = shard_set.stats();
         let verdicts: Vec<Option<DetectionKind>> =
             par_map_arc_sharded(shard_set, &uploads, move |_, upload| match upload {
                 Upload::OneHot { proof, .. } => match proof {
@@ -832,8 +822,6 @@ impl<'a> StreamExecutor<'a> {
                     }),
                 },
             });
-        let verify_delta = stats_since(shard_set, &verify_before);
-        add_stats(&mut self.verify_pool_total, &verify_delta);
 
         // The aggregator hook is consulted exactly once, at the last
         // deterministic serial point before the first ⊞ fold.
@@ -920,7 +908,6 @@ impl<'a> StreamExecutor<'a> {
         // addition, so the chunked merges are bitwise identical to a
         // serial fold for every shard and thread count (see
         // `arboretum_bgv::batch`). ----
-        let aggregate_before = shard_set.stats();
         let mut partials: Vec<Ciphertext> = Vec::with_capacity(cts.len() + 1);
         if let Some(acc) = self.acc.take() {
             partials.push(acc);
@@ -935,8 +922,6 @@ impl<'a> StreamExecutor<'a> {
             self.acc = Some(partials.remove(0));
             self.aggregate_ops += adds;
         }
-        let aggregate_delta = stats_since(shard_set, &aggregate_before);
-        add_stats(&mut self.aggregate_pool_total, &aggregate_delta);
         // The fold step commits its label *and* the accumulator's
         // digest, so a wrong partial sum is observable evidence in the
         // step log rather than an invisible lie.
@@ -973,8 +958,6 @@ impl<'a> StreamExecutor<'a> {
             handoff_digest,
             handoff_bytes,
             handoff_frames,
-            verify_pool: verify_delta,
-            aggregate_pool: aggregate_delta,
         };
         self.checkpoints.push(checkpoint);
         self.next_window += 1;
@@ -1238,11 +1221,8 @@ impl<'a> StreamExecutor<'a> {
                 audit_ok,
                 mpc_elapsed_estimate_secs,
                 budget_after,
-                verify_pool: self.verify_pool_total,
                 verify_ops: self.verify_ops,
-                aggregate_pool: self.aggregate_pool_total,
                 aggregate_ops: self.aggregate_ops,
-                ring_degree: ctx.params.n as u64,
                 setup: setup_counters,
             },
             checkpoints: self.checkpoints,
@@ -1358,6 +1338,8 @@ impl<'a> StreamExecutor<'a> {
     /// ciphertext (as wire `CtChunk` frames), committee shares and
     /// commitments (as a wire `VsrSubshares` frame), counters, step
     /// log, and per-window checkpoints, bound to the schedule digest.
+    /// The bytes are a function of the epoch so far — identical at every
+    /// thread count, shard count and fabric — so a log can hash them.
     ///
     /// # Errors
     ///
@@ -1413,9 +1395,6 @@ impl<'a> StreamExecutor<'a> {
             put_u32(&mut out, step.len() as u32);
             out.extend_from_slice(step);
         }
-        // Pool totals (timing-bearing; serialized for faithfulness).
-        put_stats(&mut out, &self.verify_pool_total);
-        put_stats(&mut out, &self.aggregate_pool_total);
         // Per-window checkpoints.
         put_u32(&mut out, self.checkpoints.len() as u32);
         for c in &self.checkpoints {
@@ -1428,8 +1407,6 @@ impl<'a> StreamExecutor<'a> {
             put_digest(&mut out, &c.handoff_digest);
             put_u64(&mut out, c.handoff_bytes);
             put_u64(&mut out, c.handoff_frames);
-            put_stats(&mut out, &c.verify_pool);
-            put_stats(&mut out, &c.aggregate_pool);
         }
         Ok(out)
     }
@@ -1442,13 +1419,16 @@ impl<'a> StreamExecutor<'a> {
     /// The bytes are untrusted (a crashed process or an attacker wrote
     /// them): every length is bounded by the bytes that remain before
     /// anything is allocated for it, and nothing is committed to `self`
-    /// until the whole checkpoint parsed.
+    /// until the whole checkpoint parsed and its fields agree with each
+    /// other (one row per ingested window, in order; accepted counts
+    /// that add up; a step log and an accumulator where the counts say
+    /// there must be one).
     ///
     /// # Errors
     ///
     /// [`StreamError::Checkpoint`] on truncation, version/magic or
-    /// schedule-digest mismatch, implausible counts, or malformed
-    /// frames.
+    /// schedule-digest mismatch, implausible or inconsistent counts, or
+    /// malformed frames.
     pub fn restore_from(&mut self, bytes: &[u8]) -> Result<(), StreamError> {
         let bad = |s: &str| StreamError::Checkpoint(s.to_string());
         let mut pos = 0usize;
@@ -1493,6 +1473,10 @@ impl<'a> StreamExecutor<'a> {
                                 && l as usize == limb
                                 && coeffs.len() == params.n =>
                             {
+                                // ⊞ assumes reduced residues.
+                                if coeffs.iter().any(|&c| c >= params.moduli[limb]) {
+                                    return Err(bad("accumulator coefficient is not reduced"));
+                                }
                                 slot.rows.push(coeffs);
                             }
                             _ => return Err(bad("accumulator frame out of order")),
@@ -1508,7 +1492,14 @@ impl<'a> StreamExecutor<'a> {
             .map_err(|e| StreamError::Checkpoint(e.to_string()))?;
         pos += used;
         let committee = message_to_vsr_batch(&msg).ok_or_else(|| bad("missing committee frame"))?;
-        if committee.from != next_window || committee.sharing.shares.len() != self.shares.len() {
+        // Seat `j` holds evaluation point `j + 1`: the handoff indexes
+        // the roster by it.
+        let sharing = &committee.sharing;
+        if committee.from != next_window
+            || sharing.shares.len() != self.shares.len()
+            || sharing.commitments.len() != self.commitments.len()
+            || (sharing.shares.iter().zip(1u64..)).any(|(s, x)| s.x != x)
+        {
             return Err(bad("committee frame does not match the epoch"));
         }
         // A step is at least its 4-byte length prefix.
@@ -1518,8 +1509,6 @@ impl<'a> StreamExecutor<'a> {
             let len = get_u32(bytes, &mut pos)? as usize;
             step_results.push(take(bytes, &mut pos, len)?.to_vec());
         }
-        let verify_pool_total = get_stats(bytes, &mut pos)?;
-        let aggregate_pool_total = get_stats(bytes, &mut pos)?;
         let n_checkpoints = get_count(bytes, &mut pos, CHECKPOINT_MIN_BYTES)?;
         let mut checkpoints = Vec::with_capacity(n_checkpoints);
         for _ in 0..n_checkpoints {
@@ -1533,14 +1522,40 @@ impl<'a> StreamExecutor<'a> {
                 handoff_digest: get_digest(bytes, &mut pos)?,
                 handoff_bytes: get_u64(bytes, &mut pos)?,
                 handoff_frames: get_u64(bytes, &mut pos)?,
-                verify_pool: get_stats(bytes, &mut pos)?,
-                aggregate_pool: get_stats(bytes, &mut pos)?,
             });
         }
         if pos != bytes.len() {
             return Err(bad("trailing bytes after checkpoint"));
         }
-        self.next_window = next_window as usize;
+        // Every field parsed; now the fields must agree with each other
+        // the way `ingest_next` leaves them, or a later `ingest_next` or
+        // `close` would index state that is not there.
+        let next_window = next_window as usize;
+        if checkpoints.len() != next_window {
+            return Err(bad("checkpoint rows do not match the window count"));
+        }
+        let mut cumulative = 0usize;
+        for (i, c) in checkpoints.iter().enumerate() {
+            if c.window != i {
+                return Err(bad("checkpoint rows are out of order"));
+            }
+            if c.cumulative_accepted < cumulative {
+                return Err(bad("cumulative accepted count decreases"));
+            }
+            cumulative = c.cumulative_accepted;
+        }
+        if cumulative != accepted_count {
+            return Err(bad("accepted count does not match the checkpoint rows"));
+        }
+        if step_results.len() < next_window {
+            return Err(bad("step log is shorter than the windows ingested"));
+        }
+        if acc.is_some() != (accepted_count > 0) {
+            return Err(bad(
+                "accumulator presence does not match the accepted count",
+            ));
+        }
+        self.next_window = next_window;
         self.accepted_count = accepted_count;
         self.rejected_count = rejected_count;
         self.verify_ops = verify_ops;
@@ -1549,8 +1564,6 @@ impl<'a> StreamExecutor<'a> {
         self.shares = committee.sharing.shares;
         self.commitments = committee.sharing.commitments;
         self.step_results = step_results;
-        self.verify_pool_total = verify_pool_total;
-        self.aggregate_pool_total = aggregate_pool_total;
         self.checkpoints = checkpoints;
         self.detections.clear();
         self.ok_steps.clear();
@@ -1592,27 +1605,6 @@ fn fold_label(window: usize) -> Vec<u8> {
     format!("window-{window}-fold").into_bytes()
 }
 
-fn stats_since(pool: &ShardedPool, before: &[PoolStats]) -> Vec<PoolStats> {
-    pool.stats()
-        .iter()
-        .zip(before)
-        .map(|(now, before)| now.since(before))
-        .collect()
-}
-
-fn add_stats(total: &mut Vec<PoolStats>, delta: &[PoolStats]) {
-    if total.len() < delta.len() {
-        total.resize(delta.len(), PoolStats::default());
-    }
-    for (t, d) in total.iter_mut().zip(delta) {
-        t.tasks += d.tasks;
-        t.busy_nanos += d.busy_nanos;
-        t.steals += d.steals;
-        t.injected += d.injected;
-        t.inline_tasks += d.inline_tasks;
-    }
-}
-
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_be_bytes());
 }
@@ -1631,22 +1623,9 @@ fn put_digest(out: &mut Vec<u8>, d: &Option<Digest>) {
     }
 }
 
-fn put_stats(out: &mut Vec<u8>, stats: &[PoolStats]) {
-    put_u32(out, stats.len() as u32);
-    for s in stats {
-        put_u64(out, s.tasks);
-        put_u64(out, s.busy_nanos);
-        put_u64(out, s.steals);
-        put_u64(out, s.injected);
-        put_u64(out, s.inline_tasks);
-    }
-}
-
-/// Serialized size of one [`PoolStats`]: five `u64` counters.
-const STATS_BYTES: usize = 40;
 /// Least a serialized [`WindowCheckpoint`] can occupy: seven `u64`
-/// fields, two digest flags, two (empty) stats vectors.
-const CHECKPOINT_MIN_BYTES: usize = 7 * 8 + 2 + 2 * 4;
+/// fields and two digest flags.
+const CHECKPOINT_MIN_BYTES: usize = 7 * 8 + 2;
 
 /// The next `k` checkpoint bytes, advancing `pos`. The one bounds check
 /// every reader below goes through; `checked_add` so a hostile length
@@ -1692,21 +1671,6 @@ fn get_digest(bytes: &[u8], pos: &mut usize) -> Result<Option<Digest>, StreamErr
         )),
         _ => Err(StreamError::Checkpoint("bad digest flag".into())),
     }
-}
-
-fn get_stats(bytes: &[u8], pos: &mut usize) -> Result<Vec<PoolStats>, StreamError> {
-    let k = get_count(bytes, pos, STATS_BYTES)?;
-    let mut out = Vec::with_capacity(k);
-    for _ in 0..k {
-        out.push(PoolStats {
-            tasks: get_u64(bytes, pos)?,
-            busy_nanos: get_u64(bytes, pos)?,
-            steals: get_u64(bytes, pos)?,
-            injected: get_u64(bytes, pos)?,
-            inline_tasks: get_u64(bytes, pos)?,
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1764,24 +1728,5 @@ mod tests {
         assert!(!s.contributes(2)); // dropped in the arrival window
         assert!(s.contributes(3)); // dropped after uploading
         assert_eq!(s.survivors(), vec![0, 3]);
-    }
-
-    #[test]
-    fn stats_serialization_round_trips() {
-        let stats = vec![
-            PoolStats {
-                tasks: 3,
-                busy_nanos: 99,
-                steals: 1,
-                injected: 2,
-                inline_tasks: 0,
-            },
-            PoolStats::default(),
-        ];
-        let mut buf = Vec::new();
-        put_stats(&mut buf, &stats);
-        let mut pos = 0;
-        assert_eq!(get_stats(&buf, &mut pos).unwrap(), stats);
-        assert_eq!(pos, buf.len());
     }
 }

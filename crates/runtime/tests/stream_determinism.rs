@@ -1,10 +1,11 @@
 //! Cross-shape determinism sweep for streaming windowed aggregation.
 //!
-//! The streaming contract (`runtime::stream`) promises that outputs,
-//! budget, audit verdict, and every checkpoint digest are bitwise
+//! The streaming contract (`runtime::stream`) promises that the whole
+//! [`StreamReport`] and the checkpoint bytes after every window are
 //! identical across execution *shapes* — thread counts, shard counts,
-//! and network fabrics — and invariant to window-boundary placement at
-//! a fixed arrival schedule. This battery sweeps the full shape matrix
+//! and network fabrics — and that the close-level report is invariant
+//! to window-boundary placement at a fixed surviving set. This battery
+//! sweeps the full shape matrix
 //! `threads {1, 8} × shards {1, 2} × fabrics {sim, evented}`
 //! against a serial baseline, then re-bins the same surviving-device
 //! set into different window partitions on the most parallel shape.
@@ -23,7 +24,7 @@ use arboretum_planner::plan::Plan;
 use arboretum_planner::search::{plan, PlannerConfig};
 use arboretum_runtime::executor::{Deployment, ExecutionConfig};
 use arboretum_runtime::setup::{build_session_setup, SessionSetup};
-use arboretum_runtime::stream::{execute_stream, ArrivalSchedule, StreamReport};
+use arboretum_runtime::stream::{ArrivalSchedule, StreamExecutor, StreamReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -76,91 +77,55 @@ fn base_cfg(par: ParConfig, fabric: Option<FabricKind>) -> ExecutionConfig {
     }
 }
 
+/// Drives one epoch window by window and returns its report with the
+/// checkpoint bytes taken after every window. Each checkpoint is also
+/// restored into a fresh executor of the same shape, which must
+/// re-serialize to the same bytes.
 fn run_shape(
     schedule: &ArrivalSchedule,
     par: ParConfig,
     fabric: Option<FabricKind>,
-) -> StreamReport {
+) -> (StreamReport, Vec<Vec<u8>>) {
     let f = fixture();
     let cfg = base_cfg(par, fabric);
-    execute_stream(
-        &f.plan,
-        &f.lp,
-        &f.deployment,
-        &cfg,
-        schedule,
-        Some(&f.setup),
-        None,
-        None,
-    )
-    .expect("streamed epoch failed")
-}
-
-/// One window's shape-invariant record: counts, digests, handoff
-/// volume.
-#[derive(Debug, PartialEq)]
-struct CheckpointRow {
-    window: usize,
-    accepted: usize,
-    rejected: usize,
-    cumulative: usize,
-    acc_digest: Option<[u8; 32]>,
-    handoff_digest: Option<[u8; 32]>,
-    handoff_bytes: u64,
-    handoff_frames: u64,
-}
-
-/// The deterministic projection of a streamed epoch: everything the
-/// contract promises is shape-invariant. Pool counters (timing-bearing)
-/// are deliberately excluded.
-#[derive(Debug, PartialEq)]
-struct Projection {
-    outputs: Vec<i64>,
-    accepted: usize,
-    rejected: usize,
-    budget_bits: u64,
-    audit_ok: bool,
-    aggregate_ops: u64,
-    cert_body: Vec<u8>,
-    mpc_rounds: u64,
-    checkpoints: Vec<CheckpointRow>,
-}
-
-fn project(r: &StreamReport) -> Projection {
-    Projection {
-        outputs: r.report.outputs.clone(),
-        accepted: r.report.accepted_inputs,
-        rejected: r.report.rejected_inputs,
-        budget_bits: r.report.budget_after.epsilon.to_bits(),
-        audit_ok: r.report.audit_ok,
-        aggregate_ops: r.report.aggregate_ops,
-        cert_body: r.report.certificate.body(),
-        mpc_rounds: r.report.mpc_metrics.rounds,
-        checkpoints: r
-            .checkpoints
-            .iter()
-            .map(|c| CheckpointRow {
-                window: c.window,
-                accepted: c.accepted,
-                rejected: c.rejected,
-                cumulative: c.cumulative_accepted,
-                acc_digest: c.accumulator_digest,
-                handoff_digest: c.handoff_digest,
-                handoff_bytes: c.handoff_bytes,
-                handoff_frames: c.handoff_frames,
-            })
-            .collect(),
+    let open = || {
+        StreamExecutor::open(
+            &f.plan,
+            &f.lp,
+            &f.deployment,
+            &cfg,
+            schedule,
+            Some(&f.setup),
+            None,
+            None,
+        )
+        .expect("open failed")
+    };
+    let mut exec = open();
+    let mut checkpoints = Vec::new();
+    for w in 0..schedule.n_windows {
+        exec.ingest_next().expect("ingest failed");
+        let bytes = exec.checkpoint_bytes().expect("checkpoint failed");
+        let mut restored = open();
+        restored.restore_from(&bytes).expect("restore failed");
+        assert_eq!(
+            restored.checkpoint_bytes().unwrap(),
+            bytes,
+            "window {w}: a restored executor re-serialized differently"
+        );
+        checkpoints.push(bytes);
     }
+    (exec.close().expect("streamed epoch failed"), checkpoints)
 }
 
 /// Writes the replayable divergence artifact and returns its path: the
 /// full arrival schedule (every device's arrival and drop window), the
-/// diverging shape, and both projections.
+/// diverging shape, and both reports.
 fn dump_divergence(
     schedule: &ArrivalSchedule,
     shape: &str,
-    baseline: &Projection,
-    diverged: &Projection,
+    baseline: &StreamReport,
+    diverged: &StreamReport,
 ) -> PathBuf {
     let dir =
         std::env::var("STREAM_ARTIFACT_DIR").unwrap_or_else(|_| "target/stream-failures".into());
@@ -187,20 +152,31 @@ fn dump_divergence(
 #[test]
 fn streamed_epochs_are_bitwise_identical_across_shapes() {
     let schedule = ArrivalSchedule::derive(SEED, N_DEVICES, WINDOWS);
-    let baseline = project(&run_shape(&schedule, ParConfig::serial(), None));
-    assert!(baseline.audit_ok, "baseline audit failed");
+    let (baseline, baseline_bytes) = run_shape(&schedule, ParConfig::serial(), None);
+    assert!(baseline.report.audit_ok, "baseline audit failed");
 
     for threads in [1usize, 8] {
         for shards in [1usize, 2] {
             for fabric in FabricKind::ALL {
                 let par = ParConfig::fixed(threads).with_shards(shards);
-                let got = project(&run_shape(&schedule, par, Some(fabric)));
+                let (got, got_bytes) = run_shape(&schedule, par, Some(fabric));
+                let shape = format!("t{threads}-s{shards}-{fabric:?}");
                 if got != baseline {
-                    let shape = format!("t{threads}-s{shards}-{fabric:?}");
                     let path = dump_divergence(&schedule, &shape, &baseline, &got);
                     panic!(
                         "shape {shape} diverged from the serial baseline; artifact: {}",
                         path.display()
+                    );
+                }
+                // A checkpoint is a function of the epoch, not of the
+                // pools that computed it.
+                for (w, (g, b)) in got_bytes.iter().zip(&baseline_bytes).enumerate() {
+                    assert!(
+                        g == b,
+                        "shape {shape}: checkpoint bytes after window {w} differ from the \
+                         serial single-shard run's ({} vs {} bytes)",
+                        g.len(),
+                        b.len()
                     );
                 }
             }
@@ -211,14 +187,15 @@ fn streamed_epochs_are_bitwise_identical_across_shapes() {
 #[test]
 fn window_boundary_placement_cannot_change_the_epoch() {
     let schedule = ArrivalSchedule::derive(SEED, N_DEVICES, WINDOWS);
-    let baseline = project(&run_shape(&schedule, ParConfig::serial(), None));
+    let (baseline, _) = run_shape(&schedule, ParConfig::serial(), None);
     let survivors = schedule.survivors();
 
     // Re-bin the same surviving set into different partitions and run
-    // each on the most parallel shape. Close-level results must match
-    // the baseline bitwise; per-window records legitimately differ, but
-    // the final accumulator digest (the ciphertext the epoch decrypts)
-    // must not.
+    // each on the most parallel shape. The close-level report must match
+    // the baseline whole. `checkpoints` legitimately differs — it holds
+    // one row per window, and the partitions have different windows —
+    // but its last accumulator digest (the ciphertext the epoch
+    // decrypts) must not.
     let par = ParConfig::fixed(8).with_shards(2);
     for k in [1usize, 2, 7] {
         let chunk = survivors.len().div_ceil(k);
@@ -229,16 +206,10 @@ fn window_boundary_placement_cannot_change_the_epoch() {
             survivors,
             "re-bin changed the surviving set"
         );
-        let got = run_shape(&rebinned, par, Some(FabricKind::Evented));
-        let gp = project(&got);
-        let close_equal = gp.outputs == baseline.outputs
-            && gp.accepted == baseline.accepted
-            && gp.budget_bits == baseline.budget_bits
-            && gp.audit_ok
-            && gp.checkpoints.last().and_then(|c| c.acc_digest)
-                == baseline.checkpoints.last().and_then(|c| c.acc_digest);
-        if !close_equal {
-            let path = dump_divergence(&rebinned, &format!("rebin-{k}"), &baseline, &gp);
+        let (got, _) = run_shape(&rebinned, par, Some(FabricKind::Evented));
+        let final_digest = |r: &StreamReport| r.checkpoints.last().unwrap().accumulator_digest;
+        if got.report != baseline.report || final_digest(&got) != final_digest(&baseline) {
+            let path = dump_divergence(&rebinned, &format!("rebin-{k}"), &baseline, &got);
             panic!(
                 "re-binning into {k} window(s) changed the epoch; artifact: {}",
                 path.display()

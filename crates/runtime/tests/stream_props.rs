@@ -17,6 +17,7 @@
 use arboretum_lang::ast::DbSchema;
 use arboretum_lang::parser::parse;
 use arboretum_lang::privacy::CertifyConfig;
+use arboretum_net::Message;
 use arboretum_par::ParConfig;
 use arboretum_planner::logical::{extract, LogicalPlan};
 use arboretum_planner::plan::Plan;
@@ -109,36 +110,12 @@ fn run_stream(schedule: &ArrivalSchedule) -> Result<StreamReport, StreamError> {
     run_query(&f.lp, &f.plan, schedule)
 }
 
-/// The stream-vs-stream comparable projection: everything the contract
-/// promises is partition-invariant (step logs and per-window pool
-/// timings legitimately differ between partitions and are excluded).
+/// Two partitions of one surviving set: the close-level report is
+/// compared whole. `checkpoints` legitimately differs — one row per
+/// window, and the partitions have different windows — except for the
+/// accumulator the epoch decrypted, which must be the same ciphertext.
 fn assert_equivalent(a: &StreamReport, b: &StreamReport, tag: &str) {
-    assert_eq!(a.report.outputs, b.report.outputs, "outputs: {tag}");
-    assert_eq!(
-        a.report.accepted_inputs, b.report.accepted_inputs,
-        "accepted: {tag}"
-    );
-    assert_eq!(
-        a.report.rejected_inputs, b.report.rejected_inputs,
-        "rejected: {tag}"
-    );
-    assert_eq!(
-        a.report.budget_after.epsilon.to_bits(),
-        b.report.budget_after.epsilon.to_bits(),
-        "budget: {tag}"
-    );
-    assert_eq!(a.report.mpc_metrics, b.report.mpc_metrics, "metrics: {tag}");
-    assert_eq!(a.report.audit_ok, b.report.audit_ok, "audit: {tag}");
-    assert_eq!(
-        a.report.certificate.body(),
-        b.report.certificate.body(),
-        "certificate body: {tag}"
-    );
-    assert_eq!(
-        a.report.aggregate_ops, b.report.aggregate_ops,
-        "aggregate ops: {tag}"
-    );
-    // The accumulator the epoch decrypted: bitwise identical ciphertext.
+    assert_eq!(a.report, b.report, "report: {tag}");
     assert_eq!(
         a.checkpoints.last().unwrap().accumulator_digest,
         b.checkpoints.last().unwrap().accumulator_digest,
@@ -253,23 +230,18 @@ proptest! {
             interrupted.ingest_next().unwrap();
             resumed.ingest_next().unwrap();
         }
-        let a = interrupted.close().unwrap();
-        let b = resumed.close().unwrap();
-        assert_equivalent(&a, &b, "restored vs uninterrupted");
-        // Restored continuation reproduces the per-window records too.
-        prop_assert_eq!(a.checkpoints.len(), b.checkpoints.len());
-        for (ca, cb) in a.checkpoints.iter().zip(&b.checkpoints) {
-            prop_assert_eq!(ca.accumulator_digest, cb.accumulator_digest);
-            prop_assert_eq!(ca.handoff_digest, cb.handoff_digest);
-            prop_assert_eq!(ca.accepted, cb.accepted);
-        }
+        // Same schedule: the whole epoch, per-window rows included.
+        prop_assert_eq!(interrupted.close().unwrap(), resumed.close().unwrap());
     }
 
     /// Checkpoint bytes are untrusted input. Truncating them, flipping
-    /// a byte, overwriting a length field with `u32::MAX`, or appending
-    /// junk yields a typed error or a state that round-trips through
-    /// `checkpoint_bytes` — never a panic, and never an allocation
-    /// beyond a small multiple of the input length.
+    /// a byte, overwriting a length field with `u32::MAX`, appending
+    /// junk, or rewriting counts so the fields contradict each other
+    /// yields a typed error or a state that round-trips through
+    /// `checkpoint_bytes` *and* drives on through `close` — never a
+    /// panic, and never an allocation beyond a small multiple of the
+    /// input length (restore) or of what the honest epoch asks for
+    /// (ingest + close).
     #[test]
     fn hostile_checkpoint_bytes_are_refused_or_restore_a_valid_state(
         schedule in ScheduleStrategy,
@@ -280,6 +252,16 @@ proptest! {
         let open = || StreamExecutor::open(
             &f.plan, &f.lp, &f.deployment, &f.cfg, &schedule, Some(&f.setup), None, None,
         ).unwrap();
+        // Ingests what remains and closes: any typed outcome is fine.
+        let finish = |mut exec: StreamExecutor| {
+            largest_alloc_during(move || {
+                while exec.next_window() < schedule.n_windows {
+                    exec.ingest_next()?;
+                }
+                exec.close()
+            }).1
+        };
+        let honest_largest = finish(open());
         let check = |mutated: &[u8], tag: &str| -> Result<(), StreamError> {
             let mut victim = open();
             let (restored, largest) = largest_alloc_during(|| victim.restore_from(mutated));
@@ -293,21 +275,71 @@ proptest! {
             let mut again = open();
             again.restore_from(&bytes).unwrap();
             assert_eq!(again.checkpoint_bytes().unwrap(), bytes, "{tag}: restored state");
+            let largest = finish(victim);
+            assert!(
+                largest <= 2 * honest_largest + (64 << 10),
+                "{tag}: the restored epoch requested {largest} bytes at once \
+                 (the honest epoch: {honest_largest})",
+            );
             Ok(())
         };
+        let refused = |mutated: &[u8], tag: &str| {
+            assert!(
+                matches!(check(mutated, tag), Err(StreamError::Checkpoint(_))),
+                "{tag} must be a typed checkpoint error"
+            );
+        };
 
-        // A fresh executor's checkpoint ends in four u32 counts: steps,
-        // two pool-stat vectors, checkpoints. Either hostile count used
-        // to abort the process inside `Vec::with_capacity`.
+        // A fresh executor's checkpoint ends in two u32 counts: steps,
+        // checkpoints. Either hostile count used to abort the process
+        // inside `Vec::with_capacity`.
         let fresh = open().checkpoint_bytes().unwrap();
-        for (field, at) in [("n_steps", fresh.len() - 16), ("n_checkpoints", fresh.len() - 4)] {
+        for (field, at) in [("n_steps", fresh.len() - 8), ("n_checkpoints", fresh.len() - 4)] {
             let mut mutated = fresh.clone();
             mutated[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
-            prop_assert!(
-                matches!(check(&mutated, field), Err(StreamError::Checkpoint(_))),
-                "{field} = u32::MAX must be a typed checkpoint error"
-            );
+            refused(&mutated, &format!("{field} = u32::MAX"));
         }
+
+        // Structured forgeries: every byte parses, but the counts
+        // describe a state `checkpoint_bytes` cannot produce (the first
+        // used to restore `Ok` and panic in `close`, the second to close
+        // into a report with no checkpoints).
+        let mut full = open();
+        for _ in 0..schedule.n_windows {
+            full.ingest_next().unwrap();
+        }
+        let full = full.checkpoint_bytes().unwrap();
+        let layout = CheckpointLayout::of(&full);
+        let put = |bytes: &mut [u8], at: usize, v: u64| {
+            bytes[at..at + 8].copy_from_slice(&v.to_be_bytes());
+        };
+        let mut no_steps = full[..layout.steps_at].to_vec();
+        no_steps.extend_from_slice(&0u32.to_be_bytes());
+        no_steps.extend_from_slice(&full[layout.rows_at..]);
+        refused(&no_steps, "empty step log");
+        let mut no_rows = full[..layout.rows_at].to_vec();
+        no_rows.extend_from_slice(&0u32.to_be_bytes());
+        refused(&no_rows, "no checkpoint rows");
+        let mut wrong_window = full.clone();
+        put(&mut wrong_window, layout.rows[0] + ROW_WINDOW, 1);
+        refused(&wrong_window, "row 0 claims window 1");
+        let mut miscounted = full.clone();
+        put(&mut miscounted, HEADER_ACCEPTED, schedule.survivors().len() as u64 + 1);
+        refused(&miscounted, "accepted count disagrees with the rows");
+        let mut decreasing = full.clone();
+        put(&mut decreasing, layout.rows[0] + ROW_CUMULATIVE, u64::MAX >> 1);
+        refused(&decreasing, "cumulative accepted count decreases");
+        // Counts that agree with each other but not with the
+        // accumulator: claim no upload was ever accepted when one was
+        // (or one when none was).
+        let claimed = u64::from(schedule.survivors().is_empty());
+        let mut acc_mismatch = full.clone();
+        put(&mut acc_mismatch, HEADER_ACCEPTED, claimed);
+        for (i, &row) in layout.rows.iter().enumerate() {
+            let last = i + 1 == layout.rows.len();
+            put(&mut acc_mismatch, row + ROW_CUMULATIVE, if last { claimed } else { 0 });
+        }
+        refused(&acc_mismatch, "accumulator presence disagrees with the accepted count");
 
         // Mid-stream checkpoints, mutated at seed-derived positions.
         let cut = ((schedule.n_windows as f64 * cut_frac) as usize).min(schedule.n_windows);
@@ -343,6 +375,66 @@ proptest! {
             if let Err(e) = check(&mutated, tag) {
                 prop_assert!(matches!(e, StreamError::Checkpoint(_)), "{tag} at {at}: {e:?}");
             }
+        }
+    }
+}
+
+/// Offset of the accepted-upload count in a checkpoint: magic (4),
+/// version (2), schedule digest (32), then `next_window` (8).
+const HEADER_ACCEPTED: usize = 4 + 2 + 32 + 8;
+/// Offsets of `window` and `cumulative_accepted` inside one row.
+const ROW_WINDOW: usize = 0;
+const ROW_CUMULATIVE: usize = 4 * 8;
+
+/// Where a valid checkpoint's variable-length sections start, so a test
+/// can rewrite one count and leave every other byte well-formed.
+struct CheckpointLayout {
+    /// The step log's `u32` count.
+    steps_at: usize,
+    /// The checkpoint rows' `u32` count.
+    rows_at: usize,
+    /// The first byte of each row.
+    rows: Vec<usize>,
+}
+
+impl CheckpointLayout {
+    fn of(bytes: &[u8]) -> Self {
+        let u32_at = |at: usize| u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        // Header and five u64 counters, then the accumulator flag.
+        let mut pos = HEADER_ACCEPTED + 4 * 8;
+        let acc_frames = match bytes[pos] {
+            0 => 0,
+            _ => 2 * bytes[pos + 1] as usize,
+        };
+        pos += if acc_frames == 0 { 1 } else { 2 };
+        // Accumulator frames, then the committee frame.
+        for _ in 0..acc_frames + 1 {
+            pos += Message::decode_frame(&bytes[pos..]).unwrap().1;
+        }
+        let steps_at = pos;
+        let n_steps = u32_at(pos);
+        pos += 4;
+        for _ in 0..n_steps {
+            pos += 4 + u32_at(pos);
+        }
+        let rows_at = pos;
+        let n_rows = u32_at(pos);
+        pos += 4;
+        let mut rows = Vec::with_capacity(n_rows);
+        for _ in 0..n_rows {
+            rows.push(pos);
+            pos += 5 * 8;
+            // Two optional digests: a flag byte, then 32 bytes if set.
+            for _ in 0..2 {
+                pos += 1 + 32 * bytes[pos] as usize;
+            }
+            pos += 2 * 8;
+        }
+        assert_eq!(pos, bytes.len(), "layout walk must consume the checkpoint");
+        Self {
+            steps_at,
+            rows_at,
+            rows,
         }
     }
 }
@@ -432,20 +524,8 @@ fn the_stream_matches_the_legacy_batch_executor_when_no_device_churns() {
     )
     .unwrap();
     assert!(detections.is_empty());
-    assert_eq!(streamed.report.outputs, legacy.outputs);
-    assert_eq!(streamed.report.accepted_inputs, legacy.accepted_inputs);
-    assert_eq!(streamed.report.rejected_inputs, legacy.rejected_inputs);
-    assert_eq!(
-        streamed.report.budget_after.epsilon.to_bits(),
-        legacy.budget_after.epsilon.to_bits()
-    );
-    assert_eq!(streamed.report.mpc_metrics, legacy.mpc_metrics);
-    assert_eq!(
-        streamed.report.certificate.body(),
-        legacy.certificate.body()
-    );
-    assert_eq!(streamed.report.aggregate_ops, legacy.aggregate_ops);
-    assert!(streamed.report.audit_ok && legacy.audit_ok);
+    assert_eq!(streamed.report, legacy);
+    assert!(legacy.audit_ok);
 }
 
 #[test]
@@ -574,4 +654,33 @@ fn restoring_under_a_different_schedule_is_refused() {
         fresh.restore_from(&bytes[..bytes.len() - 3]),
         Err(StreamError::Checkpoint(_))
     ));
+}
+
+#[test]
+fn a_version_1_checkpoint_is_refused() {
+    // Version 1 carried pool timings; its bytes were not a function of
+    // the epoch. A header that is valid in every other respect (magic,
+    // schedule digest) is refused by version alone.
+    let f = fixture();
+    let schedule = ArrivalSchedule::derive(5, N_DEVICES, 3);
+    let mut exec = StreamExecutor::open(
+        &f.plan,
+        &f.lp,
+        &f.deployment,
+        &f.cfg,
+        &schedule,
+        Some(&f.setup),
+        None,
+        None,
+    )
+    .unwrap();
+    let mut bytes = exec.checkpoint_bytes().unwrap();
+    assert_eq!(bytes[4..6], 2u16.to_be_bytes());
+    bytes[4..6].copy_from_slice(&1u16.to_be_bytes());
+    assert_eq!(
+        exec.restore_from(&bytes),
+        Err(StreamError::Checkpoint(
+            "unsupported checkpoint version".into()
+        ))
+    );
 }

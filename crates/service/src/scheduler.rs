@@ -7,8 +7,8 @@
 //! ordered by submission order — the submission-index tie-break of the
 //! determinism contract. Execution is then embarrassingly parallel:
 //! worker threads pop admitted jobs, lease a [`ShardedPool`] from the
-//! bank (exclusive checkout keeps per-query pool counters meaningful),
-//! and run against the immutable cached setup under a read lock.
+//! bank (exclusive checkout bounds the worker threads in flight), and
+//! run against the immutable cached setup under a read lock.
 //! Because every job's randomness is fixed at admission (analyst tag +
 //! per-analyst sequence), *which* worker or pool runs it — or whether
 //! it runs at all concurrently with others — cannot change any result

@@ -1,11 +1,10 @@
 //! Serial-equivalence determinism: two analysts submitting interleaved
-//! query streams from concurrent OS threads produce per-query outputs,
-//! NetMeter totals, audit records, and ledger states bitwise identical
-//! to a serial replay of the same admission sequence — across thread
-//! counts {1, 8} × shard counts {1, 2}.
+//! query streams from concurrent OS threads produce per-query reports
+//! (compared whole, with `==`), audit records, and ledger states
+//! identical to a serial replay of the same admission sequence — across
+//! thread counts {1, 8} × shard counts {1, 2}.
 
 use arboretum_dp::budget::PrivacyCost;
-use arboretum_mpc::network::NetMetrics;
 use arboretum_par::ParConfig;
 use arboretum_runtime::executor::{Deployment, ExecutionReport};
 use arboretum_service::{AuditRecord, CatalogConfig, ServiceConfig, ServiceHandle};
@@ -43,44 +42,6 @@ fn open_analysts(handle: &ServiceHandle) {
         .open_session("alice", PrivacyCost::pure(6.0))
         .unwrap();
     handle.open_session("bob", PrivacyCost::pure(6.0)).unwrap();
-}
-
-/// The deterministic projection of a report: everything except the
-/// timing-bearing per-shard pool counters.
-#[derive(Debug, PartialEq)]
-struct ReportKey {
-    outputs: Vec<i64>,
-    cert_sigs: usize,
-    next_beacon: [u8; 32],
-    rejected: usize,
-    accepted: usize,
-    metrics: NetMetrics,
-    audit_ok: bool,
-    budget_after_bits: (u64, u64),
-    verify_ops: u64,
-    aggregate_ops: u64,
-    ring_degree: u64,
-    setup_zero: bool,
-}
-
-fn key(report: &ExecutionReport) -> ReportKey {
-    ReportKey {
-        outputs: report.outputs.clone(),
-        cert_sigs: report.certificate.signatures.len(),
-        next_beacon: report.certificate.next_beacon,
-        rejected: report.rejected_inputs,
-        accepted: report.accepted_inputs,
-        metrics: report.mpc_metrics.clone(),
-        audit_ok: report.audit_ok,
-        budget_after_bits: (
-            report.budget_after.epsilon.to_bits(),
-            report.budget_after.delta.to_bits(),
-        ),
-        verify_ops: report.verify_ops,
-        aggregate_ops: report.aggregate_ops,
-        ring_degree: report.ring_degree,
-        setup_zero: report.setup.is_zero(),
-    }
 }
 
 /// Writes the recorded admission interleaving to a reproduction
@@ -140,14 +101,14 @@ fn assert_serial_equivalence(threads: usize, shards: usize) {
     let audit = concurrent.audit_log();
     assert_eq!(audit.len(), 6, "all six submissions admitted");
     // Per-query results keyed by the interleaving-stable identity.
-    let mut concurrent_results: BTreeMap<(String, u64), ReportKey> = BTreeMap::new();
+    let mut concurrent_results: BTreeMap<(String, u64), ExecutionReport> = BTreeMap::new();
     for record in &audit {
         let report = concurrent.wait(record.query_id.expect("admitted")).unwrap();
         assert!(
             report.setup.is_zero(),
             "service queries must amortize setup"
         );
-        concurrent_results.insert((record.analyst.clone(), record.seq), key(&report));
+        concurrent_results.insert((record.analyst.clone(), record.seq), report);
     }
     let concurrent_ledgers = (
         concurrent.ledger("alice").unwrap(),
@@ -168,15 +129,14 @@ fn assert_serial_equivalence(threads: usize, shards: usize) {
     for record in &audit {
         let id = serial.submit(&record.analyst, source_of(record)).unwrap();
         let report = serial.wait(id).unwrap();
-        let concurrent_key = &concurrent_results[&(record.analyst.clone(), record.seq)];
-        let serial_key = key(&report);
-        if *concurrent_key != serial_key {
+        let concurrent_report = &concurrent_results[&(record.analyst.clone(), record.seq)];
+        if *concurrent_report != report {
             fail_with_interleaving(
                 threads,
                 shards,
                 &audit,
                 &format!(
-                    "query ({}, {}) diverged from serial replay:\n  concurrent {concurrent_key:?}\n  serial     {serial_key:?}",
+                    "query ({}, {}) diverged from serial replay:\n  concurrent {concurrent_report:#?}\n  serial     {report:#?}",
                     record.analyst, record.seq
                 ),
             );
@@ -198,32 +158,29 @@ fn assert_serial_equivalence(threads: usize, shards: usize) {
 
 #[test]
 fn interleaved_streams_match_serial_replay_across_pool_shapes() {
-    let mut baseline: Option<BTreeMap<(String, u64), Vec<i64>>> = None;
+    let mut baseline: Option<BTreeMap<(String, u64), ExecutionReport>> = None;
     for threads in THREAD_COUNTS {
         for shards in SHARD_COUNTS {
             assert_serial_equivalence(threads, shards);
-            // Outputs are additionally invariant across the pool-shape
+            // Reports are additionally invariant across the pool-shape
             // matrix itself: collect one serial run per shape and
             // compare against the first.
             let handle = service(0, threads, shards);
             open_analysts(&handle);
-            let mut outputs = BTreeMap::new();
+            let mut reports = BTreeMap::new();
             for (analyst, seq, src) in [
                 ("alice", 0, Q_TOP1),
                 ("bob", 0, Q_TOP1_TIGHT),
                 ("alice", 1, Q_TOP1),
             ] {
                 let id = handle.submit(analyst, src).unwrap();
-                outputs.insert(
-                    (analyst.to_string(), seq as u64),
-                    handle.wait(id).unwrap().outputs,
-                );
+                reports.insert((analyst.to_string(), seq as u64), handle.wait(id).unwrap());
             }
             match &baseline {
-                None => baseline = Some(outputs),
+                None => baseline = Some(reports),
                 Some(b) => assert_eq!(
-                    b, &outputs,
-                    "threads={threads} shards={shards}: outputs depend on pool shape"
+                    b, &reports,
+                    "threads={threads} shards={shards}: reports depend on pool shape"
                 ),
             }
         }
@@ -237,16 +194,16 @@ fn queries_are_invariant_to_the_other_analysts_traffic() {
     // her results (only in the shared deployment ledger).
     let solo = service(0, 1, 1);
     solo.open_session("alice", PrivacyCost::pure(6.0)).unwrap();
-    let solo_keys: Vec<ReportKey> = [Q_TOP1, Q_TOP1_TIGHT]
+    let solo_reports: Vec<ExecutionReport> = [Q_TOP1, Q_TOP1_TIGHT]
         .iter()
-        .map(|src| key(&solo.run("alice", src).unwrap()))
+        .map(|src| solo.run("alice", src).unwrap())
         .collect();
 
     let shared = service(0, 1, 1);
     open_analysts(&shared);
     shared.run("bob", Q_TOP1).unwrap();
-    let a0 = key(&shared.run("alice", Q_TOP1).unwrap());
+    let a0 = shared.run("alice", Q_TOP1).unwrap();
     shared.run("bob", Q_TOP1_TIGHT).unwrap();
-    let a1 = key(&shared.run("alice", Q_TOP1_TIGHT).unwrap());
-    assert_eq!(solo_keys, vec![a0, a1]);
+    let a1 = shared.run("alice", Q_TOP1_TIGHT).unwrap();
+    assert_eq!(solo_reports, vec![a0, a1]);
 }

@@ -98,7 +98,7 @@ impl AttackConfig {
 
 /// An [`ExecutionReport`] plus the typed detections an adversarial run
 /// produced.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AdversarialReport {
     /// The ordinary execution report over the surviving inputs.
     pub report: ExecutionReport,
@@ -496,6 +496,11 @@ fn run_attack_impl(
     })
 }
 
+/// Adversarial vs. reference is compared field by field, not with `==`:
+/// the reference runs over a deployment holding only the honest
+/// devices, so `certificate` (registry root, signer set),
+/// `rejected_inputs` and `verify_ops` legitimately differ; outputs,
+/// budget and audit must not.
 #[allow(clippy::too_many_arguments)]
 fn cross_check_execution(
     schedule: &AdversarySchedule,

@@ -426,7 +426,9 @@ fn cross_check(
     // (2) The adversarial epoch equals the reference stream (tampered
     // device excluded) bitwise: outputs, budget, audit, metrics, and
     // the accumulator at every checkpoint — the rejected upload never
-    // touches the fold.
+    // touches the fold. Field by field, not `==`: `rejected_inputs`,
+    // `verify_ops` (the tampered upload is verified, then rejected) and
+    // the crash boundary's handoff rows legitimately differ.
     push(
         adversarial.report.outputs == reference.report.outputs,
         format!(

@@ -61,8 +61,8 @@ fn main() {
         m.part_max_bytes / 1e6
     );
     println!(
-        "planner explored {} prefixes, {} full candidates in {:?}",
-        prepared.stats.prefixes_considered, prepared.stats.full_candidates, prepared.stats.elapsed
+        "planner explored {} prefixes, {} full candidates",
+        prepared.stats.prefixes_considered, prepared.stats.full_candidates
     );
 
     // A concrete simulated deployment: zip code 3 dominates.
