@@ -12,9 +12,7 @@
 
 use std::sync::Arc;
 
-use arboretum_par::{
-    par_chunks, par_chunks_sharded, par_reduce, par_reduce_sharded, ShardedPool, ThreadPool,
-};
+use arboretum_par::{par_chunks_sharded, par_reduce_sharded, ShardedPool};
 
 use crate::poly::BgvContext;
 use crate::scheme::{add, add_assign, Ciphertext};
@@ -31,46 +29,11 @@ pub fn sum(ctx: &BgvContext, cts: &[Ciphertext]) -> Option<Ciphertext> {
     Some(acc)
 }
 
-/// Parallel ⊞-sum via the deterministic tree reduction. Bitwise
-/// identical to [`sum`] for any pool, including the zero-worker one.
-pub fn par_sum(
-    pool: &ThreadPool,
-    ctx: &Arc<BgvContext>,
-    cts: Vec<Ciphertext>,
-) -> Option<Ciphertext> {
-    let ctx = Arc::clone(ctx);
-    par_reduce(pool, cts, move |a, b| add(&ctx, a, b))
-}
-
-/// One round of a fanout-`k` sum tree: ciphertexts are grouped exactly
-/// like `slice::chunks(k)` and each group is folded left-to-right,
-/// yielding one partial sum per group, in group order — the parallel
-/// counterpart of the executor's `SumTree` round.
-///
-/// # Panics
-///
-/// Panics if `fanout == 0`.
-pub fn par_sum_chunks(
-    pool: &ThreadPool,
-    ctx: &Arc<BgvContext>,
-    cts: Vec<Ciphertext>,
-    fanout: usize,
-) -> Vec<Ciphertext> {
-    let ctx = Arc::clone(ctx);
-    par_chunks(pool, cts, fanout, move |_, chunk| {
-        let mut acc = chunk[0].clone();
-        for ct in &chunk[1..] {
-            add_assign(&ctx, &mut acc, ct);
-        }
-        acc
-    })
-}
-
 /// Sharded ⊞-sum: each shard of the device set folds its contiguous
 /// slice on its own pinned pool, then the shard partials merge in
 /// shard-index order. Because ⊞ is associative row-wise modular
-/// addition, the result is **bitwise identical** to [`sum`] and
-/// [`par_sum`] for every shard count and thread count.
+/// addition, the result is **bitwise identical** to [`sum`] for every
+/// shard count and thread count, including zero-worker pools.
 pub fn par_sum_sharded(
     set: &ShardedPool,
     ctx: &Arc<BgvContext>,
@@ -81,9 +44,9 @@ pub fn par_sum_sharded(
 }
 
 /// Sharded round of a fanout-`k` sum tree: groups are exactly
-/// `slice::chunks(k)`'s groups, the groups are partitioned across
-/// shards, and results come back in group order — bitwise identical
-/// to [`par_sum_chunks`] at any shard count.
+/// `slice::chunks(k)`'s groups, each folded left-to-right, the groups
+/// are partitioned across shards, and results come back in group order
+/// — the same partial sums at any shard count.
 ///
 /// # Panics
 ///
@@ -140,8 +103,8 @@ mod tests {
         let (ctx, cts, sk) = setup(100);
         let serial = sum(&ctx, &cts).unwrap();
         for threads in [0usize, 1, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            let par = par_sum(&pool, &ctx, cts.clone()).unwrap();
+            let pool = ShardedPool::new(threads, 1);
+            let par = par_sum_sharded(&pool, &ctx, cts.clone()).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
         let expected: u64 = (0..100).map(|i| (i % 7) as u64 + 1).sum();
@@ -157,8 +120,8 @@ mod tests {
             .chunks(fanout)
             .map(|chunk| sum(&ctx, chunk).unwrap())
             .collect();
-        let pool = ThreadPool::new(4);
-        let par = par_sum_chunks(&pool, &ctx, cts, fanout);
+        let pool = ShardedPool::new(4, 1);
+        let par = par_sum_chunks_sharded(&pool, &ctx, cts, fanout);
         assert_eq!(par, serial);
     }
 

@@ -22,7 +22,7 @@ pub mod params;
 pub mod poly;
 pub mod scheme;
 
-pub use batch::{par_sum, par_sum_chunks, par_sum_chunks_sharded, par_sum_sharded, sum};
+pub use batch::{par_sum_chunks_sharded, par_sum_sharded, sum};
 
 pub use encode::{decode_coeffs, encode_coeffs, EncodeError, SlotEncoder};
 pub use params::{BgvParams, ParamError};

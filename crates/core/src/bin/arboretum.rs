@@ -20,7 +20,9 @@
 //!                         window into a checkpointed accumulator and
 //!                         decrypting once at epoch close (outputs are
 //!                         bitwise identical to the batch run over the
-//!                         same surviving devices)
+//!                         same surviving devices); without it the epoch
+//!                         is one window holding every device, and both
+//!                         print the same report
 //!   --seed S              simulation seed                      [default 7]
 //!   --threads N           worker threads for the aggregator's parallel
 //!                         phases (0 = run inline)
@@ -68,10 +70,13 @@
 //! ```
 //!
 //! `serve` speaks the line protocol from `arboretum-service` — `OPEN`,
-//! `SUBMIT`, `WAIT`, `RUN`, `STATUS`, `QUIT` — one request per line on
-//! stdin, one `OK`/`ERR` response per line on stdout. The catalog pays
-//! the sortition + keygen setup once at startup; every served query
-//! reports zero setup op counts.
+//! `SUBMIT`, `WAIT`, `RUN`, `INGEST`, `CLOSE`, `STATUS`, `QUIT` — one
+//! request per line on stdin, one `OK`/`ERR` response per line on
+//! stdout. Every query is one ingestion epoch (`INGEST` spreads it over
+//! 1..=devices windows; `CLOSE` is `WAIT` plus the per-window totals),
+//! and an allotment (`OPEN`, `--open`) must be finite and non-negative.
+//! The catalog pays the sortition + keygen setup once at startup; every
+//! served query reports zero setup op counts.
 //!
 //! Plans, outputs, and metrics are identical at every `--threads` and
 //! `--shards` setting; the flags only change wall-clock time and which
@@ -506,7 +511,6 @@ fn dispatch(cmd: &str, source: &str, opts: &Options) -> ExitCode {
         arboretum::par::configure_global(arboretum::par::ParConfig {
             threads: opts.threads,
             shards: opts.shards,
-            chunk: None,
         });
     }
     if let Some(kind) = opts.fabric {
@@ -607,25 +611,9 @@ fn dispatch(cmd: &str, source: &str, opts: &Options) -> ExitCode {
         seed: opts.seed,
         ..Default::default()
     };
-    if let Some(windows) = opts.windows {
-        return run_streamed(&system, &prepared, &deployment, &exec, windows);
-    }
-    match system.run(&prepared, &deployment, &exec) {
-        Ok(report) => {
-            println!("\nexecuted on {} simulated devices:", assignments.len());
-            println!("  outputs: {:?}", report.outputs);
-            println!(
-                "  inputs: {} accepted, {} rejected",
-                report.accepted_inputs, report.rejected_inputs
-            );
-            println!(
-                "  MPC: {} rounds, {:.2} MB, {} triples",
-                report.mpc_metrics.rounds,
-                report.mpc_metrics.bytes_sent_total as f64 / 1e6,
-                report.mpc_metrics.triples
-            );
-            println!("  audit ok: {}", report.audit_ok);
-            println!("  budget remaining: {:.4}", report.budget_after.epsilon);
+    match system.run_epoch(&prepared, &deployment, &exec, opts.windows) {
+        Ok(epoch) => {
+            print_epoch(&epoch, deployment.db.len());
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -635,69 +623,56 @@ fn dispatch(cmd: &str, source: &str, opts: &Options) -> ExitCode {
     }
 }
 
-/// Executes `arboretum run --windows N`: a windowed ingestion epoch
-/// with seed-derived device churn, printing every checkpoint and the
+/// Prints one executed epoch — `arboretum run` with or without
+/// `--windows`: every window's checkpoint, any typed detection, and the
 /// close-time report.
-fn run_streamed(
-    system: &Arboretum,
-    prepared: &arboretum::PreparedQuery,
-    deployment: &Deployment,
-    exec: &ExecutionConfig,
-    windows: usize,
-) -> ExitCode {
-    match system.run_stream(prepared, deployment, exec, windows) {
-        Ok(stream) => {
-            println!(
-                "\nstreamed {} windows over {} simulated devices:",
-                stream.checkpoints.len(),
-                deployment.db.len()
-            );
-            for c in &stream.checkpoints {
-                println!(
-                    "  window {}: {} arrivals, {} accepted, {} rejected ({} cumulative){}{}",
-                    c.window,
-                    c.arrivals,
-                    c.accepted,
-                    c.rejected,
-                    c.cumulative_accepted,
-                    c.accumulator_digest
-                        .map(|d| format!(
-                            ", acc {}",
-                            d[..4]
-                                .iter()
-                                .map(|b| format!("{b:02x}"))
-                                .collect::<String>()
-                        ))
-                        .unwrap_or_default(),
-                    if c.handoff_digest.is_some() {
-                        format!(", handoff {} B", c.handoff_bytes)
-                    } else {
-                        String::new()
-                    },
-                );
-            }
-            if !stream.detections.is_empty() {
-                println!("  detections:");
-                for d in &stream.detections {
-                    println!(
-                        "    window {} | {:?}: {:?}",
-                        d.window, d.detection.subject, d.detection.kind
-                    );
-                }
-            }
-            let report = &stream.report;
-            println!("  outputs: {:?}", report.outputs);
-            println!(
-                "  inputs: {} accepted, {} rejected",
-                report.accepted_inputs, report.rejected_inputs
-            );
-            println!("  audit ok: {}", report.audit_ok);
-            println!("  budget remaining: {:.4}", report.budget_after.epsilon);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("streamed execution failed: {e}");
-            ExitCode::FAILURE
+fn print_epoch(epoch: &arboretum::runtime::stream::StreamReport, devices: usize) {
+    println!(
+        "\nexecuted {} window(s) over {devices} simulated devices:",
+        epoch.checkpoints.len()
+    );
+    for c in &epoch.checkpoints {
+        println!(
+            "  window {}: {} arrivals, {} accepted, {} rejected ({} cumulative){}{}",
+            c.window,
+            c.arrivals,
+            c.accepted,
+            c.rejected,
+            c.cumulative_accepted,
+            c.accumulator_digest
+                .map(|d| format!(
+                    ", acc {}",
+                    d[..4]
+                        .iter()
+                        .map(|b| format!("{b:02x}"))
+                        .collect::<String>()
+                ))
+                .unwrap_or_default(),
+            if c.handoff_digest.is_some() {
+                format!(", handoff {} B", c.handoff_bytes)
+            } else {
+                String::new()
+            },
+        );
+    }
+    if !epoch.detections.is_empty() {
+        println!("  detections:");
+        for d in &epoch.detections {
+            println!("    window {} | {:?}: {:?}", d.window, d.subject, d.kind);
         }
     }
+    let report = &epoch.report;
+    println!("  outputs: {:?}", report.outputs);
+    println!(
+        "  inputs: {} accepted, {} rejected",
+        report.accepted_inputs, report.rejected_inputs
+    );
+    println!(
+        "  MPC: {} rounds, {:.2} MB, {} triples",
+        report.mpc_metrics.rounds,
+        report.mpc_metrics.bytes_sent_total as f64 / 1e6,
+        report.mpc_metrics.triples
+    );
+    println!("  audit ok: {}", report.audit_ok);
+    println!("  budget remaining: {:.4}", report.budget_after.epsilon);
 }

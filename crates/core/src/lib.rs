@@ -62,7 +62,10 @@ use arboretum_lang::parser::parse;
 use arboretum_planner::logical::{extract, LogicalPlan};
 use arboretum_planner::plan::Plan;
 use arboretum_planner::search::plan as search_plan;
-use arboretum_runtime::executor::execute;
+use arboretum_runtime::setup::build_session_setup;
+use arboretum_runtime::stream::{execute_stream, ArrivalSchedule, StreamReport};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Errors surfaced by the high-level API.
 #[derive(Debug)]
@@ -75,8 +78,6 @@ pub enum ArboretumError {
     Plan(arboretum_planner::search::PlanError),
     /// Execution failed.
     Execute(arboretum_runtime::executor::ExecError),
-    /// Streaming (windowed ingestion) execution failed.
-    Stream(arboretum_runtime::stream::StreamError),
 }
 
 impl std::fmt::Display for ArboretumError {
@@ -86,7 +87,6 @@ impl std::fmt::Display for ArboretumError {
             Self::Extract(e) => write!(f, "{e}"),
             Self::Plan(e) => write!(f, "{e}"),
             Self::Execute(e) => write!(f, "{e}"),
-            Self::Stream(e) => write!(f, "{e}"),
         }
     }
 }
@@ -163,17 +163,8 @@ impl Arboretum {
         deployment: &Deployment,
         cfg: &ExecutionConfig,
     ) -> Result<ExecutionReport, ArboretumError> {
-        execute(
-            &prepared.plan,
-            &prepared.logical,
-            deployment,
-            cfg,
-            None,
-            None,
-            None,
-        )
-        .map(|(report, _)| report)
-        .map_err(ArboretumError::Execute)
+        self.run_epoch(prepared, deployment, cfg, None)
+            .map(|epoch| epoch.report)
     }
 
     /// Executes a prepared query as a windowed ingestion stream:
@@ -187,41 +178,54 @@ impl Arboretum {
     ///
     /// # Errors
     ///
-    /// Returns [`ArboretumError::Execute`] if the session setup fails
-    /// and [`ArboretumError::Stream`] on streaming protocol failures.
+    /// Returns [`ArboretumError::Execute`] if the session setup or the
+    /// epoch fails.
     pub fn run_stream(
         &self,
         prepared: &PreparedQuery,
         deployment: &Deployment,
         cfg: &ExecutionConfig,
         windows: usize,
-    ) -> Result<arboretum_runtime::stream::StreamReport, ArboretumError> {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let setup = arboretum_runtime::setup::build_session_setup(
-            deployment,
-            cfg.committee_size,
-            cfg.seed,
-            &mut rng,
-        )
-        .map_err(ArboretumError::Execute)?;
-        let schedule = arboretum_runtime::stream::ArrivalSchedule::derive(
-            cfg.seed,
-            deployment.db.len(),
-            windows.max(1),
-        );
-        arboretum_runtime::stream::execute_stream(
+    ) -> Result<StreamReport, ArboretumError> {
+        self.run_epoch(prepared, deployment, cfg, Some(windows))
+    }
+
+    /// The epoch behind [`Self::run`] (`windows: None`) and
+    /// [`Self::run_stream`] (`Some(w)`), returned whole: the report,
+    /// one checkpoint per window, and every typed detection.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArboretumError::Execute`] if the session setup or the
+    /// epoch fails.
+    pub fn run_epoch(
+        &self,
+        prepared: &PreparedQuery,
+        deployment: &Deployment,
+        cfg: &ExecutionConfig,
+        windows: Option<usize>,
+    ) -> Result<StreamReport, ArboretumError> {
+        let n = deployment.db.len();
+        let (schedule, setup) = match windows {
+            None => (ArrivalSchedule::all_at_once(n), None),
+            Some(w) => {
+                let mut rng = StdRng::seed_from_u64(cfg.seed);
+                let setup = build_session_setup(deployment, cfg.committee_size, cfg.seed, &mut rng)
+                    .map_err(ArboretumError::Execute)?;
+                (ArrivalSchedule::derive(cfg.seed, n, w.max(1)), Some(setup))
+            }
+        };
+        execute_stream(
             &prepared.plan,
             &prepared.logical,
             deployment,
             cfg,
             &schedule,
-            Some(&setup),
+            setup.as_ref(),
             None,
             None,
         )
-        .map_err(ArboretumError::Stream)
+        .map_err(ArboretumError::Execute)
     }
 }
 

@@ -47,6 +47,15 @@ impl PrivacyCost {
         }
     }
 
+    /// Whether both components are finite and non-negative: the only
+    /// costs a ledger can hold or charge. NaN compares false with
+    /// everything, so a NaN balance would never refuse and a NaN charge
+    /// would slip past every bound.
+    fn is_accountable(self) -> bool {
+        let ok = |v: f64| v.is_finite() && v >= 0.0;
+        ok(self.epsilon) && ok(self.delta)
+    }
+
     /// Amplification by subsampling (secrecy of the sample): running an
     /// `ε`-DP query on a `φ`-sample is `ln(1 + φ(e^ε − 1))`-DP.
     pub fn amplify_by_sampling(self, phi: f64) -> Self {
@@ -81,6 +90,8 @@ pub enum BudgetError {
     },
     /// Negative charge.
     NegativeCharge,
+    /// A NaN or infinite charge.
+    NonFiniteCharge,
 }
 
 impl std::fmt::Display for BudgetError {
@@ -98,6 +109,7 @@ impl std::fmt::Display for BudgetError {
                 remaining,
             } => write!(f, "delta charge {requested} exceeds remaining {remaining}"),
             Self::NegativeCharge => write!(f, "privacy charges must be non-negative"),
+            Self::NonFiniteCharge => write!(f, "privacy charges must be finite"),
         }
     }
 }
@@ -135,19 +147,25 @@ impl BudgetLedger {
     ///
     /// # Errors
     ///
-    /// Returns [`BudgetError`] if the charge is negative or exceeds the
-    /// remaining budget. The ledger is never mutated.
+    /// Returns [`BudgetError`] if the charge is negative, not finite, or
+    /// exceeds the remaining budget. The ledger is never mutated.
     pub fn check(&self, cost: PrivacyCost) -> Result<(), BudgetError> {
         if cost.epsilon < 0.0 || cost.delta < 0.0 {
             return Err(BudgetError::NegativeCharge);
         }
-        if cost.epsilon > self.remaining.epsilon {
+        if !cost.is_accountable() {
+            return Err(BudgetError::NonFiniteCharge);
+        }
+        // False when the balance is NaN: a ledger built from an
+        // unvalidated total affords nothing rather than everything.
+        let affords = |have: f64, want: f64| want <= have;
+        if !affords(self.remaining.epsilon, cost.epsilon) {
             return Err(BudgetError::EpsilonExhausted {
                 requested: cost.epsilon,
                 remaining: self.remaining.epsilon,
             });
         }
-        if cost.delta > self.remaining.delta {
+        if !affords(self.remaining.delta, cost.delta) {
             return Err(BudgetError::DeltaExhausted {
                 requested: cost.delta,
                 remaining: self.remaining.delta,
@@ -160,8 +178,8 @@ impl BudgetLedger {
     ///
     /// # Errors
     ///
-    /// Returns [`BudgetError`] if the charge is negative or exceeds the
-    /// remaining budget; the ledger is unchanged on error.
+    /// Returns [`BudgetError`] if the charge is negative, not finite, or
+    /// exceeds the remaining budget; the ledger is unchanged on error.
     pub fn charge(&mut self, cost: PrivacyCost) -> Result<(), BudgetError> {
         self.check(cost)?;
         self.remaining.epsilon -= cost.epsilon;
@@ -178,6 +196,13 @@ pub enum LedgerBookError {
     UnknownAnalyst(String),
     /// A ledger is already open for the named analyst.
     DuplicateAnalyst(String),
+    /// The allotment is negative, NaN or infinite; no ledger was opened.
+    InvalidAllotment {
+        /// The analyst the ledger was to be opened for.
+        analyst: String,
+        /// The refused allotment.
+        allotment: PrivacyCost,
+    },
     /// The analyst's own ledger refused the charge.
     Analyst {
         /// The analyst whose ledger refused.
@@ -195,6 +220,12 @@ impl std::fmt::Display for LedgerBookError {
         match self {
             Self::UnknownAnalyst(a) => write!(f, "no ledger open for analyst {a:?}"),
             Self::DuplicateAnalyst(a) => write!(f, "ledger already open for analyst {a:?}"),
+            Self::InvalidAllotment { analyst, allotment } => write!(
+                f,
+                "allotment for analyst {analyst:?} must be finite and non-negative, \
+                 got epsilon={} delta={}",
+                allotment.epsilon, allotment.delta
+            ),
             Self::Analyst { analyst, source } => {
                 write!(f, "analyst {analyst:?} budget refused: {source}")
             }
@@ -237,10 +268,18 @@ impl LedgerBook {
     /// # Errors
     ///
     /// Returns [`LedgerBookError::DuplicateAnalyst`] if the analyst
-    /// already has a ledger.
+    /// already has a ledger, and [`LedgerBookError::InvalidAllotment`]
+    /// for a negative, NaN or infinite allotment; the book is unchanged
+    /// on error.
     pub fn open(&mut self, analyst: &str, allotment: PrivacyCost) -> Result<(), LedgerBookError> {
         if self.analysts.contains_key(analyst) {
             return Err(LedgerBookError::DuplicateAnalyst(analyst.to_string()));
+        }
+        if !allotment.is_accountable() {
+            return Err(LedgerBookError::InvalidAllotment {
+                analyst: analyst.to_string(),
+                allotment,
+            });
         }
         self.analysts
             .insert(analyst.to_string(), BudgetLedger::new(allotment));

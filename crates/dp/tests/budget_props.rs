@@ -3,7 +3,7 @@
 //! than the declared `(ε, δ)`, and the composition/amplification
 //! helpers never understate a cost.
 
-use arboretum_dp::budget::{BudgetError, BudgetLedger, PrivacyCost};
+use arboretum_dp::budget::{BudgetError, BudgetLedger, LedgerBook, LedgerBookError, PrivacyCost};
 use proptest::prelude::*;
 
 proptest! {
@@ -126,4 +126,114 @@ fn exhausted_ledger_rejects_even_infinitesimal_charges() {
         ledger.charge(PrivacyCost::pure(1e-12)),
         Err(BudgetError::EpsilonExhausted { .. })
     ));
+}
+
+/// Values no ledger can account for, as either component of a cost.
+const UNACCOUNTABLE: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5];
+
+fn bits(l: &BudgetLedger) -> [u64; 4] {
+    [
+        l.remaining().epsilon.to_bits(),
+        l.remaining().delta.to_bits(),
+        l.spent().epsilon.to_bits(),
+        l.spent().delta.to_bits(),
+    ]
+}
+
+#[test]
+fn unaccountable_allotments_open_no_ledger() {
+    let mut book = LedgerBook::new(PrivacyCost {
+        epsilon: 64.0,
+        delta: 1e-4,
+    });
+    book.open("alice", PrivacyCost::pure(1.0)).unwrap();
+    for bad in UNACCOUNTABLE {
+        for allotment in [
+            PrivacyCost {
+                epsilon: bad,
+                delta: 1e-6,
+            },
+            PrivacyCost {
+                epsilon: 1.0,
+                delta: bad,
+            },
+        ] {
+            let before = book.clone();
+            let err = book.open("eve", allotment).unwrap_err();
+            assert!(
+                matches!(&err, LedgerBookError::InvalidAllotment { analyst, .. } if analyst == "eve"),
+                "{allotment:?}: {err:?}"
+            );
+            assert_eq!(book, before, "{allotment:?}");
+            assert!(book.analyst("eve").is_none());
+            assert!(matches!(
+                book.charge("eve", PrivacyCost::pure(0.1)),
+                Err(LedgerBookError::UnknownAnalyst(_))
+            ));
+        }
+    }
+    // A refused name is still free for a valid allotment.
+    book.open("eve", PrivacyCost::pure(1.0)).unwrap();
+}
+
+#[test]
+fn unaccountable_charges_are_refused_bitwise() {
+    let mut ledger = BudgetLedger::new(PrivacyCost {
+        epsilon: 4.0,
+        delta: 1e-6,
+    });
+    ledger.charge(PrivacyCost::pure(0.5)).unwrap();
+    let mut book = LedgerBook::new(PrivacyCost::pure(f64::INFINITY));
+    book.open("alice", PrivacyCost::pure(4.0)).unwrap();
+    for bad in UNACCOUNTABLE {
+        for cost in [
+            PrivacyCost {
+                epsilon: bad,
+                delta: 0.0,
+            },
+            PrivacyCost {
+                epsilon: 0.1,
+                delta: bad,
+            },
+        ] {
+            let before = bits(&ledger);
+            let err = ledger.charge(cost).unwrap_err();
+            let want = if bad < 0.0 {
+                BudgetError::NegativeCharge
+            } else {
+                BudgetError::NonFiniteCharge
+            };
+            assert_eq!(err, want, "{cost:?}");
+            assert_eq!(ledger.check(cost).unwrap_err(), want, "{cost:?}");
+            assert_eq!(bits(&ledger), before, "{cost:?}");
+            // Not even an uncapped deployment ledger takes it.
+            let book_before = book.clone();
+            assert!(book.charge("alice", cost).is_err(), "{cost:?}");
+            assert_eq!(book, book_before, "{cost:?}");
+        }
+    }
+}
+
+#[test]
+fn a_nan_balance_affords_nothing() {
+    for total in [
+        PrivacyCost::pure(f64::NAN),
+        PrivacyCost {
+            epsilon: 1.0,
+            delta: f64::NAN,
+        },
+    ] {
+        let mut ledger = BudgetLedger::new(total);
+        let before = bits(&ledger);
+        for cost in [
+            PrivacyCost::pure(8.0),
+            PrivacyCost {
+                epsilon: 0.0,
+                delta: 1e-9,
+            },
+        ] {
+            assert!(ledger.charge(cost).is_err(), "{total:?} took {cost:?}");
+        }
+        assert_eq!(bits(&ledger), before);
+    }
 }

@@ -6,6 +6,8 @@
 //! * [`fp::Fp`] — const-generic prime-field elements.
 //! * [`primes`] — the named NTT-friendly moduli used across the workspace,
 //!   plus an exact 64-bit Miller–Rabin test.
+//! * [`shamir`] — polynomial evaluation at party points and Lagrange
+//!   interpolation at zero, shared by the MPC engine and VSR.
 //! * [`zq`] — runtime-modulus arithmetic and [`zq::RtNttTable`], the
 //!   negacyclic number-theoretic transform behind the BGV polynomial ring.
 //! * [`fixed::Fix`] — `sfix`-style Q30.16 fixed point with deterministic
@@ -18,6 +20,7 @@
 pub mod fixed;
 pub mod fp;
 pub mod primes;
+pub mod shamir;
 pub mod zq;
 
 pub use fixed::Fix;

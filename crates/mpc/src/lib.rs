@@ -28,6 +28,4 @@ pub use fixp::{
 pub use network::{ComputeModel, LatencyModel, NetMeter, NetMetrics, FIELD_BYTES};
 pub use ops::MpcOps;
 pub use party::{shared_dealer, Dealer, Party, SharedDealer};
-pub use shamir::{
-    basis_at_zero, committee_basis, lagrange_at_zero, reconstruct, share, ShamirError, Share,
-};
+pub use shamir::{committee_basis, reconstruct, share, ShamirError, Share};

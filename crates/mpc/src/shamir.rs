@@ -5,6 +5,8 @@
 //! points `1..=m`, and any `t + 1` shares reconstruct it by Lagrange
 //! interpolation at zero.
 
+pub use arboretum_field::shamir::ShamirError;
+use arboretum_field::shamir::{basis_at_zero, evaluate};
 use arboretum_field::FGold;
 use rand::Rng;
 
@@ -16,31 +18,6 @@ pub struct Share {
     /// Polynomial evaluation at `x`.
     pub y: FGold,
 }
-
-/// Errors from reconstruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShamirError {
-    /// Fewer shares than the threshold requires.
-    NotEnoughShares {
-        /// Shares provided.
-        got: usize,
-        /// Shares needed (`t + 1`).
-        need: usize,
-    },
-    /// Two shares claim the same evaluation point.
-    DuplicatePoint(u64),
-}
-
-impl std::fmt::Display for ShamirError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::NotEnoughShares { got, need } => write!(f, "got {got} shares, need {need}"),
-            Self::DuplicatePoint(x) => write!(f, "duplicate share point {x}"),
-        }
-    }
-}
-
-impl std::error::Error for ShamirError {}
 
 /// Splits `secret` into `m` shares with reconstruction threshold `t + 1`
 /// (i.e. any `t` shares reveal nothing; `t + 1` reconstruct).
@@ -54,63 +31,12 @@ pub fn share<R: Rng + ?Sized>(secret: FGold, t: usize, m: usize, rng: &mut R) ->
     let coeffs: Vec<FGold> = std::iter::once(secret)
         .chain((0..t).map(|_| FGold::new(rng.gen())))
         .collect();
-    (1..=m as u64)
-        .map(|x| {
-            let fx = FGold::new(x);
-            // Horner evaluation.
-            let y = coeffs
-                .iter()
-                .rev()
-                .fold(FGold::ZERO, |acc, &c| acc * fx + c);
-            Share { x, y }
-        })
-        .collect()
+    evaluate(&coeffs, m).map(|(x, y)| Share { x, y }).collect()
 }
 
-/// Lagrange coefficients for interpolating at zero over points `xs`.
-pub fn lagrange_at_zero(xs: &[u64]) -> Vec<FGold> {
-    xs.iter()
-        .map(|&xi| {
-            let fxi = FGold::new(xi);
-            let mut num = FGold::ONE;
-            let mut den = FGold::ONE;
-            for &xj in xs {
-                if xj != xi {
-                    let fxj = FGold::new(xj);
-                    num *= -fxj;
-                    den *= fxi - fxj;
-                }
-            }
-            num * den.inv()
-        })
-        .collect()
-}
-
-/// Lagrange coefficients at zero over the first `t + 1` of `xs`: the
-/// basis a committee computes once, after which every value shared over
+/// The Lagrange basis at zero over a committee's own points `1..=t+1`:
+/// what an engine computes once, after which every value shared over
 /// those points reconstructs as a `t + 1`-term dot product.
-///
-/// # Errors
-///
-/// Returns [`ShamirError`] on too few or repeated points.
-pub fn basis_at_zero(xs: &[u64], t: usize) -> Result<Vec<FGold>, ShamirError> {
-    if xs.len() < t + 1 {
-        return Err(ShamirError::NotEnoughShares {
-            got: xs.len(),
-            need: t + 1,
-        });
-    }
-    let xs = &xs[..t + 1];
-    for (i, &x) in xs.iter().enumerate() {
-        if xs[i + 1..].contains(&x) {
-            return Err(ShamirError::DuplicatePoint(x));
-        }
-    }
-    Ok(lagrange_at_zero(xs))
-}
-
-/// [`basis_at_zero`] over a committee's own points `1..=t+1`: what an
-/// engine computes once and opens every value against.
 pub fn committee_basis(t: usize) -> Vec<FGold> {
     let xs: Vec<u64> = (1..=t as u64 + 1).collect();
     basis_at_zero(&xs, t).expect("points 1..=t+1 are distinct")
@@ -123,13 +49,14 @@ pub fn committee_basis(t: usize) -> Vec<FGold> {
 /// Returns [`ShamirError`] on insufficient or inconsistent inputs.
 pub fn reconstruct(shares: &[Share], t: usize) -> Result<FGold, ShamirError> {
     let xs: Vec<u64> = shares.iter().map(|s| s.x).collect();
-    let lambda = basis_at_zero(&xs, t)?;
+    let lambda: Vec<FGold> = basis_at_zero(&xs, t)?;
     Ok(shares.iter().zip(&lambda).map(|(s, &l)| s.y * l).sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arboretum_field::shamir::lagrange_at_zero;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -191,14 +118,14 @@ mod tests {
                 assert_eq!(dot, FGold::new(secret), "m={m} t={t}");
             }
         }
-        assert!(matches!(
-            basis_at_zero(&[1, 2, 3], 3),
+        assert_eq!(
+            basis_at_zero::<{ FGold::MODULUS }>(&[1, 2, 3], 3),
             Err(ShamirError::NotEnoughShares { got: 3, need: 4 })
-        ));
-        assert!(matches!(
-            basis_at_zero(&[1, 1, 3], 2),
+        );
+        assert_eq!(
+            basis_at_zero::<{ FGold::MODULUS }>(&[1, 1, 3], 2),
             Err(ShamirError::DuplicatePoint(1))
-        ));
+        );
     }
 
     #[test]
@@ -233,7 +160,7 @@ mod tests {
     fn lagrange_coefficients_sum_to_one_for_constant() {
         // Interpolating a constant polynomial: coefficients must sum to 1.
         let xs = [1u64, 2, 5, 9];
-        let lambda = lagrange_at_zero(&xs);
+        let lambda: Vec<FGold> = lagrange_at_zero(&xs);
         let sum = lambda.iter().fold(FGold::ZERO, |a, &b| a + b);
         assert_eq!(sum, FGold::ONE);
     }

@@ -34,9 +34,6 @@ pub struct ParConfig {
     /// Explicit shard count for the sharded aggregator phases; `None`
     /// defers to the global override, else 1.
     pub shards: Option<usize>,
-    /// Explicit chunk width for chunked folds (the streaming window
-    /// accumulator's fan-in); `None` defers to the caller's default.
-    pub chunk: Option<usize>,
 }
 
 impl ParConfig {
@@ -45,7 +42,6 @@ impl ParConfig {
         Self {
             threads: None,
             shards: None,
-            chunk: None,
         }
     }
 
@@ -54,7 +50,6 @@ impl ParConfig {
         Self {
             threads: Some(threads),
             shards: None,
-            chunk: None,
         }
     }
 
@@ -67,22 +62,6 @@ impl ParConfig {
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.max(1));
         self
-    }
-
-    /// This config with an explicit fold chunk width (clamped to ≥ 2:
-    /// a fold that takes fewer than two inputs per node never
-    /// terminates).
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = Some(chunk.max(2));
-        self
-    }
-
-    /// The fold chunk width this config resolves to (≥ 2). Chunk
-    /// width never affects results — chunked sums are exact modular
-    /// additions — so there is no global override: it is a per-call
-    /// tuning knob with a caller-supplied default.
-    pub fn resolve_chunk(&self, default: usize) -> usize {
-        self.chunk.unwrap_or(default).max(2)
     }
 
     /// The worker count this config resolves to right now.
@@ -167,14 +146,6 @@ mod tests {
     fn shards_resolve_with_explicit_override() {
         assert_eq!(ParConfig::auto().with_shards(4).resolve_shards(), 4);
         assert_eq!(ParConfig::fixed(2).with_shards(0).resolve_shards(), 1);
-    }
-
-    #[test]
-    fn chunk_resolves_with_floor_of_two() {
-        assert_eq!(ParConfig::auto().resolve_chunk(32), 32);
-        assert_eq!(ParConfig::auto().with_chunk(8).resolve_chunk(32), 8);
-        assert_eq!(ParConfig::auto().with_chunk(0).resolve_chunk(32), 2);
-        assert_eq!(ParConfig::auto().resolve_chunk(1), 2);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   spawned, the waiting thread *helps* execute queued tasks (so
 //!   nested scopes cannot deadlock), and worker panics are caught and
 //!   surfaced as a [`ScopePanic`] without poisoning the pool;
-//! * [`par_map`] / [`par_chunks`] / [`par_reduce`] — data-parallel
+//! * [`par_map_arc`] and the sharded kernels ([`par_map_arc_sharded`],
+//!   [`par_chunks_sharded`], [`par_reduce_sharded`]) — data-parallel
 //!   kernels whose work decomposition depends only on the input
 //!   length, never on the number of threads or the scheduler.
 //!
@@ -22,10 +23,10 @@
 //!
 //! Every kernel in [`ops`] fixes its combine/output order by *index*:
 //!
-//! * `par_map` writes result `i` into slot `i`;
-//! * `par_chunks` groups items `[k·c, (k+1)·c)` exactly like
+//! * a map writes result `i` into slot `i`;
+//! * a chunk map groups items `[k·c, (k+1)·c)` exactly like
 //!   `slice::chunks`;
-//! * `par_reduce` folds fixed index-contiguous chunks left-to-right
+//! * a reduction folds fixed index-contiguous chunks left-to-right
 //!   and then combines the partials left-to-right, recursively; the
 //!   chunk boundaries are a pure function of the input length.
 //!
@@ -62,7 +63,7 @@ pub mod shard;
 
 pub use config::{configure_global, global, ParConfig};
 pub use lease::{PoolBank, PoolLease};
-pub use ops::{par_chunks, par_map, par_map_arc, par_reduce};
+pub use ops::par_map_arc;
 pub use pool::{Scope, ScopePanic, ThreadPool};
 pub use shard::{
     par_chunks_sharded, par_map_arc_sharded, par_reduce_sharded, ShardPlan, ShardedPool,

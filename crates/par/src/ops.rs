@@ -21,10 +21,8 @@ pub(crate) fn chunk_len(n: usize) -> usize {
 }
 
 /// Maps `f` over the items of a shared vector, returning results in
-/// input order (`out[i] = f(i, &items[i])`).
-///
-/// Use this form when the caller wants to keep the vector; `f` sees
-/// each item by reference through the [`Arc`].
+/// input order (`out[i] = f(i, &items[i])`). The caller keeps the
+/// vector; `f` sees each item by reference through the [`Arc`].
 pub fn par_map_arc<T, R>(
     pool: &ThreadPool,
     items: &Arc<Vec<T>>,
@@ -64,20 +62,6 @@ where
         .collect()
 }
 
-/// Maps `f` over an owned vector, returning results in input order.
-pub fn par_map<T, R>(
-    pool: &ThreadPool,
-    items: Vec<T>,
-    f: impl Fn(usize, &T) -> R + Send + Sync + 'static,
-) -> Vec<R>
-where
-    T: Send + Sync + 'static,
-    R: Send + 'static,
-{
-    let items = Arc::new(items);
-    par_map_arc(pool, &items, f)
-}
-
 /// Applies `f` to index-contiguous chunks of `chunk` items — exactly
 /// the groups `slice::chunks(chunk)` would yield — returning one
 /// result per chunk, in chunk order.
@@ -85,7 +69,7 @@ where
 /// # Panics
 ///
 /// Panics if `chunk == 0`.
-pub fn par_chunks<T, R>(
+pub(crate) fn par_chunks<T, R>(
     pool: &ThreadPool,
     items: Vec<T>,
     chunk: usize,
@@ -146,7 +130,7 @@ const SERIAL_REDUCE_CUTOFF: usize = 32;
 /// is bitwise identical across pools (including the zero-worker one)
 /// for *any* `f`, and identical to `items.into_iter().reduce(f)` when
 /// `f` is associative (modular BGV ⊞, integer metric sums, …).
-pub fn par_reduce<T>(
+pub(crate) fn par_reduce<T>(
     pool: &ThreadPool,
     items: Vec<T>,
     f: impl Fn(&T, &T) -> T + Send + Sync + 'static,
@@ -212,7 +196,8 @@ mod tests {
     #[test]
     fn par_map_preserves_order() {
         let pool = ThreadPool::new(4);
-        let out = par_map(&pool, (0u64..1000).collect(), |i, x| x * 2 + i as u64);
+        let items = Arc::new((0u64..1000).collect());
+        let out = par_map_arc(&pool, &items, |i, x| x * 2 + i as u64);
         let expected: Vec<u64> = (0..1000).map(|x| x * 3).collect();
         assert_eq!(out, expected);
     }
@@ -254,6 +239,6 @@ mod tests {
         assert_eq!(par_reduce(&pool, Vec::<u32>::new(), |a, b| a + b), None);
         assert_eq!(par_reduce(&pool, vec![7u32], |a, b| a + b), Some(7));
         assert!(par_chunks(&pool, Vec::<u32>::new(), 4, |_, c| c.len()).is_empty());
-        assert!(par_map(&pool, Vec::<u32>::new(), |_, x| *x).is_empty());
+        assert!(par_map_arc(&pool, &Arc::new(Vec::<u32>::new()), |_, x| *x).is_empty());
     }
 }

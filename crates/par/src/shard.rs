@@ -19,9 +19,8 @@
 //!   contiguous ranges whose lengths differ by at most one (the first
 //!   `n mod K` shards take the remainder);
 //! * within a shard, work decomposes through the same
-//!   pure-function-of-length kernels as the unsharded paths
-//!   ([`crate::par_reduce`]'s fixed combine tree, [`crate::par_map`]'s
-//!   index-slotted output);
+//!   pure-function-of-length kernels one pool runs ([`crate::ops`]: a
+//!   fixed combine tree for reductions, index-slotted output for maps);
 //! * shard partials are combined by a **K-leaf merge tree folded in
 //!   shard-index order** (lexicographic: shard 0's partial first, then
 //!   shard 1's, …), regardless of which shard finishes first.
@@ -272,8 +271,8 @@ where
         .collect()
 }
 
-/// Sharded reduction: each shard folds its contiguous slice with
-/// [`crate::par_reduce`]'s fixed combine tree on its own pool, then a
+/// Sharded reduction: each shard folds its contiguous slice with a
+/// fixed, index-determined combine tree on its own pool, then a
 /// final K-leaf merge folds the shard partials **in shard-index
 /// order**. Returns `None` on empty input.
 ///
@@ -315,8 +314,7 @@ where
 /// `slice::chunks(chunk)`, the *groups* are partitioned across shards
 /// by a [`ShardPlan`] over the group count, and each shard applies `f`
 /// to its groups on its own pool. Results come back in chunk order —
-/// bitwise identical to [`crate::par_chunks`] on one pool, at any
-/// thread and shard count, for any `f`.
+/// bitwise identical at any thread and shard count, for any `f`.
 ///
 /// # Panics
 ///

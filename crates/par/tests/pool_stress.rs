@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use arboretum_par::{par_map, par_reduce, ParConfig, ThreadPool};
+use arboretum_par::{par_map_arc, par_reduce_sharded, ParConfig, ShardedPool, ThreadPool};
 
 #[test]
 fn nested_scopes_do_not_deadlock() {
@@ -91,8 +91,9 @@ fn panicking_task_errors_scope_and_pool_survives() {
     assert_eq!(survivors.load(Ordering::Relaxed), 19);
 
     // The pool is immediately reusable for real work.
-    let sum = par_reduce(&pool, (1u64..=1000).collect(), |a, b| a + b);
-    assert_eq!(sum, Some(500_500));
+    let items = Arc::new((1u64..=1000).collect());
+    let sum: u64 = par_map_arc(&pool, &items, |_, x| *x).iter().sum();
+    assert_eq!(sum, 500_500);
 }
 
 #[test]
@@ -132,7 +133,8 @@ fn scope_body_panic_is_reported_after_tasks_drain() {
 fn oversubscription_tasks_far_exceed_workers() {
     let pool = ThreadPool::new(2);
     let n = 20_000usize;
-    let out = par_map(&pool, (0..n as u64).collect(), |_, x| x + 1);
+    let items = Arc::new((0..n as u64).collect());
+    let out = par_map_arc(&pool, &items, |_, x| x + 1);
     assert_eq!(out.len(), n);
     assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
 }
@@ -209,12 +211,12 @@ fn par_reduce_tree_is_thread_count_invariant() {
     // Non-associative, non-commutative combine.
     let f = |a: &i64, b: &i64| a.wrapping_mul(2).wrapping_sub(*b);
     let reference = {
-        let pool = ThreadPool::new(0);
-        par_reduce(&pool, items.clone(), f).unwrap()
+        let pool = ShardedPool::new(0, 1);
+        par_reduce_sharded(&pool, items.clone(), f).unwrap()
     };
     for threads in [1usize, 2, 4, 8] {
-        let pool = ThreadPool::new(threads);
-        let got = par_reduce(&pool, items.clone(), f).unwrap();
+        let pool = ShardedPool::new(threads, 1);
+        let got = par_reduce_sharded(&pool, items.clone(), f).unwrap();
         assert_eq!(got, reference, "threads={threads}");
     }
 }

@@ -283,8 +283,8 @@ pub fn vignette_metrics(v: &Vignette, cm: &CostModel, n: u64, categories: u64, m
             out.part_max_bytes = node_bytes;
             // The aggregator relays every child ciphertext to its node.
             out.agg_bytes = nodes * *fanout as f64 * ct;
-            // Tree levels overlap (`par_sum_chunks` runs every level on
-            // the same pool), so the relay makespan is the leaf level
+            // Tree levels overlap (`par_sum_chunks_sharded` runs every
+            // level on the same pool), so the relay makespan is the leaf level
             // plus one pipelined slot per interior level — not the
             // sequential node total.
             let f = (*fanout as f64).max(2.0);

@@ -344,6 +344,9 @@ impl DetectionKind {
 /// One flagged subject with its typed reason.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Detection {
+    /// The ingestion window the fault was detected in (for handoff
+    /// faults: the boundary's left window); 0 in a one-window epoch.
+    pub window: usize,
     /// Who was flagged.
     pub subject: Subject,
     /// Why.

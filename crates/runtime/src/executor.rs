@@ -27,7 +27,7 @@ use arboretum_sortition::select::Registry;
 
 use crate::adversary::{Adversary, Detection};
 use crate::setup::{SessionSetup, SetupCounters};
-use crate::stream::{execute_stream, ArrivalSchedule, StreamError};
+use crate::stream::{execute_stream, ArrivalSchedule};
 
 /// A simulated deployment: registered devices plus their private rows.
 #[derive(Clone, Debug)]
@@ -196,7 +196,9 @@ impl QueryCert {
     }
 }
 
-/// Execution errors.
+/// Execution errors — every edge the test batteries drive (empty
+/// windows, all-drop epochs, out-of-order driving, adversarial
+/// checkpointing) resolves to a typed variant, never a panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
     /// Privacy budget exhausted.
@@ -207,6 +209,20 @@ pub enum ExecError {
     Mpc(String),
     /// Key transfer between committees failed.
     KeyTransfer(String),
+    /// The epoch closed with no surviving upload to decrypt.
+    NoSurvivors,
+    /// The epoch was driven out of order (a window ingested twice, or
+    /// closed before every window was ingested).
+    WindowOutOfOrder {
+        /// The window the executor expected next.
+        expected: usize,
+        /// The window the caller asked for.
+        got: usize,
+    },
+    /// Every window of the epoch was already ingested.
+    EpochClosed,
+    /// A checkpoint could not be serialized or restored.
+    Checkpoint(String),
 }
 
 impl std::fmt::Display for ExecError {
@@ -216,6 +232,13 @@ impl std::fmt::Display for ExecError {
             Self::Unsupported(s) => write!(f, "unsupported operation: {s}"),
             Self::Mpc(s) => write!(f, "MPC failure: {s}"),
             Self::KeyTransfer(s) => write!(f, "VSR key transfer failed: {s}"),
+            Self::NoSurvivors => write!(f, "epoch closed with no surviving uploads"),
+            Self::WindowOutOfOrder { expected, got } => write!(
+                f,
+                "epoch driven out of order: expected window {expected}, got {got}"
+            ),
+            Self::EpochClosed => write!(f, "epoch already closed"),
+            Self::Checkpoint(s) => write!(f, "checkpoint error: {s}"),
         }
     }
 }
@@ -282,7 +305,8 @@ pub struct ExecutionReport {
 /// # Errors
 ///
 /// Returns [`ExecError::Unsupported`] if `setup` was built for a
-/// different committee size than `cfg.committee_size`, and otherwise
+/// different committee size than `cfg.committee_size`,
+/// [`ExecError::NoSurvivors`] if no upload was accepted, and otherwise
 /// [`ExecError`] on budget exhaustion or protocol failures (e.g. when
 /// the adversary corrupts more committee members than the threshold
 /// tolerates).
@@ -295,32 +319,7 @@ pub fn execute(
     pool: Option<&ShardedPool>,
     adversary: Option<&dyn Adversary>,
 ) -> Result<(ExecutionReport, Vec<Detection>), ExecError> {
-    let n = deployment.db.len();
-    let one_window = ArrivalSchedule {
-        seed: 0,
-        n_devices: n,
-        n_windows: 1,
-        arrival: vec![0; n],
-        drop: vec![None; n],
-    };
-    match execute_stream(
-        plan,
-        logical,
-        deployment,
-        cfg,
-        &one_window,
-        setup,
-        pool,
-        adversary,
-    ) {
-        Ok(epoch) => Ok((
-            epoch.report,
-            epoch.detections.into_iter().map(|d| d.detection).collect(),
-        )),
-        Err(StreamError::Exec(e)) => Err(e),
-        Err(StreamError::NoSurvivors) => Err(ExecError::Unsupported("no accepted inputs".into())),
-        // Out-of-order and checkpoint errors need a caller driving the
-        // windows by hand; `execute_stream` never produces them.
-        Err(e) => Err(ExecError::Unsupported(e.to_string())),
-    }
+    let all = ArrivalSchedule::all_at_once(deployment.db.len());
+    let epoch = execute_stream(plan, logical, deployment, cfg, &all, setup, pool, adversary)?;
+    Ok((epoch.report, epoch.detections))
 }

@@ -33,8 +33,7 @@ pub use audit::{
 pub use executor::{execute, Deployment, ExecError, ExecutionConfig, ExecutionReport, QueryCert};
 pub use mpc_eval::{MVal, MechStyle, MpcEvalError, MpcEvaluator};
 pub use net_exec::{
-    run_concurrent, run_concurrent_sharded, run_with_failover, NetExecConfig, NetExecError,
-    NetExecReport, NetParty,
+    run_concurrent_sharded, run_with_failover, NetExecConfig, NetExecError, NetExecReport, NetParty,
 };
 pub use session::{reassign_for_churn, QueryRecord, Session, SessionError};
 pub use setup::{
@@ -42,7 +41,7 @@ pub use setup::{
     SetupCounters, SETUP_ROLES,
 };
 pub use stream::{
-    execute_stream, ArrivalSchedule, StreamDetection, StreamError, StreamExecutor, StreamReport,
-    WindowCheckpoint, DEFAULT_STREAM_CHUNK,
+    execute_stream, ArrivalSchedule, StreamExecutor, StreamReport, WindowCheckpoint,
+    DEFAULT_STREAM_CHUNK,
 };
 pub use wave::{run_wave, sortition_parity, WaveConfig, WaveReport};

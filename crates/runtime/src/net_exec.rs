@@ -219,47 +219,19 @@ where
     }
 }
 
-/// Runs independent committee tasks concurrently on a work-stealing
-/// pool (§5.4: distinct vignettes' committees have no data
-/// dependencies and can proceed at the same time).
+/// Runs independent committee tasks concurrently (§5.4: distinct
+/// vignettes' committees have no data dependencies and can proceed at
+/// the same time): the task list is partitioned across the
+/// [`arboretum_par::ShardedPool`]'s shards and each shard runs its
+/// contiguous slice on its own pinned pool.
 ///
 /// Task `k` runs a full [`run_with_failover`] with its own dealer and
-/// party seeds, derived from `k` alone — never from scheduling — so
-/// each task's outputs, failover path, and transport metrics are
-/// identical whether the tasks run sequentially, on 2 threads, or on
-/// 8. Results come back in task order. A zero-worker pool runs the
-/// tasks inline sequentially through the same code path.
-pub fn run_concurrent<F>(
-    pool: &arboretum_par::ThreadPool,
-    cfg: &NetExecConfig,
-    tasks: Vec<F>,
-) -> Vec<Result<NetExecReport, NetExecError>>
-where
-    F: Fn(&mut NetParty) -> Result<Vec<FGold>, MpcError> + Send + Sync + 'static,
-{
-    let cfg = cfg.clone();
-    arboretum_par::par_map(pool, tasks, move |k, task| {
-        let salt = (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let task_cfg = NetExecConfig {
-            dealer_seed: cfg.dealer_seed ^ salt,
-            party_seed: cfg.party_seed ^ salt,
-            ..cfg.clone()
-        };
-        run_with_failover(&task_cfg, |p: &mut NetParty| task(p))
-    })
-}
-
-/// Sharded variant of [`run_concurrent`]: the task list is partitioned
-/// across the [`arboretum_par::ShardedPool`]'s shards and each shard
-/// runs its contiguous slice on its own pinned pool.
-///
-/// Seeds are salted by the task's **global** index — the same salt
-/// [`run_concurrent`] applies — never by the task's position within its
-/// shard, so every task's outputs, failover path, and transport metrics
-/// (hence all `NetMeter` totals derived from them) are bitwise
-/// identical for every shard count and thread count, and identical to
-/// [`run_concurrent`] on a single pool. Results come back in task
-/// order.
+/// party seeds, salted by its **global** index — never by scheduling or
+/// by the task's position within its shard — so every task's outputs,
+/// failover path, and transport metrics (hence all `NetMeter` totals
+/// derived from them) are bitwise identical for every shard count and
+/// thread count, including the zero-worker pool that runs the tasks
+/// inline sequentially. Results come back in task order.
 pub fn run_concurrent_sharded<F>(
     set: &arboretum_par::ShardedPool,
     cfg: &NetExecConfig,
@@ -362,10 +334,10 @@ mod tests {
                 }
             })
             .collect();
-        let serial_pool = arboretum_par::ThreadPool::new(0);
-        let reference = run_concurrent(&serial_pool, &cfg, tasks.clone());
-        let pool = arboretum_par::ThreadPool::new(4);
-        let concurrent = run_concurrent(&pool, &cfg, tasks);
+        let serial = arboretum_par::ShardedPool::new(0, 1);
+        let reference = run_concurrent_sharded(&serial, &cfg, tasks.clone());
+        let pool = arboretum_par::ShardedPool::new(4, 1);
+        let concurrent = run_concurrent_sharded(&pool, &cfg, tasks);
         assert_eq!(reference.len(), 3);
         for (k, (a, b)) in reference.iter().zip(&concurrent).enumerate() {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
@@ -391,8 +363,8 @@ mod tests {
                 })
                 .collect()
         };
-        let serial_pool = arboretum_par::ThreadPool::new(0);
-        let reference = run_concurrent(&serial_pool, &cfg, mk_tasks());
+        let serial = arboretum_par::ShardedPool::new(0, 1);
+        let reference = run_concurrent_sharded(&serial, &cfg, mk_tasks());
         for shards in [1usize, 2, 3] {
             let set = arboretum_par::ShardedPool::new(2, shards);
             let sharded = run_concurrent_sharded(&set, &cfg, mk_tasks());

@@ -80,9 +80,8 @@ use crate::executor::{Deployment, ExecError, ExecutionConfig, ExecutionReport, Q
 use crate::mpc_eval::{MVal, MechStyle, MpcEvaluator};
 use crate::setup::{build_session_setup_observed, SessionSetup, SetupCounters};
 
-/// Default ⊞-fold fan-in per accumulator chunk when the caller's
-/// [`arboretum_par::ParConfig::chunk`] is unset. Chunk width never
-/// changes results (modular addition is exact), only scheduling.
+/// ⊞-fold fan-in per accumulator chunk. Chunk width never changes
+/// results (modular addition is exact), only scheduling.
 pub const DEFAULT_STREAM_CHUNK: usize = 32;
 
 /// Checkpoint wire-format version. Version 1 carried per-shard pool
@@ -145,6 +144,18 @@ pub struct ArrivalSchedule {
 }
 
 impl ArrivalSchedule {
+    /// The one-window schedule in which every device arrives and none
+    /// drops: a batch query.
+    pub fn all_at_once(n_devices: usize) -> Self {
+        Self {
+            seed: 0,
+            n_devices,
+            n_windows: 1,
+            arrival: vec![0; n_devices],
+            drop: vec![None; n_devices],
+        }
+    }
+
     /// Derives a churn schedule as a pure function of
     /// `(seed, n_devices, n_windows)`: every device draws an arrival
     /// window uniformly, and with ~25% pressure draws a drop window.
@@ -253,34 +264,23 @@ impl ArrivalSchedule {
     }
 }
 
-/// A [`Detection`] tagged with the window it was raised in — the
-/// "window-exact attribution" the mid-stream adversary battery asserts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamDetection {
-    /// The ingestion window (for handoff faults: the boundary's left
-    /// window) the fault was detected in.
-    pub window: usize,
-    /// The typed detection.
-    pub detection: Detection,
-}
-
-impl StreamDetection {
-    fn new(window: usize, subject: Subject, kind: DetectionKind) -> Self {
-        Self {
-            window,
-            detection: Detection { subject, kind },
-        }
-    }
-
-    /// A detection against seat `member` of the committee seated on
-    /// `roster` (committee 0: the keygen/ingestion committee).
-    fn seat(window: usize, roster: &[usize], member: usize, kind: DetectionKind) -> Self {
-        let subject = Subject::CommitteeMember {
-            committee: 0,
-            member,
-            device: roster[member],
-        };
-        Self::new(window, subject, kind)
+/// A detection against seat `member` of the committee seated on
+/// `roster` (committee 0: the keygen/ingestion committee).
+fn seat_detection(
+    window: usize,
+    roster: &[usize],
+    member: usize,
+    kind: DetectionKind,
+) -> Detection {
+    let subject = Subject::CommitteeMember {
+        committee: 0,
+        member,
+        device: roster[member],
+    };
+    Detection {
+        window,
+        subject,
+        kind,
     }
 }
 
@@ -322,55 +322,7 @@ pub struct StreamReport {
     /// One checkpoint per ingested window, in order.
     pub checkpoints: Vec<WindowCheckpoint>,
     /// Every detection, tagged with the window it was raised in.
-    pub detections: Vec<StreamDetection>,
-}
-
-/// Streaming errors — every edge the test batteries drive (empty
-/// windows, all-drop epochs, out-of-order driving, adversarial
-/// checkpointing) resolves to a typed variant, never a panic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamError {
-    /// An underlying execution error (budget, unsupported op, MPC, VSR).
-    Exec(ExecError),
-    /// The epoch closed with no surviving upload to decrypt.
-    NoSurvivors,
-    /// The stream was driven out of order (a window ingested twice,
-    /// or closed before every window was ingested).
-    WindowOutOfOrder {
-        /// The window the executor expected next.
-        expected: usize,
-        /// The window the caller asked for.
-        got: usize,
-    },
-    /// The epoch is already closed.
-    EpochClosed,
-    /// A checkpoint could not be serialized or restored.
-    Checkpoint(String),
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Exec(e) => write!(f, "stream execution failed: {e}"),
-            Self::NoSurvivors => write!(f, "epoch closed with no surviving uploads"),
-            Self::WindowOutOfOrder { expected, got } => {
-                write!(
-                    f,
-                    "stream driven out of order: expected window {expected}, got {got}"
-                )
-            }
-            Self::EpochClosed => write!(f, "epoch already closed"),
-            Self::Checkpoint(s) => write!(f, "checkpoint error: {s}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
-
-impl From<ExecError> for StreamError {
-    fn from(e: ExecError) -> Self {
-        Self::Exec(e)
-    }
+    pub detections: Vec<Detection>,
 }
 
 enum Upload {
@@ -422,7 +374,7 @@ pub struct StreamExecutor<'a> {
     commitments: Vec<GroupElem>,
     key_secret: Scalar,
     cert: QueryCert,
-    detections: Vec<StreamDetection>,
+    detections: Vec<Detection>,
     checkpoints: Vec<WindowCheckpoint>,
 
     /// Consulted once, at the first fold (see
@@ -446,7 +398,7 @@ impl<'a> StreamExecutor<'a> {
     ///
     /// # Errors
     ///
-    /// [`ExecError::BudgetExhausted`] (wrapped) if the certificate cost
+    /// [`ExecError::BudgetExhausted`] if the certificate cost
     /// does not fit the remaining budget, and
     /// [`ExecError::Unsupported`] for committee-size or schedule-size
     /// mismatches.
@@ -460,15 +412,14 @@ impl<'a> StreamExecutor<'a> {
         setup: Option<&'a SessionSetup>,
         lease: Option<&'a ShardedPool>,
         adversary: Option<&'a dyn Adversary>,
-    ) -> Result<Self, StreamError> {
+    ) -> Result<Self, ExecError> {
         let m = cfg.committee_size;
         let n = deployment.db.len();
         if schedule.n_devices != n {
             return Err(ExecError::Unsupported(format!(
                 "schedule covers {} devices, deployment has {n}",
                 schedule.n_devices
-            ))
-            .into());
+            )));
         }
         // ---- Setup (§5.1–§5.2): cached in a session catalog, or built
         // inline (sortition, BGV keygen from the `cfg.seed` stream,
@@ -479,8 +430,7 @@ impl<'a> StreamExecutor<'a> {
                 return Err(ExecError::Unsupported(format!(
                     "session setup seated committees of {}, config wants {m}",
                     s.committee_size
-                ))
-                .into());
+                )));
             }
             Some(s) => Cow::Borrowed(s),
             None => Cow::Owned(build_session_setup_observed(
@@ -554,9 +504,8 @@ impl<'a> StreamExecutor<'a> {
             // verifies under the honest majority.
             let bad = cert.verify_detailed(&deployment.registry);
             detections.extend(
-                bad.iter().map(|&pos| {
-                    StreamDetection::seat(0, roster, pos, DetectionKind::StaleSignature)
-                }),
+                bad.iter()
+                    .map(|&pos| seat_detection(0, roster, pos, DetectionKind::StaleSignature)),
             );
             cert.signatures = cert
                 .signatures
@@ -623,13 +572,13 @@ impl<'a> StreamExecutor<'a> {
     ///
     /// # Errors
     ///
-    /// [`StreamError::EpochClosed`] once every window was ingested, and
-    /// wrapped [`ExecError`]s for protocol failures (e.g. a handoff
+    /// [`ExecError::EpochClosed`] once every window was ingested, and
+    /// other [`ExecError`]s for protocol failures (e.g. a handoff
     /// left fewer than t+1 valid batches).
-    pub fn ingest_next(&mut self) -> Result<&WindowCheckpoint, StreamError> {
+    pub fn ingest_next(&mut self) -> Result<&WindowCheckpoint, ExecError> {
         let w = self.next_window;
         if w >= self.schedule.n_windows {
-            return Err(StreamError::EpochClosed);
+            return Err(ExecError::EpochClosed);
         }
         let adversary = self.adversary;
         let arrivals = self.schedule.window(w);
@@ -845,8 +794,11 @@ impl<'a> StreamExecutor<'a> {
         {
             let mut reject = |kind: DetectionKind| {
                 window_rejected += 1;
-                self.detections
-                    .push(StreamDetection::new(w, Subject::Device(i), kind));
+                self.detections.push(Detection {
+                    window: w,
+                    subject: Subject::Device(i),
+                    kind,
+                });
             };
             if let Some(kind) = verdict {
                 reject(kind.clone());
@@ -915,9 +867,13 @@ impl<'a> StreamExecutor<'a> {
         partials.extend(cts);
         let adds = partials.len().saturating_sub(1) as u64;
         if !partials.is_empty() {
-            let chunk = self.cfg.par.resolve_chunk(DEFAULT_STREAM_CHUNK);
             while partials.len() > 1 {
-                partials = arboretum_bgv::par_sum_chunks_sharded(shard_set, &ctx, partials, chunk);
+                partials = arboretum_bgv::par_sum_chunks_sharded(
+                    shard_set,
+                    &ctx,
+                    partials,
+                    DEFAULT_STREAM_CHUNK,
+                );
             }
             self.acc = Some(partials.remove(0));
             self.aggregate_ops += adds;
@@ -975,7 +931,7 @@ impl<'a> StreamExecutor<'a> {
         &mut self,
         b: usize,
         seat: impl Fn(usize) -> Option<CommitteeBehavior>,
-    ) -> Result<(Digest, u64, u64), StreamError> {
+    ) -> Result<(Digest, u64, u64), ExecError> {
         let m = self.cfg.committee_size;
         let t = (m - 1) / 2;
         let roster = &self.setup.committees.committees[0];
@@ -985,8 +941,7 @@ impl<'a> StreamExecutor<'a> {
         for (j, share) in self.shares.iter().enumerate() {
             let Some(behavior) = seat(j) else {
                 let kind = DetectionKind::HandoffDropout { boundary: b };
-                self.detections
-                    .push(StreamDetection::seat(b, roster, j, kind));
+                self.detections.push(seat_detection(b, roster, j, kind));
                 continue;
             };
             let mut rng = StdRng::seed_from_u64(
@@ -1029,7 +984,7 @@ impl<'a> StreamExecutor<'a> {
             };
             let member = (r.from - 1) as usize;
             self.detections
-                .push(StreamDetection::seat(b, roster, member, kind));
+                .push(seat_detection(b, roster, member, kind));
         }
         // The new commitments come from the same t+1 batches the
         // combine step chose: the first t+1 valid, in input order.
@@ -1060,13 +1015,13 @@ impl<'a> StreamExecutor<'a> {
     ///
     /// # Errors
     ///
-    /// [`StreamError::WindowOutOfOrder`] if windows remain,
-    /// [`StreamError::NoSurvivors`] if nothing was ever accepted, and
-    /// wrapped [`ExecError`]s for key-transfer or MPC failures.
-    pub fn close(mut self) -> Result<StreamReport, StreamError> {
+    /// [`ExecError::WindowOutOfOrder`] if windows remain,
+    /// [`ExecError::NoSurvivors`] if nothing was ever accepted, and
+    /// other [`ExecError`]s for key-transfer or MPC failures.
+    pub fn close(mut self) -> Result<StreamReport, ExecError> {
         let n_windows = self.schedule.n_windows;
         if self.next_window < n_windows {
-            return Err(StreamError::WindowOutOfOrder {
+            return Err(ExecError::WindowOutOfOrder {
                 expected: self.next_window,
                 got: n_windows,
             });
@@ -1074,7 +1029,7 @@ impl<'a> StreamExecutor<'a> {
         let adversary = self.adversary;
         let m = self.cfg.committee_size;
         let t = (m - 1) / 2;
-        let total_ct = self.acc.take().ok_or(StreamError::NoSurvivors)?;
+        let total_ct = self.acc.take().ok_or(ExecError::NoSurvivors)?;
         let ctx = Arc::clone(&self.setup.ctx);
         let categories = self.deployment.schema.row_width;
         let n = self.deployment.db.len();
@@ -1091,7 +1046,7 @@ impl<'a> StreamExecutor<'a> {
         let recovered =
             vsr_reconstruct(&self.shares, t).map_err(|e| ExecError::KeyTransfer(e.to_string()))?;
         if recovered != self.key_secret {
-            return Err(ExecError::KeyTransfer("key digest mismatch".into()).into());
+            return Err(ExecError::KeyTransfer("key digest mismatch".into()));
         }
 
         // ---- Decryption to shares (§5.4). ----
@@ -1174,11 +1129,11 @@ impl<'a> StreamExecutor<'a> {
             }
         }
         if let Some(kind) = self.aggregator_audit(&total_ct, agg_step, &honest, k) {
-            self.detections.push(StreamDetection::new(
-                n_windows - 1,
-                Subject::Aggregator,
+            self.detections.push(Detection {
+                window: n_windows - 1,
+                subject: Subject::Aggregator,
                 kind,
-            ));
+            });
         }
 
         // The keygen-MPC cost is charged to whoever performed the
@@ -1343,12 +1298,12 @@ impl<'a> StreamExecutor<'a> {
     ///
     /// # Errors
     ///
-    /// [`StreamError::Checkpoint`] if detections were raised — an
+    /// [`ExecError::Checkpoint`] if detections were raised — an
     /// adversarial run's detections live in the driving harness and are
     /// not serialized, so checkpointing one would drop evidence.
-    pub fn checkpoint_bytes(&self) -> Result<Vec<u8>, StreamError> {
+    pub fn checkpoint_bytes(&self) -> Result<Vec<u8>, ExecError> {
         if !self.detections.is_empty() {
-            return Err(StreamError::Checkpoint(
+            return Err(ExecError::Checkpoint(
                 "cannot checkpoint a stream with pending detections".into(),
             ));
         }
@@ -1426,11 +1381,11 @@ impl<'a> StreamExecutor<'a> {
     ///
     /// # Errors
     ///
-    /// [`StreamError::Checkpoint`] on truncation, version/magic or
+    /// [`ExecError::Checkpoint`] on truncation, version/magic or
     /// schedule-digest mismatch, implausible or inconsistent counts, or
     /// malformed frames.
-    pub fn restore_from(&mut self, bytes: &[u8]) -> Result<(), StreamError> {
-        let bad = |s: &str| StreamError::Checkpoint(s.to_string());
+    pub fn restore_from(&mut self, bytes: &[u8]) -> Result<(), ExecError> {
+        let bad = |s: &str| ExecError::Checkpoint(s.to_string());
         let mut pos = 0usize;
         if take(bytes, &mut pos, 4)? != CHECKPOINT_MAGIC {
             return Err(bad("bad checkpoint magic"));
@@ -1461,7 +1416,7 @@ impl<'a> StreamExecutor<'a> {
                 for (poly, slot) in polys.iter_mut().enumerate() {
                     for limb in 0..params.moduli.len() {
                         let (msg, used) = Message::decode_frame(&bytes[pos..])
-                            .map_err(|e| StreamError::Checkpoint(e.to_string()))?;
+                            .map_err(|e| ExecError::Checkpoint(e.to_string()))?;
                         pos += used;
                         match msg {
                             Message::CtChunk {
@@ -1489,7 +1444,7 @@ impl<'a> StreamExecutor<'a> {
             _ => return Err(bad("bad accumulator flag")),
         };
         let (msg, used) = Message::decode_frame(&bytes[pos..])
-            .map_err(|e| StreamError::Checkpoint(e.to_string()))?;
+            .map_err(|e| ExecError::Checkpoint(e.to_string()))?;
         pos += used;
         let committee = message_to_vsr_batch(&msg).ok_or_else(|| bad("missing committee frame"))?;
         // Seat `j` holds evaluation point `j + 1`: the handoff indexes
@@ -1591,7 +1546,7 @@ pub fn execute_stream(
     setup: Option<&SessionSetup>,
     pool: Option<&ShardedPool>,
     adversary: Option<&dyn Adversary>,
-) -> Result<StreamReport, StreamError> {
+) -> Result<StreamReport, ExecError> {
     let mut exec = StreamExecutor::open(
         plan, logical, deployment, cfg, schedule, setup, pool, adversary,
     )?;
@@ -1630,22 +1585,22 @@ const CHECKPOINT_MIN_BYTES: usize = 7 * 8 + 2;
 /// The next `k` checkpoint bytes, advancing `pos`. The one bounds check
 /// every reader below goes through; `checked_add` so a hostile length
 /// cannot wrap the offset on a 32-bit `usize`.
-fn take<'b>(bytes: &'b [u8], pos: &mut usize, k: usize) -> Result<&'b [u8], StreamError> {
+fn take<'b>(bytes: &'b [u8], pos: &mut usize, k: usize) -> Result<&'b [u8], ExecError> {
     let end = pos
         .checked_add(k)
         .filter(|&end| end <= bytes.len())
-        .ok_or_else(|| StreamError::Checkpoint("truncated checkpoint".into()))?;
+        .ok_or_else(|| ExecError::Checkpoint("truncated checkpoint".into()))?;
     let s = &bytes[*pos..end];
     *pos = end;
     Ok(s)
 }
 
-fn get_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, StreamError> {
+fn get_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, ExecError> {
     let b = take(bytes, pos, 4)?;
     Ok(u32::from_be_bytes(b.try_into().expect("took 4 bytes")))
 }
 
-fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, StreamError> {
+fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, ExecError> {
     let b = take(bytes, pos, 8)?;
     Ok(u64::from_be_bytes(b.try_into().expect("took 8 bytes")))
 }
@@ -1653,23 +1608,23 @@ fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, StreamError> {
 /// An element count whose elements each occupy at least `min_bytes`:
 /// refused when the bytes that remain could not hold that many, so the
 /// caller's allocation is bounded by the input length.
-fn get_count(bytes: &[u8], pos: &mut usize, min_bytes: usize) -> Result<usize, StreamError> {
+fn get_count(bytes: &[u8], pos: &mut usize, min_bytes: usize) -> Result<usize, ExecError> {
     let n = get_u32(bytes, pos)? as usize;
     if n > (bytes.len() - *pos) / min_bytes {
-        return Err(StreamError::Checkpoint(
+        return Err(ExecError::Checkpoint(
             "count exceeds the checkpoint's length".into(),
         ));
     }
     Ok(n)
 }
 
-fn get_digest(bytes: &[u8], pos: &mut usize) -> Result<Option<Digest>, StreamError> {
+fn get_digest(bytes: &[u8], pos: &mut usize) -> Result<Option<Digest>, ExecError> {
     match take(bytes, pos, 1)?[0] {
         0 => Ok(None),
         1 => Ok(Some(
             take(bytes, pos, 32)?.try_into().expect("took 32 bytes"),
         )),
-        _ => Err(StreamError::Checkpoint("bad digest flag".into())),
+        _ => Err(ExecError::Checkpoint("bad digest flag".into())),
     }
 }
 

@@ -7,9 +7,7 @@
 //! index-determined work decomposition; randomness confined to serial
 //! phases) against regressions in any of the wired call sites.
 
-use arboretum_bgv::{
-    encode_coeffs, encrypt, keygen, par_sum, par_sum_sharded, sum, BgvContext, BgvParams,
-};
+use arboretum_bgv::{encode_coeffs, encrypt, keygen, par_sum_sharded, sum, BgvContext, BgvParams};
 use arboretum_dp::budget::PrivacyCost;
 use arboretum_field::primes::{BGV_Q1, BGV_Q2, BGV_Q_ROOTS};
 use arboretum_field::FGold;
@@ -21,9 +19,7 @@ use arboretum_par::ParConfig;
 use arboretum_planner::logical::extract;
 use arboretum_planner::search::{plan, PlannerConfig};
 use arboretum_runtime::executor::{execute, Deployment, ExecutionConfig};
-use arboretum_runtime::net_exec::{
-    run_concurrent, run_concurrent_sharded, NetExecConfig, NetParty,
-};
+use arboretum_runtime::net_exec::{run_concurrent_sharded, NetExecConfig, NetParty};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -57,8 +53,8 @@ fn bgv_aggregate_is_bitwise_identical_at_any_thread_count() {
         .collect();
     let serial = sum(&ctx, &cts).unwrap();
     for threads in THREAD_COUNTS {
-        let pool = ParConfig::fixed(threads).pool();
-        let parallel = par_sum(&pool, &ctx, cts.clone()).unwrap();
+        let pool = ParConfig::fixed(threads).with_shards(1).sharded_pool();
+        let parallel = par_sum_sharded(&pool, &ctx, cts.clone()).unwrap();
         // Ciphertext equality is exact coefficient equality — bitwise.
         assert_eq!(parallel, serial, "aggregate diverged at {threads} threads");
     }
@@ -255,8 +251,8 @@ fn net_meter_totals_are_identical_at_any_shard_count() {
             })
             .collect()
     };
-    let serial_pool = ParConfig::serial().pool();
-    let reference = run_concurrent(&serial_pool, &cfg, make_tasks());
+    let serial_pool = ParConfig::serial().with_shards(1).sharded_pool();
+    let reference = run_concurrent_sharded(&serial_pool, &cfg, make_tasks());
     let ref_payload: u64 = reference
         .iter()
         .map(|r| r.as_ref().unwrap().metrics.payload_bytes_total)
@@ -298,11 +294,11 @@ fn net_meter_totals_are_identical_at_any_thread_count() {
             })
             .collect()
     };
-    let serial_pool = ParConfig::serial().pool();
-    let reference = run_concurrent(&serial_pool, &cfg, make_tasks());
+    let serial_pool = ParConfig::serial().with_shards(1).sharded_pool();
+    let reference = run_concurrent_sharded(&serial_pool, &cfg, make_tasks());
     for threads in THREAD_COUNTS {
-        let pool = ParConfig::fixed(threads).pool();
-        let got = run_concurrent(&pool, &cfg, make_tasks());
+        let pool = ParConfig::fixed(threads).with_shards(1).sharded_pool();
+        let got = run_concurrent_sharded(&pool, &cfg, make_tasks());
         assert_eq!(got.len(), reference.len());
         for (k, (r, g)) in reference.iter().zip(&got).enumerate() {
             let (r, g) = (r.as_ref().unwrap(), g.as_ref().unwrap());

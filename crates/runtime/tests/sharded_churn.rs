@@ -15,8 +15,7 @@ use arboretum_mpc::{MpcError, MpcOps};
 use arboretum_net::FaultPlan;
 use arboretum_par::{par_map_arc_sharded, ParConfig};
 use arboretum_runtime::net_exec::{
-    run_concurrent, run_concurrent_sharded, run_with_failover, NetExecConfig, NetExecError,
-    NetExecReport, NetParty,
+    run_concurrent_sharded, run_with_failover, NetExecConfig, NetExecError, NetExecReport, NetParty,
 };
 
 /// The per-task protocol: a tiny shared sum whose result depends on the
@@ -32,7 +31,7 @@ fn protocol(k: u64) -> impl Fn(&mut NetParty) -> Result<Vec<FGold>, MpcError> + 
 
 /// Per-task configs: task `faulty` gets a crash in its first committee,
 /// everyone else runs fault-free. Seeds are salted by the global task
-/// index exactly like `run_concurrent`, so fault-free tasks are
+/// index exactly like `run_concurrent_sharded`, so fault-free tasks are
 /// comparable across harnesses.
 fn task_configs(n: usize, faulty: usize) -> Vec<NetExecConfig> {
     (0..n)
@@ -147,8 +146,8 @@ fn shared_fault_schedule_fails_over_identically_across_shard_counts() {
             })
             .collect()
     };
-    let serial_pool = ParConfig::serial().pool();
-    let reference = run_concurrent(&serial_pool, &cfg, make_tasks());
+    let serial_pool = ParConfig::serial().with_shards(1).sharded_pool();
+    let reference = run_concurrent_sharded(&serial_pool, &cfg, make_tasks());
     for shards in [1usize, 2, 3] {
         let set = ParConfig::fixed(2).with_shards(shards).sharded_pool();
         let got = run_concurrent_sharded(&set, &cfg, make_tasks());

@@ -9,7 +9,7 @@
 //! same set. A checkpoint taken at any window boundary restores into a
 //! fresh executor and continues to the same epoch bitwise. Degenerate
 //! schedules (all devices drop, epochs driven out of order) and hostile
-//! checkpoint bytes resolve to typed [`StreamError`]s, never panics.
+//! checkpoint bytes resolve to typed [`ExecError`]s, never panics.
 //!
 //! The vendored proptest harness seeds its RNG from the test name, so
 //! every run draws the same cases — no CI flake surface.
@@ -23,11 +23,9 @@ use arboretum_planner::logical::{extract, LogicalPlan};
 use arboretum_planner::plan::Plan;
 use arboretum_planner::search::{plan, PlannerConfig};
 use arboretum_runtime::adversary::{Adversary, DeviceBehavior};
-use arboretum_runtime::executor::{execute, Deployment, ExecutionConfig};
+use arboretum_runtime::executor::{execute, Deployment, ExecError, ExecutionConfig};
 use arboretum_runtime::setup::{build_session_setup, SessionSetup};
-use arboretum_runtime::stream::{
-    execute_stream, ArrivalSchedule, StreamError, StreamExecutor, StreamReport,
-};
+use arboretum_runtime::stream::{execute_stream, ArrivalSchedule, StreamExecutor, StreamReport};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -91,7 +89,7 @@ fn run_query(
     lp: &LogicalPlan,
     physical: &Plan,
     schedule: &ArrivalSchedule,
-) -> Result<StreamReport, StreamError> {
+) -> Result<StreamReport, ExecError> {
     let f = fixture();
     execute_stream(
         physical,
@@ -105,7 +103,7 @@ fn run_query(
     )
 }
 
-fn run_stream(schedule: &ArrivalSchedule) -> Result<StreamReport, StreamError> {
+fn run_stream(schedule: &ArrivalSchedule) -> Result<StreamReport, ExecError> {
     let f = fixture();
     run_query(&f.lp, &f.plan, schedule)
 }
@@ -167,7 +165,7 @@ proptest! {
         let survivors = schedule.survivors();
         let streamed = run_stream(&schedule);
         if survivors.is_empty() {
-            prop_assert_eq!(streamed.unwrap_err(), StreamError::NoSurvivors);
+            prop_assert_eq!(streamed.unwrap_err(), ExecError::NoSurvivors);
             return Ok(());
         }
         let streamed = streamed.unwrap();
@@ -190,8 +188,8 @@ proptest! {
                 assert_equivalent(&streamed, &one_shot, "sampled partition vs one-shot");
             }
             (streamed, one_shot) => {
-                prop_assert_eq!(streamed.unwrap_err(), StreamError::NoSurvivors);
-                prop_assert_eq!(one_shot.unwrap_err(), StreamError::NoSurvivors);
+                prop_assert_eq!(streamed.unwrap_err(), ExecError::NoSurvivors);
+                prop_assert_eq!(one_shot.unwrap_err(), ExecError::NoSurvivors);
             }
         }
     }
@@ -262,7 +260,7 @@ proptest! {
             }).1
         };
         let honest_largest = finish(open());
-        let check = |mutated: &[u8], tag: &str| -> Result<(), StreamError> {
+        let check = |mutated: &[u8], tag: &str| -> Result<(), ExecError> {
             let mut victim = open();
             let (restored, largest) = largest_alloc_during(|| victim.restore_from(mutated));
             assert!(
@@ -285,7 +283,7 @@ proptest! {
         };
         let refused = |mutated: &[u8], tag: &str| {
             assert!(
-                matches!(check(mutated, tag), Err(StreamError::Checkpoint(_))),
+                matches!(check(mutated, tag), Err(ExecError::Checkpoint(_))),
                 "{tag} must be a typed checkpoint error"
             );
         };
@@ -373,7 +371,7 @@ proptest! {
                 }
             };
             if let Err(e) = check(&mutated, tag) {
-                prop_assert!(matches!(e, StreamError::Checkpoint(_)), "{tag} at {at}: {e:?}");
+                prop_assert!(matches!(e, ExecError::Checkpoint(_)), "{tag} at {at}: {e:?}");
             }
         }
     }
@@ -498,7 +496,7 @@ fn all_devices_dropping_is_a_typed_error() {
         drop: vec![Some(0); N_DEVICES],
     };
     assert!(schedule.survivors().is_empty());
-    assert_eq!(run_stream(&schedule).unwrap_err(), StreamError::NoSurvivors);
+    assert_eq!(run_stream(&schedule).unwrap_err(), ExecError::NoSurvivors);
 }
 
 #[test]
@@ -563,10 +561,10 @@ fn driving_the_epoch_out_of_order_is_a_typed_error() {
     exec2.ingest_next().unwrap();
     assert!(matches!(
         exec2.close(),
-        Err(StreamError::WindowOutOfOrder { expected: 1, .. })
+        Err(ExecError::WindowOutOfOrder { expected: 1, .. })
     ));
     exec.ingest_next().unwrap();
-    assert_eq!(exec.ingest_next().unwrap_err(), StreamError::EpochClosed);
+    assert_eq!(exec.ingest_next().unwrap_err(), ExecError::EpochClosed);
     exec.close().unwrap();
 }
 
@@ -601,7 +599,7 @@ fn checkpointing_a_stream_with_detections_is_refused() {
     exec.ingest_next().unwrap();
     assert!(matches!(
         exec.checkpoint_bytes(),
-        Err(StreamError::Checkpoint(_))
+        Err(ExecError::Checkpoint(_))
     ));
 }
 
@@ -636,7 +634,7 @@ fn restoring_under_a_different_schedule_is_refused() {
     .unwrap();
     assert!(matches!(
         wrong.restore_from(&bytes),
-        Err(StreamError::Checkpoint(_))
+        Err(ExecError::Checkpoint(_))
     ));
     // Truncation is typed too.
     let mut fresh = StreamExecutor::open(
@@ -652,7 +650,7 @@ fn restoring_under_a_different_schedule_is_refused() {
     .unwrap();
     assert!(matches!(
         fresh.restore_from(&bytes[..bytes.len() - 3]),
-        Err(StreamError::Checkpoint(_))
+        Err(ExecError::Checkpoint(_))
     ));
 }
 
@@ -679,7 +677,7 @@ fn a_version_1_checkpoint_is_refused() {
     bytes[4..6].copy_from_slice(&1u16.to_be_bytes());
     assert_eq!(
         exec.restore_from(&bytes),
-        Err(StreamError::Checkpoint(
+        Err(ExecError::Checkpoint(
             "unsupported checkpoint version".into()
         ))
     );

@@ -26,11 +26,9 @@ use arboretum_lang::privacy::CertifyConfig;
 use arboretum_par::ShardedPool;
 use arboretum_planner::cache::{CachedPlan, PlanCache};
 use arboretum_planner::search::PlannerConfig;
-use arboretum_runtime::executor::{
-    execute, Deployment, ExecError, ExecutionConfig, ExecutionReport,
-};
+use arboretum_runtime::executor::{Deployment, ExecError, ExecutionConfig};
 use arboretum_runtime::setup::{build_session_setup, SessionSetup};
-use arboretum_runtime::stream::{execute_stream, ArrivalSchedule, StreamError, StreamReport};
+use arboretum_runtime::stream::{execute_stream, ArrivalSchedule, StreamReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -132,7 +130,9 @@ impl SessionCatalog {
     /// # Errors
     ///
     /// Returns [`LedgerBookError::DuplicateAnalyst`] if a session is
-    /// already open under that name.
+    /// already open under that name and
+    /// [`LedgerBookError::InvalidAllotment`] for a negative or
+    /// non-finite allotment.
     pub fn open_analyst(
         &mut self,
         analyst: &str,
@@ -181,70 +181,46 @@ impl SessionCatalog {
         self.config.seed ^ analyst_tag(analyst) ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
-    /// Executes an admitted query against the cached setup.
+    /// Executes an admitted query against the cached setup: one
+    /// ingestion epoch, all devices at once (`windows: None`, a batch
+    /// query) or over `Some(w)` windows of derived arrivals and churn
+    /// (`INGEST` session mode).
     ///
     /// `budget_before` is the analyst's remaining budget at admission,
     /// *before* the charge: the executor re-charges the query cost
     /// against it internally so the issued certificate carries the
-    /// post-charge balance.
+    /// post-charge balance. The epoch is charged to the ledgers exactly
+    /// once at admission — windows are ingestion steps, not queries.
+    ///
+    /// The churn schedule is derived from the same per-query seed as
+    /// the executor's randomness, so a streamed query is as much a pure
+    /// function of `(catalog seed, analyst, seq)` as a batch one: which
+    /// devices arrive or churn in which window never depends on
+    /// scheduling.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] on protocol failures.
+    /// Returns [`ExecError`] on protocol failures, including the typed
+    /// `NoSurvivors` refusal when churn removes every upload.
     pub fn execute(
         &self,
         prepared: &CachedPlan,
         analyst: &str,
         seq: u64,
         budget_before: PrivacyCost,
+        windows: Option<usize>,
         pool: Option<&ShardedPool>,
-    ) -> Result<ExecutionReport, ExecError> {
+    ) -> Result<StreamReport, ExecError> {
         let cfg = ExecutionConfig {
             seed: self.query_seed(analyst, seq),
             budget: budget_before,
             ..self.config.base.clone()
         };
-        execute(
-            &prepared.plan,
-            &prepared.logical,
-            &self.deployment,
-            &cfg,
-            Some(&self.setup),
-            pool,
-            None,
-        )
-        .map(|(report, _)| report)
-    }
-
-    /// Executes an admitted query as a windowed ingestion stream
-    /// against the cached setup (`INGEST`/`CLOSE` session mode).
-    ///
-    /// The arrival schedule is derived from the same per-query seed as
-    /// the executor's randomness, so a streamed query is as much a pure
-    /// function of `(catalog seed, analyst, seq)` as a batch one: which
-    /// devices arrive or churn in which window never depends on
-    /// scheduling. The epoch is charged to the ledgers exactly once at
-    /// admission — windows are ingestion steps, not queries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError`] on protocol failures, including the
-    /// typed `NoSurvivors` refusal when churn removes every upload.
-    pub fn execute_stream(
-        &self,
-        prepared: &CachedPlan,
-        analyst: &str,
-        seq: u64,
-        budget_before: PrivacyCost,
-        windows: usize,
-        pool: Option<&ShardedPool>,
-    ) -> Result<StreamReport, StreamError> {
-        let cfg = ExecutionConfig {
-            seed: self.query_seed(analyst, seq),
-            budget: budget_before,
-            ..self.config.base.clone()
+        let n = self.deployment.db.len();
+        let schedule = match windows {
+            None => ArrivalSchedule::all_at_once(n),
+            Some(w) => ArrivalSchedule::derive(cfg.seed, n, w.max(1)),
         };
-        let schedule = ArrivalSchedule::derive(cfg.seed, self.deployment.db.len(), windows.max(1));
         execute_stream(
             &prepared.plan,
             &prepared.logical,
@@ -281,8 +257,9 @@ mod tests {
             .admit("alice", prepared.logical.certificate.cost)
             .unwrap();
         let report = catalog
-            .execute(&prepared, "alice", 0, before, None)
-            .unwrap();
+            .execute(&prepared, "alice", 0, before, None, None)
+            .unwrap()
+            .report;
         assert!(
             report.setup.is_zero(),
             "catalog executions must not re-pay sortition/keygen: {:?}",
@@ -304,7 +281,7 @@ mod tests {
             .admit("alice", prepared.logical.certificate.cost)
             .unwrap();
         let stream = catalog
-            .execute_stream(&prepared, "alice", 0, before, 3, None)
+            .execute(&prepared, "alice", 0, before, Some(3), None)
             .unwrap();
         assert_eq!(stream.checkpoints.len(), 3);
         assert!(stream.detections.is_empty());
@@ -315,13 +292,9 @@ mod tests {
         // The schedule is a pure function of the query seed: replaying
         // the same (analyst, seq) reproduces the epoch bitwise.
         let replay = catalog
-            .execute_stream(&prepared, "alice", 0, before, 3, None)
+            .execute(&prepared, "alice", 0, before, Some(3), None)
             .unwrap();
-        assert_eq!(stream.report.outputs, replay.report.outputs);
-        assert_eq!(
-            stream.checkpoints.last().unwrap().accumulator_digest,
-            replay.checkpoints.last().unwrap().accumulator_digest
-        );
+        assert_eq!(stream, replay);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use arboretum_dp::budget::{BudgetLedger, PrivacyCost};
 use arboretum_par::PoolBank;
 use arboretum_runtime::executor::{Deployment, ExecutionReport};
 use arboretum_runtime::setup::SetupCounters;
+use arboretum_runtime::stream::StreamReport;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,7 +18,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 
 use crate::catalog::{CatalogConfig, SessionCatalog};
-use crate::scheduler::{Admission, SchedulerState, StreamSummary};
+use crate::scheduler::{Admission, SchedulerState};
 use crate::session::{AuditRecord, QueryId, ServiceError};
 
 /// Configuration of a running service.
@@ -67,7 +68,6 @@ impl ServiceHandle {
             queue_cv: Condvar::new(),
             results: Mutex::new(BTreeMap::new()),
             results_cv: Condvar::new(),
-            streams: Mutex::new(BTreeMap::new()),
             pools: PoolBank::new(
                 config.pool_capacity.max(1),
                 par.resolve(),
@@ -93,7 +93,7 @@ impl ServiceHandle {
     /// # Errors
     ///
     /// Returns [`ServiceError::Ledger`] if a session is already open
-    /// under that name.
+    /// under that name or the allotment is negative or not finite.
     pub fn open_session(&self, analyst: &str, allotment: PrivacyCost) -> Result<(), ServiceError> {
         let mut catalog = self.state.catalog.write().expect("catalog lock poisoned");
         catalog
@@ -110,7 +110,7 @@ impl ServiceHandle {
     /// Returns the typed refusal — budget, plan, unknown analyst —
     /// with every ledger bitwise unchanged.
     pub fn submit(&self, analyst: &str, source: &str) -> Result<QueryId, ServiceError> {
-        self.state.submit(analyst, source)
+        self.state.submit(analyst, source, None)
     }
 
     /// Blocks until the given query finishes and returns its report.
@@ -120,6 +120,17 @@ impl ServiceHandle {
     /// Returns [`ServiceError::UnknownQuery`] for an id that was never
     /// admitted, or the execution's own error.
     pub fn wait(&self, id: QueryId) -> Result<ExecutionReport, ServiceError> {
+        self.wait_stream(id).map(|epoch| epoch.report)
+    }
+
+    /// [`Self::wait`] with the whole epoch: the report plus one
+    /// checkpoint per ingestion window (exactly one for a batch query)
+    /// and every typed detection.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::wait`].
+    pub fn wait_stream(&self, id: QueryId) -> Result<StreamReport, ServiceError> {
         self.state.wait(id)
     }
 
@@ -142,60 +153,16 @@ impl ServiceHandle {
     ///
     /// # Errors
     ///
-    /// Returns the typed refusal with every ledger bitwise unchanged.
+    /// Returns the typed refusal with every ledger bitwise unchanged;
+    /// [`ServiceError::TooManyWindows`] if `windows` exceeds the
+    /// deployment size.
     pub fn submit_stream(
         &self,
         analyst: &str,
         source: &str,
         windows: usize,
     ) -> Result<QueryId, ServiceError> {
-        self.state
-            .submit_with_windows(analyst, source, Some(windows.max(1)))
-    }
-
-    /// Blocks until a streamed query finishes (`CLOSE` mode) and
-    /// returns its report plus the per-window summary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::UnknownQuery`] for an id that was never
-    /// admitted as a stream, or the execution's own error.
-    pub fn close_stream(
-        &self,
-        id: QueryId,
-    ) -> Result<(ExecutionReport, StreamSummary), ServiceError> {
-        let report = self.wait(id)?;
-        let summary = self
-            .stream_summary(id)
-            .ok_or(ServiceError::UnknownQuery(id.0))?;
-        Ok((report, summary))
-    }
-
-    /// Submits a streamed query and blocks for its close: the
-    /// synchronous convenience path for `INGEST` + `CLOSE`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::submit_stream`] and [`Self::close_stream`].
-    pub fn run_stream(
-        &self,
-        analyst: &str,
-        source: &str,
-        windows: usize,
-    ) -> Result<(ExecutionReport, StreamSummary), ServiceError> {
-        let id = self.submit_stream(analyst, source, windows)?;
-        self.close_stream(id)
-    }
-
-    /// The per-window summary of a finished streamed query, if `id`
-    /// was admitted via [`Self::submit_stream`] and has completed.
-    pub fn stream_summary(&self, id: QueryId) -> Option<StreamSummary> {
-        self.state
-            .streams
-            .lock()
-            .expect("streams lock poisoned")
-            .get(&id.0)
-            .cloned()
+        self.state.submit(analyst, source, Some(windows))
     }
 
     /// The admission audit log, in submission order.

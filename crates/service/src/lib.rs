@@ -56,5 +56,4 @@ pub mod session;
 pub use catalog::{CatalogConfig, SessionCatalog};
 pub use handle::{ServiceConfig, ServiceHandle};
 pub use protocol::serve_connection;
-pub use scheduler::StreamSummary;
 pub use session::{analyst_tag, AuditRecord, QueryId, ServiceError};

@@ -5,17 +5,26 @@
 //! whole program fits on the `SUBMIT` line after the analyst name.
 //!
 //! ```text
-//! OPEN <analyst> <epsilon> <delta>      open an analyst session
+//! OPEN <analyst> <epsilon> <delta>      open an analyst session; the
+//!                                       allotment must be finite and
+//!                                       non-negative
 //! SUBMIT <analyst> <program...>         admit a query, reply OK id=<n>
 //! WAIT <id>                             block for a result
 //! RUN <analyst> <program...>            SUBMIT + WAIT in one round trip
-//! INGEST <analyst> <windows> <program>  admit a windowed streaming
-//!                                       query, reply OK id=<n> windows=<w>
-//! CLOSE <id>                            block for a streamed result
-//!                                       (report + per-window fields)
+//! INGEST <analyst> <windows> <program>  admit the query as an epoch of
+//!                                       1..=devices ingestion windows,
+//!                                       reply OK id=<n> windows=<w>
+//! CLOSE <id>                            WAIT plus windows=, accepted=,
+//!                                       rejected= summed over the
+//!                                       epoch's per-window checkpoints
 //! STATUS                                service counters
 //! QUIT                                  close the connection
 //! ```
+//!
+//! Every query is one ingestion epoch: `SUBMIT`/`RUN` admit it with all
+//! devices arriving at once, `INGEST` with seed-derived arrivals and
+//! churn over the given windows. `WAIT` and `CLOSE` therefore take any
+//! admitted id; `CLOSE` on a `SUBMIT`ted query reports `windows=1`.
 
 use arboretum_dp::budget::PrivacyCost;
 
@@ -108,7 +117,7 @@ fn wait(handle: &ServiceHandle, rest: &str) -> String {
     let Ok(id) = rest.trim().parse::<u64>() else {
         return "ERR usage: WAIT <id>".to_string();
     };
-    report_line(handle, QueryId(id))
+    report_line(handle, QueryId(id), false)
 }
 
 fn run(handle: &ServiceHandle, rest: &str) -> String {
@@ -116,7 +125,7 @@ fn run(handle: &ServiceHandle, rest: &str) -> String {
         return "ERR usage: RUN <analyst> <program>".to_string();
     };
     match handle.submit(analyst, source.trim()) {
-        Ok(id) => report_line(handle, id),
+        Ok(id) => report_line(handle, id, false),
         Err(e) => format!("ERR {e}"),
     }
 }
@@ -145,36 +154,33 @@ fn close(handle: &ServiceHandle, rest: &str) -> String {
     let Ok(id) = rest.trim().parse::<u64>() else {
         return "ERR usage: CLOSE <id>".to_string();
     };
-    let id = QueryId(id);
-    match handle.wait(id) {
-        Ok(report) => match handle.stream_summary(id) {
-            Some(s) => format!(
-                "OK id={} outputs={:?} budget_epsilon={} setup_amortized={} windows={} accepted={} rejected={}",
-                id.0,
-                report.outputs,
-                report.budget_after.epsilon,
-                report.setup.is_zero(),
-                s.windows,
-                s.accepted,
-                s.rejected,
-            ),
-            None => format!("ERR query id {} is not a streaming session", id.0),
-        },
-        Err(e) => format!("ERR {e}"),
-    }
+    report_line(handle, QueryId(id), true)
 }
 
-fn report_line(handle: &ServiceHandle, id: QueryId) -> String {
-    match handle.wait(id) {
-        Ok(report) => format!(
-            "OK id={} outputs={:?} budget_epsilon={} setup_amortized={}",
-            id.0,
-            report.outputs,
-            report.budget_after.epsilon,
-            report.setup.is_zero(),
-        ),
-        Err(e) => format!("ERR {e}"),
+/// The result line of a finished query; `per_window` appends the
+/// fields `CLOSE` adds to `WAIT`.
+fn report_line(handle: &ServiceHandle, id: QueryId, per_window: bool) -> String {
+    let epoch = match handle.wait_stream(id) {
+        Ok(epoch) => epoch,
+        Err(e) => return format!("ERR {e}"),
+    };
+    let mut line = format!(
+        "OK id={} outputs={:?} budget_epsilon={} setup_amortized={}",
+        id.0,
+        epoch.report.outputs,
+        epoch.report.budget_after.epsilon,
+        epoch.report.setup.is_zero(),
+    );
+    if per_window {
+        let windows = &epoch.checkpoints;
+        line.push_str(&format!(
+            " windows={} accepted={} rejected={}",
+            windows.len(),
+            windows.iter().map(|c| c.accepted).sum::<usize>(),
+            windows.iter().map(|c| c.rejected).sum::<usize>(),
+        ));
     }
+    line
 }
 
 fn status(handle: &ServiceHandle) -> String {
@@ -206,6 +212,14 @@ mod tests {
         .unwrap()
     }
 
+    /// Serves `script` and returns the response lines.
+    fn converse(handle: &ServiceHandle, script: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        serve_connection(handle, script.as_bytes(), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        out.lines().map(str::to_string).collect()
+    }
+
     #[test]
     fn session_round_trip_over_the_wire() {
         let handle = service();
@@ -218,11 +232,8 @@ STATUS
 QUIT
 ignored after quit
 ";
-        let mut out = Vec::new();
-        serve_connection(&handle, script.as_bytes(), &mut out).unwrap();
-        let out = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 6, "one response per request: {out}");
+        let lines = converse(&handle, script);
+        assert_eq!(lines.len(), 6, "one response per request: {lines:?}");
         assert!(lines[0].starts_with("OK opened alice"));
         assert_eq!(lines[1], "OK id=0");
         assert!(lines[2].starts_with("OK id=0 outputs="));
@@ -244,20 +255,95 @@ CLOSE 1
 INGEST alice 0 aggr = sum(db); r = em(aggr, 1.0); output(r);
 QUIT
 ";
-        let mut out = Vec::new();
-        serve_connection(&handle, script.as_bytes(), &mut out).unwrap();
-        let out = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 7, "one response per request: {out}");
+        let lines = converse(&handle, script);
+        assert_eq!(lines.len(), 7, "one response per request: {lines:?}");
         assert!(lines[0].starts_with("OK opened alice"));
         assert_eq!(lines[1], "OK id=0 windows=3");
         assert!(lines[2].starts_with("OK id=0 outputs="), "{}", lines[2]);
         assert!(lines[2].contains("setup_amortized=true"), "{}", lines[2]);
         assert!(lines[2].contains("windows=3"), "{}", lines[2]);
         assert_eq!(lines[3], "OK id=1");
-        assert_eq!(lines[4], "ERR query id 1 is not a streaming session");
+        // A batch query is the one-window epoch holding every device.
+        assert!(
+            lines[4].starts_with("OK id=1 outputs=")
+                && lines[4].ends_with(" windows=1 accepted=30 rejected=0"),
+            "{}",
+            lines[4]
+        );
         assert_eq!(lines[5], "ERR windows must be a positive integer");
         assert_eq!(lines[6], "OK bye");
+    }
+
+    #[test]
+    fn non_finite_or_negative_allotments_open_no_session() {
+        let handle = service();
+        let script = "\
+OPEN eve NaN NaN
+OPEN eve inf 1e-6
+OPEN eve 5.0 -1e-6
+OPEN eve -1 1e-6
+RUN eve aggr = sum(db); r = em(aggr, 1.0); output(r);
+OPEN eve 5.0 1e-6
+RUN eve aggr = sum(db); r = em(aggr, 1.0); output(r);
+QUIT
+";
+        let lines = converse(&handle, script);
+        assert_eq!(lines.len(), 8, "one response per request: {lines:?}");
+        for refused in &lines[..4] {
+            assert!(refused.starts_with("ERR budget: allotment"), "{refused}");
+        }
+        assert!(lines[4].starts_with("ERR no session open"), "{}", lines[4]);
+        assert!(lines[5].starts_with("OK opened eve"), "{}", lines[5]);
+        assert!(lines[6].starts_with("OK id=0 outputs="), "{}", lines[6]);
+        assert!(lines[6].contains("budget_epsilon=4 "), "{}", lines[6]);
+        // The four refusals and the session-less RUN admitted nothing.
+        assert_eq!(handle.audit_log().len(), 1);
+    }
+
+    #[test]
+    fn window_count_above_the_deployment_is_refused_at_admission() {
+        let handle = service();
+        handle
+            .open_session("alice", PrivacyCost::pure(5.0))
+            .unwrap();
+        let before = (
+            handle.ledger("alice").unwrap(),
+            handle.deployment_ledger(),
+            handle.audit_log(),
+            handle.plan_cache_stats(),
+        );
+        // 30 devices: 31 windows is one too many, 4·10¹² would hold a
+        // worker for years if it were admitted.
+        let script = "\
+INGEST alice 4000000000000 aggr = sum(db); r = em(aggr, 1.0); output(r);
+INGEST alice 31 aggr = sum(db); r = em(aggr, 1.0); output(r);
+";
+        let lines = converse(&handle, script);
+        assert_eq!(
+            lines,
+            [
+                "ERR 4000000000000 windows exceed the deployment's 30 devices",
+                "ERR 31 windows exceed the deployment's 30 devices",
+            ]
+        );
+        let after = (
+            handle.ledger("alice").unwrap(),
+            handle.deployment_ledger(),
+            handle.audit_log(),
+            handle.plan_cache_stats(),
+        );
+        assert_eq!(after, before, "a refused window count moved state");
+        assert_eq!(handle.queries_admitted(), 0);
+        // The service keeps serving, and the bound itself is admitted.
+        let script = "\
+RUN alice aggr = sum(db); r = em(aggr, 1.0); output(r);
+INGEST alice 30 aggr = sum(db); r = em(aggr, 1.0); output(r);
+CLOSE 1
+";
+        let lines = converse(&handle, script);
+        assert!(lines[0].starts_with("OK id=0 outputs="), "{}", lines[0]);
+        assert_eq!(lines[1], "OK id=1 windows=30");
+        assert!(lines[2].contains(" windows=30 "), "{}", lines[2]);
     }
 
     #[test]
@@ -271,10 +357,7 @@ WAIT 99
 BOGUS
 QUIT
 ";
-        let mut out = Vec::new();
-        serve_connection(&handle, script.as_bytes(), &mut out).unwrap();
-        let out = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
+        let lines = converse(&handle, script);
         assert!(lines[0].starts_with("ERR no session open"));
         assert!(lines[1].starts_with("OK opened"));
         assert!(lines[2].starts_with("ERR budget:"), "{}", lines[2]);
@@ -298,11 +381,8 @@ QUIT
              RUN alice aggr = sum(db); r = em(aggr, 1.0); output(r);\n\
              QUIT\n"
         );
-        let mut out = Vec::new();
-        serve_connection(&handle, script.as_bytes(), &mut out).unwrap();
-        let out = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 5, "one response per request: {out}");
+        let lines = converse(&handle, &script);
+        assert_eq!(lines.len(), 5, "one response per request: {lines:?}");
         assert!(lines[1].starts_with("ERR"), "{}", lines[1]);
         assert!(lines[1].contains("nesting deeper"), "{}", lines[1]);
         assert!(lines[2].starts_with("OK queries="), "{}", lines[2]);

@@ -17,7 +17,7 @@
 use arboretum_dp::budget::PrivacyCost;
 use arboretum_par::PoolBank;
 use arboretum_planner::cache::CachedPlan;
-use arboretum_runtime::executor::ExecutionReport;
+use arboretum_runtime::stream::StreamReport;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,25 +34,10 @@ pub(crate) struct Job {
     pub prepared: Arc<CachedPlan>,
     /// The analyst's remaining budget at admission, before the charge.
     pub budget_before: PrivacyCost,
-    /// `Some(w)` for a streaming (`INGEST`/`CLOSE`) query: execute as
-    /// `w` checkpointed ingestion windows instead of one batch.
+    /// `Some(w)` for a streaming (`INGEST`) query: `w` checkpointed
+    /// ingestion windows of derived arrivals instead of one window
+    /// holding every device.
     pub windows: Option<usize>,
-}
-
-/// Summary of a finished streaming query, alongside its
-/// [`ExecutionReport`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamSummary {
-    /// Ingestion windows the epoch ran.
-    pub windows: usize,
-    /// Uploads accepted across all windows.
-    pub accepted: usize,
-    /// Uploads rejected across all windows.
-    pub rejected: usize,
-    /// Accepted uploads per window, in window order.
-    pub window_accepted: Vec<usize>,
-    /// The final accumulator digest, if any window folded uploads.
-    pub final_digest: Option<[u8; 32]>,
 }
 
 /// Admission bookkeeping, guarded by one mutex so the admission
@@ -71,11 +56,8 @@ pub(crate) struct SchedulerState {
     pub admission: Mutex<Admission>,
     pub queue: Mutex<VecDeque<Job>>,
     pub queue_cv: Condvar,
-    pub results: Mutex<BTreeMap<u64, Result<ExecutionReport, ServiceError>>>,
+    pub results: Mutex<BTreeMap<u64, Result<StreamReport, ServiceError>>>,
     pub results_cv: Condvar,
-    /// Stream summaries, keyed by query id; populated (under the
-    /// results lock) before the result is published.
-    pub streams: Mutex<BTreeMap<u64, StreamSummary>>,
     pub pools: PoolBank,
     /// Zero workers: execute inline at submit time (the serial
     /// reference mode).
@@ -86,16 +68,16 @@ pub(crate) struct SchedulerState {
 impl SchedulerState {
     /// Admits one submission: resolves the plan, charges the ledgers
     /// all-or-nothing, assigns the next query id, and appends the
-    /// audit record — all under the admission lock. Returns the job to
-    /// run, or the typed refusal.
-    pub fn submit(self: &Arc<Self>, analyst: &str, source: &str) -> Result<QueryId, ServiceError> {
-        self.submit_with_windows(analyst, source, None)
-    }
-
-    /// [`Self::submit`] with an optional streaming window count; the
-    /// admission path (and thus the ledger/audit behavior) is identical
-    /// for batch and streamed queries — the epoch is charged once.
-    pub fn submit_with_windows(
+    /// audit record — all under the admission lock. Returns the
+    /// admitted query's id, or the typed refusal.
+    ///
+    /// `windows` is `None` for a batch query and `Some(w)` for a
+    /// streamed one; admission (and thus the ledger/audit behavior) is
+    /// the same for both — the epoch is charged once. A window count
+    /// above the deployment size is refused before anything is planned,
+    /// charged or logged: every window past the last device would be
+    /// empty, and each still costs a fold, a handoff and a checkpoint.
+    pub fn submit(
         self: &Arc<Self>,
         analyst: &str,
         source: &str,
@@ -109,6 +91,10 @@ impl SchedulerState {
             let mut catalog = self.catalog.write().expect("catalog lock poisoned");
             if catalog.book().analyst(analyst).is_none() {
                 return Err(ServiceError::UnknownAnalyst(analyst.to_string()));
+            }
+            let devices = catalog.deployment().db.len();
+            if let Some(windows) = windows.filter(|&w| w > devices) {
+                return Err(ServiceError::TooManyWindows { windows, devices });
             }
             let prepared = catalog.prepare(source)?;
             let cost = prepared.logical.certificate.cost;
@@ -179,65 +165,27 @@ impl SchedulerState {
 
     /// Runs one admitted job on a leased pool and publishes its result.
     pub fn execute_job(&self, job: Job) {
-        let (result, summary) = {
+        let result = {
             let lease = self.pools.checkout();
             let catalog = self.catalog.read().expect("catalog lock poisoned");
-            match job.windows {
-                None => (
-                    catalog
-                        .execute(
-                            &job.prepared,
-                            &job.analyst,
-                            job.seq,
-                            job.budget_before,
-                            Some(&lease),
-                        )
-                        .map_err(ServiceError::Exec),
-                    None,
-                ),
-                Some(windows) => match catalog.execute_stream(
+            catalog
+                .execute(
                     &job.prepared,
                     &job.analyst,
                     job.seq,
                     job.budget_before,
-                    windows,
+                    job.windows,
                     Some(&lease),
-                ) {
-                    Ok(stream) => {
-                        let summary = StreamSummary {
-                            windows: stream.checkpoints.len(),
-                            accepted: stream.report.accepted_inputs,
-                            rejected: stream.report.rejected_inputs,
-                            window_accepted: stream
-                                .checkpoints
-                                .iter()
-                                .map(|c| c.accepted)
-                                .collect(),
-                            final_digest: stream
-                                .checkpoints
-                                .iter()
-                                .rev()
-                                .find_map(|c| c.accumulator_digest),
-                        };
-                        (Ok(stream.report), Some(summary))
-                    }
-                    Err(e) => (Err(ServiceError::Stream(e)), None),
-                },
-            }
+                )
+                .map_err(ServiceError::Exec)
         };
         let mut results = self.results.lock().expect("results lock poisoned");
-        if let Some(summary) = summary {
-            self.streams
-                .lock()
-                .expect("streams lock poisoned")
-                .insert(job.id.0, summary);
-        }
         results.insert(job.id.0, result);
         self.results_cv.notify_all();
     }
 
     /// Blocks until the query's result is available.
-    pub fn wait(&self, id: QueryId) -> Result<ExecutionReport, ServiceError> {
+    pub fn wait(&self, id: QueryId) -> Result<StreamReport, ServiceError> {
         {
             let adm = self.admission.lock().expect("admission lock poisoned");
             if id.0 >= adm.next_id {

@@ -4,7 +4,6 @@
 use arboretum_crypto::sha256::sha256;
 use arboretum_dp::budget::{LedgerBookError, PrivacyCost};
 use arboretum_runtime::executor::ExecError;
-use arboretum_runtime::stream::StreamError;
 
 /// A stable seed tag for an analyst name: the first 8 big-endian bytes
 /// of `sha256(name)`.
@@ -38,8 +37,14 @@ pub enum ServiceError {
     Plan(String),
     /// The runtime failed executing an admitted query.
     Exec(ExecError),
-    /// The runtime failed executing an admitted streaming query.
-    Stream(StreamError),
+    /// A streamed submission asked for more ingestion windows than the
+    /// deployment has devices; nothing was planned, charged or logged.
+    TooManyWindows {
+        /// The window count asked for.
+        windows: usize,
+        /// The deployment size, the most windows an arrival can fill.
+        devices: usize,
+    },
     /// No analyst session is open under that name.
     UnknownAnalyst(String),
     /// No such query id was ever admitted.
@@ -54,7 +59,10 @@ impl std::fmt::Display for ServiceError {
             Self::Ledger(e) => write!(f, "budget: {e}"),
             Self::Plan(e) => write!(f, "plan: {e}"),
             Self::Exec(e) => write!(f, "execution: {e}"),
-            Self::Stream(e) => write!(f, "stream: {e}"),
+            Self::TooManyWindows { windows, devices } => write!(
+                f,
+                "{windows} windows exceed the deployment's {devices} devices"
+            ),
             Self::UnknownAnalyst(a) => write!(f, "no session open for analyst {a:?}"),
             Self::UnknownQuery(id) => write!(f, "unknown query id {id}"),
             Self::ShutDown => write!(f, "service is shutting down"),
@@ -73,12 +81,6 @@ impl From<LedgerBookError> for ServiceError {
 impl From<ExecError> for ServiceError {
     fn from(e: ExecError) -> Self {
         Self::Exec(e)
-    }
-}
-
-impl From<StreamError> for ServiceError {
-    fn from(e: StreamError) -> Self {
-        Self::Stream(e)
     }
 }
 

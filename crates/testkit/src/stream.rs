@@ -325,7 +325,7 @@ fn cross_check(
     let device_hits: Vec<_> = adversarial
         .detections
         .iter()
-        .filter(|d| d.detection.subject == Subject::Device(schedule.tamper_device))
+        .filter(|d| d.subject == Subject::Device(schedule.tamper_device))
         .collect();
     push(
         device_hits.len() == 1,
@@ -344,10 +344,10 @@ fn cross_check(
             ),
         );
         push(
-            d.detection.kind.class() == expected_class,
+            d.kind.class() == expected_class,
             format!(
                 "device detection class {:?}, expected {:?}",
-                d.detection.kind.class(),
+                d.kind.class(),
                 expected_class
             ),
         );
@@ -355,7 +355,7 @@ fn cross_check(
     let crash_hits: Vec<_> = adversarial
         .detections
         .iter()
-        .filter(|d| d.detection.kind.class() == DetectionClass::HandoffDropout)
+        .filter(|d| d.kind.class() == DetectionClass::HandoffDropout)
         .collect();
     match schedule.crash {
         None => push(
@@ -383,11 +383,8 @@ fn cross_check(
                     ),
                 );
                 push(
-                    d.detection.kind == DetectionKind::HandoffDropout { boundary },
-                    format!(
-                        "dropout kind {:?}, expected boundary {boundary}",
-                        d.detection.kind
-                    ),
+                    d.kind == DetectionKind::HandoffDropout { boundary },
+                    format!("dropout kind {:?}, expected boundary {boundary}", d.kind),
                 );
                 let expected_subject = Subject::CommitteeMember {
                     committee: 0,
@@ -395,10 +392,10 @@ fn cross_check(
                     device: roster[member],
                 };
                 push(
-                    d.detection.subject == expected_subject,
+                    d.subject == expected_subject,
                     format!(
                         "dropout subject {:?}, expected {expected_subject:?}",
-                        d.detection.subject
+                        d.subject
                     ),
                 );
             }
@@ -536,7 +533,7 @@ pub fn dump_stream_failure_artifact(
     for d in &outcome.adversarial.detections {
         body.push_str(&format!(
             "  window {} | {:?}: {:?}\n",
-            d.window, d.detection.subject, d.detection.kind
+            d.window, d.subject, d.kind
         ));
     }
     body.push_str("\nper-window checkpoints (adversarial vs reference):\n");

@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 use arboretum_crypto::group::{GroupElem, Scalar};
+use arboretum_field::shamir::{basis_at_zero, evaluate, lagrange_at_zero, ShamirError};
 use rand::Rng;
 
 /// A Shamir share over the scalar field: evaluation point and value.
@@ -89,6 +90,15 @@ impl std::fmt::Display for VsrError {
 
 impl std::error::Error for VsrError {}
 
+impl From<ShamirError> for VsrError {
+    fn from(e: ShamirError) -> Self {
+        match e {
+            ShamirError::NotEnoughShares { got, need } => Self::NotEnoughShares { got, need },
+            ShamirError::DuplicatePoint(x) => Self::DuplicatePoint(x),
+        }
+    }
+}
+
 /// Feldman-shares `secret` with threshold `t` (any `t + 1` reconstruct)
 /// among `m` parties.
 ///
@@ -106,16 +116,7 @@ pub fn feldman_share<R: Rng + ?Sized>(
         .chain((0..t).map(|_| Scalar::new(rng.gen())))
         .collect();
     let commitments = coeffs.iter().map(|&a| GroupElem::mul_base(a)).collect();
-    let shares = (1..=m as u64)
-        .map(|x| {
-            let fx = Scalar::new(x);
-            let y = coeffs
-                .iter()
-                .rev()
-                .fold(Scalar::ZERO, |acc, &c| acc * fx + c);
-            VShare { x, y }
-        })
-        .collect();
+    let shares = evaluate(&coeffs, m).map(|(x, y)| VShare { x, y }).collect();
     FeldmanSharing {
         shares,
         commitments,
@@ -135,50 +136,15 @@ pub fn feldman_verify(share: &VShare, commitments: &[GroupElem]) -> bool {
     GroupElem::mul_base(share.y) == expected
 }
 
-/// Lagrange coefficients at zero over the scalar field.
-pub fn lagrange_at_zero(xs: &[u64]) -> Vec<Scalar> {
-    xs.iter()
-        .map(|&xi| {
-            let fxi = Scalar::new(xi);
-            let mut num = Scalar::ONE;
-            let mut den = Scalar::ONE;
-            for &xj in xs {
-                if xj != xi {
-                    let fxj = Scalar::new(xj);
-                    num *= -fxj;
-                    den *= fxi - fxj;
-                }
-            }
-            num * den.inv()
-        })
-        .collect()
-}
-
 /// Reconstructs the secret from at least `t + 1` shares.
 ///
 /// # Errors
 ///
 /// Returns [`VsrError`] on insufficient or inconsistent shares.
 pub fn reconstruct(shares: &[VShare], t: usize) -> Result<Scalar, VsrError> {
-    if shares.len() < t + 1 {
-        return Err(VsrError::NotEnoughShares {
-            got: shares.len(),
-            need: t + 1,
-        });
-    }
-    let pts = &shares[..t + 1];
-    let xs: Vec<u64> = pts.iter().map(|s| s.x).collect();
-    for (i, &x) in xs.iter().enumerate() {
-        if xs[i + 1..].contains(&x) {
-            return Err(VsrError::DuplicatePoint(x));
-        }
-    }
-    let lambda = lagrange_at_zero(&xs);
-    Ok(pts
-        .iter()
-        .zip(&lambda)
-        .map(|(s, &l)| s.y * l)
-        .fold(Scalar::ZERO, |a, b| a + b))
+    let xs: Vec<u64> = shares.iter().map(|s| s.x).collect();
+    let lambda: Vec<Scalar> = basis_at_zero(&xs, t)?;
+    Ok(shares.iter().zip(&lambda).map(|(s, &l)| s.y * l).sum())
 }
 
 /// One old member's redistribution batch: a Feldman sharing of its share.
@@ -311,7 +277,7 @@ pub fn combine_batches_detailed(
     }
     let chosen = &valid[..t_old + 1];
     let xs: Vec<u64> = chosen.iter().map(|b| b.from).collect();
-    let lambda = lagrange_at_zero(&xs);
+    let lambda: Vec<Scalar> = lagrange_at_zero(&xs);
     let shares = (0..m_new)
         .map(|j| {
             let y = chosen
@@ -361,7 +327,7 @@ pub fn combine_batches(
 pub fn combine_commitments(batches: &[&SubshareBatch]) -> Vec<GroupElem> {
     assert!(!batches.is_empty(), "need at least one batch");
     let xs: Vec<u64> = batches.iter().map(|b| b.from).collect();
-    let lambda = lagrange_at_zero(&xs);
+    let lambda: Vec<Scalar> = lagrange_at_zero(&xs);
     let deg = batches[0].sharing.commitments.len();
     let mut out = vec![GroupElem::IDENTITY; deg];
     for (b, &l) in batches.iter().zip(&lambda) {

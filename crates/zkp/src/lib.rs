@@ -9,12 +9,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod onehot;
 pub mod range;
 pub mod sigma;
 
-pub use batch::{par_verify_one_hot_detailed, par_verify_ranges_detailed};
 pub use onehot::{
     prove_one_hot, verify_one_hot, verify_one_hot_detailed, OneHotError, OneHotProof,
     OneHotVerifyError,

@@ -10,8 +10,6 @@
 use arboretum_crypto::group::Scalar;
 use arboretum_crypto::pedersen::PedersenParams;
 use arboretum_crypto::transcript::Transcript;
-use arboretum_par::ThreadPool;
-use arboretum_zkp::batch::{par_verify_one_hot_detailed, par_verify_ranges_detailed};
 use arboretum_zkp::onehot::{
     prove_one_hot, verify_one_hot_detailed, OneHotProof, OneHotVerifyError,
 };
@@ -271,15 +269,12 @@ fn batch_one_hot_isolates_bad_proofs_to_their_index() {
         .collect();
     proofs[3].bit_proofs[2].z0 += Scalar::ONE;
     proofs[6].bit_proofs.pop();
-    for threads in [0usize, 2, 8] {
-        let pool = ThreadPool::new(threads);
-        let verdicts = par_verify_one_hot_detailed(&pool, &pp, proofs.clone());
-        for (i, v) in verdicts.iter().enumerate() {
-            match i {
-                3 => assert_eq!(*v, Err(OneHotVerifyError::BitProof(2)), "threads {threads}"),
-                6 => assert_eq!(*v, Err(OneHotVerifyError::Structure), "threads {threads}"),
-                _ => assert_eq!(*v, Ok(()), "index {i} threads {threads}"),
-            }
+    for (i, proof) in proofs.iter().enumerate() {
+        let v = verify_one_hot_detailed(&pp, proof);
+        match i {
+            3 => assert_eq!(v, Err(OneHotVerifyError::BitProof(2))),
+            6 => assert_eq!(v, Err(OneHotVerifyError::Structure)),
+            _ => assert_eq!(v, Ok(()), "index {i}"),
         }
     }
 }
@@ -292,15 +287,12 @@ fn batch_ranges_isolate_bad_proofs_to_their_index() {
         .collect();
     proofs[1].commitment.0 = proofs[1].commitment.0 + pp.g;
     proofs[5].bit_proofs[3].z1 += Scalar::ONE;
-    for threads in [0usize, 2, 8] {
-        let pool = ThreadPool::new(threads);
-        let verdicts = par_verify_ranges_detailed(&pool, &pp, proofs.clone(), 4);
-        for (i, v) in verdicts.iter().enumerate() {
-            match i {
-                1 => assert_eq!(*v, Err(RangeVerifyError::Binding), "threads {threads}"),
-                5 => assert_eq!(*v, Err(RangeVerifyError::BitProof(3)), "threads {threads}"),
-                _ => assert_eq!(*v, Ok(()), "index {i} threads {threads}"),
-            }
+    for (i, proof) in proofs.iter().enumerate() {
+        let v = verify_range_detailed(&pp, proof, 4);
+        match i {
+            1 => assert_eq!(v, Err(RangeVerifyError::Binding)),
+            5 => assert_eq!(v, Err(RangeVerifyError::BitProof(3))),
+            _ => assert_eq!(v, Ok(()), "index {i}"),
         }
     }
 }

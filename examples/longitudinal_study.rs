@@ -6,7 +6,7 @@
 //! sortition + BGV-keygen cost exactly once at startup, so every query
 //! in the analyst's monthly stream reports **zero** setup op counts
 //! (the amortization story of §5); each month ingests its uploads in
-//! weekly streaming windows (`run_stream`) yet charges the privacy
+//! weekly streaming windows (`submit_stream`) yet charges the privacy
 //! ledger once per epoch, not once per window; the ledger carries
 //! across months and eventually refuses service with a typed error;
 //! the plan cache answers the repeated monthly query without
@@ -88,8 +88,12 @@ fn main() {
     let mut winners = Vec::new();
     let mut budget_left = service.ledger("analyst").expect("open").remaining().epsilon;
     loop {
-        match service.run_stream("analyst", monthly, weekly_windows) {
-            Ok((report, summary)) => {
+        let closed = service
+            .submit_stream("analyst", monthly, weekly_windows)
+            .and_then(|id| service.wait_stream(id));
+        match closed {
+            Ok(epoch) => {
+                let report = &epoch.report;
                 // Every service query runs against the cached setup:
                 // zero additional sortition/keygen work, by op count —
                 // streamed epochs included.
@@ -98,7 +102,7 @@ fn main() {
                     "month {month} re-paid setup: {:?}",
                     report.setup
                 );
-                assert_eq!(summary.windows, weekly_windows);
+                assert_eq!(epoch.checkpoints.len(), weekly_windows);
                 // The epoch is charged once at stream open, not per
                 // window: exactly one ledger debit per month.
                 let now_left = service.ledger("analyst").expect("open").remaining().epsilon;
@@ -110,8 +114,8 @@ fn main() {
                 println!(
                     "month {month}: winner = category {}, weekly arrivals = {:?} ({} accepted), budget left = {:.2}, setup ops = 0 (amortized)",
                     report.outputs[0],
-                    summary.window_accepted,
-                    summary.accepted,
+                    epoch.checkpoints.iter().map(|c| c.accepted).collect::<Vec<_>>(),
+                    report.accepted_inputs,
                     budget_left,
                 );
                 winners.push(report.outputs[0]);
