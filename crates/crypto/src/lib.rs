@@ -14,7 +14,9 @@
 //!   deterministic-signature requirement for sortition), with
 //!   deterministic-combiner batch verification.
 //! * [`pedersen`] — Pedersen commitments (ZKPs, Feldman/VSR commitments).
-//! * [`transcript`] — Fiat–Shamir transcripts for non-interactive proofs.
+//! * [`transcript`] — Fiat–Shamir transcripts for non-interactive proofs:
+//!   one streaming pass over a proof's first moves, sealed once, every
+//!   challenge a single-block hash of the seal.
 
 // `deny` rather than `forbid`: the SHA-256 compression dispatch carries
 // the crate's single `unsafe` block — the runtime-feature-checked call
@@ -39,4 +41,4 @@ pub use schnorr::{
     verify_batch, BatchEntry, Keypair, PreparedPublicKey, PublicKey, SecretKey, Signature,
 };
 pub use sha256::{sha256, Digest, Sha256};
-pub use transcript::Transcript;
+pub use transcript::{Sealed, Transcript};

@@ -1,48 +1,54 @@
-//! Fiat–Shamir transcripts.
+//! Fiat–Shamir transcripts: one streaming pass, then a sealed digest.
 //!
 //! A transcript binds every public value of an interactive proof into the
 //! challenge derivation, turning sigma protocols into non-interactive
-//! proofs in the random-oracle model. Labels give domain separation both
-//! between protocols and between messages within a protocol.
+//! proofs in the random-oracle model. A proof here is *two-move*: the
+//! prover absorbs the statement and **every** first-move message into one
+//! running SHA-256 ([`Transcript`]), seals the stream once into a digest
+//! `D` ([`Sealed`]), and derives each challenge as one single-block hash
+//! `H(D ‖ index ‖ label)`. Every challenge therefore depends on every
+//! absorbed message — the parallel composition of the underlying sigma
+//! protocols under one random-oracle query per challenge — and a proof of
+//! width `k` costs about `k/4` compressions to absorb plus one per
+//! challenge, not several per message.
+//!
+//! Framing keeps the byte stream injective: the protocol label and every
+//! message are written as `len(label) ‖ label ‖ len(data) ‖ data` with
+//! 8-byte big-endian lengths, so no two different histories absorb the
+//! same bytes. Labels give domain separation between protocols, between
+//! messages within a protocol, and between challenges drawn from one seal.
 
 use crate::group::{scalar_from_hash, GroupElem, Scalar};
 use crate::sha256::{Digest, Sha256};
 
-/// A running Fiat–Shamir transcript.
-///
-/// Internally a chained SHA-256 state: each absorbed message rehashes the
-/// previous digest with the new (length-prefixed, labeled) data, so the
-/// challenge depends on the entire ordered history.
-#[derive(Clone, Debug)]
+/// A running Fiat–Shamir transcript: one SHA-256 stream over
+/// length-prefixed, labeled frames.
 pub struct Transcript {
-    state: Digest,
+    hasher: Sha256,
 }
 
 impl Transcript {
     /// Starts a transcript under a protocol label.
     pub fn new(protocol: &[u8]) -> Self {
-        let mut h = Sha256::new();
-        h.update(b"arboretum/transcript/");
-        h.update(protocol);
-        Self {
-            state: h.finalize(),
-        }
+        let mut t = Self {
+            hasher: Sha256::new(),
+        };
+        t.append(b"arboretum/transcript", protocol);
+        t
+    }
+
+    /// Writes a frame header: the label, and the byte length of the data
+    /// that follows.
+    fn frame(&mut self, label: &[u8], data_len: usize) {
+        self.hasher.update(&(label.len() as u64).to_be_bytes());
+        self.hasher.update(label);
+        self.hasher.update(&(data_len as u64).to_be_bytes());
     }
 
     /// Absorbs labeled bytes.
     pub fn append(&mut self, label: &[u8], data: &[u8]) {
-        let mut h = Sha256::new();
-        h.update(&self.state);
-        h.update(&(label.len() as u64).to_be_bytes());
-        h.update(label);
-        h.update(&(data.len() as u64).to_be_bytes());
-        h.update(data);
-        self.state = h.finalize();
-    }
-
-    /// Absorbs a group element.
-    pub fn append_point(&mut self, label: &[u8], p: &GroupElem) {
-        self.append(label, &p.to_bytes());
+        self.frame(label, data.len());
+        self.hasher.update(data);
     }
 
     /// Absorbs a u64 (counters, indices, sizes).
@@ -50,21 +56,54 @@ impl Transcript {
         self.append(label, &v.to_be_bytes());
     }
 
-    /// Squeezes a challenge scalar; also ratchets the state so subsequent
-    /// challenges are independent.
-    pub fn challenge_scalar(&mut self, label: &[u8]) -> Scalar {
+    /// Absorbs a run of group elements as one frame: `rows` of `N`
+    /// elements each (`[c]` per coordinate, `[a0, a1]` per bit proof),
+    /// row by row.
+    pub fn append_points<const N: usize>(
+        &mut self,
+        label: &[u8],
+        rows: impl ExactSizeIterator<Item = [GroupElem; N]>,
+    ) {
+        self.frame(label, rows.len() * N * 8);
+        for p in rows.flatten() {
+            self.hasher.update(&p.to_bytes());
+        }
+    }
+
+    /// Closes the stream. Nothing can be absorbed afterwards; every
+    /// challenge is derived from the returned value.
+    pub fn seal(self) -> Sealed {
+        Sealed(self.hasher.finalize())
+    }
+}
+
+/// The digest of a finished transcript, from which challenges are drawn.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Sealed(Digest);
+
+impl Sealed {
+    /// The challenge named `(index, label)`: `H(D ‖ index ‖ label)`. The
+    /// fixed-width index comes first, so moving bytes between the index
+    /// and the label cannot make two names collide. One compression for
+    /// labels of up to 15 bytes.
+    pub fn challenge(&self, index: u64, label: &[u8]) -> Scalar {
         let mut h = Sha256::new();
-        h.update(&self.state);
-        h.update(b"challenge/");
+        h.update(&self.0);
+        h.update(&index.to_be_bytes());
         h.update(label);
-        let d = h.finalize();
-        self.state = {
-            let mut r = Sha256::new();
-            r.update(&d);
-            r.update(b"ratchet");
-            r.finalize()
-        };
-        scalar_from_hash(&d)
+        scalar_from_hash(&h.finalize())
+    }
+
+    /// A sealed value that additionally depends on `data` — bytes that
+    /// only exist once the challenges of `self` are known (a proof's
+    /// responses), and that a later challenge must still bind.
+    pub fn bind(&self, label: &[u8], data: &[u8]) -> Sealed {
+        let mut h = Sha256::new();
+        h.update(&self.0);
+        h.update(&(label.len() as u64).to_be_bytes());
+        h.update(label);
+        h.update(data);
+        Sealed(h.finalize())
     }
 }
 
@@ -72,13 +111,30 @@ impl Transcript {
 mod tests {
     use super::*;
 
+    fn challenge(t: Transcript) -> Scalar {
+        t.seal().challenge(0, b"c")
+    }
+
+    fn points(n: u64) -> Vec<[GroupElem; 1]> {
+        (1..=n)
+            .map(|i| [GroupElem::mul_base(Scalar::new(i))])
+            .collect()
+    }
+
     #[test]
     fn deterministic_for_same_history() {
         let mut t1 = Transcript::new(b"proto");
         let mut t2 = Transcript::new(b"proto");
         t1.append(b"x", b"data");
         t2.append(b"x", b"data");
-        assert_eq!(t1.challenge_scalar(b"c"), t2.challenge_scalar(b"c"));
+        t1.append_points(b"run", points(3).into_iter());
+        t2.append_points(b"run", points(3).into_iter());
+        let (s1, s2) = (t1.seal(), t2.seal());
+        assert_eq!(s1, s2);
+        for i in 0..4 {
+            assert_eq!(s1.challenge(i, b"c"), s2.challenge(i, b"c"));
+        }
+        assert_eq!(s1.bind(b"r", b"z"), s2.bind(b"r", b"z"));
     }
 
     #[test]
@@ -87,20 +143,20 @@ mod tests {
         let mut t2 = Transcript::new(b"proto");
         t1.append(b"x", b"data");
         t2.append(b"x", b"dataX");
-        assert_ne!(t1.challenge_scalar(b"c"), t2.challenge_scalar(b"c"));
+        assert_ne!(challenge(t1), challenge(t2));
     }
 
     #[test]
     fn sensitive_to_labels_and_protocol() {
-        let mut t1 = Transcript::new(b"proto-a");
-        let mut t2 = Transcript::new(b"proto-b");
-        assert_ne!(t1.challenge_scalar(b"c"), t2.challenge_scalar(b"c"));
+        let t1 = Transcript::new(b"proto-a");
+        let t2 = Transcript::new(b"proto-b");
+        assert_ne!(challenge(t1), challenge(t2));
 
         let mut t3 = Transcript::new(b"p");
         let mut t4 = Transcript::new(b"p");
         t3.append(b"label1", b"d");
         t4.append(b"label2", b"d");
-        assert_ne!(t3.challenge_scalar(b"c"), t4.challenge_scalar(b"c"));
+        assert_ne!(challenge(t3), challenge(t4));
     }
 
     #[test]
@@ -113,14 +169,84 @@ mod tests {
         t1.append(b"m", b"c");
         t2.append(b"m", b"a");
         t2.append(b"m", b"bc");
-        assert_ne!(t1.challenge_scalar(b"c"), t2.challenge_scalar(b"c"));
+        assert_ne!(challenge(t1), challenge(t2));
+    }
+
+    #[test]
+    fn protocol_label_is_length_prefixed() {
+        // One running hash, so the protocol label needs its own length
+        // prefix: protocol "ab" + label "c" is not protocol "a" + label
+        // "bc".
+        let mut t1 = Transcript::new(b"ab");
+        let mut t2 = Transcript::new(b"a");
+        t1.append(b"c", b"d");
+        t2.append(b"bc", b"d");
+        assert_ne!(challenge(t1), challenge(t2));
+    }
+
+    #[test]
+    fn a_run_of_points_is_one_length_prefixed_frame() {
+        // n points and then a frame labeled L, against n + 1 points: the
+        // run's byte length is written before the run.
+        let ps = points(4);
+        let mut t1 = Transcript::new(b"p");
+        let mut t2 = Transcript::new(b"p");
+        t1.append_points(b"run", ps[..3].iter().copied());
+        t1.append_points(b"L", ps[3..].iter().copied());
+        t2.append_points(b"run", ps.iter().copied());
+        let whole = challenge(t2);
+        assert_ne!(challenge(t1), whole);
+        // Rows are framing for the caller, not for the stream: two rows
+        // of two are the same run as four rows of one.
+        let mut t3 = Transcript::new(b"p");
+        t3.append_points(
+            b"run",
+            [[ps[0][0], ps[1][0]], [ps[2][0], ps[3][0]]].into_iter(),
+        );
+        assert_eq!(challenge(t3), whole);
+        // A run is its elements in order.
+        let mut t4 = Transcript::new(b"p");
+        t4.append_points(b"run", ps.iter().rev().copied());
+        assert_ne!(challenge(t4), whole);
     }
 
     #[test]
     fn sequential_challenges_differ() {
-        let mut t = Transcript::new(b"p");
-        let c1 = t.challenge_scalar(b"c");
-        let c2 = t.challenge_scalar(b"c");
-        assert_ne!(c1, c2, "ratcheting must decorrelate challenges");
+        // Challenges drawn from one seal are told apart by index and by
+        // label.
+        let sealed = Transcript::new(b"p").seal();
+        let c: Vec<Scalar> = (0..8).map(|i| sealed.challenge(i, b"c")).collect();
+        for i in 0..c.len() {
+            for j in 0..i {
+                assert_ne!(c[i], c[j], "indices {j} and {i}");
+            }
+        }
+        assert_ne!(sealed.challenge(0, b"c"), sealed.challenge(0, b"d"));
+    }
+
+    #[test]
+    fn challenge_names_cannot_trade_bytes_between_index_and_label() {
+        // The index is eight bytes, always, and precedes the label: a
+        // label that starts with the bytes of another index, or an index
+        // whose low byte is a label's first byte, names a different
+        // challenge.
+        let sealed = Transcript::new(b"p").seal();
+        assert_ne!(sealed.challenge(0x62, b"c"), sealed.challenge(0, b"bc"));
+        assert_ne!(
+            sealed.challenge(0, b"\x00\x00\x00\x00\x00\x00\x00\x01c"),
+            sealed.challenge(1, b"c")
+        );
+        assert_ne!(sealed.challenge(0, b""), sealed.challenge(0, b"\x00"));
+    }
+
+    #[test]
+    fn bound_responses_change_every_later_challenge() {
+        let sealed = Transcript::new(b"p").seal();
+        let rho = |data: &[u8]| sealed.bind(b"fold/responses", data).challenge(0, b"rho");
+        assert_eq!(rho(b"responses"), rho(b"responses"));
+        assert_ne!(rho(b"responses"), rho(b"responsez"));
+        // Binding is not a no-op, and the bind label is framed.
+        assert_ne!(rho(b""), sealed.challenge(0, b"rho"));
+        assert_ne!(sealed.bind(b"ab", b"c"), sealed.bind(b"a", b"bc"));
     }
 }

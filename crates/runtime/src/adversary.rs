@@ -17,9 +17,7 @@
 use arboretum_crypto::group::Scalar;
 use arboretum_crypto::pedersen::{Opening, PedersenParams};
 use arboretum_crypto::sha256::{sha256, Digest};
-use arboretum_crypto::transcript::Transcript;
-use arboretum_zkp::onehot::OneHotProof;
-use arboretum_zkp::sigma::{prove_bit, prove_dlog};
+use arboretum_zkp::onehot::{prove_from_openings, OneHotProof};
 use rand::Rng;
 
 /// What a simulated device does with its upload (§5.3 input validation).
@@ -473,9 +471,10 @@ pub struct HonestAdversary;
 impl Adversary for HonestAdversary {}
 
 /// Builds a one-hot proof for an arbitrary claimed vector, the way a
-/// cheating client would: real bit proofs wherever the coordinate really
-/// is a bit, a best-effort simulated proof (opening clamped to 1)
-/// wherever it is not, and a sum proof over the accumulated blindings.
+/// cheating client would: it commits to the vector it claims and runs
+/// the honest prover ([`prove_from_openings`], the body of
+/// [`prove_one_hot`]) on openings that lie wherever the truth cannot be
+/// proven — a coordinate that is not a bit is claimed to be 1.
 ///
 /// For a vector whose coordinates are all bits but whose sum exceeds
 /// one, every bit proof verifies and the *sum* proof is the first
@@ -494,53 +493,20 @@ pub fn forge_one_hot<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> OneHotProof {
     assert!(!bits.is_empty(), "cannot forge an empty one-hot proof");
-    let mut transcript = Transcript::new(b"one-hot");
-    transcript.append_u64(b"len", bits.len() as u64);
-    let mut commitments = Vec::with_capacity(bits.len());
-    let mut opens = Vec::with_capacity(bits.len());
-    for &b in bits {
-        let (c, o) = pp.commit(Scalar::new(b), rng);
-        transcript.append_point(b"c", &c.0);
-        commitments.push(c);
-        // `prove_bit` refuses non-bit openings; the forger lies about
-        // the opened value and keeps the real blinding, which is the
-        // best any cheater can do without breaking the commitment.
-        // `prove_bit` trusts the opening, so with the lie neither OR
-        // branch verifies at this coordinate.
-        let claimed = if b > 1 {
-            Opening {
-                value: Scalar::ONE,
-                blinding: o.blinding,
-            }
-        } else {
-            o
-        };
-        opens.push(claimed);
-    }
-    let bit_proofs = commitments
+    let (commitments, claimed): (Vec<_>, Vec<_>) = bits
         .iter()
-        .zip(&opens)
-        .map(|(c, o)| prove_bit(pp, c, o, &mut transcript, rng))
-        .collect();
-    let total = opens.iter().fold(
-        Opening {
-            value: Scalar::ZERO,
-            blinding: Scalar::ZERO,
-        },
-        |acc, o| acc.add(*o),
-    );
-    let d = commitments
-        .iter()
-        .skip(1)
-        .fold(commitments[0], |acc, c| acc.add(*c))
-        .0
-        - pp.g;
-    let sum_proof = prove_dlog(pp, &d, total.blinding, &mut transcript, rng);
-    OneHotProof {
-        commitments,
-        bit_proofs,
-        sum_proof,
-    }
+        .map(|&b| {
+            let (c, o) = pp.commit(Scalar::new(b), rng);
+            // The prover refuses non-bit openings; the forger lies about
+            // the opened value and keeps the real blinding, which is the
+            // best any cheater can do without breaking the commitment.
+            // The prover trusts the opening, so with the lie neither OR
+            // branch verifies at this coordinate.
+            let value = if b > 1 { Scalar::ONE } else { o.value };
+            (c, Opening { value, ..o })
+        })
+        .unzip();
+    prove_from_openings(pp, commitments, &claimed, rng)
 }
 
 /// Digest of a BGV ciphertext, used to bind the submitted ciphertext to

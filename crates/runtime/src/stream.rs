@@ -600,6 +600,10 @@ impl<'a> StreamExecutor<'a> {
         // window, shard or thread it lands on. ----
         let one_hot_schema = self.deployment.schema.one_hot;
         let (schema_lo, schema_hi) = (self.deployment.schema.lo, self.deployment.schema.hi);
+        // At most 63 from an `i64` span. Above `zkp::MAX_RANGE_BITS` (60)
+        // no proof exists: `prove_range` refuses, so uploads carry none
+        // (`RangeProofMissing`), and `verify_range_detailed` answers
+        // `RangeStructure` to anything presented as one.
         let range_bits = {
             let span = (schema_hi - schema_lo).max(1) as u64;
             64 - span.leading_zeros()

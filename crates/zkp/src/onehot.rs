@@ -5,15 +5,21 @@
 //! one-hot encoding of the participant's local value" must be rejected).
 //! The proof commits to each coordinate, proves each commitment holds a
 //! bit, and proves the product of commitments opens to exactly 1.
+//!
+//! One Fiat–Shamir pass per proof: the width, every commitment, every
+//! bit proof's `(a0, a1)` and the sum proof's `A` are absorbed once
+//! (`seal`), and the `k + 1` challenges — and the verifier's fold
+//! coefficient — all come from that sealed digest. Prover and verifier
+//! call the same `seal`, so the layout exists in one place.
 
 use arboretum_crypto::group::{GroupElem, Scalar};
 use arboretum_crypto::pedersen::{Commitment, Opening, PedersenParams};
-use arboretum_crypto::transcript::Transcript;
+use arboretum_crypto::transcript::{Sealed, Transcript};
 use rand::Rng;
 
 use crate::sigma::{
-    dlog_challenge, fold_holds, prove_bit, prove_dlog, replay_bit_challenges, verify_bit,
-    verify_dlog, BitProof, DlogProof, TailEquation,
+    absorb_bit_first_moves, bit_challenge_at, fold_holds, verify_bit, verify_dlog, BitProof,
+    BitProvers, DlogFirstMove, DlogProof, TailEquation,
 };
 
 /// A non-interactive proof that a committed vector is one-hot.
@@ -74,37 +80,52 @@ pub fn prove_one_hot<R: Rng + ?Sized>(
     if bits.iter().any(|&b| b > 1) || bits.iter().sum::<u64>() != 1 {
         return Err(OneHotError::NotOneHot);
     }
-    let mut transcript = Transcript::new(b"one-hot");
-    transcript.append_u64(b"len", bits.len() as u64);
-    let mut commitments = Vec::with_capacity(bits.len());
-    let mut opens = Vec::with_capacity(bits.len());
-    for &b in bits {
-        let (c, o) = pp.commit(Scalar::new(b), rng);
-        transcript.append_point(b"c", &c.0);
-        commitments.push(c);
-        opens.push(o);
-    }
-    let bit_proofs: Vec<BitProof> = commitments
-        .iter()
-        .zip(&opens)
-        .map(|(c, o)| prove_bit(pp, c, o, &mut transcript, rng))
-        .collect();
+    let (commitments, openings): (Vec<_>, Vec<_>) =
+        bits.iter().map(|&b| pp.commit(Scalar::new(b), rng)).unzip();
+    Ok(prove_from_openings(pp, commitments, &openings, rng))
+}
+
+/// Proves that `commitments` hold a one-hot vector, from openings that
+/// are **trusted** to open them to bits summing to one.
+///
+/// This is the whole prover after the commitments exist:
+/// [`prove_one_hot`] calls it once it has checked its input, and the
+/// adversary harness's forger calls it with openings that lie. A lie
+/// cannot produce a proof of a false statement — only a well-formed
+/// proof whose first false equation [`verify_one_hot_detailed`] names
+/// (see [`BitFirstMove::new`](crate::sigma::BitFirstMove::new)).
+///
+/// Randomness is drawn in a fixed order: three scalars per coordinate in
+/// coordinate order, then the sum proof's nonce.
+///
+/// # Panics
+///
+/// Panics if the two slices differ in length, or if an opening's value
+/// is not 0 or 1.
+pub fn prove_from_openings<R: Rng + ?Sized>(
+    pp: &PedersenParams,
+    commitments: Vec<Commitment>,
+    openings: &[Opening],
+    rng: &mut R,
+) -> OneHotProof {
+    assert_eq!(
+        commitments.len(),
+        openings.len(),
+        "one opening per commitment"
+    );
+    let bit_provers = BitProvers::first_moves(pp, openings, rng);
+    let sum_move = DlogFirstMove::new(pp, rng);
+    let sealed = seal(&commitments, bit_provers.sent(), &sum_move.a);
     // Sum proof: Π C_i · g^{-1} = h^{Σ r_i}, i.e. the sum of the values
     // is exactly 1.
-    let total = opens.iter().fold(
-        Opening {
-            value: Scalar::ZERO,
-            blinding: Scalar::ZERO,
-        },
-        |acc, o| acc.add(*o),
-    );
-    let d = sum_statement(pp, &commitments);
-    let sum_proof = prove_dlog(pp, &d, total.blinding, &mut transcript, rng);
-    Ok(OneHotProof {
+    let total_blinding = openings
+        .iter()
+        .fold(Scalar::ZERO, |acc, o| acc + o.blinding);
+    OneHotProof {
         commitments,
-        bit_proofs,
-        sum_proof,
-    })
+        bit_proofs: bit_provers.respond(&sealed),
+        sum_proof: sum_move.respond(sum_challenge(&sealed), total_blinding),
+    }
 }
 
 /// Why a one-hot proof failed verification, attributed to the first
@@ -144,27 +165,45 @@ fn sum_statement(pp: &PedersenParams, commitments: &[Commitment]) -> GroupElem {
         .fold(pp.g_pow(-Scalar::ONE), |acc, c| acc + c.0)
 }
 
-/// The transcript of a structurally sound proof, up to and including the
-/// commitments.
-fn verifier_transcript(proof: &OneHotProof) -> Transcript {
+/// The sealed transcript of a proof of width `k`: the width, the
+/// commitments, every bit proof's first move, the sum proof's first
+/// move. The sum statement `d` is a function of the commitments and is
+/// not absorbed again.
+fn seal(
+    commitments: &[Commitment],
+    bit_moves: impl ExactSizeIterator<Item = [GroupElem; 2]>,
+    sum_a: &GroupElem,
+) -> Sealed {
     let mut transcript = Transcript::new(b"one-hot");
-    transcript.append_u64(b"len", proof.commitments.len() as u64);
-    for c in &proof.commitments {
-        transcript.append_point(b"c", &c.0);
-    }
-    transcript
+    transcript.append_u64(b"len", commitments.len() as u64);
+    transcript.append_points(b"c", commitments.iter().map(|c| [c.0]));
+    absorb_bit_first_moves(&mut transcript, bit_moves);
+    transcript.append_points(b"sum/a", std::iter::once([*sum_a]));
+    transcript.seal()
+}
+
+/// The sum proof's challenge.
+fn sum_challenge(sealed: &Sealed) -> Scalar {
+    sealed.challenge(0, b"sum/e")
 }
 
 /// Verifies a one-hot proof, reporting *which* check failed.
 ///
 /// A structurally sound proof is `2k + 1` equations (two per bit proof,
 /// one for the sum proof). They are first checked all at once: the
-/// transcript is replayed for every challenge and the equations folded
-/// into one multi-exponentiation (see `sigma`'s module docs; the fold
-/// accepts a proof with a failing equation with probability at most
-/// `(2k + 1)/q`). Only when the fold fails do the checks run one by one,
-/// in a fixed order — bit proofs in coordinate order, then the sum proof
-/// — so the reported error is the first failure, deterministically.
+/// transcript is absorbed in one pass and sealed, every challenge is
+/// derived from the sealed digest, and the equations are folded into one
+/// multi-exponentiation (see `sigma`'s module docs; the fold accepts a
+/// proof with a failing equation with probability at most
+/// `(2k + 1)/q`). Only when the fold fails do the checks run one by one
+/// under the same challenges, in a fixed order — bit proofs in
+/// coordinate order, then the sum proof — so the reported error is the
+/// first failure, deterministically.
+///
+/// Every challenge depends on every commitment and every first-move
+/// message (`a0ᵢ`, `a1ᵢ`, `A`), so a proof with any one of those changed
+/// fails at the first check, [`OneHotVerifyError::BitProof`]`(0)`; a
+/// changed response (`e0ᵢ`, `z0ᵢ`, `z1ᵢ`, `z`) fails at its own check.
 ///
 /// # Errors
 ///
@@ -176,11 +215,12 @@ pub fn verify_one_hot_detailed(
     if proof.commitments.is_empty() || proof.commitments.len() != proof.bit_proofs.len() {
         return Err(OneHotVerifyError::Structure);
     }
-    let d = sum_statement(pp, &proof.commitments);
-
-    let mut transcript = verifier_transcript(proof);
-    let e1 = replay_bit_challenges(&proof.commitments, &proof.bit_proofs, &mut transcript);
-    let e = dlog_challenge(&d, &proof.sum_proof.a, &mut transcript);
+    let sealed = seal(
+        &proof.commitments,
+        proof.bit_proofs.iter().map(|bp| [bp.a0, bp.a1]),
+        &proof.sum_proof.a,
+    );
+    let e = sum_challenge(&sealed);
     // h^z == A · d^e, with d's g^{-1} moved to the left.
     let sum_equation = TailEquation {
         h_exp: proof.sum_proof.z,
@@ -193,20 +233,19 @@ pub fn verify_one_hot_detailed(
         pp,
         &proof.commitments,
         &proof.bit_proofs,
-        &e1,
         sum_equation,
-        &mut transcript,
+        &sealed,
     ) {
         return Ok(());
     }
 
-    let mut transcript = verifier_transcript(proof);
     for (i, (c, bp)) in proof.commitments.iter().zip(&proof.bit_proofs).enumerate() {
-        if !verify_bit(pp, c, bp, &mut transcript) {
+        if !verify_bit(pp, c, bp, bit_challenge_at(&sealed, i)) {
             return Err(OneHotVerifyError::BitProof(i));
         }
     }
-    if !verify_dlog(pp, &d, &proof.sum_proof, &mut transcript) {
+    let d = sum_statement(pp, &proof.commitments);
+    if !verify_dlog(pp, &d, &proof.sum_proof, e) {
         return Err(OneHotVerifyError::SumProof);
     }
     Ok(())

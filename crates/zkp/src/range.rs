@@ -5,15 +5,29 @@
 //! The proof shows a committed value lies in `[0, 2^k)` by committing to
 //! its bits, proving each is a bit, and arranging the bit blindings so the
 //! weighted product of bit commitments *equals* the value commitment.
+//!
+//! One Fiat–Shamir pass per proof: the width, the value commitment, the
+//! bit commitments and every bit proof's `(a0, a1)` are absorbed once
+//! (`seal`), and the `k` challenges — and the verifier's fold
+//! coefficient — all come from that sealed digest.
+//!
+//! Widths stop at [`MAX_RANGE_BITS`]: the group's scalars live modulo a
+//! 61-bit prime `q`, so from 61 bits on `2^k > q`, a committed value is
+//! only known modulo `q`, and "lies in `[0, 2^k)`" asserts nothing.
 
-use arboretum_crypto::group::Scalar;
+use arboretum_crypto::group::{GroupElem, Scalar};
 use arboretum_crypto::pedersen::{Commitment, Opening, PedersenParams};
-use arboretum_crypto::transcript::Transcript;
+use arboretum_crypto::transcript::{Sealed, Transcript};
 use rand::Rng;
 
 use crate::sigma::{
-    fold_holds, prove_bit, replay_bit_challenges, verify_bit, BitProof, TailEquation,
+    absorb_bit_first_moves, bit_challenge_at, fold_holds, verify_bit, BitProof, BitProvers,
+    TailEquation,
 };
+
+/// The widest range a proof can speak about: `2^60 < q < 2^61`, so every
+/// value below `2^60` is a distinct scalar and a 61-bit one need not be.
+pub const MAX_RANGE_BITS: u32 = 60;
 
 /// A non-interactive range proof for `v ∈ [0, 2^k)`.
 #[derive(Clone, Debug)]
@@ -45,6 +59,11 @@ pub enum RangeError {
     },
     /// Zero-width range requested.
     ZeroBits,
+    /// The width exceeds [`MAX_RANGE_BITS`].
+    TooWide {
+        /// The requested bit width.
+        bits: u32,
+    },
 }
 
 impl std::fmt::Display for RangeError {
@@ -52,6 +71,10 @@ impl std::fmt::Display for RangeError {
         match self {
             Self::OutOfRange { value, bits } => write!(f, "{value} does not fit in {bits} bits"),
             Self::ZeroBits => write!(f, "range must be at least one bit wide"),
+            Self::TooWide { bits } => write!(
+                f,
+                "a {bits}-bit range exceeds the {MAX_RANGE_BITS} bits the group's scalars can tell apart"
+            ),
         }
     }
 }
@@ -65,7 +88,8 @@ impl std::error::Error for RangeError {}
 ///
 /// # Errors
 ///
-/// Returns [`RangeError`] if the value does not fit.
+/// Returns [`RangeError`] if the width is zero or above
+/// [`MAX_RANGE_BITS`], or the value does not fit in it.
 pub fn prove_range<R: Rng + ?Sized>(
     pp: &PedersenParams,
     value: u64,
@@ -75,20 +99,16 @@ pub fn prove_range<R: Rng + ?Sized>(
     if bits == 0 {
         return Err(RangeError::ZeroBits);
     }
-    if bits < 64 && value >> bits != 0 {
+    if bits > MAX_RANGE_BITS {
+        return Err(RangeError::TooWide { bits });
+    }
+    if value >> bits != 0 {
         return Err(RangeError::OutOfRange { value, bits });
     }
-    let mut transcript = Transcript::new(b"range");
-    transcript.append_u64(b"bits", bits as u64);
     // Commit to each bit with independent blinding.
-    let mut bit_commitments = Vec::with_capacity(bits as usize);
-    let mut bit_openings = Vec::with_capacity(bits as usize);
-    for i in 0..bits {
-        let b = (value >> i) & 1;
-        let (c, o) = pp.commit(Scalar::new(b), rng);
-        bit_commitments.push(c);
-        bit_openings.push(o);
-    }
+    let (bit_commitments, bit_openings): (Vec<_>, Vec<_>) = (0..bits)
+        .map(|i| pp.commit(Scalar::new((value >> i) & 1), rng))
+        .unzip();
     // The value commitment is the 2^i-weighted product of bit
     // commitments, so its opening is the weighted sum of bit openings —
     // the verifier can recompute the product, which binds the bits to the
@@ -103,20 +123,13 @@ pub fn prove_range<R: Rng + ?Sized>(
         |acc, (i, o)| acc.add(o.scale(Scalar::new(1u64 << i))),
     );
     let commitment = pp.commit_with(total.value, total.blinding);
-    transcript.append_point(b"value", &commitment.0);
-    for c in &bit_commitments {
-        transcript.append_point(b"bit", &c.0);
-    }
-    let bit_proofs = bit_commitments
-        .iter()
-        .zip(&bit_openings)
-        .map(|(c, o)| prove_bit(pp, c, o, &mut transcript, rng))
-        .collect();
+    let bit_provers = BitProvers::first_moves(pp, &bit_openings, rng);
+    let sealed = seal(&commitment, &bit_commitments, bit_provers.sent());
     Ok((
         RangeProof {
             commitment,
             bit_commitments,
-            bit_proofs,
+            bit_proofs: bit_provers.respond(&sealed),
         },
         total,
     ))
@@ -127,7 +140,8 @@ pub fn prove_range<R: Rng + ?Sized>(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RangeVerifyError {
     /// Structural mismatch: wrong number of bit commitments or proofs
-    /// for the claimed width, or zero width.
+    /// for the claimed width, or a width of zero or above
+    /// [`MAX_RANGE_BITS`].
     Structure,
     /// The weighted product of bit commitments does not equal the value
     /// commitment (the bits are not bound to the claimed value).
@@ -149,29 +163,40 @@ impl std::fmt::Display for RangeVerifyError {
 
 impl std::error::Error for RangeVerifyError {}
 
-/// The transcript of a structurally sound proof, up to and including the
-/// bit commitments.
-fn verifier_transcript(proof: &RangeProof, bits: u32) -> Transcript {
+/// The sealed transcript of a `k`-bit proof: the width, the value
+/// commitment, the bit commitments, every bit proof's first move.
+fn seal(
+    commitment: &Commitment,
+    bit_commitments: &[Commitment],
+    bit_moves: impl ExactSizeIterator<Item = [GroupElem; 2]>,
+) -> Sealed {
     let mut transcript = Transcript::new(b"range");
-    transcript.append_u64(b"bits", bits as u64);
-    transcript.append_point(b"value", &proof.commitment.0);
-    for c in &proof.bit_commitments {
-        transcript.append_point(b"bit", &c.0);
-    }
-    transcript
+    transcript.append_u64(b"bits", bit_commitments.len() as u64);
+    transcript.append_points(b"value", std::iter::once([commitment.0]));
+    transcript.append_points(b"bit", bit_commitments.iter().map(|c| [c.0]));
+    absorb_bit_first_moves(&mut transcript, bit_moves);
+    transcript.seal()
 }
 
 /// Verifies a range proof, reporting *which* check failed.
 ///
 /// A structurally sound proof is `2k + 1` equations (the
 /// weighted-product binding and two per bit proof). They are first
-/// checked all at once: the transcript is replayed for every challenge
-/// and the equations folded into one multi-exponentiation (see `sigma`'s
+/// checked all at once: the transcript is absorbed in one pass and
+/// sealed, every challenge is derived from the sealed digest, and the
+/// equations are folded into one multi-exponentiation (see `sigma`'s
 /// module docs; the fold accepts a proof with a failing equation with
 /// probability at most `(2k + 1)/q`). Only when the fold fails do the
-/// checks run one by one, in a fixed order — the binding, then bit
-/// proofs least-significant first — so the reported error is the first
-/// failure, deterministically.
+/// checks run one by one under the same challenges, in a fixed order —
+/// the binding, then bit proofs least-significant first — so the
+/// reported error is the first failure, deterministically.
+///
+/// Every challenge depends on every commitment and every first-move
+/// message (`a0ᵢ`, `a1ᵢ`), so a proof with one of those changed fails at
+/// the first check that involves a challenge,
+/// [`RangeVerifyError::BitProof`]`(0)` — after the binding, which
+/// involves none and still names a changed commitment first; a changed
+/// response (`e0ᵢ`, `z0ᵢ`, `z1ᵢ`) fails at its own bit.
 ///
 /// # Errors
 ///
@@ -181,15 +206,19 @@ pub fn verify_range_detailed(
     proof: &RangeProof,
     bits: u32,
 ) -> Result<(), RangeVerifyError> {
-    if proof.bit_commitments.len() != bits as usize
+    if bits == 0
+        || bits > MAX_RANGE_BITS
+        || proof.bit_commitments.len() != bits as usize
         || proof.bit_proofs.len() != bits as usize
-        || bits == 0
     {
         return Err(RangeVerifyError::Structure);
     }
 
-    let mut transcript = verifier_transcript(proof, bits);
-    let e1 = replay_bit_challenges(&proof.bit_commitments, &proof.bit_proofs, &mut transcript);
+    let sealed = seal(
+        &proof.commitment,
+        &proof.bit_commitments,
+        proof.bit_proofs.iter().map(|bp| [bp.a0, bp.a1]),
+    );
     // 1 == C^{-1} · Π cᵢ^{2^i}.
     let binding = TailEquation {
         h_exp: Scalar::ZERO,
@@ -202,9 +231,8 @@ pub fn verify_range_detailed(
         pp,
         &proof.bit_commitments,
         &proof.bit_proofs,
-        &e1,
         binding,
-        &mut transcript,
+        &sealed,
     ) {
         return Ok(());
     }
@@ -221,14 +249,13 @@ pub fn verify_range_detailed(
     if acc != Some(proof.commitment) {
         return Err(RangeVerifyError::Binding);
     }
-    let mut transcript = verifier_transcript(proof, bits);
     for (i, (c, bp)) in proof
         .bit_commitments
         .iter()
         .zip(&proof.bit_proofs)
         .enumerate()
     {
-        if !verify_bit(pp, c, bp, &mut transcript) {
+        if !verify_bit(pp, c, bp, bit_challenge_at(&sealed, i)) {
             return Err(RangeVerifyError::BitProof(i));
         }
     }
@@ -276,6 +303,46 @@ mod tests {
             prove_range(&pp, 1, 0, &mut rng),
             Err(RangeError::ZeroBits)
         ));
+    }
+
+    #[test]
+    fn widths_the_scalar_field_cannot_tell_apart_are_refused() {
+        let (pp, mut rng) = setup();
+        // 60 bits is the widest honest statement.
+        let top = (1u64 << 60) - 1;
+        let (proof, opening) = prove_range(&pp, top, MAX_RANGE_BITS, &mut rng).unwrap();
+        assert_eq!(verify_range_detailed(&pp, &proof, MAX_RANGE_BITS), Ok(()));
+        assert_eq!(opening.value, Scalar::new(top));
+        assert!(matches!(
+            prove_range(&pp, 1u64 << 60, 60, &mut rng),
+            Err(RangeError::OutOfRange { bits: 60, .. })
+        ));
+        // From 61 on, 2^k > q: a value of q + 5 "fits" yet commits to 5,
+        // and 64 and up would shift past the word. Typed refusals on
+        // both sides, before any shift, in debug and release alike.
+        for bits in [61u32, 62, 63, 64, 65, u32::MAX] {
+            for value in [5u64, arboretum_crypto::group::GROUP_Q + 5, u64::MAX] {
+                assert_eq!(
+                    prove_range(&pp, value, bits, &mut rng).unwrap_err(),
+                    RangeError::TooWide { bits },
+                    "value {value} bits {bits}"
+                );
+            }
+            assert_eq!(
+                verify_range_detailed(&pp, &proof, bits),
+                Err(RangeVerifyError::Structure),
+                "bits {bits}"
+            );
+        }
+        // A 62-bit-shaped proof is refused for its width, not its arity.
+        let mut wide = proof.clone();
+        wide.bit_commitments
+            .extend_from_slice(&proof.bit_commitments[..2]);
+        wide.bit_proofs.extend_from_slice(&proof.bit_proofs[..2]);
+        assert_eq!(
+            verify_range_detailed(&pp, &wide, 62),
+            Err(RangeVerifyError::Structure)
+        );
     }
 
     #[test]

@@ -5,6 +5,18 @@
 //! without revealing it. All proofs are made non-interactive with the
 //! Fiat–Shamir transcript from `arboretum-crypto`.
 //!
+//! Every protocol here is **two-move**. A prover makes the first move of
+//! every sub-proof of a one-hot or range proof ([`BitFirstMove`],
+//! [`DlogFirstMove`] — this is where all randomness is drawn), the
+//! enclosing proof absorbs the statement and all of those first moves
+//! into one transcript and seals it, and only then does each sub-proof
+//! receive its challenge — one single-block hash of the sealed digest —
+//! and answer it (`respond`). Verification takes the same challenge as
+//! an argument ([`verify_bit`], [`verify_dlog`]); nothing in this module
+//! hashes. This is the parallel composition of the sub-proofs under
+//! Fiat–Shamir: each challenge depends on every first-move message of
+//! the whole proof, so changing any one of them changes all challenges.
+//!
 //! Both sides run at table speed. The prover only ever exponentiates `g`
 //! or `h`, so every exponentiation is a fixed-base table lookup
 //! ([`PedersenParams::g_pow`] / [`PedersenParams::h_pow`]). The verifier
@@ -18,7 +30,7 @@
 use arboretum_crypto::fastexp::multi_exp;
 use arboretum_crypto::group::{GroupElem, Scalar};
 use arboretum_crypto::pedersen::{Commitment, Opening, PedersenParams};
-use arboretum_crypto::transcript::Transcript;
+use arboretum_crypto::transcript::{Sealed, Transcript};
 use rand::Rng;
 
 /// Proof of knowledge of `r` such that `d = h^r` (a Schnorr proof on the
@@ -32,36 +44,33 @@ pub struct DlogProof {
     pub z: Scalar,
 }
 
-/// Absorbs a dlog proof's statement and commitment and squeezes its
-/// challenge.
-pub(crate) fn dlog_challenge(d: &GroupElem, a: &GroupElem, transcript: &mut Transcript) -> Scalar {
-    transcript.append_point(b"dlog/d", d);
-    transcript.append_point(b"dlog/a", a);
-    transcript.challenge_scalar(b"dlog/e")
+/// A dlog prover between its two moves: the commitment `A = h^w` it has
+/// sent and the nonce `w` it keeps. Not `Clone`: `respond` consumes it,
+/// so a nonce answers one challenge.
+pub struct DlogFirstMove {
+    /// Commitment `A = h^w`.
+    pub a: GroupElem,
+    w: Scalar,
 }
 
-/// Proves knowledge of `r` with `d = h^r`.
-pub fn prove_dlog<R: Rng + ?Sized>(
-    pp: &PedersenParams,
-    d: &GroupElem,
-    r: Scalar,
-    transcript: &mut Transcript,
-    rng: &mut R,
-) -> DlogProof {
-    let w = Scalar::new(rng.gen());
-    let a = pp.h_pow(w);
-    let e = dlog_challenge(d, &a, transcript);
-    DlogProof { a, z: w + e * r }
+impl DlogFirstMove {
+    /// Draws the nonce and commits to it.
+    pub fn new<R: Rng + ?Sized>(pp: &PedersenParams, rng: &mut R) -> Self {
+        let w = Scalar::new(rng.gen());
+        Self { a: pp.h_pow(w), w }
+    }
+
+    /// Answers challenge `e` for the witness `r` (with `d = h^r`).
+    pub fn respond(self, e: Scalar, r: Scalar) -> DlogProof {
+        DlogProof {
+            a: self.a,
+            z: self.w + e * r,
+        }
+    }
 }
 
-/// Verifies a [`DlogProof`].
-pub fn verify_dlog(
-    pp: &PedersenParams,
-    d: &GroupElem,
-    proof: &DlogProof,
-    transcript: &mut Transcript,
-) -> bool {
-    let e = dlog_challenge(d, &proof.a, transcript);
+/// Verifies a [`DlogProof`] for the statement `d` under challenge `e`.
+pub fn verify_dlog(pp: &PedersenParams, d: &GroupElem, proof: &DlogProof, e: Scalar) -> bool {
     pp.h_pow(proof.z) == proof.a + d.pow(e)
 }
 
@@ -87,103 +96,154 @@ impl BitProof {
     pub const SIZE: usize = 5 * 8;
 }
 
-/// Absorbs a bit proof's statement and branch commitments and squeezes
-/// the challenge `e = e0 + e1`.
-fn bit_challenge(
-    c: &Commitment,
-    a0: &GroupElem,
-    a1: &GroupElem,
-    transcript: &mut Transcript,
-) -> Scalar {
-    transcript.append_point(b"bit/c", &c.0);
-    transcript.append_point(b"bit/a0", a0);
-    transcript.append_point(b"bit/a1", a1);
-    transcript.challenge_scalar(b"bit/e")
+/// A bit prover between its two moves: the branch commitments it has
+/// sent, and what it needs to answer the challenge. Not `Clone`:
+/// `respond` consumes it, so a nonce answers one challenge.
+pub struct BitFirstMove {
+    /// Branch commitment for the `b = 0` statement.
+    pub a0: GroupElem,
+    /// Branch commitment for the `b = 1` statement.
+    pub a1: GroupElem,
+    opening: Opening,
+    w: Scalar,
+    e_sim: Scalar,
+    z_sim: Scalar,
 }
 
-/// Proves that `c` commits to the bit in `opening` (which must be 0 or 1).
-///
-/// With `b` the opened bit and `r` its blinding, the real branch `b` is a
-/// Schnorr proof for `C·g^{-b} = h^r`. The other branch `b' = 1 − b` is
-/// simulated from a chosen sub-challenge `e'` and response `z'`: its
-/// commitment must be `h^{z'} / (C·g^{-b'})^{e'}`, and because the prover
-/// knows `C = g^b·h^r` that is `h^{z' − r·e'} · g^{(b'−b)·e'}` — the same
-/// group element from two fixed-base exponentiations, with no
-/// variable-base ladder and no inversion.
-///
-/// **The opening is trusted to open `c`.** Nothing here checks it (that
-/// would cost the two exponentiations the shortcut saves). If `opening`
-/// does not open `c` — the adversary harness's forger claims value 1 for
-/// a commitment to 2 — the result is a well-formed [`BitProof`] in which
-/// neither branch satisfies its verification equation, so [`verify_bit`]
-/// rejects it; it is never a proof of a false statement.
-///
-/// # Panics
-///
-/// Panics if the opening value is not a bit — proving a false statement is
-/// a programming error, not an input condition.
-pub fn prove_bit<R: Rng + ?Sized>(
-    pp: &PedersenParams,
-    c: &Commitment,
-    opening: &Opening,
-    transcript: &mut Transcript,
-    rng: &mut R,
-) -> BitProof {
-    let bit = opening.value;
-    assert!(
-        bit == Scalar::ZERO || bit == Scalar::ONE,
-        "prove_bit requires a 0/1 opening"
-    );
-    let r = opening.blinding;
-    let w = Scalar::new(rng.gen());
-    let e_sim = Scalar::new(rng.gen());
-    let z_sim = Scalar::new(rng.gen());
-    let a_real = pp.h_pow(w);
-    // b' − b is +1 when the real branch is 0, −1 when it is 1.
-    let g_exp = if bit == Scalar::ZERO { e_sim } else { -e_sim };
-    let a_sim = pp.h_pow(z_sim - r * e_sim) + pp.g_pow(g_exp);
-    let (a0, a1) = if bit == Scalar::ZERO {
-        (a_real, a_sim)
-    } else {
-        (a_sim, a_real)
-    };
-    let e_real = bit_challenge(c, &a0, &a1, transcript) - e_sim;
-    let z_real = w + e_real * r;
-    let (e0, z0, z1) = if bit == Scalar::ZERO {
-        (e_real, z_real, z_sim)
-    } else {
-        (e_sim, z_sim, z_real)
-    };
-    BitProof { a0, a1, e0, z0, z1 }
+impl BitFirstMove {
+    /// First move of the proof that a commitment holds the bit in
+    /// `opening` (which must be 0 or 1).
+    ///
+    /// With `b` the opened bit and `r` its blinding, the real branch `b`
+    /// is a Schnorr proof for `C·g^{-b} = h^r`. The other branch
+    /// `b' = 1 − b` is simulated from a chosen sub-challenge `e'` and
+    /// response `z'`: its commitment must be `h^{z'} / (C·g^{-b'})^{e'}`,
+    /// and because the prover knows `C = g^b·h^r` that is
+    /// `h^{z' − r·e'} · g^{(b'−b)·e'}` — the same group element from two
+    /// fixed-base exponentiations, with no variable-base ladder and no
+    /// inversion.
+    ///
+    /// **The opening is trusted to open the commitment** the proof will
+    /// be verified against. Nothing here checks it (that would cost the
+    /// two exponentiations the shortcut saves). If it does not — the
+    /// adversary harness's forger claims value 1 for a commitment to 2 —
+    /// the result is a well-formed [`BitProof`] in which neither branch
+    /// satisfies its verification equation, so [`verify_bit`] rejects it;
+    /// it is never a proof of a false statement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the opening value is not a bit — proving a false
+    /// statement is a programming error, not an input condition.
+    pub fn new<R: Rng + ?Sized>(pp: &PedersenParams, opening: &Opening, rng: &mut R) -> Self {
+        let bit = opening.value;
+        assert!(
+            bit == Scalar::ZERO || bit == Scalar::ONE,
+            "a bit proof requires a 0/1 opening"
+        );
+        let w = Scalar::new(rng.gen());
+        let e_sim = Scalar::new(rng.gen());
+        let z_sim = Scalar::new(rng.gen());
+        let a_real = pp.h_pow(w);
+        // b' − b is +1 when the real branch is 0, −1 when it is 1.
+        let g_exp = if bit == Scalar::ZERO { e_sim } else { -e_sim };
+        let a_sim = pp.h_pow(z_sim - opening.blinding * e_sim) + pp.g_pow(g_exp);
+        let (a0, a1) = if bit == Scalar::ZERO {
+            (a_real, a_sim)
+        } else {
+            (a_sim, a_real)
+        };
+        Self {
+            a0,
+            a1,
+            opening: *opening,
+            w,
+            e_sim,
+            z_sim,
+        }
+    }
+
+    /// Answers the challenge `e = e0 + e1`: the real branch takes what
+    /// the simulated one left of it.
+    pub fn respond(self, e: Scalar) -> BitProof {
+        let e_real = e - self.e_sim;
+        let z_real = self.w + e_real * self.opening.blinding;
+        let (e0, z0, z1) = if self.opening.value == Scalar::ZERO {
+            (e_real, z_real, self.z_sim)
+        } else {
+            (self.e_sim, self.z_sim, z_real)
+        };
+        BitProof {
+            a0: self.a0,
+            a1: self.a1,
+            e0,
+            z0,
+            z1,
+        }
+    }
 }
 
-/// Verifies a [`BitProof`] against commitment `c`.
-pub fn verify_bit(
-    pp: &PedersenParams,
-    c: &Commitment,
-    proof: &BitProof,
-    transcript: &mut Transcript,
-) -> bool {
+/// Verifies a [`BitProof`] against commitment `c` under challenge `e`.
+pub fn verify_bit(pp: &PedersenParams, c: &Commitment, proof: &BitProof, e: Scalar) -> bool {
     let s0 = c.0;
     let s1 = c.0 + pp.g_pow(-Scalar::ONE);
-    let e = bit_challenge(c, &proof.a0, &proof.a1, transcript);
     let e1 = e - proof.e0;
     pp.h_pow(proof.z0) == proof.a0 + s0.pow(proof.e0) && pp.h_pow(proof.z1) == proof.a1 + s1.pow(e1)
 }
 
-/// Replays the bit-proof section of a transcript — one
-/// [`verify_bit`]-identical absorb-and-squeeze per coordinate — and
-/// returns every recomputed second sub-challenge `e1ᵢ = eᵢ − e0ᵢ`.
-pub(crate) fn replay_bit_challenges(
-    commitments: &[Commitment],
-    bit_proofs: &[BitProof],
+/// Absorbs the first moves of a proof's `k` bit proofs as one run,
+/// `(a0ᵢ, a1ᵢ)` in coordinate order.
+pub(crate) fn absorb_bit_first_moves(
     transcript: &mut Transcript,
-) -> Vec<Scalar> {
-    commitments
-        .iter()
-        .zip(bit_proofs)
-        .map(|(c, bp)| bit_challenge(c, &bp.a0, &bp.a1, transcript) - bp.e0)
-        .collect()
+    moves: impl ExactSizeIterator<Item = [GroupElem; 2]>,
+) {
+    transcript.append_points(b"bit/a", moves);
+}
+
+/// The challenge of the bit proof at coordinate `i`.
+pub(crate) fn bit_challenge_at(sealed: &Sealed, i: usize) -> Scalar {
+    sealed.challenge(i as u64, b"bit/e")
+}
+
+/// The `k` bit provers of one proof between their two moves.
+pub(crate) struct BitProvers {
+    proofs: Vec<BitProof>,
+    moves: Vec<BitFirstMove>,
+}
+
+impl BitProvers {
+    /// First moves of the bit proofs for `openings`, in coordinate order.
+    pub(crate) fn first_moves<R: Rng + ?Sized>(
+        pp: &PedersenParams,
+        openings: &[Opening],
+        rng: &mut R,
+    ) -> Self {
+        // The proofs' storage is reserved before the moves', so the moves
+        // — dropped once the proofs are complete — are the newer
+        // allocation and are freed off the end of the heap. In the other
+        // order each proof a window keeps alive sits behind a hole the
+        // size of its moves (+7 % peak RSS on 2 048 uploads at k = 64).
+        let proofs = Vec::with_capacity(openings.len());
+        let moves = openings
+            .iter()
+            .map(|o| BitFirstMove::new(pp, o, rng))
+            .collect();
+        Self { proofs, moves }
+    }
+
+    /// The first moves `[a0ᵢ, a1ᵢ]`, as [`absorb_bit_first_moves`] takes
+    /// them.
+    pub(crate) fn sent(&self) -> impl ExactSizeIterator<Item = [GroupElem; 2]> + '_ {
+        self.moves.iter().map(|m| [m.a0, m.a1])
+    }
+
+    /// Answers every bit proof's challenge from the sealed transcript.
+    pub(crate) fn respond(mut self, sealed: &Sealed) -> Vec<BitProof> {
+        let answers = self.moves.into_iter().enumerate();
+        self.proofs
+            .extend(answers.map(|(i, m)| m.respond(bit_challenge_at(sealed, i))));
+        self.proofs
+    }
 }
 
 /// The proof-kind-specific last equation of a folded check,
@@ -197,7 +257,7 @@ pub(crate) fn replay_bit_challenges(
 /// proofs their binding (`1 == C^{-1} · Π cᵢ^{2^i}`).
 pub(crate) struct TailEquation<W: Fn(usize) -> Scalar> {
     /// Exponent of `h` on the left. The only scalar of the equation the
-    /// transcript has not absorbed yet (a prover response, or zero).
+    /// transcript has not absorbed (a prover response, or zero).
     pub h_exp: Scalar,
     /// Exponent of `g` on the left.
     pub g_exp: Scalar,
@@ -209,37 +269,35 @@ pub(crate) struct TailEquation<W: Fn(usize) -> Scalar> {
     pub weight: W,
 }
 
-/// Derives the fold's coefficients `ρ, ρ², ρ³, …` from the transcript.
+/// Derives the fold's coefficients `ρ, ρ², ρ³, …` from a sealed value
+/// that binds the whole proof.
 ///
-/// One challenge, drawn after the transcript has absorbed the whole
-/// proof, and its powers: a proof with a failing equation passes the
+/// One challenge, a function of the sealed first moves *and* the bound
+/// responses, and its powers: a proof with a failing equation passes the
 /// folded check only if `ρ` is a root of a nonzero polynomial of degree
 /// at most `n` (the number of equations) whose coefficients the prover
 /// fixed before `ρ` existed — probability at most `n/q`. `ρ` is redrawn
 /// on the (negligible, but handled) zero, and `q` is prime, so no power
 /// is ever zero and no equation drops out of the check.
-fn fold_coefficients(transcript: &mut Transcript) -> impl Iterator<Item = Scalar> {
-    let rho = loop {
-        let rho = transcript.challenge_scalar(b"fold/rho");
-        if rho != Scalar::ZERO {
-            break rho;
-        }
-    };
+fn fold_coefficients(bound: &Sealed) -> impl Iterator<Item = Scalar> {
+    let rho = (0..)
+        .map(|draw| bound.challenge(draw, b"fold/rho"))
+        .find(|rho| *rho != Scalar::ZERO)
+        .expect("an unbounded search");
     std::iter::successors(Some(rho), move |c| Some(*c * rho))
 }
 
 /// Checks `k` bit proofs and one [`TailEquation`] as a single equation.
 ///
-/// `transcript` must have been replayed through the whole proof, with
-/// `e1` the sub-challenges [`replay_bit_challenges`] returned on the
-/// way. The prover's responses — which Fiat–Shamir never absorbs,
-/// because no challenge depends on them — are absorbed here, in one
-/// append, before the coefficients are drawn: a prover that could still
+/// `sealed` is the proof's sealed transcript, the one its challenges
+/// come from. The prover's responses — which Fiat–Shamir never absorbs,
+/// because no challenge depends on them — are bound to it here, in one
+/// hash, before the coefficients are drawn: a prover that could still
 /// move a response after seeing `ρ` could cancel one equation's error
 /// against another's.
 ///
 /// Equation by equation (coefficients `ρ₀ᵢ, ρ₁ᵢ` per coordinate, `ρₜ`
-/// for the tail):
+/// for the tail, `e1ᵢ = eᵢ − e0ᵢ`):
 ///
 /// ```text
 /// h^{z0ᵢ}          == a0ᵢ · cᵢ^{e0ᵢ}
@@ -255,9 +313,8 @@ pub(crate) fn fold_holds<W: Fn(usize) -> Scalar>(
     pp: &PedersenParams,
     commitments: &[Commitment],
     bit_proofs: &[BitProof],
-    e1: &[Scalar],
     tail: TailEquation<W>,
-    transcript: &mut Transcript,
+    sealed: &Sealed,
 ) -> bool {
     let mut responses = Vec::with_capacity(bit_proofs.len() * 24 + 8);
     for s in bit_proofs
@@ -267,8 +324,7 @@ pub(crate) fn fold_holds<W: Fn(usize) -> Scalar>(
     {
         responses.extend_from_slice(&s.value().to_be_bytes());
     }
-    transcript.append(b"fold/responses", &responses);
-    let mut coeffs = fold_coefficients(transcript);
+    let mut coeffs = fold_coefficients(&sealed.bind(b"fold/responses", &responses));
     let mut next = || coeffs.next().expect("successors of a nonzero scalar");
 
     let rho_t = next();
@@ -276,7 +332,8 @@ pub(crate) fn fold_holds<W: Fn(usize) -> Scalar>(
     let mut g_exp = rho_t * tail.g_exp;
     let mut pairs = Vec::with_capacity(3 * commitments.len() + 1);
     pairs.push((tail.point, rho_t * tail.point_exp));
-    for (i, ((c, bp), &e1)) in commitments.iter().zip(bit_proofs).zip(e1).enumerate() {
+    for (i, (c, bp)) in commitments.iter().zip(bit_proofs).enumerate() {
+        let e1 = bit_challenge_at(sealed, i) - bp.e0;
         let (rho0, rho1) = (next(), next());
         h_exp += rho0 * bp.z0 + rho1 * bp.z1;
         g_exp += rho1 * e1;
@@ -297,13 +354,56 @@ mod tests {
         (PedersenParams::standard(), StdRng::seed_from_u64(11))
     }
 
+    /// The challenge of a stand-alone dlog proof: statement and first
+    /// move under a context label.
+    fn dlog_challenge(context: &[u8], d: &GroupElem, a: &GroupElem) -> Scalar {
+        let mut t = Transcript::new(context);
+        t.append_points(b"dlog", [[*d, *a]].into_iter());
+        t.seal().challenge(0, b"dlog/e")
+    }
+
+    fn prove_dlog(
+        pp: &PedersenParams,
+        context: &[u8],
+        d: &GroupElem,
+        r: Scalar,
+        rng: &mut StdRng,
+    ) -> DlogProof {
+        let first = DlogFirstMove::new(pp, rng);
+        let e = dlog_challenge(context, d, &first.a);
+        first.respond(e, r)
+    }
+
+    /// The challenge of a stand-alone bit proof.
+    fn bit_challenge(c: &Commitment, a0: &GroupElem, a1: &GroupElem) -> Scalar {
+        let mut t = Transcript::new(b"t");
+        t.append_points(b"c", [[c.0]].into_iter());
+        absorb_bit_first_moves(&mut t, [[*a0, *a1]].into_iter());
+        bit_challenge_at(&t.seal(), 0)
+    }
+
+    fn prove_bit(pp: &PedersenParams, c: &Commitment, o: &Opening, rng: &mut StdRng) -> BitProof {
+        let first = BitFirstMove::new(pp, o, rng);
+        let e = bit_challenge(c, &first.a0, &first.a1);
+        first.respond(e)
+    }
+
+    fn check_bit(pp: &PedersenParams, c: &Commitment, proof: &BitProof) -> bool {
+        verify_bit(pp, c, proof, bit_challenge(c, &proof.a0, &proof.a1))
+    }
+
     #[test]
     fn dlog_proof_roundtrip() {
         let (pp, mut rng) = setup();
         let r = Scalar::new(777);
         let d = pp.h.pow(r);
-        let proof = prove_dlog(&pp, &d, r, &mut Transcript::new(b"t"), &mut rng);
-        assert!(verify_dlog(&pp, &d, &proof, &mut Transcript::new(b"t")));
+        let proof = prove_dlog(&pp, b"t", &d, r, &mut rng);
+        assert!(verify_dlog(
+            &pp,
+            &d,
+            &proof,
+            dlog_challenge(b"t", &d, &proof.a)
+        ));
     }
 
     #[test]
@@ -311,14 +411,16 @@ mod tests {
         let (pp, mut rng) = setup();
         let r = Scalar::new(777);
         let d = pp.h.pow(r);
-        let proof = prove_dlog(&pp, &d, r, &mut Transcript::new(b"t"), &mut rng);
+        let proof = prove_dlog(&pp, b"t", &d, r, &mut rng);
         let d_other = pp.h.pow(Scalar::new(778));
-        assert!(!verify_dlog(
-            &pp,
-            &d_other,
-            &proof,
-            &mut Transcript::new(b"t")
-        ));
+        // Under the other statement's own challenge, and under the
+        // original one.
+        for e in [
+            dlog_challenge(b"t", &d_other, &proof.a),
+            dlog_challenge(b"t", &d, &proof.a),
+        ] {
+            assert!(!verify_dlog(&pp, &d_other, &proof, e));
+        }
     }
 
     #[test]
@@ -326,12 +428,12 @@ mod tests {
         let (pp, mut rng) = setup();
         let r = Scalar::new(5);
         let d = pp.h.pow(r);
-        let proof = prove_dlog(&pp, &d, r, &mut Transcript::new(b"ctx-a"), &mut rng);
+        let proof = prove_dlog(&pp, b"ctx-a", &d, r, &mut rng);
         assert!(!verify_dlog(
             &pp,
             &d,
             &proof,
-            &mut Transcript::new(b"ctx-b")
+            dlog_challenge(b"ctx-b", &d, &proof.a)
         ));
     }
 
@@ -340,20 +442,17 @@ mod tests {
         let (pp, mut rng) = setup();
         for bit in [Scalar::ZERO, Scalar::ONE] {
             let (c, o) = pp.commit(bit, &mut rng);
-            let proof = prove_bit(&pp, &c, &o, &mut Transcript::new(b"t"), &mut rng);
-            assert!(
-                verify_bit(&pp, &c, &proof, &mut Transcript::new(b"t")),
-                "bit {bit:?}"
-            );
+            let proof = prove_bit(&pp, &c, &o, &mut rng);
+            assert!(check_bit(&pp, &c, &proof), "bit {bit:?}");
         }
     }
 
     #[test]
     fn non_bit_cannot_be_proven() {
         let (pp, mut rng) = setup();
-        let (c, o) = pp.commit(Scalar::new(2), &mut rng);
+        let (_, o) = pp.commit(Scalar::new(2), &mut rng);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            prove_bit(&pp, &c, &o, &mut Transcript::new(b"t"), &mut rng)
+            BitFirstMove::new(&pp, &o, &mut rng)
         }));
         assert!(r.is_err());
     }
@@ -365,8 +464,25 @@ mod tests {
         // *different* commitment (to 1).
         let (c2, _) = pp.commit(Scalar::new(2), &mut rng);
         let (c1, o1) = pp.commit(Scalar::ONE, &mut rng);
-        let proof = prove_bit(&pp, &c1, &o1, &mut Transcript::new(b"t"), &mut rng);
-        assert!(!verify_bit(&pp, &c2, &proof, &mut Transcript::new(b"t")));
+        let proof = prove_bit(&pp, &c1, &o1, &mut rng);
+        assert!(!check_bit(&pp, &c2, &proof));
+        // Nor does the challenge it was answered under help.
+        let e = bit_challenge(&c1, &proof.a0, &proof.a1);
+        assert!(!verify_bit(&pp, &c2, &proof, e));
+    }
+
+    #[test]
+    fn lied_opening_yields_a_rejected_proof_not_a_false_one() {
+        // The forger's move: a commitment to 2, an opening that claims 1
+        // under the real blinding. Neither branch verifies.
+        let (pp, mut rng) = setup();
+        let (c2, o2) = pp.commit(Scalar::new(2), &mut rng);
+        let lie = Opening {
+            value: Scalar::ONE,
+            blinding: o2.blinding,
+        };
+        let proof = prove_bit(&pp, &c2, &lie, &mut rng);
+        assert!(!check_bit(&pp, &c2, &proof));
     }
 
     #[test]
@@ -374,8 +490,8 @@ mod tests {
         // Powers of a nonzero ρ in a prime field; 2·128 + 1 covers the
         // widest proof any suite folds.
         for label in [b"a".as_slice(), b"one-hot", b"range"] {
-            let mut t = Transcript::new(label);
-            let coeffs: Vec<Scalar> = fold_coefficients(&mut t).take(257).collect();
+            let bound = Transcript::new(label).seal().bind(b"fold/responses", b"");
+            let coeffs: Vec<Scalar> = fold_coefficients(&bound).take(257).collect();
             assert!(coeffs.iter().all(|c| *c != Scalar::ZERO));
             assert!(coeffs.windows(2).all(|w| w[1] == w[0] * coeffs[0]));
         }
@@ -385,8 +501,8 @@ mod tests {
     fn tampered_bit_proof_rejected() {
         let (pp, mut rng) = setup();
         let (c, o) = pp.commit(Scalar::ONE, &mut rng);
-        let mut proof = prove_bit(&pp, &c, &o, &mut Transcript::new(b"t"), &mut rng);
+        let mut proof = prove_bit(&pp, &c, &o, &mut rng);
         proof.z0 += Scalar::ONE;
-        assert!(!verify_bit(&pp, &c, &proof, &mut Transcript::new(b"t")));
+        assert!(!check_bit(&pp, &c, &proof));
     }
 }

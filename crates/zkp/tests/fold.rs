@@ -10,11 +10,16 @@
 //! cutoff. A rejected verdict can only come from a failed fold, so the
 //! mutations also show the fold itself rejecting, including the
 //! compensating pairs an unweighted sum of the equations would accept.
+//!
+//! The test-local verifier also spells out the transcript layout frame
+//! by frame — labels, order, challenge names — from `crypto::transcript`'s
+//! public API alone, so a layout change in `zkp` that is not made here
+//! too fails every honest proof below.
 
 use arboretum_crypto::fastexp::PIPPENGER_CUTOFF;
 use arboretum_crypto::group::{GroupElem, Scalar};
 use arboretum_crypto::pedersen::{Commitment, PedersenParams};
-use arboretum_crypto::transcript::Transcript;
+use arboretum_crypto::transcript::{Sealed, Transcript};
 use arboretum_zkp::onehot::{
     prove_one_hot, verify_one_hot_detailed, OneHotProof, OneHotVerifyError,
 };
@@ -23,15 +28,17 @@ use arboretum_zkp::sigma::BitProof;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-// ---- The sequential verifier, as it stood before the fold. ----
+// ---- The sequential verifier, as it stood before the fold, on the
+// one-pass transcript: absorb everything, seal, then check. ----
 
-fn seq_bit(pp: &PedersenParams, c: &Commitment, bp: &BitProof, t: &mut Transcript) -> bool {
+fn absorb_bit_first_moves(t: &mut Transcript, bit_proofs: &[BitProof]) {
+    t.append_points(b"bit/a", bit_proofs.iter().map(|bp| [bp.a0, bp.a1]));
+}
+
+fn seq_bit(pp: &PedersenParams, c: &Commitment, bp: &BitProof, i: usize, sealed: &Sealed) -> bool {
     let s0 = c.0;
     let s1 = c.0 - pp.g;
-    t.append_point(b"bit/c", &c.0);
-    t.append_point(b"bit/a0", &bp.a0);
-    t.append_point(b"bit/a1", &bp.a1);
-    let e = t.challenge_scalar(b"bit/e");
+    let e = sealed.challenge(i as u64, b"bit/e");
     let e1 = e - bp.e0;
     pp.h.pow(bp.z0) == bp.a0 + s0.pow(bp.e0) && pp.h.pow(bp.z1) == bp.a1 + s1.pow(e1)
 }
@@ -42,11 +49,12 @@ fn seq_one_hot(pp: &PedersenParams, proof: &OneHotProof) -> Result<(), OneHotVer
     }
     let mut t = Transcript::new(b"one-hot");
     t.append_u64(b"len", proof.commitments.len() as u64);
-    for c in &proof.commitments {
-        t.append_point(b"c", &c.0);
-    }
+    t.append_points(b"c", proof.commitments.iter().map(|c| [c.0]));
+    absorb_bit_first_moves(&mut t, &proof.bit_proofs);
+    t.append_points(b"sum/a", std::iter::once([proof.sum_proof.a]));
+    let sealed = t.seal();
     for (i, (c, bp)) in proof.commitments.iter().zip(&proof.bit_proofs).enumerate() {
-        if !seq_bit(pp, c, bp, &mut t) {
+        if !seq_bit(pp, c, bp, i, &sealed) {
             return Err(OneHotVerifyError::BitProof(i));
         }
     }
@@ -56,9 +64,7 @@ fn seq_one_hot(pp: &PedersenParams, proof: &OneHotProof) -> Result<(), OneHotVer
         .skip(1)
         .fold(proof.commitments[0].0, |acc, c| acc + c.0)
         - pp.g;
-    t.append_point(b"dlog/d", &d);
-    t.append_point(b"dlog/a", &proof.sum_proof.a);
-    let e = t.challenge_scalar(b"dlog/e");
+    let e = sealed.challenge(0, b"sum/e");
     if pp.h.pow(proof.sum_proof.z) != proof.sum_proof.a + d.pow(e) {
         return Err(OneHotVerifyError::SumProof);
     }
@@ -69,6 +75,7 @@ fn seq_range(pp: &PedersenParams, proof: &RangeProof, bits: u32) -> Result<(), R
     if proof.bit_commitments.len() != bits as usize
         || proof.bit_proofs.len() != bits as usize
         || bits == 0
+        || bits > 60
     {
         return Err(RangeVerifyError::Structure);
     }
@@ -84,17 +91,17 @@ fn seq_range(pp: &PedersenParams, proof: &RangeProof, bits: u32) -> Result<(), R
     }
     let mut t = Transcript::new(b"range");
     t.append_u64(b"bits", bits as u64);
-    t.append_point(b"value", &proof.commitment.0);
-    for c in &proof.bit_commitments {
-        t.append_point(b"bit", &c.0);
-    }
+    t.append_points(b"value", std::iter::once([proof.commitment.0]));
+    t.append_points(b"bit", proof.bit_commitments.iter().map(|c| [c.0]));
+    absorb_bit_first_moves(&mut t, &proof.bit_proofs);
+    let sealed = t.seal();
     for (i, (c, bp)) in proof
         .bit_commitments
         .iter()
         .zip(&proof.bit_proofs)
         .enumerate()
     {
-        if !seq_bit(pp, c, bp, &mut t) {
+        if !seq_bit(pp, c, bp, i, &sealed) {
             return Err(RangeVerifyError::BitProof(i));
         }
     }
@@ -182,7 +189,8 @@ fn one_hot_verdicts_equal_the_sequential_verifier_under_every_mutation() {
         p.commitments.pop();
         assert!(!one_hot_agrees(&pp, &p, "commitment popped"), "k={k}");
         // Arity restored on both sides: one coordinate fewer, so the
-        // transcript's length prefix (and every challenge) differs.
+        // transcript's width and run lengths (and every challenge)
+        // differ.
         p.bit_proofs.pop();
         assert!(!one_hot_agrees(&pp, &p, "coordinate popped"), "k={k}");
     }
