@@ -11,7 +11,10 @@
 //! measurement, residues of out-of-range coefficients), the Garner
 //! constant is stored with its Shoup quotient, and a [`ScratchPool`]
 //! recycles per-prime buffers (the second transform buffer of
-//! [`RnsPoly::mul`], relinearization digits, the rows `encrypt` fills).
+//! [`RnsPoly::mul`], relinearization digits, the rows `encrypt` fills and
+//! the buffer it packs its samples into). What depends only on the
+//! parameters is built once per context: the `t·e mod q` value of every
+//! possible fresh error, per prime ([`BgvContext::t_e_table`]).
 //! Fixed multiplicands — the keys — are kept transformed ([`EvalPoly`]),
 //! so a product with one costs one forward and one inverse transform per
 //! prime. Evaluation form never leaves this crate: every [`RnsPoly`] is
@@ -68,6 +71,15 @@ impl Clone for ScratchPool {
     }
 }
 
+/// Most entries a [`TeTable`] can need: `2·error_bound + 1` with
+/// `error_bound ≤ 31` (errors are differences of `u32` popcounts).
+pub(crate) const TE_ENTRIES: usize = 64;
+
+/// `t·e mod q` for `e ∈ [−error_bound, error_bound]` at index
+/// `e + error_bound`, zero-padded to a power of two so a masked index
+/// needs no bounds check.
+pub(crate) type TeTable = [u64; TE_ENTRIES];
+
 /// Precomputed per-parameter-set state: NTT tables and CRT constants.
 #[derive(Debug, Clone)]
 pub struct BgvContext {
@@ -80,20 +92,44 @@ pub struct BgvContext {
     /// Garner constant `q_0^{-1} mod q_1` with its Shoup quotient
     /// (two-prime case).
     garner_inv: Option<(u64, u64)>,
+    /// Per prime: `t·e mod q` for every fresh error `e`, at index
+    /// `e + error_bound`.
+    t_e: Vec<TeTable>,
     /// Reusable per-prime coefficient buffers.
     pub scratch: ScratchPool,
 }
 
 impl BgvContext {
     /// Builds the context for a parameter set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.error_bound` exceeds 31 (fresh errors are
+    /// differences of two popcounts of `error_bound`-bit draws from a
+    /// `u32`).
     pub fn new(params: BgvParams) -> Self {
+        let bound = i64::from(params.error_bound);
+        assert!(
+            2 * bound < TE_ENTRIES as i64,
+            "error bound {bound} exceeds 31"
+        );
         let ntts = params
             .moduli
             .iter()
             .zip(&params.roots)
             .map(|(&q, &r)| RtNttTable::new(params.n, q, r))
             .collect();
-        let barretts = params.moduli.iter().map(|&q| Barrett::new(q)).collect();
+        let barretts: Vec<Barrett> = params.moduli.iter().map(|&q| Barrett::new(q)).collect();
+        let t_e = barretts
+            .iter()
+            .map(|b| {
+                let mut table = [0u64; TE_ENTRIES];
+                for (slot, e) in table.iter_mut().zip(-bound..=bound) {
+                    *slot = b.mul_mod(params.t, signed_residue(e, b));
+                }
+                table
+            })
+            .collect();
         let garner_inv = if params.moduli.len() == 2 {
             let q1 = params.moduli[1];
             let g = inv_mod(params.moduli[0] % q1, q1); // div-ok: once per context
@@ -106,6 +142,7 @@ impl BgvContext {
             ntts,
             barretts,
             garner_inv,
+            t_e,
             scratch: ScratchPool::default(),
         }
     }
@@ -118,6 +155,11 @@ impl BgvContext {
     /// The Barrett reducer for RNS prime `i`.
     pub fn barrett(&self, i: usize) -> &Barrett {
         &self.barretts[i]
+    }
+
+    /// The `t·e mod q` table of RNS prime `i`.
+    pub(crate) fn t_e_table(&self, i: usize) -> &TeTable {
+        &self.t_e[i]
     }
 
     /// CRT-composes the two residues of one coefficient (two-prime
@@ -160,10 +202,24 @@ fn residue(c: u64, b: &Barrett) -> u64 {
     }
 }
 
-/// The canonical residue of a signed coefficient.
+/// The canonical residue of a signed coefficient. Secrets and errors —
+/// the values that occur in volume — have a random sign and a magnitude
+/// below every prime, so that case adds `q` under a sign mask instead of
+/// branching on the sign.
 #[inline]
 pub(crate) fn signed_residue(c: i64, b: &Barrett) -> u64 {
-    let r = residue(c.unsigned_abs(), b);
+    let q = b.modulus();
+    let small = (q & (c >> 63) as u64).wrapping_add(c as u64);
+    if c.unsigned_abs() < q {
+        small
+    } else {
+        large_signed_residue(c, b)
+    }
+}
+
+#[cold]
+fn large_signed_residue(c: i64, b: &Barrett) -> u64 {
+    let r = b.reduce(c.unsigned_abs() as u128);
     if c < 0 {
         neg_mod(r, b.modulus())
     } else {
@@ -515,6 +571,48 @@ mod tests {
         let first = a.mul(&b, &c);
         for _ in 0..4 {
             assert_eq!(a.mul(&b, &c), first);
+        }
+    }
+
+    #[test]
+    fn signed_residue_is_the_canonical_residue() {
+        let c = ctx();
+        for b in &c.barretts {
+            let q = b.modulus() as i128;
+            let edge = b.modulus() as i64;
+            for x in [
+                0i64,
+                1,
+                -1,
+                8,
+                -8,
+                edge - 1,
+                1 - edge,
+                edge,
+                -edge,
+                edge + 1,
+                -edge - 1,
+                i64::MAX,
+                i64::MIN + 1,
+                i64::MIN,
+            ] {
+                let want = (x as i128).rem_euclid(q) as u64;
+                assert_eq!(signed_residue(x, b), want, "x = {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn t_e_tables_hold_every_fresh_error() {
+        let c = ctx();
+        let bound = i64::from(c.params.error_bound);
+        for (i, b) in c.barretts.iter().enumerate() {
+            let table = c.t_e_table(i);
+            for e in -bound..=bound {
+                let want = (c.params.t as i128 * e as i128).rem_euclid(b.modulus() as i128);
+                assert_eq!(table[(e + bound) as usize], want as u64, "e = {e}");
+            }
+            assert!(table[(2 * bound + 1) as usize..].iter().all(|&x| x == 0));
         }
     }
 }

@@ -13,11 +13,18 @@
 //! boundary. The keys additionally cache their evaluation form
 //! ([`crate::poly::EvalPoly`]), so `encrypt` transforms only `u` and the
 //! decryption phase `c0 + c1·s` only `c1`.
+//!
+//! Outside its transforms `encrypt` touches each coefficient a fixed,
+//! branch-free number of times: the three fresh samples of a coefficient
+//! (`u` and the table indices of `e0`, `e1`) are packed into one word of
+//! a pooled buffer, an error costs one 64-bit popcount, and `t·e mod q`
+//! is a masked lookup in the context's per-prime table. The RNG is drawn
+//! in the order the scheme defines — all of `u`, then `e0`, then `e1` —
+//! so ciphertext bytes are a function of `(ctx, pk, m, rng)` only.
 
-use arboretum_field::zq::add_mod;
 use rand::Rng;
 
-use crate::poly::{signed_residue, BgvContext, EvalPoly, RnsPoly};
+use crate::poly::{BgvContext, EvalPoly, RnsPoly, TE_ENTRIES};
 
 /// A BGV secret key.
 #[derive(Clone, Debug)]
@@ -87,15 +94,29 @@ fn sample_ternary<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<i64> {
     (0..n).map(|_| rng.gen_range(-1i64..=1)).collect()
 }
 
+/// One centered-binomial error as its [`crate::poly::TeTable`] index
+/// `e + bound`: the difference of two `bound`-bit popcounts (variance
+/// `bound / 2`, support `[-bound, bound]`), taken as a single popcount
+/// since `bound − popcount(b) = popcount(!b & mask)`.
+#[inline]
+fn sample_error_index<R: Rng + ?Sized>(bound: u32, rng: &mut R) -> u32 {
+    let mask = (1u32 << bound) - 1;
+    let a = rng.gen::<u32>() & mask;
+    let b = rng.gen::<u32>() & mask;
+    (u64::from(a) | u64::from(!b & mask) << 32).count_ones()
+}
+
+/// `x − q` if `x ≥ q`, else `x`, as a compare-and-select: the operands
+/// of `encrypt`'s `t·e + m` pass are random, so a branch here mispredicts
+/// every other coefficient.
+#[inline]
+fn sub_if_geq(x: u64, q: u64) -> u64 {
+    x.min(x.wrapping_sub(q))
+}
+
 fn sample_error<R: Rng + ?Sized>(n: usize, bound: u32, rng: &mut R) -> Vec<i64> {
-    // Centered binomial: difference of two `bound`-bit popcounts, giving
-    // variance `bound / 2` and support `[-bound, bound]`.
     (0..n)
-        .map(|_| {
-            let a: u32 = rng.gen::<u32>() & ((1u32 << bound) - 1);
-            let b: u32 = rng.gen::<u32>() & ((1u32 << bound) - 1);
-            a.count_ones() as i64 - b.count_ones() as i64
-        })
+        .map(|_| i64::from(sample_error_index(bound, rng)) - i64::from(bound))
         .collect()
 }
 
@@ -156,7 +177,7 @@ pub fn relin_keygen<R: Rng + ?Sized>(ctx: &BgvContext, sk: &SecretKey, rng: &mut
 ///
 /// Per prime: one forward transform of `u`, a pointwise product with
 /// each half of the transformed public key, two inverse transforms, and
-/// one pass adding `t·e + m`.
+/// one pass adding `t·e + m` from the context's `t·e` table.
 ///
 /// # Panics
 ///
@@ -173,36 +194,46 @@ pub fn encrypt<R: Rng + ?Sized>(
         m.rows.iter().all(|row| row.len() == n),
         "plaintext row length mismatch"
     );
-    let bound = i64::from(ctx.params.error_bound);
-    let u = sample_ternary(n, rng);
-    let e0 = sample_error(n, ctx.params.error_bound, rng);
-    let e1 = sample_error(n, ctx.params.error_bound, rng);
+    let bound = ctx.params.error_bound;
+    // Word `j` holds coefficient `j`'s samples: `u` in the low byte (two's
+    // complement), then the table indices of `e0` and `e1`.
+    const E0: u32 = 8;
+    const E1: u32 = 16;
+    const INDEX: u64 = TE_ENTRIES as u64 - 1;
+    let mut samples = ctx.scratch.take(n);
+    for s in samples.iter_mut() {
+        *s = u64::from(rng.gen_range(-1i8..=1) as u8);
+    }
+    for shift in [E0, E1] {
+        for s in samples.iter_mut() {
+            *s |= u64::from(sample_error_index(bound, rng)) << shift;
+        }
+    }
     let (mut c0, mut c1) = (Vec::with_capacity(primes), Vec::with_capacity(primes));
     for (i, (ntt, m_row)) in ctx.ntts.iter().zip(&m.rows).enumerate() {
-        let (q, barrett) = (ntt.modulus(), ctx.barrett(i));
+        let (q, t_e) = (ntt.modulus(), ctx.t_e_table(i));
+        // Residues of 0, 1 and −1 at the low two bits of their bytes.
+        let ternary = [0, 1, 0, q - 1];
         let mut bu = ctx.scratch.take(n);
-        for (x, &c) in bu.iter_mut().zip(&u) {
-            *x = signed_residue(c, barrett);
+        for (x, &s) in bu.iter_mut().zip(&samples) {
+            *x = ternary[(s & 3) as usize];
         }
         ntt.forward(&mut bu);
         let mut au = ctx.scratch.take(n);
         au.copy_from_slice(&bu);
         pk.b_eval.mul_inverse_row(i, ntt, &mut bu);
         pk.a_eval.mul_inverse_row(i, ntt, &mut au);
-        // t·e mod q takes 2·bound + 1 values; tabulate them.
-        let t_e: Vec<u64> = (-bound..=bound)
-            .map(|e| barrett.mul_mod(ctx.params.t, signed_residue(e, barrett)))
-            .collect();
-        let t_e = |e: i64| t_e[(e + bound) as usize];
-        for ((x, &e), &m) in bu.iter_mut().zip(&e0).zip(m_row) {
-            *x = add_mod(add_mod(*x, t_e(e), q), m, q);
+        // Each term is below q < 2^62, so the sums cannot overflow.
+        for ((x, &s), &m) in bu.iter_mut().zip(&samples).zip(m_row) {
+            *x = sub_if_geq(sub_if_geq(*x + t_e[(s >> E0 & INDEX) as usize] + m, q), q);
         }
-        for (x, &e) in au.iter_mut().zip(&e1) {
-            *x = add_mod(*x, t_e(e), q);
+        for (x, &s) in au.iter_mut().zip(&samples) {
+            *x = sub_if_geq(*x + t_e[(s >> E1 & INDEX) as usize], q);
         }
         c0.push(bu);
         c1.push(au);
     }
+    ctx.scratch.put(samples);
     Ciphertext {
         c0: RnsPoly { rows: c0 },
         c1: RnsPoly { rows: c1 },
@@ -463,5 +494,84 @@ mod tests {
         let ct = encrypt(&ctx, &pk, &encode(&ctx, &[123]), &mut rng);
         let got = decrypt(&ctx, &sk2, &ct);
         assert_ne!(got[0], 123, "decrypting with the wrong key must fail");
+    }
+
+    /// `encrypt` by the scheme's definition, on the ring API: all of `u`,
+    /// then `e0`, then `e1` from the RNG, each error as the difference of
+    /// two popcounts.
+    fn encrypt_by_definition(
+        ctx: &BgvContext,
+        pk: &PublicKey,
+        m: &RnsPoly,
+        rng: &mut StdRng,
+    ) -> Ciphertext {
+        let bound = ctx.params.error_bound;
+        let u = RnsPoly::from_signed(ctx, &sample_ternary(ctx.n(), rng));
+        let mut error = || {
+            let e: Vec<i64> = (0..ctx.n())
+                .map(|_| {
+                    let a = rng.gen::<u32>() & ((1u32 << bound) - 1);
+                    let b = rng.gen::<u32>() & ((1u32 << bound) - 1);
+                    i64::from(a.count_ones()) - i64::from(b.count_ones())
+                })
+                .collect();
+            RnsPoly::from_signed(ctx, &e).scale(ctx.params.t, ctx)
+        };
+        let (te0, te1) = (error(), error());
+        Ciphertext {
+            c0: pk.b().mul(&u, ctx).add(&te0, ctx).add(m, ctx),
+            c1: pk.a().mul(&u, ctx).add(&te1, ctx),
+        }
+    }
+
+    #[test]
+    fn encrypt_matches_its_definition_at_every_error_bound() {
+        use arboretum_field::primes::{BGV_Q1, BGV_Q2, BGV_Q_ROOTS};
+        for primes in [1, 2] {
+            for bound in [0, 1, 8, 31] {
+                let mut params = BgvParams::new(
+                    64,
+                    [BGV_Q1, BGV_Q2][..primes].to_vec(),
+                    BGV_Q_ROOTS[..primes].to_vec(),
+                    65_537,
+                    None,
+                )
+                .unwrap();
+                params.error_bound = bound;
+                let ctx = BgvContext::new(params);
+                let mut rng = StdRng::seed_from_u64(u64::from(bound));
+                let (sk, pk) = keygen(&ctx, &mut rng);
+                let m = encode(&ctx, &[65_536, 0, 1, 2, 3]);
+                let mut reference_rng = rng.clone();
+                for _ in 0..3 {
+                    let ct = encrypt(&ctx, &pk, &m, &mut rng);
+                    let want = encrypt_by_definition(&ctx, &pk, &m, &mut reference_rng);
+                    assert_eq!(ct, want, "primes {primes}, bound {bound}");
+                    assert_eq!(&decrypt(&ctx, &sk, &ct)[..5], &[65_536, 0, 1, 2, 3]);
+                }
+                // Both left the RNG at the same draw.
+                assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 31")]
+    fn error_bound_beyond_a_u32_popcount_is_refused() {
+        let mut params = BgvParams::test_small();
+        params.error_bound = 32;
+        BgvContext::new(params);
+    }
+
+    #[test]
+    fn sampled_errors_stay_in_their_support() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for bound in [0u32, 1, 8, 31] {
+            let e = sample_error(2_000, bound, &mut rng);
+            assert!(e.iter().all(|&e| e.unsigned_abs() <= u64::from(bound)));
+            if bound > 0 {
+                assert!(e.iter().any(|&e| e < 0) && e.iter().any(|&e| e > 0));
+            }
+        }
     }
 }

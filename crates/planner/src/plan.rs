@@ -8,8 +8,6 @@
 //! committee vignettes. Scoring computes the six metrics of §4.2 from the
 //! calibrated cost model.
 
-use arboretum_sortition::size::{min_committee_size, SortitionParams};
-
 use crate::cost::{CostModel, Metrics};
 
 /// Cryptosystem protecting a vignette's data (§4.5).
@@ -358,20 +356,33 @@ pub fn vignette_metrics(v: &Vignette, cm: &CostModel, n: u64, categories: u64, m
     out
 }
 
-/// Assembles and scores a plan from vignettes.
+/// Scores a vignette sequence whose committees all have `committee_size`
+/// members: the per-vignette metrics combined in execution order.
+pub fn score(
+    vignettes: &[Vignette],
+    cm: &CostModel,
+    n: u64,
+    categories: u64,
+    committee_size: u64,
+) -> Metrics {
+    vignettes
+        .iter()
+        .map(|v| vignette_metrics(v, cm, n, categories, committee_size))
+        .fold(Metrics::default(), Metrics::combine)
+}
+
+/// Assembles and scores a plan from vignettes. `committee_size` is the
+/// §5.1 minimum for the plan's total committee count, which the caller
+/// (the search's size memo) has already worked out.
 pub fn assemble(
     vignettes: Vec<Vignette>,
     cm: &CostModel,
     n: u64,
     categories: u64,
-    sortition: &SortitionParams,
+    committee_size: u64,
 ) -> Plan {
-    let total_committees: u64 = vignettes.iter().map(|v| v.op.committees(categories)).sum();
-    let committee_size = min_committee_size(total_committees.max(1), sortition);
-    let metrics = vignettes
-        .iter()
-        .map(|v| vignette_metrics(v, cm, n, categories, committee_size))
-        .fold(Metrics::default(), Metrics::combine);
+    let total_committees = vignettes.iter().map(|v| v.op.committees(categories)).sum();
+    let metrics = score(&vignettes, cm, n, categories, committee_size);
     Plan {
         vignettes,
         n,
@@ -437,6 +448,7 @@ pub fn vignette(op: PhysOp, location: Location, scheme: Scheme) -> Vignette {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arboretum_sortition::size::{min_committee_size, SortitionParams};
 
     fn cm() -> CostModel {
         CostModel::default()
@@ -596,7 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn assemble_computes_committee_size_per_plan() {
+    fn assemble_scores_at_the_size_it_is_given() {
         let sp = SortitionParams::default();
         let c = 1u64 << 15;
         let few = assemble(
@@ -608,27 +620,29 @@ mod tests {
             &cm(),
             1 << 30,
             c,
-            &sp,
+            min_committee_size(1, &sp).unwrap(),
         );
-        let many = assemble(
-            vec![
-                vignette(PhysOp::KeyGen, Location::Committees(1), Scheme::Shares),
-                vignette(
-                    PhysOp::NoiseGen {
-                        gumbel: true,
-                        batch: 1,
-                    },
-                    Location::Committees(c),
-                    Scheme::Shares,
-                ),
-            ],
-            &cm(),
-            1 << 30,
-            c,
-            &sp,
-        );
+        let vignettes = vec![
+            vignette(PhysOp::KeyGen, Location::Committees(1), Scheme::Shares),
+            vignette(
+                PhysOp::NoiseGen {
+                    gumbel: true,
+                    batch: 1,
+                },
+                Location::Committees(c),
+                Scheme::Shares,
+            ),
+        ];
+        let m = min_committee_size(c + 1, &sp).unwrap();
+        let many = assemble(vignettes.clone(), &cm(), 1 << 30, c, m);
+        assert_eq!(many.total_committees, c + 1);
+        assert_eq!(many.committee_size, m);
+        assert_eq!(many.metrics, score(&vignettes, &cm(), 1 << 30, c, m));
         assert!(many.committee_size >= few.committee_size);
         assert!(many.total_committees > few.total_committees);
         assert!(many.committee_fraction() < 0.01);
+        // A larger committee costs every member more.
+        let larger = assemble(vignettes, &cm(), 1 << 30, c, m + 10);
+        assert!(larger.metrics.part_max_secs > many.metrics.part_max_secs);
     }
 }

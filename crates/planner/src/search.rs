@@ -9,15 +9,21 @@
 //! grow and discarded as soon as they exceed an analyst limit or the
 //! best known full candidate (the branch-and-bound heuristics of §4.4,
 //! which §7.3 shows are the difference between milliseconds and
-//! out-of-memory).
+//! out-of-memory). A full candidate costs O(vignettes) plus one probe of
+//! the search's committee-size memo: the §5.1 sizing — by far the most
+//! expensive step — runs once per distinct committee total per search,
+//! and only a candidate that beats the incumbent is copied into a
+//! [`Plan`].
 
 use std::collections::HashMap;
 
-use arboretum_sortition::size::{min_committee_size, SortitionParams};
+use arboretum_sortition::size::{self, SortitionParams};
 
 use crate::cost::{CostModel, Goal, Limits, Metrics};
 use crate::logical::{LogicalOp, LogicalPlan, MechanismKind};
-use crate::plan::{assemble, vignette, Location, PhysOp, Plan, Scheme, Vignette};
+use crate::plan::{
+    assemble, score, vignette, vignette_metrics, Location, PhysOp, Plan, Scheme, Vignette,
+};
 
 /// Planner configuration.
 #[derive(Clone, Debug)]
@@ -72,7 +78,8 @@ pub struct PlanStats {
 /// Planning errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// No candidate satisfies the analyst's limits.
+    /// No candidate satisfies the analyst's limits, or the sortition
+    /// parameters admit no committee size at all.
     Infeasible,
     /// The logical plan is empty.
     EmptyPlan,
@@ -218,20 +225,123 @@ fn mechanism_alternatives(kind: MechanismKind, c: u64, k: u64) -> Vec<Vec<Vignet
             }
             // Exponentiate-and-sample instantiation (Figure 4 left); a
             // top-k release repeats the scan per winner.
-            for _ in 0..1 {
-                let mut vs = Vec::new();
-                for _ in 0..passes {
-                    vs.push(vignette(
-                        PhysOp::ExpSample,
-                        Location::Aggregator,
-                        Scheme::Fhe,
-                    ));
-                }
-                alts.push(vs);
-            }
+            alts.push(
+                (0..passes)
+                    .map(|_| vignette(PhysOp::ExpSample, Location::Aggregator, Scheme::Fhe))
+                    .collect(),
+            );
         }
     }
     alts
+}
+
+/// One search's committee sizes: total committee count → minimum
+/// committee size `m` (§5.1), `None` when no size meets the failure
+/// budget. `size_of` runs once per distinct total; this memo is the only
+/// place the planner sizes a committee.
+struct SizeMemo<F> {
+    size_of: F,
+    sizes: HashMap<u64, Option<u64>>,
+}
+
+impl<F: FnMut(u64) -> Option<u64>> SizeMemo<F> {
+    fn new(size_of: F) -> Self {
+        Self {
+            size_of,
+            sizes: HashMap::new(),
+        }
+    }
+
+    fn size(&mut self, total_committees: u64) -> Option<u64> {
+        *self
+            .sizes
+            .entry(total_committees)
+            .or_insert_with(|| (self.size_of)(total_committees))
+    }
+}
+
+/// The state one depth-first walk carries.
+struct Search<'a, F> {
+    cfg: &'a PlannerConfig,
+    categories: u64,
+    stats: PlanStats,
+    best: Option<Plan>,
+    /// Lower-bound committee size used for optimistic partial scoring.
+    m_lb: u64,
+    sizes: SizeMemo<F>,
+}
+
+impl<F: FnMut(u64) -> Option<u64>> Search<'_, F> {
+    /// Extends the prefix `acc` (scored optimistically as `partial`)
+    /// with every combination of the `remaining` operators' alternatives.
+    fn dfs(&mut self, remaining: &[Vec<Vec<Vignette>>], acc: &mut Vec<Vignette>, partial: Metrics) {
+        let cfg = self.cfg;
+        self.stats.prefixes_considered += 1;
+        if cfg.use_heuristics {
+            if cfg.limits.violated_by(&partial) {
+                self.stats.pruned += 1;
+                return;
+            }
+            if let Some(b) = self.best.as_ref() {
+                if partial.get(cfg.goal) >= b.metrics.get(cfg.goal) {
+                    self.stats.pruned += 1;
+                    return;
+                }
+            }
+        }
+        let Some((alts, rest)) = remaining.split_first() else {
+            self.full_candidate(acc);
+            return;
+        };
+        for alt in alts {
+            // Added onto `partial` one vignette at a time: f64 sums depend
+            // on their order, and ties between plans break on the bits.
+            let next = alt.iter().fold(partial, |sum, v| {
+                sum.combine(vignette_metrics(
+                    v,
+                    &cfg.cost_model,
+                    cfg.n,
+                    self.categories,
+                    self.m_lb,
+                ))
+            });
+            let len_before = acc.len();
+            acc.extend_from_slice(alt);
+            self.dfs(rest, acc, next);
+            acc.truncate(len_before);
+        }
+    }
+
+    /// Scores a full candidate at its exact committee size and keeps it
+    /// if it fits the limits and beats the incumbent.
+    fn full_candidate(&mut self, acc: &[Vignette]) {
+        let cfg = self.cfg;
+        self.stats.full_candidates += 1;
+        // Every emitted candidate must satisfy the §4.5 confidentiality
+        // invariants.
+        debug_assert_eq!(crate::encryption::validate(acc), Ok(()));
+        let total_committees: u64 = acc.iter().map(|v| v.op.committees(self.categories)).sum();
+        let Some(m) = self.sizes.size(total_committees.max(1)) else {
+            return;
+        };
+        let metrics = score(acc, &cfg.cost_model, cfg.n, self.categories, m);
+        if cfg.limits.violated_by(&metrics) {
+            return;
+        }
+        let better = self
+            .best
+            .as_ref()
+            .is_none_or(|b| metrics.get(cfg.goal) < b.metrics.get(cfg.goal));
+        if better {
+            self.best = Some(assemble(
+                acc.to_vec(),
+                &cfg.cost_model,
+                cfg.n,
+                self.categories,
+                m,
+            ));
+        }
+    }
 }
 
 /// Runs the planner on a logical plan: a serial depth-first walk of
@@ -241,7 +351,9 @@ fn mechanism_alternatives(kind: MechanismKind, c: u64, k: u64) -> Vec<Vec<Vignet
 ///
 /// # Errors
 ///
-/// Returns [`PlanError::Infeasible`] when no candidate fits the limits.
+/// Returns [`PlanError::Infeasible`] when no candidate fits the limits,
+/// or when `cfg.sortition` admits no committee size (before any
+/// candidate is enumerated).
 ///
 /// # Examples
 ///
@@ -259,12 +371,27 @@ fn mechanism_alternatives(kind: MechanismKind, c: u64, k: u64) -> Vec<Vec<Vignet
 /// assert!(stats.full_candidates >= 1);
 /// ```
 pub fn plan(lp: &LogicalPlan, cfg: &PlannerConfig) -> Result<(Plan, PlanStats), PlanError> {
+    search(lp, cfg, |total| {
+        size::min_committee_size(total, &cfg.sortition)
+    })
+}
+
+/// [`plan`] with the committee sizing passed in, so tests can count how
+/// often a search asks for one.
+fn search(
+    lp: &LogicalPlan,
+    cfg: &PlannerConfig,
+    size_of: impl FnMut(u64) -> Option<u64>,
+) -> Result<(Plan, PlanStats), PlanError> {
     if lp.ops.is_empty() {
         return Err(PlanError::EmptyPlan);
     }
+    let mut sizes = SizeMemo::new(size_of);
+    // Unsatisfiable sortition parameters end the search before it starts.
+    let m_lb = sizes.size(1).ok_or(PlanError::Infeasible)?;
     let categories = lp.max_categories().max(1);
     // Fixed prologue: key generation, input encryption, verification.
-    let prologue = vec![
+    let mut acc = vec![
         vignette(PhysOp::KeyGen, Location::Committees(1), Scheme::Shares),
         vignette(
             PhysOp::EncryptInputs,
@@ -279,121 +406,21 @@ pub fn plan(lp: &LogicalPlan, cfg: &PlannerConfig) -> Result<(Plan, PlanStats), 
     ];
     let choices: Vec<Vec<Vec<Vignette>>> =
         lp.ops.iter().map(|op| alternatives(op, lp, cfg)).collect();
-
-    let mut stats = PlanStats::default();
-    let mut best: Option<Plan> = None;
-    // Lower-bound committee size used for optimistic partial scoring.
-    let m_lb = min_committee_size(1, &cfg.sortition);
-    let mut m_cache: HashMap<u64, u64> = HashMap::new();
-
-    struct Ctx<'a> {
-        cfg: &'a PlannerConfig,
-        categories: u64,
-        choices: &'a [Vec<Vec<Vignette>>],
-        stats: &'a mut PlanStats,
-        best: &'a mut Option<Plan>,
-        m_lb: u64,
-        m_cache: &'a mut HashMap<u64, u64>,
-    }
-
-    fn dfs(ctx: &mut Ctx<'_>, depth: usize, acc: &mut Vec<Vignette>, partial: Metrics) {
-        ctx.stats.prefixes_considered += 1;
-        if ctx.cfg.use_heuristics {
-            if ctx.cfg.limits.violated_by(&partial) {
-                ctx.stats.pruned += 1;
-                return;
-            }
-            if let Some(b) = ctx.best.as_ref() {
-                if partial.get(ctx.cfg.goal) >= b.metrics.get(ctx.cfg.goal) {
-                    ctx.stats.pruned += 1;
-                    return;
-                }
-            }
-        }
-        if depth == ctx.choices.len() {
-            // Full candidate: exact scoring with the true committee size.
-            ctx.stats.full_candidates += 1;
-            let total_committees: u64 = acc
-                .iter()
-                .map(|v| v.op.committees(ctx.categories))
-                .sum::<u64>()
-                .max(1);
-            let sortition = ctx.cfg.sortition;
-            let m = *ctx
-                .m_cache
-                .entry(total_committees)
-                .or_insert_with(|| min_committee_size(total_committees, &sortition));
-            let _ = m;
-            // Every emitted candidate must satisfy the §4.5
-            // confidentiality invariants.
-            debug_assert!(
-                crate::encryption::validate(acc).is_ok(),
-                "candidate violates encryption inference: {:?}",
-                crate::encryption::validate(acc)
-            );
-            let plan = assemble(
-                acc.clone(),
-                &ctx.cfg.cost_model,
-                ctx.cfg.n,
-                ctx.categories,
-                &ctx.cfg.sortition,
-            );
-            if ctx.cfg.limits.violated_by(&plan.metrics) {
-                return;
-            }
-            let better = match ctx.best.as_ref() {
-                None => true,
-                Some(b) => plan.metrics.get(ctx.cfg.goal) < b.metrics.get(ctx.cfg.goal),
-            };
-            if better {
-                *ctx.best = Some(plan);
-            }
-            return;
-        }
-        // Clone the alternatives for this depth to release the borrow.
-        let alts = ctx.choices[depth].clone();
-        for alt in alts {
-            let mut next = partial;
-            for v in &alt {
-                next = next.combine(crate::plan::vignette_metrics(
-                    v,
-                    &ctx.cfg.cost_model,
-                    ctx.cfg.n,
-                    ctx.categories,
-                    ctx.m_lb,
-                ));
-            }
-            let len_before = acc.len();
-            acc.extend(alt);
-            dfs(ctx, depth + 1, acc, next);
-            acc.truncate(len_before);
-        }
-    }
-
     // Score the prologue once (shared by all candidates).
-    let mut base = Metrics::default();
-    for v in &prologue {
-        base = base.combine(crate::plan::vignette_metrics(
-            v,
-            &cfg.cost_model,
-            cfg.n,
-            categories,
-            m_lb,
-        ));
-    }
+    let base = score(&acc, &cfg.cost_model, cfg.n, categories, m_lb);
 
-    let mut acc = prologue;
-    let mut ctx = Ctx {
+    let mut walk = Search {
         cfg,
         categories,
-        choices: &choices,
-        stats: &mut stats,
-        best: &mut best,
+        stats: PlanStats::default(),
+        best: None,
         m_lb,
-        m_cache: &mut m_cache,
+        sizes,
     };
-    dfs(&mut ctx, 0, &mut acc, base);
-    best.ok_or(PlanError::Infeasible).map(|p| (p, stats))
+    walk.dfs(&choices, &mut acc, base);
+    walk.best
+        .ok_or(PlanError::Infeasible)
+        .map(|p| (p, walk.stats))
 }
 
 #[cfg(test)]
@@ -403,6 +430,8 @@ mod tests {
     use arboretum_lang::ast::DbSchema;
     use arboretum_lang::parser::parse;
     use arboretum_lang::privacy::CertifyConfig;
+    use arboretum_queries::corpus::all_queries;
+    use proptest::prelude::*;
 
     fn logical(src: &str, categories: usize) -> LogicalPlan {
         let schema = DbSchema::one_hot(1 << 30, categories);
@@ -642,5 +671,120 @@ mod tests {
             pk.total_committees,
             p1.total_committees
         );
+    }
+
+    /// Runs `search` on `lp` with the real sizing behind a recorder;
+    /// returns the stats and every total the search asked to have sized.
+    fn recorded_search(lp: &LogicalPlan, cfg: &PlannerConfig) -> (PlanStats, Vec<u64>) {
+        let mut asked = Vec::new();
+        let (_, stats) = search(lp, cfg, |total| {
+            asked.push(total);
+            size::min_committee_size(total, &cfg.sortition)
+        })
+        .unwrap();
+        (stats, asked)
+    }
+
+    #[test]
+    fn sizing_runs_once_per_distinct_committee_total() {
+        let n = 1u64 << 30;
+        let cfg = PlannerConfig::paper_defaults(n);
+        let (mut candidates, mut sizings) = (0, 0);
+        for q in all_queries(n) {
+            let lp = extract(&q.program(), &q.schema, q.certify).unwrap();
+            let (stats, asked) = recorded_search(&lp, &cfg);
+            // The lower bound's total first (no plan seats one committee:
+            // key generation and the release each take one), then every
+            // candidate total once.
+            assert_eq!(asked[0], 1, "{}", q.name);
+            let distinct: std::collections::HashSet<u64> = asked.iter().copied().collect();
+            assert_eq!(distinct.len(), asked.len(), "{}", q.name);
+            let totals = asked.len() - 1;
+            // The two largest searches of the corpus.
+            match q.name {
+                "auction" => assert_eq!((stats.full_candidates, totals), (1_619, 243)),
+                "median" => assert_eq!((stats.full_candidates, totals), (1_618, 243)),
+                _ => {}
+            }
+            candidates += stats.full_candidates;
+            sizings += totals;
+        }
+        assert_eq!((candidates, sizings), (4_232, 645));
+    }
+
+    #[test]
+    fn unpruned_walk_sizes_each_total_once_too() {
+        let mut cfg = PlannerConfig::paper_defaults(1 << 30);
+        cfg.use_heuristics = false;
+        let (stats, asked) = recorded_search(&top1(1 << 12), &cfg);
+        let distinct: std::collections::HashSet<u64> = asked.iter().copied().collect();
+        assert_eq!(distinct.len(), asked.len());
+        assert!(stats.full_candidates > 4 * asked.len() as u64);
+    }
+
+    #[test]
+    fn infeasible_sortition_is_refused_before_the_walk() {
+        let lp = top1(1 << 15);
+        for f in [0.45, 0.6, f64::NAN, -0.03] {
+            let mut cfg = PlannerConfig::paper_defaults(1 << 30);
+            cfg.sortition.f = f;
+            assert_eq!(plan(&lp, &cfg).unwrap_err(), PlanError::Infeasible, "{f}");
+        }
+        // One question (the lower bound's), then no walk.
+        let cfg = PlannerConfig::paper_defaults(1 << 30);
+        let mut asked = Vec::new();
+        let refused = search(&lp, &cfg, |total| {
+            asked.push(total);
+            None
+        });
+        assert_eq!(refused.unwrap_err(), PlanError::Infeasible);
+        assert_eq!(asked, [1]);
+    }
+
+    #[test]
+    fn candidates_without_a_committee_size_are_skipped() {
+        // Unlimited, the cheapest worst-case member seats tens of
+        // thousands of committees; a sizing that gives out beyond 3,000
+        // leaves only the plans that seat fewer.
+        let lp = top1(1 << 15);
+        let mut cfg = PlannerConfig::paper_defaults(1 << 30);
+        cfg.goal = Goal::ParticipantMaxSecs;
+        cfg.limits = Limits::default();
+        let (free, _) = plan(&lp, &cfg).unwrap();
+        assert!(free.total_committees > 3_000);
+        let (capped, stats) = search(&lp, &cfg, |total| {
+            (total <= 3_000)
+                .then(|| size::min_committee_size(total, &cfg.sortition))
+                .flatten()
+        })
+        .unwrap();
+        assert!(capped.total_committees <= 3_000);
+        assert!(stats.full_candidates >= 1);
+        assert!(capped.metrics.get(cfg.goal) >= free.metrics.get(cfg.goal));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn memo_answers_equal_direct_sizing(
+            c in 1u64..=(1 << 40),
+            f in 0.005f64..0.1,
+            g in 0.05f64..0.3,
+        ) {
+            let params = SortitionParams { f, g, ..SortitionParams::default() };
+            let mut fills = 0;
+            let mut memo = SizeMemo::new(|total| {
+                fills += 1;
+                size::min_committee_size(total, &params)
+            });
+            let want = size::min_committee_size(c, &params);
+            prop_assert!(want.is_some());
+            prop_assert_eq!(memo.size(c), want);
+            prop_assert_eq!(memo.size(c), want);
+            prop_assert_eq!(memo.size(1), size::min_committee_size(1, &params));
+            drop(memo);
+            prop_assert_eq!(fills, if c == 1 { 1 } else { 2 });
+        }
     }
 }

@@ -77,26 +77,36 @@ pub fn ln_committee_failure(m: u64, f: f64, g: f64) -> f64 {
     log_sum_exp(&tail)
 }
 
+/// Largest committee size the scan tries before giving up.
+const MAX_COMMITTEE_SIZE: u64 = 10_000;
+
 /// Smallest committee size `m` such that `c` committees all keep honest
 /// majorities (after `g` churn) except with probability `p1`.
 ///
-/// # Panics
-///
-/// Panics if no `m ≤ 10_000` satisfies the bound (parameters are
-/// unsatisfiable).
-pub fn min_committee_size(c: u64, params: &SortitionParams) -> u64 {
+/// Returns `None` when no size can meet the bound, and says so at once:
+/// with `f ≥ (1 − g)/2` the expected number of malicious members is at
+/// or above the majority threshold, so the tail never falls as `m`
+/// grows; `f`, `g` or `p_total` outside `(0, 1)` (NaN included),
+/// `rounds == 0`, and a budget so small that `p1` rounds to zero
+/// describe no deployment. A feasible-looking setting whose answer lies
+/// beyond `m = 10,000` is `None` too.
+pub fn min_committee_size(c: u64, params: &SortitionParams) -> Option<u64> {
+    let unit = |x: f64| x > 0.0 && x < 1.0;
+    if params.rounds == 0
+        || !(unit(params.f) && unit(params.g) && unit(params.p_total))
+        || params.f >= (1.0 - params.g) / 2.0
+    {
+        return None;
+    }
     let ln_p1 = params.p1().ln();
+    if ln_p1 == f64::NEG_INFINITY {
+        return None;
+    }
     let ln_c = (c as f64).ln();
     // Union bound: c committees fail with probability ≤ c · q; require
     // ln q ≤ ln p1 − ln c. (The union bound is within rounding of the
     // exact 1 − (1 − q)^c for these magnitudes and is conservative.)
-    for m in 3..=10_000u64 {
-        let ln_q = ln_committee_failure(m, params.f, params.g);
-        if ln_q + ln_c <= ln_p1 {
-            return m;
-        }
-    }
-    panic!("no feasible committee size for c={c} under {params:?}");
+    (3..=MAX_COMMITTEE_SIZE).find(|&m| ln_committee_failure(m, params.f, params.g) + ln_c <= ln_p1)
 }
 
 #[cfg(test)]
@@ -115,14 +125,14 @@ mod tests {
         // §7.1: "committee sizes of about 40 members (depending on the
         // number of committees)".
         let p = SortitionParams::default();
-        let single = min_committee_size(1, &p);
+        let single = min_committee_size(1, &p).unwrap();
         assert!(
             (25..=45).contains(&single),
             "single committee size {single}"
         );
         // topK in §7.2 has 115,334 operation committees; sizes grow only
         // logarithmically with c.
-        let many = min_committee_size(115_334, &p);
+        let many = min_committee_size(115_334, &p).unwrap();
         assert!((35..=60).contains(&many), "large-c committee size {many}");
         assert!(many > single);
     }
@@ -132,7 +142,7 @@ mod tests {
         let p = SortitionParams::default();
         let mut prev = 0;
         for c in [1u64, 10, 1_000, 100_000] {
-            let m = min_committee_size(c, &p);
+            let m = min_committee_size(c, &p).unwrap();
             assert!(m >= prev, "m must grow with c");
             prev = m;
         }
@@ -141,11 +151,79 @@ mod tests {
     #[test]
     fn size_grows_with_malice_and_churn() {
         let base = SortitionParams::default();
-        let m0 = min_committee_size(100, &base);
+        let m0 = min_committee_size(100, &base).unwrap();
         let worse_f = SortitionParams { f: 0.10, ..base };
         let worse_g = SortitionParams { g: 0.40, ..base };
-        assert!(min_committee_size(100, &worse_f) > m0);
-        assert!(min_committee_size(100, &worse_g) > m0);
+        assert!(min_committee_size(100, &worse_f).unwrap() > m0);
+        assert!(min_committee_size(100, &worse_g).unwrap() > m0);
+    }
+
+    #[test]
+    fn infeasible_parameters_are_refused_at_once() {
+        let base = SortitionParams::default();
+        let refused = [
+            // f ≥ (1 − g)/2: the tail never falls.
+            SortitionParams { f: 0.45, ..base },
+            SortitionParams { f: 0.6, ..base },
+            SortitionParams { f: 0.425, ..base },
+            SortitionParams { g: 0.95, ..base },
+            // Outside (0, 1), NaN included.
+            SortitionParams {
+                f: f64::NAN,
+                ..base
+            },
+            SortitionParams { f: -0.03, ..base },
+            SortitionParams { f: 0.0, ..base },
+            SortitionParams {
+                g: f64::NAN,
+                ..base
+            },
+            SortitionParams { g: -0.15, ..base },
+            SortitionParams { g: 1.0, ..base },
+            SortitionParams {
+                p_total: f64::NAN,
+                ..base
+            },
+            SortitionParams {
+                p_total: 0.0,
+                ..base
+            },
+            SortitionParams {
+                p_total: 1.0,
+                ..base
+            },
+            SortitionParams {
+                p_total: -1e-8,
+                ..base
+            },
+            // A budget whose per-round share rounds to zero.
+            SortitionParams {
+                p_total: 1e-20,
+                ..base
+            },
+            SortitionParams { rounds: 0, ..base },
+        ];
+        // The scan this replaces walked to m = 10,000 at O(m²) `ln`s a
+        // step (tens of minutes) before panicking; a refusal evaluates
+        // no tail at all. Fastest of five passes, so a descheduled
+        // thread does not read as a slow refusal.
+        let fastest = (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                for p in &refused {
+                    for c in [1u64, 1_000, 1 << 40] {
+                        assert_eq!(min_committee_size(c, p), None, "{p:?}");
+                    }
+                }
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest < std::time::Duration::from_millis(1),
+            "refusals took {fastest:?}"
+        );
+        assert!(min_committee_size(1, &base).is_some());
     }
 
     #[test]

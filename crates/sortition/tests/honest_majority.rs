@@ -80,7 +80,7 @@ fn paper_parameters_yield_zero_failures_at_test_scale() {
     // must observe exactly zero dishonest-majority committees.
     let params = SortitionParams::default();
     let c = 5u64;
-    let m = min_committee_size(c, &params) as usize;
+    let m = min_committee_size(c, &params).expect("paper parameters are feasible") as usize;
     let n = 1000u64;
     let n_mal = ((params.f * n as f64).ceil()) as usize;
     assert!(n as usize >= c as usize * m, "registry too small for c·m");
@@ -129,7 +129,7 @@ fn min_committee_size_is_tight_against_the_union_bound() {
             },
         ),
     ] {
-        let m = min_committee_size(c, &params);
+        let m = min_committee_size(c, &params).expect("feasible parameters");
         let ln_p1 = params.p1().ln();
         let ln_c = (c as f64).ln();
         assert!(

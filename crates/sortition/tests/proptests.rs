@@ -39,7 +39,7 @@ proptest! {
     fn committee_size_monotonicity(c1 in 1u64..10_000, c2 in 1u64..10_000) {
         let p = SortitionParams::default();
         let (lo, hi) = (c1.min(c2), c1.max(c2));
-        prop_assert!(min_committee_size(lo, &p) <= min_committee_size(hi, &p));
+        prop_assert!(min_committee_size(lo, &p).unwrap() <= min_committee_size(hi, &p).unwrap());
     }
 
     #[test]

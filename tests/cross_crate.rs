@@ -61,7 +61,7 @@ fn sortition_sizing_and_vsr_chain() {
     let registry = Registry::new((0..500u64).map(Device::from_id).collect());
     let params = SortitionParams::default();
     // Three committees (keygen, decrypt, output) at paper parameters.
-    let m = min_committee_size(3, &params) as usize;
+    let m = min_committee_size(3, &params).expect("paper parameters are feasible") as usize;
     assert!(m >= 20, "paper-parameter committees are tens of members");
     // Use a smaller concrete m to keep the test fast, same structure.
     let m = 9;
