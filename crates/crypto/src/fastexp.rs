@@ -6,8 +6,10 @@
 //! the naive square-and-multiply in [`crate::group::GroupElem::pow`]:
 //!
 //! * [`FixedBaseTable`] — a 2^8-window table for a *fixed* base
-//!   (`table[j][d] = base^(d·2^(8j))`): one exponentiation becomes at
-//!   most 8 group multiplications and zero squarings. The generator's
+//!   (`table[j][d] = base^(d·2^(8j))`): one exponentiation becomes
+//!   seven group multiplications, three deep (the eight window entries
+//!   multiplied as a balanced tree), and zero squarings; an exponent
+//!   below 2^8 is a lookup. The generator's
 //!   table is built lazily once per process ([`base_table`]) and backs
 //!   [`crate::group::GroupElem::mul_base`]; Pedersen's standard `h`
 //!   has one next to it ([`crate::pedersen::PedersenParams::h_pow`]),
@@ -21,12 +23,12 @@
 //!   instead of two independent ~90-operation ladders.
 //! * [`multi_exp`] — multi-exponentiation `Π bases[i]^exps[i]`, the
 //!   workhorse of batch Schnorr verification
-//!   ([`crate::schnorr::verify_batch`]). Small inputs use blocked Straus
-//!   (shared squaring chain across up to [`MULTI_EXP_BLOCK`] bases);
-//!   from [`PIPPENGER_CUTOFF`] pairs up it switches to the Pippenger
-//!   bucket method, whose per-pair cost *falls* with batch size
-//!   (~6–9 multiplications per pair at 10^3–10^5 pairs versus ~30 for
-//!   Straus).
+//!   ([`crate::schnorr::verify_batch`]) and of the folded sigma
+//!   verification in `arboretum-zkp`. Small inputs use Straus (one
+//!   squaring chain shared by all the bases); from
+//!   [`PIPPENGER_CUTOFF`] pairs up it switches to the Pippenger bucket
+//!   method, whose per-pair cost *falls* with batch size (~6–9
+//!   multiplications per pair at 10^3–10^5 pairs versus ~30 for Straus).
 //!
 //! Every function here computes the *same group element* as the naive
 //! ladder — group multiplication is exact arithmetic mod `p` and the
@@ -57,36 +59,29 @@ const STRAUS_WINDOW_SIZE: usize = 1 << STRAUS_WINDOW_BITS;
 /// Number of 4-bit windows covering a 64-bit exponent.
 const STRAUS_WINDOWS: usize = 64 / STRAUS_WINDOW_BITS;
 
-/// Bases handled per Straus block in [`multi_exp`]: bounds the transient
-/// table memory at `256 · 16` group elements (32 KiB) while keeping the
-/// shared-squaring amortization (60 squarings per 256 bases) negligible.
-pub const MULTI_EXP_BLOCK: usize = 256;
-
 /// A precomputed 2^8-window exponentiation table for one fixed base.
 ///
 /// `table[j][d] = base^(d · 2^(8j))`, so for an exponent with byte
 /// digits `d_0..d_7` (little-endian), `base^e = Π_j table[j][d_j]` —
-/// at most 8 group multiplications, no squarings. Building the table
+/// seven group multiplications, no squarings. Building the table
 /// costs `8 · 255` multiplications, amortized after ~25 exponentiations.
 #[derive(Clone, Debug)]
 pub struct FixedBaseTable {
-    table: Vec<[GroupElem; FIXED_WINDOW_SIZE]>,
+    table: Box<[[GroupElem; FIXED_WINDOW_SIZE]; FIXED_WINDOWS]>,
 }
 
 impl FixedBaseTable {
     /// Builds the window table for `base`.
     pub fn new(base: GroupElem) -> Self {
-        let mut table = Vec::with_capacity(FIXED_WINDOWS);
+        let mut table = Box::new([[GroupElem::IDENTITY; FIXED_WINDOW_SIZE]; FIXED_WINDOWS]);
         // window_base = base^(2^(8j)) for the current window j.
         let mut window_base = base;
-        for _ in 0..FIXED_WINDOWS {
-            let mut row = [GroupElem::IDENTITY; FIXED_WINDOW_SIZE];
+        for row in table.iter_mut() {
             for d in 1..FIXED_WINDOW_SIZE {
                 row[d] = row[d - 1] + window_base;
             }
             // base^(2^(8(j+1))) = (window_base)^256 = row[255] · window_base.
             window_base = row[FIXED_WINDOW_SIZE - 1] + window_base;
-            table.push(row);
         }
         Self { table }
     }
@@ -97,16 +92,20 @@ impl FixedBaseTable {
     }
 
     /// Computes `base^e` — bitwise equal to `base.pow(e)`.
+    ///
+    /// The eight window entries are multiplied as a balanced tree, three
+    /// multiplications deep, where a running product would be a chain of
+    /// eight; multiplication mod `p` is exact and commutative, so the
+    /// element is the same. An exponent of one digit (a commitment's
+    /// `g^b` for a bit or a small count) is `table[0][e]` itself.
     pub fn pow(&self, e: Scalar) -> GroupElem {
         let e = e.value();
-        let mut acc = GroupElem::IDENTITY;
-        for (j, row) in self.table.iter().enumerate() {
-            let d = ((e >> (FIXED_WINDOW_BITS * j)) & 0xff) as usize;
-            if d != 0 {
-                acc = acc + row[d];
-            }
+        if e < FIXED_WINDOW_SIZE as u64 {
+            return self.table[0][e as usize];
         }
-        acc
+        let t =
+            |j: usize| self.table[j][(e >> (FIXED_WINDOW_BITS * j)) as usize % FIXED_WINDOW_SIZE];
+        ((t(0) + t(1)) + (t(2) + t(3))) + ((t(4) + t(5)) + (t(6) + t(7)))
     }
 }
 
@@ -172,11 +171,14 @@ pub fn straus_base_mul(a: Scalar, y: GroupElem, b: Scalar) -> GroupElem {
     acc
 }
 
-/// Pair count from which [`multi_exp`] switches from blocked Straus to
-/// the Pippenger bucket method. Below this, per-window bucket
-/// aggregation (2^c multiplications per window) outweighs the saved
-/// per-pair table builds.
-pub const PIPPENGER_CUTOFF: usize = 64;
+/// Pair count from which [`multi_exp`] switches from Straus to the
+/// Pippenger bucket method. Straus does fewer multiplications up to
+/// ~37 pairs (`29n + 60` against `16n + 544`), but its window adds are
+/// one dependent chain and the bucket sums are not: measured, the two
+/// tie at 14–16 pairs (3.3 against 3.1 µs at 16) and Pippenger is ahead
+/// from there — 3.3 against 4.0 µs at 20 pairs, 4.5 against 9.0 at 49
+/// (a 16-wide one-hot proof), 5.1 against 11.5 at 63.
+pub const PIPPENGER_CUTOFF: usize = 17;
 
 /// Exponent bits covered by the multi-exponentiation windows (scalars
 /// live mod the 62-bit group order).
@@ -184,10 +186,9 @@ const SCALAR_BITS: usize = 62;
 
 /// Multi-exponentiation `Π bases[i]^exps[i]`.
 ///
-/// Dispatches on size: fewer than [`PIPPENGER_CUTOFF`] pairs run blocked
-/// Straus (per-base 4-bit tables, one shared squaring chain per block of
-/// [`MULTI_EXP_BLOCK`]); larger batches run the Pippenger bucket method.
-/// Both compute the exact product in the group — multiplication mod `p`
+/// Dispatches on size: fewer than [`PIPPENGER_CUTOFF`] pairs run Straus
+/// (per-base 4-bit tables, one shared squaring chain); larger batches
+/// run the Pippenger bucket method. Both compute the exact product in the group — multiplication mod `p`
 /// is exact and commutative, so every evaluation order yields the same
 /// element — making the result bitwise equal to the naive
 /// `Π pairs[i].0.pow(pairs[i].1)` fold at any size.
@@ -195,25 +196,21 @@ pub fn multi_exp(pairs: &[(GroupElem, Scalar)]) -> GroupElem {
     if pairs.len() >= PIPPENGER_CUTOFF {
         return pippenger(pairs);
     }
-    let mut result = GroupElem::IDENTITY;
-    for block in pairs.chunks(MULTI_EXP_BLOCK) {
-        let tables: Vec<[GroupElem; STRAUS_WINDOW_SIZE]> =
-            block.iter().map(|(base, _)| small_table(*base)).collect();
-        let mut acc = GroupElem::IDENTITY;
-        for j in (0..STRAUS_WINDOWS).rev() {
-            if j != STRAUS_WINDOWS - 1 {
-                acc = square4(acc);
-            }
-            for (t, (_, e)) in tables.iter().zip(block) {
-                let d = ((e.value() >> (STRAUS_WINDOW_BITS * j)) & 0xf) as usize;
-                if d != 0 {
-                    acc = acc + t[d];
-                }
+    let tables: Vec<[GroupElem; STRAUS_WINDOW_SIZE]> =
+        pairs.iter().map(|(base, _)| small_table(*base)).collect();
+    let mut acc = GroupElem::IDENTITY;
+    for j in (0..STRAUS_WINDOWS).rev() {
+        if j != STRAUS_WINDOWS - 1 {
+            acc = square4(acc);
+        }
+        for (t, (_, e)) in tables.iter().zip(pairs) {
+            let d = ((e.value() >> (STRAUS_WINDOW_BITS * j)) & 0xf) as usize;
+            if d != 0 {
+                acc = acc + t[d];
             }
         }
-        result = result + acc;
     }
-    result
+    acc
 }
 
 /// Pippenger bucket multi-exponentiation.
@@ -264,6 +261,8 @@ fn pippenger(pairs: &[(GroupElem, Scalar)]) -> GroupElem {
 mod tests {
     use super::*;
     use crate::group::{GroupElem, Scalar, GROUP_Q};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn edge_scalars() -> Vec<Scalar> {
         vec![
@@ -278,15 +277,26 @@ mod tests {
 
     #[test]
     fn fixed_base_matches_pow() {
-        let g = GroupElem::generator();
-        let t = FixedBaseTable::new(g);
-        for e in edge_scalars() {
-            assert_eq!(t.pow(e), g.pow(e), "e = {}", e.value());
-        }
-        let y = GroupElem::hash_to_group(b"fixed-base-test");
-        let ty = FixedBaseTable::new(y);
-        for e in edge_scalars() {
-            assert_eq!(ty.pow(e), y.pow(e), "e = {}", e.value());
+        // Against the square-and-multiply ladder, which shares nothing
+        // with the table: every exponent across the lookup boundary at
+        // 255/256, the edge set, and 10^4 random scalars — for the
+        // generator, Pedersen's standard `h` and one more hashed base.
+        let mut rng = StdRng::seed_from_u64(0xf1bed);
+        let random: Vec<Scalar> = (0..10_000).map(|_| Scalar::new(rng.gen())).collect();
+        for base in [
+            GroupElem::generator(),
+            crate::pedersen::PedersenParams::standard().h,
+            GroupElem::hash_to_group(b"fixed-base-test"),
+        ] {
+            let t = FixedBaseTable::new(base);
+            assert_eq!(t.base(), base);
+            let exponents = (0..=600).map(Scalar::new);
+            for e in exponents
+                .chain(edge_scalars())
+                .chain(random.iter().copied())
+            {
+                assert_eq!(t.pow(e), base.pow(e), "e = {}", e.value());
+            }
         }
     }
 

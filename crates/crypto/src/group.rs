@@ -48,9 +48,9 @@ impl GroupElem {
     }
 
     /// Returns `generator^e`, through the lazily-built process-wide
-    /// fixed-base window table ([`crate::fastexp::base_table`]) — at
-    /// most 8 group multiplications instead of a ~90-operation ladder,
-    /// with an identical result.
+    /// fixed-base window table ([`crate::fastexp::base_table`]) — seven
+    /// group multiplications, three deep, instead of a ~90-operation
+    /// ladder, with an identical result.
     pub fn mul_base(e: Scalar) -> Self {
         crate::fastexp::base_table().pow(e)
     }
@@ -143,20 +143,27 @@ impl Mul<GroupElem> for Scalar {
     }
 }
 
+/// `2^64 mod q`: `q = 2^61 − 5283`, so `2^64 = 8·2^61 ≡ 8·5283`.
+const POW64_MOD_Q: u64 = 8 * ((1 << 61) - GROUP_Q);
+
 /// Reduces 32 hash bytes to a scalar in `Z_q`.
+///
+/// The digest is four big-endian 64-bit limbs `l0 … l3`, and its value
+/// mod `q` is `l0·2^192 + l1·2^128 + l2·2^64 + l3`. The three powers of
+/// `2^64` mod `q` are the constants 42,264, 42,264² and 42,264³ (the
+/// cube is below `2^47`, so they are plain integer products), which
+/// makes the three products independent of each other — a Horner chain
+/// over the limbs computes the same scalar in four dependent steps.
 ///
 /// The bias from direct reduction of a 256-bit value modulo a 61-bit prime
 /// is below `2^-190`, i.e. negligible.
 pub fn scalar_from_hash(d: &[u8; 32]) -> Scalar {
-    let mut acc = Scalar::ZERO;
-    // Horner over 64-bit limbs: acc = acc * 2^64 + limb.
-    let shift = Scalar::new(1u64 << 32).square(); // 2^64 mod q.
-    for chunk in d.chunks(8) {
-        let mut limb = [0u8; 8];
-        limb.copy_from_slice(chunk);
-        acc = acc * shift + Scalar::new(u64::from_be_bytes(limb));
-    }
-    acc
+    const C1: Scalar = Scalar::new(POW64_MOD_Q);
+    const C2: Scalar = Scalar::new(POW64_MOD_Q * POW64_MOD_Q);
+    const C3: Scalar = Scalar::new(POW64_MOD_Q * POW64_MOD_Q * POW64_MOD_Q);
+    let (limbs, _) = d.as_chunks::<8>();
+    let limb = |i: usize| Scalar::new(u64::from_be_bytes(limbs[i]));
+    (limb(0) * C3 + limb(1) * C2) + (limb(2) * C1 + limb(3))
 }
 
 #[cfg(test)]
@@ -265,6 +272,29 @@ mod tests {
         assert!(rejected > 50, "only {rejected} rejected");
         assert!(GroupElem::from_bytes(0u64.to_be_bytes()).is_none());
         assert!(GroupElem::from_bytes(GROUP_P.to_be_bytes()).is_none());
+    }
+
+    #[test]
+    fn scalar_from_hash_matches_the_horner_chain() {
+        // The reference reads the digest as one big-endian integer, limb
+        // by limb: acc = acc·2^64 + limb, with 2^64 mod q from a squaring.
+        fn horner(d: &[u8; 32]) -> Scalar {
+            let shift = Scalar::new(1u64 << 32).square();
+            d.chunks(8).fold(Scalar::ZERO, |acc, chunk| {
+                let mut limb = [0u8; 8];
+                limb.copy_from_slice(chunk);
+                acc * shift + Scalar::new(u64::from_be_bytes(limb))
+            })
+        }
+        assert_eq!(Scalar::new(1u64 << 32).square().value(), POW64_MOD_Q);
+        for d in [[0u8; 32], [0xff; 32]] {
+            assert_eq!(scalar_from_hash(&d), horner(&d));
+        }
+        let mut d = crate::sha256::sha256(b"scalar-from-hash");
+        for _ in 0..10_000 {
+            assert_eq!(scalar_from_hash(&d), horner(&d));
+            d = crate::sha256::sha256(&d);
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl PedersenParams {
     }
 
     /// `g^e`, bitwise equal to `self.g.pow(e)`: through the generator's
-    /// fixed-base table (at most 8 multiplications) when `g` is the
+    /// fixed-base table (seven multiplications, three deep) when `g` is the
     /// standard generator, the generic ladder otherwise.
     pub fn g_pow(&self, e: Scalar) -> GroupElem {
         if self.g == GroupElem::generator() {

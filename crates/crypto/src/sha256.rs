@@ -74,11 +74,9 @@ impl Sha256 {
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        while let Some((block, rest)) = data.split_first_chunk::<64>() {
+            self.compress(block);
+            data = rest;
         }
         if !data.is_empty() {
             self.buf[..data.len()].copy_from_slice(data);
@@ -103,6 +101,11 @@ impl Sha256 {
         }
         block[56..64].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
+        self.digest()
+    }
+
+    /// The state words as digest bytes.
+    fn digest(&self) -> Digest {
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
@@ -315,6 +318,16 @@ mod ni {
         state[6] = _mm_extract_epi32::<1>(cdgh) as u32;
         state[7] = _mm_extract_epi32::<0>(cdgh) as u32;
     }
+}
+
+/// SHA-256 of a message of at most 55 bytes handed over already padded:
+/// `block` is the message, `0x80`, zeros, and the message's bit length in
+/// the last 8 bytes (big-endian) — what [`Sha256::finalize`] would
+/// assemble. One compression from the IV, no buffering.
+pub(crate) fn sha256_padded_block(block: &[u8; 64]) -> Digest {
+    let mut h = Sha256::new();
+    h.compress(block);
+    h.digest()
 }
 
 /// One-shot SHA-256.

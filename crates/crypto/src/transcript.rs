@@ -12,6 +12,18 @@
 //! width `k` costs about `k/4` compressions to absorb plus one per
 //! challenge, not several per message.
 //!
+//! A challenge's message `D ‖ index ‖ label` is 40 bytes plus the label,
+//! so for labels of up to 15 bytes — every label the
+//! proofs use — the padded message is exactly one block,
+//!
+//! ```text
+//! D (32) ‖ index (8, big-endian) ‖ label (≤ 15) ‖ 0x80 ‖ 0… ‖ bit length (8, big-endian)
+//! ```
+//!
+//! which [`Sealed::challenge`] writes on the stack and compresses once
+//! from the IV. A longer label takes the streaming hasher; both are
+//! SHA-256 of the same bytes.
+//!
 //! Framing keeps the byte stream injective: the protocol label and every
 //! message are written as `len(label) ‖ label ‖ len(data) ‖ data` with
 //! 8-byte big-endian lengths, so no two different histories absorb the
@@ -19,7 +31,11 @@
 //! messages within a protocol, and between challenges drawn from one seal.
 
 use crate::group::{scalar_from_hash, GroupElem, Scalar};
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{sha256_padded_block, Digest, Sha256};
+
+/// The longest challenge label whose message `D ‖ index ‖ label` still
+/// pads into one SHA-256 block (`32 + 8 + 15 + 1 + 8 = 64`).
+const ONE_BLOCK_LABEL: usize = 15;
 
 /// A running Fiat–Shamir transcript: one SHA-256 stream over
 /// length-prefixed, labeled frames.
@@ -65,9 +81,19 @@ impl Transcript {
         rows: impl ExactSizeIterator<Item = [GroupElem; N]>,
     ) {
         self.frame(label, rows.len() * N * 8);
+        // Eight blocks of elements at a time, so the hasher compresses
+        // from this buffer instead of buffering 8 bytes per call.
+        let mut buf = [0u8; 512];
+        let mut len = 0;
         for p in rows.flatten() {
-            self.hasher.update(&p.to_bytes());
+            buf[len..len + 8].copy_from_slice(&p.to_bytes());
+            len += 8;
+            if len == buf.len() {
+                self.hasher.update(&buf);
+                len = 0;
+            }
         }
+        self.hasher.update(&buf[..len]);
     }
 
     /// Closes the stream. Nothing can be absorbed afterwards; every
@@ -85,8 +111,18 @@ impl Sealed {
     /// The challenge named `(index, label)`: `H(D ‖ index ‖ label)`. The
     /// fixed-width index comes first, so moving bytes between the index
     /// and the label cannot make two names collide. One compression for
-    /// labels of up to 15 bytes.
+    /// labels of up to 15 bytes (the module docs give the block).
     pub fn challenge(&self, index: u64, label: &[u8]) -> Scalar {
+        if label.len() <= ONE_BLOCK_LABEL {
+            let end = 40 + label.len();
+            let mut block = [0u8; 64];
+            block[..32].copy_from_slice(&self.0);
+            block[32..40].copy_from_slice(&index.to_be_bytes());
+            block[40..end].copy_from_slice(label);
+            block[end] = 0x80;
+            block[56..].copy_from_slice(&(8 * end as u64).to_be_bytes());
+            return scalar_from_hash(&sha256_padded_block(&block));
+        }
         let mut h = Sha256::new();
         h.update(&self.0);
         h.update(&index.to_be_bytes());
@@ -119,6 +155,61 @@ mod tests {
         (1..=n)
             .map(|i| [GroupElem::mul_base(Scalar::new(i))])
             .collect()
+    }
+
+    #[test]
+    fn a_challenge_is_the_streamed_hash_at_every_label_length() {
+        // Label lengths straddle the one-block limit (15) and the point
+        // where `finalize` itself needs a second block (23/24).
+        let sealed = Transcript::new(b"p").seal();
+        let label = b"abcdefghijklmnopqrstuvwx";
+        for len in 0..=label.len() {
+            for index in [0, 1, 1 << 32, u64::MAX] {
+                let mut h = Sha256::new();
+                h.update(&sealed.0);
+                h.update(&index.to_be_bytes());
+                h.update(&label[..len]);
+                assert_eq!(
+                    sealed.challenge(index, &label[..len]),
+                    scalar_from_hash(&h.finalize()),
+                    "label of {len} bytes, index {index}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_of_points_is_absorbed_as_one_update_per_element() {
+        // The frames written out by hand on a bare hasher, one `update`
+        // per element, for runs around the buffer's 64 elements.
+        fn frame_header(h: &mut Sha256, label: &[u8], data_len: usize) {
+            h.update(&(label.len() as u64).to_be_bytes());
+            h.update(label);
+            h.update(&(data_len as u64).to_be_bytes());
+        }
+        fn check<const N: usize>(rows: usize) {
+            let run: Vec<[GroupElem; N]> = (0..rows as u64)
+                .map(|i| {
+                    core::array::from_fn(|j| {
+                        GroupElem::mul_base(Scalar::new(N as u64 * i + j as u64 + 1))
+                    })
+                })
+                .collect();
+            let mut t = Transcript::new(b"p");
+            t.append_points(b"run", run.iter().copied());
+            let mut h = Sha256::new();
+            frame_header(&mut h, b"arboretum/transcript", 1);
+            h.update(b"p");
+            frame_header(&mut h, b"run", rows * N * 8);
+            for p in run.iter().flatten() {
+                h.update(&p.to_bytes());
+            }
+            assert_eq!(t.seal().0, h.finalize(), "{rows} rows of {N}");
+        }
+        for rows in [0, 1, 7, 8, 9, 63, 64, 65, 200] {
+            check::<1>(rows);
+            check::<2>(rows);
+        }
     }
 
     #[test]

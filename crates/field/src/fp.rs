@@ -1,49 +1,49 @@
 //! Generic prime-field arithmetic with a const-generic modulus.
 //!
-//! Elements are stored in canonical form (`0 <= value < M`). All operations
-//! are constant-time-shaped (no data-dependent branches beyond conditional
-//! subtractions), which matters for the cryptographic callers in
-//! `arboretum-crypto` and `arboretum-bgv`.
+//! Elements are stored in canonical form (`0 <= value < M`). Addition,
+//! subtraction and multiplication are branch-free (conditional
+//! subtractions only). Exponentiation is **not** constant time:
+//! [`Fp::pow`] branches on the exponent's bits, and the fixed-base tables
+//! of `arboretum-crypto` are indexed by them. That is in keeping with the
+//! research-scale parameters of the whole cryptographic layer (DESIGN.md,
+//! "Substitutions"); nothing here claims side-channel resistance.
 //!
-//! Multiplication reduces with a compile-time Barrett constant
-//! (`⌊2^128/M⌋`), so no hardware division appears anywhere on the hot
-//! path — the group exponentiations in `arboretum-crypto` (Schnorr,
-//! sigma protocols, commitments) inherit this through [`Fp::pow`].
+//! Multiplication never divides. The reduction is chosen at compile time
+//! from `M`, and there are exactly two:
+//!
+//! * **`M < 2^62` — one-word Barrett** (HAC 14.42 with `b = 2`). With `s`
+//!   the bit length of `M` and `z = a·b < 2^{2s}`, the estimate
+//!   `q̂ = ((z >> (s−1)) · ⌊2^{2s}/M⌋) >> (s+1)` is at most 2 short of
+//!   `⌊z/M⌋`, so `r = lo64(z) − q̂·M < 3M < 2^64` fits one word and two
+//!   conditional subtractions canonicalize it. Three word multiplies;
+//!   `s` and the ratio are constants of the monomorphized type. This is
+//!   the group operation and the scalar product of `arboretum-crypto`.
+//! * **`M = 2^64 − 2^32 + 1` (Goldilocks) — a fold by the prime's shape.**
+//!   `2^64 ≡ 2^32 − 1 = ε` and `2^96 ≡ −1 (mod p)`, so
+//!   `lo + 2^64·hi_lo + 2^96·hi_hi ≡ lo − hi_hi + ε·hi_lo`: one widening
+//!   multiply, one 32 × 32 multiply, one conditional subtraction.
+//!
+//! Any other modulus is refused when the type is instantiated (a
+//! compile-time `assert!`), not served by a slower path. Runtime moduli
+//! (BGV's RNS primes) live in [`crate::zq`].
 
 use core::fmt;
 use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
+use crate::primes::GOLDILOCKS;
+
 /// An element of the prime field `Z_M`.
 ///
-/// `M` must be an odd prime below `2^63` so that `a + b` never overflows a
-/// `u64`. The named moduli in [`crate::primes`] all satisfy this except the
-/// Goldilocks prime, which is handled separately because `2^63 < p < 2^64`;
-/// for Goldilocks we route additions through `u128`.
+/// `M` must be a prime below `2^62` or the Goldilocks prime
+/// ([`crate::primes::GOLDILOCKS`]); any other modulus fails to compile
+/// (see the module docs for the two reductions). Additions go through
+/// `u128` so the Goldilocks sum cannot overflow.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Fp<const M: u64>(u64);
 
-/// `⌊2^128/m⌋`, the Barrett constant for reducing 128-bit products.
-const fn barrett_ratio(m: u64) -> u128 {
-    assert!(m > 1, "field modulus must exceed 1");
-    if m.is_power_of_two() {
-        1u128 << (128 - m.trailing_zeros())
-    } else {
-        // m does not divide 2^128, so ⌊(2^128 − 1)/m⌋ = ⌊2^128/m⌋.
-        u128::MAX / m as u128
-    }
-}
-
-/// High 128 bits of the 256-bit product `x·y`.
-#[inline]
-const fn mul_hi_128(x: u128, y: u128) -> u128 {
-    let (x0, x1) = (x as u64 as u128, x >> 64);
-    let (y0, y1) = (y as u64 as u128, y >> 64);
-    let lo_carry = (x0 * y0) >> 64;
-    let (mid, c1) = (x1 * y0).overflowing_add(x0 * y1);
-    let (mid, c2) = mid.overflowing_add(lo_carry);
-    x1 * y1 + (mid >> 64) + (((c1 as u128) + (c2 as u128)) << 64)
-}
+/// `ε = 2^32 − 1 ≡ 2^64 (mod GOLDILOCKS)`.
+const EPSILON: u64 = (1 << 32) - 1;
 
 impl<const M: u64> Fp<M> {
     /// The additive identity.
@@ -52,9 +52,23 @@ impl<const M: u64> Fp<M> {
     pub const ONE: Self = Self(1 % M);
     /// The field modulus.
     pub const MODULUS: u64 = M;
-    /// Compile-time Barrett constant `⌊2^128/M⌋` for division-free
-    /// reduction of 128-bit products.
-    const BARRETT_RATIO: u128 = barrett_ratio(M);
+    /// Bit length `s` of `M`; instantiating the type at a modulus that
+    /// neither reduction of [`Mul`] covers is a compile-time error here.
+    const BITS: u32 = {
+        assert!(M > 1, "field modulus must exceed 1");
+        assert!(
+            M < 1 << 62 || M == GOLDILOCKS,
+            "Fp supports moduli below 2^62 and the Goldilocks prime only"
+        );
+        u64::BITS - M.leading_zeros()
+    };
+    /// One-word Barrett constant `⌊2^{2s}/M⌋ ≤ 2^{s+1}` (unused by the
+    /// Goldilocks fold).
+    const RATIO: u64 = if M == GOLDILOCKS {
+        0
+    } else {
+        ((1u128 << (2 * Self::BITS)) / M as u128) as u64
+    };
 
     /// Creates a field element, reducing `v` modulo `M`.
     #[inline]
@@ -156,20 +170,34 @@ impl<const M: u64> Mul for Fp<M> {
     type Output = Self;
     #[inline]
     fn mul(self, rhs: Self) -> Self {
-        // Barrett reduction against the compile-time ratio: the quotient
-        // estimate is at most 2 short of ⌊z/M⌋, so two conditional
-        // subtractions canonicalize. No hardware division.
         let z = self.0 as u128 * rhs.0 as u128;
-        let quot = mul_hi_128(z, Self::BARRETT_RATIO);
-        let m = M as u128;
-        let mut r = z - quot * m;
-        if r >= m << 1 {
-            r -= m << 1;
+        let lo = z as u64;
+        if M == GOLDILOCKS {
+            let hi = (z >> 64) as u64;
+            // lo − hi_hi: a borrow wrapped by 2^64 ≡ ε, taken back out
+            // (the wrapped value is at least 2^64 − ε, so this cannot
+            // underflow).
+            let (t, borrow) = lo.overflowing_sub(hi >> 32);
+            let t = t.wrapping_sub(EPSILON & (borrow as u64).wrapping_neg());
+            // + ε·hi_lo: a carry dropped 2^64 ≡ ε, put back in (the
+            // wrapped sum is at most 2^64 − 2^33, so this cannot
+            // overflow, and is already below p).
+            let (t, carry) = t.overflowing_add((hi & EPSILON) * EPSILON);
+            let r = t.wrapping_add(EPSILON & (carry as u64).wrapping_neg());
+            return Self(if r >= M { r - M } else { r });
         }
-        if r >= m {
-            r -= m;
+        // The quotient estimate is at most 2 short of ⌊z/M⌋, so r < 3M
+        // fits the word and two conditional subtractions canonicalize.
+        let s = Self::BITS;
+        let quot = (((z >> (s - 1)) as u64 as u128 * Self::RATIO as u128) >> (s + 1)) as u64;
+        let mut r = lo.wrapping_sub(quot.wrapping_mul(M));
+        if r >= M << 1 {
+            r -= M << 1;
         }
-        Self(r as u64)
+        if r >= M {
+            r -= M;
+        }
+        Self(r)
     }
 }
 
@@ -254,7 +282,6 @@ impl<const M: u64> fmt::Display for Fp<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::primes::GOLDILOCKS;
 
     type F = Fp<GOLDILOCKS>;
     type F17 = Fp<17>;
@@ -311,29 +338,47 @@ mod tests {
         let _ = F::ZERO.inv();
     }
 
-    #[test]
-    fn barrett_mul_matches_division() {
-        // The Barrett product must equal the u128-division reference for
-        // boundary operands, including the >2^63 Goldilocks modulus.
-        fn naive<const M: u64>(a: u64, b: u64) -> u64 {
-            ((a as u128 * b as u128) % M as u128) as u64 // div-ok: test oracle
-        }
-        for &(a, b) in &[
-            (0u64, 0u64),
-            (1, GOLDILOCKS - 1),
-            (GOLDILOCKS - 1, GOLDILOCKS - 1),
-            (GOLDILOCKS / 2, GOLDILOCKS / 2 + 7),
-            (0x1234_5678_9abc_def0, 0x0fed_cba9_8765_4321),
-        ] {
-            assert_eq!(
-                (F::new(a) * F::new(b)).value(),
-                naive::<GOLDILOCKS>(a % GOLDILOCKS, b % GOLDILOCKS)
-            );
-        }
-        for a in 0..17u64 {
-            for b in 0..17u64 {
-                assert_eq!((F17::new(a) * F17::new(b)).value(), naive::<17>(a, b));
+    /// Every pair of the boundary operands, then `pairs` xorshift pairs,
+    /// against the `u128` remainder — an oracle that shares nothing with
+    /// either reduction.
+    fn mul_matches_division<const M: u64>(pairs: usize) {
+        let naive = |a: u64, b: u64| ((a as u128 * b as u128) % M as u128) as u64; // div-ok: test oracle
+        let check = |a: u64, b: u64| {
+            let got = (Fp::<M>::new(a) * Fp::<M>::new(b)).value();
+            assert_eq!(got, naive(a % M, b % M), "{a} · {b} mod {M}");
+        };
+        let edges = [0, 1, 2, M / 2, M / 2 + 1, M - 2, M - 1];
+        for a in edges {
+            for b in edges {
+                check(a, b);
             }
         }
+        let mut x = 0x9e37_79b9_7f4a_7c15 ^ M;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..pairs {
+            check(next(), next());
+        }
+    }
+
+    #[test]
+    fn barrett_mul_matches_division() {
+        // Both reductions at their extremes: the smallest moduli, the
+        // group's order and safe prime (`arboretum-crypto`'s GROUP_Q and
+        // GROUP_P), the largest bit length the one-word Barrett serves,
+        // and the Goldilocks fold.
+        const PAIRS: usize = 1_000_000;
+        mul_matches_division::<3>(PAIRS);
+        mul_matches_division::<17>(PAIRS);
+        mul_matches_division::<65_537>(PAIRS);
+        mul_matches_division::<{ (1 << 61) - 1 }>(PAIRS);
+        mul_matches_division::<2_305_843_009_213_688_669>(PAIRS);
+        mul_matches_division::<4_611_686_018_427_377_339>(PAIRS);
+        mul_matches_division::<{ (1 << 62) - 57 }>(PAIRS);
+        mul_matches_division::<GOLDILOCKS>(PAIRS);
     }
 }

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
-# Guards the division-free NTT/BGV hot path.
+# Guards the division-free NTT/BGV and group-exponentiation hot paths.
 #
 # The field and bgv crates' modular arithmetic went through a
-# Shoup/Barrett rewrite; a stray `(a as u128 * b as u128) % q as u128`
+# Shoup/Barrett rewrite — `zq::Barrett` and `mul_mod_shoup` for runtime
+# moduli, `Fp::mul`'s one-word Barrett (three word multiplies, M < 2^62)
+# and Goldilocks fold for compile-time ones — and the crypto crate's
+# exponent kernels (fixed-base tables, Straus, Pippenger) are loops over
+# that multiply; a stray `(a as u128 * b as u128) % q as u128`
 # or `c % q` quietly reintroduces a hardware divide per coefficient.
 # This script fails if one appears in those crates' sources, unless the
 # line carries a `// div-ok` marker (reserved for sanctioned reference
@@ -20,7 +24,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-hot_paths=(crates/field/src crates/bgv/src)
+hot_paths=(crates/field/src crates/bgv/src crates/crypto/src)
 
 wide='%[[:space:]]*[A-Za-z_][A-Za-z0-9_]*[[:space:]]+as[[:space:]]+u128|as[[:space:]]+u128[^;]*%'
 modulus='(self\.)?(q|m|p|t|kq|q[0-9]+|modulus)'
