@@ -1,7 +1,7 @@
-//! Noise samplers: Laplace and Gumbel, in f64 (reference) and
-//! fixed-point (deterministic, mechanism-grade) variants.
+//! Noise samplers: Laplace and Gumbel in fixed point (deterministic,
+//! mechanism-grade).
 //!
-//! The fixed-point samplers follow the paper's precision discipline (§6):
+//! The samplers follow the paper's precision discipline (§6):
 //! inverse-CDF transforms evaluated in Q30.16 via the deterministic
 //! `exp2`/`log2` from `arboretum-field`, avoiding the floating-point
 //! side channels of naive implementations [Mironov CCS'12]. As in the
@@ -10,18 +10,6 @@
 
 use arboretum_field::fixed::{Fix, SCALE};
 use rand::Rng;
-
-/// Samples `Laplace(0, scale)` in `f64` (reference semantics only).
-pub fn laplace_f64<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
-    let u: f64 = rng.gen_range(-0.5..0.5);
-    -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
-}
-
-/// Samples `Gumbel(0, scale)` in `f64` (reference semantics only).
-pub fn gumbel_f64<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    -scale * (-u.ln()).ln()
-}
 
 /// Samples a uniform fixed-point value in `(0, 1)` (never exactly 0 or 1,
 /// so logarithms are defined).
@@ -74,34 +62,13 @@ mod tests {
     }
 
     #[test]
-    fn laplace_f64_moments() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let b = 2.0;
-        let xs: Vec<f64> = (0..N).map(|_| laplace_f64(&mut rng, b)).collect();
-        let (mean, var) = stats(&xs);
-        assert!(mean.abs() < 0.15, "mean {mean}");
-        // Var = 2b² = 8.
-        assert!((var - 8.0).abs() < 1.0, "var {var}");
-    }
-
-    #[test]
-    fn gumbel_f64_moments() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let b = 1.5;
-        let xs: Vec<f64> = (0..N).map(|_| gumbel_f64(&mut rng, b)).collect();
-        let (mean, var) = stats(&xs);
-        // Mean = γ·b ≈ 0.5772 · 1.5 ≈ 0.866; Var = π²b²/6 ≈ 3.70.
-        assert!((mean - 0.866).abs() < 0.1, "mean {mean}");
-        assert!((var - 3.70).abs() < 0.6, "var {var}");
-    }
-
-    #[test]
     fn laplace_fix_matches_f64_distribution() {
         let mut rng = StdRng::seed_from_u64(3);
         let b = Fix::from_f64(2.0).unwrap();
         let xs: Vec<f64> = (0..N).map(|_| laplace_fix(&mut rng, b).to_f64()).collect();
         let (mean, var) = stats(&xs);
         assert!(mean.abs() < 0.15, "mean {mean}");
+        // Var = 2b² = 8.
         assert!((var - 8.0).abs() < 1.2, "var {var}");
     }
 
@@ -111,6 +78,7 @@ mod tests {
         let b = Fix::from_f64(1.5).unwrap();
         let xs: Vec<f64> = (0..N).map(|_| gumbel_fix(&mut rng, b).to_f64()).collect();
         let (mean, var) = stats(&xs);
+        // Mean = γ·b ≈ 0.5772 · 1.5 ≈ 0.866; Var = π²b²/6 ≈ 3.70.
         assert!((mean - 0.866).abs() < 0.12, "mean {mean}");
         assert!((var - 3.70).abs() < 0.7, "var {var}");
     }

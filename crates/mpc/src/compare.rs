@@ -86,18 +86,18 @@ pub fn less_than_batch<E: MpcOps>(
     }
     // z = x - y + 2^bits, in (0, 2^{bits+1}).
     let offset = FGold::new(1u64 << bits);
-    // Per pair: dealer random bits forming the mask R, and c = z + R.
+    // Per pair: dealer random bits forming the mask R, and c = z + R,
+    // summed in place.
     let mut all_r_shares: Vec<Vec<E::Secret>> = Vec::with_capacity(k);
     let mut masked: Vec<E::Secret> = Vec::with_capacity(k);
     for (x, y) in pairs {
-        let z = e.add_const(&e.sub(x, y), offset);
+        let mut c = e.add_const(x, offset);
+        e.add_scaled(&mut c, -FGold::ONE, y);
         let r_shares = e.random_bits(MASK_BITS)?;
-        let mut r_shared = e.zero();
         for (i, rb) in r_shares.iter().enumerate() {
-            let scaled = e.mul_const(rb, FGold::new(1u64 << i));
-            r_shared = e.add(&r_shared, &scaled);
+            e.add_scaled(&mut c, FGold::new(1u64 << i), rb);
         }
-        masked.push(e.add(&z, &r_shared));
+        masked.push(c);
         all_r_shares.push(r_shares);
     }
     let refs: Vec<&E::Secret> = masked.iter().collect();
@@ -115,33 +115,37 @@ pub fn less_than_batch<E: MpcOps>(
         let mul_pairs: Vec<(&E::Secret, &E::Secret)> =
             (0..k).map(|p| (&all_r_shares[p][i], &borrows[p])).collect();
         let rbs = e.mul_batch(&mul_pairs)?;
-        for p in 0..k {
-            let c_i = (cs[p] >> i) & 1;
-            borrows[p] = if c_i == 0 {
-                let sum = e.add(&all_r_shares[p][i], &borrows[p]);
-                e.sub(&sum, &rbs[p])
+        for (p, rb) in rbs.into_iter().enumerate() {
+            if (cs[p] >> i) & 1 == 0 {
+                // r OR b = r + b − rb, in place.
+                e.add_scaled(&mut borrows[p], FGold::ONE, &all_r_shares[p][i]);
+                e.add_scaled(&mut borrows[p], -FGold::ONE, &rb);
             } else {
-                rbs[p].clone()
-            };
+                borrows[p] = rb;
+            }
         }
     }
     // z_bit = c_bit XOR r_bit XOR borrow, batched: r XOR b = r + b - 2rb
-    // and 1 XOR v = 1 - v. z's bit `bits` set means x >= y; we want x < y.
+    // and 1 XOR v = 1 - v. z's bit `bits` set means x >= y; we want
+    // x < y = 1 XOR z_bit: r XOR b when c_bit is set, else 1 − (r XOR b).
     let xor_pairs: Vec<(&E::Secret, &E::Secret)> = (0..k)
         .map(|p| (&all_r_shares[p][bits], &borrows[p]))
         .collect();
     let prods = e.mul_batch(&xor_pairs)?;
-    let one = e.constant(FGold::ONE);
-    Ok((0..k)
-        .map(|p| {
-            let sum = e.add(&all_r_shares[p][bits], &borrows[p]);
-            let two = e.mul_const(&prods[p], FGold::new(2));
-            let rx = e.sub(&sum, &two);
-            let c_top = (cs[p] >> bits) & 1;
-            let z_top = if c_top == 0 { rx } else { e.sub(&one, &rx) };
-            e.sub(&one, &z_top)
-        })
-        .collect())
+    let mut out = Vec::with_capacity(k);
+    for (p, rb) in prods.iter().enumerate() {
+        let (lead, sign) = if (cs[p] >> bits) & 1 == 1 {
+            (FGold::ZERO, FGold::ONE)
+        } else {
+            (FGold::ONE, -FGold::ONE)
+        };
+        let mut lt = e.constant(lead);
+        e.add_scaled(&mut lt, sign, &all_r_shares[p][bits]);
+        e.add_scaled(&mut lt, sign, &borrows[p]);
+        e.add_scaled(&mut lt, -(sign + sign), rb);
+        out.push(lt);
+    }
+    Ok(out)
 }
 
 /// Log-depth argmax tournament over shared values in `[0, 2^bits)`.
@@ -191,18 +195,14 @@ pub fn argmax_tournament<E: MpcOps>(
             sel_pairs.push((&right_wins[p], &idx_diffs[p]));
         }
         let sel = e.mul_batch(&sel_pairs)?;
-        let mut next_vals = Vec::with_capacity(pairs_n + 1);
-        let mut next_idxs = Vec::with_capacity(pairs_n + 1);
+        // Each winner lands in its pair's left slot; an odd last value
+        // sits in an even slot and rides along to the next level.
         for p in 0..pairs_n {
-            next_vals.push(e.add(&vals[2 * p], &sel[2 * p]));
-            next_idxs.push(e.add(&idxs[2 * p], &sel[2 * p + 1]));
+            e.add_scaled(&mut vals[2 * p], FGold::ONE, &sel[2 * p]);
+            e.add_scaled(&mut idxs[2 * p], FGold::ONE, &sel[2 * p + 1]);
         }
-        if vals.len() % 2 == 1 {
-            next_vals.push(vals[vals.len() - 1].clone());
-            next_idxs.push(idxs[idxs.len() - 1].clone());
-        }
-        vals = next_vals;
-        idxs = next_idxs;
+        vals = vals.into_iter().step_by(2).collect();
+        idxs = idxs.into_iter().step_by(2).collect();
     }
     Ok((vals.remove(0), idxs.remove(0)))
 }

@@ -20,6 +20,13 @@
 //! reconstructs against Lagrange coefficients computed once per engine
 //! for the points `1..=t+1` — a `t + 1`-term dot product per value, not
 //! `t + 1` field inversions.
+//!
+//! Each sharing is written once. A dealer sharing draws its coefficients
+//! into a buffer the engine reuses and evaluates straight into the
+//! result's share vector; [`MpcEngine::mul_batch`] keeps its triples in
+//! one engine-owned buffer, frames `x − a` and `y − b` from it, and forms
+//! each product in one pass; linear combinations accumulate in place
+//! ([`MpcOps::add_scaled`]). An operation allocates once per result.
 
 use arboretum_field::FGold;
 use arboretum_net::{EventedFabric, FabricKind, Message, NetError, SimTransport, Transport};
@@ -130,6 +137,11 @@ pub struct MpcEngine {
     /// for the committee's lifetime, so every opening is a dot product.
     basis: Vec<FGold>,
     rng: StdRng,
+    /// Scratch for the random coefficients of each dealer sharing.
+    coeffs: Vec<FGold>,
+    /// The running `mul_batch`'s dealer triples: per triple, the share
+    /// vectors of `a`, `b` and `a·b`, back to back.
+    triples: Vec<FGold>,
 }
 
 #[allow(clippy::should_implement_trait)] // Protocol ops named add/sub/mul by convention.
@@ -170,6 +182,8 @@ impl MpcEngine {
             fabric,
             basis: committee_basis(t),
             rng: StdRng::seed_from_u64(seed),
+            coeffs: Vec::with_capacity(t + 1),
+            triples: Vec::new(),
         }
     }
 
@@ -192,13 +206,13 @@ impl MpcEngine {
     /// rounds. Deterministic: fixed frame sizes, no RNG draws. Every
     /// frame is received back, so link queues end empty.
     pub fn materialize_metered_rounds(&mut self, rounds: u64) {
+        let msg = self.frame([FGold::ZERO].into_iter());
         for _ in 0..rounds {
             for p in 0..self.m {
                 for j in 0..self.m {
                     if j == p {
                         continue;
                     }
-                    let msg = self.frame_elems(&[FGold::ZERO]);
                     self.fabric.send(p, j, &msg).expect("engine fabric");
                 }
             }
@@ -217,25 +231,31 @@ impl MpcEngine {
     /// Frames a batch of elements, appending the MAC companion share per
     /// value in malicious mode (the SPDZ-wise doubling of share
     /// material on the wire).
-    fn frame_elems(&self, elems: &[FGold]) -> Message {
-        if self.malicious {
-            Message::FieldElems(elems.iter().flat_map(|&v| [v, v]).collect())
-        } else {
-            Message::FieldElems(elems.to_vec())
+    fn frame(&self, elems: impl ExactSizeIterator<Item = FGold>) -> Message {
+        let mut out = Vec::with_capacity((1 + usize::from(self.malicious)) * elems.len());
+        for v in elems {
+            out.push(v);
+            if self.malicious {
+                out.push(v);
+            }
         }
+        Message::FieldElems(out)
     }
 
-    /// Extracts the value elements of a received frame, dropping the MAC
-    /// companions in malicious mode.
-    fn unframe_elems(&self, msg: &Message) -> Vec<FGold> {
-        let Message::FieldElems(elems) = msg else {
+    /// The value elements of a received frame, in its own buffer, with
+    /// the MAC companions dropped in malicious mode.
+    fn unframe(&self, msg: Message) -> Vec<FGold> {
+        let Message::FieldElems(mut elems) = msg else {
             unreachable!("engine links carry only field-element frames")
         };
         if self.malicious {
-            elems.iter().copied().step_by(2).collect()
-        } else {
-            elems.clone()
+            let mut value = false;
+            elems.retain(|_| {
+                value = !value;
+                value
+            });
         }
+        elems
     }
 
     /// Advances every party's round counter on the fabric and the meter.
@@ -251,14 +271,13 @@ impl MpcEngine {
     /// One round: the input party frames one share to every other party,
     /// and each recipient's share is taken from the decoded frame.
     pub fn input(&mut self, party: usize, v: FGold) -> Shared {
-        let shares = share(v, self.t, self.m, &mut self.rng);
-        let mut ys: Vec<FGold> = shares.into_iter().map(|s| s.y).collect();
+        let Shared { shares: mut ys } = self.dealer_share(v);
         let mut sent = 0u64;
         for (j, &y) in ys.iter().enumerate() {
             if j == party {
                 continue;
             }
-            let msg = self.frame_elems(&[y]);
+            let msg = self.frame([y].into_iter());
             sent += self.fabric.send(party, j, &msg).expect("engine fabric") as u64;
         }
         self.net.send(party, sent);
@@ -268,18 +287,18 @@ impl MpcEngine {
                 continue;
             }
             let got = self.fabric.recv(j, party).expect("frame in flight");
-            ys[j] = self.unframe_elems(&got)[0];
+            ys[j] = self.unframe(got)[0];
         }
         self.sync_round();
         Shared { shares: ys }
     }
 
-    /// Secret-shares a dealer/preprocessing value (no online cost).
+    /// Secret-shares a dealer/preprocessing value (no online cost),
+    /// straight into the result's share vector.
     pub fn dealer_share(&mut self, v: FGold) -> Shared {
-        let shares = share(v, self.t, self.m, &mut self.rng);
-        Shared {
-            shares: shares.into_iter().map(|s| s.y).collect(),
-        }
+        let mut shares = vec![FGold::ZERO; self.m];
+        share(v, self.t, &mut self.coeffs, &mut shares, &mut self.rng);
+        Shared { shares }
     }
 
     /// Opens (publicly reconstructs) a batch of shared values.
@@ -289,10 +308,20 @@ impl MpcEngine {
     /// Two rounds regardless of batch size (three with the malicious
     /// consistency echo).
     pub fn open_batch(&mut self, xs: &[&Shared]) -> Result<Vec<FGold>, MpcError> {
+        self.open_with(xs.len(), |i, p| xs[i].shares[p])
+    }
+
+    /// Opens `n` values, party `p`'s share of value `i` being
+    /// `share_of(i, p)`: each party frames its shares as it reads them,
+    /// so a value computed only to be opened is never materialized.
+    fn open_with(
+        &mut self,
+        n: usize,
+        share_of: impl Fn(usize, usize) -> FGold,
+    ) -> Result<Vec<FGold>, MpcError> {
         // Parties → king.
         for p in 1..self.m {
-            let elems: Vec<FGold> = xs.iter().map(|x| x.shares[p]).collect();
-            let msg = self.frame_elems(&elems);
+            let msg = self.frame((0..n).map(|i| share_of(i, p)));
             let sent = self.fabric.send(p, 0, &msg).expect("engine fabric") as u64;
             self.net.send(p, sent);
         }
@@ -300,20 +329,20 @@ impl MpcEngine {
         // King reconstructs from its own share plus the decoded wire
         // shares of parties `1..=t`: one dot product per value against
         // the committee's basis.
-        let mut opened: Vec<FGold> = xs.iter().map(|x| self.basis[0] * x.shares[0]).collect();
+        let mut opened: Vec<FGold> = (0..n).map(|i| self.basis[0] * share_of(i, 0)).collect();
         for p in 1..self.m {
             let got = self.fabric.recv(0, p).expect("frame in flight");
             if let Some(&lambda) = self.basis.get(p) {
-                for (acc, y) in opened.iter_mut().zip(self.unframe_elems(&got)) {
+                for (acc, y) in opened.iter_mut().zip(self.unframe(got)) {
                     *acc += lambda * y;
                 }
             }
         }
-        self.net.metrics.opens += xs.len() as u64;
+        self.net.metrics.opens += n as u64;
         // King → parties.
+        let msg = self.frame(opened.iter().copied());
         let mut sent = 0u64;
         for p in 1..self.m {
-            let msg = self.frame_elems(&opened);
             sent += self.fabric.send(0, p, &msg).expect("engine fabric") as u64;
         }
         self.net.send(0, sent);
@@ -324,15 +353,15 @@ impl MpcEngine {
         for p in 1..self.m {
             let got = self.fabric.recv(p, 0).expect("frame in flight");
             if p == 1 {
-                result = self.unframe_elems(&got);
+                result = self.unframe(got);
             }
         }
         if self.malicious {
             // Consistency check: parties echo their opened view around a
             // ring and cross-verify.
+            let msg = self.frame(result.iter().copied());
             if self.m > 1 {
                 for p in 0..self.m {
-                    let msg = self.frame_elems(&result);
                     let sent = self
                         .fabric
                         .send(p, (p + 1) % self.m, &msg)
@@ -344,8 +373,7 @@ impl MpcEngine {
                         .fabric
                         .recv(p, (p + self.m - 1) % self.m)
                         .expect("frame in flight");
-                    let echoed = self.unframe_elems(&got);
-                    if echoed != result {
+                    if self.unframe(got) != result {
                         return Err(MpcError::OpenFailed(
                             "opening consistency echo mismatch".into(),
                         ));
@@ -354,7 +382,6 @@ impl MpcEngine {
             } else {
                 // Degenerate single-party committee: the echo has no
                 // peer, but the model still charges the frame.
-                let msg = self.frame_elems(&result);
                 self.net.send(0, msg.payload_len() as u64);
             }
             self.sync_round();
@@ -423,57 +450,53 @@ impl MpcEngine {
     }
 
     /// Multiplies batches of pairs with Beaver triples, batching all the
-    /// masked openings into one round trip.
+    /// masked openings into one round trip. The dealer writes the
+    /// triples into one engine-owned buffer, the openings frame `x − a`
+    /// and `y − b` straight from it, and each product is formed in one
+    /// pass — one allocation per result.
     pub fn mul_batch(&mut self, pairs: &[(&Shared, &Shared)]) -> Result<Vec<Shared>, MpcError> {
-        let k = pairs.len();
+        let (k, m) = (pairs.len(), self.m);
         // Dealer triples.
-        let triples: Vec<(Shared, Shared, Shared, FGold, FGold)> = (0..k)
-            .map(|_| {
-                let a = FGold::new(self.rng.gen());
-                let b = FGold::new(self.rng.gen());
-                let sa = self.dealer_share(a);
-                let sb = self.dealer_share(b);
-                let sc = self.dealer_share(a * b);
-                (sa, sb, sc, a, b)
-            })
-            .collect();
+        self.triples.resize(3 * k * m, FGold::ZERO);
+        for abc in self.triples.chunks_exact_mut(3 * m) {
+            let a = FGold::new(self.rng.gen());
+            let b = FGold::new(self.rng.gen());
+            let (sa, bc) = abc.split_at_mut(m);
+            let (sb, sc) = bc.split_at_mut(m);
+            share(a, self.t, &mut self.coeffs, sa, &mut self.rng);
+            share(b, self.t, &mut self.coeffs, sb, &mut self.rng);
+            share(a * b, self.t, &mut self.coeffs, sc, &mut self.rng);
+        }
         self.net.consume_triples(k as u64);
-        // d = x - a, e = y - b, opened in one batch.
-        let ds: Vec<Shared> = pairs
-            .iter()
-            .zip(&triples)
-            .map(|((x, _), (sa, _, _, _, _))| self.sub(x, sa))
-            .collect();
-        let es: Vec<Shared> = pairs
-            .iter()
-            .zip(&triples)
-            .map(|((_, y), (_, sb, _, _, _))| self.sub(y, sb))
-            .collect();
-        let mut to_open: Vec<&Shared> = Vec::with_capacity(2 * k);
-        to_open.extend(ds.iter());
-        to_open.extend(es.iter());
-        let opened = self.open_batch(&to_open)?;
+        // d = x - a for every pair, then e = y - b, opened in one batch
+        // and framed straight from the triple buffer.
+        let triples = std::mem::take(&mut self.triples);
+        let opened = self.open_with(2 * k, |i, p| {
+            let (pair, i, part) = if i < k {
+                (pairs[i].0, i, 0)
+            } else {
+                (pairs[i - k].1, i - k, 1)
+            };
+            pair.shares[p] - triples[(3 * i + part) * m + p]
+        });
+        self.triples = triples;
+        let opened = opened?;
         let (dvals, evals) = opened.split_at(k);
         // z = c + d·[b] + e·[a] + d·e.
         self.net.compute((self.m * 2 * k) as u64);
-        Ok((0..k)
-            .map(|i| {
-                let (_, _, ref sc, _, _) = triples[i];
-                let (ref sa, ref sb, _, _, _) = triples[i];
-                let d = dvals[i];
-                let e = evals[i];
-                let term1 = self.mul_const(sb, d);
-                let term2 = self.mul_const(sa, e);
-                let mut z = self.add(sc, &term1);
-                z = self.add(&z, &term2);
-                self.add_const(&z, d * e)
+        Ok(self
+            .triples
+            .chunks_exact(3 * m)
+            .zip(dvals.iter().zip(evals))
+            .map(|(abc, (&d, &e))| {
+                let (sa, bc) = abc.split_at(m);
+                let (sb, sc) = bc.split_at(m);
+                let de = d * e;
+                Shared {
+                    shares: (0..m).map(|p| sc[p] + d * sb[p] + e * sa[p] + de).collect(),
+                }
             })
             .collect())
-    }
-
-    /// Multiplies two shared values.
-    pub fn mul(&mut self, a: &Shared, b: &Shared) -> Result<Shared, MpcError> {
-        Ok(self.mul_batch(&[(a, b)])?.remove(0))
     }
 
     /// Jointly samples a uniformly random shared field element.
@@ -485,15 +508,14 @@ impl MpcEngine {
     /// `m − 1` elements, the same traffic as one contributed re-sharing.
     pub fn random(&mut self) -> Shared {
         let v = FGold::new(self.rng.gen());
-        let shares = share(v, self.t, self.m, &mut self.rng);
-        let mut ys: Vec<FGold> = shares.into_iter().map(|s| s.y).collect();
+        let Shared { shares: mut ys } = self.dealer_share(v);
         for p in 0..self.m {
             let mut sent = 0u64;
             for (j, &y) in ys.iter().enumerate() {
                 if j == p {
                     continue;
                 }
-                let msg = self.frame_elems(&[y]);
+                let msg = self.frame([y].into_iter());
                 sent += self.fabric.send(p, j, &msg).expect("engine fabric") as u64;
             }
             self.net.send(p, sent);
@@ -505,7 +527,7 @@ impl MpcEngine {
                     continue;
                 }
                 let got = self.fabric.recv(j, p).expect("frame in flight");
-                let echoed = self.unframe_elems(&got)[0];
+                let echoed = self.unframe(got)[0];
                 debug_assert_eq!(echoed, ys[j], "relayed share copies must agree");
                 ys[j] = echoed;
             }
@@ -527,21 +549,6 @@ impl MpcEngine {
         // bit costs about one triple to generate in DN07-style protocols).
         self.net.consume_triples(k as u64);
         (shares, bits)
-    }
-
-    /// Oblivious selection: `if bit { a } else { b }` (bit must be 0/1).
-    pub fn select(&mut self, bit: &Shared, a: &Shared, b: &Shared) -> Result<Shared, MpcError> {
-        let diff = self.sub(a, b);
-        let prod = self.mul(bit, &diff)?;
-        Ok(self.add(&prod, b))
-    }
-
-    /// XOR of two shared bits: `a + b - 2ab`.
-    pub fn xor(&mut self, a: &Shared, b: &Shared) -> Result<Shared, MpcError> {
-        let prod = self.mul(a, b)?;
-        let two = self.mul_const(&prod, FGold::new(2));
-        let sum = self.add(a, b);
-        Ok(self.sub(&sum, &two))
     }
 
     /// Access to the simulation RNG (for dealer-style functionality).
@@ -590,6 +597,12 @@ impl MpcOps for MpcEngine {
 
     fn mul_const(&self, a: &Shared, c: FGold) -> Shared {
         MpcEngine::mul_const(self, a, c)
+    }
+
+    fn add_scaled(&self, acc: &mut Shared, c: FGold, x: &Shared) {
+        for (a, &y) in acc.shares.iter_mut().zip(&x.shares) {
+            *a += c * y;
+        }
     }
 
     fn random_bits(&mut self, k: usize) -> Result<Vec<Shared>, MpcError> {
@@ -674,30 +687,6 @@ mod tests {
         for (i, p) in prods.iter().enumerate() {
             let i = i as u64;
             assert_eq!(e.open(p).unwrap(), FGold::new((i + 1) * (2 * i + 1)));
-        }
-    }
-
-    #[test]
-    fn select_behaves_as_mux() {
-        let mut e = engine();
-        let a = e.input(0, FGold::new(111));
-        let b = e.input(0, FGold::new(222));
-        let one = e.constant(FGold::ONE);
-        let zero = e.constant(FGold::ZERO);
-        let pick_a = e.select(&one, &a, &b).unwrap();
-        let pick_b = e.select(&zero, &a, &b).unwrap();
-        assert_eq!(e.open(&pick_a).unwrap(), FGold::new(111));
-        assert_eq!(e.open(&pick_b).unwrap(), FGold::new(222));
-    }
-
-    #[test]
-    fn xor_truth_table() {
-        let mut e = engine();
-        for (a, b, want) in [(0u64, 0u64, 0u64), (0, 1, 1), (1, 0, 1), (1, 1, 0)] {
-            let sa = e.input(0, FGold::new(a));
-            let sb = e.input(0, FGold::new(b));
-            let x = e.xor(&sa, &sb).unwrap();
-            assert_eq!(e.open(&x).unwrap(), FGold::new(want), "{a} xor {b}");
         }
     }
 

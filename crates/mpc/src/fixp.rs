@@ -22,6 +22,7 @@ use arboretum_field::FGold;
 
 use crate::engine::{MpcEngine, MpcError, Shared};
 use crate::network::FIELD_BYTES;
+use crate::ops::MpcOps;
 
 /// Magnitude bound (in scaled units) assumed by the truncation protocol.
 const TRUNC_RANGE_BITS: usize = 45;
@@ -150,51 +151,25 @@ impl SharedFix {
 }
 
 /// Probabilistic truncation by `2^16` of a (sign-embedded) shared value
-/// known to have magnitude below `2^45`.
-///
-/// Protocol: shift positive by adding `2^45`, mask with 62-bit dealer
-/// randomness `R` (held with its high part `⌊R/2^16⌋`), open `c`, and
-/// compute `⌊c/2^16⌋ − ⌊R/2^16⌋ − 2^29`. The result can be off by one in
-/// the last fractional bit (standard probabilistic truncation).
+/// known to have magnitude below `2^45`: [`shift_right`] by
+/// [`FRAC_BITS`].
 ///
 /// # Errors
 ///
 /// Propagates opening failures.
 fn truncate(e: &mut MpcEngine, wide: &Shared) -> Result<SharedFix, MpcError> {
-    let f = FRAC_BITS as usize;
-    let offset = 1u64 << TRUNC_RANGE_BITS;
-    let shifted = e.add_const(wide, FGold::new(offset));
-    // Dealer mask with known top part.
-    let (r_shares, r_bits) = e.random_bits(62);
-    let mut r_shared = e.zero();
-    let mut r_top_shared = e.zero();
-    let mut r_val = 0u64;
-    for (i, (rb, &bit)) in r_shares.iter().zip(&r_bits).enumerate() {
-        let scaled = e.mul_const(rb, FGold::new(1u64 << i));
-        r_shared = e.add(&r_shared, &scaled);
-        if i >= f {
-            let scaled_top = e.mul_const(rb, FGold::new(1u64 << (i - f)));
-            r_top_shared = e.add(&r_top_shared, &scaled_top);
-        }
-        r_val |= bit << i;
-    }
-    let _ = r_val; // The clear mask is not needed beyond the shares.
-    let masked = e.add(&shifted, &r_shared);
-    let c = e.open(&masked)?.value();
-    let c_top = FGold::new(c >> f);
-    // result = c_top - r_top - offset/2^f.
-    let unmasked = {
-        let tmp = e.sub(&e.constant(c_top), &r_top_shared);
-        e.add_const(&tmp, -FGold::new(offset >> f))
-    };
-    Ok(SharedFix { inner: unmasked })
+    Ok(SharedFix {
+        inner: shift_right(e, wide, FRAC_BITS)?,
+    })
 }
 
 /// Probabilistic right-shift of a (sign-embedded) shared integer by `f`
-/// bits, for values of magnitude below `2^45` (the same mask-and-open
-/// protocol as fixed-point truncation, generalized to any shift).
+/// bits, for values of magnitude below `2^45`.
 ///
-/// The result can be off by one in the lowest retained bit.
+/// Protocol: shift positive by adding `2^45`, mask with 62-bit dealer
+/// randomness `R` (held with its high part `⌊R/2^f⌋`), open `c`, and
+/// compute `⌊c/2^f⌋ − ⌊R/2^f⌋ − 2^45/2^f`. The result can be off by one
+/// in the lowest retained bit (standard probabilistic truncation).
 ///
 /// # Errors
 ///
@@ -208,24 +183,23 @@ pub fn shift_right(e: &mut MpcEngine, x: &Shared, f: u32) -> Result<Shared, MpcE
         f > 0 && (f as usize) < TRUNC_RANGE_BITS,
         "shift {f} out of range"
     );
+    let f = f as usize;
     let offset = 1u64 << TRUNC_RANGE_BITS;
-    let shifted = e.add_const(x, FGold::new(offset));
+    // masked = x + 2^45 + R and r_top = ⌊R/2^f⌋, summed in place over
+    // R's dealer bits.
+    let mut masked = e.add_const(x, FGold::new(offset));
+    let mut r_top = e.zero();
     let (r_shares, _) = e.random_bits(62);
-    let mut r_shared = e.zero();
-    let mut r_top_shared = e.zero();
     for (i, rb) in r_shares.iter().enumerate() {
-        let scaled = e.mul_const(rb, FGold::new(1u64 << i));
-        r_shared = e.add(&r_shared, &scaled);
-        if i >= f as usize {
-            let scaled_top = e.mul_const(rb, FGold::new(1u64 << (i - f as usize)));
-            r_top_shared = e.add(&r_top_shared, &scaled_top);
+        e.add_scaled(&mut masked, FGold::new(1u64 << i), rb);
+        if i >= f {
+            e.add_scaled(&mut r_top, FGold::new(1u64 << (i - f)), rb);
         }
     }
-    let masked = e.add(&shifted, &r_shared);
     let c = e.open(&masked)?.value();
-    let c_top = FGold::new(c >> f);
-    let tmp = e.sub(&e.constant(c_top), &r_top_shared);
-    Ok(e.add_const(&tmp, -FGold::new(offset >> f)))
+    let mut out = e.constant(FGold::new(c >> f) - FGold::new(offset >> f));
+    e.add_scaled(&mut out, -FGold::ONE, &r_top);
+    Ok(out)
 }
 
 /// Secret-shares a value computed in the clear by the simulation while

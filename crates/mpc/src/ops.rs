@@ -51,6 +51,10 @@ pub trait MpcOps {
     /// Local multiplication by a public constant.
     fn mul_const(&self, a: &Self::Secret, c: FGold) -> Self::Secret;
 
+    /// Local `acc += c · x`, in place: how protocols sum linear
+    /// combinations without a fresh sharing per term.
+    fn add_scaled(&self, acc: &mut Self::Secret, c: FGold, x: &Self::Secret);
+
     /// Dealer-supplied shared random bits (preprocessing material).
     ///
     /// # Errors
@@ -92,33 +96,5 @@ pub trait MpcOps {
     /// Returns [`MpcError`] on opening or transport failure.
     fn mul(&mut self, a: &Self::Secret, b: &Self::Secret) -> Result<Self::Secret, MpcError> {
         Ok(self.mul_batch(&[(a, b)])?.remove(0))
-    }
-
-    /// XOR of two shared bits: `a + b - 2ab`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpcError`] on opening or transport failure.
-    fn xor(&mut self, a: &Self::Secret, b: &Self::Secret) -> Result<Self::Secret, MpcError> {
-        let prod = self.mul(a, b)?;
-        let two = self.mul_const(&prod, FGold::new(2));
-        let sum = self.add(a, b);
-        Ok(self.sub(&sum, &two))
-    }
-
-    /// Oblivious selection: `if bit { a } else { b }` (bit must be 0/1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpcError`] on opening or transport failure.
-    fn select(
-        &mut self,
-        bit: &Self::Secret,
-        a: &Self::Secret,
-        b: &Self::Secret,
-    ) -> Result<Self::Secret, MpcError> {
-        let diff = self.sub(a, b);
-        let prod = self.mul(bit, &diff)?;
-        Ok(self.add(&prod, b))
     }
 }

@@ -42,6 +42,8 @@ pub struct Dealer {
     m: usize,
     t: usize,
     rng: StdRng,
+    /// Scratch for the random coefficients of each sharing.
+    coeffs: Vec<FGold>,
     bits: Vec<VecDeque<FGold>>,
     triples: Vec<VecDeque<(FGold, FGold, FGold)>>,
 }
@@ -53,9 +55,17 @@ impl Dealer {
             m,
             t,
             rng: StdRng::seed_from_u64(seed),
+            coeffs: Vec::with_capacity(t + 1),
             bits: (0..m).map(|_| VecDeque::new()).collect(),
             triples: (0..m).map(|_| VecDeque::new()).collect(),
         }
+    }
+
+    /// A fresh sharing of `v`, one share per party.
+    fn deal(&mut self, v: FGold) -> Vec<FGold> {
+        let mut shares = vec![FGold::ZERO; self.m];
+        share(v, self.t, &mut self.coeffs, &mut shares, &mut self.rng);
+        shares
     }
 
     /// Pops `k` random-bit shares for `party`, generating more sharings
@@ -63,9 +73,8 @@ impl Dealer {
     pub fn bits(&mut self, party: usize, k: usize) -> Vec<FGold> {
         while self.bits[party].len() < k {
             let b = FGold::new(self.rng.gen_range(0..2u64));
-            let shares = share(b, self.t, self.m, &mut self.rng);
-            for (p, s) in shares.iter().enumerate() {
-                self.bits[p].push_back(s.y);
+            for (p, y) in self.deal(b).into_iter().enumerate() {
+                self.bits[p].push_back(y);
             }
         }
         self.bits[party].drain(..k).collect()
@@ -76,11 +85,9 @@ impl Dealer {
         while self.triples[party].len() < k {
             let a = FGold::new(self.rng.gen());
             let b = FGold::new(self.rng.gen());
-            let sa = share(a, self.t, self.m, &mut self.rng);
-            let sb = share(b, self.t, self.m, &mut self.rng);
-            let sc = share(a * b, self.t, self.m, &mut self.rng);
+            let (sa, sb, sc) = (self.deal(a), self.deal(b), self.deal(a * b));
             for p in 0..self.m {
-                self.triples[p].push_back((sa[p].y, sb[p].y, sc[p].y));
+                self.triples[p].push_back((sa[p], sb[p], sc[p]));
             }
         }
         self.triples[party].drain(..k).collect()
@@ -178,13 +185,14 @@ impl<T: Transport> MpcOps for Party<T> {
 
     fn input(&mut self, party: usize, v: FGold) -> Result<FGold, MpcError> {
         let mine = if party == self.id {
-            let shares = share(v, self.t, self.m, &mut self.rng);
-            for (j, s) in shares.iter().enumerate() {
+            let mut shares = vec![FGold::ZERO; self.m];
+            share(v, self.t, &mut Vec::new(), &mut shares, &mut self.rng);
+            for (j, &y) in shares.iter().enumerate() {
                 if j != self.id {
-                    self.send_elems(j, vec![s.y])?;
+                    self.send_elems(j, vec![y])?;
                 }
             }
-            shares[self.id].y
+            shares[self.id]
         } else {
             let elems = self.recv_elems(party)?;
             *elems.first().ok_or(MpcError::PartyMismatch)?
@@ -216,6 +224,10 @@ impl<T: Transport> MpcOps for Party<T> {
 
     fn mul_const(&self, a: &FGold, c: FGold) -> FGold {
         *a * c
+    }
+
+    fn add_scaled(&self, acc: &mut FGold, c: FGold, x: &FGold) {
+        *acc += c * *x;
     }
 
     fn random_bits(&mut self, k: usize) -> Result<Vec<FGold>, MpcError> {

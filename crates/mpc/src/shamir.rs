@@ -19,19 +19,31 @@ pub struct Share {
     pub y: FGold,
 }
 
-/// Splits `secret` into `m` shares with reconstruction threshold `t + 1`
-/// (i.e. any `t` shares reveal nothing; `t + 1` reconstruct).
+/// Splits `secret` into one share per slot of `out` — party `p`'s at
+/// point `p + 1` — with reconstruction threshold `t + 1` (any `t` shares
+/// reveal nothing; `t + 1` reconstruct). The `t` random coefficients
+/// are drawn into `coeffs`, a scratch buffer the caller reuses across
+/// sharings, so a sharing allocates nothing of its own.
 ///
 /// # Panics
 ///
-/// Panics if `t >= m` or `m` is zero (no valid access structure).
-pub fn share<R: Rng + ?Sized>(secret: FGold, t: usize, m: usize, rng: &mut R) -> Vec<Share> {
-    assert!(m > 0 && t < m, "invalid access structure t={t}, m={m}");
+/// Panics if `t >= out.len()` (no valid access structure).
+pub fn share<R: Rng + ?Sized>(
+    secret: FGold,
+    t: usize,
+    coeffs: &mut Vec<FGold>,
+    out: &mut [FGold],
+    rng: &mut R,
+) {
+    let m = out.len();
+    assert!(t < m, "invalid access structure t={t}, m={m}");
     // Random degree-t polynomial with constant term = secret.
-    let coeffs: Vec<FGold> = std::iter::once(secret)
-        .chain((0..t).map(|_| FGold::new(rng.gen())))
-        .collect();
-    evaluate(&coeffs, m).map(|(x, y)| Share { x, y }).collect()
+    coeffs.clear();
+    coeffs.push(secret);
+    coeffs.extend((0..t).map(|_| FGold::new(rng.gen())));
+    for (y, (_, fx)) in out.iter_mut().zip(evaluate(coeffs, m)) {
+        *y = fx;
+    }
 }
 
 /// The Lagrange basis at zero over a committee's own points `1..=t+1`:
@@ -59,6 +71,13 @@ mod tests {
     use arboretum_field::shamir::lagrange_at_zero;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `m` shares of `secret` with their points.
+    fn share(secret: FGold, t: usize, m: usize, rng: &mut StdRng) -> Vec<Share> {
+        let mut ys = vec![FGold::ZERO; m];
+        super::share(secret, t, &mut Vec::new(), &mut ys, rng);
+        (1..).zip(ys).map(|(x, y)| Share { x, y }).collect()
+    }
 
     #[test]
     fn share_reconstruct_roundtrip() {

@@ -5,6 +5,7 @@ use arboretum_field::FGold;
 use arboretum_mpc::compare::{argmax_tournament, less_than};
 use arboretum_mpc::engine::MpcEngine;
 use arboretum_mpc::fixp::SharedFix;
+use arboretum_mpc::MpcOps;
 use proptest::prelude::*;
 
 fn engine(seed: u64) -> MpcEngine {

@@ -29,13 +29,21 @@
 //! one; only triples and bytes grow with `C`.
 //!
 //! **A secret `if` merges exactly what its branches wrote.** Both
-//! branches run, each on its own copy of the environment, and every
-//! assignment target is logged in program order: `(name, None)` for a
-//! variable, `(name, Some(i))` for an array slot. The log reveals
-//! nothing: which variables a branch assigns is program text, and slot
-//! indices are public by the convention above. The merge selects
+//! branches run on the one environment, and every write is logged in
+//! program order: its target — `(name, None)` for a variable,
+//! `(name, Some(i))` for an array slot — and what it replaced (the old
+//! variable, or the slot's old value and the array's old length). The
+//! log reveals nothing: which variables a branch assigns is program
+//! text, and slot indices are public by the convention above. After each
+//! branch its targets' values are read and its log is undone newest
+//! first, so the environment is never copied; the merge then writes
 //! `bit ? then : else` per logged target — one deferred multiplication
-//! each — and never touches a value neither branch assigned.
+//! each — and never touches a value neither branch assigned. A nested
+//! `if`'s merge writes are logged in the enclosing branch like any other.
+//!
+//! Shares are written once: the engine's linear combinations accumulate
+//! in place ([`MpcOps::add_scaled`]), so an operation costs one
+//! allocation per result, not one per term.
 
 use std::collections::{HashMap, HashSet};
 
@@ -50,6 +58,7 @@ use arboretum_mpc::engine::{MpcEngine, Shared};
 use arboretum_mpc::fixp::{
     field_to_fix, inject_with_cost, shift_right, FunctionalityCost, SharedFix,
 };
+use arboretum_mpc::MpcOps;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -109,8 +118,13 @@ impl Sec {
         self
     }
 
-    fn minus(self, other: &Sec) -> Self {
-        self.plus(&other.clone().scale(-FGold::ONE))
+    fn minus(mut self, other: &Sec) -> Self {
+        for (s, &o) in self.base.shares.iter_mut().zip(&other.base.shares) {
+            *s -= o;
+        }
+        self.terms
+            .extend(other.terms.iter().map(|&(c, id)| (-c, id)));
+        self
     }
 
     /// `1 − self`, the negation of a shared bit.
@@ -129,6 +143,26 @@ enum Node {
     Mul(Sec, Sec),
     /// Flushed: the operation's result.
     Done(Shared),
+}
+
+/// One logged write of a secret branch: the target, and what undoing
+/// the write puts back.
+#[derive(Debug)]
+struct Write {
+    name: String,
+    at: Option<usize>,
+    prior: Prior,
+}
+
+/// The state a logged write replaced.
+#[derive(Debug)]
+enum Prior {
+    /// The whole variable (absent if `None`): a variable write, or a slot
+    /// write that created or promoted its array.
+    Var(Option<MVal>),
+    /// The array's length and the slot's old value (absent if the write
+    /// grew the array).
+    Slot { len: usize, old: Option<MVal> },
 }
 
 /// A value in the evaluator: public or secret-shared.
@@ -196,9 +230,9 @@ pub struct MpcEvaluator<'a> {
     /// Depth of enclosing branches on secret conditions (outputs and
     /// mechanisms are forbidden inside).
     oblivious_depth: usize,
-    /// Assignment targets of the innermost enclosing secret `if`, both
-    /// branches, in program order.
-    written: Vec<(String, Option<usize>)>,
+    /// The writes of the innermost enclosing secret branch, in program
+    /// order, each with what undoing it puts back.
+    log: Vec<Write>,
     /// The pending-operation buffer; `nodes[..flushed]` are all `Done`.
     nodes: Vec<Node>,
     flushed: usize,
@@ -225,7 +259,7 @@ impl<'a> MpcEvaluator<'a> {
             outputs: Vec::new(),
             mech_style,
             oblivious_depth: 0,
-            written: Vec::new(),
+            log: Vec::new(),
             nodes: Vec::new(),
             flushed: 0,
         }
@@ -286,74 +320,128 @@ impl<'a> MpcEvaluator<'a> {
     }
 
     /// Writes a variable (`at == None`) or an array slot, logging the
-    /// target while a secret branch is running.
+    /// write while a secret branch is running.
     fn store(&mut self, name: &str, at: Option<usize>, v: MVal) -> Result<(), MpcEvalError> {
-        fn put<T: Clone>(arr: &mut Vec<T>, i: usize, x: T, zero: T) {
-            if arr.len() <= i {
-                arr.resize(i + 1, zero);
-            }
-            arr[i] = x;
-        }
-        if self.oblivious_depth > 0 {
-            self.written.push((name.to_string(), at));
-        }
         let Some(i) = at else {
-            self.env.insert(name.to_string(), v);
+            let old = self.env.insert(name.to_string(), v);
+            self.log(name, at, Prior::Var(old));
             return Ok(());
         };
         let constant = |x: i64| Sec::from(self.engine.constant(FGold::from_i64(x)));
-        let entry = self
-            .env
-            .entry(name.to_string())
-            .or_insert_with(|| match &v {
-                MVal::Secret(_) => MVal::SecretArr(Vec::new()),
-                MVal::PubFix(_) => MVal::PubFixArr(Vec::new()),
-                _ => MVal::PubIntArr(Vec::new()),
-            });
-        // Mixed public/shared array writes promote to shared.
-        if let (MVal::PubIntArr(old), MVal::Secret(_)) = (&*entry, &v) {
-            *entry = MVal::SecretArr(old.iter().map(|&x| constant(x)).collect());
-        }
-        match (entry, v) {
-            (MVal::SecretArr(arr), MVal::Secret(s)) => put(arr, i, s, constant(0)),
-            (MVal::PubIntArr(arr), MVal::PubInt(x)) => put(arr, i, x, 0),
-            (MVal::PubFixArr(arr), MVal::PubFix(x)) => put(arr, i, x, Fix::ZERO),
-            (e, v) => return err(format!("cannot store {v:?} into {e:?}")),
-        }
+        // A write that creates or promotes the array replaces all of it.
+        let whole = match self.env.get_mut(name) {
+            None => {
+                let empty = match &v {
+                    MVal::Secret(_) => MVal::SecretArr(Vec::new()),
+                    MVal::PubFix(_) => MVal::PubFixArr(Vec::new()),
+                    _ => MVal::PubIntArr(Vec::new()),
+                };
+                self.env.insert(name.to_string(), empty);
+                Some(Prior::Var(None))
+            }
+            // Mixed public/shared array writes promote to shared.
+            Some(MVal::PubIntArr(old)) if matches!(v, MVal::Secret(_)) => {
+                let promoted = MVal::SecretArr(old.iter().map(|&x| constant(x)).collect());
+                let entry = self.env.get_mut(name).expect("just read");
+                Some(Prior::Var(Some(std::mem::replace(entry, promoted))))
+            }
+            Some(_) => None,
+        };
+        let arr = self.env.get_mut(name).expect("present by now");
+        let slot = put(arr, i, v, || constant(0))?;
+        self.log(name, at, whole.unwrap_or(slot));
         Ok(())
     }
 
-    /// Branch on a secret condition: run both branches, each on its own
-    /// copy of the environment, and obliviously select exactly the
-    /// targets they wrote.
+    /// Logs a write while a secret branch is running.
+    fn log(&mut self, name: &str, at: Option<usize>, prior: Prior) {
+        if self.oblivious_depth > 0 {
+            self.log.push(Write {
+                name: name.to_string(),
+                at,
+                prior,
+            });
+        }
+    }
+
+    /// Undoes `log`'s writes, newest first: the environment returns to
+    /// its state before the first of them.
+    fn undo(&mut self, log: Vec<Write>) {
+        for w in log.into_iter().rev() {
+            match w.prior {
+                Prior::Var(Some(old)) => {
+                    self.env.insert(w.name, old);
+                }
+                Prior::Var(None) => {
+                    self.env.remove(&w.name);
+                }
+                Prior::Slot { len, old } => {
+                    let arr = self.env.get_mut(&w.name).expect("a logged array");
+                    truncate(arr, len);
+                    if let (Some(i), Some(old)) = (w.at, old) {
+                        put(arr, i, old, || unreachable!("slot below the old length"))
+                            .expect("the slot's own kind");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A written target's current value, if it has one.
+    fn slot(&self, name: &str, at: Option<usize>) -> Option<MVal> {
+        let v = self.env.get(name)?;
+        match at {
+            None => Some(v.clone()),
+            Some(i) => element(v, i).ok(),
+        }
+    }
+
+    /// Branch on a secret condition: run both branches on the one
+    /// environment, undoing each branch's logged writes after reading
+    /// its values, and obliviously select exactly the targets they
+    /// wrote.
     fn oblivious_if(
         &mut self,
         bit: &Sec,
         then_branch: &[Stmt],
         else_branch: &[Stmt],
     ) -> Result<(), MpcEvalError> {
-        let saved = self.env.clone();
-        let outer = std::mem::take(&mut self.written);
+        let outer = std::mem::take(&mut self.log);
         self.oblivious_depth += 1;
         self.stmts(then_branch)?;
-        let then_env = std::mem::replace(&mut self.env, saved);
+        let then_log = std::mem::take(&mut self.log);
+        // Targets in program order, each once: the then branch's, then
+        // the else branch's new ones.
+        let mut targets: Vec<(String, Option<usize>)> = Vec::new();
+        let mut seen = HashSet::new();
+        let mut note = |log: &[Write], targets: &mut Vec<_>| {
+            for w in log {
+                if seen.insert((w.name.clone(), w.at)) {
+                    targets.push((w.name.clone(), w.at));
+                }
+            }
+        };
+        note(&then_log, &mut targets);
+        let values = |ev: &Self, targets: &[(String, Option<usize>)]| -> Vec<Option<MVal>> {
+            targets.iter().map(|(n, at)| ev.slot(n, *at)).collect()
+        };
+        let mut thens = values(self, &targets);
+        self.undo(then_log);
         self.stmts(else_branch)?;
         self.oblivious_depth -= 1;
-        let targets = std::mem::replace(&mut self.written, outer);
-        // `self.env` now holds the else branch's state; overwrite each
-        // written target with the selection. `store` logs the target
-        // again if an enclosing secret branch is still open.
-        let slot = |env: &HashMap<String, MVal>, name: &str, at: Option<usize>| match at {
-            None => env.get(name).cloned(),
-            Some(i) => env.get(name).and_then(|arr| element(arr, i).ok()),
-        };
-        let mut seen = HashSet::new();
-        for (name, at) in &targets {
-            if !seen.insert((name, at)) {
-                continue;
-            }
-            let (Some(t), Some(f)) = (slot(&then_env, name, *at), slot(&self.env, name, *at))
-            else {
+        let else_log = std::mem::replace(&mut self.log, outer);
+        note(&else_log, &mut targets);
+        let elses = values(self, &targets);
+        self.undo(else_log);
+        // A target only the else branch wrote keeps its old value on
+        // the then side.
+        let n_then = thens.len();
+        thens.extend(values(self, &targets[n_then..]));
+        // `self.env` is back at its state before the `if`; write each
+        // target's selection. `store` logs it again if an enclosing
+        // secret branch is still open.
+        for ((name, at), (t, f)) in targets.iter().zip(thens.into_iter().zip(elses)) {
+            let (Some(t), Some(f)) = (t, f) else {
                 return err(format!("variable {name} defined in only one secret branch"));
             };
             let merged = self.select(bit, &t, &f)?;
@@ -801,10 +889,10 @@ impl<'a> MpcEvaluator<'a> {
                 .iter()
                 .map(|s| {
                     let noise = laplace_fix(self.rng, scale);
-                    let injected =
-                        inject_with_cost(self.engine, noise, FunctionalityCost::laplace());
-                    let lifted = self.engine.mul_const(s, FGold::new(1 << 16));
-                    self.engine.add(&lifted, &injected.inner)
+                    let mut noised =
+                        inject_with_cost(self.engine, noise, FunctionalityCost::laplace()).inner;
+                    self.engine.add_scaled(&mut noised, FGold::new(1 << 16), s);
+                    noised
                 })
                 .collect();
             let mut released = self
@@ -879,10 +967,9 @@ impl<'a> MpcEvaluator<'a> {
                 let mut noised: Vec<(usize, Shared)> = Vec::with_capacity(arr.len());
                 for (i, s) in arr.iter().enumerate() {
                     let noise = gumbel_fix(self.rng, scale);
-                    let injected =
-                        inject_with_cost(self.engine, noise, FunctionalityCost::gumbel());
-                    let lifted = self.engine.mul_const(s, FGold::new(1 << 16));
-                    let sum = self.engine.add(&lifted, &injected.inner);
+                    let mut sum =
+                        inject_with_cost(self.engine, noise, FunctionalityCost::gumbel()).inner;
+                    self.engine.add_scaled(&mut sum, FGold::new(1 << 16), s);
                     noised.push((i, self.engine.add_const(&sum, off)));
                 }
                 let mut winners = Vec::with_capacity(k);
@@ -929,6 +1016,38 @@ impl<'a> MpcEvaluator<'a> {
             }
             _ => unreachable!("mechanism dispatch"),
         }
+    }
+}
+
+/// Writes slot `i` of an array value, growing the array with `pad()`,
+/// and returns what the write replaced.
+fn put(arr: &mut MVal, i: usize, v: MVal, pad: impl Fn() -> Sec) -> Result<Prior, MpcEvalError> {
+    fn swap<T>(a: &mut Vec<T>, i: usize, x: T, pad: impl Fn() -> T, wrap: fn(T) -> MVal) -> Prior {
+        let len = a.len();
+        let old = if i < len {
+            Some(wrap(std::mem::replace(&mut a[i], x)))
+        } else {
+            a.resize_with(i, pad);
+            a.push(x);
+            None
+        };
+        Prior::Slot { len, old }
+    }
+    Ok(match (arr, v) {
+        (MVal::SecretArr(a), MVal::Secret(s)) => swap(a, i, s, pad, MVal::Secret),
+        (MVal::PubIntArr(a), MVal::PubInt(x)) => swap(a, i, x, || 0, MVal::PubInt),
+        (MVal::PubFixArr(a), MVal::PubFix(x)) => swap(a, i, x, || Fix::ZERO, MVal::PubFix),
+        (e, v) => return err(format!("cannot store {v:?} into {e:?}")),
+    })
+}
+
+/// Shortens an array value to `n` slots.
+fn truncate(v: &mut MVal, n: usize) {
+    match v {
+        MVal::SecretArr(a) => a.truncate(n),
+        MVal::PubIntArr(a) => a.truncate(n),
+        MVal::PubFixArr(a) => a.truncate(n),
+        _ => {}
     }
 }
 

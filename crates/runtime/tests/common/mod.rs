@@ -1,27 +1,41 @@
 //! Shared by the property suites of this directory: a global allocator
-//! that records the largest single request a thread makes while a
-//! property is measuring. Each suite that declares `mod common;` gets
-//! its own instance (a test binary has exactly one global allocator).
+//! that records, for a thread that is measuring, the largest single
+//! request it makes and how many allocations it makes. Each suite that
+//! declares `mod common;` gets its own instance (a test binary has
+//! exactly one global allocator).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// The system allocator, plus a per-thread record of the largest single
-/// request made while [`largest_alloc_during`] is measuring — how a
-/// hostile-input property sees an attacker-sized `with_capacity` or
-/// `resize` that overcommit would otherwise let through silently.
-struct PeakAlloc;
+/// request — how a hostile-input property sees an attacker-sized
+/// `with_capacity` or `resize` that overcommit would otherwise let
+/// through silently — and of the number of allocations, how a
+/// performance property sees churn return.
+struct TrackingAlloc;
 
-thread_local! {
-    /// `Some(largest request so far)` while this thread is measuring.
-    static PEAK: Cell<Option<usize>> = const { Cell::new(None) };
+/// What a measuring thread has requested so far.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    largest: usize,
+    allocs: u64,
 }
 
-fn note_request(size: usize) {
+thread_local! {
+    /// `Some(tally so far)` while this thread is measuring.
+    static TALLY: Cell<Option<Tally>> = const { Cell::new(None) };
+}
+
+/// Notes one request of `size` bytes; `fresh` when it is a new block
+/// rather than a resize of an existing one.
+fn note_request(size: usize, fresh: bool) {
     // `try_with`: allocations during thread teardown must not panic.
-    let _ = PEAK.try_with(|peak| {
-        if let Some(largest) = peak.get() {
-            peak.set(Some(largest.max(size)));
+    let _ = TALLY.try_with(|tally| {
+        if let Some(t) = tally.get() {
+            tally.set(Some(Tally {
+                largest: t.largest.max(size),
+                allocs: t.allocs + u64::from(fresh),
+            }));
         }
     });
 }
@@ -30,9 +44,9 @@ fn note_request(size: usize) {
 // upholds the `GlobalAlloc` contract; the bookkeeping only touches a
 // const-initialized thread-local `Cell`, which neither allocates nor
 // unwinds.
-unsafe impl GlobalAlloc for PeakAlloc {
+unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_request(layout.size());
+        note_request(layout.size(), true);
         // SAFETY: the caller's layout, passed through as is.
         unsafe { System.alloc(layout) }
     }
@@ -43,20 +57,36 @@ unsafe impl GlobalAlloc for PeakAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_request(new_size);
+        note_request(new_size, false);
         // SAFETY: `ptr` came from `System.alloc` with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
-static ALLOCATOR: PeakAlloc = PeakAlloc;
+static ALLOCATOR: TrackingAlloc = TrackingAlloc;
+
+/// Runs `f` and returns its result with what the calling thread
+/// requested meanwhile.
+fn tally_during<T>(f: impl FnOnce() -> T) -> (T, Tally) {
+    TALLY.with(|tally| tally.set(Some(Tally::default())));
+    let out = f();
+    let tally = TALLY.with(|tally| tally.replace(None)).unwrap_or_default();
+    (out, tally)
+}
 
 /// Runs `f` and returns its result with the largest single allocation
 /// the calling thread requested meanwhile.
 pub fn largest_alloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    PEAK.with(|peak| peak.set(Some(0)));
-    let out = f();
-    let largest = PEAK.with(|peak| peak.replace(None)).unwrap_or(0);
-    (out, largest)
+    let (out, tally) = tally_during(f);
+    (out, tally.largest)
+}
+
+/// Runs `f` and returns its result with the number of heap allocations
+/// the calling thread made meanwhile (resizes of a live block are not
+/// new allocations).
+#[allow(dead_code)] // Not every suite counts.
+pub fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let (out, tally) = tally_during(f);
+    (out, tally.allocs)
 }

@@ -9,6 +9,9 @@
 //!   with comparisons feeding multiplications, open to exactly what the
 //!   interpreter computes on the clear inputs — the deferred, layered
 //!   execution is invisible in results.
+//! * Allocation churn: a 128-bucket `median` stays under a fixed count of
+//!   heap allocations, so a fresh sharing per linear term or an
+//!   environment clone per secret `if` cannot return unnoticed.
 //!
 //! The vendored proptest harness seeds its RNG from the test name, so
 //! every run draws the same cases.
@@ -27,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::largest_alloc_during;
+use common::{allocs_during, largest_alloc_during};
 
 /// Runs `program` from the statement after its `v = sum(..)` on shares
 /// of `counts`, as the executor does.
@@ -243,4 +246,21 @@ proptest! {
         let got = secure_run(&program, &counts, MechStyle::Gumbel, seed);
         prop_assert_eq!(got, Ok(want), "{}", src);
     }
+}
+
+/// At most this many heap allocations for one 128-bucket `median` at
+/// m = 5 (≈ 188,800 while every linear operation returned a fresh share
+/// vector and every secret `if` cloned the environment; ≈ 23,600 since).
+const MEDIAN_128_ALLOCS: u64 = 60_000;
+
+#[test]
+fn median_over_128_buckets_allocates_without_churn() {
+    let program = parse(&corpus::median(1 << 20, 128).source).unwrap();
+    let counts: Vec<i64> = (0..128).map(|i| i % 7).collect();
+    let (out, allocs) = allocs_during(|| secure_run(&program, &counts, MechStyle::ExpSample, 3));
+    assert!(out.is_ok(), "{out:?}");
+    assert!(
+        allocs <= MEDIAN_128_ALLOCS,
+        "{allocs} allocations, bound {MEDIAN_128_ALLOCS}"
+    );
 }
