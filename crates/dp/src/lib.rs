@@ -3,9 +3,9 @@
 //! * [`noise`] — Laplace and Gumbel samplers in mechanism-grade Q30.16
 //!   fixed point (deterministic inverse-CDF, avoiding floating-point
 //!   side channels).
-//! * [`mechanisms`] — the Laplace mechanism, the two exponential-
-//!   mechanism instantiations of Figure 4 (exponentiate-and-sample,
-//!   Gumbel argmax), one-shot top-k, and the free-gap variant.
+//! * [`mechanisms`] — the two exponential-mechanism instantiations of
+//!   Figure 4 (exponentiate-and-sample, Gumbel argmax), one-shot top-k,
+//!   and the free-gap variant.
 //! * [`budget`] — `(ε, δ)` accounting, sequential and `√k` composition,
 //!   amplification by subsampling.
 //! * [`sketch`] — the count-mean sketch behind the Honeycrisp `cms` query.
@@ -19,8 +19,6 @@ pub mod noise;
 pub mod sketch;
 
 pub use budget::{BudgetError, BudgetLedger, LedgerBook, LedgerBookError, PrivacyCost};
-pub use mechanisms::{
-    em_exponentiate, em_gumbel, em_with_gap, laplace_mechanism, top_k_oneshot, MechanismError,
-};
+pub use mechanisms::{em_exponentiate, em_gumbel, em_with_gap, top_k_oneshot, MechanismError};
 pub use noise::{gumbel_fix, laplace_fix, uniform_open_fix};
 pub use sketch::CountMeanSketch;

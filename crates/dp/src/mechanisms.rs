@@ -1,5 +1,6 @@
-//! Differential-privacy mechanisms: Laplace, exponential (two
-//! instantiations), and top-k selection.
+//! Differential-privacy mechanisms: exponential (two instantiations),
+//! top-k selection and the free-gap variant. Released Laplace noise is
+//! [`crate::noise::laplace_fix`].
 //!
 //! The two exponential-mechanism instantiations mirror Figure 4 of the
 //! paper: the textbook exponentiate-and-sample form (with the score
@@ -11,7 +12,7 @@
 use arboretum_field::fixed::Fix;
 use rand::Rng;
 
-use crate::noise::{gumbel_fix, laplace_fix, uniform_open_fix};
+use crate::noise::{gumbel_fix, uniform_open_fix};
 
 /// Errors raised by mechanism evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,25 +53,6 @@ fn check(eps: f64, sens: f64) -> Result<(), MechanismError> {
         return Err(MechanismError::NonPositiveSensitivity(sens));
     }
     Ok(())
-}
-
-/// The Laplace mechanism: `value + Laplace(sens / eps)`, in fixed point.
-///
-/// # Errors
-///
-/// Returns [`MechanismError`] on non-positive `eps` or `sens`.
-pub fn laplace_mechanism<R: Rng + ?Sized>(
-    value: i64,
-    sens: f64,
-    eps: f64,
-    rng: &mut R,
-) -> Result<Fix, MechanismError> {
-    check(eps, sens)?;
-    let scale = Fix::from_f64(sens / eps).map_err(|_| MechanismError::NonPositiveEpsilon(eps))?;
-    let noise = laplace_fix(rng, scale);
-    Fix::from_int(value)
-        .and_then(|v| v.checked_add(noise))
-        .map_err(|_| MechanismError::NonPositiveSensitivity(sens))
 }
 
 /// Exponential mechanism, Gumbel instantiation (Figure 4, right): add
@@ -247,21 +229,10 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn laplace_mechanism_centers_on_value() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let n = 5000;
-        let sum: f64 = (0..n)
-            .map(|_| laplace_mechanism(100, 1.0, 0.5, &mut rng).unwrap().to_f64())
-            .sum();
-        let mean = sum / n as f64;
-        assert!((mean - 100.0).abs() < 0.3, "mean {mean}");
-    }
-
-    #[test]
     fn parameter_validation() {
         let mut rng = StdRng::seed_from_u64(2);
-        assert!(laplace_mechanism(0, 1.0, 0.0, &mut rng).is_err());
-        assert!(laplace_mechanism(0, -1.0, 0.1, &mut rng).is_err());
+        assert!(em_gumbel(&[1], 1.0, 0.0, &mut rng).is_err());
+        assert!(em_gumbel(&[1], -1.0, 0.1, &mut rng).is_err());
         assert!(em_gumbel(&[], 1.0, 0.1, &mut rng).is_err());
         assert!(top_k_oneshot(&[1, 2], 3, 1.0, 0.1, &mut rng).is_err());
     }

@@ -251,40 +251,6 @@ where
     }
 }
 
-/// Runs independent committee tasks concurrently (§5.4: distinct
-/// vignettes' committees have no data dependencies and can proceed at
-/// the same time): the task list is partitioned across the
-/// [`arboretum_par::ShardedPool`]'s shards and each shard runs its
-/// contiguous slice on its own pinned pool.
-///
-/// Task `k` runs a full [`run_with_failover`] with its own dealer and
-/// party seeds, salted by its **global** index — never by scheduling or
-/// by the task's position within its shard — so every task's outputs,
-/// failover path, and transport metrics (hence all `NetMeter` totals
-/// derived from them) are bitwise identical for every shard count and
-/// thread count, including the zero-worker pool that runs the tasks
-/// inline sequentially. Results come back in task order.
-pub fn run_concurrent_sharded<F>(
-    set: &arboretum_par::ShardedPool,
-    cfg: &NetExecConfig,
-    tasks: Vec<F>,
-) -> Vec<Result<NetExecReport, NetExecError>>
-where
-    F: Fn(&mut NetParty) -> Result<Vec<FGold>, MpcError> + Send + Sync + 'static,
-{
-    let cfg = cfg.clone();
-    let tasks = std::sync::Arc::new(tasks);
-    arboretum_par::par_map_arc_sharded(set, &tasks, move |k, task| {
-        let salt = (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let task_cfg = NetExecConfig {
-            dealer_seed: cfg.dealer_seed ^ salt,
-            party_seed: cfg.party_seed ^ salt,
-            ..cfg.clone()
-        };
-        run_with_failover(&task_cfg, |p: &mut NetParty| task(p))
-    })
-}
-
 /// Runs one committee attempt: `m` threads, one evented fabric, one
 /// dealer. The instant sim fabric is one act-as-anyone object and
 /// cannot host `m` concurrent per-party closures; evented endpoints
@@ -351,63 +317,6 @@ mod tests {
         assert_eq!(report.committee, 0);
         assert!(report.failures.is_empty());
         assert!(report.metrics.payload_bytes_total > 0);
-    }
-
-    #[test]
-    fn concurrent_tasks_match_sequential_execution() {
-        let cfg = NetExecConfig::default();
-        let tasks: Vec<_> = (0..3)
-            .map(|k| {
-                move |p: &mut NetParty| -> Result<Vec<FGold>, MpcError> {
-                    let a = p.input(0, FGold::new(10 + k))?;
-                    let b = p.input(1, FGold::new(1))?;
-                    let s = p.add(&a, &b);
-                    p.open_batch(&[&s])
-                }
-            })
-            .collect();
-        let serial = arboretum_par::ShardedPool::new(0, 1);
-        let reference = run_concurrent_sharded(&serial, &cfg, tasks.clone());
-        let pool = arboretum_par::ShardedPool::new(4, 1);
-        let concurrent = run_concurrent_sharded(&pool, &cfg, tasks);
-        assert_eq!(reference.len(), 3);
-        for (k, (a, b)) in reference.iter().zip(&concurrent).enumerate() {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.outputs, vec![FGold::new(11 + k as u64)]);
-            assert_eq!(a.outputs, b.outputs, "task {k}");
-            assert_eq!(a.committee, b.committee, "task {k}");
-            assert_eq!(a.metrics, b.metrics, "task {k}");
-        }
-    }
-
-    #[test]
-    fn sharded_tasks_match_single_pool_execution() {
-        let cfg = NetExecConfig::default();
-        let mk_tasks = || -> Vec<_> {
-            (0..5)
-                .map(|k| {
-                    move |p: &mut NetParty| -> Result<Vec<FGold>, MpcError> {
-                        let a = p.input(0, FGold::new(10 + k))?;
-                        let b = p.input(1, FGold::new(1))?;
-                        let s = p.add(&a, &b);
-                        p.open_batch(&[&s])
-                    }
-                })
-                .collect()
-        };
-        let serial = arboretum_par::ShardedPool::new(0, 1);
-        let reference = run_concurrent_sharded(&serial, &cfg, mk_tasks());
-        for shards in [1usize, 2, 3] {
-            let set = arboretum_par::ShardedPool::new(2, shards);
-            let sharded = run_concurrent_sharded(&set, &cfg, mk_tasks());
-            assert_eq!(sharded.len(), reference.len());
-            for (k, (a, b)) in reference.iter().zip(&sharded).enumerate() {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert_eq!(a.outputs, b.outputs, "shards={shards} task {k}");
-                assert_eq!(a.committee, b.committee, "shards={shards} task {k}");
-                assert_eq!(a.metrics, b.metrics, "shards={shards} task {k}");
-            }
-        }
     }
 
     #[test]

@@ -401,7 +401,8 @@ impl<'a> StreamExecutor<'a> {
     /// [`ExecError::BudgetExhausted`] if the certificate cost
     /// does not fit the remaining budget, and
     /// [`ExecError::Unsupported`] for committee-size or schedule-size
-    /// mismatches.
+    /// mismatches, and for more windows than devices (a window every
+    /// device could leave empty; the epoch would walk them all).
     #[allow(clippy::too_many_arguments)]
     pub fn open(
         plan: &'a Plan,
@@ -419,6 +420,12 @@ impl<'a> StreamExecutor<'a> {
             return Err(ExecError::Unsupported(format!(
                 "schedule covers {} devices, deployment has {n}",
                 schedule.n_devices
+            )));
+        }
+        if schedule.n_windows > n {
+            return Err(ExecError::Unsupported(format!(
+                "{} windows exceed the deployment's {n} devices",
+                schedule.n_windows
             )));
         }
         // ---- Setup (§5.1–§5.2): cached in a session catalog, or built

@@ -1,7 +1,7 @@
 //! Determinism regression tests for the parallel subsystem: every
 //! parallel hot path must produce results identical to its serial
-//! counterpart at *any* thread count — bitwise for BGV aggregates,
-//! plan-for-plan for the planner, byte-for-byte for network metering.
+//! counterpart at *any* thread count — bitwise for BGV aggregates and
+//! executor reports, plan-for-plan for the planner.
 //!
 //! These tests pin the determinism contract of `arboretum-par` (fixed,
 //! index-determined work decomposition; randomness confined to serial
@@ -10,16 +10,13 @@
 use arboretum_bgv::{encode_coeffs, encrypt, keygen, par_sum_sharded, sum, BgvContext, BgvParams};
 use arboretum_dp::budget::PrivacyCost;
 use arboretum_field::primes::{BGV_Q1, BGV_Q2, BGV_Q_ROOTS};
-use arboretum_field::FGold;
 use arboretum_lang::ast::DbSchema;
 use arboretum_lang::parser::parse;
 use arboretum_lang::privacy::CertifyConfig;
-use arboretum_mpc::{MpcError, MpcOps};
 use arboretum_par::ParConfig;
 use arboretum_planner::logical::extract;
 use arboretum_planner::search::{plan, PlannerConfig};
 use arboretum_runtime::executor::{execute, Deployment, ExecutionConfig};
-use arboretum_runtime::net_exec::{run_concurrent_sharded, NetExecConfig, NetParty};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -229,84 +226,6 @@ fn executor_report_is_identical_at_any_shard_and_thread_count() {
                 reference,
                 "shards={shards} threads={threads}"
             );
-        }
-    }
-}
-
-#[test]
-fn net_meter_totals_are_identical_at_any_shard_count() {
-    let cfg = NetExecConfig::default();
-    // 7 tasks: remainders at K ∈ {2, 3}, and more shards than tasks at
-    // K = 8 (empty shards must be harmless).
-    let make_tasks = || -> Vec<_> {
-        (0..7u64)
-            .map(|k| {
-                move |p: &mut NetParty| -> Result<Vec<FGold>, MpcError> {
-                    let a = p.input(0, FGold::new(100 + k))?;
-                    let b = p.input(1, FGold::new(2 * k + 1))?;
-                    let s = p.add(&a, &b);
-                    let prod = p.mul(&s, &b)?;
-                    p.open_batch(&[&s, &prod])
-                }
-            })
-            .collect()
-    };
-    let serial_pool = ParConfig::serial().with_shards(1).sharded_pool();
-    let reference = run_concurrent_sharded(&serial_pool, &cfg, make_tasks());
-    let ref_payload: u64 = reference
-        .iter()
-        .map(|r| r.as_ref().unwrap().metrics.payload_bytes_total)
-        .sum();
-    for shards in SHARD_COUNTS {
-        for threads in [0usize, 2] {
-            let set = ParConfig::fixed(threads).with_shards(shards).sharded_pool();
-            let got = run_concurrent_sharded(&set, &cfg, make_tasks());
-            assert_eq!(got.len(), reference.len());
-            for (k, (r, g)) in reference.iter().zip(&got).enumerate() {
-                let (r, g) = (r.as_ref().unwrap(), g.as_ref().unwrap());
-                let tag = format!("task {k} shards={shards} threads={threads}");
-                assert_eq!(g.outputs, r.outputs, "{tag}");
-                assert_eq!(g.committee, r.committee, "{tag}");
-                assert_eq!(g.metrics, r.metrics, "{tag}");
-            }
-            let payload: u64 = got
-                .iter()
-                .map(|r| r.as_ref().unwrap().metrics.payload_bytes_total)
-                .sum();
-            assert_eq!(payload, ref_payload, "shards={shards} threads={threads}");
-        }
-    }
-}
-
-#[test]
-fn net_meter_totals_are_identical_at_any_thread_count() {
-    let cfg = NetExecConfig::default();
-    let make_tasks = || -> Vec<_> {
-        (0..4u64)
-            .map(|k| {
-                move |p: &mut NetParty| -> Result<Vec<FGold>, MpcError> {
-                    let a = p.input(0, FGold::new(100 + k))?;
-                    let b = p.input(1, FGold::new(2 * k + 1))?;
-                    let s = p.add(&a, &b);
-                    let prod = p.mul(&s, &b)?;
-                    p.open_batch(&[&s, &prod])
-                }
-            })
-            .collect()
-    };
-    let serial_pool = ParConfig::serial().with_shards(1).sharded_pool();
-    let reference = run_concurrent_sharded(&serial_pool, &cfg, make_tasks());
-    for threads in THREAD_COUNTS {
-        let pool = ParConfig::fixed(threads).with_shards(1).sharded_pool();
-        let got = run_concurrent_sharded(&pool, &cfg, make_tasks());
-        assert_eq!(got.len(), reference.len());
-        for (k, (r, g)) in reference.iter().zip(&got).enumerate() {
-            let (r, g) = (r.as_ref().unwrap(), g.as_ref().unwrap());
-            assert_eq!(g.outputs, r.outputs, "task {k} at {threads} threads");
-            assert_eq!(g.committee, r.committee, "task {k} at {threads} threads");
-            // Transport metering — rounds, frames, payload and framed
-            // bytes — must agree exactly.
-            assert_eq!(g.metrics, r.metrics, "task {k} at {threads} threads");
         }
     }
 }

@@ -31,15 +31,14 @@ use arboretum_planner::logical::{extract, LogicalPlan};
 use arboretum_planner::plan::Plan;
 use arboretum_planner::search::{plan as plan_physical, PlannerConfig};
 use arboretum_runtime::{
-    execute_stream, run_with_failover, Adversary, AggregatorBehavior, ArrivalSchedule,
-    CommitteeBehavior, Deployment, DetectionClass, DetectionKind, DeviceBehavior, ExecutionConfig,
-    HonestAdversary, NetExecConfig, NetExecReport, NetParty, StreamReport, Subject, SETUP_ROLES,
+    execute_stream, run_with_failover, Adversary, ArrivalSchedule, CommitteeBehavior, Deployment,
+    DetectionClass, DetectionKind, DeviceBehavior, ExecutionConfig, HonestAdversary, NetExecConfig,
+    NetExecReport, NetParty, StreamReport, Subject, SETUP_ROLES,
 };
 use arboretum_service::{CatalogConfig, SessionCatalog};
 use arboretum_sortition::select::select_committees;
 
-use crate::adaptive::{AdaptiveSchedule, RealizedSchedule};
-use crate::schedule::{handoff_crash, AdversarySchedule, COMMITTEE_SEATS};
+use crate::schedule::{AdversarySchedule, Decider};
 
 /// Numeric-schema bounds used by the harness: ages 0..=9 per field, two
 /// fields per row, the last pinned to `hi` so the legacy out-of-range
@@ -81,10 +80,10 @@ pub struct AttackConfig {
     /// exactly one aggregator detection with the exact predicted
     /// [`DetectionKind`] (step attribution included).
     pub aggregator: bool,
-    /// Drive the run with an [`AdaptiveSchedule`] instead of the static
-    /// schedule: every corruption decision becomes a pure function of
-    /// `(seed, observed-transcript-prefix)`, and the cross-checks run
-    /// against the realized decisions.
+    /// Drive the run with the adaptive schedule instead of the static
+    /// one: every corruption decision is made at the executor's first
+    /// query, as a pure function of `(seed, observed-transcript-prefix)`,
+    /// and the cross-checks run against what was decided.
     pub adaptive: bool,
 }
 
@@ -126,7 +125,8 @@ impl AttackConfig {
 /// Everything one attack run produced, plus every cross-check failure.
 #[derive(Clone, Debug)]
 pub struct AttackOutcome {
-    /// The schedule that drove the run.
+    /// What the schedule that drove the run decided, its decision log
+    /// included.
     pub schedule: AdversarySchedule,
     /// The arrival partition of the adversarial and all-honest epochs.
     pub arrivals: ArrivalSchedule,
@@ -145,8 +145,6 @@ pub struct AttackOutcome {
     /// The exact aggregator detection kind predicted (step attribution
     /// included), when the aggregator axis is active.
     pub expected_aggregator: Option<DetectionKind>,
-    /// The realized decision log, when the run was adaptive.
-    pub adaptive: Option<RealizedSchedule>,
     /// Every cross-check that failed, human-readable. Empty = pass.
     pub problems: Vec<String>,
 }
@@ -168,10 +166,15 @@ impl AttackOutcome {
                 self.arrivals.n_devices
             ));
         }
-        if let Some(realized) = &self.adaptive {
+        let observed = self
+            .schedule
+            .decisions
+            .iter()
+            .filter(|d| d.digest.is_some())
+            .count();
+        if observed > 0 {
             out.push_str(&format!(
-                "adaptive: {} decision(s) conditioned on observed traffic\n",
-                realized.decisions.len()
+                "adaptive: {observed} decision(s) conditioned on observed traffic\n"
             ));
         }
         let report = &self.adversarial.report;
@@ -385,70 +388,14 @@ pub fn run_attack(
         .map_err(|e| format!("{tag} run: {e}"))
     };
 
-    // The adversary driving the run: a static seed-derived schedule, or
-    // an adaptive one whose decisions condition on observed traffic.
-    let adaptive_adversary = cfg.adaptive.then(|| {
-        AdaptiveSchedule::new(cfg.seed, cfg.n_devices, cfg.aggregator).with_windows(cfg.windows)
-    });
-    let static_schedule = (!cfg.adaptive).then(|| {
-        let s = AdversarySchedule::new(cfg.seed, cfg.n_devices, cfg.n_committees)
-            .with_windows(cfg.windows);
-        if cfg.aggregator {
-            s.with_malicious_aggregator()
-        } else {
-            s
-        }
-    });
-    let adversary: &dyn Adversary = match (&adaptive_adversary, &static_schedule) {
-        (Some(a), _) => a,
-        (_, Some(s)) => s,
-        _ => unreachable!("exactly one adversary is built"),
-    };
-    let adversarial = run(&arrivals, adversary, "adversarial")?;
-
-    // The schedule view the cross-checks run against: the static
-    // schedule verbatim, or the adaptive adversary's realized
-    // decisions reassembled into the same shape.
-    let (schedule, realized) = match &adaptive_adversary {
-        Some(a) => {
-            // Network faults are decided here — after the main
-            // pipeline, conditioned on its whole transcript.
-            let net_faults = a.net_faults(cfg.n_committees);
-            let realized = a.realized();
-            let device_behaviors = (0..cfg.n_devices)
-                .map(|i| {
-                    realized
-                        .device_behaviors
-                        .get(&i)
-                        .copied()
-                        .unwrap_or(DeviceBehavior::Honest)
-                })
-                .collect();
-            let committee_behaviors = (0..cfg.n_committees)
-                .map(|c| {
-                    (0..COMMITTEE_SEATS)
-                        .map(|m| {
-                            realized
-                                .committee_behaviors
-                                .get(&(c, m))
-                                .copied()
-                                .unwrap_or(CommitteeBehavior::Honest)
-                        })
-                        .collect()
-                })
-                .collect();
-            let schedule = AdversarySchedule {
-                seed: cfg.seed,
-                device_behaviors,
-                committee_behaviors,
-                net_faults,
-                aggregator: realized.aggregator.unwrap_or(AggregatorBehavior::Honest),
-                crash: handoff_crash(cfg.seed, cfg.windows),
-            };
-            (schedule, Some(realized))
-        }
-        None => (static_schedule.clone().expect("static adversary"), None),
-    };
+    // The adversary driving the run: the static schedule, every decision
+    // already made, or the adaptive one, deciding as the executor asks.
+    let adversary = Decider::new(cfg);
+    let adversarial = run(&arrivals, &adversary, "adversarial")?;
+    // What it decided is what the cross-checks run against. An adaptive
+    // schedule decides its network faults here, after the epoch,
+    // conditioned on its whole transcript.
+    let schedule = adversary.snapshot();
 
     // The honest epochs. Rejecting an upload must leave no trace, so
     // the adversarial epoch must equal, on everything but the rejected
@@ -484,7 +431,6 @@ pub fn run_attack(
         net: None,
         expected,
         expected_aggregator,
-        adaptive: realized,
         problems: Vec::new(),
     };
     outcome.problems = cross_check(
@@ -754,9 +700,10 @@ fn run_net_phase(
 /// The artifact is a complete bug report: the reproduce command with
 /// every axis flag, the schedule, the full typed detection list with
 /// per-detection attribution against the prediction, every window's
-/// checkpoint next to the reference's, and — for adaptive runs — the
-/// whole decision log (subject, transcript digest, draw, choice per
-/// decision), which replays bitwise from the seed.
+/// checkpoint next to the reference's, and the whole decision log
+/// (subject, transcript digest — `-` for the static schedule, which
+/// observes nothing — draw, choice per decision), which replays bitwise
+/// from the seed.
 ///
 /// # Errors
 ///
@@ -826,17 +773,15 @@ pub fn dump_failure_artifact(
         ));
     }
 
-    if let Some(realized) = &outcome.adaptive {
-        body.push_str("\nadaptive decision log (replayable from the seed):\n");
-        for d in &realized.decisions {
-            body.push_str(&format!(
-                "  {} | digest {} | draw {:#018x} | {}\n",
-                d.subject,
-                hex_prefix(&d.digest),
-                d.draw,
-                d.choice
-            ));
-        }
+    body.push_str("\ndecision log (replayable from the seed):\n");
+    for d in &outcome.schedule.decisions {
+        body.push_str(&format!(
+            "  {} | digest {} | draw {:#018x} | {}\n",
+            d.subject,
+            hex(&d.digest),
+            d.draw,
+            d.choice
+        ));
     }
     std::fs::write(&path, body)?;
     Ok(path)
@@ -904,19 +849,18 @@ pub(crate) mod tests {
             ..AttackConfig::new(3)
         };
         let outcome = pass(cfg, None);
-        let realized = outcome.adaptive.as_ref().expect("adaptive run");
-        assert!(!realized.decisions.is_empty());
-        assert!(realized.aggregator.is_some());
+        let decisions = &outcome.schedule.decisions;
+        assert!(!decisions.is_empty());
+        assert!(decisions.iter().all(|d| d.digest.is_some()));
         // Decisions conditioned on real traffic: the aggregator
         // decision saw a non-empty transcript.
-        let agg_decision = realized
-            .decisions
+        let agg_decision = decisions
             .iter()
             .find(|d| d.subject == "aggregator")
             .expect("aggregator decision logged");
         assert_ne!(
             agg_decision.digest,
-            crate::adaptive::TranscriptAccumulator::new().digest(),
+            Some(crate::adaptive::TranscriptAccumulator::new().digest()),
             "aggregator decision conditioned on an empty transcript"
         );
     }
@@ -970,8 +914,7 @@ pub(crate) mod tests {
         assert!(a.adversarial.report.setup.is_zero());
         let b = pass(cfg, Some(&catalog));
         assert_eq!(
-            a.adaptive.as_ref().expect("adaptive").decisions,
-            b.adaptive.as_ref().expect("adaptive").decisions,
+            a.schedule.decisions, b.schedule.decisions,
             "service-path adaptive decisions did not replay"
         );
     }

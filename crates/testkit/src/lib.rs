@@ -2,14 +2,19 @@
 //!
 //! The paper's security argument (§5) is a list of claims of the form
 //! "a malicious X is detected by check Y". This crate turns each claim
-//! into an executable experiment: an [`AdversarySchedule`] — a pure
-//! function of `(seed, n_devices, n_committees, windows)` — assigns
+//! into an executable experiment: one seed-derived schedule assigns
 //! every simulated device and committee member a behavior from the
 //! Byzantine catalog, every committee a network fault and, in a
-//! multi-window epoch, one seat a handoff crash; [`run_attack`] runs one
-//! ingestion epoch under that schedule (a batch query is the one-window
-//! epoch), and an [`AttackOutcome`] cross-checks the result against an
-//! honest reference epoch:
+//! multi-window epoch, one seat a handoff crash. The schedule either
+//! observes nothing — the static schedule, decided up front in index
+//! order, a pure function of `(seed, n_devices, n_committees, windows)`
+//! — or observes the executor's traffic and decides each subject at its
+//! first query (adaptive); both run the same rules, caps and memo (see
+//! [`schedule`]). [`run_attack`] runs one ingestion epoch under that
+//! schedule (a batch query is the one-window epoch), and an
+//! [`AttackOutcome`] cross-checks the result against the
+//! [`AdversarySchedule`] snapshot of what was decided and an honest
+//! reference epoch:
 //!
 //! * every injected behavior is flagged with the right typed
 //!   [`DetectionKind`](arboretum_runtime::DetectionKind), attributed to
@@ -31,12 +36,12 @@ pub mod forgery;
 pub mod harness;
 pub mod schedule;
 
-pub use adaptive::{AdaptiveSchedule, Decision, RealizedSchedule, TranscriptAccumulator};
+pub use adaptive::TranscriptAccumulator;
 pub use forgery::{forgery_plan, run_forgery_sweep, Corruption, ForgeryPlan};
 pub use harness::{
     build_attack_catalog, dump_failure_artifact, run_attack, AttackConfig, AttackOutcome,
 };
-pub use schedule::{AdversarySchedule, NetFault};
+pub use schedule::{AdversarySchedule, Decision, NetFault};
 
 /// The harness over multi-window epochs.
 #[cfg(test)]

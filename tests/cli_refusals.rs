@@ -1,6 +1,6 @@
-//! Deployments the CLI cannot run are refused with exit code 1 and one
-//! line on stderr — never a panic (exit 101) — and a removed option is a
-//! usage error (exit 2).
+//! Deployments and epochs the CLI cannot run are refused with exit code
+//! 1 and one line on stderr — never a panic (exit 101) or a hang — and a
+//! removed option is a usage error (exit 2).
 
 use std::process::Command;
 
@@ -38,6 +38,32 @@ fn undersized_and_empty_deployments_exit_1_with_one_line() {
             "at least one committee",
         ),
         (vec!["attack", "--windows", "0"], "at least one window"),
+        // More windows than devices: refused at open, where walking
+        // 4·10¹² mostly empty windows used to hold the process.
+        (
+            vec![
+                "run",
+                query,
+                "--categories",
+                "4",
+                "--counts",
+                "12,12,12,12",
+                "--windows",
+                "4000000000000",
+            ],
+            "4000000000000 windows exceed the deployment's 48 devices",
+        ),
+        (
+            vec![
+                "attack",
+                "--seed",
+                "0",
+                "--no-net",
+                "--windows",
+                "4000000000000",
+            ],
+            "4000000000000 windows exceed the deployment's 48 devices",
+        ),
     ] {
         let (code, stderr) = arboretum(&args);
         assert_eq!(code, Some(1), "{args:?}: stderr {stderr}");
