@@ -55,9 +55,9 @@ pub fn gumbel_experiment(m: usize, slow_parties: usize, slow_factor: f64) -> Het
         Fix::from_f64(1.5).unwrap(),
         FunctionalityCost::gumbel(),
     );
-    let count = SharedFix::input(&mut e, 0, Fix::from_int(1000).unwrap());
+    let count = SharedFix::input(&mut e, 0, Fix::from_int(1000).unwrap()).expect("input succeeds");
     let sum = count.add(&e, &noise);
-    let other = SharedFix::input(&mut e, 1, Fix::from_int(990).unwrap());
+    let other = SharedFix::input(&mut e, 1, Fix::from_int(990).unwrap()).expect("input succeeds");
     let _cmp = arboretum_mpc::compare::less_than(&mut e, &other.inner, &sum.inner, 30)
         .expect("comparison succeeds");
     let _ = sum.open(&mut e).expect("open succeeds");

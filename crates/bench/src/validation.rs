@@ -57,8 +57,8 @@ fn predict_compare(m: u64, bits: u64) -> (u64, u64) {
 pub fn validate_compare(m: usize, bits: usize) -> ValidationRow {
     let t = (m - 1) / 2;
     let mut e = MpcEngine::new(m, t, true, 0xc0de);
-    let x = e.input(0, FGold::new(123));
-    let y = e.input(1, FGold::new(456));
+    let x = e.input(0, FGold::new(123)).expect("input succeeds");
+    let y = e.input(1, FGold::new(456)).expect("input succeeds");
     let before = e.net.metrics.clone();
     less_than(&mut e, &x, &y, bits).expect("comparison succeeds");
     let after = e.net.metrics.clone();
@@ -80,7 +80,10 @@ pub fn validate_argmax(m: usize, k: usize, bits: usize) -> ValidationRow {
     let t = (m - 1) / 2;
     let mut e = MpcEngine::new(m, t, true, 0xa12);
     let xs: Vec<_> = (0..k)
-        .map(|i| e.input(0, FGold::new(i as u64 * 7 + 1)))
+        .map(|i| {
+            e.input(0, FGold::new(i as u64 * 7 + 1))
+                .expect("input succeeds")
+        })
         .collect();
     let before = e.net.metrics.clone();
     argmax_tournament(&mut e, &xs, bits).expect("argmax succeeds");

@@ -52,8 +52,8 @@
 //!                         detection must name its window   [default 1]
 //!   --fabric F            fabric for the MPC engines: sim | evented
 //!                         (outcomes are identical on either; the
-//!                         networked fault phase always runs per-thread
-//!                         parties on evented endpoints)
+//!                         networked fault phase always runs on the
+//!                         evented fabric, which carries its faults)
 //!
 //! serve options:
 //!   --devices N           simulated deployment size            [default 48]

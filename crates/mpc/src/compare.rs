@@ -23,8 +23,7 @@
 
 use arboretum_field::FGold;
 
-use crate::engine::MpcError;
-use crate::ops::MpcOps;
+use crate::engine::{MpcEngine, MpcError, Shared};
 
 /// Number of mask bits (statistical hiding of values up to `2^42`).
 const MASK_BITS: usize = 62;
@@ -45,12 +44,12 @@ pub const MAX_COMPARE_BITS: usize = 45;
 /// # Panics
 ///
 /// Panics if `bits` exceeds [`MAX_COMPARE_BITS`].
-pub fn less_than<E: MpcOps>(
-    e: &mut E,
-    x: &E::Secret,
-    y: &E::Secret,
+pub fn less_than(
+    e: &mut MpcEngine,
+    x: &Shared,
+    y: &Shared,
     bits: usize,
-) -> Result<E::Secret, MpcError> {
+) -> Result<Shared, MpcError> {
     Ok(less_than_batch(e, &[(x, y)], bits)?.remove(0))
 }
 
@@ -71,11 +70,11 @@ pub fn less_than<E: MpcOps>(
 /// # Panics
 ///
 /// Panics if `bits` exceeds [`MAX_COMPARE_BITS`].
-pub fn less_than_batch<E: MpcOps>(
-    e: &mut E,
-    pairs: &[(&E::Secret, &E::Secret)],
+pub fn less_than_batch(
+    e: &mut MpcEngine,
+    pairs: &[(&Shared, &Shared)],
     bits: usize,
-) -> Result<Vec<E::Secret>, MpcError> {
+) -> Result<Vec<Shared>, MpcError> {
     assert!(
         bits <= MAX_COMPARE_BITS,
         "comparison width {bits} too large"
@@ -88,19 +87,19 @@ pub fn less_than_batch<E: MpcOps>(
     let offset = FGold::new(1u64 << bits);
     // Per pair: dealer random bits forming the mask R, and c = z + R,
     // summed in place.
-    let mut all_r_shares: Vec<Vec<E::Secret>> = Vec::with_capacity(k);
-    let mut masked: Vec<E::Secret> = Vec::with_capacity(k);
+    let mut all_r_shares: Vec<Vec<Shared>> = Vec::with_capacity(k);
+    let mut masked: Vec<Shared> = Vec::with_capacity(k);
     for (x, y) in pairs {
         let mut c = e.add_const(x, offset);
         e.add_scaled(&mut c, -FGold::ONE, y);
-        let r_shares = e.random_bits(MASK_BITS)?;
+        let (r_shares, _) = e.random_bits(MASK_BITS);
         for (i, rb) in r_shares.iter().enumerate() {
             e.add_scaled(&mut c, FGold::new(1u64 << i), rb);
         }
         masked.push(c);
         all_r_shares.push(r_shares);
     }
-    let refs: Vec<&E::Secret> = masked.iter().collect();
+    let refs: Vec<&Shared> = masked.iter().collect();
     let cs: Vec<u64> = e
         .open_batch(&refs)?
         .into_iter()
@@ -109,10 +108,10 @@ pub fn less_than_batch<E: MpcOps>(
     // Borrow-chain subtraction of R from c over the low `bits` bits:
     // borrow_{i+1} = c_i == 0 ? (r_i OR b_i) : (r_i AND b_i). The chains
     // advance in lockstep, one batched multiplication per bit level.
-    let mut borrows: Vec<E::Secret> = vec![e.zero(); k];
+    let mut borrows: Vec<Shared> = vec![e.zero(); k];
     #[allow(clippy::needless_range_loop)] // The bit index drives all pairs' chains.
     for i in 0..bits {
-        let mul_pairs: Vec<(&E::Secret, &E::Secret)> =
+        let mul_pairs: Vec<(&Shared, &Shared)> =
             (0..k).map(|p| (&all_r_shares[p][i], &borrows[p])).collect();
         let rbs = e.mul_batch(&mul_pairs)?;
         for (p, rb) in rbs.into_iter().enumerate() {
@@ -128,7 +127,7 @@ pub fn less_than_batch<E: MpcOps>(
     // z_bit = c_bit XOR r_bit XOR borrow, batched: r XOR b = r + b - 2rb
     // and 1 XOR v = 1 - v. z's bit `bits` set means x >= y; we want
     // x < y = 1 XOR z_bit: r XOR b when c_bit is set, else 1 − (r XOR b).
-    let xor_pairs: Vec<(&E::Secret, &E::Secret)> = (0..k)
+    let xor_pairs: Vec<(&Shared, &Shared)> = (0..k)
         .map(|p| (&all_r_shares[p][bits], &borrows[p]))
         .collect();
     let prods = e.mul_batch(&xor_pairs)?;
@@ -164,32 +163,32 @@ pub fn less_than_batch<E: MpcOps>(
 /// # Panics
 ///
 /// Panics on an empty slice.
-pub fn argmax_tournament<E: MpcOps>(
-    e: &mut E,
-    xs: &[E::Secret],
+pub fn argmax_tournament(
+    e: &mut MpcEngine,
+    xs: &[Shared],
     bits: usize,
-) -> Result<(E::Secret, E::Secret), MpcError> {
+) -> Result<(Shared, Shared), MpcError> {
     assert!(!xs.is_empty(), "argmax of empty slice");
-    let mut vals: Vec<E::Secret> = xs.to_vec();
-    let mut idxs: Vec<E::Secret> = (0..xs.len())
+    let mut vals: Vec<Shared> = xs.to_vec();
+    let mut idxs: Vec<Shared> = (0..xs.len())
         .map(|i| e.constant(FGold::new(i as u64)))
         .collect();
     while vals.len() > 1 {
         let pairs_n = vals.len() / 2;
         // Compare (left, right) of each pair in one batch.
-        let cmp_pairs: Vec<(&E::Secret, &E::Secret)> = (0..pairs_n)
+        let cmp_pairs: Vec<(&Shared, &Shared)> = (0..pairs_n)
             .map(|p| (&vals[2 * p], &vals[2 * p + 1]))
             .collect();
         let right_wins = less_than_batch(e, &cmp_pairs, bits)?;
         // Select winners (value and index) in one batched multiplication:
         // winner = left + bit · (right − left).
-        let val_diffs: Vec<E::Secret> = (0..pairs_n)
+        let val_diffs: Vec<Shared> = (0..pairs_n)
             .map(|p| e.sub(&vals[2 * p + 1], &vals[2 * p]))
             .collect();
-        let idx_diffs: Vec<E::Secret> = (0..pairs_n)
+        let idx_diffs: Vec<Shared> = (0..pairs_n)
             .map(|p| e.sub(&idxs[2 * p + 1], &idxs[2 * p]))
             .collect();
-        let mut sel_pairs: Vec<(&E::Secret, &E::Secret)> = Vec::with_capacity(2 * pairs_n);
+        let mut sel_pairs: Vec<(&Shared, &Shared)> = Vec::with_capacity(2 * pairs_n);
         for p in 0..pairs_n {
             sel_pairs.push((&right_wins[p], &val_diffs[p]));
             sel_pairs.push((&right_wins[p], &idx_diffs[p]));
@@ -210,7 +209,6 @@ pub fn argmax_tournament<E: MpcOps>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{MpcEngine, Shared};
 
     fn engine() -> MpcEngine {
         MpcEngine::new(5, 2, false, 17)
@@ -228,8 +226,8 @@ mod tests {
             (0, 0, 0),
             ((1 << 20) - 1, 1 << 20, 1),
         ] {
-            let sx = e.input(0, FGold::new(x));
-            let sy = e.input(1, FGold::new(y));
+            let sx = e.input(0, FGold::new(x)).unwrap();
+            let sy = e.input(1, FGold::new(y)).unwrap();
             let lt = less_than(&mut e, &sx, &sy, 21).unwrap();
             assert_eq!(e.open(&lt).unwrap(), FGold::new(want), "{x} < {y}");
         }
@@ -240,8 +238,8 @@ mod tests {
         let mut e = engine();
         for x in 0u64..8 {
             for y in 0u64..8 {
-                let sx = e.input(0, FGold::new(x));
-                let sy = e.input(1, FGold::new(y));
+                let sx = e.input(0, FGold::new(x)).unwrap();
+                let sy = e.input(1, FGold::new(y)).unwrap();
                 let lt = less_than(&mut e, &sx, &sy, 3).unwrap();
                 let want = u64::from(x < y);
                 assert_eq!(e.open(&lt).unwrap(), FGold::new(want), "{x} < {y}");
@@ -253,8 +251,14 @@ mod tests {
     fn comparison_cost_scales_with_bits() {
         let mut e8 = engine();
         let mut e32 = engine();
-        let (a8, b8) = (e8.input(0, FGold::new(1)), e8.input(0, FGold::new(2)));
-        let (a32, b32) = (e32.input(0, FGold::new(1)), e32.input(0, FGold::new(2)));
+        let (a8, b8) = (
+            e8.input(0, FGold::new(1)).unwrap(),
+            e8.input(0, FGold::new(2)).unwrap(),
+        );
+        let (a32, b32) = (
+            e32.input(0, FGold::new(1)).unwrap(),
+            e32.input(0, FGold::new(2)).unwrap(),
+        );
         less_than(&mut e8, &a8, &b8, 8).unwrap();
         less_than(&mut e32, &a32, &b32, 32).unwrap();
         assert!(
@@ -269,7 +273,10 @@ mod tests {
     fn argmax_finds_maximum() {
         let mut e = engine();
         let vals = [37u64, 12, 99, 99, 4, 55];
-        let shares: Vec<Shared> = vals.iter().map(|&v| e.input(0, FGold::new(v))).collect();
+        let shares: Vec<Shared> = vals
+            .iter()
+            .map(|&v| e.input(0, FGold::new(v)).unwrap())
+            .collect();
         let (mx, idx) = argmax_tournament(&mut e, &shares, 8).unwrap();
         assert_eq!(e.open(&mx).unwrap(), FGold::new(99));
         // Ties keep the first occurrence (strict less-than).
@@ -279,7 +286,7 @@ mod tests {
     #[test]
     fn argmax_single_element() {
         let mut e = engine();
-        let shares = vec![e.input(0, FGold::new(7))];
+        let shares = vec![e.input(0, FGold::new(7)).unwrap()];
         let (mx, idx) = argmax_tournament(&mut e, &shares, 8).unwrap();
         assert_eq!(e.open(&mx).unwrap(), FGold::new(7));
         assert_eq!(e.open(&idx).unwrap(), FGold::ZERO);
@@ -291,7 +298,12 @@ mod tests {
         let data = [(3u64, 9u64), (9, 3), (5, 5), (0, 1), (1000, 999)];
         let shares: Vec<(Shared, Shared)> = data
             .iter()
-            .map(|&(x, y)| (e.input(0, FGold::new(x)), e.input(1, FGold::new(y))))
+            .map(|&(x, y)| {
+                (
+                    e.input(0, FGold::new(x)).unwrap(),
+                    e.input(1, FGold::new(y)).unwrap(),
+                )
+            })
             .collect();
         let pairs: Vec<(&Shared, &Shared)> = shares.iter().map(|(a, b)| (a, b)).collect();
         let bits_out = less_than_batch(&mut e, &pairs, 12).unwrap();
@@ -312,7 +324,12 @@ mod tests {
         let mut bat = engine();
         let mk = |e: &mut MpcEngine| -> Vec<(Shared, Shared)> {
             (0..8u64)
-                .map(|i| (e.input(0, FGold::new(i)), e.input(1, FGold::new(7 - i))))
+                .map(|i| {
+                    (
+                        e.input(0, FGold::new(i)).unwrap(),
+                        e.input(1, FGold::new(7 - i)).unwrap(),
+                    )
+                })
                 .collect()
         };
         let s_pairs = mk(&mut seq);
@@ -341,7 +358,10 @@ mod tests {
             vec![5, 1, 8, 2],
             vec![10, 20, 30, 25, 5, 30, 1],
         ] {
-            let shares: Vec<Shared> = vals.iter().map(|&v| e.input(0, FGold::new(v))).collect();
+            let shares: Vec<Shared> = vals
+                .iter()
+                .map(|&v| e.input(0, FGold::new(v)).unwrap())
+                .collect();
             let (mx, idx) = argmax_tournament(&mut e, &shares, 8).unwrap();
             let want_max = *vals.iter().max().unwrap();
             assert_eq!(e.open(&mx).unwrap(), FGold::new(want_max), "{vals:?}");
@@ -357,7 +377,7 @@ mod tests {
         // rounds per semi-honest opening — whatever the level's width.
         let mut e = engine();
         let xs: Vec<Shared> = (0..16u64)
-            .map(|v| e.input(0, FGold::new(v * 3 + 1)))
+            .map(|v| e.input(0, FGold::new(v * 3 + 1)).unwrap())
             .collect();
         let r0 = e.net.metrics.rounds;
         argmax_tournament(&mut e, &xs, 8).unwrap();
@@ -367,7 +387,9 @@ mod tests {
     #[test]
     fn max_of_increasing_sequence() {
         let mut e = engine();
-        let shares: Vec<Shared> = (0..10u64).map(|v| e.input(0, FGold::new(v))).collect();
+        let shares: Vec<Shared> = (0..10u64)
+            .map(|v| e.input(0, FGold::new(v)).unwrap())
+            .collect();
         let (mx, _) = argmax_tournament(&mut e, &shares, 8).unwrap();
         assert_eq!(e.open(&mx).unwrap(), FGold::new(9));
     }

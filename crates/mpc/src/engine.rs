@@ -1,18 +1,23 @@
 //! The honest-majority MPC engine.
 //!
-//! Simulates an `m`-party SPDZ-wise-Shamir computation in-process: secrets
-//! live as degree-`t` Shamir share vectors, linear operations are local,
-//! multiplications consume Beaver triples, and every communication step
-//! travels as a framed [`arboretum_net::Message`] through an
-//! [`arboretum_net::SimTransport`] fabric. The analytic
-//! [`crate::network::NetMeter`] is fed the *actual encoded payload sizes*
-//! of those frames — the wire format is the single source of truth for
-//! byte counts, and received frames (not local state) supply the share
-//! values. Triples and random bits come from a dealer, standing in for
-//! the DN07-style preprocessing of the real protocol; the `malicious`
-//! flag applies the SPDZ-wise overhead (doubled share material and
-//! verification opens), exactly the quantity the paper's cost model
-//! needs (§4.6, §6).
+//! Runs an `m`-party SPDZ-wise-Shamir computation in-process, one object
+//! acting as every member: secrets live as degree-`t` Shamir share
+//! vectors, linear operations are local, multiplications consume Beaver
+//! triples, and every communication step travels as a framed
+//! [`arboretum_net::Message`] from one party to another across the
+//! engine's fabric — the instant [`arboretum_net::SimTransport`] or the
+//! virtual-time [`arboretum_net::EventedFabric`], which may carry a
+//! committee's latency model and [`arboretum_net::FaultPlan`]
+//! ([`MpcEngine::new_evented`]). A crashed, partitioned or silent party
+//! surfaces as [`MpcError::Net`] from the operation that needed it. The
+//! analytic [`crate::network::NetMeter`] is fed the *actual encoded
+//! payload sizes* of those frames — the wire format is the single source
+//! of truth for byte counts, and received frames (not local state)
+//! supply the share values. Triples and random bits come from a dealer,
+//! standing in for the DN07-style preprocessing of the real protocol;
+//! the `malicious` flag applies the SPDZ-wise overhead (doubled share
+//! material and verification opens), exactly the quantity the paper's
+//! cost model needs (§4.6, §6).
 //!
 //! The unit of cost is the *opening* ([`MpcEngine::open_batch`]): two
 //! rounds and `2(m − 1)` frames (three and `3m − 2` with the malicious
@@ -26,15 +31,16 @@
 //! result's share vector; [`MpcEngine::mul_batch`] keeps its triples in
 //! one engine-owned buffer, frames `x − a` and `y − b` from it, and forms
 //! each product in one pass; linear combinations accumulate in place
-//! ([`MpcOps::add_scaled`]). An operation allocates once per result.
+//! ([`MpcEngine::add_scaled`]). An operation allocates once per result.
 
 use arboretum_field::FGold;
-use arboretum_net::{EventedFabric, FabricKind, Message, NetError, SimTransport, Transport};
+use arboretum_net::{
+    EventedConfig, EventedFabric, FabricKind, Message, NetError, SimTransport, Transport,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::network::NetMeter;
-use crate::ops::MpcOps;
 use crate::shamir::{committee_basis, share};
 
 /// A secret-shared field element (all parties' shares, simulation-side).
@@ -68,6 +74,12 @@ impl std::fmt::Display for MpcError {
 
 impl std::error::Error for MpcError {}
 
+impl From<NetError> for MpcError {
+    fn from(e: NetError) -> Self {
+        Self::Net(e.to_string())
+    }
+}
+
 /// The in-process fabric an engine's protocol messages cross. The
 /// engine is a single act-as-anyone object, so only the single-object
 /// fabrics apply: the instant sim and the virtual-time evented fabric.
@@ -85,10 +97,6 @@ impl Transport for EngineFabric {
             Self::Sim(t) => t.parties(),
             Self::Evented(t) => t.parties(),
         }
-    }
-
-    fn local_party(&self) -> Option<usize> {
-        None
     }
 
     fn send(&mut self, from: usize, to: usize, msg: &Message) -> Result<usize, NetError> {
@@ -165,15 +173,40 @@ impl MpcEngine {
     ///
     /// Panics unless `0 < m` and `2t < m` (honest majority).
     pub fn new_on(m: usize, t: usize, malicious: bool, seed: u64, kind: FabricKind) -> Self {
+        let fabric = match kind {
+            FabricKind::Sim => EngineFabric::Sim(SimTransport::new(m)),
+            FabricKind::Evented => EngineFabric::Evented(Box::new(EventedFabric::new(m))),
+        };
+        Self::on(m, t, malicious, seed, fabric)
+    }
+
+    /// Creates an engine on an evented fabric built from `cfg`: its
+    /// latency model, timeout and fault schedule apply to every protocol
+    /// frame, so a crashed, partitioned or silent party fails the
+    /// operation that needs it with [`MpcError::Net`]. With the default
+    /// configuration this is `new_on(.., FabricKind::Evented)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < m` and `2t < m` (honest majority), or if a
+    /// latency matrix in `cfg` is smaller than `m × m`.
+    pub fn new_evented(
+        m: usize,
+        t: usize,
+        malicious: bool,
+        seed: u64,
+        cfg: &EventedConfig,
+    ) -> Self {
+        let fabric = EngineFabric::Evented(Box::new(EventedFabric::with_config(m, cfg)));
+        Self::on(m, t, malicious, seed, fabric)
+    }
+
+    fn on(m: usize, t: usize, malicious: bool, seed: u64, fabric: EngineFabric) -> Self {
         assert!(m > 0, "need at least one party");
         assert!(
             2 * t < m,
             "honest majority requires 2t < m (got t={t}, m={m})"
         );
-        let fabric = match kind {
-            FabricKind::Sim => EngineFabric::Sim(SimTransport::new(m)),
-            FabricKind::Evented => EngineFabric::Evented(Box::new(EventedFabric::new(m))),
-        };
         Self {
             m,
             t,
@@ -205,7 +238,11 @@ impl MpcEngine {
     /// observers ([`Self::set_frame_sink`]) the wire image of those
     /// rounds. Deterministic: fixed frame sizes, no RNG draws. Every
     /// frame is received back, so link queues end empty.
-    pub fn materialize_metered_rounds(&mut self, rounds: u64) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MpcError::Net`] if the fabric refuses a frame.
+    pub fn materialize_metered_rounds(&mut self, rounds: u64) -> Result<(), MpcError> {
         let msg = self.frame([FGold::ZERO].into_iter());
         for _ in 0..rounds {
             for p in 0..self.m {
@@ -213,7 +250,7 @@ impl MpcEngine {
                     if j == p {
                         continue;
                     }
-                    self.fabric.send(p, j, &msg).expect("engine fabric");
+                    self.fabric.send(p, j, &msg)?;
                 }
             }
             #[allow(clippy::needless_range_loop)] // `j` is the receiving party id.
@@ -222,10 +259,11 @@ impl MpcEngine {
                     if p == j {
                         continue;
                     }
-                    self.fabric.recv(j, p).expect("frame in flight");
+                    self.fabric.recv(j, p)?;
                 }
             }
         }
+        Ok(())
     }
 
     /// Frames a batch of elements, appending the MAC companion share per
@@ -244,9 +282,15 @@ impl MpcEngine {
 
     /// The value elements of a received frame, in its own buffer, with
     /// the MAC companions dropped in malicious mode.
-    fn unframe(&self, msg: Message) -> Vec<FGold> {
-        let Message::FieldElems(mut elems) = msg else {
-            unreachable!("engine links carry only field-element frames")
+    fn unframe(&self, msg: Message) -> Result<Vec<FGold>, MpcError> {
+        let mut elems = match msg {
+            Message::FieldElems(elems) => elems,
+            other => {
+                return Err(MpcError::Net(format!(
+                    "engine link carried a {} frame",
+                    other.kind()
+                )))
+            }
         };
         if self.malicious {
             let mut value = false;
@@ -255,7 +299,7 @@ impl MpcEngine {
                 value
             });
         }
-        elems
+        Ok(elems)
     }
 
     /// Advances every party's round counter on the fabric and the meter.
@@ -270,7 +314,11 @@ impl MpcEngine {
     ///
     /// One round: the input party frames one share to every other party,
     /// and each recipient's share is taken from the decoded frame.
-    pub fn input(&mut self, party: usize, v: FGold) -> Shared {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MpcError::Net`] if a frame cannot cross the fabric.
+    pub fn input(&mut self, party: usize, v: FGold) -> Result<Shared, MpcError> {
         let Shared { shares: mut ys } = self.dealer_share(v);
         let mut sent = 0u64;
         for (j, &y) in ys.iter().enumerate() {
@@ -278,7 +326,7 @@ impl MpcEngine {
                 continue;
             }
             let msg = self.frame([y].into_iter());
-            sent += self.fabric.send(party, j, &msg).expect("engine fabric") as u64;
+            sent += self.fabric.send(party, j, &msg)? as u64;
         }
         self.net.send(party, sent);
         #[allow(clippy::needless_range_loop)] // `j` is the receiving party id, not just an index.
@@ -286,11 +334,11 @@ impl MpcEngine {
             if j == party {
                 continue;
             }
-            let got = self.fabric.recv(j, party).expect("frame in flight");
-            ys[j] = self.unframe(got)[0];
+            let got = self.fabric.recv(j, party)?;
+            ys[j] = self.unframe(got)?[0];
         }
         self.sync_round();
-        Shared { shares: ys }
+        Ok(Shared { shares: ys })
     }
 
     /// Secret-shares a dealer/preprocessing value (no online cost),
@@ -322,7 +370,7 @@ impl MpcEngine {
         // Parties → king.
         for p in 1..self.m {
             let msg = self.frame((0..n).map(|i| share_of(i, p)));
-            let sent = self.fabric.send(p, 0, &msg).expect("engine fabric") as u64;
+            let sent = self.fabric.send(p, 0, &msg)? as u64;
             self.net.send(p, sent);
         }
         self.sync_round();
@@ -331,9 +379,9 @@ impl MpcEngine {
         // the committee's basis.
         let mut opened: Vec<FGold> = (0..n).map(|i| self.basis[0] * share_of(i, 0)).collect();
         for p in 1..self.m {
-            let got = self.fabric.recv(0, p).expect("frame in flight");
+            let got = self.fabric.recv(0, p)?;
             if let Some(&lambda) = self.basis.get(p) {
-                for (acc, y) in opened.iter_mut().zip(self.unframe(got)) {
+                for (acc, y) in opened.iter_mut().zip(self.unframe(got)?) {
                     *acc += lambda * y;
                 }
             }
@@ -343,7 +391,7 @@ impl MpcEngine {
         let msg = self.frame(opened.iter().copied());
         let mut sent = 0u64;
         for p in 1..self.m {
-            sent += self.fabric.send(0, p, &msg).expect("engine fabric") as u64;
+            sent += self.fabric.send(0, p, &msg)? as u64;
         }
         self.net.send(0, sent);
         self.sync_round();
@@ -351,9 +399,9 @@ impl MpcEngine {
         // non-king party's decoded broadcast; the king keeps its own).
         let mut result = opened;
         for p in 1..self.m {
-            let got = self.fabric.recv(p, 0).expect("frame in flight");
+            let got = self.fabric.recv(p, 0)?;
             if p == 1 {
-                result = self.unframe(got);
+                result = self.unframe(got)?;
             }
         }
         if self.malicious {
@@ -362,18 +410,12 @@ impl MpcEngine {
             let msg = self.frame(result.iter().copied());
             if self.m > 1 {
                 for p in 0..self.m {
-                    let sent = self
-                        .fabric
-                        .send(p, (p + 1) % self.m, &msg)
-                        .expect("engine fabric") as u64;
+                    let sent = self.fabric.send(p, (p + 1) % self.m, &msg)? as u64;
                     self.net.send(p, sent);
                 }
                 for p in 0..self.m {
-                    let got = self
-                        .fabric
-                        .recv(p, (p + self.m - 1) % self.m)
-                        .expect("frame in flight");
-                    if self.unframe(got) != result {
+                    let got = self.fabric.recv(p, (p + self.m - 1) % self.m)?;
+                    if self.unframe(got)? != result {
                         return Err(MpcError::OpenFailed(
                             "opening consistency echo mismatch".into(),
                         ));
@@ -432,6 +474,14 @@ impl MpcEngine {
     pub fn mul_const(&self, a: &Shared, c: FGold) -> Shared {
         Shared {
             shares: a.shares.iter().map(|&x| x * c).collect(),
+        }
+    }
+
+    /// Local `acc += c · x`, in place: how protocols sum linear
+    /// combinations without a fresh sharing per term.
+    pub fn add_scaled(&self, acc: &mut Shared, c: FGold, x: &Shared) {
+        for (a, &y) in acc.shares.iter_mut().zip(&x.shares) {
+            *a += c * y;
         }
     }
 
@@ -499,6 +549,15 @@ impl MpcEngine {
             .collect())
     }
 
+    /// Multiplies two shared values: a one-pair [`Self::mul_batch`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates opening and transport failures.
+    pub fn mul(&mut self, a: &Shared, b: &Shared) -> Result<Shared, MpcError> {
+        Ok(self.mul_batch(&[(a, b)])?.remove(0))
+    }
+
     /// Jointly samples a uniformly random shared field element.
     ///
     /// One all-to-all round: the dealer's sharing is echo-distributed —
@@ -506,7 +565,11 @@ impl MpcEngine {
     /// party adopts the relayed copy (a CGHN-style broadcast echo that
     /// keeps a faulty relayer detectable). Each party therefore frames
     /// `m − 1` elements, the same traffic as one contributed re-sharing.
-    pub fn random(&mut self) -> Shared {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MpcError::Net`] if a frame cannot cross the fabric.
+    pub fn random(&mut self) -> Result<Shared, MpcError> {
         let v = FGold::new(self.rng.gen());
         let Shared { shares: mut ys } = self.dealer_share(v);
         for p in 0..self.m {
@@ -516,7 +579,7 @@ impl MpcEngine {
                     continue;
                 }
                 let msg = self.frame([y].into_iter());
-                sent += self.fabric.send(p, j, &msg).expect("engine fabric") as u64;
+                sent += self.fabric.send(p, j, &msg)? as u64;
             }
             self.net.send(p, sent);
         }
@@ -526,14 +589,14 @@ impl MpcEngine {
                 if p == j {
                     continue;
                 }
-                let got = self.fabric.recv(j, p).expect("frame in flight");
-                let echoed = self.unframe(got)[0];
+                let got = self.fabric.recv(j, p)?;
+                let echoed = self.unframe(got)?[0];
                 debug_assert_eq!(echoed, ys[j], "relayed share copies must agree");
                 ys[j] = echoed;
             }
         }
         self.sync_round();
-        Shared { shares: ys }
+        Ok(Shared { shares: ys })
     }
 
     /// Dealer-supplied shared random bits (preprocessing material for
@@ -564,60 +627,6 @@ impl MpcEngine {
     }
 }
 
-impl MpcOps for MpcEngine {
-    type Secret = Shared;
-
-    fn parties(&self) -> usize {
-        self.m
-    }
-
-    fn input(&mut self, party: usize, v: FGold) -> Result<Shared, MpcError> {
-        Ok(MpcEngine::input(self, party, v))
-    }
-
-    fn zero(&self) -> Shared {
-        MpcEngine::zero(self)
-    }
-
-    fn constant(&self, c: FGold) -> Shared {
-        MpcEngine::constant(self, c)
-    }
-
-    fn add(&self, a: &Shared, b: &Shared) -> Shared {
-        MpcEngine::add(self, a, b)
-    }
-
-    fn sub(&self, a: &Shared, b: &Shared) -> Shared {
-        MpcEngine::sub(self, a, b)
-    }
-
-    fn add_const(&self, a: &Shared, c: FGold) -> Shared {
-        MpcEngine::add_const(self, a, c)
-    }
-
-    fn mul_const(&self, a: &Shared, c: FGold) -> Shared {
-        MpcEngine::mul_const(self, a, c)
-    }
-
-    fn add_scaled(&self, acc: &mut Shared, c: FGold, x: &Shared) {
-        for (a, &y) in acc.shares.iter_mut().zip(&x.shares) {
-            *a += c * y;
-        }
-    }
-
-    fn random_bits(&mut self, k: usize) -> Result<Vec<Shared>, MpcError> {
-        Ok(MpcEngine::random_bits(self, k).0)
-    }
-
-    fn mul_batch(&mut self, pairs: &[(&Shared, &Shared)]) -> Result<Vec<Shared>, MpcError> {
-        MpcEngine::mul_batch(self, pairs)
-    }
-
-    fn open_batch(&mut self, xs: &[&Shared]) -> Result<Vec<FGold>, MpcError> {
-        MpcEngine::open_batch(self, xs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,7 +638,7 @@ mod tests {
     #[test]
     fn input_open_roundtrip() {
         let mut e = engine();
-        let x = e.input(0, FGold::new(1234));
+        let x = e.input(0, FGold::new(1234)).unwrap();
         assert_eq!(e.open(&x).unwrap(), FGold::new(1234));
     }
 
@@ -639,7 +648,7 @@ mod tests {
             for malicious in [false, true] {
                 let mut e = MpcEngine::new(m, t, malicious, 7);
                 let xs: Vec<Shared> = (0..4)
-                    .map(|i| e.input(i, FGold::new(1000 + i as u64)))
+                    .map(|i| e.input(i, FGold::new(1000 + i as u64)).unwrap())
                     .collect();
                 let refs: Vec<&Shared> = xs.iter().collect();
                 let want: Vec<FGold> = (0..4).map(|i| FGold::new(1000 + i)).collect();
@@ -652,8 +661,8 @@ mod tests {
     #[test]
     fn linear_ops_are_exact() {
         let mut e = engine();
-        let a = e.input(0, FGold::new(100));
-        let b = e.input(1, FGold::new(42));
+        let a = e.input(0, FGold::new(100)).unwrap();
+        let b = e.input(1, FGold::new(42)).unwrap();
         let sum = e.add(&a, &b);
         let diff = e.sub(&a, &b);
         let scaled = e.mul_const(&a, FGold::new(3));
@@ -667,8 +676,8 @@ mod tests {
     #[test]
     fn beaver_multiplication() {
         let mut e = engine();
-        let a = e.input(0, FGold::new(6));
-        let b = e.input(1, FGold::new(7));
+        let a = e.input(0, FGold::new(6)).unwrap();
+        let b = e.input(1, FGold::new(7)).unwrap();
         let prod = e.mul(&a, &b).unwrap();
         assert_eq!(e.open(&prod).unwrap(), FGold::new(42));
         assert_eq!(e.net.metrics.triples, 1);
@@ -677,8 +686,12 @@ mod tests {
     #[test]
     fn batch_multiplication_single_round_trip() {
         let mut e = engine();
-        let xs: Vec<Shared> = (0..10).map(|i| e.input(0, FGold::new(i + 1))).collect();
-        let ys: Vec<Shared> = (0..10).map(|i| e.input(0, FGold::new(2 * i + 1))).collect();
+        let xs: Vec<Shared> = (0..10)
+            .map(|i| e.input(0, FGold::new(i + 1)).unwrap())
+            .collect();
+        let ys: Vec<Shared> = (0..10)
+            .map(|i| e.input(0, FGold::new(2 * i + 1)).unwrap())
+            .collect();
         let rounds_before = e.net.metrics.rounds;
         let pairs: Vec<(&Shared, &Shared)> = xs.iter().zip(ys.iter()).collect();
         let prods = e.mul_batch(&pairs).unwrap();
@@ -695,8 +708,8 @@ mod tests {
         let mut honest = MpcEngine::new(5, 2, false, 1);
         let mut malicious = MpcEngine::new(5, 2, true, 1);
         for e in [&mut honest, &mut malicious] {
-            let a = e.input(0, FGold::new(3));
-            let b = e.input(1, FGold::new(4));
+            let a = e.input(0, FGold::new(3)).unwrap();
+            let b = e.input(1, FGold::new(4)).unwrap();
             let p = e.mul(&a, &b).unwrap();
             assert_eq!(e.open(&p).unwrap(), FGold::new(12));
         }
@@ -714,6 +727,26 @@ mod tests {
             assert!(b < 2);
             assert_eq!(e.open(s).unwrap(), FGold::new(b));
         }
+    }
+
+    #[test]
+    fn transport_faults_are_typed_errors() {
+        let cfg = EventedConfig {
+            faults: Some(arboretum_net::FaultPlan::crash(1, 0)),
+            ..EventedConfig::default()
+        };
+        let mut e = MpcEngine::new_evented(5, 2, false, 3, &cfg);
+        assert!(matches!(e.input(0, FGold::ONE), Err(MpcError::Net(_))));
+        assert!(matches!(e.random(), Err(MpcError::Net(_))));
+        assert!(matches!(
+            e.materialize_metered_rounds(1),
+            Err(MpcError::Net(_))
+        ));
+        // The same calls on a healthy fabric succeed.
+        let mut e = MpcEngine::new_evented(5, 2, false, 3, &EventedConfig::default());
+        let r = e.random().unwrap();
+        e.open(&r).unwrap();
+        e.materialize_metered_rounds(1).unwrap();
     }
 
     #[test]

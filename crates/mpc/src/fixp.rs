@@ -22,7 +22,6 @@ use arboretum_field::FGold;
 
 use crate::engine::{MpcEngine, MpcError, Shared};
 use crate::network::FIELD_BYTES;
-use crate::ops::MpcOps;
 
 /// Magnitude bound (in scaled units) assumed by the truncation protocol.
 const TRUNC_RANGE_BITS: usize = 45;
@@ -93,10 +92,14 @@ impl FunctionalityCost {
 #[allow(clippy::should_implement_trait)] // Share ops named add/sub/mul by convention.
 impl SharedFix {
     /// Inputs a clear fixed-point value from `party`.
-    pub fn input(e: &mut MpcEngine, party: usize, v: Fix) -> Self {
-        Self {
-            inner: e.input(party, fix_to_field(v)),
-        }
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport failures.
+    pub fn input(e: &mut MpcEngine, party: usize, v: Fix) -> Result<Self, MpcError> {
+        Ok(Self {
+            inner: e.input(party, fix_to_field(v))?,
+        })
     }
 
     /// Opens to a clear fixed-point value.
@@ -242,8 +245,8 @@ mod tests {
     #[test]
     fn add_sub_shared_fix() {
         let mut e = engine();
-        let a = SharedFix::input(&mut e, 0, fx(1.5));
-        let b = SharedFix::input(&mut e, 1, fx(-0.25));
+        let a = SharedFix::input(&mut e, 0, fx(1.5)).unwrap();
+        let b = SharedFix::input(&mut e, 1, fx(-0.25)).unwrap();
         assert_eq!(a.add(&e, &b).open(&mut e).unwrap(), fx(1.25));
         assert_eq!(a.sub(&e, &b).open(&mut e).unwrap(), fx(1.75));
         assert_eq!(a.add_const(&e, fx(10.0)).open(&mut e).unwrap(), fx(11.5));
@@ -259,8 +262,8 @@ mod tests {
             (-2.0, -8.0),
             (100.0, 0.125),
         ] {
-            let a = SharedFix::input(&mut e, 0, fx(x));
-            let b = SharedFix::input(&mut e, 1, fx(y));
+            let a = SharedFix::input(&mut e, 0, fx(x)).unwrap();
+            let b = SharedFix::input(&mut e, 1, fx(y)).unwrap();
             let got = a.mul(&mut e, &b).unwrap().open(&mut e).unwrap();
             let want = fx(x * y);
             let err = (got.raw() - want.raw()).abs();
@@ -271,7 +274,7 @@ mod tests {
     #[test]
     fn mul_const_matches_clear() {
         let mut e = engine();
-        let a = SharedFix::input(&mut e, 0, fx(7.5));
+        let a = SharedFix::input(&mut e, 0, fx(7.5)).unwrap();
         let got = a.mul_const(&mut e, fx(-2.5)).unwrap().open(&mut e).unwrap();
         assert!((got.raw() - fx(-18.75).raw()).abs() <= 1);
     }
@@ -297,7 +300,7 @@ mod tests {
             (-1000, 2, -250),
             (12_345, 4, 771),
         ] {
-            let s = e.input(0, FGold::from_i64(v));
+            let s = e.input(0, FGold::from_i64(v)).unwrap();
             let r = shift_right(&mut e, &s, f).unwrap();
             let got = e.open(&r).unwrap().signed_value();
             assert!(

@@ -49,6 +49,7 @@ pub fn share<R: Rng + ?Sized>(
 /// The Lagrange basis at zero over a committee's own points `1..=t+1`:
 /// what an engine computes once, after which every value shared over
 /// those points reconstructs as a `t + 1`-term dot product.
+#[allow(clippy::expect_used)] // `t + 1` distinct points always meet the threshold `t`.
 pub fn committee_basis(t: usize) -> Vec<FGold> {
     let xs: Vec<u64> = (1..=t as u64 + 1).collect();
     basis_at_zero(&xs, t).expect("points 1..=t+1 are distinct")

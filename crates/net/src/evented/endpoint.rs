@@ -1,12 +1,12 @@
 //! The per-party evented frontend: blocking endpoints over one shared
 //! virtual-time core.
 //!
-//! [`evented_fabric`] hands out `m` [`EventedEndpoint`]s for
-//! `Party`-closure code that runs one party per OS thread — each
-//! endpoint can only act as itself and its `recv` blocks — but every
-//! latency, jitter, and timeout is decided on the shared virtual clock,
-//! so nothing ever sleeps and fault scenarios whose modeled timeouts
-//! add up to seconds resolve instantly.
+//! [`evented_fabric`] hands out `m` [`EventedEndpoint`]s, one per party
+//! — each endpoint can only act as itself and its `recv` blocks, so the
+//! endpoints may be moved into separate threads — but every latency,
+//! jitter, and timeout is decided on the shared virtual clock, so
+//! nothing ever sleeps and fault scenarios whose modeled timeouts add up
+//! to seconds resolve instantly.
 //!
 //! Blocking semantics (the virtual-time contract, also documented in
 //! the crate README):
@@ -109,10 +109,6 @@ impl EventedEndpoint {
 impl Transport for EventedEndpoint {
     fn parties(&self) -> usize {
         self.m
-    }
-
-    fn local_party(&self) -> Option<usize> {
-        Some(self.id)
     }
 
     fn send(&mut self, from: usize, to: usize, msg: &Message) -> Result<usize, NetError> {

@@ -69,10 +69,6 @@ impl Transport for EventedFabric {
         self.core.parties()
     }
 
-    fn local_party(&self) -> Option<usize> {
-        None
-    }
-
     fn send(&mut self, from: usize, to: usize, msg: &Message) -> Result<usize, NetError> {
         self.core.check(from)?;
         self.core.check(to)?;

@@ -14,9 +14,9 @@
 //!   engine and the population-scale wave driver run on it. With no
 //!   latency configured its metering is bitwise identical to sim's.
 //! - [`evented_fabric`] / [`EventedEndpoint`] — per-party blocking
-//!   endpoints for `Party`-closure code (committee execution, churn
-//!   failover): one endpoint per OS thread, each acting only as itself,
-//!   with blocked receives resolved by quiescence on virtual time.
+//!   endpoints, each acting only as itself, with blocked receives
+//!   resolved by quiescence on virtual time. Their callers (the wave
+//!   driver, the benchmark's frame probe) drive them from one thread.
 //!
 //! The precise virtual-time contract (delivery rule, quiescence
 //! timeouts, tie-breaks, fault composition) is specified in

@@ -21,10 +21,10 @@
 //! - [`config`] — the [`FabricKind`] selector and the process-wide
 //!   default installed by the CLI's `--fabric` flag.
 //!
-//! Payload byte counts are defined so the *measured* traffic of a
-//! committee of per-thread parties on evented endpoints equals the
-//! analytic `NetMeter` model in `arboretum-mpc` exactly — that equality
-//! is asserted in `arboretum-mpc`'s `fabric_validation` test.
+//! Payload byte counts are defined so the *measured* traffic of an MPC
+//! engine's committee on the evented fabric equals the analytic
+//! `NetMeter` model in `arboretum-mpc` exactly — that equality is
+//! asserted in `arboretum-mpc`'s `fabric_validation` test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

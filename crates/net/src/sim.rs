@@ -60,10 +60,6 @@ impl Transport for SimTransport {
         self.m
     }
 
-    fn local_party(&self) -> Option<usize> {
-        None
-    }
-
     fn send(&mut self, from: usize, to: usize, msg: &Message) -> Result<usize, NetError> {
         self.check(from)?;
         self.check(to)?;

@@ -4,9 +4,9 @@
 //! instantly in-process (the planner's analytic path), and
 //! [`crate::evented`] schedules frames on per-party virtual clocks with
 //! modeled link latency, timeouts and faults — as one act-as-anyone
-//! [`crate::EventedFabric`] or as per-party blocking
-//! [`crate::EventedEndpoint`]s moved into OS threads. All meter the same
-//! quantities so measured and modeled costs can be compared exactly.
+//! [`crate::EventedFabric`] (what the MPC engine runs on) or as
+//! per-party [`crate::EventedEndpoint`]s. All meter the same quantities
+//! so measured and modeled costs can be compared exactly.
 
 use crate::wire::{Message, WireError};
 
@@ -93,17 +93,13 @@ impl From<WireError> for NetError {
 
 /// A message fabric connecting the `m` parties of one committee.
 ///
-/// The same trait serves two call shapes: the analytic simulator holds
-/// one `SimTransport` and animates every party through it, while
-/// each thread of a distributed run owns one `EventedEndpoint` and may
-/// only act as itself (`from`/`at` must equal the endpoint's own id).
+/// The same trait serves two call shapes: an act-as-anyone fabric
+/// (`SimTransport`, `EventedFabric`) animates every party through one
+/// object, while an `EventedEndpoint` may only act as its own party
+/// (`from`/`at` must equal the endpoint's id).
 pub trait Transport: Send {
     /// Number of parties on this fabric.
     fn parties(&self) -> usize;
-
-    /// This endpoint's own party id (simulated fabrics, which can act as
-    /// anyone, return `None`).
-    fn local_party(&self) -> Option<usize>;
 
     /// Sends `msg` from party `from` to party `to`, returning the
     /// payload byte count that was framed onto the link.

@@ -32,7 +32,7 @@ pub use audit::{
 pub use executor::{execute, Deployment, ExecError, ExecutionConfig, ExecutionReport, QueryCert};
 pub use mpc_eval::{MVal, MechStyle, MpcEvalError, MpcEvaluator};
 pub use net_exec::{
-    reassign_for_churn, run_with_failover, NetExecConfig, NetExecError, NetExecReport, NetParty,
+    reassign_for_churn, run_with_failover, NetExecConfig, NetExecError, NetExecReport,
 };
 pub use setup::{
     build_session_setup, build_session_setup_observed, build_session_setup_on, SessionSetup,

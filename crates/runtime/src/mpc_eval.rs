@@ -42,7 +42,7 @@
 //! `if`'s merge writes are logged in the enclosing branch like any other.
 //!
 //! Shares are written once: the engine's linear combinations accumulate
-//! in place ([`MpcOps::add_scaled`]), so an operation costs one
+//! in place ([`MpcEngine::add_scaled`]), so an operation costs one
 //! allocation per result, not one per term.
 
 use std::collections::{HashMap, HashSet};
@@ -58,7 +58,6 @@ use arboretum_mpc::engine::{MpcEngine, Shared};
 use arboretum_mpc::fixp::{
     field_to_fix, inject_with_cost, shift_right, FunctionalityCost, SharedFix,
 };
-use arboretum_mpc::MpcOps;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -1073,7 +1072,7 @@ mod tests {
         let mut engine = MpcEngine::new(5, 2, false, seed);
         let shares: Vec<Shared> = counts
             .iter()
-            .map(|&c| engine.input(0, FGold::from_i64(c)))
+            .map(|&c| engine.input(0, FGold::from_i64(c)).unwrap())
             .collect();
         let mut env = HashMap::new();
         env.insert("aggr".to_string(), MVal::SharedArr(shares));
@@ -1193,7 +1192,7 @@ mod tests {
     fn secret_outputs_rejected() {
         let program = parse("aggr = sum(db); output(aggr[0]);").unwrap();
         let mut engine = MpcEngine::new(5, 2, false, 1);
-        let shares = vec![engine.input(0, FGold::new(5))];
+        let shares = vec![engine.input(0, FGold::new(5)).unwrap()];
         let mut env = HashMap::new();
         env.insert("aggr".to_string(), MVal::SharedArr(shares));
         let mut rng = StdRng::seed_from_u64(1);
@@ -1214,8 +1213,8 @@ mod tests {
         let program = parse("aggr = sum(db); q = aggr[0] / aggr[1]; output(q);").unwrap();
         let mut engine = MpcEngine::new(5, 2, false, 1);
         let shares = vec![
-            engine.input(0, FGold::new(6)),
-            engine.input(0, FGold::new(3)),
+            engine.input(0, FGold::new(6)).unwrap(),
+            engine.input(0, FGold::new(3)).unwrap(),
         ];
         let mut env = HashMap::new();
         env.insert("aggr".to_string(), MVal::SharedArr(shares));
@@ -1226,7 +1225,7 @@ mod tests {
 
         let program = parse("aggr = sum(db); q = aggr[0] / 3; output(q);").unwrap();
         let mut engine = MpcEngine::new(5, 2, false, 1);
-        let shares = vec![engine.input(0, FGold::new(6))];
+        let shares = vec![engine.input(0, FGold::new(6)).unwrap()];
         let mut env = HashMap::new();
         env.insert("aggr".to_string(), MVal::SharedArr(shares));
         let mut rng = StdRng::seed_from_u64(1);
@@ -1243,8 +1242,8 @@ mod tests {
         let program = parse(src).unwrap();
         let mut engine = MpcEngine::new(5, 2, false, 1);
         let shares = vec![
-            engine.input(0, FGold::new(6)),
-            engine.input(0, FGold::new(3)),
+            engine.input(0, FGold::new(6)).unwrap(),
+            engine.input(0, FGold::new(3)).unwrap(),
         ];
         let mut env = HashMap::new();
         env.insert("aggr".to_string(), MVal::SharedArr(shares));
@@ -1270,7 +1269,7 @@ mod tests {
             let mut engine = MpcEngine::new(5, 2, false, 1);
             let shares: Vec<Shared> = counts
                 .iter()
-                .map(|&c| engine.input(0, FGold::from_i64(c)))
+                .map(|&c| engine.input(0, FGold::from_i64(c)).unwrap())
                 .collect();
             let mut env = HashMap::new();
             env.insert("aggr".to_string(), MVal::SharedArr(shares));

@@ -188,7 +188,9 @@ pub fn build_session_setup_observed(
     // same rounds on the wire so frame observers (adaptive adversaries)
     // see setup traffic before any behavior is queried. Runs whether or
     // not a sink is attached, so observation never changes behavior.
-    keygen_mpc.materialize_metered_rounds(keygen_rounds);
+    keygen_mpc
+        .materialize_metered_rounds(keygen_rounds)
+        .map_err(|e| ExecError::Mpc(e.to_string()))?;
     let keygen_metrics = keygen_mpc.net.metrics.clone();
 
     let pk_digest = {

@@ -341,21 +341,19 @@ fn honest_aggregator_hook_leaves_no_trace_on_any_fabric() {
 #[test]
 fn all_fatal_committees_exhaust_failover_with_typed_error() {
     use arboretum_field::FGold;
-    use arboretum_mpc::MpcOps;
+    use arboretum_mpc::MpcEngine;
     use arboretum_net::fault::FaultPlan;
-    use arboretum_runtime::{run_with_failover, NetExecConfig, NetExecError, NetParty};
+    use arboretum_runtime::{run_with_failover, NetExecConfig, NetExecError};
 
     let cfg = NetExecConfig {
         committees: 2,
         faults: vec![Some(FaultPlan::crash(0, 0)), Some(FaultPlan::crash(1, 0))],
-        timeout: std::time::Duration::from_millis(100),
-        ..NetExecConfig::default()
     };
-    let res = run_with_failover(&cfg, |p: &mut NetParty| {
-        let a = p.input(0, FGold::new(1))?;
-        let b = p.input(1, FGold::new(2))?;
-        let s = p.add(&a, &b);
-        p.open_batch(&[&s])
+    let res = run_with_failover(&cfg, |e: &mut MpcEngine| {
+        let a = e.input(0, FGold::new(1))?;
+        let b = e.input(1, FGold::new(2))?;
+        let s = e.add(&a, &b);
+        e.open_batch(&[&s])
     });
     match res {
         Err(NetExecError::AllCommitteesDead { attempts }) => assert_eq!(attempts, 2),

@@ -1,27 +1,29 @@
-//! Fault-injection × churn-failover integration on committees of
-//! per-thread parties: a committee member crashes mid-protocol, and the
-//! session layer's churn reassignment moves the task to the next live
-//! committee. Every path is bounded by receive timeouts on the evented
-//! fabric's virtual clock — these tests also act as the no-hang
-//! guarantee (a wedged run fails the harness timeout, but the
-//! assertions below complete in well under a second).
+//! Fault-injection × churn-failover integration: each committee runs the
+//! protocol as one MPC engine on an evented fabric carrying that
+//! committee's fault plan. A member crashes or a link is cut
+//! mid-protocol, the engine returns the transport error, and churn
+//! reassignment moves the task to the next live committee. An empty
+//! link on the act-as-anyone fabric is an immediate timeout, so no path
+//! waits on a wall clock — these tests also act as the no-hang guarantee
+//! (a wedged run fails the harness timeout, but the assertions below
+//! complete in well under a second).
 
 use std::time::{Duration, Instant};
 
 use arboretum_field::FGold;
-use arboretum_mpc::{argmax_tournament, MpcError, MpcOps};
+use arboretum_mpc::{argmax_tournament, MpcEngine, MpcError};
 use arboretum_net::FaultPlan;
-use arboretum_runtime::{run_with_failover, NetExecConfig, NetExecError, NetParty};
+use arboretum_runtime::{run_with_failover, NetExecConfig, NetExecError};
 
 /// Beaver multiplication plus a small argmax — enough protocol depth
 /// that a crash after a few transport operations lands mid-run.
-fn demo_protocol(p: &mut NetParty) -> Result<Vec<FGold>, MpcError> {
-    let a = p.input(0, FGold::new(6))?;
-    let b = p.input(1, FGold::new(7))?;
-    let prod = p.mul(&a, &b)?;
+fn demo_protocol(e: &mut MpcEngine) -> Result<Vec<FGold>, MpcError> {
+    let a = e.input(0, FGold::new(6))?;
+    let b = e.input(1, FGold::new(7))?;
+    let prod = e.mul(&a, &b)?;
     let xs = vec![prod, a, b];
-    let (mx, am) = argmax_tournament(p, &xs, 8)?;
-    p.open_batch(&[&prod, &mx, &am])
+    let (mx, am) = argmax_tournament(e, &xs, 8)?;
+    e.open_batch(&[&xs[0], &mx, &am])
 }
 
 fn expected() -> Vec<FGold> {
@@ -36,8 +38,6 @@ fn crash_mid_protocol_fails_over_to_the_next_committee() {
     let cfg = NetExecConfig {
         committees: 2,
         faults: vec![Some(FaultPlan::crash(3, 20)), None],
-        timeout: Duration::from_millis(200),
-        ..NetExecConfig::default()
     };
     let start = Instant::now();
     let report = run_with_failover(&cfg, demo_protocol).unwrap();
@@ -46,32 +46,30 @@ fn crash_mid_protocol_fails_over_to_the_next_committee() {
     assert_eq!(report.failures.len(), 1);
     assert_eq!(report.failures[0].0, 0, "committee 0 must be the failure");
     assert!(
+        report.failures[0].1.contains("party 3 has crashed"),
+        "{:?}",
+        report.failures[0]
+    );
+    assert!(
         start.elapsed() < Duration::from_secs(30),
-        "failover must be bounded by timeouts, not hang"
+        "failover must be bounded, not hang"
     );
 }
 
 #[test]
 fn every_committee_faulty_returns_a_typed_error_not_a_hang() {
-    // Both committees lose a member immediately; churn tolerance 0.2
-    // on m = 5 allows at most one offline member, but a crashed member
-    // stalls its peers into timeouts, so both committees die.
+    // Both committees lose a member early; a crashed member's peers
+    // cannot complete, so both committees die.
     let cfg = NetExecConfig {
         committees: 2,
         faults: vec![Some(FaultPlan::crash(1, 0)), Some(FaultPlan::crash(4, 5))],
-        timeout: Duration::from_millis(150),
-        ..NetExecConfig::default()
     };
     let start = Instant::now();
     let err = run_with_failover(&cfg, demo_protocol).unwrap_err();
-    match err {
-        NetExecError::AllCommitteesDead { attempts } => assert_eq!(attempts, 2),
-        NetExecError::Exhausted { attempts, .. } => assert_eq!(attempts, 2),
-        other => panic!("expected a failover-exhaustion error, got {other:?}"),
-    }
+    assert_eq!(err, NetExecError::AllCommitteesDead { attempts: 2 });
     assert!(
         start.elapsed() < Duration::from_secs(30),
-        "exhaustion must be reached through timeouts, not a hang"
+        "exhaustion must be reached without a hang"
     );
 }
 
@@ -88,34 +86,35 @@ fn partition_heals_via_reassignment() {
             }),
             None,
         ],
-        timeout: Duration::from_millis(200),
-        ..NetExecConfig::default()
     };
     let report = run_with_failover(&cfg, demo_protocol).unwrap();
     assert_eq!(report.outputs, expected());
     assert_eq!(report.committee, 1);
+    assert!(
+        report.failures[0].1.contains("partitioned"),
+        "{:?}",
+        report.failures
+    );
 }
 
 #[test]
 fn evented_fault_scenarios_resolve_without_wall_clock_waits() {
-    // The all-committees-die scenario again, with a receive timeout
-    // no test could afford to sleep through: every stalled receive
-    // resolves in virtual time, so the whole failover cascade completes
-    // in milliseconds.
+    // The all-committees-die scenario, now with a slow member on top:
+    // its delay is charged to the fabric's virtual clock, so the whole
+    // failover cascade completes in milliseconds of wall clock.
+    let slow_crash = |party, ops| FaultPlan {
+        slow: vec![(0, 30.0)],
+        ..FaultPlan::crash(party, ops)
+    };
     let cfg = NetExecConfig {
         committees: 2,
-        faults: vec![Some(FaultPlan::crash(1, 0)), Some(FaultPlan::crash(4, 5))],
-        timeout: Duration::from_secs(30),
-        ..NetExecConfig::default()
+        faults: vec![Some(slow_crash(1, 0)), Some(slow_crash(4, 5))],
     };
     let start = Instant::now();
     let err = run_with_failover(&cfg, demo_protocol).unwrap_err();
-    assert!(matches!(
-        err,
-        NetExecError::AllCommitteesDead { .. } | NetExecError::Exhausted { .. }
-    ));
+    assert!(matches!(err, NetExecError::AllCommitteesDead { .. }));
     assert!(
         start.elapsed() < Duration::from_millis(2000),
-        "evented timeouts are virtual; no 30 s real waits may stack up"
+        "virtual delays must not turn into 30 s real waits"
     );
 }

@@ -17,14 +17,13 @@
 //! context.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use arboretum_dp::budget::PrivacyCost;
 use arboretum_field::FGold;
 use arboretum_lang::ast::DbSchema;
 use arboretum_lang::parser::parse;
 use arboretum_lang::privacy::CertifyConfig;
-use arboretum_mpc::MpcOps;
+use arboretum_mpc::{MpcEngine, MpcError};
 use arboretum_net::FabricKind;
 use arboretum_par::ParConfig;
 use arboretum_planner::logical::{extract, LogicalPlan};
@@ -33,7 +32,7 @@ use arboretum_planner::search::{plan as plan_physical, PlannerConfig};
 use arboretum_runtime::{
     execute_stream, run_with_failover, Adversary, ArrivalSchedule, CommitteeBehavior, Deployment,
     DetectionClass, DetectionKind, DeviceBehavior, ExecutionConfig, HonestAdversary, NetExecConfig,
-    NetExecReport, NetParty, StreamReport, Subject, SETUP_ROLES,
+    NetExecReport, StreamReport, Subject, SETUP_ROLES,
 };
 use arboretum_service::{CatalogConfig, SessionCatalog};
 use arboretum_sortition::select::select_committees;
@@ -71,8 +70,8 @@ pub struct AttackConfig {
     pub par: ParConfig,
     /// Network fabric for the MPC engines; `None` uses the process-wide
     /// default and then each consumer's own fallback. (The networked
-    /// failover phase always runs per-thread parties on evented
-    /// endpoints.) Detections and metrics are bitwise identical on
+    /// failover phase always runs on the evented fabric, which carries
+    /// its fault plans.) Detections and metrics are bitwise identical on
     /// either fabric.
     pub fabric: Option<FabricKind>,
     /// Enable the malicious-aggregator axis: the schedule assigns the
@@ -633,32 +632,32 @@ fn cross_check(
     problems
 }
 
-/// The networked MPC phase: a 2-input sum under the schedule's fault
+/// The networked MPC phase's protocol: a two-input sum, opened.
+pub(crate) fn net_sum(e: &mut MpcEngine) -> Result<Vec<FGold>, MpcError> {
+    let a = e.input(0, FGold::new(20))?;
+    let b = e.input(1, FGold::new(22))?;
+    let s = e.add(&a, &b);
+    e.open_batch(&[&s])
+}
+
+/// The networked MPC phase: [`net_sum`] under the schedule's fault
 /// plans, with failover, checked against a fault-free reference.
 fn run_net_phase(
     cfg: &AttackConfig,
     schedule: &AdversarySchedule,
     problems: &mut Vec<String>,
 ) -> Result<NetExecReport, String> {
-    let protocol = |p: &mut NetParty| {
-        let a = p.input(0, FGold::new(20))?;
-        let b = p.input(1, FGold::new(22))?;
-        let s = p.add(&a, &b);
-        p.open_batch(&[&s])
-    };
     let net_cfg = NetExecConfig {
         committees: cfg.n_committees,
         faults: schedule.fault_plans(),
-        timeout: Duration::from_millis(200),
-        ..NetExecConfig::default()
     };
-    let net = run_with_failover(&net_cfg, protocol).map_err(|e| format!("net phase: {e:?}"))?;
+    let net = run_with_failover(&net_cfg, net_sum).map_err(|e| format!("net phase: {e:?}"))?;
     let ref_cfg = NetExecConfig {
         faults: Vec::new(),
         ..net_cfg.clone()
     };
     let net_ref =
-        run_with_failover(&ref_cfg, protocol).map_err(|e| format!("net reference: {e:?}"))?;
+        run_with_failover(&ref_cfg, net_sum).map_err(|e| format!("net reference: {e:?}"))?;
 
     if net.outputs != net_ref.outputs {
         problems.push(format!(
@@ -681,7 +680,7 @@ fn run_net_phase(
         }
     }
     // Failover is deterministic: same faults, same seeds, same outcome.
-    let again = run_with_failover(&net_cfg, protocol).map_err(|e| format!("net rerun: {e:?}"))?;
+    let again = run_with_failover(&net_cfg, net_sum).map_err(|e| format!("net rerun: {e:?}"))?;
     let failed: Vec<usize> = net.failures.iter().map(|(c, _)| *c).collect();
     let failed_again: Vec<usize> = again.failures.iter().map(|(c, _)| *c).collect();
     if again.committee != net.committee || again.outputs != net.outputs || failed_again != failed {

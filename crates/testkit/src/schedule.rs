@@ -39,15 +39,16 @@ use crate::adaptive::TranscriptAccumulator;
 use crate::harness::AttackConfig;
 
 /// Committee seats used throughout the simulation (matches
-/// [`arboretum_runtime::ExecutionConfig::committee_size`] and
-/// [`arboretum_runtime::NetExecConfig`]'s default `m`).
+/// [`arboretum_runtime::ExecutionConfig::committee_size`] and the
+/// committees [`arboretum_runtime::run_with_failover`] seats).
 pub const COMMITTEE_SEATS: usize = 5;
 
 /// Devices the executor's sortition needs for its 5 roles × 5 seats.
 pub(crate) const SORTITION_FLOOR: usize = 25;
 
 /// Per-party seconds of added delay for a [`NetFault::Slow`] committee —
-/// well inside the harness timeout, so a slow committee still completes.
+/// charged to the sender's virtual clock, which no timeout reads, so a
+/// slow committee still completes.
 pub const SLOW_DELAY_SECS: f64 = 0.005;
 
 /// A per-committee network fault for the networked MPC phase.
@@ -61,16 +62,16 @@ pub enum NetFault {
         /// The crashing party index.
         party: usize,
     },
-    /// Two parties cannot exchange messages; both error out, which
-    /// exceeds the churn tolerance and kills the committee.
+    /// Two parties cannot exchange messages; the first frame the protocol
+    /// needs between them fails, which kills the committee.
     Partition {
         /// One side of the partition.
         a: usize,
         /// The other side.
         b: usize,
     },
-    /// One party is slow ([`SLOW_DELAY_SECS`] per send) but within the
-    /// timeout: the committee survives.
+    /// One party is slow ([`SLOW_DELAY_SECS`] per send, on the virtual
+    /// clock): the committee survives.
     Slow {
         /// The slow party index.
         party: usize,
@@ -533,6 +534,8 @@ impl Adversary for Decider {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::net_sum;
+    use arboretum_runtime::{run_with_failover, NetExecConfig};
 
     #[test]
     fn schedule_is_a_pure_function_of_its_inputs() {
@@ -642,6 +645,26 @@ mod tests {
         assert_eq!(plans.len(), s.net_faults.len());
         for (f, p) in s.net_faults.iter().zip(&plans) {
             assert_eq!(*f == NetFault::None, p.is_none());
+        }
+    }
+
+    #[test]
+    fn every_fault_at_every_seat_kills_its_committee_iff_fatal() {
+        for seat in 0..COMMITTEE_SEATS {
+            let peer = usize::from(seat == 0);
+            for fault in [
+                NetFault::None,
+                NetFault::Crash { party: seat },
+                NetFault::Partition { a: seat, b: peer },
+                NetFault::Slow { party: seat },
+            ] {
+                let cfg = NetExecConfig {
+                    committees: 1,
+                    faults: vec![fault.plan()],
+                };
+                let ran = run_with_failover(&cfg, net_sum);
+                assert_eq!(ran.is_ok(), !fault.is_fatal(), "{fault:?}: {ran:?}");
+            }
         }
     }
 

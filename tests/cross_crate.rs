@@ -43,7 +43,7 @@ fn figure5_pipeline_by_hand() {
     let mut mpc = MpcEngine::new(7, 3, true, 5);
     let shares: Vec<_> = counts[..4]
         .iter()
-        .map(|&c| mpc.input(0, FGold::new(c)))
+        .map(|&c| mpc.input(0, FGold::new(c)).unwrap())
         .collect();
     let (max_val, max_idx) = argmax_tournament(&mut mpc, &shares, 8).unwrap();
     assert_eq!(mpc.open(&max_val).unwrap(), FGold::new(30));
@@ -147,7 +147,7 @@ fn noise_through_mpc_roundtrip() {
     for _ in 0..k {
         let noise = gumbel_fix(&mut rng, scale);
         let shared = inject_with_cost(&mut mpc, noise, FunctionalityCost::gumbel());
-        let base = SharedFix::input(&mut mpc, 0, Fix::from_int(100).unwrap());
+        let base = SharedFix::input(&mut mpc, 0, Fix::from_int(100).unwrap()).unwrap();
         let opened = base.add(&mpc, &shared).open(&mut mpc).unwrap();
         sum += opened.to_f64();
     }
