@@ -43,9 +43,6 @@
 //!   --aggregator          enable the malicious-aggregator axis: the §5.3
 //!                         MHT audit must attribute the seed-derived cheat
 //!                         exactly (any mismatch exits non-zero)
-//!   --adaptive            drive the run with an adaptive adversary whose
-//!                         decisions condition on observed traffic (the
-//!                         failure artifact logs every decision)
 //!   --windows N           ingest the epoch in N seed-derived windows with
 //!                         device churn; from 2 on a committee seat also
 //!                         crashes during one VSR handoff, and every
@@ -214,10 +211,6 @@ fn attack(args: &[String]) -> ExitCode {
             }
             "--aggregator" => {
                 cfg.aggregator = true;
-                Ok(())
-            }
-            "--adaptive" => {
-                cfg.adaptive = true;
                 Ok(())
             }
             "--windows" => next(args, &mut i).and_then(|v| {

@@ -352,13 +352,7 @@ fn digest_prefix(parts: &[&[u8]]) -> u64 {
 /// adversary harness flows through this one derivation, so a run
 /// replays bitwise from its seed.
 pub fn seed_draw(seed: u64, domain: &[u8], index: u64) -> u64 {
-    seed_draw_with(seed, domain, index, &[])
-}
-
-/// [`seed_draw`] with `extra` bytes appended to the hashed message
-/// (e.g. the transcript digest an adaptive adversary conditions on).
-pub fn seed_draw_with(seed: u64, domain: &[u8], index: u64, extra: &[u8]) -> u64 {
-    digest_prefix(&[&seed.to_be_bytes(), domain, &index.to_be_bytes(), extra])
+    digest_prefix(&[&seed.to_be_bytes(), domain, &index.to_be_bytes()])
 }
 
 /// A constant RNG-stream tag: the first eight big-endian bytes of
@@ -460,11 +454,6 @@ mod tests {
         // `runtime::stream::draw` and `testkit::schedule::draw`:
         assert_eq!(seed_draw(9, b"arrival", 3), 0x5f5d_f663_1094_26b2);
         assert_eq!(seed_draw(42, b"device", 7), 0x5afc_5350_9685_8939);
-        // `testkit::adaptive::adaptive_draw` (transcript digest appended):
-        assert_eq!(
-            seed_draw_with(5, b"adaptive-device", 2, &sha256(b"")),
-            0xc65f_c58f_03c4_5272
-        );
         // `runtime::executor::_tag`:
         assert_eq!(domain_tag(b"mechanism-mpc"), 0xa1e6_181e_781f_6dff);
         assert_eq!(domain_tag(b"phase-a-uploads"), 0x7f9b_eb29_87f9_1ef4);

@@ -220,52 +220,6 @@ impl MpcEngine {
         }
     }
 
-    /// Attaches a passive [`arboretum_net::SharedSink`] observing every
-    /// protocol frame this engine sends, on whichever fabric it runs.
-    /// Observation is read-only: outputs and metrics are unchanged.
-    pub fn set_frame_sink(&mut self, sink: Option<arboretum_net::SharedSink>) {
-        match &mut self.fabric {
-            EngineFabric::Sim(t) => t.set_sink(sink),
-            EngineFabric::Evented(t) => t.set_sink(sink),
-        }
-    }
-
-    /// Materializes `rounds` all-to-all protocol rounds — one field
-    /// element per ordered party pair per round — as real frames on the
-    /// fabric, **without** touching the analytic [`NetMeter`]: callers
-    /// that meter a functionality analytically (`inject_with_cost`)
-    /// already count this traffic, and this gives passive frame
-    /// observers ([`Self::set_frame_sink`]) the wire image of those
-    /// rounds. Deterministic: fixed frame sizes, no RNG draws. Every
-    /// frame is received back, so link queues end empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpcError::Net`] if the fabric refuses a frame.
-    pub fn materialize_metered_rounds(&mut self, rounds: u64) -> Result<(), MpcError> {
-        let msg = self.frame([FGold::ZERO].into_iter());
-        for _ in 0..rounds {
-            for p in 0..self.m {
-                for j in 0..self.m {
-                    if j == p {
-                        continue;
-                    }
-                    self.fabric.send(p, j, &msg)?;
-                }
-            }
-            #[allow(clippy::needless_range_loop)] // `j` is the receiving party id.
-            for j in 0..self.m {
-                for p in 0..self.m {
-                    if p == j {
-                        continue;
-                    }
-                    self.fabric.recv(j, p)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Frames a batch of elements, appending the MAC companion share per
     /// value in malicious mode (the SPDZ-wise doubling of share
     /// material on the wire).
@@ -738,15 +692,11 @@ mod tests {
         let mut e = MpcEngine::new_evented(5, 2, false, 3, &cfg);
         assert!(matches!(e.input(0, FGold::ONE), Err(MpcError::Net(_))));
         assert!(matches!(e.random(), Err(MpcError::Net(_))));
-        assert!(matches!(
-            e.materialize_metered_rounds(1),
-            Err(MpcError::Net(_))
-        ));
         // The same calls on a healthy fabric succeed.
         let mut e = MpcEngine::new_evented(5, 2, false, 3, &EventedConfig::default());
+        let x = e.input(0, FGold::ONE).unwrap();
         let r = e.random().unwrap();
-        e.open(&r).unwrap();
-        e.materialize_metered_rounds(1).unwrap();
+        e.open_batch(&[&x, &r]).unwrap();
     }
 
     #[test]

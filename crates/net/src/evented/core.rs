@@ -25,7 +25,7 @@
 //! samples a drop from that party's own stream (every party's stream is
 //! seeded `plan.seed` and advances only on its own sends, only when
 //! `drop_prob > 0`). A dropped frame still reports a successful send
-//! but is neither metered nor shown to the frame sink. (A send to a
+//! but is not metered. (A send to a
 //! peer whose endpoint has exited is `Closed` before any of this and
 //! counts no operation.)
 
@@ -37,7 +37,6 @@ use rand::{Rng, SeedableRng};
 
 use super::arena::{ArenaCounters, BufferArena};
 use crate::fault::FaultPlan;
-use crate::observe::SharedSink;
 use crate::transport::{NetError, TransportMetrics};
 use crate::wire::{Message, HEADER_BYTES};
 
@@ -45,7 +44,7 @@ use crate::wire::{Message, HEADER_BYTES};
 ///
 /// Timeout, latency model and jitter, plus an optional [`FaultPlan`]
 /// applied as events on the virtual clock (the module docs give the
-/// rules) and an optional passive frame observer.
+/// rules).
 #[derive(Clone, Debug)]
 pub struct EventedConfig {
     /// The receive timeout, interpreted on the virtual clock: a frame
@@ -62,10 +61,6 @@ pub struct EventedConfig {
     pub seed: u64,
     /// Optional fault schedule applied natively on the virtual clock.
     pub faults: Option<FaultPlan>,
-    /// Optional passive observer of every frame entering the wire.
-    /// Frames lost to fault-injected drops never enter it and are not
-    /// observed.
-    pub sink: Option<SharedSink>,
 }
 
 impl Default for EventedConfig {
@@ -76,7 +71,6 @@ impl Default for EventedConfig {
             jitter: 0.0,
             seed: 0,
             faults: None,
-            sink: None,
         }
     }
 }
@@ -165,7 +159,6 @@ pub(super) struct EventedCore {
     per_party_payload: Vec<u64>,
     per_party_rounds: Vec<u64>,
     metrics: TransportMetrics,
-    sink: Option<SharedSink>,
 }
 
 impl EventedCore {
@@ -217,13 +210,7 @@ impl EventedCore {
             per_party_payload: vec![0; m],
             per_party_rounds: vec![0; m],
             metrics: TransportMetrics::default(),
-            sink: cfg.sink.clone(),
         }
-    }
-
-    /// Attaches a passive [`SharedSink`] observing every sent frame.
-    pub(super) fn set_sink(&mut self, sink: Option<SharedSink>) {
-        self.sink = sink;
     }
 
     pub(super) fn parties(&self) -> usize {
@@ -377,9 +364,6 @@ impl EventedCore {
             .metrics
             .payload_bytes_max
             .max(self.per_party_payload[from]);
-        if let Some(sink) = &self.sink {
-            sink.on_frame(from, to, payload);
-        }
         self.links
             .entry(from as u64 * self.m as u64 + to as u64)
             .or_default()

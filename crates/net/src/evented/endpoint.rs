@@ -299,7 +299,7 @@ mod tests {
         let mut eps = evented_fabric(3, &EventedConfig::default());
         let mut e0 = eps.remove(0);
         assert!(matches!(
-            e0.send(1, 2, &Message::Sync { round: 0 }),
+            e0.send(1, 2, &msg(0)),
             Err(NetError::BadAddress { party: 1 })
         ));
         assert!(matches!(

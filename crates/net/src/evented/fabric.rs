@@ -51,12 +51,6 @@ impl EventedFabric {
         self.core.clock(party)
     }
 
-    /// Attaches a passive [`crate::observe::SharedSink`] observing
-    /// every frame entering the wire.
-    pub fn set_sink(&mut self, sink: Option<crate::observe::SharedSink>) {
-        self.core.set_sink(sink);
-    }
-
     /// Buffer-arena allocation counters (`fresh` bounds the peak number
     /// of frame buffers simultaneously in flight).
     pub fn arena_counters(&self) -> ArenaCounters {
@@ -125,7 +119,7 @@ mod tests {
         );
         for t in [&mut sim as &mut dyn Transport, &mut ev, &mut ev_zero_plan] {
             t.send(0, 1, &msg(7)).unwrap();
-            t.send(1, 2, &Message::Sync { round: 1 }).unwrap();
+            t.send(1, 2, &msg(8)).unwrap();
             t.send(2, 3, &msg(9)).unwrap();
             assert_eq!(t.recv(1, 0).unwrap(), msg(7));
             assert_eq!(t.recv(3, 2).unwrap(), msg(9));
@@ -181,8 +175,8 @@ mod tests {
             ..EventedConfig::default()
         };
         let mut ev = EventedFabric::with_config(2, &cfg);
-        ev.send(0, 1, &Message::Sync { round: 3 }).unwrap();
-        assert_eq!(ev.recv(1, 0), Ok(Message::Sync { round: 3 }));
+        ev.send(0, 1, &msg(3)).unwrap();
+        assert_eq!(ev.recv(1, 0), Ok(msg(3)));
     }
 
     #[test]

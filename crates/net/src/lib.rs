@@ -16,8 +16,6 @@
 //!   and sparse link queues let one process simulate 10^5–10^6 parties;
 //! - [`fault`] — the [`FaultPlan`] schedule of message loss, party
 //!   crashes, partitions, and slow parties the evented fabric applies;
-//! - [`observe`] — passive, read-only frame observation
-//!   ([`FrameSink`]) feeding adaptive adversaries on every fabric;
 //! - [`config`] — the [`FabricKind`] selector and the process-wide
 //!   default installed by the CLI's `--fabric` flag.
 //!
@@ -32,7 +30,6 @@
 pub mod config;
 pub mod evented;
 pub mod fault;
-pub mod observe;
 pub mod sim;
 pub mod transport;
 pub mod wire;
@@ -43,7 +40,6 @@ pub use evented::{
     EventedMetricsHandle,
 };
 pub use fault::FaultPlan;
-pub use observe::{FrameSink, SharedSink};
 pub use sim::SimTransport;
 pub use transport::{NetError, Transport, TransportMetrics};
-pub use wire::{Message, Wire, WireError, WireShare, HEADER_BYTES};
+pub use wire::{Message, Wire, WireError, HEADER_BYTES};

@@ -8,7 +8,6 @@
 
 use std::collections::VecDeque;
 
-use crate::observe::SharedSink;
 use crate::transport::{NetError, Transport, TransportMetrics};
 use crate::wire::Message;
 
@@ -21,7 +20,6 @@ pub struct SimTransport {
     per_party_payload: Vec<u64>,
     per_party_rounds: Vec<u64>,
     metrics: TransportMetrics,
-    sink: Option<SharedSink>,
 }
 
 impl SimTransport {
@@ -38,13 +36,7 @@ impl SimTransport {
             per_party_payload: vec![0; m],
             per_party_rounds: vec![0; m],
             metrics: TransportMetrics::default(),
-            sink: None,
         }
-    }
-
-    /// Attaches a passive [`SharedSink`] observing every sent frame.
-    pub fn set_sink(&mut self, sink: Option<SharedSink>) {
-        self.sink = sink;
     }
 
     fn check(&self, party: usize) -> Result<(), NetError> {
@@ -76,9 +68,6 @@ impl Transport for SimTransport {
             .metrics
             .payload_bytes_max
             .max(self.per_party_payload[from]);
-        if let Some(sink) = &self.sink {
-            sink.on_frame(from, to, payload);
-        }
         self.queues[from * self.m + to].push_back(frame);
         Ok(payload)
     }
@@ -122,10 +111,11 @@ mod tests {
     #[test]
     fn queues_are_fifo_per_link() {
         let mut t = SimTransport::new(2);
-        t.send(0, 1, &Message::Sync { round: 1 }).unwrap();
-        t.send(0, 1, &Message::Sync { round: 2 }).unwrap();
-        assert_eq!(t.recv(1, 0).unwrap(), Message::Sync { round: 1 });
-        assert_eq!(t.recv(1, 0).unwrap(), Message::Sync { round: 2 });
+        let frame = |v| Message::FieldElems(vec![FGold::new(v)]);
+        t.send(0, 1, &frame(1)).unwrap();
+        t.send(0, 1, &frame(2)).unwrap();
+        assert_eq!(t.recv(1, 0).unwrap(), frame(1));
+        assert_eq!(t.recv(1, 0).unwrap(), frame(2));
     }
 
     #[test]
@@ -137,7 +127,7 @@ mod tests {
     #[test]
     fn self_send_and_out_of_range_rejected() {
         let mut t = SimTransport::new(2);
-        let msg = Message::Sync { round: 0 };
+        let msg = Message::FieldElems(vec![FGold::new(0)]);
         assert!(matches!(
             t.send(0, 0, &msg),
             Err(NetError::BadAddress { .. })

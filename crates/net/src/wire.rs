@@ -77,25 +77,16 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A Shamir share as transmitted between parties: evaluation point and
-/// Goldilocks value (`arboretum-mpc`'s share type, mirrored here so the
-/// wire layer sits below the MPC engine in the crate graph).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WireShare {
-    /// Evaluation point (1-based party index).
-    pub x: u64,
-    /// Share value.
-    pub y: FGold,
-}
-
 /// One message between committee members.
+///
+/// Kind bytes 1 and 5 are retired (they named explicit-point share
+/// batches and round barriers, which nothing sends) and decode as
+/// [`WireError::UnknownKind`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Message {
     /// A batch of bare field elements (opened values, masked values,
     /// share values whose evaluation point is implied by the sender).
     FieldElems(Vec<FGold>),
-    /// A batch of Shamir shares with explicit evaluation points.
-    Shares(Vec<WireShare>),
     /// A chunk of a BGV ciphertext: one residue limb's coefficient run.
     CtChunk {
         /// Which ciphertext polynomial (0 = c0, 1 = c1, ...).
@@ -118,11 +109,6 @@ pub enum Message {
         shares: Vec<(u64, Scalar)>,
         /// Commitments to the re-sharing polynomial's coefficients.
         commitments: Vec<GroupElem>,
-    },
-    /// A round barrier / keep-alive carrying the sender's round counter.
-    Sync {
-        /// The sender's communication-round counter.
-        round: u32,
     },
 }
 
@@ -217,20 +203,6 @@ impl Wire for GroupElem {
     }
 }
 
-impl Wire for WireShare {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.x);
-        self.y.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Self {
-            x: get_u64(buf)?,
-            y: FGold::decode(buf)?,
-        })
-    }
-}
-
 impl Wire for VShare {
     fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, self.x);
@@ -250,11 +222,9 @@ impl Message {
     pub fn kind(&self) -> u8 {
         match self {
             Self::FieldElems(_) => 0,
-            Self::Shares(_) => 1,
             Self::CtChunk { .. } => 2,
             Self::Commitments(_) => 3,
             Self::VsrSubshares { .. } => 4,
-            Self::Sync { .. } => 5,
         }
     }
 
@@ -264,11 +234,6 @@ impl Message {
             Self::FieldElems(vs) => {
                 for v in vs {
                     v.encode(out);
-                }
-            }
-            Self::Shares(ss) => {
-                for s in ss {
-                    s.encode(out);
                 }
             }
             Self::CtChunk {
@@ -304,7 +269,6 @@ impl Message {
                     c.encode(out);
                 }
             }
-            Self::Sync { round } => put_u32(out, *round),
         }
     }
 
@@ -322,16 +286,6 @@ impl Message {
                     vs.push(FGold::decode(buf)?);
                 }
                 Self::FieldElems(vs)
-            }
-            1 => {
-                if !n.is_multiple_of(2 * ELEM_BYTES) {
-                    return Err(WireError::BadLength(n));
-                }
-                let mut ss = Vec::with_capacity(n / (2 * ELEM_BYTES));
-                for _ in 0..n / (2 * ELEM_BYTES) {
-                    ss.push(WireShare::decode(buf)?);
-                }
-                Self::Shares(ss)
             }
             2 => {
                 if n < 6 || !(n - 6).is_multiple_of(ELEM_BYTES) {
@@ -390,14 +344,6 @@ impl Message {
                     commitments,
                 }
             }
-            5 => {
-                if n != 4 {
-                    return Err(WireError::BadLength(n));
-                }
-                Self::Sync {
-                    round: get_u32(buf)?,
-                }
-            }
             k => return Err(WireError::UnknownKind(k)),
         };
         if !buf.is_empty() {
@@ -411,7 +357,6 @@ impl Message {
     pub fn payload_len(&self) -> usize {
         match self {
             Self::FieldElems(vs) => vs.len() * ELEM_BYTES,
-            Self::Shares(ss) => ss.len() * 2 * ELEM_BYTES,
             Self::CtChunk { coeffs, .. } => 6 + coeffs.len() * ELEM_BYTES,
             Self::Commitments(cs) => cs.len() * ELEM_BYTES,
             Self::VsrSubshares {
@@ -419,7 +364,6 @@ impl Message {
                 commitments,
                 ..
             } => 12 + shares.len() * 2 * ELEM_BYTES + commitments.len() * ELEM_BYTES,
-            Self::Sync { .. } => 4,
         }
     }
 
@@ -538,7 +482,7 @@ mod tests {
 
     #[test]
     fn bad_magic_version_kind_rejected() {
-        let mut frame = Message::Sync { round: 3 }.encode_frame();
+        let mut frame = Message::FieldElems(vec![FGold::new(3)]).encode_frame();
         let mut f = frame.clone();
         f[0] ^= 0xff;
         assert!(matches!(
@@ -551,11 +495,14 @@ mod tests {
             Message::decode_frame(&f),
             Err(WireError::BadVersion(9))
         ));
-        frame[3] = 77;
-        assert!(matches!(
-            Message::decode_frame(&frame),
-            Err(WireError::UnknownKind(77))
-        ));
+        // The retired kinds decode like any unknown one.
+        for kind in [1, 5, 77] {
+            frame[3] = kind;
+            assert_eq!(
+                Message::decode_frame(&frame),
+                Err(WireError::UnknownKind(kind))
+            );
+        }
     }
 
     #[test]

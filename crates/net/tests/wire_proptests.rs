@@ -3,7 +3,7 @@
 
 use arboretum_crypto::group::{GroupElem, Scalar};
 use arboretum_field::FGold;
-use arboretum_net::wire::{Message, WireError, WireShare, HEADER_BYTES};
+use arboretum_net::wire::{Message, WireError, HEADER_BYTES};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -82,17 +82,6 @@ proptest! {
     }
 
     #[test]
-    fn shares_round_trip(raw in prop::collection::vec(0u64..FGold::MODULUS, 0..24), x0 in 1u64..1000) {
-        let msg = Message::Shares(
-            raw.iter()
-                .enumerate()
-                .map(|(i, &v)| WireShare { x: x0 + i as u64, y: FGold::new(v) })
-                .collect(),
-        );
-        roundtrip(&msg);
-    }
-
-    #[test]
     fn ct_chunks_round_trip(
         poly in 0u8..2,
         limb in 0u8..4,
@@ -124,9 +113,37 @@ proptest! {
         roundtrip(&msg);
     }
 
+    /// Kind 1 named explicit-point share batches, which nothing sent: a
+    /// frame of `(x, y)` pairs under it, or of any other bytes, is
+    /// refused like any other unknown kind.
     #[test]
-    fn sync_round_trips(round in any::<u32>()) {
-        roundtrip(&Message::Sync { round });
+    fn retired_shares_kind_decodes_as_unknown(
+        raw in prop::collection::vec(0u64..FGold::MODULUS, 0..24),
+        x0 in 1u64..1000,
+        junk in prop::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let pairs: Vec<u8> = raw
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &y)| [(x0 + i as u64).to_le_bytes(), y.to_le_bytes()])
+            .flatten()
+            .collect();
+        for payload in [pairs, junk] {
+            prop_assert_eq!(decode_as_kind(1, &payload), Err(WireError::UnknownKind(1)));
+        }
+    }
+
+    /// Kind 5 named round barriers, which nothing sent: a frame carrying
+    /// a round counter under it, or any other bytes, is refused like any
+    /// other unknown kind.
+    #[test]
+    fn retired_sync_kind_decodes_as_unknown(
+        round in any::<u32>(),
+        junk in prop::collection::vec(any::<u8>(), 0..40),
+    ) {
+        for payload in [round.to_le_bytes().to_vec(), junk] {
+            prop_assert_eq!(decode_as_kind(5, &payload), Err(WireError::UnknownKind(5)));
+        }
     }
 
     /// Frames are untrusted input. Truncating a valid frame of any
@@ -142,7 +159,7 @@ proptest! {
         flip_to in 1u8..=255,
         junk in prop::collection::vec(any::<u8>(), 1..24),
     ) {
-        for kind in 0..6 {
+        for kind in [0, 2, 3, 4] {
             let frame = sample(kind, &vals).encode_frame();
             check(&frame[..cut % frame.len()], "truncated");
             let mut flipped = frame.clone();
@@ -160,20 +177,20 @@ proptest! {
     }
 }
 
+/// Decodes `payload` framed under wire kind `kind` with a correct length.
+fn decode_as_kind(kind: u8, payload: &[u8]) -> Result<(Message, usize), WireError> {
+    let mut frame = Message::FieldElems(Vec::new()).encode_frame();
+    frame[3] = kind;
+    frame[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    Message::decode_frame(&frame)
+}
+
 /// A valid message of wire kind `kind` built from `vals`.
 fn sample(kind: u8, vals: &[u64]) -> Message {
     let elems = || vals.iter().map(|&e| GroupElem::mul_base(Scalar::new(e)));
     match kind {
         0 => Message::FieldElems(vals.iter().map(|&v| FGold::new(v)).collect()),
-        1 => Message::Shares(
-            vals.iter()
-                .enumerate()
-                .map(|(i, &v)| WireShare {
-                    x: i as u64 + 1,
-                    y: FGold::new(v),
-                })
-                .collect(),
-        ),
         2 => Message::CtChunk {
             poly: 1,
             limb: 2,
@@ -181,7 +198,7 @@ fn sample(kind: u8, vals: &[u64]) -> Message {
             coeffs: vals.to_vec(),
         },
         3 => Message::Commitments(elems().collect()),
-        4 => Message::VsrSubshares {
+        _ => Message::VsrSubshares {
             from: 3,
             shares: vals
                 .iter()
@@ -189,9 +206,6 @@ fn sample(kind: u8, vals: &[u64]) -> Message {
                 .map(|(i, &v)| (i as u64 + 1, Scalar::new(v)))
                 .collect(),
             commitments: elems().take(3).collect(),
-        },
-        _ => Message::Sync {
-            round: vals.len() as u32,
         },
     }
 }

@@ -441,26 +441,10 @@ pub trait Adversary {
         false
     }
 
-    /// Behavior of the aggregator (the untrusted server, §5.3).
-    ///
-    /// Consulted once, immediately before the first ⊞-fold, so adaptive
-    /// implementations decide from the traffic observed up to that
-    /// deterministic barrier.
+    /// Behavior of the aggregator (the untrusted server, §5.3),
+    /// consulted once, immediately before the first ⊞-fold.
     fn aggregator_behavior(&self) -> AggregatorBehavior {
         AggregatorBehavior::Honest
-    }
-
-    /// A passive frame observer the executor attaches to every
-    /// transport it creates (MPC engines on all fabrics, plus the
-    /// session-setup keygen engine when built inline).
-    ///
-    /// `None` (the default) attaches nothing and the honest path stays
-    /// byte-identical to a run with no adversary. A `Some` sink is the
-    /// message-observing callback adaptive adversaries condition on; it
-    /// is read-only, so attaching one never changes outputs, metrics,
-    /// or detections — only what the adversary knows.
-    fn traffic_sink(&self) -> Option<arboretum_net::SharedSink> {
-        None
     }
 }
 
@@ -568,7 +552,6 @@ mod tests {
         assert_eq!(adv.device_behavior(0, 3), DeviceBehavior::Honest);
         assert_eq!(adv.committee_behavior(0, 4), CommitteeBehavior::Honest);
         assert_eq!(adv.aggregator_behavior(), AggregatorBehavior::Honest);
-        assert!(adv.traffic_sink().is_none());
     }
 
     #[test]

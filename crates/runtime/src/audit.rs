@@ -36,6 +36,11 @@ impl StepLog {
         self.tree.root()
     }
 
+    /// The committed step contents, in order.
+    pub(crate) fn steps(&self) -> &[Vec<u8>] {
+        &self.steps
+    }
+
     /// Number of steps.
     pub fn len(&self) -> usize {
         self.steps.len()

@@ -101,10 +101,6 @@ impl Deployment {
 pub struct ExecutionConfig {
     /// Simulation seed.
     pub seed: u64,
-    /// Network latency model for the elapsed-time estimate (§7.5).
-    pub latency: arboretum_mpc::network::LatencyModel,
-    /// Per-party compute model for the elapsed-time estimate (§7.5).
-    pub compute: Option<arboretum_mpc::network::ComputeModel>,
     /// Concrete committee size for the simulated MPCs (the *plan's*
     /// committee size is used for cost accounting; this one keeps the
     /// simulation fast).
@@ -134,8 +130,6 @@ impl Default for ExecutionConfig {
     fn default() -> Self {
         Self {
             seed: 7,
-            latency: arboretum_mpc::network::LatencyModel::lan(),
-            compute: None,
             committee_size: 5,
             malicious_fraction: 0.0,
             budget: PrivacyCost {
@@ -263,9 +257,6 @@ pub struct ExecutionReport {
     pub mpc_metrics: NetMetrics,
     /// Whether the aggregator's step log passed the participants' audits.
     pub audit_ok: bool,
-    /// Estimated wall-clock seconds for the committee MPCs under the
-    /// configured latency/compute models (§7.5).
-    pub mpc_elapsed_estimate_secs: f64,
     /// Remaining budget after the query.
     pub budget_after: PrivacyCost,
     /// Proof verifications performed (one per upload).

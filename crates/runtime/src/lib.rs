@@ -35,8 +35,7 @@ pub use net_exec::{
     reassign_for_churn, run_with_failover, NetExecConfig, NetExecError, NetExecReport,
 };
 pub use setup::{
-    build_session_setup, build_session_setup_observed, build_session_setup_on, SessionSetup,
-    SetupCounters, SETUP_ROLES,
+    build_session_setup, build_session_setup_on, SessionSetup, SetupCounters, SETUP_ROLES,
 };
 pub use stream::{
     execute_stream, ArrivalSchedule, StreamExecutor, StreamReport, WindowCheckpoint,

@@ -124,29 +124,6 @@ pub fn build_session_setup_on(
     rng: &mut StdRng,
     fabric: FabricKind,
 ) -> Result<SessionSetup, ExecError> {
-    build_session_setup_observed(deployment, committee_size, seed, rng, fabric, None)
-}
-
-/// [`build_session_setup_on`] with an optional passive frame observer
-/// attached to the keygen metering engine. The sink sees every keygen
-/// frame before any device/committee behavior is queried, so adaptive
-/// adversaries can condition on real traffic; observation never changes
-/// outputs, metrics, or RNG consumption.
-///
-/// # Errors
-///
-/// Returns [`ExecError::Unsupported`] if the registry holds fewer than
-/// [`SETUP_ROLES`]` · committee_size` devices (sortition cannot seat
-/// the committees) or the schema's category count does not fit the BGV
-/// parameter space.
-pub fn build_session_setup_observed(
-    deployment: &Deployment,
-    committee_size: usize,
-    seed: u64,
-    rng: &mut StdRng,
-    fabric: FabricKind,
-    sink: Option<arboretum_net::SharedSink>,
-) -> Result<SessionSetup, ExecError> {
     let m = committee_size;
     let t = (m - 1) / 2;
     let categories = deployment.schema.row_width;
@@ -177,20 +154,14 @@ pub fn build_session_setup_observed(
 
     // Meter the distributed keygen in an MPC engine.
     let mut keygen_mpc = MpcEngine::new_on(m, t, true, seed ^ domain_tag(b"keygen-mpc"), fabric);
-    keygen_mpc.set_frame_sink(sink);
-    let keygen_cost = FunctionalityCost {
-        mults: 500,
-        rounds: 60,
-    };
-    let keygen_rounds = keygen_cost.rounds;
-    inject_with_cost(&mut keygen_mpc, Fix::ZERO, keygen_cost);
-    // The analytic meter above counts the keygen rounds; this puts the
-    // same rounds on the wire so frame observers (adaptive adversaries)
-    // see setup traffic before any behavior is queried. Runs whether or
-    // not a sink is attached, so observation never changes behavior.
-    keygen_mpc
-        .materialize_metered_rounds(keygen_rounds)
-        .map_err(|e| ExecError::Mpc(e.to_string()))?;
+    inject_with_cost(
+        &mut keygen_mpc,
+        Fix::ZERO,
+        FunctionalityCost {
+            mults: 500,
+            rounds: 60,
+        },
+    );
     let keygen_metrics = keygen_mpc.net.metrics.clone();
 
     let pk_digest = {

@@ -74,11 +74,11 @@ use crate::adversary::{
     DetectionKind, DeviceBehavior, Subject,
 };
 use crate::audit::{
-    adversarial_audit, audit, challenges_per_device, collate_detection, StepLog, DROPPED_MARKER,
+    adversarial_audit, challenges_per_device, collate_detection, StepLog, DROPPED_MARKER,
 };
 use crate::executor::{Deployment, ExecError, ExecutionConfig, ExecutionReport, QueryCert};
 use crate::mpc_eval::{MVal, MechStyle, MpcEvaluator};
-use crate::setup::{build_session_setup_observed, SessionSetup, SetupCounters};
+use crate::setup::{build_session_setup_on, SessionSetup, SetupCounters};
 
 /// ⊞-fold fan-in per accumulator chunk. Chunk width never changes
 /// results (modular addition is exact), only scheduling.
@@ -430,7 +430,7 @@ impl<'a> StreamExecutor<'a> {
         }
         // ---- Setup (§5.1–§5.2): cached in a session catalog, or built
         // inline (sortition, BGV keygen from the `cfg.seed` stream,
-        // keygen-MPC metering observed by the adversary's sink). ----
+        // keygen-MPC metering). ----
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let setup = match setup {
             Some(s) if s.committee_size != m => {
@@ -440,13 +440,12 @@ impl<'a> StreamExecutor<'a> {
                 )));
             }
             Some(s) => Cow::Borrowed(s),
-            None => Cow::Owned(build_session_setup_observed(
+            None => Cow::Owned(build_session_setup_on(
                 deployment,
                 m,
                 cfg.seed,
                 &mut rng,
                 FabricKind::resolve(cfg.fabric, FabricKind::Sim),
-                adversary.and_then(|a| a.traffic_sink()),
             )?),
         };
         // The malformed-upload draws continue the `cfg.seed` stream as
@@ -1070,9 +1069,6 @@ impl<'a> StreamExecutor<'a> {
             self.cfg.seed ^ domain_tag(b"mechanism-mpc"),
             FabricKind::resolve(self.cfg.fabric, FabricKind::Sim),
         );
-        // Message-observing callback for adaptive adversaries.
-        // Read-only, so a sink never changes outputs or metrics.
-        mpc.set_frame_sink(adversary.and_then(|a| a.traffic_sink()));
         // Charge the distributed-decryption cost.
         inject_with_cost(
             &mut mpc,
@@ -1129,17 +1125,10 @@ impl<'a> StreamExecutor<'a> {
                 .collect::<Vec<u8>>(),
         );
         let log = StepLog::new(std::mem::take(&mut self.step_results));
-        let root = log.root();
         let k = challenges_per_device(log.len(), n as u64, self.cfg.p_max);
-        let honest: Vec<Vec<u8>> = (0..log.len()).map(|i| log.respond(i).0).collect();
-        let mut audit_rng = StdRng::seed_from_u64(self.cfg.seed ^ domain_tag(b"stream-audit"));
-        let mut audit_ok = true;
-        for _ in 0..n.min(50) {
-            if !audit(&log, &root, k, |i| honest[i].clone(), &mut audit_rng) {
-                audit_ok = false;
-            }
-        }
-        if let Some(kind) = self.aggregator_audit(&total_ct, agg_step, &honest, k) {
+        let detection = self.aggregator_audit(&log, &total_ct, agg_step, k);
+        let audit_ok = detection.is_none();
+        if let Some(kind) = detection {
             self.detections.push(Detection {
                 window: n_windows - 1,
                 subject: Subject::Aggregator,
@@ -1163,19 +1152,6 @@ impl<'a> StreamExecutor<'a> {
             Cow::Borrowed(_) => SetupCounters::default(),
         };
 
-        // Elapsed-time estimate under the configured heterogeneity
-        // models (reference per-multiplication cost from the §7.5
-        // calibration).
-        let compute = self
-            .cfg
-            .compute
-            .clone()
-            .unwrap_or_else(|| arboretum_mpc::network::ComputeModel::uniform(m));
-        let per_mult_secs = 9.0e-4; // 73.8 s / ~80k mults, the §7.5 anchor.
-        let mpc_elapsed_estimate_secs =
-            mpc.net
-                .elapsed_secs(&self.cfg.latency, &compute, per_mult_secs);
-
         let budget_after = self.cert.budget_after;
         Ok(StreamReport {
             report: ExecutionReport {
@@ -1185,7 +1161,6 @@ impl<'a> StreamExecutor<'a> {
                 accepted_inputs: self.accepted_count,
                 mpc_metrics: metrics,
                 audit_ok,
-                mpc_elapsed_estimate_secs,
                 budget_after,
                 verify_ops: self.verify_ops,
                 aggregate_ops: self.aggregate_ops,
@@ -1196,23 +1171,27 @@ impl<'a> StreamExecutor<'a> {
         })
     }
 
-    /// The adversarial aggregator (§5.3): the cheat perturbs what the
-    /// server *publishes* — log, root, or challenge responses — while
-    /// the honest values stay in the pipeline, so the run detects and
-    /// recovers: outputs, budget, and the honest audit verdict remain
-    /// bitwise identical to an honest replay, plus at most one typed
-    /// detection, returned here. The device audit draws from its own
-    /// derived RNG stream.
+    /// The device audit of the aggregator's step log (§5.3): `min(n, 50)`
+    /// devices each challenge `k` steps, drawing from their own derived
+    /// RNG stream, and pool their evidence into at most one typed
+    /// detection, returned here. An honest aggregator answers from `log`,
+    /// the log it built. A cheat perturbs only what the server
+    /// *publishes* — log, root, or challenge responses — while the honest
+    /// values stay in the pipeline, so outputs and budget remain bitwise
+    /// identical to an honest replay.
     fn aggregator_audit(
         &self,
+        log: &StepLog,
         total_ct: &Ciphertext,
         agg_step: usize,
-        honest: &[Vec<u8>],
         k: usize,
     ) -> Option<DetectionKind> {
-        let behavior = self.agg_behavior.unwrap_or(AggregatorBehavior::Honest);
+        let honest = log.steps();
         let ok_steps = &self.ok_steps;
-        behavior.expected_kind(ok_steps, agg_step, honest.len())?;
+        let behavior = match self.agg_behavior {
+            Some(b) if b.expected_kind(ok_steps, agg_step, honest.len()).is_some() => b,
+            _ => AggregatorBehavior::Honest,
+        };
         let ctx = &self.setup.ctx;
         let n_windows = self.schedule.n_windows;
         let forged_agg_step = |forged: &Ciphertext| {
@@ -1220,16 +1199,21 @@ impl<'a> StreamExecutor<'a> {
             contents.extend_from_slice(&ciphertext_digest(forged));
             contents
         };
-        let mut published_steps = honest.to_vec();
-        // Responder state for post-commitment cheats: a tampered tree
-        // (ForgedLeaf) or an alternating second answer (Equivocation).
+        // The steps a cheat rewrites before committing (`None` publishes
+        // `log` itself), and responder state for post-commitment cheats:
+        // a tampered tree (ForgedLeaf) or an alternating second answer
+        // (Equivocation).
+        let mut rewritten: Option<Vec<Vec<u8>>> = None;
         let mut tampered: Option<(usize, StepLog)> = None;
         let mut equivocation: Option<(usize, StepLog)> = None;
         match behavior {
+            AggregatorBehavior::Honest => {}
             AggregatorBehavior::WrongPartialSum => {
                 let extra = self.cheat_cts.first()?;
                 let forged = arboretum_bgv::scheme::add(ctx, total_ct, extra);
-                published_steps[agg_step] = forged_agg_step(&forged);
+                let mut steps = honest.to_vec();
+                steps[agg_step] = forged_agg_step(&forged);
+                rewritten = Some(steps);
             }
             AggregatorBehavior::DropUpload { draw } => {
                 let j = (draw % ok_steps.len() as u64) as usize;
@@ -1240,9 +1224,11 @@ impl<'a> StreamExecutor<'a> {
                     .expect("ok-step contents end in -ok")
                     .to_vec();
                 dropped.extend_from_slice(DROPPED_MARKER);
-                published_steps[victim_step] = dropped;
                 let forged = arboretum_bgv::scheme::sub(ctx, total_ct, victim_ct);
-                published_steps[agg_step] = forged_agg_step(&forged);
+                let mut steps = honest.to_vec();
+                steps[victim_step] = dropped;
+                steps[agg_step] = forged_agg_step(&forged);
+                rewritten = Some(steps);
             }
             AggregatorBehavior::ForgedLeaf { draw } => {
                 let step = (draw % honest.len() as u64) as usize;
@@ -1255,7 +1241,9 @@ impl<'a> StreamExecutor<'a> {
             AggregatorBehavior::ForgedRoot => {}
             AggregatorBehavior::ReorderedSteps { draw } => {
                 let j = (draw % (ok_steps.len() - 1) as u64) as usize;
-                published_steps.swap(ok_steps[j], ok_steps[j + 1]);
+                let mut steps = honest.to_vec();
+                steps.swap(ok_steps[j], ok_steps[j + 1]);
+                rewritten = Some(steps);
             }
             AggregatorBehavior::EquivocatingResponses { draw } => {
                 let step = (draw % honest.len() as u64) as usize;
@@ -1263,9 +1251,9 @@ impl<'a> StreamExecutor<'a> {
                 forged_steps[step].extend_from_slice(b"-equivocated");
                 equivocation = Some((step, StepLog::new(forged_steps)));
             }
-            AggregatorBehavior::Honest => unreachable!("expected_kind is None for Honest"),
         }
-        let published = StepLog::new(published_steps);
+        let published =
+            rewritten.map_or(Cow::Borrowed(log), |steps| Cow::Owned(StepLog::new(steps)));
         let mut published_root = published.root();
         if behavior == AggregatorBehavior::ForgedRoot {
             published_root[0] ^= 0x01;

@@ -104,11 +104,18 @@ fn numeric_seed_sweep_detects_every_injected_behavior() {
 
 #[test]
 fn detections_and_outputs_identical_across_threads_and_shards() {
-    for windows in WINDOWS {
+    // With and without the aggregator axis: the aggregator's detection
+    // and the failed audit verdict must not move with the thread or
+    // shard count either.
+    for (windows, aggregator) in WINDOWS
+        .iter()
+        .flat_map(|&w| [false, true].map(move |a| (w, a)))
+    {
         for seed in [3u64, 7] {
             let base_cfg = AttackConfig {
                 net_phase: false,
                 windows,
+                aggregator,
                 ..AttackConfig::new(seed)
             };
             let base = run_attack(&base_cfg, None).expect("serial attack run failed");
@@ -122,12 +129,14 @@ fn detections_and_outputs_identical_across_threads_and_shards() {
                     let got = run_attack(&cfg, None).expect("parallel attack run failed");
                     assert!(
                         got.ok(),
-                        "seed {seed} windows {windows} threads {threads} shards {shards}:\n{}",
+                        "seed {seed} windows {windows} aggregator {aggregator} threads \
+                         {threads} shards {shards}:\n{}",
                         got.summary()
                     );
                     assert_eq!(
                         got.adversarial, base.adversarial,
-                        "epoch drifted at windows {windows} threads {threads} shards {shards}"
+                        "epoch drifted at windows {windows} aggregator {aggregator} threads \
+                         {threads} shards {shards}"
                     );
                 }
             }
@@ -196,25 +205,22 @@ fn aggregator_seed_sweep_yields_exactly_one_exact_detection_on_every_fabric() {
 }
 
 #[test]
-fn adaptive_sweep_replays_deterministically_across_threads_shards_and_fabrics() {
-    // Satellite: adaptive decisions are a pure function of
-    // (seed, observed-transcript-prefix), so the full decision log —
-    // subject, transcript digest, draw, and choice per decision — must
-    // be identical across thread counts, shard counts, and fabrics. A
-    // divergence dumps the replayable decision-log artifact.
+fn aggregator_sweep_replays_deterministically_across_threads_shards_and_fabrics() {
+    // With every axis on but the net phase, the full decision log and
+    // the epoch must be identical across thread counts, shard counts and
+    // fabrics. A divergence dumps the replayable artifact.
     for seed in 0..sweep_width().min(6) {
         let base_cfg = AttackConfig {
             fabric: Some(FabricKind::Evented),
             net_phase: false,
             aggregator: true,
-            adaptive: true,
             ..AttackConfig::new(seed)
         };
         let base = run_attack(&base_cfg, None).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         if !base.ok() {
             let artifact = dump_failure_artifact(&base_cfg, &base).ok();
             panic!(
-                "seed {seed} failed adaptive cross-checks (artifact: {artifact:?})\n{}",
+                "seed {seed} failed aggregator cross-checks (artifact: {artifact:?})\n{}",
                 base.summary()
             );
         }
@@ -238,8 +244,8 @@ fn adaptive_sweep_replays_deterministically_across_threads_shards_and_fabrics() 
                     if got.schedule.decisions != *base_decisions {
                         let artifact = dump_failure_artifact(&cfg, &got).ok();
                         panic!(
-                            "seed {seed}: adaptive decisions diverged at {fabric} threads \
-                             {threads} shards {shards} (replayable artifact: {artifact:?})"
+                            "seed {seed}: decisions diverged at {fabric} threads {threads} \
+                             shards {shards} (replayable artifact: {artifact:?})"
                         );
                     }
                     assert_eq!(got.adversarial, base.adversarial);
@@ -250,13 +256,13 @@ fn adaptive_sweep_replays_deterministically_across_threads_shards_and_fabrics() 
 }
 
 #[test]
-fn adaptive_net_phase_respects_realized_fault_decisions() {
-    // With the net phase on, the adaptively chosen fault plans drive
-    // the failover chain, and the harness cross-checks completion on a
-    // survivable committee against the realized (not static) schedule.
-    for seed in [0u64, 4] {
+fn net_phase_fails_over_to_the_first_survivable_committee() {
+    // The schedule's net faults drive the failover chain: every
+    // committee before the first survivable one fails, and that one
+    // completes. Seed 0 faults no committee fatally, seed 3 the first
+    // two, and seed 13 all three until the schedule spares the last.
+    for (seed, survivor) in [(0u64, 0usize), (3, 2), (13, 2)] {
         let cfg = AttackConfig {
-            adaptive: true,
             aggregator: true,
             ..AttackConfig::new(seed)
         };
@@ -264,21 +270,20 @@ fn adaptive_net_phase_respects_realized_fault_decisions() {
         if !outcome.ok() {
             let artifact = dump_failure_artifact(&cfg, &outcome).ok();
             panic!(
-                "seed {seed} adaptive net phase failed (artifact: {artifact:?})\n{}",
+                "seed {seed} net phase failed (artifact: {artifact:?})\n{}",
                 outcome.summary()
             );
         }
-        let net_decisions = outcome
-            .schedule
-            .decisions
-            .iter()
-            .filter(|d| d.subject.starts_with("net committee") && d.digest.is_some())
-            .count();
+        let faults = &outcome.schedule.net_faults;
         assert_eq!(
-            net_decisions, cfg.n_committees,
-            "net faults were not decided on the transcript"
+            faults.iter().position(|f| !f.is_fatal()),
+            Some(survivor),
+            "seed {seed}: {faults:?}"
         );
-        assert!(outcome.net.is_some());
+        let net = outcome.net.as_ref().expect("the net phase ran");
+        assert_eq!(net.committee, survivor, "seed {seed}");
+        let failed: Vec<usize> = net.failures.iter().map(|(c, _)| *c).collect();
+        assert_eq!(failed, (0..survivor).collect::<Vec<_>>(), "seed {seed}");
     }
 }
 

@@ -158,29 +158,6 @@ fn deterministic_given_seed() {
 }
 
 #[test]
-fn wan_execution_estimate_exceeds_lan() {
-    let (physical, lp, deployment) = setup(
-        "aggr = sum(db); r = em(aggr, 8.0); output(r);",
-        &[10, 40, 5],
-    );
-    let lan_cfg = ExecutionConfig::default();
-    let wan_cfg = ExecutionConfig {
-        latency: arboretum_mpc::network::LatencyModel::geo_distributed(5),
-        ..Default::default()
-    };
-    let (lan, _) = execute(&physical, &lp, &deployment, &lan_cfg, None, None, None).unwrap();
-    let (wan, _) = execute(&physical, &lp, &deployment, &wan_cfg, None, None, None).unwrap();
-    assert_eq!(lan.outputs, wan.outputs, "latency must not change results");
-    assert!(
-        wan.mpc_elapsed_estimate_secs > 2.0 * lan.mpc_elapsed_estimate_secs,
-        "WAN {} vs LAN {}",
-        wan.mpc_elapsed_estimate_secs,
-        lan.mpc_elapsed_estimate_secs
-    );
-    assert!(lan.mpc_elapsed_estimate_secs > 0.0);
-}
-
-#[test]
 fn program_without_aggregation_rejected() {
     // A (contrived) plan applied to a program with no sum(db) must fail
     // cleanly rather than panic.

@@ -9,9 +9,10 @@
 //! networked MPC phase under the schedule's fault plans and
 //! cross-checks everything the security argument promises: complete
 //! typed detection attributed to the right subject in the right window,
-//! zero false positives, honest windows bitwise untouched, and a
-//! surviving-set answer, budget ledger, audit verdict and certificate
-//! bitwise identical to the reference. Discrepancies land in
+//! zero false positives, honest windows bitwise untouched, an audit
+//! verdict that fails exactly when the aggregator cheats, and a
+//! surviving-set answer, budget ledger and certificate bitwise
+//! identical to the reference. Discrepancies land in
 //! [`AttackOutcome::problems`] rather than panicking, so test drivers
 //! and the `arboretum attack` CLI can both report them with full
 //! context.
@@ -37,7 +38,7 @@ use arboretum_runtime::{
 use arboretum_service::{CatalogConfig, SessionCatalog};
 use arboretum_sortition::select::select_committees;
 
-use crate::schedule::{AdversarySchedule, Decider};
+use crate::schedule::AdversarySchedule;
 
 /// Numeric-schema bounds used by the harness: ages 0..=9 per field, two
 /// fields per row, the last pinned to `hi` so the legacy out-of-range
@@ -79,11 +80,6 @@ pub struct AttackConfig {
     /// exactly one aggregator detection with the exact predicted
     /// [`DetectionKind`] (step attribution included).
     pub aggregator: bool,
-    /// Drive the run with the adaptive schedule instead of the static
-    /// one: every corruption decision is made at the executor's first
-    /// query, as a pure function of `(seed, observed-transcript-prefix)`,
-    /// and the cross-checks run against what was decided.
-    pub adaptive: bool,
 }
 
 impl AttackConfig {
@@ -100,7 +96,6 @@ impl AttackConfig {
             par: ParConfig::serial(),
             fabric: None,
             aggregator: false,
-            adaptive: false,
         }
     }
 
@@ -163,17 +158,6 @@ impl AttackOutcome {
                 self.arrivals.n_windows,
                 self.arrivals.survivors().len(),
                 self.arrivals.n_devices
-            ));
-        }
-        let observed = self
-            .schedule
-            .decisions
-            .iter()
-            .filter(|d| d.digest.is_some())
-            .count();
-        if observed > 0 {
-            out.push_str(&format!(
-                "adaptive: {observed} decision(s) conditioned on observed traffic\n"
             ));
         }
         let report = &self.adversarial.report;
@@ -387,14 +371,10 @@ pub fn run_attack(
         .map_err(|e| format!("{tag} run: {e}"))
     };
 
-    // The adversary driving the run: the static schedule, every decision
-    // already made, or the adaptive one, deciding as the executor asks.
-    let adversary = Decider::new(cfg);
-    let adversarial = run(&arrivals, &adversary, "adversarial")?;
-    // What it decided is what the cross-checks run against. An adaptive
-    // schedule decides its network faults here, after the epoch,
-    // conditioned on its whole transcript.
-    let schedule = adversary.snapshot();
+    // The adversary driving the run, every decision made up front: what
+    // it decided is what the cross-checks run against.
+    let schedule = AdversarySchedule::for_attack(cfg);
+    let adversarial = run(&arrivals, &schedule, "adversarial")?;
 
     // The honest epochs. Rejecting an upload must leave no trace, so
     // the adversarial epoch must equal, on everything but the rejected
@@ -535,7 +515,7 @@ fn cross_check(
     }
 
     // 3. The surviving-set epoch equals the reference bitwise: outputs,
-    //    budget ledger, audit verdict, MPC metering, certificate body,
+    //    budget ledger, MPC metering, certificate body,
     //    and the accumulator after every window — a rejected upload
     //    never touches the fold.
     let (a, r) = (&adv.report, &reference.report);
@@ -554,10 +534,12 @@ fn cross_check(
             a.budget_after, r.budget_after
         ),
     );
+    // The audit verdict fails exactly when the aggregator cheats.
+    let audit_want = o.expected_aggregator.is_none();
     check(
-        a.audit_ok && r.audit_ok,
+        a.audit_ok == audit_want && r.audit_ok,
         format!(
-            "audit failed (adversarial {}, reference {})",
+            "audit verdict wrong (adversarial {}, want {audit_want}; reference {})",
             a.audit_ok, r.audit_ok
         ),
     );
@@ -700,9 +682,8 @@ fn run_net_phase(
 /// every axis flag, the schedule, the full typed detection list with
 /// per-detection attribution against the prediction, every window's
 /// checkpoint next to the reference's, and the whole decision log
-/// (subject, transcript digest — `-` for the static schedule, which
-/// observes nothing — draw, choice per decision), which replays bitwise
-/// from the seed.
+/// (subject, draw, choice per decision), which replays bitwise from the
+/// seed.
 ///
 /// # Errors
 ///
@@ -720,7 +701,6 @@ pub fn dump_failure_artifact(
         (cfg.numeric, " --numeric"),
         (!cfg.net_phase, " --no-net"),
         (cfg.aggregator, " --aggregator"),
-        (cfg.adaptive, " --adaptive"),
         (outcome.adversarial.report.setup.is_zero(), " --service"),
     ] {
         if on {
@@ -775,11 +755,8 @@ pub fn dump_failure_artifact(
     body.push_str("\ndecision log (replayable from the seed):\n");
     for d in &outcome.schedule.decisions {
         body.push_str(&format!(
-            "  {} | digest {} | draw {:#018x} | {}\n",
-            d.subject,
-            hex(&d.digest),
-            d.draw,
-            d.choice
+            "  {} | draw {:#018x} | {}\n",
+            d.subject, d.draw, d.choice
         ));
     }
     std::fs::write(&path, body)?;
@@ -841,30 +818,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn smoke_adaptive_run_passes_and_logs_decisions() {
-        let cfg = AttackConfig {
-            aggregator: true,
-            adaptive: true,
-            ..AttackConfig::new(3)
-        };
-        let outcome = pass(cfg, None);
-        let decisions = &outcome.schedule.decisions;
-        assert!(!decisions.is_empty());
-        assert!(decisions.iter().all(|d| d.digest.is_some()));
-        // Decisions conditioned on real traffic: the aggregator
-        // decision saw a non-empty transcript.
-        let agg_decision = decisions
-            .iter()
-            .find(|d| d.subject == "aggregator")
-            .expect("aggregator decision logged");
-        assert_ne!(
-            agg_decision.digest,
-            Some(crate::adaptive::TranscriptAccumulator::new().digest()),
-            "aggregator decision conditioned on an empty transcript"
-        );
-    }
-
-    #[test]
     fn smoke_attack_run_through_prebuilt_catalog() {
         // Smoke-level service-path coverage: one seed, with the
         // schedule's behavior classes it derives, at one and four
@@ -897,14 +850,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn aggregator_and_adaptive_axes_work_through_the_service_path() {
-        // The cached-setup catalog path must support both axes: the
-        // aggregator cheat is detected with exact attribution, and
-        // adaptive decisions (conditioned on an empty transcript, since
-        // keygen was amortized) replay deterministically.
+    fn aggregator_axis_works_through_the_service_path() {
+        // The cached-setup catalog path supports the aggregator axis: the
+        // cheat is detected with exact attribution, and the epoch replays
+        // bitwise on the same catalog.
         let cfg = AttackConfig {
             aggregator: true,
-            adaptive: true,
             ..AttackConfig::new(4)
         };
         let catalog = build_attack_catalog(&cfg).expect("catalog build failed");
@@ -913,8 +864,8 @@ pub(crate) mod tests {
         assert!(a.adversarial.report.setup.is_zero());
         let b = pass(cfg, Some(&catalog));
         assert_eq!(
-            a.schedule.decisions, b.schedule.decisions,
-            "service-path adaptive decisions did not replay"
+            a.adversarial, b.adversarial,
+            "service-path epoch did not replay"
         );
     }
 

@@ -5,23 +5,20 @@
 //! into an executable experiment: one seed-derived schedule assigns
 //! every simulated device and committee member a behavior from the
 //! Byzantine catalog, every committee a network fault and, in a
-//! multi-window epoch, one seat a handoff crash. The schedule either
-//! observes nothing — the static schedule, decided up front in index
-//! order, a pure function of `(seed, n_devices, n_committees, windows)`
-//! — or observes the executor's traffic and decides each subject at its
-//! first query (adaptive); both run the same rules, caps and memo (see
-//! [`schedule`]). [`run_attack`] runs one ingestion epoch under that
-//! schedule (a batch query is the one-window epoch), and an
-//! [`AttackOutcome`] cross-checks the result against the
-//! [`AdversarySchedule`] snapshot of what was decided and an honest
-//! reference epoch:
+//! multi-window epoch, one seat a handoff crash. The schedule is decided
+//! up front in index order, a pure function of `(seed, n_devices,
+//! n_committees, windows)` (see [`schedule`]). [`run_attack`] runs one
+//! ingestion epoch under that schedule (a batch query is the one-window
+//! epoch), and an [`AttackOutcome`] cross-checks the result against the
+//! [`AdversarySchedule`] and an honest reference epoch:
 //!
 //! * every injected behavior is flagged with the right typed
 //!   [`DetectionKind`](arboretum_runtime::DetectionKind), attributed to
 //!   the right subject in the right window;
 //! * no honest device or committee member is ever flagged;
-//! * the surviving-set answer, privacy-budget ledger, audit verdict and
-//!   certificate body are bitwise identical to the honest reference;
+//! * the aggregator's audit fails exactly when the aggregator cheats;
+//! * the surviving-set answer, privacy-budget ledger and certificate
+//!   body are bitwise identical to the honest reference;
 //! * the networked MPC phase completes on a committee whose fault is
 //!   survivable, failing over past every committee whose fault is not.
 //!
@@ -31,12 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod forgery;
 pub mod harness;
 pub mod schedule;
 
-pub use adaptive::TranscriptAccumulator;
 pub use forgery::{forgery_plan, run_forgery_sweep, Corruption, ForgeryPlan};
 pub use harness::{
     build_attack_catalog, dump_failure_artifact, run_attack, AttackConfig, AttackOutcome,

@@ -1,22 +1,15 @@
-//! Seed-derived Byzantine schedules: one decider, observing or not.
+//! Seed-derived Byzantine schedules, decided up front.
 //!
 //! Every corruption decision — each device, each committee seat, the
-//! networked-MPC faults, the aggregator — comes from one decider with one
-//! copy of every rule. A decision is the draw
-//! `seed_draw_with(seed, domain, index, observed)`, made once, capped,
-//! memoized and logged as a [`Decision`]. A schedule either observes
-//! nothing or observes the executor's traffic:
-//!
-//! * The **static** schedule observes nothing (`observed` is empty) and
-//!   decides everything at construction, in index order: every device,
-//!   then every seat of every committee, then the net faults, then the
-//!   aggregator. Its caps bind in index order, its run is served from the
-//!   memo, and it is a pure function of `(seed, n_devices, n_committees,
-//!   windows)` — a failing seed is a complete bug report.
-//! * The **adaptive** schedule ([`crate::adaptive`]) observes traffic:
-//!   each decision is made at the executor's first query, with `observed`
-//!   the transcript digest at that instant, so its caps bind in query
-//!   order.
+//! networked-MPC faults, the aggregator — is one draw
+//! `seed_draw(seed, domain, index)`, capped and logged as a
+//! [`Decision`]. [`AdversarySchedule::new`] makes them all at
+//! construction, in index order: every device, then every seat of every
+//! committee, then the net faults, then (with the aggregator axis) the
+//! aggregator. Its caps bind in that order, and the schedule is a pure
+//! function of `(seed, n_devices, n_committees, windows)` — a failing
+//! seed is a complete bug report. The executor consults it through
+//! [`Adversary`], which answers by lookup.
 //!
 //! The caps are what the protocol's thresholds tolerate — the point of
 //! the harness is to prove *detection*, not to exceed the honest-majority
@@ -24,18 +17,14 @@
 //! devices (and enough honest ones left to seat the committees), at most
 //! `t = 2` faulty members per 5-seat committee in any one key handoff (a
 //! handoff crash counted), and at least one committee with a survivable
-//! network fault. An [`AdversarySchedule`] is the snapshot of what was
-//! decided, which the harness cross-checks a run against.
+//! network fault.
 
 use std::fmt::Debug;
-use std::sync::{Arc, Mutex, MutexGuard};
 
-use arboretum_crypto::sha256::{seed_draw, seed_draw_with, Digest};
+use arboretum_crypto::sha256::seed_draw;
 use arboretum_net::fault::FaultPlan;
-use arboretum_net::SharedSink;
 use arboretum_runtime::{Adversary, AggregatorBehavior, CommitteeBehavior, DeviceBehavior};
 
-use crate::adaptive::TranscriptAccumulator;
 use crate::harness::AttackConfig;
 
 /// Committee seats used throughout the simulation (matches
@@ -101,36 +90,31 @@ impl NetFault {
     }
 }
 
-/// One logged decision: which subject was decided, the transcript
-/// digest it conditioned on, the derived draw, and the choice made. Two
-/// runs replay identically iff their decision logs are equal
-/// element-wise.
+/// One logged decision: which subject was decided, the derived draw, and
+/// the choice made. Two schedules agree iff their decision logs are
+/// equal element-wise.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Decision {
     /// Subject label, e.g. `"device 3"` or `"aggregator"`.
     pub subject: String,
-    /// Transcript digest at the moment of the decision; `None` for a
-    /// schedule that observes nothing.
-    pub digest: Option<Digest>,
-    /// The 64-bit draw derived from `(seed, domain, index, digest)`.
+    /// The 64-bit draw derived from `(seed, domain, index)`.
     pub draw: u64,
     /// Debug rendering of the chosen behavior.
     pub choice: String,
 }
 
 impl Decision {
-    fn new(subject: String, digest: Option<Digest>, draw: u64, choice: impl Debug) -> Self {
+    fn new(subject: String, draw: u64, choice: impl Debug) -> Self {
         Self {
             subject,
-            digest,
             draw,
             choice: format!("{choice:?}"),
         }
     }
 }
 
-/// What a schedule decided: a behavior for every device, seat and
-/// committee (honest where nothing was decided), and the decision log.
+/// What the adversary decided: a behavior for every device, seat and
+/// committee, and the decision log.
 #[derive(Clone, Debug)]
 pub struct AdversarySchedule {
     /// The seed everything is derived from.
@@ -171,48 +155,121 @@ fn handoff_crash(seed: u64, windows: usize) -> Option<(usize, usize)> {
     })
 }
 
-/// The aggregator decision: the kind is `seed % 6`, so any six
-/// consecutive seeds — and a fortiori the CI's 16-seed sweep — cover the
-/// whole [`AggregatorBehavior`] catalog. Only the target of the
-/// draw-carrying kinds depends on what was observed; the executor
-/// resolves it against the realized step layout.
-fn decide_aggregator(seed: u64, observed: Option<Digest>) -> (AggregatorBehavior, Decision) {
-    let d = draw(seed, b"aggregator", 0, observed);
-    let behavior = match seed % 6 {
-        0 => AggregatorBehavior::WrongPartialSum,
-        1 => AggregatorBehavior::DropUpload { draw: d },
-        2 => AggregatorBehavior::ForgedLeaf { draw: d },
-        3 => AggregatorBehavior::ForgedRoot,
-        4 => AggregatorBehavior::ReorderedSteps { draw: d },
-        _ => AggregatorBehavior::EquivocatingResponses { draw: d },
-    };
-    (
-        behavior,
-        Decision::new("aggregator".into(), observed, d, behavior),
-    )
-}
-
-/// `seed_draw_with(seed, domain, index, observed)`, with nothing
-/// appended when nothing was observed.
-fn draw(seed: u64, domain: &[u8], index: u64, observed: Option<Digest>) -> u64 {
-    seed_draw_with(seed, domain, index, observed.as_ref().map_or(&[], |d| d))
-}
-
 impl AdversarySchedule {
-    /// The static schedule for `n_devices` uploading devices and
-    /// `n_committees` networked-MPC committees, over one window and with
-    /// an honest aggregator.
+    /// The schedule for `n_devices` uploading devices and `n_committees`
+    /// networked-MPC committees, over one window and with an honest
+    /// aggregator: every device, then every seat of every committee, then
+    /// the net faults, decided in index order.
     ///
     /// # Panics
     ///
     /// Panics if `n_committees == 0` or `n_devices == 0`.
     pub fn new(seed: u64, n_devices: usize, n_committees: usize) -> Self {
-        let cfg = AttackConfig {
-            n_devices,
-            n_committees,
-            ..AttackConfig::new(seed)
-        };
-        Decider::new(&cfg).snapshot()
+        assert!(n_devices > 0, "schedule needs at least one device");
+        assert!(n_committees > 0, "schedule needs at least one committee");
+        let mut decisions = Vec::new();
+
+        // ~35% corruption pressure, capped so the honest remainder can
+        // still seat the executor's committees and the corrupt set stays
+        // under the n/3 Byzantine bound. If no device was drawn corrupt
+        // by the last one, the last is: every run exercises a device
+        // attack.
+        let cap = (n_devices / 3).min(n_devices.saturating_sub(SORTITION_FLOOR));
+        let mut corrupt = 0;
+        let device_behaviors = (0..n_devices)
+            .map(|device| {
+                let r = seed_draw(seed, b"device", device as u64);
+                let force = device + 1 == n_devices && corrupt == 0;
+                let behavior = if corrupt < cap && (r % 100 < 35 || force) {
+                    corrupt += 1;
+                    match (r / 100) % 5 {
+                        0 => DeviceBehavior::TamperSigmaProof,
+                        1 => DeviceBehavior::MalformedOneHot,
+                        2 => DeviceBehavior::TruncatedProof,
+                        3 => DeviceBehavior::OutOfRangeValue,
+                        _ => DeviceBehavior::WrongBgvCiphertext,
+                    }
+                } else {
+                    DeviceBehavior::Honest
+                };
+                decisions.push(Decision::new(format!("device {device}"), r, behavior));
+                behavior
+            })
+            .collect();
+
+        // Light corruption pressure, capped at t = 2 per committee so
+        // ≥ t + 1 honest members always remain.
+        let committee_behaviors = (0..n_committees)
+            .map(|committee| {
+                let mut seated = 0;
+                (0..COMMITTEE_SEATS)
+                    .map(|member| {
+                        let index = (committee * COMMITTEE_SEATS + member) as u64;
+                        let r = seed_draw(seed, b"committee", index);
+                        let behavior = match r % 10 {
+                            0 if seated < 2 => CommitteeBehavior::StaleSignature,
+                            1 if seated < 2 => CommitteeBehavior::EquivocateCommit,
+                            2 if seated < 2 => CommitteeBehavior::InconsistentVsrShares,
+                            _ => CommitteeBehavior::Honest,
+                        };
+                        if behavior != CommitteeBehavior::Honest {
+                            seated += 1;
+                        }
+                        decisions.push(Decision::new(
+                            format!("committee {committee} seat {member}"),
+                            r,
+                            behavior,
+                        ));
+                        behavior
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let mut net_faults: Vec<NetFault> = (0..n_committees)
+            .map(|c| {
+                let r = seed_draw(seed, b"net", c as u64);
+                let party = ((r >> 3) % COMMITTEE_SEATS as u64) as usize;
+                let fault = match r % 8 {
+                    0 => NetFault::Crash { party },
+                    1 => NetFault::Partition { a: 0, b: 1 },
+                    2 | 3 => NetFault::Slow { party },
+                    _ => NetFault::None,
+                };
+                decisions.push(Decision::new(format!("net committee {c}"), r, fault));
+                fault
+            })
+            .collect();
+        if net_faults.iter().all(NetFault::is_fatal) {
+            // At least one committee survives, so the failover chain
+            // terminates.
+            let last = n_committees - 1;
+            net_faults[last] = NetFault::None;
+            if let Some(d) = decisions.last_mut() {
+                d.choice = format!("{:?}", NetFault::None);
+            }
+        }
+
+        Self {
+            seed,
+            device_behaviors,
+            committee_behaviors,
+            net_faults,
+            aggregator: AggregatorBehavior::Honest,
+            crash: None,
+            decisions,
+        }
+    }
+
+    /// The schedule an attack under `cfg` runs against.
+    pub(crate) fn for_attack(cfg: &AttackConfig) -> Self {
+        let schedule =
+            Self::new(cfg.seed, cfg.n_devices, cfg.n_committees).with_windows(cfg.windows);
+        if cfg.aggregator {
+            schedule.with_malicious_aggregator()
+        } else {
+            schedule
+        }
     }
 
     /// Spreads the epoch over `windows` ingestion windows: from two on,
@@ -222,12 +279,23 @@ impl AdversarySchedule {
         self
     }
 
-    /// Enables the aggregator axis with the static schedule's decision,
-    /// the last one it makes.
+    /// Enables the aggregator axis, the last decision the schedule
+    /// makes. The kind is `seed % 6`, so any six consecutive seeds — and
+    /// a fortiori the CI's 16-seed sweep — cover the whole
+    /// [`AggregatorBehavior`] catalog; the executor resolves the draw of
+    /// the draw-carrying kinds against the realized step layout.
     pub fn with_malicious_aggregator(mut self) -> Self {
-        let (behavior, decision) = decide_aggregator(self.seed, None);
-        self.aggregator = behavior;
-        self.decisions.push(decision);
+        let d = seed_draw(self.seed, b"aggregator", 0);
+        self.aggregator = match self.seed % 6 {
+            0 => AggregatorBehavior::WrongPartialSum,
+            1 => AggregatorBehavior::DropUpload { draw: d },
+            2 => AggregatorBehavior::ForgedLeaf { draw: d },
+            3 => AggregatorBehavior::ForgedRoot,
+            4 => AggregatorBehavior::ReorderedSteps { draw: d },
+            _ => AggregatorBehavior::EquivocatingResponses { draw: d },
+        };
+        self.decisions
+            .push(Decision::new("aggregator".into(), d, self.aggregator));
         self
     }
 
@@ -284,250 +352,28 @@ impl AdversarySchedule {
     }
 }
 
-/// The decisions made so far; `None` is a subject not yet decided.
-#[derive(Debug)]
-struct Memo {
-    devices: Vec<Option<DeviceBehavior>>,
-    corrupt_devices: usize,
-    seats: Vec<[Option<CommitteeBehavior>; COMMITTEE_SEATS]>,
-    net_faults: Option<Vec<NetFault>>,
-    aggregator: Option<AggregatorBehavior>,
-    log: Vec<Decision>,
-}
-
-/// The one adversary behind both schedules (see the module docs): the
-/// rules, the memo, the caps and the decision log.
-#[derive(Debug)]
-pub(crate) struct Decider {
-    seed: u64,
-    aggregator_axis: bool,
-    crash: Option<(usize, usize)>,
-    /// The traffic an adaptive schedule conditions on; `None` for the
-    /// static schedule, which observes nothing.
-    transcript: Option<Arc<TranscriptAccumulator>>,
-    memo: Mutex<Memo>,
-}
-
-impl Decider {
-    /// The schedule `cfg` asks for: adaptive when `cfg.adaptive`, else
-    /// static, with every decision made here in index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.n_devices` or `cfg.n_committees` is zero.
-    pub(crate) fn new(cfg: &AttackConfig) -> Self {
-        assert!(cfg.n_devices > 0, "schedule needs at least one device");
-        assert!(
-            cfg.n_committees > 0,
-            "schedule needs at least one committee"
-        );
-        let decider = Self {
-            seed: cfg.seed,
-            aggregator_axis: cfg.aggregator,
-            crash: handoff_crash(cfg.seed, cfg.windows),
-            transcript: cfg.adaptive.then(|| Arc::new(TranscriptAccumulator::new())),
-            memo: Mutex::new(Memo {
-                devices: vec![None; cfg.n_devices],
-                corrupt_devices: 0,
-                seats: vec![[None; COMMITTEE_SEATS]; cfg.n_committees],
-                net_faults: None,
-                aggregator: None,
-                log: Vec::new(),
-            }),
-        };
-        if !cfg.adaptive {
-            for device in 0..cfg.n_devices {
-                decider.device_behavior(0, device);
-            }
-            for committee in 0..cfg.n_committees {
-                for member in 0..COMMITTEE_SEATS {
-                    decider.committee_behavior(committee, member);
-                }
-            }
-            decider.net_faults();
-            decider.aggregator_behavior();
-        }
-        decider
-    }
-
-    fn memo(&self) -> MutexGuard<'_, Memo> {
-        self.memo.lock().expect("schedule lock")
-    }
-
-    /// What a decision made now conditions on: the transcript digest of
-    /// an adaptive schedule, nothing for a static one.
-    fn observed(&self) -> Option<Digest> {
-        self.transcript.as_ref().map(|t| t.digest())
-    }
-
-    /// The per-committee network faults, decided at the first call —
-    /// for an adaptive schedule, after the epoch, conditioned on its
-    /// whole transcript.
-    fn net_faults(&self) -> Vec<NetFault> {
-        let mut memo = self.memo();
-        if let Some(faults) = &memo.net_faults {
-            return faults.clone();
-        }
-        let observed = self.observed();
-        let mut faults: Vec<NetFault> = (0..memo.seats.len())
-            .map(|c| {
-                let r = draw(self.seed, b"net", c as u64, observed);
-                let party = ((r >> 3) % COMMITTEE_SEATS as u64) as usize;
-                let fault = match r % 8 {
-                    0 => NetFault::Crash { party },
-                    1 => NetFault::Partition { a: 0, b: 1 },
-                    2 | 3 => NetFault::Slow { party },
-                    _ => NetFault::None,
-                };
-                memo.log.push(Decision::new(
-                    format!("net committee {c}"),
-                    observed,
-                    r,
-                    fault,
-                ));
-                fault
-            })
-            .collect();
-        if faults.iter().all(NetFault::is_fatal) {
-            // At least one committee survives, so the failover chain
-            // terminates.
-            let last = faults.len() - 1;
-            faults[last] = NetFault::None;
-            if let Some(d) = memo.log.last_mut() {
-                d.choice = format!("{:?}", NetFault::None);
-            }
-        }
-        memo.net_faults = Some(faults.clone());
-        faults
-    }
-
-    /// Everything decided so far, the net faults decided now if no one
-    /// asked for them yet; subjects no one asked about are honest.
-    pub(crate) fn snapshot(&self) -> AdversarySchedule {
-        let net_faults = self.net_faults();
-        let memo = self.memo();
-        AdversarySchedule {
-            seed: self.seed,
-            device_behaviors: memo
-                .devices
-                .iter()
-                .map(|b| b.unwrap_or(DeviceBehavior::Honest))
-                .collect(),
-            committee_behaviors: memo
-                .seats
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|b| b.unwrap_or(CommitteeBehavior::Honest))
-                        .collect()
-                })
-                .collect(),
-            net_faults,
-            aggregator: memo.aggregator.unwrap_or(AggregatorBehavior::Honest),
-            crash: self.crash,
-            decisions: memo.log.clone(),
-        }
-    }
-}
-
-impl Adversary for Decider {
+impl Adversary for AdversarySchedule {
     fn device_behavior(&self, _window: usize, device: usize) -> DeviceBehavior {
-        let mut memo = self.memo();
-        let n_devices = memo.devices.len();
-        match memo.devices.get(device) {
-            Some(None) => {}
-            decided => return decided.copied().flatten().unwrap_or(DeviceBehavior::Honest),
-        }
-        let observed = self.observed();
-        let r = draw(self.seed, b"device", device as u64, observed);
-        // ~35% corruption pressure, capped so the honest remainder can
-        // still seat the executor's committees and the corrupt set stays
-        // under the n/3 Byzantine bound. If no device was drawn corrupt
-        // by the last one, the last is: every run exercises a device
-        // attack.
-        let cap = (n_devices / 3).min(n_devices.saturating_sub(SORTITION_FLOOR));
-        let force = device + 1 == n_devices && memo.corrupt_devices == 0;
-        let behavior = if memo.corrupt_devices < cap && (r % 100 < 35 || force) {
-            memo.corrupt_devices += 1;
-            match (r / 100) % 5 {
-                0 => DeviceBehavior::TamperSigmaProof,
-                1 => DeviceBehavior::MalformedOneHot,
-                2 => DeviceBehavior::TruncatedProof,
-                3 => DeviceBehavior::OutOfRangeValue,
-                _ => DeviceBehavior::WrongBgvCiphertext,
-            }
-        } else {
-            DeviceBehavior::Honest
-        };
-        memo.devices[device] = Some(behavior);
-        memo.log.push(Decision::new(
-            format!("device {device}"),
-            observed,
-            r,
-            behavior,
-        ));
-        behavior
+        self.device_behaviors
+            .get(device)
+            .copied()
+            .unwrap_or(DeviceBehavior::Honest)
     }
 
     fn committee_behavior(&self, committee: usize, member: usize) -> CommitteeBehavior {
-        let mut memo = self.memo();
-        let Some(row) = memo
-            .seats
+        self.committee_behaviors
             .get(committee)
-            .filter(|_| member < COMMITTEE_SEATS)
-        else {
-            return CommitteeBehavior::Honest;
-        };
-        if let Some(b) = row[member] {
-            return b;
-        }
-        // Light corruption pressure, capped at t = 2 per committee so
-        // ≥ t + 1 honest members always remain.
-        let seated = row
-            .iter()
-            .filter(|b| b.is_some_and(|b| b != CommitteeBehavior::Honest))
-            .count();
-        let observed = self.observed();
-        let index = (committee * COMMITTEE_SEATS + member) as u64;
-        let r = draw(self.seed, b"committee", index, observed);
-        let behavior = match r % 10 {
-            0 if seated < 2 => CommitteeBehavior::StaleSignature,
-            1 if seated < 2 => CommitteeBehavior::EquivocateCommit,
-            2 if seated < 2 => CommitteeBehavior::InconsistentVsrShares,
-            _ => CommitteeBehavior::Honest,
-        };
-        memo.seats[committee][member] = Some(behavior);
-        memo.log.push(Decision::new(
-            format!("committee {committee} seat {member}"),
-            observed,
-            r,
-            behavior,
-        ));
-        behavior
+            .and_then(|row| row.get(member))
+            .copied()
+            .unwrap_or(CommitteeBehavior::Honest)
     }
 
     fn aggregator_behavior(&self) -> AggregatorBehavior {
-        let mut memo = self.memo();
-        if let Some(b) = memo.aggregator {
-            return b;
-        }
-        let behavior = if self.aggregator_axis {
-            let (behavior, decision) = decide_aggregator(self.seed, self.observed());
-            memo.log.push(decision);
-            behavior
-        } else {
-            AggregatorBehavior::Honest
-        };
-        memo.aggregator = Some(behavior);
-        behavior
+        self.aggregator
     }
 
     fn handoff_crash(&self, boundary: usize, member: usize) -> bool {
         self.crash == Some((boundary, member))
-    }
-
-    fn traffic_sink(&self) -> Option<SharedSink> {
-        self.transcript.as_ref().map(|t| SharedSink::new(t.clone()))
     }
 }
 
@@ -563,15 +409,92 @@ mod tests {
                 .collect();
         let logged: Vec<&String> = s.decisions.iter().map(|d| &d.subject).collect();
         assert_eq!(logged, subjects.iter().collect::<Vec<_>>());
-        assert!(s.decisions.iter().all(|d| d.digest.is_none()));
-        // The snapshot builder and the decider with the axis on agree.
+        // The schedule an attack runs against is the same one.
         let cfg = AttackConfig {
             aggregator: true,
             ..AttackConfig::new(5)
         };
-        let decided = Decider::new(&cfg).snapshot();
-        assert_eq!(decided.aggregator, s.aggregator);
-        assert_eq!(decided.decisions, s.decisions);
+        let attacked = AdversarySchedule::for_attack(&cfg);
+        assert_eq!(attacked.aggregator, s.aggregator);
+        assert_eq!(attacked.decisions, s.decisions);
+        assert_eq!(attacked.aggregator_behavior(), s.aggregator);
+    }
+
+    #[test]
+    fn every_decision_is_one_seed_draw() {
+        // Each logged draw is `seed_draw(seed, domain, index)` of its
+        // subject, and nothing else feeds it.
+        let seed = 9;
+        let s = AdversarySchedule::new(seed, 48, 3).with_malicious_aggregator();
+        let expected: Vec<u64> = (0..48)
+            .map(|i| seed_draw(seed, b"device", i))
+            .chain((0..3 * COMMITTEE_SEATS as u64).map(|i| seed_draw(seed, b"committee", i)))
+            .chain((0..3).map(|c| seed_draw(seed, b"net", c)))
+            .chain([seed_draw(seed, b"aggregator", 0)])
+            .collect();
+        let drawn: Vec<u64> = s.decisions.iter().map(|d| d.draw).collect();
+        assert_eq!(drawn, expected);
+    }
+
+    #[test]
+    fn answers_are_lookups_that_replay_identically() {
+        // Querying the schedule through `Adversary`, in any order,
+        // answers what it decided up front and changes nothing.
+        let fresh = || {
+            AdversarySchedule::new(11, 48, 3)
+                .with_windows(4)
+                .with_malicious_aggregator()
+        };
+        let runs: Vec<AdversarySchedule> = (0..2)
+            .map(|_| {
+                let s = fresh();
+                for i in (0..48).rev() {
+                    assert_eq!(s.device_behavior(0, i), s.device_behaviors[i]);
+                }
+                for c in (0..3).rev() {
+                    for m in 0..COMMITTEE_SEATS {
+                        assert_eq!(s.committee_behavior(c, m), s.committee_behaviors[c][m]);
+                    }
+                }
+                assert_eq!(s.aggregator_behavior(), s.aggregator);
+                let crashed: Vec<_> = (0..3)
+                    .flat_map(|b| (0..COMMITTEE_SEATS).map(move |m| (b, m)))
+                    .filter(|&(b, m)| s.handoff_crash(b, m))
+                    .collect();
+                assert_eq!(crashed, s.crash.into_iter().collect::<Vec<_>>());
+                s
+            })
+            .collect();
+        let untouched = fresh();
+        for s in &runs {
+            assert_eq!(s.decisions, untouched.decisions);
+            assert_eq!(s.device_behaviors, untouched.device_behaviors);
+            assert_eq!(s.aggregator, untouched.aggregator);
+            assert_eq!(s.net_faults, untouched.net_faults);
+        }
+    }
+
+    #[test]
+    fn at_least_one_device_attack_is_forced() {
+        for seed in 0..8u64 {
+            assert!(
+                !AdversarySchedule::new(seed, 48, 3)
+                    .corrupt_devices()
+                    .is_empty(),
+                "seed {seed} decided an all-honest device set"
+            );
+        }
+        // Seed 69092 draws none of its first 27 devices under the 35%
+        // pressure, so in deployments of 26 to 28 devices only the
+        // forced last device is corrupt.
+        let seed = 69_092;
+        for n in 26..=28 {
+            assert!((0..n as u64 - 1).all(|i| seed_draw(seed, b"device", i) % 100 >= 35));
+            assert_eq!(
+                AdversarySchedule::new(seed, n, 1).corrupt_devices(),
+                [n - 1]
+            );
+        }
     }
 
     #[test]
@@ -588,11 +511,7 @@ mod tests {
     fn corruption_respects_protocol_thresholds() {
         for seed in 0..64u64 {
             let windows = 4;
-            let d = Decider::new(&AttackConfig {
-                windows,
-                ..AttackConfig::new(seed)
-            });
-            let s = d.snapshot();
+            let s = AdversarySchedule::new(seed, 48, 3).with_windows(windows);
             let corrupt = s.corrupt_devices().len();
             assert!(corrupt >= 1, "seed {seed} has no corrupt device");
             assert!(corrupt <= 16, "seed {seed} exceeds n/3: {corrupt}");
@@ -608,8 +527,8 @@ mod tests {
             for boundary in 0..windows - 1 {
                 let faulty = (0..COMMITTEE_SEATS)
                     .filter(|&m| {
-                        d.handoff_crash(boundary, m)
-                            || d.handoff_behavior(boundary, m) != CommitteeBehavior::Honest
+                        s.handoff_crash(boundary, m)
+                            || s.handoff_behavior(boundary, m) != CommitteeBehavior::Honest
                     })
                     .count();
                 assert!(faulty <= 2, "seed {seed}: {faulty} > t faulty seats");
@@ -618,6 +537,36 @@ mod tests {
             assert!(boundary < windows - 1 && member < COMMITTEE_SEATS);
             // A survivable committee always exists.
             assert!(s.net_faults.iter().any(|f| !f.is_fatal()));
+        }
+    }
+
+    #[test]
+    fn caps_hold_at_every_deployment_size() {
+        // The caps bind at every size, not only at the harness's 48
+        // devices and 3 committees; and whenever they leave room for a
+        // corrupt device, there is one.
+        for seed in 0..4u64 {
+            for n in 1..=80 {
+                for committees in 1..=4 {
+                    let s = AdversarySchedule::new(seed, n, committees);
+                    let at = format!("seed {seed}, {n} devices, {committees} committees");
+                    let corrupt = s.corrupt_devices().len();
+                    assert!(corrupt <= n / 3, "{at}: {corrupt} exceeds n/3");
+                    assert!(
+                        corrupt == 0 || n - corrupt >= SORTITION_FLOOR,
+                        "{at}: unseatable"
+                    );
+                    assert_eq!(corrupt >= 1, n > SORTITION_FLOOR, "{at}: {corrupt} corrupt");
+                    for row in &s.committee_behaviors {
+                        let bad = row
+                            .iter()
+                            .filter(|b| **b != CommitteeBehavior::Honest)
+                            .count();
+                        assert!(bad <= 2, "{at}: {bad} > t seats");
+                    }
+                    assert!(s.net_faults.iter().any(|f| !f.is_fatal()), "{at}");
+                }
+            }
         }
     }
 

@@ -72,9 +72,27 @@ fn undersized_and_empty_deployments_exit_1_with_one_line() {
     }
 }
 
+/// A removed attack option exits 2 with one line naming it, then one
+/// usage line.
+fn assert_removed_attack_option(option: &str) {
+    let (code, stderr) = arboretum(&["attack", option]);
+    assert_eq!(code, Some(2), "stderr {stderr}");
+    let named = format!("unknown attack option {option:?}");
+    assert_eq!(
+        stderr.lines().next(),
+        Some(named.as_str()),
+        "stderr {stderr}"
+    );
+    let usage_lines = stderr.lines().filter(|l| l.starts_with("usage:")).count();
+    assert_eq!(usage_lines, 1, "stderr {stderr}");
+}
+
 #[test]
 fn the_removed_stream_option_is_a_usage_error() {
-    let (code, stderr) = arboretum(&["attack", "--stream"]);
-    assert_eq!(code, Some(2), "stderr {stderr}");
-    assert!(stderr.contains("unknown attack option \"--stream\""));
+    assert_removed_attack_option("--stream");
+}
+
+#[test]
+fn the_removed_adaptive_option_is_a_usage_error() {
+    assert_removed_attack_option("--adaptive");
 }
