@@ -28,10 +28,14 @@ use rand::rngs::StdRng;
 use std::sync::Arc;
 
 use crate::executor::{Deployment, ExecError};
+use crate::stream::range_bits;
 
 /// Committee roles a query seats: keygen, decryption, noising, argmax,
 /// output (§5.1).
 pub const SETUP_ROLES: usize = 5;
+
+/// The BGV plaintext modulus `t`: every column sum is taken mod `t`.
+const PLAINTEXT_MODULUS: u64 = 1 << 30;
 
 /// Op counts for the fixed-cost setup phase of one execution.
 ///
@@ -88,10 +92,11 @@ pub struct SessionSetup {
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::Unsupported`] if the registry holds fewer than
-/// [`SETUP_ROLES`]` · committee_size` devices (sortition cannot seat
-/// the committees) or the schema's category count does not fit the BGV
-/// parameter space.
+/// Returns [`ExecError::Unsupported`] if the schema's column sums do
+/// not fit the plaintext space (see [`build_session_setup_on`]), the
+/// registry holds fewer than [`SETUP_ROLES`]` · committee_size` devices
+/// (sortition cannot seat the committees) or the schema's category count
+/// does not fit the BGV parameter space.
 pub fn build_session_setup(
     deployment: &Deployment,
     committee_size: usize,
@@ -113,10 +118,13 @@ pub fn build_session_setup(
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::Unsupported`] if the registry holds fewer than
-/// [`SETUP_ROLES`]` · committee_size` devices (sortition cannot seat
-/// the committees) or the schema's category count does not fit the BGV
-/// parameter space.
+/// Returns [`ExecError::Unsupported`] if the schema has a negative
+/// lower bound or `n` devices at the largest value a verified upload
+/// admits would sum to `t` or more (the sum would wrap mod `t`), if the
+/// registry holds fewer than [`SETUP_ROLES`]` · committee_size` devices
+/// (sortition cannot seat the committees), or if the schema's category
+/// count does not fit the BGV parameter space. The sum check runs first,
+/// before sortition, so a refused deployment seats nothing.
 pub fn build_session_setup_on(
     deployment: &Deployment,
     committee_size: usize,
@@ -124,6 +132,7 @@ pub fn build_session_setup_on(
     rng: &mut StdRng,
     fabric: FabricKind,
 ) -> Result<SessionSetup, ExecError> {
+    check_sums_fit(deployment)?;
     let m = committee_size;
     let t = (m - 1) / 2;
     let categories = deployment.schema.row_width;
@@ -145,7 +154,7 @@ pub fn build_session_setup_on(
             arboretum_field::primes::BGV_Q2,
         ],
         arboretum_field::primes::BGV_Q_ROOTS[..2].to_vec(),
-        1 << 30,
+        PLAINTEXT_MODULUS,
         None,
     )
     .map_err(|e| ExecError::Unsupported(e.to_string()))?;
@@ -191,6 +200,33 @@ pub fn build_session_setup_on(
         committee_size: m,
         beacon: deployment.beacon,
     })
+}
+
+/// Refuses a schema whose column sums the plaintext space cannot hold.
+///
+/// Devices encrypt their raw values, so a negative one is no residue
+/// mod `t`. The bound is what verification lets through, not `hi`: a
+/// range proof over `[lo, hi]` proves `v − lo` in as many bits as the
+/// span needs (`[0, 9]` proves 4 bits, so 15 verifies). A one-hot row's
+/// largest coordinate is 1, which the same formula gives for `[0, 1]`.
+fn check_sums_fit(deployment: &Deployment) -> Result<(), ExecError> {
+    let (lo, hi) = (deployment.schema.lo, deployment.schema.hi);
+    if lo < 0 {
+        return Err(ExecError::Unsupported(format!(
+            "field range [{lo}, {hi}] goes below 0: plaintexts are residues mod 2^30"
+        )));
+    }
+    let bits = range_bits(lo, hi);
+    let largest = lo as u128 + (1u128 << bits) - 1;
+    let n = deployment.db.len() as u128;
+    if n * largest >= u128::from(PLAINTEXT_MODULUS) {
+        return Err(ExecError::Unsupported(format!(
+            "field range [{lo}, {hi}] admits values up to {largest} ({bits}-bit range proofs), \
+             so {n} devices can sum to {}, not below the plaintext modulus 2^30",
+            n * largest
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -239,5 +275,41 @@ mod tests {
             err,
             ExecError::Unsupported("registry of 6 devices cannot seat 5 committees of 5".into())
         );
+    }
+
+    #[test]
+    fn sums_that_can_wrap_mod_t_are_refused_before_sortition() {
+        let numeric = |rows: usize, lo: i64, hi: i64, value: i64| {
+            let schema = arboretum_lang::ast::DbSchema::numeric(1 << 20, 1, lo, hi);
+            Deployment::from_rows(vec![vec![value]; rows], schema)
+        };
+        let refused = |d: &Deployment| {
+            let mut rng = StdRng::seed_from_u64(3);
+            match build_session_setup(d, 5, 7, &mut rng) {
+                Err(ExecError::Unsupported(msg)) => msg,
+                other => panic!("expected a refusal, got {:?}", other.map(|s| s.pk_digest)),
+            }
+        };
+        // `[0, 9]` proves 4 bits, so 15 verifies: the bound is 15·n.
+        assert_eq!(range_bits(0, 9), 4);
+        // 9 · 2^26 fits below 2^30, but a 27-bit proof admits 2^27 − 1,
+        // and 9 of those do not fit. Nine devices cannot seat five
+        // committees either: the sum check speaks first.
+        let msg = refused(&numeric(9, 0, 1 << 26, 1));
+        assert_eq!(
+            msg,
+            "field range [0, 67108864] admits values up to 134217727 (27-bit range proofs), \
+             so 9 devices can sum to 1207959543, not below the plaintext modulus 2^30"
+        );
+        let msg = refused(&numeric(40, -10, 10, 0));
+        assert_eq!(
+            msg,
+            "field range [-10, 10] goes below 0: plaintexts are residues mod 2^30"
+        );
+        // n · largest = t − 1 is the last deployment that fits.
+        let (lo, hi) = (266_306, 17_043_521);
+        let mut rng = StdRng::seed_from_u64(3);
+        assert!(build_session_setup(&numeric(63, lo, hi, hi), 5, 7, &mut rng).is_ok());
+        refused(&numeric(64, lo, hi, hi));
     }
 }

@@ -13,10 +13,12 @@
 //!   (mirroring `testkit::AdversarySchedule`'s SHA-256 draw style), so
 //!   any churn pattern replays bitwise from `(seed, n, windows)`;
 //! * a [`StreamExecutor`] opens the epoch (budget charge, signed
-//!   certificate, initial committee key sharing), runs the verify phase
-//!   per window on that window's arrivals only, and folds their BGV
-//!   ⊞-partials into a checkpointed accumulator via the sharded chunk
-//!   kernels (`arboretum_bgv::par_sum_chunks_sharded`);
+//!   certificate, initial committee key sharing), runs one pass per
+//!   upload over each window's arrivals — prove, verify, sample and
+//!   encrypt inside one pooled map, so no proof outlives its check and
+//!   a window holds about one ciphertext per upload, not one proof —
+//!   and folds their BGV ⊞-partials into a checkpointed accumulator via
+//!   the sharded chunk kernels (`arboretum_bgv::par_sum_chunks_sharded`);
 //! * committee key state crosses every window boundary — and, at close,
 //!   the keygen → decryption-committee boundary — through
 //!   `vsr::redistribute_share`, and each handoff is committed to the
@@ -40,7 +42,8 @@
 //! `stream_determinism.rs` guard partition invariance.
 
 use arboretum_bgv::{
-    decrypt as bgv_decrypt, encode_coeffs, encrypt as bgv_encrypt, Ciphertext, RnsPoly,
+    decrypt as bgv_decrypt, encode_coeffs, encrypt as bgv_encrypt, BgvContext, Ciphertext,
+    PublicKey, RnsPoly,
 };
 use arboretum_crypto::group::{scalar_from_hash, GroupElem, Scalar};
 use arboretum_crypto::pedersen::PedersenParams;
@@ -293,7 +296,7 @@ pub struct WindowCheckpoint {
     pub window: usize,
     /// Devices that arrived (uploaded) in this window.
     pub arrivals: usize,
-    /// Uploads accepted by the verify phase this window.
+    /// Uploads the per-upload pass accepted this window.
     pub accepted: usize,
     /// Uploads rejected this window.
     pub rejected: usize,
@@ -325,6 +328,17 @@ pub struct StreamReport {
     pub detections: Vec<Detection>,
 }
 
+/// The bits a range proof over a schema's span `[lo, hi]` covers: at
+/// most 63 from an `i64` span. Above `zkp::MAX_RANGE_BITS` (60) no proof
+/// exists: `prove_range` refuses, so uploads carry none
+/// (`RangeProofMissing`), and `verify_range_detailed` answers
+/// `RangeStructure` to anything presented as one.
+pub(crate) fn range_bits(lo: i64, hi: i64) -> u32 {
+    let span = hi.saturating_sub(lo).max(1) as u64;
+    64 - span.leading_zeros()
+}
+
+/// One device's claimed values and the proof of their well-formedness.
 enum Upload {
     OneHot {
         bits: Vec<u64>,
@@ -334,6 +348,247 @@ enum Upload {
         vals: Vec<u64>,
         proofs: Option<Vec<arboretum_zkp::range::RangeProof>>,
     },
+}
+
+/// What the per-upload pass decided about one arrival. The proof is gone
+/// by the time this exists: it lived only inside the pass.
+enum UploadOutcome {
+    /// The proof failed verification, or the submitted ciphertext did
+    /// not match the verified values.
+    Rejected(DetectionKind),
+    /// Verified, then left out by the secrecy-of-the-sample draw.
+    BinnedOut,
+    /// Verified, sampled in and encrypted.
+    Accepted(Ciphertext),
+}
+
+/// The per-upload pass of §5.3: a device proves its upload, the
+/// aggregator verifies it, and an accepted device encrypts — one upload
+/// at a time, so no proof outlives its check.
+///
+/// It holds what every upload of a window shares and moves into the
+/// pool's `'static` closure whole. Every draw it makes (proving RNG,
+/// sampling decision, encryption RNG) is keyed by the device's global
+/// registry index, so an outcome is byte-identical whichever window,
+/// shard or thread computes it.
+struct UploadPass {
+    pp: PedersenParams,
+    ctx: Arc<BgvContext>,
+    pk: Arc<PublicKey>,
+    one_hot: bool,
+    lo: i64,
+    hi: i64,
+    range_bits: u32,
+    /// `cfg.seed`, for the sampling draw.
+    seed: u64,
+    upload_seed: u64,
+    encrypt_seed: u64,
+    /// The certificate's sampling rate φ, if the query samples.
+    sampling_rate: Option<f64>,
+}
+
+impl UploadPass {
+    /// Device `i`'s whole upload: prove, verify, sample, encrypt.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Unsupported`] if an accepted upload's values do not
+    /// encode as a plaintext.
+    fn ingest(
+        &self,
+        i: usize,
+        row: &[i64],
+        behavior: DeviceBehavior,
+    ) -> Result<UploadOutcome, ExecError> {
+        let upload = self.prove(i, row, behavior);
+        if let Some(kind) = self.verify(&upload) {
+            return Ok(UploadOutcome::Rejected(kind));
+        }
+        if let Some(phi) = self.sampling_rate {
+            // 53 uniform bits → [0, 1), so φ = 1 keeps every device.
+            let r = seed_draw(self.seed, b"stream-sample", i as u64) >> 11;
+            if r as f64 / (1u64 << 53) as f64 >= phi {
+                return Ok(UploadOutcome::BinnedOut);
+            }
+        }
+        let vals = match upload {
+            Upload::OneHot { bits, .. } => bits,
+            Upload::Ranges { vals, .. } => vals,
+        };
+        self.encrypt(i, &vals, behavior)
+    }
+
+    /// The device builds its upload: the claimed values plus a proof of
+    /// well-formedness, from a proving RNG seeded by its global index.
+    fn prove(&self, i: usize, row: &[i64], behavior: DeviceBehavior) -> Upload {
+        let pp = &self.pp;
+        let mut dev_rng = StdRng::seed_from_u64(self.upload_seed ^ mix(i as u64));
+        if !self.one_hot {
+            // Numerical inputs: per-field range proofs (§5.3's
+            // "1,000 years old" defense).
+            let effective_row: Vec<i64> = if behavior == DeviceBehavior::OutOfRangeValue {
+                row.iter().map(|&v| v + (self.hi - self.lo + 1)).collect()
+            } else {
+                row.to_vec()
+            };
+            let mut proofs: Option<Vec<_>> = effective_row
+                .iter()
+                .map(|&v| {
+                    let shifted = v.checked_sub(self.lo).filter(|&s| s >= 0)? as u64;
+                    prove_range(pp, shifted, self.range_bits, &mut dev_rng)
+                        .ok()
+                        .map(|(p, _)| p)
+                })
+                .collect();
+            match behavior {
+                DeviceBehavior::TamperSigmaProof => {
+                    if let Some(bp) = proofs
+                        .as_mut()
+                        .and_then(|ps| ps.first_mut())
+                        .and_then(|p| p.bit_proofs.first_mut())
+                    {
+                        bp.z0 += Scalar::ONE;
+                    }
+                }
+                DeviceBehavior::MalformedOneHot | DeviceBehavior::TruncatedProof => {
+                    if let Some(ps) = proofs.as_mut() {
+                        ps.pop();
+                    }
+                }
+                _ => {}
+            }
+            let vals: Vec<u64> = effective_row.iter().map(|&v| v as u64).collect();
+            return Upload::Ranges { vals, proofs };
+        }
+        let bits: Vec<u64> = row.iter().map(|&v| v as u64).collect();
+        // The device's row with the first coordinate equal to `from`
+        // claimed as `to` instead.
+        let claim = |from: u64, to: u64| {
+            let mut bad = bits.clone();
+            if let Some(slot) = bad.iter_mut().find(|b| **b == from) {
+                *slot = to;
+            }
+            bad
+        };
+        match behavior {
+            DeviceBehavior::TruncatedProof => {
+                // Malformed input: claims two categories at once.
+                let bad = claim(0, 1);
+                // A malicious client cannot produce a valid proof for a
+                // non-one-hot vector; it sends a proof for different
+                // data, tampered so verification fails.
+                let p = prove_one_hot(pp, &bits, &mut dev_rng).ok();
+                Upload::OneHot {
+                    bits: bad,
+                    proof: p.map(|mut p| {
+                        p.bit_proofs.pop();
+                        p
+                    }),
+                }
+            }
+            DeviceBehavior::TamperSigmaProof => {
+                let p = prove_one_hot(pp, &bits, &mut dev_rng).ok().map(|mut p| {
+                    if let Some(bp) = p.bit_proofs.first_mut() {
+                        bp.z0 += Scalar::ONE;
+                    }
+                    p
+                });
+                Upload::OneHot { bits, proof: p }
+            }
+            DeviceBehavior::MalformedOneHot => {
+                // Claims two categories with a best-effort forged proof:
+                // every coordinate is still a bit, so the first failure
+                // is the coordinate-sum proof.
+                let bad = claim(0, 1);
+                let proof = forge_one_hot(pp, &bad, &mut dev_rng);
+                Upload::OneHot {
+                    bits: bad,
+                    proof: Some(proof),
+                }
+            }
+            DeviceBehavior::OutOfRangeValue => {
+                // Claims a coordinate of 2; the forged bit proof at the
+                // hot coordinate cannot verify.
+                let bad = claim(1, 2);
+                let proof = forge_one_hot(pp, &bad, &mut dev_rng);
+                Upload::OneHot {
+                    bits: bad,
+                    proof: Some(proof),
+                }
+            }
+            DeviceBehavior::Honest | DeviceBehavior::WrongBgvCiphertext => {
+                let p = prove_one_hot(pp, &bits, &mut dev_rng).ok();
+                Upload::OneHot { bits, proof: p }
+            }
+        }
+    }
+
+    /// The aggregator checks the upload's proof: `None` accepts, `Some`
+    /// names the typed reason to reject. Verification draws no
+    /// randomness.
+    fn verify(&self, upload: &Upload) -> Option<DetectionKind> {
+        let pp = &self.pp;
+        match upload {
+            Upload::OneHot { proof, .. } => match proof {
+                None => Some(DetectionKind::OneHotStructure),
+                Some(p) => match verify_one_hot_detailed(pp, p) {
+                    Ok(()) => None,
+                    Err(OneHotVerifyError::Structure) => Some(DetectionKind::OneHotStructure),
+                    Err(OneHotVerifyError::BitProof(index)) => {
+                        Some(DetectionKind::OneHotBitProof { index })
+                    }
+                    Err(OneHotVerifyError::SumProof) => Some(DetectionKind::OneHotSumProof),
+                },
+            },
+            Upload::Ranges { vals, proofs } => {
+                match proofs {
+                    None => Some(DetectionKind::RangeProofMissing),
+                    Some(ps) if ps.len() != vals.len() => Some(DetectionKind::RangeStructure),
+                    Some(ps) => ps.iter().enumerate().find_map(|(field, p)| {
+                        match verify_range_detailed(pp, p, self.range_bits) {
+                            Ok(()) => None,
+                            Err(RangeVerifyError::Structure) => Some(DetectionKind::RangeStructure),
+                            Err(RangeVerifyError::Binding) => {
+                                Some(DetectionKind::RangeBinding { field })
+                            }
+                            Err(RangeVerifyError::BitProof(index)) => {
+                                Some(DetectionKind::RangeBitProof { field, index })
+                            }
+                        }
+                    }),
+                }
+            }
+        }
+    }
+
+    /// The device encrypts its verified values from an encryption RNG
+    /// seeded by its global index, and the aggregator cross-checks what
+    /// it submitted.
+    fn encrypt(
+        &self,
+        i: usize,
+        vals: &[u64],
+        behavior: DeviceBehavior,
+    ) -> Result<UploadOutcome, ExecError> {
+        let ctx = &self.ctx;
+        let encode =
+            |v: &[u64]| encode_coeffs(ctx, v).map_err(|e| ExecError::Unsupported(e.to_string()));
+        let mut enc_rng = StdRng::seed_from_u64(self.encrypt_seed ^ mix(i as u64));
+        let ct = bgv_encrypt(ctx, &self.pk, &encode(vals)?, &mut enc_rng);
+        if behavior == DeviceBehavior::WrongBgvCiphertext {
+            // The validated upload binds the device to `vals`; this
+            // device instead submits a ciphertext of different data. The
+            // aggregator cross-checks the digest of the submitted
+            // ciphertext against the one recomputed from the upload.
+            let mut wrong = vals.to_vec();
+            wrong[0] = wrong[0].wrapping_add(1);
+            let submitted = bgv_encrypt(ctx, &self.pk, &encode(&wrong)?, &mut enc_rng);
+            if ciphertext_digest(&submitted) != ciphertext_digest(&ct) {
+                return Ok(UploadOutcome::Rejected(DetectionKind::CiphertextMismatch));
+            }
+        }
+        Ok(UploadOutcome::Accepted(ct))
+    }
 }
 
 /// One ingestion epoch: the query path of §5.2–§5.5.
@@ -356,6 +611,9 @@ pub struct StreamExecutor<'a> {
     /// Borrowed from a session catalog, or built inline at open (and
     /// then charged to this epoch's report).
     setup: Cow<'a, SessionSetup>,
+    /// The setup's public key, copied once per epoch so each window's
+    /// per-upload pass shares it through an `Arc`.
+    pk: Arc<PublicKey>,
     lease: Option<&'a ShardedPool>,
     owned_pool: Option<ShardedPool>,
     adversary: Option<&'a dyn Adversary>,
@@ -542,6 +800,7 @@ impl<'a> StreamExecutor<'a> {
             deployment,
             cfg,
             schedule,
+            pk: Arc::new(setup.pk.clone()),
             setup,
             lease,
             owned_pool,
@@ -571,15 +830,18 @@ impl<'a> StreamExecutor<'a> {
         self.next_window
     }
 
-    /// Ingests the next window: verifies this window's arrivals, folds
-    /// the accepted ⊞-partials into the accumulator, and (unless this
-    /// was the final window) runs the VSR key handoff to the next
-    /// window's committee, logging it as an audited step.
+    /// Ingests the next window: runs the per-upload pass over this
+    /// window's arrivals, folds the accepted ⊞-partials into the
+    /// accumulator, and (unless this was the final window) runs the VSR
+    /// key handoff to the next window's committee, logging it as an
+    /// audited step.
     ///
     /// # Errors
     ///
-    /// [`ExecError::EpochClosed`] once every window was ingested, and
-    /// other [`ExecError`]s for protocol failures (e.g. a handoff
+    /// [`ExecError::EpochClosed`] once every window was ingested,
+    /// [`ExecError::Unsupported`] if an accepted upload does not encode
+    /// as a plaintext (the window then leaves the executor untouched),
+    /// and other [`ExecError`]s for protocol failures (e.g. a handoff
     /// left fewer than t+1 valid batches).
     pub fn ingest_next(&mut self) -> Result<&WindowCheckpoint, ExecError> {
         let w = self.next_window;
@@ -589,278 +851,99 @@ impl<'a> StreamExecutor<'a> {
         let adversary = self.adversary;
         let arrivals = self.schedule.window(w);
         let ctx = Arc::clone(&self.setup.ctx);
-        let pk = &self.setup.pk;
         let shard_set: &ShardedPool = match self.lease {
             Some(p) => p,
             None => self.owned_pool.as_ref().expect("constructed without lease"),
         };
 
-        // ---- Phase A (parallel, pure per device): arrivals build
-        // their uploads — the claimed values plus a proof of
-        // well-formedness. Behaviors are resolved serially up front (an
-        // adversary overrides the legacy malicious-fraction draw, which
-        // maps to the same two behaviors the executor always
-        // simulated), so the proving closure stays a pure function of
-        // its job; proving RNGs are seeded from the *global* registry
-        // index, so a device's upload is byte-identical no matter which
-        // window, shard or thread it lands on. ----
-        let one_hot_schema = self.deployment.schema.one_hot;
-        let (schema_lo, schema_hi) = (self.deployment.schema.lo, self.deployment.schema.hi);
-        // At most 63 from an `i64` span. Above `zkp::MAX_RANGE_BITS` (60)
-        // no proof exists: `prove_range` refuses, so uploads carry none
-        // (`RangeProofMissing`), and `verify_range_detailed` answers
-        // `RangeStructure` to anything presented as one.
-        let range_bits = {
-            let span = (schema_hi - schema_lo).max(1) as u64;
-            64 - span.leading_zeros()
-        };
-        let behaviors: Vec<DeviceBehavior> = arrivals
-            .iter()
-            .map(|&i| match adversary {
-                Some(adv) => adv.device_behavior(w, i),
-                None if self.malicious[i] => {
-                    if one_hot_schema {
-                        DeviceBehavior::TruncatedProof
-                    } else {
-                        DeviceBehavior::OutOfRangeValue
-                    }
-                }
-                None => DeviceBehavior::Honest,
-            })
-            .collect();
+        // ---- The per-upload pass (parallel, pure per device): each
+        // arrival proves, is verified, takes the sampling draw (§6's
+        // secrecy of the sample) and encrypts, inside one closure, so a
+        // window never holds more than one proof per worker. Behaviors
+        // are resolved serially up front (an adversary overrides the
+        // legacy malicious-fraction draw, which maps to the same two
+        // behaviors the executor always simulated), so the closure stays
+        // a pure function of its job. ----
+        let schema = &self.deployment.schema;
         let jobs: Vec<(usize, Vec<i64>, DeviceBehavior)> = arrivals
             .iter()
-            .zip(behaviors.iter())
-            .map(|(&i, &b)| (i, self.deployment.db[i].clone(), b))
-            .collect();
-        let jobs = Arc::new(jobs);
-        let pp = PedersenParams::standard();
-        let upload_seed = self.cfg.seed ^ domain_tag(b"phase-a-uploads");
-        let uploads: Vec<Upload> =
-            par_map_arc_sharded(shard_set, &jobs, move |_, (global_i, row, behavior)| {
-                let mut dev_rng = StdRng::seed_from_u64(upload_seed ^ mix(*global_i as u64));
-                let bits: Vec<u64> = row.iter().map(|&v| v as u64).collect();
-                if !one_hot_schema {
-                    // Numerical inputs: per-field range proofs (§5.3's
-                    // "1,000 years old" defense).
-                    let effective_row: Vec<i64> = if *behavior == DeviceBehavior::OutOfRangeValue {
-                        row.iter()
-                            .map(|&v| v + (schema_hi - schema_lo + 1))
-                            .collect()
-                    } else {
-                        row.clone()
-                    };
-                    let mut proofs: Option<Vec<_>> = effective_row
-                        .iter()
-                        .map(|&v| {
-                            let shifted = v.checked_sub(schema_lo).filter(|&s| s >= 0)? as u64;
-                            prove_range(&pp, shifted, range_bits, &mut dev_rng)
-                                .ok()
-                                .map(|(p, _)| p)
-                        })
-                        .collect();
-                    match behavior {
-                        DeviceBehavior::TamperSigmaProof => {
-                            if let Some(bp) = proofs
-                                .as_mut()
-                                .and_then(|ps| ps.first_mut())
-                                .and_then(|p| p.bit_proofs.first_mut())
-                            {
-                                bp.z0 += Scalar::ONE;
-                            }
+            .map(|&i| {
+                let behavior = match adversary {
+                    Some(adv) => adv.device_behavior(w, i),
+                    None if self.malicious[i] => {
+                        if schema.one_hot {
+                            DeviceBehavior::TruncatedProof
+                        } else {
+                            DeviceBehavior::OutOfRangeValue
                         }
-                        DeviceBehavior::MalformedOneHot | DeviceBehavior::TruncatedProof => {
-                            if let Some(ps) = proofs.as_mut() {
-                                ps.pop();
-                            }
-                        }
-                        _ => {}
                     }
-                    let vals: Vec<u64> = effective_row.iter().map(|&v| v as u64).collect();
-                    return Upload::Ranges { vals, proofs };
-                }
-                // The device's row with the first coordinate equal to
-                // `from` claimed as `to` instead.
-                let claim = |from: u64, to: u64| {
-                    let mut bad = bits.clone();
-                    if let Some(slot) = bad.iter_mut().find(|b| **b == from) {
-                        *slot = to;
-                    }
-                    bad
+                    None => DeviceBehavior::Honest,
                 };
-                match behavior {
-                    DeviceBehavior::TruncatedProof => {
-                        // Malformed input: claims two categories at once.
-                        let bad = claim(0, 1);
-                        // A malicious client cannot produce a valid
-                        // proof for a non-one-hot vector; it sends a
-                        // proof for different data, tampered so
-                        // verification fails.
-                        let p = prove_one_hot(&pp, &bits, &mut dev_rng).ok();
-                        Upload::OneHot {
-                            bits: bad,
-                            proof: p.map(|mut p| {
-                                p.bit_proofs.pop();
-                                p
-                            }),
-                        }
-                    }
-                    DeviceBehavior::TamperSigmaProof => {
-                        let p = prove_one_hot(&pp, &bits, &mut dev_rng).ok().map(|mut p| {
-                            if let Some(bp) = p.bit_proofs.first_mut() {
-                                bp.z0 += Scalar::ONE;
-                            }
-                            p
-                        });
-                        Upload::OneHot { bits, proof: p }
-                    }
-                    DeviceBehavior::MalformedOneHot => {
-                        // Claims two categories with a best-effort
-                        // forged proof: every coordinate is still a
-                        // bit, so the first failure is the
-                        // coordinate-sum proof.
-                        let bad = claim(0, 1);
-                        let proof = forge_one_hot(&pp, &bad, &mut dev_rng);
-                        Upload::OneHot {
-                            bits: bad,
-                            proof: Some(proof),
-                        }
-                    }
-                    DeviceBehavior::OutOfRangeValue => {
-                        // Claims a coordinate of 2; the forged bit
-                        // proof at the hot coordinate cannot verify.
-                        let bad = claim(1, 2);
-                        let proof = forge_one_hot(&pp, &bad, &mut dev_rng);
-                        Upload::OneHot {
-                            bits: bad,
-                            proof: Some(proof),
-                        }
-                    }
-                    DeviceBehavior::Honest | DeviceBehavior::WrongBgvCiphertext => {
-                        let p = prove_one_hot(&pp, &bits, &mut dev_rng).ok();
-                        Upload::OneHot { bits, proof: p }
-                    }
-                }
-            });
+                (i, self.deployment.db[i].clone(), behavior)
+            })
+            .collect();
+        let pass = UploadPass {
+            pp: PedersenParams::standard(),
+            ctx: Arc::clone(&ctx),
+            pk: Arc::clone(&self.pk),
+            one_hot: schema.one_hot,
+            lo: schema.lo,
+            hi: schema.hi,
+            range_bits: range_bits(schema.lo, schema.hi),
+            seed: self.cfg.seed,
+            upload_seed: self.cfg.seed ^ domain_tag(b"phase-a-uploads"),
+            encrypt_seed: self.cfg.seed ^ domain_tag(b"stream-encrypt"),
+            sampling_rate: self.logical.certificate.sampling_rate,
+        };
+        let jobs = Arc::new(jobs);
+        let results = par_map_arc_sharded(shard_set, &jobs, move |_, (i, row, behavior)| {
+            pass.ingest(*i, row, *behavior)
+        });
+        drop(jobs);
+        // A window whose encoding fails errors here, before it touches
+        // any executor state.
+        let outcomes: Vec<UploadOutcome> = results.into_iter().collect::<Result<_, _>>()?;
 
-        // ---- Phase B (parallel, pure): the aggregator verifies this
-        // window's proofs across the device shards. Verification
-        // touches no RNG, so the verdict vector — and everything
-        // downstream — is identical at any shard and thread count.
-        // `None` = accept; `Some(kind)` = reject for that typed
-        // reason. ----
-        let uploads = Arc::new(uploads);
-        self.verify_ops += uploads.len() as u64;
-        let verdicts: Vec<Option<DetectionKind>> =
-            par_map_arc_sharded(shard_set, &uploads, move |_, upload| match upload {
-                Upload::OneHot { proof, .. } => match proof {
-                    None => Some(DetectionKind::OneHotStructure),
-                    Some(p) => match verify_one_hot_detailed(&pp, p) {
-                        Ok(()) => None,
-                        Err(OneHotVerifyError::Structure) => Some(DetectionKind::OneHotStructure),
-                        Err(OneHotVerifyError::BitProof(index)) => {
-                            Some(DetectionKind::OneHotBitProof { index })
-                        }
-                        Err(OneHotVerifyError::SumProof) => Some(DetectionKind::OneHotSumProof),
-                    },
-                },
-                Upload::Ranges { vals, proofs } => match proofs {
-                    None => Some(DetectionKind::RangeProofMissing),
-                    Some(ps) if ps.len() != vals.len() => Some(DetectionKind::RangeStructure),
-                    Some(ps) => ps.iter().enumerate().find_map(|(field, p)| {
-                        match verify_range_detailed(&pp, p, range_bits) {
-                            Ok(()) => None,
-                            Err(RangeVerifyError::Structure) => Some(DetectionKind::RangeStructure),
-                            Err(RangeVerifyError::Binding) => {
-                                Some(DetectionKind::RangeBinding { field })
-                            }
-                            Err(RangeVerifyError::BitProof(index)) => {
-                                Some(DetectionKind::RangeBitProof { field, index })
-                            }
-                        }
-                    }),
-                },
-            });
-
-        // The aggregator hook is consulted exactly once, at the last
-        // deterministic serial point before the first ⊞ fold.
+        // ---- Bookkeeping (serial, in arrival order). The aggregator
+        // hook is consulted exactly once, at the last deterministic
+        // serial point before the first ⊞ fold. ----
+        self.verify_ops += arrivals.len() as u64;
         let agg_behavior = *self.agg_behavior.get_or_insert_with(|| {
             adversary.map_or(AggregatorBehavior::Honest, |a| a.aggregator_behavior())
         });
-
-        // ---- Phase C (serial, pure per device): accepted arrivals go
-        // through the sampling decision (§6's secrecy of the sample)
-        // and encrypt, each from its own derived stream (seeded by
-        // global index), so both are window-placement invariant. ----
         let mut window_accepted = 0usize;
         let mut window_rejected = 0usize;
         let mut cts: Vec<Ciphertext> = Vec::new();
-        let encrypt_seed = self.cfg.seed ^ domain_tag(b"stream-encrypt");
-        for (((&i, upload), verdict), &behavior) in arrivals
-            .iter()
-            .zip(uploads.iter())
-            .zip(&verdicts)
-            .zip(&behaviors)
-        {
-            let mut reject = |kind: DetectionKind| {
-                window_rejected += 1;
-                self.detections.push(Detection {
-                    window: w,
-                    subject: Subject::Device(i),
-                    kind,
-                });
-            };
-            if let Some(kind) = verdict {
-                reject(kind.clone());
-                continue;
-            }
-            if let Some(phi) = self.logical.certificate.sampling_rate {
-                // 53 uniform bits → [0, 1), so φ = 1 keeps every device.
-                let r = seed_draw(self.cfg.seed, b"stream-sample", i as u64) >> 11;
-                if r as f64 / (1u64 << 53) as f64 >= phi {
-                    self.step_results
-                        .push(format!("input-{i}-binned-out").into_bytes());
-                    continue;
+        for (&i, outcome) in arrivals.iter().zip(outcomes) {
+            match outcome {
+                UploadOutcome::Rejected(kind) => {
+                    window_rejected += 1;
+                    self.detections.push(Detection {
+                        window: w,
+                        subject: Subject::Device(i),
+                        kind,
+                    });
+                }
+                UploadOutcome::BinnedOut => self
+                    .step_results
+                    .push(format!("input-{i}-binned-out").into_bytes()),
+                UploadOutcome::Accepted(ct) => {
+                    window_accepted += 1;
+                    // Behaviors that perturb the *published* log need
+                    // ciphertexts the ⊞ kernels consume by value, so the
+                    // cheat's raw material is cloned up front.
+                    match agg_behavior {
+                        AggregatorBehavior::WrongPartialSum if self.cheat_cts.is_empty() => {
+                            self.cheat_cts.push(ct.clone());
+                        }
+                        AggregatorBehavior::DropUpload { .. } => self.cheat_cts.push(ct.clone()),
+                        _ => {}
+                    }
+                    self.ok_steps.push(self.step_results.len());
+                    self.step_results.push(format!("input-{i}-ok").into_bytes());
+                    cts.push(ct);
                 }
             }
-            let vals = match upload {
-                Upload::OneHot { bits, .. } => bits,
-                Upload::Ranges { vals, .. } => vals,
-            };
-            let mut enc_rng = StdRng::seed_from_u64(encrypt_seed ^ mix(i as u64));
-            let msg =
-                encode_coeffs(&ctx, vals).map_err(|e| ExecError::Unsupported(e.to_string()))?;
-            let ct = bgv_encrypt(&ctx, pk, &msg, &mut enc_rng);
-            if behavior == DeviceBehavior::WrongBgvCiphertext {
-                // The validated upload binds the device to `vals`; this
-                // device instead submits a ciphertext of different
-                // data. The aggregator cross-checks the digest of the
-                // submitted ciphertext against the one recomputed from
-                // the upload.
-                let mut wrong = vals.clone();
-                wrong[0] = wrong[0].wrapping_add(1);
-                let wrong_msg = encode_coeffs(&ctx, &wrong)
-                    .map_err(|e| ExecError::Unsupported(e.to_string()))?;
-                let submitted = bgv_encrypt(&ctx, pk, &wrong_msg, &mut enc_rng);
-                if ciphertext_digest(&submitted) != ciphertext_digest(&ct) {
-                    reject(DetectionKind::CiphertextMismatch);
-                    continue;
-                }
-            }
-            window_accepted += 1;
-            // Behaviors that perturb the *published* log need
-            // ciphertexts the ⊞ kernels consume by value, so the
-            // cheat's raw material is cloned up front.
-            match agg_behavior {
-                AggregatorBehavior::WrongPartialSum if self.cheat_cts.is_empty() => {
-                    self.cheat_cts.push(ct.clone());
-                }
-                AggregatorBehavior::DropUpload { .. } => self.cheat_cts.push(ct.clone()),
-                _ => {}
-            }
-            self.ok_steps.push(self.step_results.len());
-            self.step_results.push(format!("input-{i}-ok").into_bytes());
-            cts.push(ct);
         }
         self.accepted_count += window_accepted;
         self.rejected_count += window_rejected;

@@ -1,8 +1,8 @@
 //! Shared by the property suites of this directory: a global allocator
 //! that records, for a thread that is measuring, the largest single
-//! request it makes and how many allocations it makes. Each suite that
-//! declares `mod common;` gets its own instance (a test binary has
-//! exactly one global allocator).
+//! request it makes, how many allocations it makes, and how many bytes
+//! it holds live at most. Each suite that declares `mod common;` gets
+//! its own instance (a test binary has exactly one global allocator).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -10,8 +10,9 @@ use std::cell::Cell;
 /// The system allocator, plus a per-thread record of the largest single
 /// request — how a hostile-input property sees an attacker-sized
 /// `with_capacity` or `resize` that overcommit would otherwise let
-/// through silently — and of the number of allocations, how a
-/// performance property sees churn return.
+/// through silently — of the number of allocations, how a performance
+/// property sees churn return, and of the bytes live at once, how a
+/// memory property sees a working set grow.
 struct TrackingAlloc;
 
 /// What a measuring thread has requested so far.
@@ -19,6 +20,11 @@ struct TrackingAlloc;
 struct Tally {
     largest: usize,
     allocs: u64,
+    /// Bytes allocated minus bytes freed by this thread since it began
+    /// measuring (negative once it frees what it held before).
+    live: isize,
+    /// The most `live` has been.
+    peak_live: isize,
 }
 
 thread_local! {
@@ -26,15 +32,31 @@ thread_local! {
     static TALLY: Cell<Option<Tally>> = const { Cell::new(None) };
 }
 
-/// Notes one request of `size` bytes; `fresh` when it is a new block
-/// rather than a resize of an existing one.
-fn note_request(size: usize, fresh: bool) {
+/// Notes one request of `size` bytes that grows the live set by
+/// `growth`; `fresh` when it is a new block rather than a resize of an
+/// existing one.
+fn note_request(size: usize, growth: isize, fresh: bool) {
     // `try_with`: allocations during thread teardown must not panic.
     let _ = TALLY.try_with(|tally| {
         if let Some(t) = tally.get() {
+            let live = t.live + growth;
             tally.set(Some(Tally {
                 largest: t.largest.max(size),
                 allocs: t.allocs + u64::from(fresh),
+                live,
+                peak_live: t.peak_live.max(live),
+            }));
+        }
+    });
+}
+
+/// Notes `size` bytes freed.
+fn note_free(size: usize) {
+    let _ = TALLY.try_with(|tally| {
+        if let Some(t) = tally.get() {
+            tally.set(Some(Tally {
+                live: t.live - size as isize,
+                ..t
             }));
         }
     });
@@ -46,18 +68,19 @@ fn note_request(size: usize, fresh: bool) {
 // unwinds.
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_request(layout.size(), true);
+        note_request(layout.size(), layout.size() as isize, true);
         // SAFETY: the caller's layout, passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_free(layout.size());
         // SAFETY: `ptr` came from `System.alloc` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_request(new_size, false);
+        note_request(new_size, new_size as isize - layout.size() as isize, false);
         // SAFETY: `ptr` came from `System.alloc` with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -89,4 +112,14 @@ pub fn largest_alloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
 pub fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let (out, tally) = tally_during(f);
     (out, tally.allocs)
+}
+
+/// Runs `f` and returns its result with the most bytes the calling
+/// thread held live at once meanwhile, counted from what it held when
+/// `f` began. Only the calling thread is seen: measure on a zero-worker
+/// pool, where every job runs on the caller.
+#[allow(dead_code)] // Not every suite measures memory.
+pub fn peak_live_bytes_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let (out, tally) = tally_during(f);
+    (out, tally.peak_live.max(0) as usize)
 }

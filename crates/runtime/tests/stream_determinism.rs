@@ -6,8 +6,8 @@
 //! and network fabrics — and that the close-level report is invariant
 //! to window-boundary placement at a fixed surviving set. This battery
 //! sweeps the full shape matrix
-//! `threads {1, 8} × shards {1, 2} × fabrics {sim, evented}`
-//! against a serial baseline, then re-bins the same surviving-device
+//! `threads {1, 2, 8} × shards {1, 2} × fabrics {sim, evented}`
+//! against a serial (zero-worker) baseline, then re-bins the same surviving-device
 //! set into different window partitions on the most parallel shape.
 //!
 //! Any divergence dumps a replayable schedule artifact (directory from
@@ -155,7 +155,7 @@ fn streamed_epochs_are_bitwise_identical_across_shapes() {
     let (baseline, baseline_bytes) = run_shape(&schedule, ParConfig::serial(), None);
     assert!(baseline.report.audit_ok, "baseline audit failed");
 
-    for threads in [1usize, 8] {
+    for threads in [1usize, 2, 8] {
         for shards in [1usize, 2] {
             for fabric in FabricKind::ALL {
                 let par = ParConfig::fixed(threads).with_shards(shards);

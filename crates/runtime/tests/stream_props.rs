@@ -14,6 +14,7 @@
 //! The vendored proptest harness seeds its RNG from the test name, so
 //! every run draws the same cases — no CI flake surface.
 
+use arboretum_bgv::Ciphertext;
 use arboretum_lang::ast::DbSchema;
 use arboretum_lang::parser::parse;
 use arboretum_lang::privacy::CertifyConfig;
@@ -32,7 +33,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
 mod common;
-use common::largest_alloc_during;
+use common::{largest_alloc_during, peak_live_bytes_during};
 
 /// Deployment size for every property. Prime, so shard/window splits
 /// always leave remainders (and ≥ 25: sortition seats 5 committees of
@@ -680,5 +681,62 @@ fn a_version_1_checkpoint_is_refused() {
         Err(ExecError::Checkpoint(
             "unsupported checkpoint version".into()
         ))
+    );
+}
+
+/// A window's peak memory is what its fold needs — one ciphertext and
+/// one row per upload — plus what a single upload needs while it is
+/// proved, verified and encrypted. Proofs never pile up: each lives
+/// only until its check, so 256 uploads at k = 64 never hold 256 proofs
+/// (≈ 3.1 KB each) at once.
+#[test]
+fn a_window_holds_a_ciphertext_and_a_row_per_upload_but_no_proofs() {
+    const UPLOADS: usize = 256;
+    const K: usize = 64;
+    let assignments: Vec<usize> = (0..UPLOADS).map(|i| i % K).collect();
+    let deployment = Deployment::one_hot(&assignments, K);
+    let schema = DbSchema::one_hot(UPLOADS as u64, K);
+    let src = "aggr = sum(db); r = em(aggr, 8.0); output(r);";
+    let lp = extract(&parse(src).unwrap(), &schema, CertifyConfig::default()).unwrap();
+    let (physical, _) = plan(&lp, &PlannerConfig::paper_defaults(1 << 30)).unwrap();
+    // A zero-worker pool runs every upload on the measuring thread.
+    let cfg = ExecutionConfig {
+        par: ParConfig::serial(),
+        ..ExecutionConfig::default()
+    };
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let setup = build_session_setup(&deployment, cfg.committee_size, cfg.seed, &mut rng).unwrap();
+    // Peak live bytes of ingesting one window that holds devices
+    // `0..uploads` (the rest never arrive).
+    let window_peak = |uploads: usize| {
+        let schedule = ArrivalSchedule::from_partition(&[(0..uploads).collect()], UPLOADS);
+        let mut exec = StreamExecutor::open(
+            &physical,
+            &lp,
+            &deployment,
+            &cfg,
+            &schedule,
+            Some(&setup),
+            None,
+            None,
+        )
+        .unwrap();
+        let (checkpoint, peak) = peak_live_bytes_during(|| exec.ingest_next().map(|c| c.accepted));
+        assert_eq!(checkpoint, Ok(uploads));
+        peak
+    };
+    // The constant: a one-upload window, which also warms the encryption
+    // scratch the larger window then reuses.
+    let constant = window_peak(1);
+    // What holding one costs: the value itself plus its heap.
+    let params = &setup.ctx.params;
+    let limbs = params.moduli.len();
+    let ciphertext = std::mem::size_of::<Ciphertext>()
+        + 2 * limbs * (std::mem::size_of::<Vec<u64>>() + params.n * 8);
+    let row = std::mem::size_of::<Vec<i64>>() + K * std::mem::size_of::<i64>();
+    let peak = window_peak(UPLOADS);
+    assert!(
+        peak < UPLOADS * (ciphertext + row) + constant,
+        "{UPLOADS} uploads peaked at {peak} live bytes, past {UPLOADS} × ({ciphertext} + {row}) + {constant}"
     );
 }

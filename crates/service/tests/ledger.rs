@@ -3,7 +3,7 @@
 //! affects another analyst's concurrent query.
 
 use arboretum_dp::budget::{BudgetError, LedgerBookError, PrivacyCost};
-use arboretum_runtime::executor::Deployment;
+use arboretum_runtime::executor::{Deployment, ExecError};
 use arboretum_service::{CatalogConfig, ServiceConfig, ServiceError, ServiceHandle};
 
 use std::sync::Arc;
@@ -141,4 +141,21 @@ fn deployment_cap_refuses_even_a_funded_analyst() {
         ServiceError::Ledger(LedgerBookError::Deployment(_))
     ));
     assert_eq!(handle.ledger("b").unwrap().spent().epsilon, 0.0);
+}
+
+/// A numeric schema whose column sums could wrap mod the plaintext
+/// modulus is refused at start, before the catalog seats a committee or
+/// opens a ledger: 40 devices at up to 2^27 − 1 (what a 27-bit range
+/// proof over `[0, 2^26]` admits) could sum past 2^30.
+#[test]
+fn a_schema_whose_sums_can_wrap_is_refused_at_start() {
+    let schema = arboretum_lang::ast::DbSchema::numeric(1 << 20, 1, 0, 1 << 26);
+    let deployment = Deployment::from_rows(vec![vec![(1 << 26) - 1]; 40], schema);
+    let err = ServiceHandle::start(deployment, ServiceConfig::default())
+        .err()
+        .expect("the schema is refused");
+    assert!(
+        matches!(&err, ServiceError::Exec(ExecError::Unsupported(msg)) if msg.contains("[0, 67108864]")),
+        "{err:?}"
+    );
 }

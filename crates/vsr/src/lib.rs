@@ -13,6 +13,10 @@
 //! `g^coeff` Feldman commitments making every subshare verifiable.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 #![warn(missing_docs)]
 
 use arboretum_crypto::group::{GroupElem, Scalar};

@@ -10,6 +10,10 @@
 //! (see [`sigma`]).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 #![warn(missing_docs)]
 
 pub mod onehot;

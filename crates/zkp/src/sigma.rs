@@ -269,8 +269,8 @@ pub(crate) struct TailEquation<W: Fn(usize) -> Scalar> {
     pub weight: W,
 }
 
-/// Derives the fold's coefficients `ρ, ρ², ρ³, …` from a sealed value
-/// that binds the whole proof.
+/// Derives the fold's coefficient `ρ` from a sealed value that binds
+/// the whole proof; the fold weights its equations by `ρ, ρ², ρ³, …`.
 ///
 /// One challenge, a function of the sealed first moves *and* the bound
 /// responses, and its powers: a proof with a failing equation passes the
@@ -279,12 +279,14 @@ pub(crate) struct TailEquation<W: Fn(usize) -> Scalar> {
 /// fixed before `ρ` existed — probability at most `n/q`. `ρ` is redrawn
 /// on the (negligible, but handled) zero, and `q` is prime, so no power
 /// is ever zero and no equation drops out of the check.
-fn fold_coefficients(bound: &Sealed) -> impl Iterator<Item = Scalar> {
-    let rho = (0..)
-        .map(|draw| bound.challenge(draw, b"fold/rho"))
-        .find(|rho| *rho != Scalar::ZERO)
-        .expect("an unbounded search");
-    std::iter::successors(Some(rho), move |c| Some(*c * rho))
+fn fold_rho(bound: &Sealed) -> Scalar {
+    let mut draw = 0;
+    let mut rho = bound.challenge(draw, b"fold/rho");
+    while rho == Scalar::ZERO {
+        draw += 1;
+        rho = bound.challenge(draw, b"fold/rho");
+    }
+    rho
 }
 
 /// Checks `k` bit proofs and one [`TailEquation`] as a single equation.
@@ -324,8 +326,13 @@ pub(crate) fn fold_holds<W: Fn(usize) -> Scalar>(
     {
         responses.extend_from_slice(&s.value().to_be_bytes());
     }
-    let mut coeffs = fold_coefficients(&sealed.bind(b"fold/responses", &responses));
-    let mut next = || coeffs.next().expect("successors of a nonzero scalar");
+    let rho = fold_rho(&sealed.bind(b"fold/responses", &responses));
+    // ρ, ρ², ρ³, … in turn.
+    let mut power = Scalar::ONE;
+    let mut next = || {
+        power *= rho;
+        power
+    };
 
     let rho_t = next();
     let mut h_exp = rho_t * tail.h_exp;
@@ -491,7 +498,10 @@ mod tests {
         // widest proof any suite folds.
         for label in [b"a".as_slice(), b"one-hot", b"range"] {
             let bound = Transcript::new(label).seal().bind(b"fold/responses", b"");
-            let coeffs: Vec<Scalar> = fold_coefficients(&bound).take(257).collect();
+            let rho = fold_rho(&bound);
+            let coeffs: Vec<Scalar> = std::iter::successors(Some(rho), |c| Some(*c * rho))
+                .take(257)
+                .collect();
             assert!(coeffs.iter().all(|c| *c != Scalar::ZERO));
             assert!(coeffs.windows(2).all(|w| w[1] == w[0] * coeffs[0]));
         }

@@ -2,7 +2,7 @@
 //! evaluation queries, and concrete execution for the supported shapes.
 
 use arboretum::queries::corpus::all_queries;
-use arboretum::runtime::executor::{execute, Deployment, ExecutionConfig};
+use arboretum::runtime::executor::{execute, Deployment, ExecError, ExecutionConfig};
 use arboretum::{Arboretum, PreparedQuery};
 
 /// Plans every Table 2 query at the paper's scale settings (but a small
@@ -148,4 +148,56 @@ fn paper_scale_committee_shape() {
         "topK at 2^15 categories spreads across many committees: {}",
         prepared.plan.total_committees
     );
+}
+
+/// Runs `sum(db)` over `n` one-field devices all holding `value`, under
+/// a `[lo, hi]` numeric schema, and releases the first column sum.
+fn released_sum(
+    lo: i64,
+    hi: i64,
+    value: i64,
+    n: usize,
+) -> Result<Vec<i64>, arboretum::ArboretumError> {
+    let schema = arboretum::DbSchema::numeric(1 << 20, 1, lo, hi);
+    let system = Arboretum::new(1 << 20);
+    let certify = arboretum::CertifyConfig {
+        allow_declassify: true,
+        ..Default::default()
+    };
+    let prepared = system
+        .prepare(
+            "aggr = sum(db); output(declassify(aggr[0]));",
+            schema,
+            certify,
+        )
+        .expect("plans");
+    let deployment = Deployment::from_rows(vec![vec![value]; n], schema);
+    system
+        .run(&prepared, &deployment, &ExecutionConfig::default())
+        .map(|report| report.outputs)
+}
+
+/// BGV plaintexts are residues mod t = 2^30. A numeric schema whose
+/// column sums could reach t is refused when the session is set up:
+/// the sum must not wrap silently, and a negative value must not fail
+/// the run partway through a window.
+#[test]
+fn numeric_sums_the_plaintext_space_cannot_hold_are_refused() {
+    let refusal = |result: Result<Vec<i64>, arboretum::ArboretumError>| match result {
+        Err(arboretum::ArboretumError::Execute(ExecError::Unsupported(msg))) => msg,
+        other => panic!("expected a typed refusal, got {other:?}"),
+    };
+    // 40 · (2^26 − 1) = 2,684,354,520 would wrap to 536,963,672.
+    let msg = refusal(released_sum(0, 1 << 26, (1 << 26) - 1, 40));
+    assert!(msg.contains("[0, 67108864]"), "{msg}");
+    // A negative value is no residue mod t: unrefused, its encoding
+    // would fail partway through the window.
+    let msg = refusal(released_sum(-10, 10, -3, 40));
+    assert!(msg.contains("[-10, 10]"), "{msg}");
+    // Exactly t − 1 at the largest value a 24-bit proof admits:
+    // 63 · 17,043,521 = 2^30 − 1 fits, and one device more does not.
+    let (lo, hi) = (266_306, 17_043_521);
+    assert_eq!(63 * hi, (1 << 30) - 1);
+    assert_eq!(released_sum(lo, hi, hi, 63).unwrap(), vec![(1 << 30) - 1]);
+    refusal(released_sum(lo, hi, hi, 64));
 }
