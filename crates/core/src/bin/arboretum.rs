@@ -29,8 +29,9 @@
 //!                                              [default: all host CPUs]
 //!   --shards K            independent aggregator pools, each pinned to
 //!                         a contiguous device shard       [default: 1]
-//!   --fabric F            network fabric for the simulated MPC engines:
-//!                         sim | evented                 [default: sim]
+//!   --fabric F            network fabric for the session setup and the
+//!                         simulated MPC engines: sim | evented (outputs
+//!                         are identical on either)      [default: sim]
 //!
 //! attack options:
 //!   --seed S              adversary schedule seed              [default 0]
@@ -47,7 +48,7 @@
 //!                         device churn; from 2 on a committee seat also
 //!                         crashes during one VSR handoff, and every
 //!                         detection must name its window   [default 1]
-//!   --fabric F            fabric for the MPC engines: sim | evented
+//!   --fabric F            fabric for the epoch's MPC engines: sim | evented
 //!                         (outcomes are identical on either; the
 //!                         networked fault phase always runs on the
 //!                         evented fabric, which carries its faults)
@@ -59,7 +60,8 @@
 //!   --workers W           scheduler worker threads (0 = inline) [default 2]
 //!   --pool-capacity P     leasable aggregator pools            [default 2]
 //!   --open NAME:EPS:DELTA pre-open an analyst session (repeatable)
-//!   --fabric F            process-wide fabric default: sim | evented
+//!   --fabric F            fabric for the catalog's setup and every served
+//!                         query: sim | evented            [default: sim]
 //! ```
 //!
 //! `serve` speaks the line protocol from `arboretum-service` — `OPEN`,
@@ -336,18 +338,15 @@ fn serve(args: &[String]) -> ExitCode {
         eprintln!("--devices and --categories must be positive");
         return ExitCode::FAILURE;
     }
-    if let Some(kind) = fabric {
-        // The catalog and scheduler resolve through the process-wide
-        // default; every query served this process uses this fabric.
-        arboretum::net::configure_global_fabric(kind);
-    }
 
     let assignments: Vec<usize> = (0..devices).map(|i| i % categories).collect();
     let deployment = Deployment::one_hot(&assignments, categories);
-    let catalog = CatalogConfig {
+    // The catalog's setup and every query it serves run on this fabric.
+    let mut catalog = CatalogConfig {
         seed,
         ..CatalogConfig::default()
     };
+    catalog.base.fabric = fabric;
     let handle = match ServiceHandle::start(
         deployment,
         ServiceConfig {
@@ -453,11 +452,6 @@ fn dispatch(cmd: &str, source: &str, opts: &Options) -> ExitCode {
             shards: opts.shards,
         });
     }
-    if let Some(kind) = opts.fabric {
-        // The executor's MPC engines resolve through the process-wide
-        // default when `ExecutionConfig::fabric` is unset.
-        arboretum::net::configure_global_fabric(kind);
-    }
     let schema = DbSchema::one_hot(opts.participants, opts.categories);
     let certify_cfg = CertifyConfig {
         trust_declared_sensitivity: opts.trust_sens,
@@ -553,6 +547,7 @@ fn dispatch(cmd: &str, source: &str, opts: &Options) -> ExitCode {
     let deployment = Deployment::one_hot(&assignments, opts.categories);
     let exec = ExecutionConfig {
         seed: opts.seed,
+        fabric: opts.fabric,
         ..Default::default()
     };
     match system.run_epoch(&prepared, &deployment, &exec, opts.windows) {

@@ -1,17 +1,10 @@
 //! Fabric selection: which transport backend a consumer should build.
 //!
 //! [`FabricKind`] names the two fabrics (instant sim, virtual-time
-//! evented) and [`configure_global_fabric`] installs a process-wide
-//! default, mirroring `arboretum-par`'s global thread configuration: the
-//! first call wins and later calls are ignored, so a CLI flag set at
-//! startup reaches every component without threading a parameter
-//! through each layer.
-//!
-//! Resolution order everywhere a fabric is chosen:
-//! explicit per-config value → global default → the consumer's own
-//! fallback.
-
-use std::sync::OnceLock;
+//! evented). A fabric is chosen through config only: a consumer's
+//! config carries an `Option<FabricKind>`, and
+//! [`FabricKind::resolve`] falls back to the consumer's own default
+//! when it is `None`. There is no process-wide default.
 
 /// Which transport fabric to run committee traffic on.
 ///
@@ -41,11 +34,10 @@ impl FabricKind {
         }
     }
 
-    /// Resolves the fabric a consumer should use: an explicit config
-    /// value wins, then the process-wide default installed by
-    /// [`configure_global_fabric`], then `fallback`.
+    /// Resolves the fabric a consumer should use: the explicit config
+    /// value if there is one, else `fallback`.
     pub fn resolve(explicit: Option<FabricKind>, fallback: FabricKind) -> FabricKind {
-        explicit.or_else(global_fabric).unwrap_or(fallback)
+        explicit.unwrap_or(fallback)
     }
 }
 
@@ -65,19 +57,6 @@ impl std::str::FromStr for FabricKind {
             other => Err(format!("unknown fabric {other:?}; expected sim | evented")),
         }
     }
-}
-
-static GLOBAL_FABRIC: OnceLock<FabricKind> = OnceLock::new();
-
-/// Installs the process-wide default fabric. The first call wins;
-/// returns whether this call installed the value.
-pub fn configure_global_fabric(kind: FabricKind) -> bool {
-    GLOBAL_FABRIC.set(kind).is_ok()
-}
-
-/// The process-wide default fabric, if one has been installed.
-pub fn global_fabric() -> Option<FabricKind> {
-    GLOBAL_FABRIC.get().copied()
 }
 
 #[cfg(test)]
@@ -103,12 +82,12 @@ mod tests {
 
     #[test]
     fn resolve_prefers_explicit_over_fallback() {
-        // The global default is a process-wide OnceLock, so this test
-        // only exercises the explicit/fallback arms (other tests in the
-        // process may or may not have installed a global).
         assert_eq!(
             FabricKind::resolve(Some(FabricKind::Evented), FabricKind::Sim),
             FabricKind::Evented
         );
+        for k in FabricKind::ALL {
+            assert_eq!(FabricKind::resolve(None, k), k);
+        }
     }
 }

@@ -1,10 +1,10 @@
-//! The shared event core: virtual clocks, sparse link queues, pooled
-//! buffers, and clock-expressed fault injection.
+//! The event core: virtual clocks, sparse link queues, pooled buffers,
+//! and clock-expressed fault injection.
 //!
-//! Both evented frontends share this state machine: the act-as-anyone
-//! [`super::EventedFabric`] owns a core directly, and the per-party
-//! [`super::EventedEndpoint`]s share one behind a mutex. All latency,
-//! jitter, slow-party, and timeout semantics are *virtual*: each party
+//! [`super::EventedFabric`] owns one core and validates addresses in
+//! front of it; the per-party [`super::EventedEndpoint`]s are views of
+//! one such fabric. All latency, jitter, slow-party, and timeout
+//! semantics are *virtual*: each party
 //! carries a `u64`-nanosecond clock, a send schedules its frame at
 //! `clock[from] + modeled_delay`, and a delivery advances the receiver
 //! to `max(clock[at], deliver_at)`. Nothing ever sleeps, so the fabric
@@ -13,8 +13,9 @@
 //! The timeout rule: a queued frame is delivered iff its modeled
 //! one-way delay is at most the receive timeout (equality delivers); a
 //! slower frame is consumed off the link and reported as
-//! [`NetError::Timeout`]. The decision compares modeled values only —
-//! never wall-clock arrival — so it is the same on every run.
+//! [`NetError::Timeout`], and so is a receive on an empty link. The
+//! decision compares modeled values only — never wall-clock arrival —
+//! so it is the same on every run.
 //!
 //! The fault rules ([`FaultPlan`], applied by [`FaultState`]): every
 //! send and every receive first checks whether the acting party has
@@ -25,9 +26,7 @@
 //! samples a drop from that party's own stream (every party's stream is
 //! seeded `plan.seed` and advances only on its own sends, only when
 //! `drop_prob > 0`). A dropped frame still reports a successful send
-//! but is not metered. (A send to a
-//! peer whose endpoint has exited is `Closed` before any of this and
-//! counts no operation.)
+//! but is not metered.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
@@ -40,7 +39,7 @@ use crate::fault::FaultPlan;
 use crate::transport::{NetError, TransportMetrics};
 use crate::wire::{Message, HEADER_BYTES};
 
-/// Configuration for an evented fabric (either frontend).
+/// Configuration for an evented fabric.
 ///
 /// Timeout, latency model and jitter, plus an optional [`FaultPlan`]
 /// applied as events on the virtual clock (the module docs give the
@@ -91,18 +90,6 @@ struct Frame {
     deliver_at: u64,
 }
 
-/// A party blocked in a virtual-time receive (endpoint frontend only).
-#[derive(Clone, Debug)]
-pub(super) struct Waiter {
-    /// The peer this receive is waiting on.
-    pub from: usize,
-    /// Virtual deadline: the waiter's clock at registration plus the
-    /// timeout.
-    pub deadline: u64,
-    /// Set by quiescence resolution: this waiter's receive times out.
-    pub fired: bool,
-}
-
 /// Fault bookkeeping: the one implementation of the fault rules in the
 /// module docs.
 #[derive(Debug)]
@@ -114,15 +101,6 @@ struct FaultState {
     /// unless `drop_prob > 0` (the streams are only advanced on sends
     /// when drops are enabled).
     drop_rngs: Vec<StdRng>,
-}
-
-/// Outcome of polling a link for a receivable frame.
-pub(super) enum Poll {
-    /// The receive resolves now (delivery, per-frame timeout, or a
-    /// decode error).
-    Ready(Result<Message, NetError>),
-    /// The link is empty; the caller decides whether to block.
-    Empty,
 }
 
 /// The event core: all fabric state for `m` parties.
@@ -144,27 +122,14 @@ pub(super) struct EventedCore {
     links: HashMap<u64, VecDeque<Frame>>,
     arena: BufferArena,
     faults: Option<FaultState>,
-    /// Endpoint frontend only: parties whose endpoint has been dropped.
-    exited: Vec<bool>,
-    /// Endpoint frontend only: parties blocked in a receive.
-    waiters: Vec<Option<Waiter>>,
-    /// Count of non-exited parties (endpoint frontend; 0 otherwise).
-    /// Kept incrementally so the quiescence gate — consulted on every
-    /// blocked receive *and every endpoint drop* — is O(1); recounting
-    /// the vectors would make tearing down an n-endpoint fabric O(n²).
-    live: usize,
-    /// Count of registered waiters, maintained by
-    /// [`set_waiter`](Self::set_waiter)/[`take_waiter`](Self::take_waiter).
-    waiting: usize,
     per_party_payload: Vec<u64>,
     per_party_rounds: Vec<u64>,
     metrics: TransportMetrics,
 }
 
 impl EventedCore {
-    /// Builds the core. `endpoint_mode` allocates the waiter/exit
-    /// tracking the blocking frontend needs.
-    pub(super) fn new(m: usize, cfg: &EventedConfig, endpoint_mode: bool) -> Self {
+    /// Builds the core.
+    pub(super) fn new(m: usize, cfg: &EventedConfig) -> Self {
         assert!(m > 0, "need at least one party");
         if let Some(l) = &cfg.latency {
             assert!(
@@ -195,18 +160,6 @@ impl EventedCore {
             links: HashMap::new(),
             arena: BufferArena::new(),
             faults,
-            exited: if endpoint_mode {
-                vec![false; m]
-            } else {
-                Vec::new()
-            },
-            waiters: if endpoint_mode {
-                vec![None; m]
-            } else {
-                Vec::new()
-            },
-            live: if endpoint_mode { m } else { 0 },
-            waiting: 0,
             per_party_payload: vec![0; m],
             per_party_rounds: vec![0; m],
             metrics: TransportMetrics::default(),
@@ -215,10 +168,6 @@ impl EventedCore {
 
     pub(super) fn parties(&self) -> usize {
         self.m
-    }
-
-    pub(super) fn timeout_nanos(&self) -> u64 {
-        self.timeout
     }
 
     /// The virtual clock of `party`, in nanoseconds.
@@ -275,52 +224,6 @@ impl EventedCore {
         }
     }
 
-    /// Fault gate applied at the top of every receive: crash check,
-    /// then one operation counted, once per call however long the
-    /// receive then blocks.
-    pub(super) fn recv_fault_gate(&mut self, at: usize) -> Result<(), NetError> {
-        self.check_crashed(at)?;
-        self.bump(at);
-        Ok(())
-    }
-
-    /// Whether `party`'s endpoint has been dropped (endpoint frontend).
-    pub(super) fn has_exited(&self, party: usize) -> bool {
-        self.exited.get(party).copied().unwrap_or(false)
-    }
-
-    pub(super) fn mark_exited(&mut self, party: usize) {
-        if let Some(e) = self.exited.get_mut(party) {
-            if !*e {
-                *e = true;
-                self.live -= 1;
-            }
-        }
-    }
-
-    /// Registers `at` as blocked in a receive (replacing any stale
-    /// registration), keeping the waiter count incremental.
-    pub(super) fn set_waiter(&mut self, at: usize, w: Waiter) {
-        if self.waiters[at].is_none() {
-            self.waiting += 1;
-        }
-        self.waiters[at] = Some(w);
-    }
-
-    /// Clears `at`'s waiter registration, if any.
-    pub(super) fn take_waiter(&mut self, at: usize) -> Option<Waiter> {
-        let w = self.waiters[at].take();
-        if w.is_some() {
-            self.waiting -= 1;
-        }
-        w
-    }
-
-    /// Whether quiescence chose `at`'s receive to time out.
-    pub(super) fn waiter_fired(&self, at: usize) -> bool {
-        self.waiters[at].as_ref().is_some_and(|w| w.fired)
-    }
-
     /// Sends one frame, applying faults, modeled delay, metering, and
     /// pooled encoding. Addressing must already be validated.
     pub(super) fn send(
@@ -329,13 +232,9 @@ impl EventedCore {
         to: usize,
         msg: &Message,
     ) -> Result<usize, NetError> {
-        if self.has_exited(to) {
-            return Err(NetError::Closed { peer: to });
-        }
-        if self.faults.is_some() {
-            self.check_crashed(from)?;
-            self.bump(from);
-            let fs = self.faults.as_mut().expect("checked above");
+        self.check_crashed(from)?;
+        self.bump(from);
+        if let Some(fs) = &mut self.faults {
             if fs.plan.partitioned(from, to) {
                 return Err(NetError::Partitioned { from, to });
             }
@@ -343,7 +242,6 @@ impl EventedCore {
                 // A slow sender loses virtual time instead of sleeping.
                 self.clocks[from] += nanos(Duration::from_secs_f64(extra.max(0.0)));
             }
-            let fs = self.faults.as_mut().expect("checked above");
             if fs.plan.drop_prob > 0.0 && fs.drop_rngs[from].gen_range(0.0..1.0) < fs.plan.drop_prob
             {
                 // Lost before the wire: the receiver will time out. The
@@ -375,25 +273,27 @@ impl EventedCore {
         Ok(payload)
     }
 
-    /// Polls the `from → at` link. Delivery advances `at`'s virtual
-    /// clock to the frame's arrival instant; a frame slower than the
-    /// timeout is consumed and reported as [`NetError::Timeout`].
-    pub(super) fn poll_recv(&mut self, at: usize, from: usize) -> Poll {
+    /// Receives the next frame on the `from → at` link, applying the
+    /// fault gate first (crash check, then one operation counted).
+    /// Delivery advances `at`'s virtual clock to the frame's arrival
+    /// instant; an empty link, or a frame slower than the timeout
+    /// (consumed), is [`NetError::Timeout`]. Addressing must already
+    /// be validated.
+    pub(super) fn recv(&mut self, at: usize, from: usize) -> Result<Message, NetError> {
+        self.check_crashed(at)?;
+        self.bump(at);
         let key = from as u64 * self.m as u64 + at as u64;
         let Some(frame) = self.links.get_mut(&key).and_then(VecDeque::pop_front) else {
-            return Poll::Empty;
+            return Err(NetError::Timeout { at, from });
         };
         if frame.delay > self.timeout {
             self.arena.give_back(frame.bytes);
-            return Poll::Ready(Err(NetError::Timeout { at, from }));
+            return Err(NetError::Timeout { at, from });
         }
         self.clocks[at] = self.clocks[at].max(frame.deliver_at);
         let decoded = Message::decode_frame(&frame.bytes);
         self.arena.give_back(frame.bytes);
-        match decoded {
-            Ok((msg, _)) => Poll::Ready(Ok(msg)),
-            Err(e) => Poll::Ready(Err(NetError::Wire(e))),
-        }
+        Ok(decoded?.0)
     }
 
     pub(super) fn round(&mut self, at: usize) {
@@ -409,43 +309,5 @@ impl EventedCore {
 
     pub(super) fn arena_counters(&self) -> ArenaCounters {
         self.arena.counters()
-    }
-
-    /// Quiescence resolution for the endpoint frontend: when every
-    /// non-exited party is blocked in a receive on an empty link, no
-    /// send can ever arrive, so virtual time jumps to the earliest
-    /// receive deadline and that waiter's receive times out. Ties break
-    /// toward the smallest party id. Returns whether a waiter fired.
-    pub(super) fn fire_if_quiescent(&mut self) -> bool {
-        debug_assert_eq!(self.live, self.exited.iter().filter(|&&e| !e).count());
-        debug_assert_eq!(self.waiting, self.waiters.iter().flatten().count());
-        if self.live == 0 || self.waiting != self.live {
-            return false;
-        }
-        // A registration only means the party was blocked when it last
-        // held the lock. If its awaited link has since gained a frame,
-        // or its sender has exited (it will see `Closed`), that party
-        // can still make progress on wake-up — the system is not
-        // quiescent and firing a timeout here would be spurious.
-        for (p, w) in self.waiters.iter().enumerate() {
-            let Some(w) = w else { continue };
-            if self.exited.get(w.from).copied().unwrap_or(false) {
-                return false;
-            }
-            let key = w.from as u64 * self.m as u64 + p as u64;
-            if self.links.get(&key).is_some_and(|q| !q.is_empty()) {
-                return false;
-            }
-        }
-        let (party, deadline) = self
-            .waiters
-            .iter()
-            .enumerate()
-            .filter_map(|(p, w)| w.as_ref().map(|w| (p, w.deadline)))
-            .min_by_key(|&(p, d)| (d, p))
-            .expect("waiting == live > 0");
-        self.clocks[party] = self.clocks[party].max(deadline);
-        self.waiters[party].as_mut().expect("selected above").fired = true;
-        true
     }
 }

@@ -1,4 +1,4 @@
-//! The act-as-anyone evented frontend: `SimTransport`'s API on the
+//! The act-as-anyone evented fabric: `SimTransport`'s API on the
 //! virtual-time core.
 //!
 //! [`EventedFabric`] is a single object that can send and receive as
@@ -11,7 +11,7 @@
 //! `SimTransport`'s.
 
 use super::arena::ArenaCounters;
-use super::core::{EventedConfig, EventedCore, Poll};
+use super::core::{EventedConfig, EventedCore};
 use crate::transport::{NetError, Transport, TransportMetrics};
 use crate::wire::Message;
 
@@ -41,7 +41,7 @@ impl EventedFabric {
     /// than `m × m`.
     pub fn with_config(m: usize, cfg: &EventedConfig) -> Self {
         Self {
-            core: EventedCore::new(m, cfg, false),
+            core: EventedCore::new(m, cfg),
         }
     }
 
@@ -75,13 +75,9 @@ impl Transport for EventedFabric {
     fn recv(&mut self, at: usize, from: usize) -> Result<Message, NetError> {
         self.core.check(at)?;
         self.core.check(from)?;
-        self.core.recv_fault_gate(at)?;
-        match self.core.poll_recv(at, from) {
-            Poll::Ready(r) => r,
-            // Same as the sim fabric: an empty link is an immediate
-            // timeout, never a hang.
-            Poll::Empty => Err(NetError::Timeout { at, from }),
-        }
+        // Same as the sim fabric: an empty link is an immediate
+        // timeout, never a hang.
+        self.core.recv(at, from)
     }
 
     fn round(&mut self, at: usize) {

@@ -8,19 +8,16 @@
 //! instead of fresh allocations. One process drives full sortition +
 //! upload waves for 10^5–10^6 simulated devices.
 //!
-//! Two frontends share the core:
+//! [`EventedFabric`] is act-as-anyone and `SimTransport`-shaped; the MPC
+//! engine and the population-scale wave driver run on it. With no
+//! latency configured its metering is bitwise identical to sim's.
+//! [`evented_fabric`] hands out [`EventedEndpoint`]s, per-party views of
+//! one such fabric that each act only as their own party (the
+//! benchmark's frame probe uses them). Everything runs on the caller's
+//! thread: a receive on an empty link is an immediate timeout.
 //!
-//! - [`EventedFabric`] — act-as-anyone, `SimTransport`-shaped; the MPC
-//!   engine and the population-scale wave driver run on it. With no
-//!   latency configured its metering is bitwise identical to sim's.
-//! - [`evented_fabric`] / [`EventedEndpoint`] — per-party blocking
-//!   endpoints, each acting only as itself, with blocked receives
-//!   resolved by quiescence on virtual time. Their callers (the wave
-//!   driver, the benchmark's frame probe) drive them from one thread.
-//!
-//! The precise virtual-time contract (delivery rule, quiescence
-//! timeouts, tie-breaks, fault composition) is specified in
-//! `crates/net/README.md`.
+//! The precise virtual-time contract (delivery rule, timeouts, fault
+//! composition) is specified in `crates/net/README.md`.
 
 mod arena;
 mod core;
@@ -29,5 +26,5 @@ mod fabric;
 
 pub use arena::{ArenaCounters, BufferArena};
 pub use core::EventedConfig;
-pub use endpoint::{evented_fabric, EventedEndpoint, EventedMetricsHandle};
+pub use endpoint::{evented_fabric, EventedEndpoint};
 pub use fabric::EventedFabric;

@@ -8,9 +8,9 @@
 //!
 //! Faults compose with the failover machinery in `arboretum-runtime`:
 //! a crashed party's operations return [`NetError::Crashed`], its peers
-//! observe [`NetError::Timeout`] / [`NetError::Closed`], the committee's
-//! MPC engine returns the error, and churn reassignment decides which
-//! committee takes over. Nothing blocks forever.
+//! observe [`NetError::Timeout`], the committee's MPC engine returns the
+//! error, and churn reassignment decides which committee takes over.
+//! Nothing blocks.
 
 #[cfg(doc)]
 use crate::transport::NetError;

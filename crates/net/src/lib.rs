@@ -16,8 +16,7 @@
 //!   and sparse link queues let one process simulate 10^5–10^6 parties;
 //! - [`fault`] — the [`FaultPlan`] schedule of message loss, party
 //!   crashes, partitions, and slow parties the evented fabric applies;
-//! - [`config`] — the [`FabricKind`] selector and the process-wide
-//!   default installed by the CLI's `--fabric` flag.
+//! - [`config`] — the [`FabricKind`] selector that configs carry.
 //!
 //! Payload byte counts are defined so the *measured* traffic of an MPC
 //! engine's committee on the evented fabric equals the analytic
@@ -26,6 +25,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod config;
 pub mod evented;
@@ -34,10 +37,9 @@ pub mod sim;
 pub mod transport;
 pub mod wire;
 
-pub use config::{configure_global_fabric, global_fabric, FabricKind};
+pub use config::FabricKind;
 pub use evented::{
     evented_fabric, ArenaCounters, BufferArena, EventedConfig, EventedEndpoint, EventedFabric,
-    EventedMetricsHandle,
 };
 pub use fault::FaultPlan;
 pub use sim::SimTransport;

@@ -2,11 +2,11 @@
 //!
 //! Two fabrics implement it: [`crate::sim::SimTransport`] delivers
 //! instantly in-process (the planner's analytic path), and
-//! [`crate::evented`] schedules frames on per-party virtual clocks with
-//! modeled link latency, timeouts and faults — as one act-as-anyone
-//! [`crate::EventedFabric`] (what the MPC engine runs on) or as
-//! per-party [`crate::EventedEndpoint`]s. All meter the same quantities
-//! so measured and modeled costs can be compared exactly.
+//! [`crate::EventedFabric`] schedules frames on per-party virtual
+//! clocks with modeled link latency, timeouts and faults (what the MPC
+//! engine and the wave run on); a [`crate::EventedEndpoint`] is one
+//! party's view of such a fabric. Both fabrics meter the same
+//! quantities so measured and modeled costs can be compared exactly.
 
 use crate::wire::{Message, WireError};
 
@@ -40,11 +40,6 @@ pub enum NetError {
         /// The expected sender.
         from: usize,
     },
-    /// The link to `peer` is closed (its endpoint was dropped).
-    Closed {
-        /// The unreachable party.
-        peer: usize,
-    },
     /// The acting party has crashed (fault injection).
     Crashed {
         /// The crashed party.
@@ -72,7 +67,6 @@ impl std::fmt::Display for NetError {
             Self::Timeout { at, from } => {
                 write!(f, "party {at} timed out waiting for party {from}")
             }
-            Self::Closed { peer } => write!(f, "link to party {peer} is closed"),
             Self::Crashed { party } => write!(f, "party {party} has crashed"),
             Self::Partitioned { from, to } => {
                 write!(f, "link {from} -> {to} is partitioned")
@@ -95,9 +89,10 @@ impl From<WireError> for NetError {
 ///
 /// The same trait serves two call shapes: an act-as-anyone fabric
 /// (`SimTransport`, `EventedFabric`) animates every party through one
-/// object, while an `EventedEndpoint` may only act as its own party
-/// (`from`/`at` must equal the endpoint's id).
-pub trait Transport: Send {
+/// object, while an `EventedEndpoint` is one party's view of an evented
+/// fabric and may only act as that party (`from`/`at` must equal the
+/// endpoint's id).
+pub trait Transport {
     /// Number of parties on this fabric.
     fn parties(&self) -> usize;
 
@@ -106,17 +101,16 @@ pub trait Transport: Send {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError`] for bad addresses, closed links, or injected
-    /// faults.
+    /// Returns [`NetError`] for bad addresses or injected faults.
     fn send(&mut self, from: usize, to: usize, msg: &Message) -> Result<usize, NetError>;
 
-    /// Receives the next message at party `at` from party `from`,
-    /// blocking (per-party endpoints) up to its configured timeout.
+    /// Receives the next message at party `at` from party `from`.
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Timeout`] rather than blocking forever, and
-    /// [`NetError::Wire`] if the frame fails to decode.
+    /// Returns [`NetError::Timeout`] at once if the link is empty (or,
+    /// on the evented fabric, if the frame is slower than the timeout),
+    /// and [`NetError::Wire`] if the frame fails to decode.
     fn recv(&mut self, at: usize, from: usize) -> Result<Message, NetError>;
 
     /// Marks that party `at` finished a communication round. The global

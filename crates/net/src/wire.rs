@@ -146,12 +146,19 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
     Ok(head)
 }
 
+/// Reads `N` bytes as a fixed-size array.
+fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
+    let mut out = [0u8; N];
+    out.copy_from_slice(take(buf, N)?);
+    Ok(out)
+}
+
 fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
-    Ok(u32::from_le_bytes(take(buf, 4)?.try_into().unwrap()))
+    Ok(u32::from_le_bytes(take_array(buf)?))
 }
 
 fn get_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
-    Ok(u64::from_le_bytes(take(buf, 8)?.try_into().unwrap()))
+    Ok(u64::from_le_bytes(take_array(buf)?))
 }
 
 impl Wire for u64 {
@@ -198,8 +205,7 @@ impl Wire for GroupElem {
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let b: [u8; 8] = take(buf, 8)?.try_into().unwrap();
-        GroupElem::from_bytes(b).ok_or(WireError::InvalidValue)
+        GroupElem::from_bytes(take_array(buf)?).ok_or(WireError::InvalidValue)
     }
 }
 

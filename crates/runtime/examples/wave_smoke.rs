@@ -8,17 +8,14 @@
 //!
 //! Checks, in order:
 //!
-//! 1. Small-population cross-fabric parity: the same wave on the sim
-//!    and evented fabrics produces bitwise-identical transport
-//!    metrics, committee seatings, and aggregates.
-//! 2. Sortition parity: the optimized selection pipeline (fixed-base
+//! 1. Sortition parity: the optimized selection pipeline (fixed-base
 //!    exponentiation, parallel ticket kernels, O(n) partial selection)
 //!    seats committees bitwise identical to the serial full-sort
 //!    reference under the wave beacon.
-//! 3. The full-population evented wave matches the closed-form traffic
-//!    model bitwise, delivers every frame (the aggregate equals the
-//!    device count), and keeps the buffer arena's peak live-buffer
-//!    count at the batch bound.
+//! 2. Model parity: the full-population evented wave matches the
+//!    closed-form traffic model bitwise, delivers every frame (the
+//!    aggregate equals the device count), and keeps the buffer arena's
+//!    peak live-buffer count at the batch bound.
 //!
 //! On failure the offending report is dumped as a JSON artifact under
 //! `WAVE_ARTIFACT_DIR` (default `target/wave-failures`) and the process
@@ -28,7 +25,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use arboretum_field::FGold;
-use arboretum_net::FabricKind;
 use arboretum_runtime::{run_wave, sortition_parity, WaveConfig, WaveReport};
 
 fn artifact_dir() -> std::path::PathBuf {
@@ -44,12 +40,11 @@ fn dump_artifact(tag: &str, report: &WaveReport) -> Option<std::path::PathBuf> {
     let m = &report.metrics;
     let o = &report.model;
     let body = format!(
-        "{{\n  \"tag\": \"{tag}\",\n  \"fabric\": \"{}\",\n  \"devices\": {},\n  \
+        "{{\n  \"tag\": \"{tag}\",\n  \"devices\": {},\n  \
          \"identical\": {},\n  \"measured\": {{\"frames\": {}, \"payload\": {}, \
          \"payload_max\": {}, \"framed\": {}, \"rounds\": {}}},\n  \
          \"model\": {{\"frames\": {}, \"payload\": {}, \"payload_max\": {}, \
          \"framed\": {}, \"rounds\": {}}}\n}}\n",
-        report.fabric,
         report.devices,
         report.identical(),
         m.frames,
@@ -80,7 +75,6 @@ fn fail(tag: &str, report: &WaveReport, why: &str) -> ExitCode {
 fn main() -> ExitCode {
     let mut cfg = WaveConfig {
         devices: 100_000,
-        fabric: Some(FabricKind::Evented),
         ..WaveConfig::default()
     };
     let mut devices_override: Option<usize> = None;
@@ -115,40 +109,7 @@ fn main() -> ExitCode {
     }
     let devices = cfg.devices;
 
-    // ---- 1. Cross-fabric parity at a dense-fabric-sized population.
-    let small = 256usize;
-    let parity: Vec<WaveReport> = FabricKind::ALL
-        .into_iter()
-        .map(|kind| {
-            run_wave(&WaveConfig {
-                devices: small,
-                fabric: Some(kind),
-                ..WaveConfig::default()
-            })
-        })
-        .collect();
-    for r in &parity {
-        if !r.identical() {
-            return fail("parity-model", r, "measured metrics diverge from the model");
-        }
-        if r.metrics != parity[0].metrics
-            || r.seats != parity[0].seats
-            || r.aggregate != parity[0].aggregate
-        {
-            return fail(
-                "parity-cross",
-                r,
-                "fabrics diverge at the parity population",
-            );
-        }
-    }
-    println!(
-        "parity: sim == evented at {small} devices \
-         ({} frames, {} payload bytes, seats identical)",
-        parity[0].metrics.frames, parity[0].metrics.payload_bytes_total
-    );
-
-    // ---- 2. Fast-vs-reference sortition parity: the optimized
+    // ---- 1. Fast-vs-reference sortition parity: the optimized
     // pipeline (fixed-base exponentiation, parallel ticket kernels,
     // O(n) partial selection) must seat bitwise-identical committees
     // to the serial full-sort reference, under the exact wave beacon
@@ -180,7 +141,7 @@ fn main() -> ExitCode {
         cfg.committees, cfg.committee_size
     );
 
-    // ---- 3. The full-population evented wave.
+    // ---- 2. The full-population evented wave against the model.
     let start = Instant::now();
     let report = run_wave(&cfg);
     let elapsed = start.elapsed();
@@ -194,8 +155,7 @@ fn main() -> ExitCode {
     if report.aggregate != FGold::new(devices as u64) {
         return fail("full-delivery", &report, "aggregate shows dropped frames");
     }
-    let arena = report.arena.expect("evented wave reports arena counters");
-    if arena.fresh > 4096 {
+    if report.arena.fresh > 4096 {
         return fail("full-arena", &report, "arena peak exceeds the batch bound");
     }
     println!(
@@ -207,8 +167,8 @@ fn main() -> ExitCode {
         report.metrics.frames,
         report.metrics.framed_bytes_total,
         elapsed,
-        arena.fresh,
-        arena.reused,
+        report.arena.fresh,
+        report.arena.reused,
     );
     ExitCode::SUCCESS
 }

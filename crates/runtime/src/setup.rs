@@ -85,7 +85,8 @@ pub struct SessionSetup {
     pub beacon: Digest,
 }
 
-/// Performs the fixed-cost setup for a deployment: sortition seats the
+/// Performs the fixed-cost setup for a deployment on the sim fabric
+/// (see [`build_session_setup_on`]): sortition seats the
 /// committees from the current beacon, the key-generation committee
 /// produces the BGV keypair (drawing from `rng`), and the distributed
 /// keygen is metered in an MPC engine seeded from `seed`.
@@ -103,13 +104,7 @@ pub fn build_session_setup(
     seed: u64,
     rng: &mut StdRng,
 ) -> Result<SessionSetup, ExecError> {
-    build_session_setup_on(
-        deployment,
-        committee_size,
-        seed,
-        rng,
-        FabricKind::resolve(None, FabricKind::Sim),
-    )
+    build_session_setup_on(deployment, committee_size, seed, rng, FabricKind::Sim)
 }
 
 /// [`build_session_setup`] on an explicit network fabric. The fabric

@@ -3,24 +3,23 @@
 //! This is the headline workload for the evented fabric — one process
 //! seats the committees by hash sortition over the full device registry
 //! and then drives an upload wave where every device sends one
-//! encrypted-input-sized frame to the aggregator. On the evented fabric
-//! latency and timeouts are virtual and frame buffers come from a
-//! recycling arena, so populations of 10^5–10^6 devices fit in a single
-//! process; the sim fabric holds dense per-pair state and is only
-//! sensible for small populations (cross-fabric parity tests).
+//! encrypted-input-sized frame to the aggregator. The wave runs on one
+//! act-as-anyone [`EventedFabric`]: it sends as each device and
+//! receives as the aggregator. Latency and timeouts are virtual and
+//! frame buffers come from a recycling arena, so populations of
+//! 10^5–10^6 devices fit in a single process.
 //!
 //! The driver also computes the closed-form traffic model for the wave
-//! and reports both, so callers (tests, the CI smoke job)
-//! can assert the measured [`TransportMetrics`] are bitwise identical
-//! to the model — and, transitively, identical across fabrics.
+//! and reports both, so callers (tests, the CI smoke job) can assert
+//! the measured [`TransportMetrics`] are bitwise identical to the
+//! model.
 
 use std::time::Duration;
 
 use arboretum_crypto::sha256::sha256;
 use arboretum_field::FGold;
 use arboretum_net::{
-    evented_fabric, ArenaCounters, EventedConfig, FabricKind, Message, SimTransport, Transport,
-    TransportMetrics, HEADER_BYTES,
+    ArenaCounters, EventedConfig, EventedFabric, Message, Transport, TransportMetrics, HEADER_BYTES,
 };
 use arboretum_sortition::{select_committees, select_committees_reference, Device, Registry};
 
@@ -47,10 +46,6 @@ pub struct WaveConfig {
     pub payload_elems: usize,
     /// Query index mixed into the sortition beacon.
     pub query_idx: u64,
-    /// Fabric selection; `None` falls back to the process-wide default
-    /// and then [`FabricKind::Evented`]. Sim holds dense per-pair
-    /// state — keep `devices` small on it.
-    pub fabric: Option<FabricKind>,
     /// Receive timeout for the wave's transport.
     pub timeout: Duration,
 }
@@ -63,15 +58,14 @@ impl Default for WaveConfig {
             committee_size: 5,
             payload_elems: 8,
             query_idx: 0,
-            fabric: None,
             timeout: Duration::from_secs(5),
         }
     }
 }
 
 impl WaveConfig {
-    /// The million-device release profile: 10^6 devices on the evented
-    /// fabric, five committees of seven. This is the population the
+    /// The million-device release profile: 10^6 devices, five
+    /// committees of seven. This is the population the
     /// fixed-base/batch-verify sortition path is sized for; only run it
     /// in release builds (the CI `wave` job does).
     pub fn million() -> Self {
@@ -79,7 +73,6 @@ impl WaveConfig {
             devices: 1_000_000,
             committees: 5,
             committee_size: 7,
-            fabric: Some(FabricKind::Evented),
             ..Self::default()
         }
     }
@@ -117,8 +110,6 @@ pub fn sortition_parity(cfg: &WaveConfig, devices: usize) -> bool {
 /// What one sortition + upload wave produced.
 #[derive(Clone, Debug)]
 pub struct WaveReport {
-    /// Fabric the wave ran on.
-    pub fabric: FabricKind,
     /// Devices that uploaded.
     pub devices: usize,
     /// Seated committees: `seats[k]` lists registry indices.
@@ -130,9 +121,9 @@ pub struct WaveReport {
     pub metrics: TransportMetrics,
     /// Closed-form traffic model for the wave.
     pub model: TransportMetrics,
-    /// Buffer-arena counters (evented fabric only): `fresh` is the peak
-    /// number of simultaneously live frame buffers.
-    pub arena: Option<ArenaCounters>,
+    /// Buffer-arena counters: `fresh` is the peak number of
+    /// simultaneously live frame buffers.
+    pub arena: ArenaCounters,
 }
 
 impl WaveReport {
@@ -164,7 +155,7 @@ fn wave_model(n: usize, payload: usize) -> TransportMetrics {
 }
 
 /// Runs sortition over `cfg.devices` registered devices and then one
-/// upload wave on the selected fabric.
+/// upload wave on an evented fabric.
 ///
 /// # Panics
 ///
@@ -174,10 +165,9 @@ fn wave_model(n: usize, payload: usize) -> TransportMetrics {
 /// bug, not an operational error).
 pub fn run_wave(cfg: &WaveConfig) -> WaveReport {
     let n = cfg.devices;
-    let fabric = FabricKind::resolve(cfg.fabric, FabricKind::Evented);
 
     // Sortition over the full registry: beacon is a deterministic
-    // digest so reports are reproducible across runs and fabrics.
+    // digest so reports are reproducible across runs.
     let registry = Registry::new((0..n as u64).map(Device::from_id).collect());
     let block = sha256(WAVE_BEACON);
     let seats = select_committees(
@@ -192,65 +182,36 @@ pub fn run_wave(cfg: &WaveConfig) -> WaveReport {
     // Upload wave: devices 0..n each send one frame to party n (the
     // aggregator), chunked so at most WAVE_BATCH frames are in flight.
     let payload = upload_frame(0, cfg.payload_elems).payload_len();
-    let (aggregate, metrics, arena) = match fabric {
-        FabricKind::Evented => {
-            let evcfg = EventedConfig {
-                timeout: cfg.timeout,
-                ..EventedConfig::default()
-            };
-            let mut eps = evented_fabric(n + 1, &evcfg);
-            let mut agg = eps.pop().expect("fabric has n + 1 endpoints");
-            let handle = agg.metrics_handle();
-            let mut sum = FGold::new(0);
-            for chunk in 0..n.div_ceil(WAVE_BATCH) {
-                let lo = chunk * WAVE_BATCH;
-                let hi = (lo + WAVE_BATCH).min(n);
-                for (i, ep) in eps[lo..hi].iter_mut().enumerate() {
-                    let msg = upload_frame(lo + i, cfg.payload_elems);
-                    ep.send(lo + i, n, &msg).expect("wave send");
-                }
-                for i in lo..hi {
-                    match agg.recv(n, i).expect("wave recv") {
-                        Message::FieldElems(v) => sum += v[0],
-                        other => panic!("unexpected wave frame {:?}", other.kind()),
-                    }
-                }
-            }
-            agg.round(n);
-            drop(agg);
-            drop(eps);
-            (sum, handle.snapshot(), Some(handle.arena_counters()))
+    let mut fabric = EventedFabric::with_config(
+        n + 1,
+        &EventedConfig {
+            timeout: cfg.timeout,
+            ..EventedConfig::default()
+        },
+    );
+    let mut aggregate = FGold::new(0);
+    for lo in (0..n).step_by(WAVE_BATCH) {
+        let hi = (lo + WAVE_BATCH).min(n);
+        for i in lo..hi {
+            let msg = upload_frame(i, cfg.payload_elems);
+            fabric.send(i, n, &msg).expect("wave send");
         }
-        FabricKind::Sim => {
-            let mut t = SimTransport::new(n + 1);
-            let mut sum = FGold::new(0);
-            for chunk in 0..n.div_ceil(WAVE_BATCH) {
-                let lo = chunk * WAVE_BATCH;
-                let hi = (lo + WAVE_BATCH).min(n);
-                for i in lo..hi {
-                    let msg = upload_frame(i, cfg.payload_elems);
-                    t.send(i, n, &msg).expect("wave send");
-                }
-                for i in lo..hi {
-                    match t.recv(n, i).expect("wave recv") {
-                        Message::FieldElems(v) => sum += v[0],
-                        other => panic!("unexpected wave frame {:?}", other.kind()),
-                    }
-                }
+        for i in lo..hi {
+            match fabric.recv(n, i).expect("wave recv") {
+                Message::FieldElems(v) => aggregate += v[0],
+                other => panic!("unexpected wave frame {:?}", other.kind()),
             }
-            t.round(n);
-            (sum, t.metrics(), None)
         }
-    };
+    }
+    fabric.round(n);
 
     WaveReport {
-        fabric,
         devices: n,
         seats,
         aggregate,
-        metrics,
+        metrics: fabric.metrics(),
         model: wave_model(n, payload),
-        arena,
+        arena: fabric.arena_counters(),
     }
 }
 
@@ -258,33 +219,17 @@ pub fn run_wave(cfg: &WaveConfig) -> WaveReport {
 mod tests {
     use super::*;
 
-    fn small(fabric: FabricKind) -> WaveConfig {
-        WaveConfig {
+    #[test]
+    fn wave_metrics_match_the_model_on_every_fabric() {
+        let r = run_wave(&WaveConfig {
             devices: 64,
             committees: 2,
             committee_size: 5,
             payload_elems: 4,
-            fabric: Some(fabric),
             ..WaveConfig::default()
-        }
-    }
-
-    #[test]
-    fn wave_metrics_match_the_model_on_every_fabric() {
-        for fabric in FabricKind::ALL {
-            let r = run_wave(&small(fabric));
-            assert!(r.identical(), "{fabric}: {:?} != {:?}", r.metrics, r.model);
-            assert_eq!(r.aggregate, FGold::new(64), "{fabric} lost a frame");
-        }
-    }
-
-    #[test]
-    fn wave_outcomes_are_bitwise_identical_across_fabrics() {
-        let sim = run_wave(&small(FabricKind::Sim));
-        let ev = run_wave(&small(FabricKind::Evented));
-        assert_eq!(sim.metrics, ev.metrics);
-        assert_eq!(sim.seats, ev.seats);
-        assert_eq!(sim.aggregate, ev.aggregate);
+        });
+        assert!(r.identical(), "{:?} != {:?}", r.metrics, r.model);
+        assert_eq!(r.aggregate, FGold::new(64), "the wave lost a frame");
     }
 
     #[test]
@@ -298,7 +243,6 @@ mod tests {
     fn million_profile_is_the_evented_release_preset() {
         let cfg = WaveConfig::million();
         assert_eq!(cfg.devices, 1_000_000);
-        assert!(matches!(cfg.fabric, Some(FabricKind::Evented)));
         assert!(
             cfg.committees * cfg.committee_size <= 512,
             "parity population must seat it"
@@ -309,16 +253,14 @@ mod tests {
     fn arena_peak_is_bounded_by_the_batch_size() {
         let r = run_wave(&WaveConfig {
             devices: 3 * WAVE_BATCH + 17,
-            fabric: Some(FabricKind::Evented),
             ..WaveConfig::default()
         });
-        let arena = r.arena.expect("evented wave reports arena counters");
         assert!(
-            arena.fresh <= WAVE_BATCH as u64,
+            r.arena.fresh <= WAVE_BATCH as u64,
             "peak live buffers {} exceeds the batch bound {WAVE_BATCH}",
-            arena.fresh
+            r.arena.fresh
         );
-        assert!(arena.reused > 0, "later batches must recycle buffers");
+        assert!(r.arena.reused > 0, "later batches must recycle buffers");
         assert!(r.identical());
     }
 }

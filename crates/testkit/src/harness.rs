@@ -69,8 +69,8 @@ pub struct AttackConfig {
     pub net_phase: bool,
     /// Thread configuration for the aggregator's parallel phases.
     pub par: ParConfig,
-    /// Network fabric for the MPC engines; `None` uses the process-wide
-    /// default and then each consumer's own fallback. (The networked
+    /// Network fabric for the MPC engines; `None` uses each consumer's
+    /// own fallback (sim for the epoch). (The networked
     /// failover phase always runs on the evented fabric, which carries
     /// its fault plans.) Detections and metrics are bitwise identical on
     /// either fabric.
