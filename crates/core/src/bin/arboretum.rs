@@ -14,7 +14,8 @@
 //!   --trust-sens          accept analyst-declared sensitivities
 //!   --goal METRIC         agg-secs | agg-bytes | exp-secs | max-secs |
 //!                         exp-bytes | max-bytes               [default exp-secs]
-//!   --counts a,b,c,...    simulated per-category populations (run only)
+//!   --counts a,b,c,...    simulated per-category populations (run only;
+//!                         at most --participants devices in all)
 //!   --windows N           run only: ingest uploads in N streaming windows
 //!                         with seed-derived device churn, folding each
 //!                         window into a checkpointed accumulator and
@@ -29,14 +30,12 @@
 //!                                              [default: all host CPUs]
 //!   --shards K            independent aggregator pools, each pinned to
 //!                         a contiguous device shard       [default: 1]
-//!   --fabric F            network fabric for the session setup and the
-//!                         simulated MPC engines: sim | evented (outputs
-//!                         are identical on either)      [default: sim]
 //!
 //! attack options:
 //!   --seed S              adversary schedule seed              [default 0]
 //!   --devices N           deployment size                      [default 48]
-//!   --committees C        networked-MPC committees             [default 3]
+//!   --committees C        networked-MPC committees, each seated with 5
+//!                         of the devices                       [default 3]
 //!   --numeric             numeric (range-proof) pipeline instead of one-hot
 //!   --no-net              skip the networked-MPC fault phase
 //!   --service             run every epoch on a pre-built session
@@ -48,10 +47,6 @@
 //!                         device churn; from 2 on a committee seat also
 //!                         crashes during one VSR handoff, and every
 //!                         detection must name its window   [default 1]
-//!   --fabric F            fabric for the epoch's MPC engines: sim | evented
-//!                         (outcomes are identical on either; the
-//!                         networked fault phase always runs on the
-//!                         evented fabric, which carries its faults)
 //!
 //! serve options:
 //!   --devices N           simulated deployment size            [default 48]
@@ -60,8 +55,6 @@
 //!   --workers W           scheduler worker threads (0 = inline) [default 2]
 //!   --pool-capacity P     leasable aggregator pools            [default 2]
 //!   --open NAME:EPS:DELTA pre-open an analyst session (repeatable)
-//!   --fabric F            fabric for the catalog's setup and every served
-//!                         query: sim | evented            [default: sim]
 //! ```
 //!
 //! `serve` speaks the line protocol from `arboretum-service` — `OPEN`,
@@ -75,7 +68,8 @@
 //!
 //! Plans, outputs, and metrics are identical at every `--threads` and
 //! `--shards` setting; the flags only change wall-clock time and which
-//! pool counters accumulate the work.
+//! pool counters accumulate the work. Every committee's MPC runs on the
+//! virtual-time evented fabric.
 
 use std::process::ExitCode;
 
@@ -95,7 +89,6 @@ struct Options {
     seed: u64,
     threads: Option<usize>,
     shards: Option<usize>,
-    fabric: Option<arboretum::net::FabricKind>,
 }
 
 impl Default for Options {
@@ -110,7 +103,6 @@ impl Default for Options {
             seed: 7,
             threads: None,
             shards: None,
-            fabric: None,
         }
     }
 }
@@ -159,7 +151,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--shards" => {
                 o.shards = Some(next(args, &mut i)?.parse().map_err(|e| format!("{e}"))?);
             }
-            "--fabric" => o.fabric = Some(next(args, &mut i)?.parse()?),
             other => return Err(format!("unknown option {other:?}")),
         }
         i += 1;
@@ -233,10 +224,6 @@ fn attack(args: &[String]) -> ExitCode {
                 );
                 Ok(())
             }),
-            "--fabric" => next(args, &mut i).and_then(|v| {
-                cfg.fabric = Some(v.parse()?);
-                Ok(())
-            }),
             other => Err(format!("unknown attack option {other:?}")),
         };
         if let Err(e) = r {
@@ -288,7 +275,6 @@ fn serve(args: &[String]) -> ExitCode {
     let mut workers = 2usize;
     let mut pool_capacity = 2usize;
     let mut opens: Vec<(String, PrivacyCost)> = Vec::new();
-    let mut fabric: Option<arboretum::net::FabricKind> = None;
     let mut i = 0;
     while i < args.len() {
         let r = match args[i].as_str() {
@@ -322,10 +308,6 @@ fn serve(args: &[String]) -> ExitCode {
                 opens.push((name.to_string(), PrivacyCost { epsilon, delta }));
                 Ok(())
             }),
-            "--fabric" => next(args, &mut i).and_then(|v| {
-                fabric = Some(v.parse::<arboretum::net::FabricKind>()?);
-                Ok(())
-            }),
             other => Err(format!("unknown serve option {other:?}")),
         };
         if let Err(e) = r {
@@ -341,12 +323,10 @@ fn serve(args: &[String]) -> ExitCode {
 
     let assignments: Vec<usize> = (0..devices).map(|i| i % categories).collect();
     let deployment = Deployment::one_hot(&assignments, categories);
-    // The catalog's setup and every query it serves run on this fabric.
-    let mut catalog = CatalogConfig {
+    let catalog = CatalogConfig {
         seed,
         ..CatalogConfig::default()
     };
-    catalog.base.fabric = fabric;
     let handle = match ServiceHandle::start(
         deployment,
         ServiceConfig {
@@ -535,6 +515,16 @@ fn dispatch(cmd: &str, source: &str, opts: &Options) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    // The plan was certified and sized for `--participants` devices; a
+    // larger deployment is refused before its assignments are built.
+    let placed = counts.iter().try_fold(0usize, |sum, &n| sum.checked_add(n));
+    if placed.is_none_or(|n| n as u64 > opts.participants) {
+        eprintln!(
+            "--counts places more devices than the {} --participants the plan was sized for",
+            opts.participants
+        );
+        return ExitCode::FAILURE;
+    }
     let assignments: Vec<usize> = counts
         .iter()
         .enumerate()
@@ -547,7 +537,6 @@ fn dispatch(cmd: &str, source: &str, opts: &Options) -> ExitCode {
     let deployment = Deployment::one_hot(&assignments, opts.categories);
     let exec = ExecutionConfig {
         seed: opts.seed,
-        fabric: opts.fabric,
         ..Default::default()
     };
     match system.run_epoch(&prepared, &deployment, &exec, opts.windows) {

@@ -59,11 +59,10 @@ pub use arboretum_planner::search::{PlanStats, PlannerConfig};
 pub use arboretum_runtime::executor::{Deployment, ExecutionConfig, ExecutionReport};
 
 use arboretum_lang::parser::parse;
-use arboretum_net::FabricKind;
 use arboretum_planner::logical::{extract, LogicalPlan};
 use arboretum_planner::plan::Plan;
 use arboretum_planner::search::plan as search_plan;
-use arboretum_runtime::setup::build_session_setup_on;
+use arboretum_runtime::setup::build_session_setup;
 use arboretum_runtime::stream::{execute_stream, ArrivalSchedule, StreamReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -211,14 +210,8 @@ impl Arboretum {
             None => (ArrivalSchedule::all_at_once(n), None),
             Some(w) => {
                 let mut rng = StdRng::seed_from_u64(cfg.seed);
-                let setup = build_session_setup_on(
-                    deployment,
-                    cfg.committee_size,
-                    cfg.seed,
-                    &mut rng,
-                    FabricKind::resolve(cfg.fabric, FabricKind::Sim),
-                )
-                .map_err(ArboretumError::Execute)?;
+                let setup = build_session_setup(deployment, cfg.committee_size, cfg.seed, &mut rng)
+                    .map_err(ArboretumError::Execute)?;
                 (ArrivalSchedule::derive(cfg.seed, n, w.max(1)), Some(setup))
             }
         };
@@ -259,9 +252,9 @@ mod tests {
     }
 
     #[test]
-    fn run_stream_on_evented_equals_sim() {
-        // The config alone picks the fabric, for the setup and the
-        // epoch alike; either fabric builds the same report.
+    fn run_stream_checkpoints_each_window_on_a_standing_setup() {
+        // The setup is built once, before the epoch, so the report
+        // charges none of it; a second run replays bit for bit.
         let system = Arboretum::new(1 << 20);
         let schema = DbSchema::one_hot(1 << 20, 3);
         let prepared = system
@@ -272,17 +265,15 @@ mod tests {
             )
             .unwrap();
         let deployment = Deployment::one_hot(&[0, 1, 1, 1, 1, 1, 1, 1, 2, 2].repeat(5), 3);
-        let run = |fabric| {
-            let cfg = ExecutionConfig {
-                fabric,
-                ..ExecutionConfig::default()
-            };
-            system.run_stream(&prepared, &deployment, &cfg, 3).unwrap()
+        let run = || {
+            system
+                .run_stream(&prepared, &deployment, &ExecutionConfig::default(), 3)
+                .unwrap()
         };
-        let sim = run(Some(FabricKind::Sim));
-        assert_eq!(run(Some(FabricKind::Evented)), sim);
-        assert_eq!(run(None), sim);
-        assert_eq!(sim.checkpoints.len(), 3);
+        let epoch = run();
+        assert_eq!(epoch.checkpoints.len(), 3);
+        assert!(epoch.report.setup.is_zero());
+        assert_eq!(run(), epoch);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! vectors, linear operations are local, multiplications consume Beaver
 //! triples, and every communication step travels as a framed
 //! [`arboretum_net::Message`] from one party to another across the
-//! engine's fabric — the instant [`arboretum_net::SimTransport`] or the
-//! virtual-time [`arboretum_net::EventedFabric`], which may carry a
-//! committee's latency model and [`arboretum_net::FaultPlan`]
+//! engine's virtual-time [`arboretum_net::EventedFabric`], which may
+//! carry a committee's latency model and [`arboretum_net::FaultPlan`]
 //! ([`MpcEngine::new_evented`]). A crashed, partitioned or silent party
 //! surfaces as [`MpcError::Net`] from the operation that needed it. The
 //! analytic [`crate::network::NetMeter`] is fed the *actual encoded
@@ -34,9 +33,7 @@
 //! ([`MpcEngine::add_scaled`]). An operation allocates once per result.
 
 use arboretum_field::FGold;
-use arboretum_net::{
-    EventedConfig, EventedFabric, FabricKind, Message, NetError, SimTransport, Transport,
-};
+use arboretum_net::{EventedConfig, EventedFabric, FabricKind, Message, NetError, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,54 +77,6 @@ impl From<NetError> for MpcError {
     }
 }
 
-/// The in-process fabric an engine's protocol messages cross. The
-/// engine is a single act-as-anyone object, so only the single-object
-/// fabrics apply: the instant sim and the virtual-time evented fabric.
-/// With no latency model configured both backends meter bitwise
-/// identically.
-#[derive(Debug)]
-enum EngineFabric {
-    Sim(SimTransport),
-    Evented(Box<EventedFabric>),
-}
-
-impl Transport for EngineFabric {
-    fn parties(&self) -> usize {
-        match self {
-            Self::Sim(t) => t.parties(),
-            Self::Evented(t) => t.parties(),
-        }
-    }
-
-    fn send(&mut self, from: usize, to: usize, msg: &Message) -> Result<usize, NetError> {
-        match self {
-            Self::Sim(t) => t.send(from, to, msg),
-            Self::Evented(t) => t.send(from, to, msg),
-        }
-    }
-
-    fn recv(&mut self, at: usize, from: usize) -> Result<Message, NetError> {
-        match self {
-            Self::Sim(t) => t.recv(at, from),
-            Self::Evented(t) => t.recv(at, from),
-        }
-    }
-
-    fn round(&mut self, at: usize) {
-        match self {
-            Self::Sim(t) => t.round(at),
-            Self::Evented(t) => t.round(at),
-        }
-    }
-
-    fn metrics(&self) -> arboretum_net::TransportMetrics {
-        match self {
-            Self::Sim(t) => t.metrics(),
-            Self::Evented(t) => t.metrics(),
-        }
-    }
-}
-
 /// The MPC engine for one committee.
 #[derive(Debug)]
 pub struct MpcEngine {
@@ -140,7 +89,7 @@ pub struct MpcEngine {
     /// The communication meter.
     pub net: NetMeter,
     /// The in-process fabric every protocol message crosses.
-    fabric: EngineFabric,
+    fabric: EventedFabric,
     /// Lagrange coefficients at zero over the points `1..=t+1` — fixed
     /// for the committee's lifetime, so every opening is a dot product.
     basis: Vec<FGold>,
@@ -154,37 +103,26 @@ pub struct MpcEngine {
 
 #[allow(clippy::should_implement_trait)] // Protocol ops named add/sub/mul by convention.
 impl MpcEngine {
-    /// Creates an engine with `m` parties tolerating `t` corruptions.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < m` and `t < m / 2 + m % 2` (honest majority).
-    pub fn new(m: usize, t: usize, malicious: bool, seed: u64) -> Self {
-        Self::new_on(m, t, malicious, seed, FabricKind::Sim)
-    }
-
-    /// Creates an engine whose protocol messages cross the selected
-    /// fabric: [`FabricKind::Sim`] the instant sim fabric,
-    /// [`FabricKind::Evented`] the virtual-time fabric's act-as-anyone
-    /// frontend. Both produce bitwise identical outputs and transport
-    /// metrics.
+    /// Creates an engine with `m` parties tolerating `t` corruptions, on
+    /// an evented fabric with the default configuration (no latency, no
+    /// faults).
     ///
     /// # Panics
     ///
     /// Panics unless `0 < m` and `2t < m` (honest majority).
-    pub fn new_on(m: usize, t: usize, malicious: bool, seed: u64, kind: FabricKind) -> Self {
-        let fabric = match kind {
-            FabricKind::Sim => EngineFabric::Sim(SimTransport::new(m)),
-            FabricKind::Evented => EngineFabric::Evented(Box::new(EventedFabric::new(m))),
-        };
-        Self::on(m, t, malicious, seed, fabric)
+    pub fn new(m: usize, t: usize, malicious: bool, seed: u64) -> Self {
+        Self::new_evented(m, t, malicious, seed, &EventedConfig::default())
+    }
+
+    /// Forwards to [`MpcEngine::new`]; `_kind` selects nothing (deleted by ROADMAP 1b).
+    pub fn new_on(m: usize, t: usize, malicious: bool, seed: u64, _kind: FabricKind) -> Self {
+        Self::new(m, t, malicious, seed)
     }
 
     /// Creates an engine on an evented fabric built from `cfg`: its
     /// latency model, timeout and fault schedule apply to every protocol
     /// frame, so a crashed, partitioned or silent party fails the
-    /// operation that needs it with [`MpcError::Net`]. With the default
-    /// configuration this is `new_on(.., FabricKind::Evented)`.
+    /// operation that needs it with [`MpcError::Net`].
     ///
     /// # Panics
     ///
@@ -197,11 +135,6 @@ impl MpcEngine {
         seed: u64,
         cfg: &EventedConfig,
     ) -> Self {
-        let fabric = EngineFabric::Evented(Box::new(EventedFabric::with_config(m, cfg)));
-        Self::on(m, t, malicious, seed, fabric)
-    }
-
-    fn on(m: usize, t: usize, malicious: bool, seed: u64, fabric: EngineFabric) -> Self {
         assert!(m > 0, "need at least one party");
         assert!(
             2 * t < m,
@@ -212,7 +145,7 @@ impl MpcEngine {
             t,
             malicious,
             net: NetMeter::new(m),
-            fabric,
+            fabric: EventedFabric::with_config(m, cfg),
             basis: committee_basis(t),
             rng: StdRng::seed_from_u64(seed),
             coeffs: Vec::with_capacity(t + 1),

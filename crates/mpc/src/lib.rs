@@ -5,10 +5,9 @@
 //! mask-and-borrow-chain comparison, probabilistic fixed-point
 //! truncation, and metered ideal functionalities for the transcendental
 //! noise-sampling vignettes. There is one engine, [`MpcEngine`]: one
-//! object acting as every member of a committee, its frames crossing a
-//! real `arboretum-net` fabric — the instant sim fabric, or the
-//! virtual-time evented fabric with a committee's latency and fault
-//! schedule. A transport failure is an [`MpcError::Net`], never a panic.
+//! object acting as every member of a committee, its frames crossing
+//! the virtual-time `arboretum-net` evented fabric, which may carry a
+//! committee's latency and fault schedule. A transport failure is an [`MpcError::Net`], never a panic.
 //! Every protocol meters bytes, rounds, triples, and local compute
 //! through [`network::NetMeter`], which is the substrate for the
 //! planner's cost model and for the paper's heterogeneity experiments

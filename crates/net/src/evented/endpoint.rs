@@ -4,14 +4,13 @@
 //! act-as-anyone fabric. Each endpoint may only act as its own party;
 //! past that check it is the fabric itself: the same virtual clocks,
 //! metering and fault rules, and a receive on an empty link times out at
-//! once, as on the fabric and on sim. The views share the fabric through
+//! once, as on the fabric. The views share the fabric through
 //! an `Rc`, so they stay on the thread that built them.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use super::core::EventedConfig;
-use super::fabric::EventedFabric;
+use super::fabric::{EventedConfig, EventedFabric};
 use crate::transport::{NetError, Transport, TransportMetrics};
 use crate::wire::Message;
 

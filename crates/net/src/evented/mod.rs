@@ -8,23 +8,20 @@
 //! instead of fresh allocations. One process drives full sortition +
 //! upload waves for 10^5–10^6 simulated devices.
 //!
-//! [`EventedFabric`] is act-as-anyone and `SimTransport`-shaped; the MPC
-//! engine and the population-scale wave driver run on it. With no
-//! latency configured its metering is bitwise identical to sim's.
-//! [`evented_fabric`] hands out [`EventedEndpoint`]s, per-party views of
-//! one such fabric that each act only as their own party (the
-//! benchmark's frame probe uses them). Everything runs on the caller's
-//! thread: a receive on an empty link is an immediate timeout.
+//! [`EventedFabric`] acts as every party; every MPC engine and the
+//! population-scale wave driver run on it. [`evented_fabric`] hands out
+//! [`EventedEndpoint`]s, per-party views of one such fabric that each
+//! act only as their own party (the benchmark's frame probe uses them).
+//! Everything runs on the caller's thread: a receive on an empty link
+//! is an immediate timeout.
 //!
 //! The precise virtual-time contract (delivery rule, timeouts, fault
 //! composition) is specified in `crates/net/README.md`.
 
 mod arena;
-mod core;
 mod endpoint;
 mod fabric;
 
 pub use arena::{ArenaCounters, BufferArena};
-pub use core::EventedConfig;
 pub use endpoint::{evented_fabric, EventedEndpoint};
-pub use fabric::EventedFabric;
+pub use fabric::{EventedConfig, EventedFabric};

@@ -2,9 +2,9 @@
 //! slow senders, as data.
 //!
 //! A [`FaultPlan`] is carried in [`crate::EventedConfig::faults`] and
-//! applied by the evented core as events on its virtual clock (the
+//! applied by the evented fabric as events on its virtual clock (the
 //! rules — operation counting, check order, drop sampling — are
-//! specified where they are implemented, in `evented/core.rs`).
+//! specified where they are implemented, in `evented/fabric.rs`).
 //!
 //! Faults compose with the failover machinery in `arboretum-runtime`:
 //! a crashed party's operations return [`NetError::Crashed`], its peers

@@ -8,15 +8,15 @@
 //!   message kind, with strict decoding;
 //! - [`transport`] — the [`Transport`] trait plus unified
 //!   [`TransportMetrics`] (rounds, payload bytes, framed bytes);
-//! - [`sim`] — the instant in-process fabric the analytic simulator
-//!   runs on;
-//! - [`evented`] — the event-driven virtual-time fabric: modeled
-//!   delays, timeouts, and faults advance per-party virtual clocks
-//!   instead of sleeping, frames recycle through a pooled buffer arena,
-//!   and sparse link queues let one process simulate 10^5–10^6 parties;
+//! - [`evented`] — the one fabric, event-driven and in virtual time:
+//!   modeled delays, timeouts, and faults advance per-party virtual
+//!   clocks instead of sleeping, frames recycle through a pooled buffer
+//!   arena, and sparse link queues let one process simulate 10^5–10^6
+//!   parties;
 //! - [`fault`] — the [`FaultPlan`] schedule of message loss, party
 //!   crashes, partitions, and slow parties the evented fabric applies;
-//! - [`config`] — the [`FabricKind`] selector that configs carry.
+//! - [`config`] — [`FabricKind`], an inert selector kept only for the
+//!   end-to-end benchmark's by-name calls (ROADMAP 1b deletes it).
 //!
 //! Payload byte counts are defined so the *measured* traffic of an MPC
 //! engine's committee on the evented fabric equals the analytic
@@ -33,7 +33,6 @@
 pub mod config;
 pub mod evented;
 pub mod fault;
-pub mod sim;
 pub mod transport;
 pub mod wire;
 
@@ -42,6 +41,5 @@ pub use evented::{
     evented_fabric, ArenaCounters, BufferArena, EventedConfig, EventedEndpoint, EventedFabric,
 };
 pub use fault::FaultPlan;
-pub use sim::SimTransport;
 pub use transport::{NetError, Transport, TransportMetrics};
 pub use wire::{Message, Wire, WireError, HEADER_BYTES};

@@ -1,12 +1,11 @@
 //! The [`Transport`] abstraction over committee message fabrics.
 //!
-//! Two fabrics implement it: [`crate::sim::SimTransport`] delivers
-//! instantly in-process (the planner's analytic path), and
-//! [`crate::EventedFabric`] schedules frames on per-party virtual
-//! clocks with modeled link latency, timeouts and faults (what the MPC
-//! engine and the wave run on); a [`crate::EventedEndpoint`] is one
-//! party's view of such a fabric. Both fabrics meter the same
-//! quantities so measured and modeled costs can be compared exactly.
+//! [`crate::EventedFabric`] implements it: it schedules frames on
+//! per-party virtual clocks with modeled link latency, timeouts and
+//! faults (what the MPC engine and the wave run on). A
+//! [`crate::EventedEndpoint`] is one party's view of such a fabric. The
+//! metering is defined so measured and modeled costs can be compared
+//! exactly.
 
 use crate::wire::{Message, WireError};
 
@@ -87,11 +86,10 @@ impl From<WireError> for NetError {
 
 /// A message fabric connecting the `m` parties of one committee.
 ///
-/// The same trait serves two call shapes: an act-as-anyone fabric
-/// (`SimTransport`, `EventedFabric`) animates every party through one
-/// object, while an `EventedEndpoint` is one party's view of an evented
-/// fabric and may only act as that party (`from`/`at` must equal the
-/// endpoint's id).
+/// The same trait serves two call shapes: the act-as-anyone
+/// `EventedFabric` animates every party through one object, while an
+/// `EventedEndpoint` is one party's view of an evented fabric and may
+/// only act as that party (`from`/`at` must equal the endpoint's id).
 pub trait Transport {
     /// Number of parties on this fabric.
     fn parties(&self) -> usize;
@@ -108,8 +106,8 @@ pub trait Transport {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Timeout`] at once if the link is empty (or,
-    /// on the evented fabric, if the frame is slower than the timeout),
+    /// Returns [`NetError::Timeout`] at once if the link is empty or the
+    /// frame is slower than the timeout,
     /// and [`NetError::Wire`] if the frame fails to decode.
     fn recv(&mut self, at: usize, from: usize) -> Result<Message, NetError>;
 

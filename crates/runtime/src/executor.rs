@@ -117,11 +117,7 @@ pub struct ExecutionConfig {
     /// thread count: all randomness is drawn in serial phases, and the
     /// ⊞-reduction uses a fixed combine tree.
     pub par: ParConfig,
-    /// Network fabric for the session setup and the simulated MPC
-    /// engines. `None` is [`FabricKind::Sim`]. Every fabric produces bitwise
-    /// identical outputs, metrics, and detections — this knob trades
-    /// transport mechanics (in-process queues vs. the virtual-time
-    /// evented core), not semantics.
+    /// Selects nothing: every engine runs on the evented fabric (deleted by ROADMAP 1b).
     pub fabric: Option<FabricKind>,
 }
 

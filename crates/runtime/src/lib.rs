@@ -34,9 +34,7 @@ pub use mpc_eval::{MVal, MechStyle, MpcEvalError, MpcEvaluator};
 pub use net_exec::{
     reassign_for_churn, run_with_failover, NetExecConfig, NetExecError, NetExecReport,
 };
-pub use setup::{
-    build_session_setup, build_session_setup_on, SessionSetup, SetupCounters, SETUP_ROLES,
-};
+pub use setup::{build_session_setup, SessionSetup, SetupCounters, SETUP_ROLES};
 pub use stream::{
     execute_stream, ArrivalSchedule, StreamExecutor, StreamReport, WindowCheckpoint,
     DEFAULT_STREAM_CHUNK,

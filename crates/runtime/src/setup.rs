@@ -85,31 +85,10 @@ pub struct SessionSetup {
     pub beacon: Digest,
 }
 
-/// Performs the fixed-cost setup for a deployment on the sim fabric
-/// (see [`build_session_setup_on`]): sortition seats the
+/// Performs the fixed-cost setup for a deployment: sortition seats the
 /// committees from the current beacon, the key-generation committee
 /// produces the BGV keypair (drawing from `rng`), and the distributed
 /// keygen is metered in an MPC engine seeded from `seed`.
-///
-/// # Errors
-///
-/// Returns [`ExecError::Unsupported`] if the schema's column sums do
-/// not fit the plaintext space (see [`build_session_setup_on`]), the
-/// registry holds fewer than [`SETUP_ROLES`]` · committee_size` devices
-/// (sortition cannot seat the committees) or the schema's category count
-/// does not fit the BGV parameter space.
-pub fn build_session_setup(
-    deployment: &Deployment,
-    committee_size: usize,
-    seed: u64,
-    rng: &mut StdRng,
-) -> Result<SessionSetup, ExecError> {
-    build_session_setup_on(deployment, committee_size, seed, rng, FabricKind::Sim)
-}
-
-/// [`build_session_setup`] on an explicit network fabric. The fabric
-/// only changes transport mechanics for the keygen metering engine —
-/// outputs and metrics are bitwise identical across fabrics.
 ///
 /// # Errors
 ///
@@ -120,12 +99,11 @@ pub fn build_session_setup(
 /// (sortition cannot seat the committees), or if the schema's category
 /// count does not fit the BGV parameter space. The sum check runs first,
 /// before sortition, so a refused deployment seats nothing.
-pub fn build_session_setup_on(
+pub fn build_session_setup(
     deployment: &Deployment,
     committee_size: usize,
     seed: u64,
     rng: &mut StdRng,
-    fabric: FabricKind,
 ) -> Result<SessionSetup, ExecError> {
     check_sums_fit(deployment)?;
     let m = committee_size;
@@ -157,7 +135,7 @@ pub fn build_session_setup_on(
     let (sk, pk) = bgv_keygen(&ctx, rng);
 
     // Meter the distributed keygen in an MPC engine.
-    let mut keygen_mpc = MpcEngine::new_on(m, t, true, seed ^ domain_tag(b"keygen-mpc"), fabric);
+    let mut keygen_mpc = MpcEngine::new(m, t, true, seed ^ domain_tag(b"keygen-mpc"));
     inject_with_cost(
         &mut keygen_mpc,
         Fix::ZERO,
@@ -195,6 +173,21 @@ pub fn build_session_setup_on(
         committee_size: m,
         beacon: deployment.beacon,
     })
+}
+
+/// Forwards to [`build_session_setup`]; `_fabric` selects nothing (deleted by ROADMAP 1b).
+///
+/// # Errors
+///
+/// As [`build_session_setup`].
+pub fn build_session_setup_on(
+    deployment: &Deployment,
+    committee_size: usize,
+    seed: u64,
+    rng: &mut StdRng,
+    _fabric: FabricKind,
+) -> Result<SessionSetup, ExecError> {
+    build_session_setup(deployment, committee_size, seed, rng)
 }
 
 /// Refuses a schema whose column sums the plaintext space cannot hold.

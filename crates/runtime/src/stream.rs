@@ -36,7 +36,7 @@
 //! Consequently any window partition of the same surviving-device set
 //! produces a bitwise identical accumulator, and therefore bitwise
 //! identical outputs, budget ledger, and audit verdict, at every thread
-//! count, shard count, fold chunk width, and network fabric. One-window
+//! count, shard count and fold chunk width. One-window
 //! ≡ batch holds by construction (they are the same code); the test
 //! batteries in `crates/runtime/tests/stream_props.rs` and
 //! `stream_determinism.rs` guard partition invariance.
@@ -53,7 +53,7 @@ use arboretum_field::fixed::Fix;
 use arboretum_mpc::engine::MpcEngine;
 use arboretum_mpc::fixp::{inject_with_cost, FunctionalityCost};
 use arboretum_net::wire::{message_to_vsr_batch, vsr_batch_to_message};
-use arboretum_net::{FabricKind, Message};
+use arboretum_net::Message;
 use arboretum_par::{par_map_arc_sharded, ShardedPool};
 use arboretum_planner::logical::LogicalPlan;
 use arboretum_planner::plan::{PhysOp, Plan};
@@ -81,7 +81,7 @@ use crate::audit::{
 };
 use crate::executor::{Deployment, ExecError, ExecutionConfig, ExecutionReport, QueryCert};
 use crate::mpc_eval::{MVal, MechStyle, MpcEvaluator};
-use crate::setup::{build_session_setup_on, SessionSetup, SetupCounters};
+use crate::setup::{build_session_setup, SessionSetup, SetupCounters};
 
 /// ⊞-fold fan-in per accumulator chunk. Chunk width never changes
 /// results (modular addition is exact), only scheduling.
@@ -698,13 +698,7 @@ impl<'a> StreamExecutor<'a> {
                 )));
             }
             Some(s) => Cow::Borrowed(s),
-            None => Cow::Owned(build_session_setup_on(
-                deployment,
-                m,
-                cfg.seed,
-                &mut rng,
-                FabricKind::resolve(cfg.fabric, FabricKind::Sim),
-            )?),
+            None => Cow::Owned(build_session_setup(deployment, m, cfg.seed, &mut rng)?),
         };
         // The malformed-upload draws continue the `cfg.seed` stream as
         // one pre-pass over every device before any window, so which
@@ -1060,7 +1054,7 @@ impl<'a> StreamExecutor<'a> {
                 }
                 _ => redistribute_share(share, t, m, &mut rng),
             };
-            // Meter the broadcast the way the fabrics would frame it.
+            // Meter the broadcast the way the fabric would frame it.
             let frame = vsr_batch_to_message(&batch).encode_frame();
             handoff_bytes += frame.len() as u64;
             handoff_frames += 1;
@@ -1145,13 +1139,7 @@ impl<'a> StreamExecutor<'a> {
         // ---- Decryption to shares (§5.4). ----
         let counts_raw = bgv_decrypt(&ctx, &self.setup.sk, &total_ct);
         let counts: Vec<i64> = counts_raw[..categories].iter().map(|&v| v as i64).collect();
-        let mut mpc = MpcEngine::new_on(
-            m,
-            t,
-            true,
-            self.cfg.seed ^ domain_tag(b"mechanism-mpc"),
-            FabricKind::resolve(self.cfg.fabric, FabricKind::Sim),
-        );
+        let mut mpc = MpcEngine::new(m, t, true, self.cfg.seed ^ domain_tag(b"mechanism-mpc"));
         // Charge the distributed-decryption cost.
         inject_with_cost(
             &mut mpc,
@@ -1376,7 +1364,7 @@ impl<'a> StreamExecutor<'a> {
     /// commitments (as a wire `VsrSubshares` frame), counters, step
     /// log, and per-window checkpoints, bound to the schedule digest.
     /// The bytes are a function of the epoch so far — identical at every
-    /// thread count, shard count and fabric — so a log can hash them.
+    /// thread count and shard count — so a log can hash them.
     ///
     /// # Errors
     ///

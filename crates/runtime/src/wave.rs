@@ -220,7 +220,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wave_metrics_match_the_model_on_every_fabric() {
+    fn wave_metrics_match_the_model() {
         let r = run_wave(&WaveConfig {
             devices: 64,
             committees: 2,

@@ -12,7 +12,6 @@
 //! an artifact under `ADVERSARY_ARTIFACT_DIR` (default
 //! `target/adversary-failures`).
 
-use arboretum_net::FabricKind;
 use arboretum_par::ParConfig;
 use arboretum_testkit::{dump_failure_artifact, run_attack, AttackConfig};
 
@@ -41,34 +40,14 @@ fn assert_pass(cfg: &AttackConfig) {
 
 #[test]
 fn one_hot_seed_sweep_detects_every_injected_behavior_on_every_fabric() {
-    // The sweep runs once per fabric; each seed's typed detection set
-    // and surviving answer must be bitwise identical across fabrics.
+    // Each seed's typed detection set and surviving answer must match
+    // the schedule's prediction and the honest reference.
     for windows in WINDOWS {
         for seed in 0..sweep_width() {
-            let run = |kind| {
-                let cfg = AttackConfig {
-                    fabric: Some(kind),
-                    windows,
-                    ..AttackConfig::new(seed)
-                };
-                let got = run_attack(&cfg, None)
-                    .unwrap_or_else(|e| panic!("seed {seed} windows {windows} {kind}: {e}"));
-                if !got.ok() {
-                    let artifact = dump_failure_artifact(&cfg, &got).ok();
-                    panic!(
-                        "seed {seed} windows {windows} failed cross-checks on {kind} \
-                         (artifact: {artifact:?})\n{}",
-                        got.summary()
-                    );
-                }
-                got
-            };
-            let reference = run(FabricKind::Evented);
-            let got = run(FabricKind::Sim);
-            assert_eq!(
-                got.adversarial, reference.adversarial,
-                "seed {seed} windows {windows}: the epoch drifted between evented and sim"
-            );
+            assert_pass(&AttackConfig {
+                windows,
+                ..AttackConfig::new(seed)
+            });
         }
     }
 }
@@ -151,8 +130,7 @@ fn aggregator_seed_sweep_yields_exactly_one_exact_detection_on_every_fabric() {
     // must produce exactly one Subject::Aggregator detection carrying
     // the exact predicted kind (step attribution included), with
     // outputs/budget/audit bitwise identical to the honest reference —
-    // both already enforced by the harness cross-checks — and the
-    // detection set identical across both fabrics.
+    // both already enforced by the harness cross-checks.
     // The epoch layout moves every step index, so the sweep runs at
     // both window counts.
     use arboretum_runtime::Subject;
@@ -160,29 +138,26 @@ fn aggregator_seed_sweep_yields_exactly_one_exact_detection_on_every_fabric() {
         .iter()
         .flat_map(|&w| (0..sweep_width()).map(move |s| (w, s)))
     {
-        let mk = |fabric| AttackConfig {
-            fabric: Some(fabric),
+        let cfg = AttackConfig {
             net_phase: false,
             aggregator: true,
             windows,
             ..AttackConfig::new(seed)
         };
-        let cfg = mk(FabricKind::Evented);
-        let reference =
-            run_attack(&cfg, None).unwrap_or_else(|e| panic!("seed {seed} evented: {e}"));
-        if !reference.ok() {
-            let artifact = dump_failure_artifact(&cfg, &reference).ok();
+        let outcome = run_attack(&cfg, None).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        if !outcome.ok() {
+            let artifact = dump_failure_artifact(&cfg, &outcome).ok();
             panic!(
                 "seed {seed} windows {windows} failed aggregator cross-checks \
                  (artifact: {artifact:?})\n{}",
-                reference.summary()
+                outcome.summary()
             );
         }
-        let expected = reference
+        let expected = outcome
             .expected_aggregator
             .clone()
             .expect("aggregator axis predicts a kind");
-        let agg: Vec<_> = reference
+        let agg: Vec<_> = outcome
             .adversarial
             .detections
             .iter()
@@ -194,24 +169,16 @@ fn aggregator_seed_sweep_yields_exactly_one_exact_detection_on_every_fabric() {
             "seed {seed}: want exactly one aggregator detection"
         );
         assert_eq!(agg[0].kind, expected, "seed {seed}: wrong step attribution");
-        let got = run_attack(&mk(FabricKind::Sim), None)
-            .unwrap_or_else(|e| panic!("seed {seed} sim: {e}"));
-        assert!(got.ok(), "seed {seed} sim:\n{}", got.summary());
-        assert_eq!(
-            got.adversarial, reference.adversarial,
-            "seed {seed} windows {windows}: the epoch drifted between evented and sim"
-        );
     }
 }
 
 #[test]
 fn aggregator_sweep_replays_deterministically_across_threads_shards_and_fabrics() {
     // With every axis on but the net phase, the full decision log and
-    // the epoch must be identical across thread counts, shard counts and
-    // fabrics. A divergence dumps the replayable artifact.
+    // the epoch must be identical across thread and shard counts. A
+    // divergence dumps the replayable artifact.
     for seed in 0..sweep_width().min(6) {
         let base_cfg = AttackConfig {
-            fabric: Some(FabricKind::Evented),
             net_phase: false,
             aggregator: true,
             ..AttackConfig::new(seed)
@@ -226,30 +193,26 @@ fn aggregator_sweep_replays_deterministically_across_threads_shards_and_fabrics(
         }
         let base_decisions = &base.schedule.decisions;
         assert!(!base_decisions.is_empty());
-        for fabric in [FabricKind::Evented, FabricKind::Sim] {
-            for threads in [1usize, 8] {
-                for shards in [1usize, 2] {
-                    let cfg = AttackConfig {
-                        fabric: Some(fabric),
-                        par: ParConfig::fixed(threads).with_shards(shards),
-                        ..base_cfg.clone()
-                    };
-                    let got = run_attack(&cfg, None)
-                        .unwrap_or_else(|e| panic!("seed {seed} {fabric}: {e}"));
-                    assert!(
-                        got.ok(),
-                        "seed {seed} {fabric} threads {threads} shards {shards}:\n{}",
-                        got.summary()
+        for threads in [1usize, 8] {
+            for shards in [1usize, 2] {
+                let cfg = AttackConfig {
+                    par: ParConfig::fixed(threads).with_shards(shards),
+                    ..base_cfg.clone()
+                };
+                let got = run_attack(&cfg, None).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                assert!(
+                    got.ok(),
+                    "seed {seed} threads {threads} shards {shards}:\n{}",
+                    got.summary()
+                );
+                if got.schedule.decisions != *base_decisions {
+                    let artifact = dump_failure_artifact(&cfg, &got).ok();
+                    panic!(
+                        "seed {seed}: decisions diverged at threads {threads} shards {shards} \
+                         (replayable artifact: {artifact:?})"
                     );
-                    if got.schedule.decisions != *base_decisions {
-                        let artifact = dump_failure_artifact(&cfg, &got).ok();
-                        panic!(
-                            "seed {seed}: decisions diverged at {fabric} threads {threads} \
-                             shards {shards} (replayable artifact: {artifact:?})"
-                        );
-                    }
-                    assert_eq!(got.adversarial, base.adversarial);
                 }
+                assert_eq!(got.adversarial, base.adversarial);
             }
         }
     }
@@ -291,7 +254,7 @@ fn net_phase_fails_over_to_the_first_survivable_committee() {
 fn honest_aggregator_hook_leaves_no_trace_on_any_fabric() {
     // An adversary implementing ONLY the aggregator hook — honestly —
     // must be indistinguishable from no adversary at all: the whole
-    // report compares equal on every fabric.
+    // report compares equal.
     use arboretum_dp::budget::PrivacyCost;
     use arboretum_lang::parser::parse;
     use arboretum_lang::privacy::CertifyConfig;
@@ -311,36 +274,27 @@ fn honest_aggregator_hook_leaves_no_trace_on_any_fabric() {
     let program = parse("aggr = sum(db); r = em(aggr, 8.0); output(r);").unwrap();
     let lp = extract(&program, &deployment.schema, CertifyConfig::default()).unwrap();
     let (physical, _) = plan(&lp, &PlannerConfig::paper_defaults(1 << 30)).unwrap();
-    for fabric in FabricKind::ALL {
-        let cfg = ExecutionConfig {
-            seed: 5,
-            budget: PrivacyCost {
-                epsilon: 100.0,
-                delta: 1e-6,
-            },
-            fabric: Some(fabric),
-            ..ExecutionConfig::default()
-        };
-        let (plain, _) = execute(&physical, &lp, &deployment, &cfg, None, None, None).unwrap();
-        let (adv, detections) = execute(
-            &physical,
-            &lp,
-            &deployment,
-            &cfg,
-            None,
-            None,
-            Some(&HonestAggregatorOnly),
-        )
-        .unwrap();
-        assert!(
-            detections.is_empty(),
-            "{fabric}: false positives: {detections:?}"
-        );
-        assert_eq!(
-            adv, plain,
-            "{fabric}: honest-aggregator adversary left a trace"
-        );
-    }
+    let cfg = ExecutionConfig {
+        seed: 5,
+        budget: PrivacyCost {
+            epsilon: 100.0,
+            delta: 1e-6,
+        },
+        ..ExecutionConfig::default()
+    };
+    let (plain, _) = execute(&physical, &lp, &deployment, &cfg, None, None, None).unwrap();
+    let (adv, detections) = execute(
+        &physical,
+        &lp,
+        &deployment,
+        &cfg,
+        None,
+        None,
+        Some(&HonestAggregatorOnly),
+    )
+    .unwrap();
+    assert!(detections.is_empty(), "false positives: {detections:?}");
+    assert_eq!(adv, plain, "honest-aggregator adversary left a trace");
 }
 
 #[test]

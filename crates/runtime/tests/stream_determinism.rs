@@ -2,13 +2,12 @@
 //!
 //! The streaming contract (`runtime::stream`) promises that the whole
 //! [`StreamReport`] and the checkpoint bytes after every window are
-//! identical across execution *shapes* — thread counts, shard counts,
-//! and network fabrics — and that the close-level report is invariant
-//! to window-boundary placement at a fixed surviving set. This battery
-//! sweeps the full shape matrix
-//! `threads {1, 2, 8} × shards {1, 2} × fabrics {sim, evented}`
-//! against a serial (zero-worker) baseline, then re-bins the same surviving-device
-//! set into different window partitions on the most parallel shape.
+//! identical across execution *shapes* — thread and shard counts — and
+//! that the close-level report is invariant to window-boundary
+//! placement at a fixed surviving set. This battery sweeps the full
+//! shape matrix `threads {1, 2, 8} × shards {1, 2}` against a serial
+//! (zero-worker) baseline, then re-bins the same surviving-device set
+//! into different window partitions on the most parallel shape.
 //!
 //! Any divergence dumps a replayable schedule artifact (directory from
 //! `STREAM_ARTIFACT_DIR`, default `target/stream-failures`) before
@@ -17,7 +16,6 @@
 use arboretum_lang::ast::DbSchema;
 use arboretum_lang::parser::parse;
 use arboretum_lang::privacy::CertifyConfig;
-use arboretum_net::FabricKind;
 use arboretum_par::ParConfig;
 use arboretum_planner::logical::{extract, LogicalPlan};
 use arboretum_planner::plan::Plan;
@@ -55,7 +53,7 @@ fn fixture() -> &'static Fixture {
         let src = "aggr = sum(db); r = em(aggr, 8.0); output(r);";
         let lp = extract(&parse(src).unwrap(), &schema, CertifyConfig::default()).unwrap();
         let (physical, _) = plan(&lp, &PlannerConfig::paper_defaults(1 << 30)).unwrap();
-        let cfg = base_cfg(ParConfig::serial(), None);
+        let cfg = base_cfg(ParConfig::serial());
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let setup =
             build_session_setup(&deployment, cfg.committee_size, cfg.seed, &mut rng).unwrap();
@@ -68,11 +66,10 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn base_cfg(par: ParConfig, fabric: Option<FabricKind>) -> ExecutionConfig {
+fn base_cfg(par: ParConfig) -> ExecutionConfig {
     ExecutionConfig {
         seed: SEED,
         par,
-        fabric,
         ..ExecutionConfig::default()
     }
 }
@@ -81,13 +78,9 @@ fn base_cfg(par: ParConfig, fabric: Option<FabricKind>) -> ExecutionConfig {
 /// checkpoint bytes taken after every window. Each checkpoint is also
 /// restored into a fresh executor of the same shape, which must
 /// re-serialize to the same bytes.
-fn run_shape(
-    schedule: &ArrivalSchedule,
-    par: ParConfig,
-    fabric: Option<FabricKind>,
-) -> (StreamReport, Vec<Vec<u8>>) {
+fn run_shape(schedule: &ArrivalSchedule, par: ParConfig) -> (StreamReport, Vec<Vec<u8>>) {
     let f = fixture();
-    let cfg = base_cfg(par, fabric);
+    let cfg = base_cfg(par);
     let open = || {
         StreamExecutor::open(
             &f.plan,
@@ -152,33 +145,31 @@ fn dump_divergence(
 #[test]
 fn streamed_epochs_are_bitwise_identical_across_shapes() {
     let schedule = ArrivalSchedule::derive(SEED, N_DEVICES, WINDOWS);
-    let (baseline, baseline_bytes) = run_shape(&schedule, ParConfig::serial(), None);
+    let (baseline, baseline_bytes) = run_shape(&schedule, ParConfig::serial());
     assert!(baseline.report.audit_ok, "baseline audit failed");
 
     for threads in [1usize, 2, 8] {
         for shards in [1usize, 2] {
-            for fabric in FabricKind::ALL {
-                let par = ParConfig::fixed(threads).with_shards(shards);
-                let (got, got_bytes) = run_shape(&schedule, par, Some(fabric));
-                let shape = format!("t{threads}-s{shards}-{fabric:?}");
-                if got != baseline {
-                    let path = dump_divergence(&schedule, &shape, &baseline, &got);
-                    panic!(
-                        "shape {shape} diverged from the serial baseline; artifact: {}",
-                        path.display()
-                    );
-                }
-                // A checkpoint is a function of the epoch, not of the
-                // pools that computed it.
-                for (w, (g, b)) in got_bytes.iter().zip(&baseline_bytes).enumerate() {
-                    assert!(
-                        g == b,
-                        "shape {shape}: checkpoint bytes after window {w} differ from the \
-                         serial single-shard run's ({} vs {} bytes)",
-                        g.len(),
-                        b.len()
-                    );
-                }
+            let par = ParConfig::fixed(threads).with_shards(shards);
+            let (got, got_bytes) = run_shape(&schedule, par);
+            let shape = format!("t{threads}-s{shards}");
+            if got != baseline {
+                let path = dump_divergence(&schedule, &shape, &baseline, &got);
+                panic!(
+                    "shape {shape} diverged from the serial baseline; artifact: {}",
+                    path.display()
+                );
+            }
+            // A checkpoint is a function of the epoch, not of the pools
+            // that computed it.
+            for (w, (g, b)) in got_bytes.iter().zip(&baseline_bytes).enumerate() {
+                assert!(
+                    g == b,
+                    "shape {shape}: checkpoint bytes after window {w} differ from the \
+                     serial single-shard run's ({} vs {} bytes)",
+                    g.len(),
+                    b.len()
+                );
             }
         }
     }
@@ -187,7 +178,7 @@ fn streamed_epochs_are_bitwise_identical_across_shapes() {
 #[test]
 fn window_boundary_placement_cannot_change_the_epoch() {
     let schedule = ArrivalSchedule::derive(SEED, N_DEVICES, WINDOWS);
-    let (baseline, _) = run_shape(&schedule, ParConfig::serial(), None);
+    let (baseline, _) = run_shape(&schedule, ParConfig::serial());
     let survivors = schedule.survivors();
 
     // Re-bin the same surviving set into different partitions and run
@@ -206,7 +197,7 @@ fn window_boundary_placement_cannot_change_the_epoch() {
             survivors,
             "re-bin changed the surviving set"
         );
-        let (got, _) = run_shape(&rebinned, par, Some(FabricKind::Evented));
+        let (got, _) = run_shape(&rebinned, par);
         let final_digest = |r: &StreamReport| r.checkpoints.last().unwrap().accumulator_digest;
         if got.report != baseline.report || final_digest(&got) != final_digest(&baseline) {
             let path = dump_divergence(&rebinned, &format!("rebin-{k}"), &baseline, &got);

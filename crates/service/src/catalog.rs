@@ -23,12 +23,11 @@
 
 use arboretum_dp::budget::{LedgerBook, LedgerBookError, PrivacyCost};
 use arboretum_lang::privacy::CertifyConfig;
-use arboretum_net::FabricKind;
 use arboretum_par::ShardedPool;
 use arboretum_planner::cache::{CachedPlan, PlanCache};
 use arboretum_planner::search::PlannerConfig;
 use arboretum_runtime::executor::{Deployment, ExecError, ExecutionConfig};
-use arboretum_runtime::setup::{build_session_setup_on, SessionSetup};
+use arboretum_runtime::setup::{build_session_setup, SessionSetup};
 use arboretum_runtime::stream::{execute_stream, ArrivalSchedule, StreamReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -83,8 +82,7 @@ pub struct SessionCatalog {
 impl SessionCatalog {
     /// Opens a catalog over a deployment, paying the fixed setup cost
     /// (sortition + BGV keygen + keygen-MPC metering) once, up front,
-    /// from a catalog-owned RNG seeded by `config.seed`, on the fabric
-    /// `config.base.fabric` names (sim when unset).
+    /// from a catalog-owned RNG seeded by `config.seed`.
     ///
     /// # Errors
     ///
@@ -92,12 +90,11 @@ impl SessionCatalog {
     /// the schema's category count does not fit the BGV parameters).
     pub fn new(deployment: Deployment, config: CatalogConfig) -> Result<Self, ServiceError> {
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let setup = build_session_setup_on(
+        let setup = build_session_setup(
             &deployment,
             config.base.committee_size,
             config.seed,
             &mut rng,
-            FabricKind::resolve(config.base.fabric, FabricKind::Sim),
         )?;
         Ok(Self {
             deployment,

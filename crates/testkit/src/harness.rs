@@ -25,7 +25,6 @@ use arboretum_lang::ast::DbSchema;
 use arboretum_lang::parser::parse;
 use arboretum_lang::privacy::CertifyConfig;
 use arboretum_mpc::{MpcEngine, MpcError};
-use arboretum_net::FabricKind;
 use arboretum_par::ParConfig;
 use arboretum_planner::logical::{extract, LogicalPlan};
 use arboretum_planner::plan::Plan;
@@ -38,7 +37,7 @@ use arboretum_runtime::{
 use arboretum_service::{CatalogConfig, SessionCatalog};
 use arboretum_sortition::select::select_committees;
 
-use crate::schedule::AdversarySchedule;
+use crate::schedule::{AdversarySchedule, COMMITTEE_SEATS};
 
 /// Numeric-schema bounds used by the harness: ages 0..=9 per field, two
 /// fields per row, the last pinned to `hi` so the legacy out-of-range
@@ -69,12 +68,6 @@ pub struct AttackConfig {
     pub net_phase: bool,
     /// Thread configuration for the aggregator's parallel phases.
     pub par: ParConfig,
-    /// Network fabric for the MPC engines; `None` uses each consumer's
-    /// own fallback (sim for the epoch). (The networked
-    /// failover phase always runs on the evented fabric, which carries
-    /// its fault plans.) Detections and metrics are bitwise identical on
-    /// either fabric.
-    pub fabric: Option<FabricKind>,
     /// Enable the malicious-aggregator axis: the schedule assigns the
     /// seed-derived [`AggregatorBehavior`] and the cross-checks demand
     /// exactly one aggregator detection with the exact predicted
@@ -94,7 +87,6 @@ impl AttackConfig {
             numeric: false,
             net_phase: true,
             par: ParConfig::serial(),
-            fabric: None,
             aggregator: false,
         }
     }
@@ -111,6 +103,14 @@ impl AttackConfig {
             if count == 0 {
                 return Err(format!("an attack needs at least one {what}"));
             }
+        }
+        // Committees are seated from the deployment's devices (§5.1).
+        let seats = self.n_committees.checked_mul(COMMITTEE_SEATS);
+        if seats.is_none_or(|seats| seats > self.n_devices) {
+            return Err(format!(
+                "registry of {} devices cannot seat {} committees of {COMMITTEE_SEATS}",
+                self.n_devices, self.n_committees
+            ));
         }
         Ok(())
     }
@@ -329,9 +329,10 @@ pub fn build_attack_catalog(cfg: &AttackConfig) -> Result<SessionCatalog, String
 /// # Errors
 ///
 /// Returns `Err` when the config is refused (no devices, committees,
-/// windows or categories), the catalog's deployment does not match the
-/// config, or a pipeline stage fails outright (planning, an execution
-/// error, or an exhausted networked-MPC failover chain) — failed
+/// windows or categories, or more committee seats than devices), the
+/// catalog's deployment does not match the config, or a pipeline stage
+/// fails outright (planning, an execution error, or an exhausted
+/// networked-MPC failover chain) — failed
 /// *cross-checks* are reported in [`AttackOutcome::problems`] instead.
 pub fn run_attack(
     cfg: &AttackConfig,
@@ -348,7 +349,6 @@ pub fn run_attack(
             delta: 1e-6,
         },
         par: cfg.par,
-        fabric: cfg.fabric,
         ..ExecutionConfig::default()
     };
     let arrivals = if cfg.windows == 1 {

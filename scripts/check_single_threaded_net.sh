@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Guards "no threads in the network layer".
 #
-# Every fabric in `crates/net` runs on its caller's thread: the sim
-# fabric and the evented fabric are single objects that act as every
-# party, and an evented endpoint is one party's view of such a fabric,
-# shared through an `Rc`. The design this replaced kept a blocking
+# The fabric in `crates/net` runs on its caller's thread: the evented
+# fabric is a single object that acts as every party, and an evented
+# endpoint is one party's view of such a fabric, shared through an
+# `Rc`. The design this replaced kept a blocking
 # per-party endpoint behind a mutex and a condvar, with a waiter
 # registry and quiescence firing so that parties on separate threads
 # could wait for each other; from one thread, a receive on an empty

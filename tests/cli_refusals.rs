@@ -16,11 +16,18 @@ fn arboretum(args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
+/// Writes a one-line `em` query to `name` and returns its path (one
+/// file per test, since tests run in parallel).
+fn query_file(name: &str) -> String {
+    let query = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&query, "aggr = sum(db);\nr = em(aggr, 8.0);\noutput(r);\n").unwrap();
+    query.to_str().unwrap().to_owned()
+}
+
 #[test]
 fn undersized_and_empty_deployments_exit_1_with_one_line() {
-    let query = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("refusal.arb");
-    std::fs::write(&query, "aggr = sum(db);\nr = em(aggr, 8.0);\noutput(r);\n").unwrap();
-    let query = query.to_str().unwrap();
+    let query = query_file("refusal.arb");
+    let query = query.as_str();
     for (args, says) in [
         (
             vec!["run", query, "--categories", "2", "--counts", "3,3"],
@@ -38,6 +45,34 @@ fn undersized_and_empty_deployments_exit_1_with_one_line() {
             "at least one committee",
         ),
         (vec!["attack", "--windows", "0"], "at least one window"),
+        // Oversized deployments: refused before the 10¹¹ device
+        // assignments (or 10¹¹ committees' seats) are allocated.
+        (
+            vec![
+                "run",
+                query,
+                "--categories",
+                "2",
+                "--counts",
+                "100000000000,1",
+            ],
+            "more devices than the 1048576 --participants",
+        ),
+        (
+            vec![
+                "run",
+                query,
+                "--categories",
+                "2",
+                "--counts",
+                "18446744073709551615,1",
+            ],
+            "more devices than the 1048576 --participants",
+        ),
+        (
+            vec!["attack", "--seed", "0", "--committees", "100000000000"],
+            "registry of 48 devices cannot seat 100000000000 committees of 5",
+        ),
         // More windows than devices: refused at open, where walking
         // 4·10¹² mostly empty windows used to hold the process.
         (
@@ -72,19 +107,25 @@ fn undersized_and_empty_deployments_exit_1_with_one_line() {
     }
 }
 
-/// A removed attack option exits 2 with one line naming it, then one
+/// A removed option exits 2 with one line naming it (`named`), then one
 /// usage line.
-fn assert_removed_attack_option(option: &str) {
-    let (code, stderr) = arboretum(&["attack", option]);
-    assert_eq!(code, Some(2), "stderr {stderr}");
-    let named = format!("unknown attack option {option:?}");
+fn assert_removed_option(args: &[&str], named: &str) {
+    let (code, stderr) = arboretum(args);
+    assert_eq!(code, Some(2), "{args:?}: stderr {stderr}");
     assert_eq!(
         stderr.lines().next(),
-        Some(named.as_str()),
-        "stderr {stderr}"
+        Some(named),
+        "{args:?}: stderr {stderr}"
     );
     let usage_lines = stderr.lines().filter(|l| l.starts_with("usage:")).count();
-    assert_eq!(usage_lines, 1, "stderr {stderr}");
+    assert_eq!(usage_lines, 1, "{args:?}: stderr {stderr}");
+}
+
+fn assert_removed_attack_option(option: &str) {
+    assert_removed_option(
+        &["attack", option],
+        &format!("unknown attack option {option:?}"),
+    );
 }
 
 #[test]
@@ -95,4 +136,18 @@ fn the_removed_stream_option_is_a_usage_error() {
 #[test]
 fn the_removed_adaptive_option_is_a_usage_error() {
     assert_removed_attack_option("--adaptive");
+}
+
+#[test]
+fn the_removed_fabric_option_is_a_usage_error() {
+    assert_removed_attack_option("--fabric");
+    let query = query_file("removed-fabric.arb");
+    assert_removed_option(
+        &["run", &query, "--fabric", "evented"],
+        "unknown option \"--fabric\"",
+    );
+    assert_removed_option(
+        &["serve", "--fabric", "evented"],
+        "unknown serve option \"--fabric\"",
+    );
 }
