@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use arboretum_par::{par_chunks_sharded, par_reduce_sharded, ShardedPool};
+use arboretum_par::{par_chunks, par_reduce, ThreadPool};
 
 use crate::poly::BgvContext;
 use crate::scheme::{add, add_assign, Ciphertext};
@@ -29,42 +29,51 @@ pub fn sum(ctx: &BgvContext, cts: &[Ciphertext]) -> Option<Ciphertext> {
     Some(acc)
 }
 
-/// Sharded ⊞-sum: each shard of the device set folds its contiguous
-/// slice on its own pinned pool, then the shard partials merge in
-/// shard-index order. Because ⊞ is associative row-wise modular
-/// addition, the result is **bitwise identical** to [`sum`] for every
-/// shard count and thread count, including zero-worker pools.
-pub fn par_sum_sharded(
-    set: &ShardedPool,
-    ctx: &Arc<BgvContext>,
-    cts: Vec<Ciphertext>,
-) -> Option<Ciphertext> {
-    let ctx = Arc::clone(ctx);
-    par_reduce_sharded(set, cts, move |a, b| add(&ctx, a, b))
-}
-
-/// Sharded round of a fanout-`k` sum tree: groups are exactly
-/// `slice::chunks(k)`'s groups, each folded left-to-right, the groups
-/// are partitioned across shards, and results come back in group order
-/// — the same partial sums at any shard count.
+/// One round of a fanout-`k` sum tree: groups are exactly
+/// `slice::chunks(k)`'s groups, each folded left-to-right in place,
+/// and results come back in group order. Because ⊞ is associative
+/// row-wise modular addition, repeating rounds down to one ciphertext
+/// is **bitwise identical** to [`sum`] at every thread count,
+/// including zero-worker pools.
 ///
 /// # Panics
 ///
 /// Panics if `fanout == 0`.
-pub fn par_sum_chunks_sharded(
-    set: &ShardedPool,
+pub fn par_sum_chunks(
+    pool: &ThreadPool,
     ctx: &Arc<BgvContext>,
     cts: Vec<Ciphertext>,
     fanout: usize,
 ) -> Vec<Ciphertext> {
     let ctx = Arc::clone(ctx);
-    par_chunks_sharded(set, cts, fanout, move |_, chunk| {
+    par_chunks(pool, cts, fanout, move |_, chunk| {
         let mut acc = chunk[0].clone();
         for ct in &chunk[1..] {
             add_assign(&ctx, &mut acc, ct);
         }
         acc
     })
+}
+
+/// ⊞-sums the ciphertexts with [`par_reduce`]'s fixed combine tree.
+/// 1b deletes this.
+pub fn par_sum_sharded(
+    pool: &ThreadPool,
+    ctx: &Arc<BgvContext>,
+    cts: Vec<Ciphertext>,
+) -> Option<Ciphertext> {
+    let ctx = Arc::clone(ctx);
+    par_reduce(pool, cts, move |a, b| add(&ctx, a, b))
+}
+
+/// Forwards to [`par_sum_chunks`]. 1b deletes this.
+pub fn par_sum_chunks_sharded(
+    pool: &ThreadPool,
+    ctx: &Arc<BgvContext>,
+    cts: Vec<Ciphertext>,
+    fanout: usize,
+) -> Vec<Ciphertext> {
+    par_sum_chunks(pool, ctx, cts, fanout)
 }
 
 #[cfg(test)]
@@ -103,7 +112,7 @@ mod tests {
         let (ctx, cts, sk) = setup(100);
         let serial = sum(&ctx, &cts).unwrap();
         for threads in [0usize, 1, 2, 8] {
-            let pool = ShardedPool::new(threads, 1);
+            let pool = ThreadPool::new(threads);
             let par = par_sum_sharded(&pool, &ctx, cts.clone()).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
@@ -120,19 +129,28 @@ mod tests {
             .chunks(fanout)
             .map(|chunk| sum(&ctx, chunk).unwrap())
             .collect();
-        let pool = ShardedPool::new(4, 1);
-        let par = par_sum_chunks_sharded(&pool, &ctx, cts, fanout);
-        assert_eq!(par, serial);
+        for threads in [0usize, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let par = par_sum_chunks(&pool, &ctx, cts.clone(), fanout);
+            assert_eq!(par, serial, "threads={threads}");
+        }
     }
 
     #[test]
     fn sharded_sum_bitwise_identical_across_shard_counts() {
+        // The device set cut into K contiguous shards, each ⊞-summed on
+        // its own, the partials summed in shard order: ⊞ is associative,
+        // so every K gives the serial sum bit for bit.
         let (ctx, cts, _) = setup(67);
         let serial = sum(&ctx, &cts).unwrap();
         for shards in [1usize, 2, 3, 8] {
             for threads in [0usize, 2] {
-                let set = ShardedPool::new(threads, shards);
-                let got = par_sum_sharded(&set, &ctx, cts.clone()).unwrap();
+                let pool = ThreadPool::new(threads);
+                let partials: Vec<Ciphertext> = cts
+                    .chunks(cts.len().div_ceil(shards))
+                    .map(|part| par_sum_sharded(&pool, &ctx, part.to_vec()).unwrap())
+                    .collect();
+                let got = par_sum_sharded(&pool, &ctx, partials).unwrap();
                 assert_eq!(got, serial, "shards={shards} threads={threads}");
             }
         }
@@ -140,16 +158,19 @@ mod tests {
 
     #[test]
     fn sharded_sum_chunks_matches_unsharded() {
+        // Shards cut at fan-in boundaries: each shard's chunk sums are
+        // exactly the unsplit input's.
         let (ctx, cts, _) = setup(41);
         let fanout = 4;
-        let serial: Vec<Ciphertext> = cts
-            .chunks(fanout)
-            .map(|chunk| sum(&ctx, chunk).unwrap())
-            .collect();
+        let pool = ThreadPool::new(2);
+        let unsharded = par_sum_chunks(&pool, &ctx, cts.clone(), fanout);
+        let groups = cts.len().div_ceil(fanout);
         for shards in [1usize, 3, 8] {
-            let set = ShardedPool::new(2, shards);
-            let got = par_sum_chunks_sharded(&set, &ctx, cts.clone(), fanout);
-            assert_eq!(got, serial, "shards={shards}");
+            let got: Vec<Ciphertext> = cts
+                .chunks(groups.div_ceil(shards) * fanout)
+                .flat_map(|part| par_sum_chunks_sharded(&pool, &ctx, part.to_vec(), fanout))
+                .collect();
+            assert_eq!(got, unsharded, "shards={shards}");
         }
     }
 }

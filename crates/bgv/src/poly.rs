@@ -35,8 +35,7 @@ use crate::params::BgvParams;
 /// allocation, arbitrary contents on reuse — callers overwrite). The pool
 /// is a mutex-guarded free list: contention is negligible because
 /// checkouts bracket NTT work that is orders of magnitude longer than the
-/// lock hold time, and per-shard executor pools each own a cloned
-/// context.
+/// lock hold time.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     free: Mutex<Vec<Vec<u64>>>,

@@ -26,10 +26,8 @@
 //!                         print the same report
 //!   --seed S              simulation seed                      [default 7]
 //!   --threads N           worker threads for the aggregator's parallel
-//!                         phases (0 = run inline)
+//!                         phases (0 = run inline, at most 1024)
 //!                                              [default: all host CPUs]
-//!   --shards K            independent aggregator pools, each pinned to
-//!                         a contiguous device shard       [default: 1]
 //!
 //! attack options:
 //!   --seed S              adversary schedule seed              [default 0]
@@ -47,13 +45,16 @@
 //!                         device churn; from 2 on a committee seat also
 //!                         crashes during one VSR handoff, and every
 //!                         detection must name its window   [default 1]
+//!   --threads N           as for run
 //!
 //! serve options:
 //!   --devices N           simulated deployment size            [default 48]
 //!   --categories C        one-hot categories                   [default 4]
 //!   --seed S              catalog seed                         [default 7]
-//!   --workers W           scheduler worker threads (0 = inline) [default 2]
-//!   --pool-capacity P     leasable aggregator pools            [default 2]
+//!   --workers W           scheduler worker threads (0 = inline,
+//!                         at most 1024)                        [default 2]
+//!   --pool-capacity P     leasable aggregator pools (at most 1024)
+//!                                                              [default 2]
 //!   --open NAME:EPS:DELTA pre-open an analyst session (repeatable)
 //! ```
 //!
@@ -66,10 +67,9 @@
 //! The catalog pays the sortition + keygen setup once at startup; every
 //! served query reports zero setup op counts.
 //!
-//! Plans, outputs, and metrics are identical at every `--threads` and
-//! `--shards` setting; the flags only change wall-clock time and which
-//! pool counters accumulate the work. Every committee's MPC runs on the
-//! virtual-time evented fabric.
+//! Plans, outputs, and metrics are identical at every `--threads`
+//! setting; the flag only changes wall-clock time. Every committee's MPC
+//! runs on the virtual-time evented fabric.
 
 use std::process::ExitCode;
 
@@ -78,6 +78,19 @@ use arboretum::planner::cost::Goal;
 use arboretum::queries::corpus::all_queries;
 use arboretum::runtime::executor::{Deployment, ExecutionConfig};
 use arboretum::{Arboretum, DbSchema};
+
+/// The most threads `--threads` or `--workers`, or pools
+/// `--pool-capacity`, may ask for. Each is spawned up front, so a larger
+/// count only exhausts memory or the thread limit before any work starts.
+const MAX_THREADS: usize = 1024;
+
+/// Refuses a thread or pool count above [`MAX_THREADS`].
+fn at_most_max_threads(flag: &str, n: usize) -> Result<(), String> {
+    if n > MAX_THREADS {
+        return Err(format!("{flag} {n} exceeds the maximum of {MAX_THREADS}"));
+    }
+    Ok(())
+}
 
 struct Options {
     participants: u64,
@@ -88,7 +101,6 @@ struct Options {
     windows: Option<usize>,
     seed: u64,
     threads: Option<usize>,
-    shards: Option<usize>,
 }
 
 impl Default for Options {
@@ -102,7 +114,6 @@ impl Default for Options {
             windows: None,
             seed: 7,
             threads: None,
-            shards: None,
         }
     }
 }
@@ -148,9 +159,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--threads" => {
                 o.threads = Some(next(args, &mut i)?.parse().map_err(|e| format!("{e}"))?);
             }
-            "--shards" => {
-                o.shards = Some(next(args, &mut i)?.parse().map_err(|e| format!("{e}"))?);
-            }
             other => return Err(format!("unknown option {other:?}")),
         }
         i += 1;
@@ -173,7 +181,7 @@ fn attack(args: &[String]) -> ExitCode {
     };
 
     let mut cfg = AttackConfig::new(0);
-    let (mut threads, mut shards) = (None, None);
+    let mut threads = None;
     let mut service_path = false;
     let mut i = 0;
     while i < args.len() {
@@ -217,13 +225,6 @@ fn attack(args: &[String]) -> ExitCode {
                 );
                 Ok(())
             }),
-            "--shards" => next(args, &mut i).and_then(|v| {
-                shards = Some(
-                    v.parse()
-                        .map_err(|e: std::num::ParseIntError| format!("{e}"))?,
-                );
-                Ok(())
-            }),
             other => Err(format!("unknown attack option {other:?}")),
         };
         if let Err(e) = r {
@@ -233,10 +234,11 @@ fn attack(args: &[String]) -> ExitCode {
         i += 1;
     }
     if let Some(t) = threads {
+        if let Err(e) = at_most_max_threads("--threads", t) {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
         cfg.par = arboretum::par::ParConfig::fixed(t);
-    }
-    if let Some(s) = shards {
-        cfg.par = cfg.par.with_shards(s);
     }
     let result = if service_path {
         build_attack_catalog(&cfg).and_then(|catalog| run_attack(&cfg, Some(&catalog)))
@@ -318,6 +320,12 @@ fn serve(args: &[String]) -> ExitCode {
     }
     if categories == 0 || devices == 0 {
         eprintln!("--devices and --categories must be positive");
+        return ExitCode::FAILURE;
+    }
+    if let Err(e) = at_most_max_threads("--workers", workers)
+        .and_then(|()| at_most_max_threads("--pool-capacity", pool_capacity))
+    {
+        eprintln!("{e}");
         return ExitCode::FAILURE;
     }
 
@@ -424,13 +432,14 @@ fn main() -> ExitCode {
 }
 
 fn dispatch(cmd: &str, source: &str, opts: &Options) -> ExitCode {
-    if opts.threads.is_some() || opts.shards.is_some() {
-        // Pins the process-wide defaults; the planner's search and the
-        // executor's sharded phases both resolve through them.
-        arboretum::par::configure_global(arboretum::par::ParConfig {
-            threads: opts.threads,
-            shards: opts.shards,
-        });
+    if let Some(t) = opts.threads {
+        if let Err(e) = at_most_max_threads("--threads", t) {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+        // Pins the process-wide default; sortition and the executor's
+        // parallel phases resolve through it.
+        arboretum::par::configure_global(arboretum::par::ParConfig::fixed(t));
     }
     let schema = DbSchema::one_hot(opts.participants, opts.categories);
     let certify_cfg = CertifyConfig {

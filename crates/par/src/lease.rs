@@ -1,4 +1,4 @@
-//! Pool leasing: exclusive checkout of [`ShardedPool`]s from a shared
+//! Pool leasing: exclusive checkout of [`ThreadPool`]s from a shared
 //! bank.
 //!
 //! A multi-tenant service multiplexes concurrent queries over a fixed
@@ -8,29 +8,27 @@
 //! [`PoolBank::checkout`] blocks until a pool is free and returns a
 //! [`PoolLease`] that releases the pool when dropped.
 //!
-//! Leasing affects only *where* work runs. Every sharded kernel is a
-//! pure function of its input (see
-//! [`crate::shard`]'s determinism contract), so results are bitwise
-//! identical no matter which pool in the bank — or a fresh pool —
-//! executed the phases.
+//! Leasing affects only *where* work runs. Every kernel is a pure
+//! function of its input (see the crate's determinism contract), so
+//! results are bitwise identical no matter which pool in the bank — or
+//! the process-cached one — executed the phases.
 
 use std::ops::Deref;
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::shard::ShardedPool;
+use crate::pool::ThreadPool;
 
 struct BankState {
-    free: Mutex<Vec<ShardedPool>>,
+    free: Mutex<Vec<Arc<ThreadPool>>>,
     available: Condvar,
 }
 
-/// A fixed set of identically-shaped [`ShardedPool`]s lent out one
+/// A fixed set of identically-sized [`ThreadPool`]s lent out one
 /// holder at a time.
 #[derive(Clone)]
 pub struct PoolBank {
     state: Arc<BankState>,
     threads: usize,
-    shards: usize,
     capacity: usize,
 }
 
@@ -39,18 +37,17 @@ impl std::fmt::Debug for PoolBank {
         f.debug_struct("PoolBank")
             .field("capacity", &self.capacity)
             .field("threads", &self.threads)
-            .field("shards", &self.shards)
             .finish()
     }
 }
 
 impl PoolBank {
     /// Builds a bank of `capacity` pools (clamped to ≥ 1), each with
-    /// `threads` workers over `shards` shards.
-    pub fn new(capacity: usize, threads: usize, shards: usize) -> Self {
+    /// `threads` workers.
+    pub fn new(capacity: usize, threads: usize) -> Self {
         let capacity = capacity.max(1);
         let free = (0..capacity)
-            .map(|_| ShardedPool::new(threads, shards))
+            .map(|_| Arc::new(ThreadPool::new(threads)))
             .collect();
         Self {
             state: Arc::new(BankState {
@@ -58,7 +55,6 @@ impl PoolBank {
                 available: Condvar::new(),
             }),
             threads,
-            shards,
             capacity,
         }
     }
@@ -71,11 +67,6 @@ impl PoolBank {
     /// Worker threads per pool.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Shards per pool.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Pools currently available for checkout.
@@ -98,25 +89,25 @@ impl PoolBank {
     }
 }
 
-/// An exclusive lease on one [`ShardedPool`]; returns the pool to its
+/// An exclusive lease on one [`ThreadPool`]; returns the pool to its
 /// [`PoolBank`] on drop.
 pub struct PoolLease {
     state: Arc<BankState>,
-    pool: Option<ShardedPool>,
+    pool: Option<Arc<ThreadPool>>,
 }
 
 impl std::fmt::Debug for PoolLease {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolLease")
-            .field("shards", &self.shards())
+            .field("workers", &self.workers())
             .finish()
     }
 }
 
 impl Deref for PoolLease {
-    type Target = ShardedPool;
+    type Target = Arc<ThreadPool>;
 
-    fn deref(&self) -> &ShardedPool {
+    fn deref(&self) -> &Arc<ThreadPool> {
         self.pool.as_ref().expect("pool present until drop")
     }
 }
@@ -137,13 +128,13 @@ mod tests {
 
     #[test]
     fn checkout_is_exclusive_and_returns_on_drop() {
-        let bank = PoolBank::new(2, 2, 2);
+        let bank = PoolBank::new(2, 2);
         assert_eq!(bank.capacity(), 2);
         assert_eq!(bank.free(), 2);
         let a = bank.checkout();
         let b = bank.checkout();
         assert_eq!(bank.free(), 0);
-        assert_eq!(a.shards(), 2);
+        assert_eq!(a.workers(), 2);
         drop(a);
         assert_eq!(bank.free(), 1);
         drop(b);
@@ -152,7 +143,7 @@ mod tests {
 
     #[test]
     fn blocked_checkout_wakes_when_a_lease_drops() {
-        let bank = PoolBank::new(1, 1, 1);
+        let bank = PoolBank::new(1, 1);
         let lease = bank.checkout();
         let woke = Arc::new(AtomicUsize::new(0));
         let handle = {
@@ -174,10 +165,10 @@ mod tests {
 
     #[test]
     fn leased_pools_run_kernels() {
-        let bank = PoolBank::new(1, 2, 2);
+        let bank = PoolBank::new(1, 2);
         let lease = bank.checkout();
         let data = Arc::new((0..100u64).collect::<Vec<_>>());
-        let doubled = crate::par_map_arc_sharded(&lease, &data, |_, &v| v * 2);
+        let doubled = crate::par_map_arc(&lease, &data, |_, &v| v * 2);
         assert_eq!(doubled[99], 198);
     }
 }

@@ -14,8 +14,7 @@
 //!   spawned, the waiting thread *helps* execute queued tasks (so
 //!   nested scopes cannot deadlock), and worker panics are caught and
 //!   surfaced as a [`ScopePanic`] without poisoning the pool;
-//! * [`par_map_arc`] and the sharded kernels ([`par_map_arc_sharded`],
-//!   [`par_chunks_sharded`], [`par_reduce_sharded`]) — data-parallel
+//! * [`par_map_arc`], [`par_chunks`] and [`par_reduce`] — data-parallel
 //!   kernels whose work decomposition depends only on the input
 //!   length, never on the number of threads or the scheduler.
 //!
@@ -37,20 +36,14 @@
 //! planner's cost sums all are. BGV noise growth, metering, and
 //! planner tie-breaking therefore never depend on thread scheduling.
 //!
+//! One pool runs every parallel phase: the paper's 1,000-core
+//! aggregator (§7.2) is a cost-model parameter of the planner, not
+//! something this crate partitions work for.
+//!
 //! Thread counts flow from a single [`ParConfig`]: `auto` resolves to
 //! `std::thread::available_parallelism`, a CLI `--threads N` overrides
 //! it process-wide via [`configure_global`], and tests pin explicit
 //! counts with [`ParConfig::fixed`].
-//!
-//! # Sharded execution
-//!
-//! [`shard`] lifts the contract one level up, to the paper's
-//! 1,000-core aggregator: a [`ShardedPool`] owns K pools pinned to
-//! disjoint, index-contiguous device shards (a [`ShardPlan`], pure
-//! function of `(n, K)`), and [`par_reduce_sharded`] /
-//! [`par_map_arc_sharded`] / [`par_chunks_sharded`] recombine shard
-//! partials with a merge fixed in shard-index order — see the
-//! shard-merge determinism contract in [`shard`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,12 +52,10 @@ pub mod config;
 pub mod lease;
 pub mod ops;
 pub mod pool;
-pub mod shard;
+#[cfg(test)]
+mod shard;
 
 pub use config::{configure_global, global, ParConfig};
 pub use lease::{PoolBank, PoolLease};
-pub use ops::par_map_arc;
+pub use ops::{par_chunks, par_map_arc, par_reduce};
 pub use pool::{Scope, ScopePanic, ThreadPool};
-pub use shard::{
-    par_chunks_sharded, par_map_arc_sharded, par_reduce_sharded, ShardPlan, ShardedPool,
-};

@@ -16,7 +16,7 @@ const TARGET_TASKS: usize = 256;
 
 /// The chunk length used to split `n` items into about
 /// [`TARGET_TASKS`] index-contiguous tasks. Pure function of `n`.
-pub(crate) fn chunk_len(n: usize) -> usize {
+fn chunk_len(n: usize) -> usize {
     n.div_ceil(TARGET_TASKS).max(1)
 }
 
@@ -69,7 +69,7 @@ where
 /// # Panics
 ///
 /// Panics if `chunk == 0`.
-pub(crate) fn par_chunks<T, R>(
+pub fn par_chunks<T, R>(
     pool: &ThreadPool,
     items: Vec<T>,
     chunk: usize,
@@ -130,7 +130,7 @@ const SERIAL_REDUCE_CUTOFF: usize = 32;
 /// is bitwise identical across pools (including the zero-worker one)
 /// for *any* `f`, and identical to `items.into_iter().reduce(f)` when
 /// `f` is associative (modular BGV ⊞, integer metric sums, …).
-pub(crate) fn par_reduce<T>(
+pub fn par_reduce<T>(
     pool: &ThreadPool,
     items: Vec<T>,
     f: impl Fn(&T, &T) -> T + Send + Sync + 'static,
@@ -195,11 +195,13 @@ mod tests {
 
     #[test]
     fn par_map_preserves_order() {
-        let pool = ThreadPool::new(4);
         let items = Arc::new((0u64..1000).collect());
-        let out = par_map_arc(&pool, &items, |i, x| x * 2 + i as u64);
         let expected: Vec<u64> = (0..1000).map(|x| x * 3).collect();
-        assert_eq!(out, expected);
+        for threads in [0usize, 1, 2, 8] {
+            let pool = ThreadPool::new(threads);
+            let out = par_map_arc(&pool, &items, |i, x| x * 2 + i as u64);
+            assert_eq!(out, expected, "threads={threads}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use arboretum_par::{par_map_arc, par_reduce_sharded, ParConfig, ShardedPool, ThreadPool};
+use arboretum_par::{par_map_arc, par_reduce, ParConfig, ThreadPool};
 
 #[test]
 fn nested_scopes_do_not_deadlock() {
@@ -211,12 +211,12 @@ fn par_reduce_tree_is_thread_count_invariant() {
     // Non-associative, non-commutative combine.
     let f = |a: &i64, b: &i64| a.wrapping_mul(2).wrapping_sub(*b);
     let reference = {
-        let pool = ShardedPool::new(0, 1);
-        par_reduce_sharded(&pool, items.clone(), f).unwrap()
+        let pool = ThreadPool::new(0);
+        par_reduce(&pool, items.clone(), f).unwrap()
     };
     for threads in [1usize, 2, 4, 8] {
-        let pool = ShardedPool::new(threads, 1);
-        let got = par_reduce_sharded(&pool, items.clone(), f).unwrap();
+        let pool = ThreadPool::new(threads);
+        let got = par_reduce(&pool, items.clone(), f).unwrap();
         assert_eq!(got, reference, "threads={threads}");
     }
 }

@@ -20,10 +20,11 @@ use arboretum_dp::budget::PrivacyCost;
 use arboretum_lang::ast::DbSchema;
 use arboretum_mpc::network::NetMetrics;
 use arboretum_net::FabricKind;
-use arboretum_par::{ParConfig, ShardedPool};
+use arboretum_par::{ParConfig, ThreadPool};
 use arboretum_planner::logical::LogicalPlan;
 use arboretum_planner::plan::Plan;
 use arboretum_sortition::select::Registry;
+use std::sync::Arc;
 
 use crate::adversary::{Adversary, Detection};
 use crate::setup::{SessionSetup, SetupCounters};
@@ -277,8 +278,9 @@ pub struct ExecutionReport {
 ///   zero, and the keygen cost is *not* merged into the query's MPC
 ///   metrics (it was paid once when the setup was built). `None` builds
 ///   the setup inline from `cfg.seed` and charges it to this query.
-/// * `pool` — a leased [`ShardedPool`]; `None` builds one from
-///   `cfg.par`. Results never depend on which pool ran the phases.
+/// * `pool` — a leased [`ThreadPool`]; `None` takes the process-cached
+///   pool for `cfg.par`. Results never depend on which pool ran the
+///   phases.
 /// * `adversary` — injects Byzantine behaviors at every
 ///   attacker-controllable point. The honest path is byte-identical
 ///   with and without one; it is only consulted where a real deployment
@@ -302,7 +304,7 @@ pub fn execute(
     deployment: &Deployment,
     cfg: &ExecutionConfig,
     setup: Option<&SessionSetup>,
-    pool: Option<&ShardedPool>,
+    pool: Option<&Arc<ThreadPool>>,
     adversary: Option<&dyn Adversary>,
 ) -> Result<(ExecutionReport, Vec<Detection>), ExecError> {
     let all = ArrivalSchedule::all_at_once(deployment.db.len());

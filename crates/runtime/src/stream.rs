@@ -18,7 +18,7 @@
 //!   encrypt inside one pooled map, so no proof outlives its check and
 //!   a window holds about one ciphertext per upload, not one proof —
 //!   and folds their BGV ⊞-partials into a checkpointed accumulator via
-//!   the sharded chunk kernels (`arboretum_bgv::par_sum_chunks_sharded`);
+//!   the chunk kernel (`arboretum_bgv::par_sum_chunks`);
 //! * committee key state crosses every window boundary — and, at close,
 //!   the keygen → decryption-committee boundary — through
 //!   `vsr::redistribute_share`, and each handoff is committed to the
@@ -36,7 +36,7 @@
 //! Consequently any window partition of the same surviving-device set
 //! produces a bitwise identical accumulator, and therefore bitwise
 //! identical outputs, budget ledger, and audit verdict, at every thread
-//! count, shard count and fold chunk width. One-window
+//! count and fold chunk width. One-window
 //! ≡ batch holds by construction (they are the same code); the test
 //! batteries in `crates/runtime/tests/stream_props.rs` and
 //! `stream_determinism.rs` guard partition invariance.
@@ -54,7 +54,7 @@ use arboretum_mpc::engine::MpcEngine;
 use arboretum_mpc::fixp::{inject_with_cost, FunctionalityCost};
 use arboretum_net::wire::{message_to_vsr_batch, vsr_batch_to_message};
 use arboretum_net::Message;
-use arboretum_par::{par_map_arc_sharded, ShardedPool};
+use arboretum_par::{par_map_arc, ThreadPool};
 use arboretum_planner::logical::LogicalPlan;
 use arboretum_planner::plan::{PhysOp, Plan};
 use arboretum_vsr::{
@@ -87,7 +87,7 @@ use crate::setup::{build_session_setup, SessionSetup, SetupCounters};
 /// results (modular addition is exact), only scheduling.
 pub const DEFAULT_STREAM_CHUNK: usize = 32;
 
-/// Checkpoint wire-format version. Version 1 carried per-shard pool
+/// Checkpoint wire-format version. Version 1 carried per-pool
 /// timings, so its bytes were not a function of the epoch; it is
 /// refused like any other unknown version.
 const CHECKPOINT_VERSION: u16 = 2;
@@ -369,8 +369,8 @@ enum UploadOutcome {
 /// It holds what every upload of a window shares and moves into the
 /// pool's `'static` closure whole. Every draw it makes (proving RNG,
 /// sampling decision, encryption RNG) is keyed by the device's global
-/// registry index, so an outcome is byte-identical whichever window,
-/// shard or thread computes it.
+/// registry index, so an outcome is byte-identical whichever window or
+/// thread computes it.
 struct UploadPass {
     pp: PedersenParams,
     ctx: Arc<BgvContext>,
@@ -614,8 +614,9 @@ pub struct StreamExecutor<'a> {
     /// The setup's public key, copied once per epoch so each window's
     /// per-upload pass shares it through an `Arc`.
     pk: Arc<PublicKey>,
-    lease: Option<&'a ShardedPool>,
-    owned_pool: Option<ShardedPool>,
+    /// Runs the per-upload pass and the ⊞ fold: leased from the
+    /// caller's pool bank, else the process-cached pool for `cfg.par`.
+    pool: Arc<ThreadPool>,
     adversary: Option<&'a dyn Adversary>,
     /// The legacy malicious-fraction draw per device, consulted only
     /// when no adversary is supplied.
@@ -669,7 +670,7 @@ impl<'a> StreamExecutor<'a> {
         cfg: &'a ExecutionConfig,
         schedule: &'a ArrivalSchedule,
         setup: Option<&'a SessionSetup>,
-        lease: Option<&'a ShardedPool>,
+        pool: Option<&Arc<ThreadPool>>,
         adversary: Option<&'a dyn Adversary>,
     ) -> Result<Self, ExecError> {
         let m = cfg.committee_size;
@@ -782,12 +783,6 @@ impl<'a> StreamExecutor<'a> {
         let mut share_rng = StdRng::seed_from_u64(cfg.seed ^ domain_tag(b"stream-keyshare"));
         let sharing = feldman_share(key_secret, t, m, &mut share_rng);
 
-        // Sharded pools: leased from the caller's pool bank, or owned by
-        // this epoch.
-        let owned_pool = match lease {
-            Some(_) => None,
-            None => Some(cfg.par.sharded_pool()),
-        };
         Ok(Self {
             plan,
             logical,
@@ -796,8 +791,7 @@ impl<'a> StreamExecutor<'a> {
             schedule,
             pk: Arc::new(setup.pk.clone()),
             setup,
-            lease,
-            owned_pool,
+            pool: pool.map_or_else(|| cfg.par.pool(), Arc::clone),
             adversary,
             malicious,
             next_window: 0,
@@ -845,10 +839,6 @@ impl<'a> StreamExecutor<'a> {
         let adversary = self.adversary;
         let arrivals = self.schedule.window(w);
         let ctx = Arc::clone(&self.setup.ctx);
-        let shard_set: &ShardedPool = match self.lease {
-            Some(p) => p,
-            None => self.owned_pool.as_ref().expect("constructed without lease"),
-        };
 
         // ---- The per-upload pass (parallel, pure per device): each
         // arrival proves, is verified, takes the sampling draw (§6's
@@ -890,7 +880,7 @@ impl<'a> StreamExecutor<'a> {
             sampling_rate: self.logical.certificate.sampling_rate,
         };
         let jobs = Arc::new(jobs);
-        let results = par_map_arc_sharded(shard_set, &jobs, move |_, (i, row, behavior)| {
+        let results = par_map_arc(&self.pool, &jobs, move |_, (i, row, behavior)| {
             pass.ingest(*i, row, *behavior)
         });
         drop(jobs);
@@ -943,10 +933,9 @@ impl<'a> StreamExecutor<'a> {
         self.rejected_count += window_rejected;
 
         // ---- Fold this window's partials into the accumulator on the
-        // sharded pools. BGV ⊞ is associative row-wise modular
-        // addition, so the chunked merges are bitwise identical to a
-        // serial fold for every shard and thread count (see
-        // `arboretum_bgv::batch`). ----
+        // pool. BGV ⊞ is associative row-wise modular addition, so the
+        // chunked merges are bitwise identical to a serial fold at every
+        // thread count (see `arboretum_bgv::batch`). ----
         let mut partials: Vec<Ciphertext> = Vec::with_capacity(cts.len() + 1);
         if let Some(acc) = self.acc.take() {
             partials.push(acc);
@@ -955,12 +944,8 @@ impl<'a> StreamExecutor<'a> {
         let adds = partials.len().saturating_sub(1) as u64;
         if !partials.is_empty() {
             while partials.len() > 1 {
-                partials = arboretum_bgv::par_sum_chunks_sharded(
-                    shard_set,
-                    &ctx,
-                    partials,
-                    DEFAULT_STREAM_CHUNK,
-                );
+                partials =
+                    arboretum_bgv::par_sum_chunks(&self.pool, &ctx, partials, DEFAULT_STREAM_CHUNK);
             }
             self.acc = Some(partials.remove(0));
             self.aggregate_ops += adds;
@@ -1364,7 +1349,7 @@ impl<'a> StreamExecutor<'a> {
     /// commitments (as a wire `VsrSubshares` frame), counters, step
     /// log, and per-window checkpoints, bound to the schedule digest.
     /// The bytes are a function of the epoch so far — identical at every
-    /// thread count and shard count — so a log can hash them.
+    /// thread count — so a log can hash them.
     ///
     /// # Errors
     ///
@@ -1614,7 +1599,7 @@ pub fn execute_stream(
     cfg: &ExecutionConfig,
     schedule: &ArrivalSchedule,
     setup: Option<&SessionSetup>,
-    pool: Option<&ShardedPool>,
+    pool: Option<&Arc<ThreadPool>>,
     adversary: Option<&dyn Adversary>,
 ) -> Result<StreamReport, ExecError> {
     let mut exec = StreamExecutor::open(

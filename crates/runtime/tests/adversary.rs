@@ -4,7 +4,7 @@
 //! zero false positives and a surviving-set answer bitwise identical to
 //! an honest reference run.
 //!
-//! The one-hot, numeric and thread × shard sweeps run every seed as a
+//! The one-hot, numeric and thread-count sweeps run every seed as a
 //! batch query (one window) and as a four-window epoch with device churn
 //! and a handoff crash. `ADVERSARY_SEEDS` widens the sweep (CI runs 16);
 //! any failing seed reproduces with
@@ -39,7 +39,7 @@ fn assert_pass(cfg: &AttackConfig) {
 }
 
 #[test]
-fn one_hot_seed_sweep_detects_every_injected_behavior_on_every_fabric() {
+fn one_hot_seed_sweep_detects_every_injected_behavior() {
     // Each seed's typed detection set and surviving answer must match
     // the schedule's prediction and the honest reference.
     for windows in WINDOWS {
@@ -82,10 +82,10 @@ fn numeric_seed_sweep_detects_every_injected_behavior() {
 }
 
 #[test]
-fn detections_and_outputs_identical_across_threads_and_shards() {
+fn detections_and_outputs_identical_across_threads() {
     // With and without the aggregator axis: the aggregator's detection
-    // and the failed audit verdict must not move with the thread or
-    // shard count either.
+    // and the failed audit verdict must not move with the thread count
+    // either.
     for (windows, aggregator) in WINDOWS
         .iter()
         .flat_map(|&w| [false, true].map(move |a| (w, a)))
@@ -99,32 +99,29 @@ fn detections_and_outputs_identical_across_threads_and_shards() {
             };
             let base = run_attack(&base_cfg, None).expect("serial attack run failed");
             assert!(base.ok(), "seed {seed} serial:\n{}", base.summary());
-            for threads in [1usize, 8] {
-                for shards in [1usize, 2] {
-                    let cfg = AttackConfig {
-                        par: ParConfig::fixed(threads).with_shards(shards),
-                        ..base_cfg.clone()
-                    };
-                    let got = run_attack(&cfg, None).expect("parallel attack run failed");
-                    assert!(
-                        got.ok(),
-                        "seed {seed} windows {windows} aggregator {aggregator} threads \
-                         {threads} shards {shards}:\n{}",
-                        got.summary()
-                    );
-                    assert_eq!(
-                        got.adversarial, base.adversarial,
-                        "epoch drifted at windows {windows} aggregator {aggregator} threads \
-                         {threads} shards {shards}"
-                    );
-                }
+            for threads in [1usize, 2, 8] {
+                let cfg = AttackConfig {
+                    par: ParConfig::fixed(threads),
+                    ..base_cfg.clone()
+                };
+                let got = run_attack(&cfg, None).expect("parallel attack run failed");
+                assert!(
+                    got.ok(),
+                    "seed {seed} windows {windows} aggregator {aggregator} threads \
+                     {threads}:\n{}",
+                    got.summary()
+                );
+                assert_eq!(
+                    got.adversarial, base.adversarial,
+                    "epoch drifted at windows {windows} aggregator {aggregator} threads {threads}"
+                );
             }
         }
     }
 }
 
 #[test]
-fn aggregator_seed_sweep_yields_exactly_one_exact_detection_on_every_fabric() {
+fn aggregator_seed_sweep_yields_exactly_one_exact_detection() {
     // `seed % 6` walks the whole AggregatorBehavior catalog, so the
     // 16-seed sweep covers every behavior at least twice. Each seed
     // must produce exactly one Subject::Aggregator detection carrying
@@ -173,10 +170,10 @@ fn aggregator_seed_sweep_yields_exactly_one_exact_detection_on_every_fabric() {
 }
 
 #[test]
-fn aggregator_sweep_replays_deterministically_across_threads_shards_and_fabrics() {
+fn aggregator_sweep_replays_deterministically_across_threads() {
     // With every axis on but the net phase, the full decision log and
-    // the epoch must be identical across thread and shard counts. A
-    // divergence dumps the replayable artifact.
+    // the epoch must be identical across thread counts. A divergence
+    // dumps the replayable artifact.
     for seed in 0..sweep_width().min(6) {
         let base_cfg = AttackConfig {
             net_phase: false,
@@ -193,27 +190,25 @@ fn aggregator_sweep_replays_deterministically_across_threads_shards_and_fabrics(
         }
         let base_decisions = &base.schedule.decisions;
         assert!(!base_decisions.is_empty());
-        for threads in [1usize, 8] {
-            for shards in [1usize, 2] {
-                let cfg = AttackConfig {
-                    par: ParConfig::fixed(threads).with_shards(shards),
-                    ..base_cfg.clone()
-                };
-                let got = run_attack(&cfg, None).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-                assert!(
-                    got.ok(),
-                    "seed {seed} threads {threads} shards {shards}:\n{}",
-                    got.summary()
+        for threads in [1usize, 2, 8] {
+            let cfg = AttackConfig {
+                par: ParConfig::fixed(threads),
+                ..base_cfg.clone()
+            };
+            let got = run_attack(&cfg, None).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert!(
+                got.ok(),
+                "seed {seed} threads {threads}:\n{}",
+                got.summary()
+            );
+            if got.schedule.decisions != *base_decisions {
+                let artifact = dump_failure_artifact(&cfg, &got).ok();
+                panic!(
+                    "seed {seed}: decisions diverged at threads {threads} \
+                     (replayable artifact: {artifact:?})"
                 );
-                if got.schedule.decisions != *base_decisions {
-                    let artifact = dump_failure_artifact(&cfg, &got).ok();
-                    panic!(
-                        "seed {seed}: decisions diverged at threads {threads} shards {shards} \
-                         (replayable artifact: {artifact:?})"
-                    );
-                }
-                assert_eq!(got.adversarial, base.adversarial);
             }
+            assert_eq!(got.adversarial, base.adversarial);
         }
     }
 }
@@ -251,7 +246,7 @@ fn net_phase_fails_over_to_the_first_survivable_committee() {
 }
 
 #[test]
-fn honest_aggregator_hook_leaves_no_trace_on_any_fabric() {
+fn honest_aggregator_hook_leaves_no_trace() {
     // An adversary implementing ONLY the aggregator hook — honestly —
     // must be indistinguishable from no adversary at all: the whole
     // report compares equal.

@@ -2,12 +2,12 @@
 //!
 //! The streaming contract (`runtime::stream`) promises that the whole
 //! [`StreamReport`] and the checkpoint bytes after every window are
-//! identical across execution *shapes* — thread and shard counts — and
-//! that the close-level report is invariant to window-boundary
-//! placement at a fixed surviving set. This battery sweeps the full
-//! shape matrix `threads {1, 2, 8} × shards {1, 2}` against a serial
-//! (zero-worker) baseline, then re-bins the same surviving-device set
-//! into different window partitions on the most parallel shape.
+//! identical across execution *shapes* — thread counts — and that the
+//! close-level report is invariant to window-boundary placement at a
+//! fixed surviving set. This battery sweeps `threads {1, 2, 8}` against
+//! a serial (zero-worker) baseline, then re-bins the same
+//! surviving-device set into different window partitions on the most
+//! parallel shape.
 //!
 //! Any divergence dumps a replayable schedule artifact (directory from
 //! `STREAM_ARTIFACT_DIR`, default `target/stream-failures`) before
@@ -28,8 +28,8 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-/// Prime deployment size ≥ the 25-device sortition floor, so shard and
-/// window splits always leave remainders.
+/// Prime deployment size ≥ the 25-device sortition floor, so window
+/// splits always leave remainders.
 const N_DEVICES: usize = 29;
 const CATEGORIES: usize = 4;
 const SEED: u64 = 17;
@@ -149,28 +149,25 @@ fn streamed_epochs_are_bitwise_identical_across_shapes() {
     assert!(baseline.report.audit_ok, "baseline audit failed");
 
     for threads in [1usize, 2, 8] {
-        for shards in [1usize, 2] {
-            let par = ParConfig::fixed(threads).with_shards(shards);
-            let (got, got_bytes) = run_shape(&schedule, par);
-            let shape = format!("t{threads}-s{shards}");
-            if got != baseline {
-                let path = dump_divergence(&schedule, &shape, &baseline, &got);
-                panic!(
-                    "shape {shape} diverged from the serial baseline; artifact: {}",
-                    path.display()
-                );
-            }
-            // A checkpoint is a function of the epoch, not of the pools
-            // that computed it.
-            for (w, (g, b)) in got_bytes.iter().zip(&baseline_bytes).enumerate() {
-                assert!(
-                    g == b,
-                    "shape {shape}: checkpoint bytes after window {w} differ from the \
-                     serial single-shard run's ({} vs {} bytes)",
-                    g.len(),
-                    b.len()
-                );
-            }
+        let (got, got_bytes) = run_shape(&schedule, ParConfig::fixed(threads));
+        let shape = format!("t{threads}");
+        if got != baseline {
+            let path = dump_divergence(&schedule, &shape, &baseline, &got);
+            panic!(
+                "shape {shape} diverged from the serial baseline; artifact: {}",
+                path.display()
+            );
+        }
+        // A checkpoint is a function of the epoch, not of the pool that
+        // computed it.
+        for (w, (g, b)) in got_bytes.iter().zip(&baseline_bytes).enumerate() {
+            assert!(
+                g == b,
+                "shape {shape}: checkpoint bytes after window {w} differ from the \
+                 serial run's ({} vs {} bytes)",
+                g.len(),
+                b.len()
+            );
         }
     }
 }
@@ -187,7 +184,7 @@ fn window_boundary_placement_cannot_change_the_epoch() {
     // one row per window, and the partitions have different windows —
     // but its last accumulator digest (the ciphertext the epoch
     // decrypts) must not.
-    let par = ParConfig::fixed(8).with_shards(2);
+    let par = ParConfig::fixed(8);
     for k in [1usize, 2, 7] {
         let chunk = survivors.len().div_ceil(k);
         let partition: Vec<Vec<usize>> = survivors.chunks(chunk).map(<[usize]>::to_vec).collect();

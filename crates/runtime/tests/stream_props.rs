@@ -35,7 +35,7 @@ use std::sync::OnceLock;
 mod common;
 use common::{largest_alloc_during, peak_live_bytes_during};
 
-/// Deployment size for every property. Prime, so shard/window splits
+/// Deployment size for every property. Prime, so window splits
 /// always leave remainders (and ≥ 25: sortition seats 5 committees of
 /// 5 from the registry).
 const N_DEVICES: usize = 29;

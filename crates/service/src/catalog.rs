@@ -23,7 +23,7 @@
 
 use arboretum_dp::budget::{LedgerBook, LedgerBookError, PrivacyCost};
 use arboretum_lang::privacy::CertifyConfig;
-use arboretum_par::ShardedPool;
+use arboretum_par::ThreadPool;
 use arboretum_planner::cache::{CachedPlan, PlanCache};
 use arboretum_planner::search::PlannerConfig;
 use arboretum_runtime::executor::{Deployment, ExecError, ExecutionConfig};
@@ -209,7 +209,7 @@ impl SessionCatalog {
         seq: u64,
         budget_before: PrivacyCost,
         windows: Option<usize>,
-        pool: Option<&ShardedPool>,
+        pool: Option<&Arc<ThreadPool>>,
     ) -> Result<StreamReport, ExecError> {
         let cfg = ExecutionConfig {
             seed: self.query_seed(analyst, seq),

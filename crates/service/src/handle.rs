@@ -29,8 +29,8 @@ pub struct ServiceConfig {
     /// Worker threads executing admitted queries. `0` executes inline
     /// at submit time — the serial reference mode.
     pub workers: usize,
-    /// Sharded pools in the lease bank (clamped to ≥ 1). Each pool's
-    /// thread/shard shape follows `catalog.base.par`.
+    /// Pools in the lease bank (clamped to ≥ 1). Each pool's thread
+    /// count follows `catalog.base.par`.
     pub pool_capacity: usize,
 }
 
@@ -68,11 +68,7 @@ impl ServiceHandle {
             queue_cv: Condvar::new(),
             results: Mutex::new(BTreeMap::new()),
             results_cv: Condvar::new(),
-            pools: PoolBank::new(
-                config.pool_capacity.max(1),
-                par.resolve(),
-                par.resolve_shards(),
-            ),
+            pools: PoolBank::new(config.pool_capacity.max(1), par.resolve()),
             inline: workers == 0,
             shutdown: AtomicBool::new(false),
         });

@@ -6,9 +6,10 @@
 //! under a single admission lock, so the admission sequence is totally
 //! ordered by submission order — the submission-index tie-break of the
 //! determinism contract. Execution is then embarrassingly parallel:
-//! worker threads pop admitted jobs, lease a [`ShardedPool`] from the
-//! bank (exclusive checkout bounds the worker threads in flight), and
-//! run against the immutable cached setup under a read lock.
+//! worker threads pop admitted jobs, lease a
+//! [`arboretum_par::ThreadPool`] from the bank (exclusive checkout
+//! bounds the worker threads in flight), and run against the immutable
+//! cached setup under a read lock.
 //! Because every job's randomness is fixed at admission (analyst tag +
 //! per-analyst sequence), *which* worker or pool runs it — or whether
 //! it runs at all concurrently with others — cannot change any result

@@ -3,7 +3,7 @@
 //! concurrent OS threads produce per-query epochs (whole
 //! `StreamReport`s, compared with `==`), audit records, and ledger
 //! states identical to a serial replay of the same admission sequence —
-//! across thread counts {1, 8} × shard counts {1, 2}. A batch query is
+//! across thread counts {1, 8}. A batch query is
 //! the all-at-once epoch: what the catalog executes for it is `==` to
 //! `runtime::execute` over the same setup, seed and budget.
 
@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
-const SHARD_COUNTS: [usize; 2] = [1, 2];
 
 const Q_TOP1: &str = "aggr = sum(db);\nr = em(aggr, 1.0);\noutput(r);";
 const Q_TOP1_TIGHT: &str = "aggr = sum(db);\nr = em(aggr, 0.5);\noutput(r);";
@@ -41,9 +40,9 @@ fn deployment() -> Deployment {
     Deployment::one_hot(&assignments, 3)
 }
 
-fn service(workers: usize, threads: usize, shards: usize) -> ServiceHandle {
+fn service(workers: usize, threads: usize) -> ServiceHandle {
     let mut catalog = CatalogConfig::default();
-    catalog.base.par = ParConfig::fixed(threads).with_shards(shards);
+    catalog.base.par = ParConfig::fixed(threads);
     ServiceHandle::start(
         deployment(),
         ServiceConfig {
@@ -66,12 +65,12 @@ fn open_analysts(handle: &ServiceHandle) {
 /// artifact (`SERVICE_ARTIFACT_DIR`, default `target/service-failures`)
 /// and panics. CI uploads the directory when this job fails, so a racy
 /// divergence is replayable from the artifact alone.
-fn fail_with_interleaving(threads: usize, shards: usize, audit: &[AuditRecord], msg: &str) -> ! {
+fn fail_with_interleaving(threads: usize, audit: &[AuditRecord], msg: &str) -> ! {
     let dir =
         std::env::var("SERVICE_ARTIFACT_DIR").unwrap_or_else(|_| "target/service-failures".into());
-    let path = std::path::PathBuf::from(&dir).join(format!("threads{threads}-shards{shards}.txt"));
+    let path = std::path::PathBuf::from(&dir).join(format!("threads{threads}.txt"));
     let mut body = format!(
-        "serial-equivalence divergence at threads={threads} shards={shards}\n{msg}\n\n\
+        "serial-equivalence divergence at threads={threads}\n{msg}\n\n\
          recorded admission interleaving (replay serially in this order):\n"
     );
     for r in audit {
@@ -90,7 +89,7 @@ fn fail_with_interleaving(threads: usize, shards: usize, audit: &[AuditRecord], 
 /// Runs alice's and bob's streams from two OS threads against a
 /// concurrent service, then replays the recorded admission sequence on
 /// a zero-worker (serial) service and compares everything bitwise.
-fn assert_serial_equivalence(threads: usize, shards: usize) {
+fn assert_serial_equivalence(threads: usize) {
     let streams: [(&str, Vec<Submission>); 2] = [
         (
             "alice",
@@ -103,7 +102,7 @@ fn assert_serial_equivalence(threads: usize, shards: usize) {
     ];
 
     // --- Concurrent run: one submitting thread per analyst. ---
-    let concurrent = Arc::new(service(2, threads, shards));
+    let concurrent = Arc::new(service(2, threads));
     open_analysts(&concurrent);
     let submitters: Vec<_> = streams
         .iter()
@@ -143,7 +142,7 @@ fn assert_serial_equivalence(threads: usize, shards: usize) {
     );
 
     // --- Serial replay: same admission sequence, zero workers. ---
-    let serial = service(0, threads, shards);
+    let serial = service(0, threads);
     open_analysts(&serial);
     let source_of = |record: &AuditRecord| {
         let (_, sources) = streams
@@ -164,7 +163,6 @@ fn assert_serial_equivalence(threads: usize, shards: usize) {
         if *concurrent_report != report {
             fail_with_interleaving(
                 threads,
-                shards,
                 &audit,
                 &format!(
                     "query ({}, {}) diverged from serial replay:\n  concurrent {concurrent_report:#?}\n  serial     {report:#?}",
@@ -174,7 +172,7 @@ fn assert_serial_equivalence(threads: usize, shards: usize) {
         }
     }
     if serial.audit_log() != audit {
-        fail_with_interleaving(threads, shards, &audit, "audit records diverged");
+        fail_with_interleaving(threads, &audit, "audit records diverged");
     }
     let serial_ledgers = (
         serial.ledger("alice").unwrap(),
@@ -182,7 +180,7 @@ fn assert_serial_equivalence(threads: usize, shards: usize) {
         serial.deployment_ledger(),
     );
     if serial_ledgers != concurrent_ledgers {
-        fail_with_interleaving(threads, shards, &audit, "ledgers diverged");
+        fail_with_interleaving(threads, &audit, "ledgers diverged");
     }
     assert_eq!(serial.plan_cache_stats(), concurrent.plan_cache_stats());
 }
@@ -191,32 +189,29 @@ fn assert_serial_equivalence(threads: usize, shards: usize) {
 fn interleaved_streams_match_serial_replay_across_pool_shapes() {
     let mut baseline: Option<BTreeMap<(String, u64), StreamReport>> = None;
     for threads in THREAD_COUNTS {
-        for shards in SHARD_COUNTS {
-            assert_serial_equivalence(threads, shards);
-            // Reports are additionally invariant across the pool-shape
-            // matrix itself: collect one serial run per shape and
-            // compare against the first.
-            let handle = service(0, threads, shards);
-            open_analysts(&handle);
-            let mut reports = BTreeMap::new();
-            for (analyst, seq, submission) in [
-                ("alice", 0, (Q_TOP1, None)),
-                ("bob", 0, (Q_TOP1_TIGHT, Some(3))),
-                ("alice", 1, (Q_TOP1, Some(1))),
-            ] {
-                let id = submit(&handle, analyst, submission);
-                reports.insert(
-                    (analyst.to_string(), seq as u64),
-                    handle.wait_stream(id).unwrap(),
-                );
-            }
-            match &baseline {
-                None => baseline = Some(reports),
-                Some(b) => assert_eq!(
-                    b, &reports,
-                    "threads={threads} shards={shards}: reports depend on pool shape"
-                ),
-            }
+        assert_serial_equivalence(threads);
+        // Reports are additionally invariant across pool sizes: collect
+        // one serial run per size and compare against the first.
+        let handle = service(0, threads);
+        open_analysts(&handle);
+        let mut reports = BTreeMap::new();
+        for (analyst, seq, submission) in [
+            ("alice", 0, (Q_TOP1, None)),
+            ("bob", 0, (Q_TOP1_TIGHT, Some(3))),
+            ("alice", 1, (Q_TOP1, Some(1))),
+        ] {
+            let id = submit(&handle, analyst, submission);
+            reports.insert(
+                (analyst.to_string(), seq as u64),
+                handle.wait_stream(id).unwrap(),
+            );
+        }
+        match &baseline {
+            None => baseline = Some(reports),
+            Some(b) => assert_eq!(
+                b, &reports,
+                "threads={threads}: reports depend on pool size"
+            ),
         }
     }
 }
@@ -226,14 +221,14 @@ fn queries_are_invariant_to_the_other_analysts_traffic() {
     // Alice alone vs. alice interleaved with bob: her reports must be
     // bitwise identical — another tenant's traffic is unobservable in
     // her results (only in the shared deployment ledger).
-    let solo = service(0, 1, 1);
+    let solo = service(0, 1);
     solo.open_session("alice", PrivacyCost::pure(6.0)).unwrap();
     let solo_reports: Vec<ExecutionReport> = [Q_TOP1, Q_TOP1_TIGHT]
         .iter()
         .map(|src| solo.run("alice", src).unwrap())
         .collect();
 
-    let shared = service(0, 1, 1);
+    let shared = service(0, 1);
     open_analysts(&shared);
     shared.run("bob", Q_TOP1).unwrap();
     let a0 = shared.run("alice", Q_TOP1).unwrap();
@@ -295,7 +290,7 @@ fn a_batch_query_is_the_all_at_once_epoch() {
 
 #[test]
 fn close_reports_one_window_for_a_batch_query_and_churn_for_a_streamed_one() {
-    let handle = service(0, 1, 1);
+    let handle = service(0, 1);
     let script = format!(
         "OPEN alice 5.0 1e-6\nSUBMIT alice {q}\nCLOSE 0\nINGEST alice 1 {q}\nCLOSE 1\n",
         q = Q_TOP1.replace('\n', " ")
@@ -328,7 +323,7 @@ fn close_reports_one_window_for_a_batch_query_and_churn_for_a_streamed_one() {
 
 #[test]
 fn a_refused_window_count_leaves_the_admission_sequence_untouched() {
-    let handle = service(0, 1, 1);
+    let handle = service(0, 1);
     open_analysts(&handle);
     let first = handle.submit("alice", Q_TOP1).unwrap();
     let before = (

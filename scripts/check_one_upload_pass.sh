@@ -14,7 +14,7 @@
 #   * `verify_one_hot_detailed`, `verify_range_detailed` or
 #     `bgv_encrypt` is called outside the `impl UploadPass` block — the
 #     per-upload pass;
-#   * `ingest_next` calls `par_map_arc_sharded` other than exactly once.
+#   * `ingest_next` calls `par_map_arc` other than exactly once.
 #
 # Usage: scripts/check_one_upload_pass.sh   (run from anywhere)
 
@@ -57,10 +57,10 @@ if [[ ${#outside[@]} -ne 0 ]]; then
 fi
 
 mapfile -t maps < <(
-  tagged_lines | grep -E '^[0-9]+:ingest_next:.*par_map_arc_sharded\(' || true
+  tagged_lines | grep -E '^[0-9]+:ingest_next:.*par_map_arc\(' || true
 )
 if [[ ${#maps[@]} -ne 1 ]]; then
-  report "ingest_next makes ${#maps[@]} par_map_arc_sharded calls, not one:" \
+  report "ingest_next makes ${#maps[@]} par_map_arc calls, not one:" \
     "one pooled map over the window's arrivals; bookkeeping is a serial pass after it" \
     "${maps[@]:-(no pooled map at all)}"
 fi

@@ -1,6 +1,7 @@
-//! Deployments and epochs the CLI cannot run are refused with exit code
-//! 1 and one line on stderr — never a panic (exit 101) or a hang — and a
-//! removed option is a usage error (exit 2).
+//! Deployments, epochs and thread counts the CLI cannot run are refused
+//! with exit code 1 and one line on stderr — never a panic (exit 101),
+//! an abort (exit 134) or a hang — and a removed option is a usage error
+//! (exit 2).
 
 use std::process::Command;
 
@@ -150,4 +151,54 @@ fn the_removed_fabric_option_is_a_usage_error() {
         &["serve", "--fabric", "evented"],
         "unknown serve option \"--fabric\"",
     );
+}
+
+#[test]
+fn the_removed_shards_option_is_a_usage_error() {
+    assert_removed_attack_option("--shards");
+    let query = query_file("removed-shards.arb");
+    assert_removed_option(
+        &["run", &query, "--shards", "2"],
+        "unknown option \"--shards\"",
+    );
+}
+
+#[test]
+fn thread_and_pool_counts_above_the_maximum_exit_1_with_one_line() {
+    // Every thread (or pool of threads) is spawned up front, so an
+    // unbounded count aborts allocating (exit 134) or panics spawning
+    // (exit 101) before any work starts.
+    let query = query_file("max-threads.arb");
+    let query = query.as_str();
+    for (args, says) in [
+        (
+            vec!["run", query, "--threads", "100000000000"],
+            "--threads 100000000000 exceeds the maximum of 1024",
+        ),
+        (
+            vec!["run", query, "--threads", "1025"],
+            "--threads 1025 exceeds the maximum of 1024",
+        ),
+        (
+            vec!["attack", "--seed", "0", "--threads", "100000000000"],
+            "--threads 100000000000 exceeds the maximum of 1024",
+        ),
+        (
+            vec!["serve", "--workers", "100000000000"],
+            "--workers 100000000000 exceeds the maximum of 1024",
+        ),
+        (
+            vec!["serve", "--pool-capacity", "100000000000"],
+            "--pool-capacity 100000000000 exceeds the maximum of 1024",
+        ),
+        (
+            vec!["serve", "--pool-capacity", "100000"],
+            "--pool-capacity 100000 exceeds the maximum of 1024",
+        ),
+    ] {
+        let (code, stderr) = arboretum(&args);
+        assert_eq!(code, Some(1), "{args:?}: stderr {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr}");
+        assert!(stderr.contains(says), "{args:?}: stderr {stderr}");
+    }
 }
