@@ -4,12 +4,24 @@
 //! one place (the semantics the analyst writes against, §4.1). The
 //! planner's distributed plans are validated against this interpreter:
 //! a transformed plan must compute the same distribution over outputs.
+//!
+//! This module is the one definition of what a public value does. The
+//! value-level operations — [`binop`], [`unop`], [`index`], [`store`],
+//! [`builtin`] and [`mech_params`] — need no interpreter state, and the
+//! committee's secure evaluator (`runtime::mpc_eval`) calls them for
+//! every operation whose operands are all public, so the two evaluators
+//! cannot disagree on a public value.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::HashMap;
 
-use arboretum_dp::mechanisms::{em_gumbel, em_with_gap, top_k_oneshot};
+use arboretum_dp::mechanisms::{em_gumbel, em_with_gap, top_k_oneshot, MechanismError};
 use arboretum_dp::noise::laplace_fix;
-use arboretum_field::fixed::Fix;
+use arboretum_field::fixed::{Fix, FixOverflow};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,8 +50,9 @@ pub enum Value {
 }
 
 impl Value {
-    /// Extracts an integer, coercing booleans.
-    fn as_int(&self) -> Result<i64, EvalError> {
+    /// Extracts an integer, coercing booleans; any other value is an
+    /// error.
+    pub fn as_int(&self) -> Result<i64, EvalError> {
         match self {
             Self::Int(v) => Ok(*v),
             Self::Bool(b) => Ok(i64::from(*b)),
@@ -51,22 +64,16 @@ impl Value {
     fn as_fix(&self) -> Result<Fix, EvalError> {
         match self {
             Self::Fix(v) => Ok(*v),
-            Self::Int(v) => Fix::from_int(*v).map_err(|e| EvalError::new(e.to_string())),
+            Self::Int(v) => Ok(Fix::from_int(*v)?),
             other => Err(EvalError::new(format!("expected fix, got {other:?}"))),
         }
     }
 
-    fn as_bool(&self) -> Result<bool, EvalError> {
+    /// Extracts a boolean; any other value is an error.
+    pub fn as_bool(&self) -> Result<bool, EvalError> {
         match self {
             Self::Bool(b) => Ok(*b),
             other => Err(EvalError::new(format!("expected bool, got {other:?}"))),
-        }
-    }
-
-    fn as_int_array(&self) -> Result<&[i64], EvalError> {
-        match self {
-            Self::IntArray(v) => Ok(v),
-            other => Err(EvalError::new(format!("expected int array, got {other:?}"))),
         }
     }
 }
@@ -93,6 +100,322 @@ impl std::fmt::Display for EvalError {
 }
 
 impl std::error::Error for EvalError {}
+
+impl From<FixOverflow> for EvalError {
+    fn from(e: FixOverflow) -> Self {
+        Self::new(e.to_string())
+    }
+}
+
+impl From<MechanismError> for EvalError {
+    fn from(e: MechanismError) -> Self {
+        Self::new(e.to_string())
+    }
+}
+
+/// A public array index: non-negative and below [`MAX_ARRAY_LEN`], so a
+/// hostile literal is an error, not a wrapped index or a terabyte
+/// `resize`.
+pub fn slot_index(i: &Value) -> Result<usize, EvalError> {
+    let i = i.as_int()?;
+    usize::try_from(i)
+        .ok()
+        .filter(|&i| i < MAX_ARRAY_LEN)
+        .ok_or_else(|| EvalError::new(format!("index {i} outside 0..{MAX_ARRAY_LEN}")))
+}
+
+/// Slot `i` of an array; a scalar or an index past the end is an error.
+pub fn index(arr: &Value, i: usize) -> Result<Value, EvalError> {
+    let got = match arr {
+        Value::IntArray(a) => a.get(i).copied().map(Value::Int),
+        Value::FixArray(a) => a.get(i).copied().map(Value::Fix),
+        other => return Err(EvalError::new(format!("cannot index {other:?}"))),
+    };
+    got.ok_or_else(|| EvalError::new(format!("index {i} out of bounds")))
+}
+
+/// The number of slots of an array; a scalar is an error.
+pub fn len(arr: &Value) -> Result<usize, EvalError> {
+    match arr {
+        Value::IntArray(a) => Ok(a.len()),
+        Value::FixArray(a) => Ok(a.len()),
+        other => Err(EvalError::new(format!("len of {other:?}"))),
+    }
+}
+
+/// Shortens an array to its first `n` slots, undoing a [`store`] that
+/// grew it.
+pub fn truncate(arr: &mut Value, n: usize) {
+    match arr {
+        Value::IntArray(a) => a.truncate(n),
+        Value::FixArray(a) => a.truncate(n),
+        _ => {}
+    }
+}
+
+/// Writes `v` into slot `i` of `arr` (a new array if `None`), growing it
+/// with zeros, and returns the array. A fixed-point value written into an
+/// integer array promotes the whole array to fixed point.
+pub fn store(arr: Option<Value>, i: usize, v: Value) -> Result<Value, EvalError> {
+    fn put<T: Clone>(mut a: Vec<T>, i: usize, x: T, zero: T) -> Vec<T> {
+        if a.len() <= i {
+            a.resize(i + 1, zero);
+        }
+        a[i] = x;
+        a
+    }
+    Ok(match (arr, v) {
+        (None, Value::Fix(f)) => Value::FixArray(put(Vec::new(), i, f, Fix::ZERO)),
+        (None, v) => Value::IntArray(put(Vec::new(), i, v.as_int()?, 0)),
+        (Some(Value::IntArray(a)), Value::Fix(f)) => {
+            let promoted = a.into_iter().map(Fix::from_int).collect::<Result<_, _>>()?;
+            Value::FixArray(put(promoted, i, f, Fix::ZERO))
+        }
+        (Some(Value::IntArray(a)), v) => Value::IntArray(put(a, i, v.as_int()?, 0)),
+        (Some(Value::FixArray(a)), v) => Value::FixArray(put(a, i, v.as_fix()?, Fix::ZERO)),
+        (Some(e), v) => return Err(EvalError::new(format!("cannot store {v:?} into {e:?}"))),
+    })
+}
+
+/// A unary operator on a public value; an overflow is an error.
+pub fn unop(op: UnOp, v: Value) -> Result<Value, EvalError> {
+    match (op, v) {
+        (UnOp::Not, v) => Ok(Value::Bool(!v.as_bool()?)),
+        (UnOp::Neg, Value::Int(x)) => x
+            .checked_neg()
+            .map(Value::Int)
+            .ok_or_else(|| EvalError::new(format!("integer overflow in -{x}"))),
+        (UnOp::Neg, Value::Fix(x)) => Ok(Value::Fix(-x)),
+        (UnOp::Neg, other) => Err(EvalError::new(format!("cannot negate {other:?}"))),
+    }
+}
+
+/// A binary operator on public values. Arithmetic and comparisons are
+/// fixed point if either operand is, integer otherwise (booleans count
+/// as 0/1); every overflow and division by zero is an error.
+pub fn binop(op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
+    use BinOp::*;
+    let fixy = matches!(l, Value::Fix(_)) || matches!(r, Value::Fix(_));
+    match op {
+        And => Ok(Value::Bool(l.as_bool()? && r.as_bool()?)),
+        Or => Ok(Value::Bool(l.as_bool()? || r.as_bool()?)),
+        Lt | Le | Gt | Ge | Eq | Ne => {
+            let ord = if fixy {
+                l.as_fix()?.cmp(&r.as_fix()?)
+            } else {
+                l.as_int()?.cmp(&r.as_int()?)
+            };
+            Ok(Value::Bool(match op {
+                Lt => ord.is_lt(),
+                Le => ord.is_le(),
+                Gt => ord.is_gt(),
+                Ge => ord.is_ge(),
+                Eq => ord.is_eq(),
+                _ => ord.is_ne(),
+            }))
+        }
+        Add | Sub | Mul | Div if fixy => {
+            let (a, b) = (l.as_fix()?, r.as_fix()?);
+            Ok(Value::Fix(match op {
+                Add => a.checked_add(b),
+                Sub => a.checked_sub(b),
+                Mul => a.checked_mul(b),
+                _ => a.checked_div(b),
+            }?))
+        }
+        Add | Sub | Mul | Div => {
+            let (a, b) = (l.as_int()?, r.as_int()?);
+            if op == Div && b == 0 {
+                return Err(EvalError::new("division by zero"));
+            }
+            match op {
+                Add => a.checked_add(b),
+                Sub => a.checked_sub(b),
+                Mul => a.checked_mul(b),
+                _ => a.checked_div(b),
+            }
+            .map(Value::Int)
+            .ok_or_else(|| EvalError::new(format!("integer overflow in {a} {op:?} {b}")))
+        }
+    }
+}
+
+/// `args` as exactly `N` values.
+fn arity<const N: usize>(b: Builtin, args: Vec<Value>) -> Result<[Value; N], EvalError> {
+    <[Value; N]>::try_from(args)
+        .map_err(|a| EvalError::new(format!("{} takes {N} arguments, got {}", b.name(), a.len())))
+}
+
+/// A builtin applied to public values: everything but `output` and
+/// `sampleUniform`, which act on the interpreter's outputs and database
+/// view. Mechanisms and `random` draw from `rng`. A wrong argument
+/// count or type, an overflow, an empty array or clipping range, and a
+/// mechanism's refusal are errors.
+pub fn builtin(b: Builtin, args: Vec<Value>, rng: &mut StdRng) -> Result<Value, EvalError> {
+    match b {
+        Builtin::Em | Builtin::EmGap | Builtin::EmTopK | Builtin::Laplace => {
+            let Some((scores, tail)) = args.split_first() else {
+                return Err(EvalError::new(format!("{} needs arguments", b.name())));
+            };
+            mechanism(b, scores, tail, rng)
+        }
+        Builtin::Sum => match arity(b, args)? {
+            [Value::IntArray(v)] => v
+                .iter()
+                .try_fold(0i64, |acc, &x| acc.checked_add(x))
+                .map(Value::Int)
+                .ok_or_else(|| EvalError::new("integer overflow in sum")),
+            [Value::FixArray(v)] => Ok(Value::Fix(
+                v.iter().try_fold(Fix::ZERO, |acc, &x| acc.checked_add(x))?,
+            )),
+            [other] => Err(EvalError::new(format!("cannot sum {other:?}"))),
+        },
+        Builtin::Max | Builtin::ArgMax => {
+            let [x] = arity(b, args)?;
+            // The last maximum, as `Iterator::max` picks it.
+            let i = match &x {
+                Value::IntArray(v) => (0..v.len()).max_by_key(|&i| v[i]),
+                Value::FixArray(v) => (0..v.len()).max_by_key(|&i| v[i]),
+                other => {
+                    let msg = format!("cannot take {} of {other:?}", b.name());
+                    return Err(EvalError::new(msg));
+                }
+            }
+            .ok_or_else(|| EvalError::new(format!("{} of empty array", b.name())))?;
+            if b == Builtin::Max {
+                index(&x, i)
+            } else {
+                Ok(Value::Int(i as i64))
+            }
+        }
+        Builtin::Len => {
+            let [x] = arity(b, args)?;
+            Ok(Value::Int(len(&x)? as i64))
+        }
+        Builtin::Clip => {
+            let [x, lo, hi] = arity(b, args)?;
+            let (lo, hi) = (lo.as_int()?, hi.as_int()?);
+            if lo > hi {
+                return Err(EvalError::new(format!(
+                    "cannot clip to the empty range {lo}..{hi}"
+                )));
+            }
+            let (flo, fhi) = (Fix::from_int(lo), Fix::from_int(hi));
+            match x {
+                Value::Int(v) => Ok(Value::Int(v.clamp(lo, hi))),
+                Value::IntArray(v) => Ok(Value::IntArray(
+                    v.into_iter().map(|x| x.clamp(lo, hi)).collect(),
+                )),
+                Value::Fix(v) => Ok(Value::Fix(v.clamp(flo?, fhi?))),
+                Value::FixArray(v) => {
+                    let (lo, hi) = (flo?, fhi?);
+                    Ok(Value::FixArray(
+                        v.into_iter().map(|x| x.clamp(lo, hi)).collect(),
+                    ))
+                }
+                other => Err(EvalError::new(format!("cannot clip {other:?}"))),
+            }
+        }
+        Builtin::Exp => {
+            let [x] = arity(b, args)?;
+            Ok(Value::Fix(x.as_fix()?.exp()?))
+        }
+        Builtin::Log => {
+            let [x] = arity(b, args)?;
+            Ok(Value::Fix(x.as_fix()?.ln()?))
+        }
+        Builtin::Random => {
+            let [bound] = arity(b, args)?;
+            let bound = bound.as_int()?;
+            if bound <= 0 {
+                return Err(EvalError::new("random bound must be positive"));
+            }
+            Ok(Value::Int(rng.gen_range(0..bound)))
+        }
+        Builtin::Declassify => {
+            let [x] = arity(b, args)?;
+            Ok(x)
+        }
+        Builtin::Output | Builtin::SampleUniform => Err(EvalError::new(format!(
+            "{} acts on the interpreter's state, not on values",
+            b.name()
+        ))),
+    }
+}
+
+/// A mechanism's parameters `(k, sensitivity, ε)` from its arguments
+/// after the scores: `em(s, [sens,] eps)`, `emGap(s, [sens,] eps)`,
+/// `emTopK(s, k, [sens,] eps)` and `laplace(x, sens, eps)`. Sensitivity
+/// defaults to 1 and `k` to 1. A wrong argument count, a non-positive
+/// `k`, sensitivity or ε, and a noise scale outside fixed point — Laplace
+/// noise's `sens/ε`, or the exponential mechanisms' Gumbel `2·sens/ε` —
+/// are errors.
+pub fn mech_params(b: Builtin, tail: &[Value]) -> Result<(usize, f64, f64), EvalError> {
+    let (k, sens, eps) = match (b, tail) {
+        (Builtin::Em | Builtin::EmGap, [eps]) => (None, None, eps),
+        (Builtin::Em | Builtin::EmGap, [sens, eps]) => (None, Some(sens), eps),
+        (Builtin::EmTopK, [k, eps]) => (Some(k), None, eps),
+        (Builtin::EmTopK, [k, sens, eps]) => (Some(k), Some(sens), eps),
+        (Builtin::Laplace, [sens, eps]) => (None, Some(sens), eps),
+        _ => return Err(EvalError::new(format!("bad mechanism arity for {b:?}"))),
+    };
+    let k = k.map_or(Ok(1), |k| {
+        let k = k.as_int()?;
+        usize::try_from(k)
+            .ok()
+            .filter(|&k| k > 0)
+            .ok_or_else(|| EvalError::new(format!("top-k needs a positive k, got {k}")))
+    })?;
+    let sens = sens.map_or(Ok(1.0), |s| s.as_fix().map(Fix::to_f64))?;
+    let eps = eps.as_fix()?.to_f64();
+    if eps <= 0.0 || sens <= 0.0 {
+        return Err(EvalError::new("mechanism parameters must be positive"));
+    }
+    let scale = if b == Builtin::Laplace { 1.0 } else { 2.0 } * sens / eps;
+    Fix::from_f64(scale)?;
+    Ok((k, sens, eps))
+}
+
+/// A mechanism in the clear over public scores.
+fn mechanism(
+    b: Builtin,
+    scores: &Value,
+    tail: &[Value],
+    rng: &mut StdRng,
+) -> Result<Value, EvalError> {
+    let (k, sens, eps) = mech_params(b, tail)?;
+    if b == Builtin::Laplace {
+        let scale = Fix::from_f64(sens / eps)?;
+        let mut noisy = |x: Fix| x.checked_add(laplace_fix(rng, scale)).unwrap_or(Fix::MAX);
+        return Ok(match scores {
+            Value::IntArray(v) => Value::FixArray(
+                v.iter()
+                    .map(|&x| noisy(Fix::from_int(x).unwrap_or(Fix::MAX)))
+                    .collect(),
+            ),
+            other => Value::Fix(noisy(other.as_fix()?)),
+        });
+    }
+    let Value::IntArray(scores) = scores else {
+        return Err(EvalError::new(format!(
+            "expected int array, got {scores:?}"
+        )));
+    };
+    Ok(match b {
+        Builtin::Em => Value::Int(em_gumbel(scores, sens, eps, rng)? as i64),
+        Builtin::EmGap => {
+            let (i, gap) = em_with_gap(scores, sens, eps, rng)?;
+            Value::FixArray(vec![Fix::from_int(i as i64)?, gap])
+        }
+        // `mech_params` admitted only the four mechanisms.
+        _ => Value::IntArray(
+            top_k_oneshot(scores, k, sens, eps, rng)?
+                .into_iter()
+                .map(|i| i as i64)
+                .collect(),
+        ),
+    })
+}
 
 /// The interpreter.
 pub struct Interp<'a> {
@@ -149,48 +472,11 @@ impl<'a> Interp<'a> {
                 Ok(())
             }
             Stmt::IndexAssign(name, idx, value) => {
-                let i = self.expr(idx)?.as_int()?;
-                let i = usize::try_from(i)
-                    .ok()
-                    .filter(|&i| i < MAX_ARRAY_LEN)
-                    .ok_or_else(|| {
-                        EvalError::new(format!("index {i} into {name} outside 0..{MAX_ARRAY_LEN}"))
-                    })?;
+                let i = slot_index(&self.expr(idx)?)?;
                 let v = self.expr(value)?;
-                let entry = self.env.entry(name.clone()).or_insert_with(|| match v {
-                    Value::Fix(_) => Value::FixArray(Vec::new()),
-                    _ => Value::IntArray(Vec::new()),
-                });
-                match (entry, v) {
-                    (Value::IntArray(arr), v @ (Value::Int(_) | Value::Bool(_))) => {
-                        if arr.len() <= i {
-                            arr.resize(i + 1, 0);
-                        }
-                        arr[i] = v.as_int()?;
-                        Ok(())
-                    }
-                    (Value::FixArray(arr), v) => {
-                        if arr.len() <= i {
-                            arr.resize(i + 1, Fix::ZERO);
-                        }
-                        arr[i] = v.as_fix()?;
-                        Ok(())
-                    }
-                    (Value::IntArray(arr), Value::Fix(f)) => {
-                        // Promote the array to fixed point.
-                        let mut fa: Vec<Fix> = arr
-                            .iter()
-                            .map(|&x| Fix::from_int(x).unwrap_or(Fix::MAX))
-                            .collect();
-                        if fa.len() <= i {
-                            fa.resize(i + 1, Fix::ZERO);
-                        }
-                        fa[i] = f;
-                        self.env.insert(name.clone(), Value::FixArray(fa));
-                        Ok(())
-                    }
-                    (e, v) => Err(EvalError::new(format!("cannot store {v:?} into {e:?}"))),
-                }
+                let arr = store(self.env.remove(name), i, v)?;
+                self.env.insert(name.clone(), arr);
+                Ok(())
             }
             Stmt::For {
                 var,
@@ -224,9 +510,7 @@ impl<'a> Interp<'a> {
     fn expr(&mut self, e: &Expr) -> Result<Value, EvalError> {
         match e {
             Expr::Int(v) => Ok(Value::Int(*v)),
-            Expr::Fix(v) => Fix::from_f64(*v)
-                .map(Value::Fix)
-                .map_err(|e| EvalError::new(e.to_string())),
+            Expr::Fix(v) => Ok(Value::Fix(Fix::from_f64(*v)?)),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Var(name) => {
                 if name == "db" {
@@ -240,279 +524,56 @@ impl<'a> Interp<'a> {
                     .ok_or_else(|| EvalError::new(format!("unknown variable {name}")))
             }
             Expr::Index(base, idx) => {
-                let i = self.expr(idx)?.as_int()?;
-                if i < 0 {
-                    return Err(EvalError::new(format!("negative index {i}")));
-                }
-                let i = i as usize;
-                // db[i] and db[i][j] need special handling.
+                let i = self.expr(idx)?;
+                // db[i] and db[i][j] read a row of the database view.
                 if let Expr::Var(name) = base.as_ref() {
                     if self.db_views.contains(name) {
-                        let row = self
-                            .view
-                            .get(i)
-                            .map(|&ri| self.db[ri].clone())
-                            .ok_or_else(|| EvalError::new(format!("db row {i} out of range")))?;
-                        return Ok(Value::IntArray(row));
+                        let i = i.as_int()?;
+                        return usize::try_from(i)
+                            .ok()
+                            .and_then(|i| self.view.get(i))
+                            .map(|&ri| Value::IntArray(self.db[ri].clone()))
+                            .ok_or_else(|| EvalError::new(format!("db row {i} out of range")));
                     }
                 }
-                match self.expr(base)? {
-                    Value::IntArray(arr) => arr
-                        .get(i)
-                        .copied()
-                        .map(Value::Int)
-                        .ok_or_else(|| EvalError::new(format!("index {i} out of bounds"))),
-                    Value::FixArray(arr) => arr
-                        .get(i)
-                        .copied()
-                        .map(Value::Fix)
-                        .ok_or_else(|| EvalError::new(format!("index {i} out of bounds"))),
-                    other => Err(EvalError::new(format!("cannot index {other:?}"))),
-                }
+                index(&self.expr(base)?, slot_index(&i)?)
             }
-            Expr::Un(UnOp::Not, inner) => Ok(Value::Bool(!self.expr(inner)?.as_bool()?)),
-            Expr::Un(UnOp::Neg, inner) => match self.expr(inner)? {
-                Value::Int(v) => Ok(Value::Int(-v)),
-                Value::Fix(v) => Ok(Value::Fix(-v)),
-                other => Err(EvalError::new(format!("cannot negate {other:?}"))),
-            },
+            Expr::Un(op, inner) => unop(*op, self.expr(inner)?),
             Expr::Bin(op, l, r) => {
                 let lv = self.expr(l)?;
                 let rv = self.expr(r)?;
-                self.binop(*op, lv, rv)
+                binop(*op, lv, rv)
             }
-            Expr::Call(builtin, args) => self.call(*builtin, args),
+            Expr::Call(b, args) => self.call(*b, args),
         }
     }
 
-    fn binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
-        use BinOp::*;
-        match op {
-            And => Ok(Value::Bool(l.as_bool()? && r.as_bool()?)),
-            Or => Ok(Value::Bool(l.as_bool()? || r.as_bool()?)),
-            _ => {
-                let fixy = matches!(l, Value::Fix(_)) || matches!(r, Value::Fix(_));
-                if fixy {
-                    let (a, b) = (l.as_fix()?, r.as_fix()?);
-                    Ok(match op {
-                        Add => Value::Fix(a + b),
-                        Sub => Value::Fix(a - b),
-                        Mul => Value::Fix(a * b),
-                        Div => Value::Fix(
-                            a.checked_div(b)
-                                .map_err(|e| EvalError::new(e.to_string()))?,
-                        ),
-                        Lt => Value::Bool(a < b),
-                        Le => Value::Bool(a <= b),
-                        Gt => Value::Bool(a > b),
-                        Ge => Value::Bool(a >= b),
-                        Eq => Value::Bool(a == b),
-                        Ne => Value::Bool(a != b),
-                        And | Or => unreachable!(),
-                    })
-                } else {
-                    let (a, b) = (l.as_int()?, r.as_int()?);
-                    Ok(match op {
-                        Add => Value::Int(
-                            a.checked_add(b)
-                                .ok_or_else(|| EvalError::new("integer overflow in +"))?,
-                        ),
-                        Sub => Value::Int(
-                            a.checked_sub(b)
-                                .ok_or_else(|| EvalError::new("integer overflow in -"))?,
-                        ),
-                        Mul => Value::Int(
-                            a.checked_mul(b)
-                                .ok_or_else(|| EvalError::new("integer overflow in *"))?,
-                        ),
-                        Div => {
-                            if b == 0 {
-                                return Err(EvalError::new("division by zero"));
-                            }
-                            Value::Int(
-                                a.checked_div(b)
-                                    .ok_or_else(|| EvalError::new("integer overflow in /"))?,
-                            )
-                        }
-                        Lt => Value::Bool(a < b),
-                        Le => Value::Bool(a <= b),
-                        Gt => Value::Bool(a > b),
-                        Ge => Value::Bool(a >= b),
-                        Eq => Value::Bool(a == b),
-                        Ne => Value::Bool(a != b),
-                        And | Or => unreachable!(),
-                    })
-                }
-            }
-        }
-    }
-
-    fn column_sums(&self) -> Vec<i64> {
+    fn column_sums(&self) -> Result<Vec<i64>, EvalError> {
         let width = self.db.first().map(Vec::len).unwrap_or(0);
         let mut sums = vec![0i64; width];
         for &ri in &self.view {
             for (s, &v) in sums.iter_mut().zip(&self.db[ri]) {
-                *s += v;
+                *s = s
+                    .checked_add(v)
+                    .ok_or_else(|| EvalError::new("integer overflow in sum(db)"))?;
             }
         }
-        sums
+        Ok(sums)
     }
 
-    fn mechanism_args(args: &[Expr], with_k: bool) -> (Option<usize>, usize, usize) {
-        // Returns (k, sens_idx_opt encoded via usize::MAX, eps_idx).
-        // Layout: em(scores, eps) | em(scores, sens, eps)
-        //         emTopK(scores, k, eps) | emTopK(scores, k, sens, eps)
-        if with_k {
-            if args.len() == 3 {
-                (Some(1), usize::MAX, 2)
-            } else {
-                (Some(1), 2, 3)
+    /// The builtins that read the database view or write outputs; every
+    /// other call is [`builtin`] on the evaluated arguments.
+    fn call(&mut self, b: Builtin, args: &[Expr]) -> Result<Value, EvalError> {
+        match (b, args) {
+            (Builtin::Sum, [Expr::Var(name)]) if self.db_views.contains(name) => {
+                Ok(Value::IntArray(self.column_sums()?))
             }
-        } else if args.len() == 2 {
-            (None, usize::MAX, 1)
-        } else {
-            (None, 1, 2)
-        }
-    }
-
-    fn call(&mut self, builtin: Builtin, args: &[Expr]) -> Result<Value, EvalError> {
-        match builtin {
-            Builtin::Sum => {
-                if let Expr::Var(name) = &args[0] {
-                    if self.db_views.contains(name) {
-                        return Ok(Value::IntArray(self.column_sums()));
-                    }
-                }
-                if let Expr::Call(Builtin::SampleUniform, _) = &args[0] {
-                    self.expr(&args[0])?;
-                    return Ok(Value::IntArray(self.column_sums()));
-                }
-                match self.expr(&args[0])? {
-                    Value::IntArray(v) => Ok(Value::Int(v.iter().sum())),
-                    Value::FixArray(v) => {
-                        let mut acc = Fix::ZERO;
-                        for x in v {
-                            acc = acc
-                                .checked_add(x)
-                                .map_err(|e| EvalError::new(e.to_string()))?;
-                        }
-                        Ok(Value::Fix(acc))
-                    }
-                    other => Err(EvalError::new(format!("cannot sum {other:?}"))),
-                }
+            (Builtin::Sum, [sample @ Expr::Call(Builtin::SampleUniform, _)]) => {
+                self.expr(sample)?;
+                Ok(Value::IntArray(self.column_sums()?))
             }
-            Builtin::Max => match self.expr(&args[0])? {
-                Value::IntArray(v) => v
-                    .iter()
-                    .max()
-                    .copied()
-                    .map(Value::Int)
-                    .ok_or_else(|| EvalError::new("max of empty array")),
-                Value::FixArray(v) => v
-                    .iter()
-                    .max()
-                    .copied()
-                    .map(Value::Fix)
-                    .ok_or_else(|| EvalError::new("max of empty array")),
-                other => Err(EvalError::new(format!("cannot take max of {other:?}"))),
-            },
-            Builtin::ArgMax => match self.expr(&args[0])? {
-                Value::IntArray(v) => v
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(_, v)| *v)
-                    .map(|(i, _)| Value::Int(i as i64))
-                    .ok_or_else(|| EvalError::new("argmax of empty array")),
-                Value::FixArray(v) => v
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.cmp(b.1))
-                    .map(|(i, _)| Value::Int(i as i64))
-                    .ok_or_else(|| EvalError::new("argmax of empty array")),
-                other => Err(EvalError::new(format!("cannot take argmax of {other:?}"))),
-            },
-            Builtin::Em | Builtin::EmGap | Builtin::EmTopK => {
-                let (k_idx, sens_idx, eps_idx) =
-                    Self::mechanism_args(args, builtin == Builtin::EmTopK);
-                let scores = self.expr(&args[0])?.as_int_array()?.to_vec();
-                let sens = if sens_idx == usize::MAX {
-                    1.0
-                } else {
-                    self.expr(&args[sens_idx])?.as_fix()?.to_f64()
-                };
-                let eps = self.expr(&args[eps_idx])?.as_fix()?.to_f64();
-                match builtin {
-                    Builtin::Em => em_gumbel(&scores, sens, eps, &mut self.rng)
-                        .map(|i| Value::Int(i as i64))
-                        .map_err(|e| EvalError::new(e.to_string())),
-                    Builtin::EmGap => em_with_gap(&scores, sens, eps, &mut self.rng)
-                        .map(|(i, gap)| {
-                            Value::FixArray(vec![Fix::from_int(i as i64).unwrap_or(Fix::MAX), gap])
-                        })
-                        .map_err(|e| EvalError::new(e.to_string())),
-                    Builtin::EmTopK => {
-                        let k = self.expr(&args[k_idx.expect("topk has k")])?.as_int()?;
-                        top_k_oneshot(&scores, k as usize, sens, eps, &mut self.rng)
-                            .map(|v| Value::IntArray(v.into_iter().map(|i| i as i64).collect()))
-                            .map_err(|e| EvalError::new(e.to_string()))
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            Builtin::Laplace => {
-                let sens = self.expr(&args[1])?.as_fix()?.to_f64();
-                let eps = self.expr(&args[2])?.as_fix()?.to_f64();
-                let scale = Fix::from_f64(sens / eps).map_err(|e| EvalError::new(e.to_string()))?;
-                match self.expr(&args[0])? {
-                    Value::IntArray(v) => Ok(Value::FixArray(
-                        v.iter()
-                            .map(|&x| {
-                                Fix::from_int(x)
-                                    .unwrap_or(Fix::MAX)
-                                    .checked_add(laplace_fix(&mut self.rng, scale))
-                                    .unwrap_or(Fix::MAX)
-                            })
-                            .collect(),
-                    )),
-                    other => {
-                        let x = other.as_fix()?;
-                        Ok(Value::Fix(
-                            x.checked_add(laplace_fix(&mut self.rng, scale))
-                                .unwrap_or(Fix::MAX),
-                        ))
-                    }
-                }
-            }
-            Builtin::Exp => {
-                let x = self.expr(&args[0])?.as_fix()?;
-                x.exp()
-                    .map(Value::Fix)
-                    .map_err(|e| EvalError::new(e.to_string()))
-            }
-            Builtin::Log => {
-                let x = self.expr(&args[0])?.as_fix()?;
-                x.ln()
-                    .map(Value::Fix)
-                    .map_err(|e| EvalError::new(e.to_string()))
-            }
-            Builtin::Clip => {
-                let lo = self.expr(&args[1])?.as_int()?;
-                let hi = self.expr(&args[2])?.as_int()?;
-                match self.expr(&args[0])? {
-                    Value::Int(v) => Ok(Value::Int(v.clamp(lo, hi))),
-                    Value::IntArray(v) => Ok(Value::IntArray(
-                        v.into_iter().map(|x| x.clamp(lo, hi)).collect(),
-                    )),
-                    Value::Fix(v) => {
-                        let flo = Fix::from_int(lo).map_err(|e| EvalError::new(e.to_string()))?;
-                        let fhi = Fix::from_int(hi).map_err(|e| EvalError::new(e.to_string()))?;
-                        Ok(Value::Fix(v.max(flo).min(fhi)))
-                    }
-                    other => Err(EvalError::new(format!("cannot clip {other:?}"))),
-                }
-            }
-            Builtin::SampleUniform => {
-                let phi = self.expr(&args[0])?.as_fix()?.to_f64();
+            (Builtin::SampleUniform, [rate]) => {
+                let phi = self.expr(rate)?.as_fix()?.to_f64();
                 if !(0.0..=1.0).contains(&phi) {
                     return Err(EvalError::new(format!("sampling rate {phi} out of range")));
                 }
@@ -523,25 +584,19 @@ impl<'a> Interp<'a> {
                 // the updated view.
                 Ok(Value::Int(self.view.len() as i64))
             }
-            Builtin::Declassify => self.expr(&args[0]),
-            Builtin::Output => {
+            (Builtin::Output, _) => {
                 for a in args {
                     let v = self.expr(a)?;
                     self.outputs.push(v);
                 }
                 Ok(Value::Bool(true))
             }
-            Builtin::Len => match self.expr(&args[0])? {
-                Value::IntArray(v) => Ok(Value::Int(v.len() as i64)),
-                Value::FixArray(v) => Ok(Value::Int(v.len() as i64)),
-                other => Err(EvalError::new(format!("len of {other:?}"))),
-            },
-            Builtin::Random => {
-                let bound = self.expr(&args[0])?.as_int()?;
-                if bound <= 0 {
-                    return Err(EvalError::new("random bound must be positive"));
-                }
-                Ok(Value::Int(self.rng.gen_range(0..bound)))
+            _ => {
+                let args = args
+                    .iter()
+                    .map(|a| self.expr(a))
+                    .collect::<Result<_, _>>()?;
+                builtin(b, args, &mut self.rng)
             }
         }
     }

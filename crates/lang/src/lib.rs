@@ -12,7 +12,9 @@
 //!   and implicit flows), sensitivity propagation, and `(ε, δ)` budget
 //!   accounting (§4.2);
 //! * [`interp`] — the reference interpreter defining the centralized
-//!   semantics that distributed plans must preserve.
+//!   semantics that distributed plans must preserve, and the one
+//!   definition of public values: `runtime::mpc_eval` calls its
+//!   value-level operations for every operation on public operands.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,8 +7,10 @@
 //! probabilistic shifting for division by powers of two), and the DP
 //! mechanisms execute as committee vignettes (noise injection with
 //! metered functionality costs, secure argmax tournaments). Released
-//! mechanism results become public and subsequent statements run in the
-//! clear — so every query in the corpus, including `median`'s prefix
+//! mechanism results become public, and every operation whose operands
+//! are all public is `lang::interp`'s ([`binop`], [`builtin`], [`store`],
+//! …), the one definition of public semantics: this module keeps only
+//! the secret half. So every corpus query, including `median`'s prefix
 //! sums and `auction`'s revenue scores, executes concretely end to end.
 //!
 //! Conventions: shared values are sign-embedded integers; mechanisms
@@ -47,19 +49,20 @@
 
 use std::collections::{HashMap, HashSet};
 
-use arboretum_dp::mechanisms::em_exponentiate;
+use arboretum_dp::mechanisms::{em_exponentiate, MechanismError};
 use arboretum_dp::noise::{gumbel_fix, laplace_fix};
 use arboretum_field::fixed::Fix;
 use arboretum_field::FGold;
 use arboretum_lang::ast::{BinOp, Builtin, Expr, Stmt, UnOp};
-use arboretum_lang::interp::MAX_ARRAY_LEN;
+use arboretum_lang::interp::{
+    binop, builtin, index, len, mech_params, slot_index, store, truncate, unop, EvalError, Value,
+};
 use arboretum_mpc::compare::{argmax_tournament, less_than_batch};
 use arboretum_mpc::engine::{MpcEngine, Shared};
 use arboretum_mpc::fixp::{
     field_to_fix, inject_with_cost, shift_right, FunctionalityCost, SharedFix,
 };
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Comparison width for shared comparisons (covers fix-scaled counts
 /// plus noise plus offset).
@@ -167,22 +170,13 @@ enum Prior {
 /// A value in the evaluator: public or secret-shared.
 #[derive(Clone, Debug)]
 pub enum MVal {
-    /// Public integer.
-    PubInt(i64),
-    /// Public fixed-point value.
-    PubFix(Fix),
-    /// Public boolean.
-    PubBool(bool),
-    /// Public integer array.
-    PubIntArr(Vec<i64>),
-    /// Public fixed-point array.
-    PubFixArr(Vec<Fix>),
-    /// Secret-shared integer, as a caller hands it in.
-    Shared(Shared),
-    /// Secret-shared integer array, as a caller hands it in.
+    /// A public value, with the reference interpreter's semantics.
+    Pub(Value),
+    /// Secret-shared integer array, as a caller hands it in
+    /// ([`MpcEvaluator::new`] lifts it to `SecretArr`). ROADMAP 1c deletes
+    /// this once callers pass `Vec<Shared>`.
     SharedArr(Vec<Shared>),
-    /// Secret integer inside the evaluator ([`MpcEvaluator::new`] lifts
-    /// the caller's `Shared` to this).
+    /// Secret integer inside the evaluator.
     Secret(Sec),
     /// Secret integer array inside the evaluator.
     SecretArr(Vec<Sec>),
@@ -203,6 +197,12 @@ impl std::fmt::Display for MpcEvalError {
 
 impl std::error::Error for MpcEvalError {}
 
+impl From<EvalError> for MpcEvalError {
+    fn from(e: EvalError) -> Self {
+        Self { message: e.message }
+    }
+}
+
 fn fail(e: impl std::fmt::Display) -> MpcEvalError {
     MpcEvalError {
         message: e.to_string(),
@@ -211,6 +211,19 @@ fn fail(e: impl std::fmt::Display) -> MpcEvalError {
 
 fn err<T>(msg: impl std::fmt::Display) -> Result<T, MpcEvalError> {
     Err(fail(msg))
+}
+
+/// Appends a released value to the committee's integer outputs: a
+/// fixed-point value is floored and an array flattened. This is the
+/// release format, not arithmetic.
+pub fn release(v: Value, outputs: &mut Vec<i64>) {
+    match v {
+        Value::Int(x) => outputs.push(x),
+        Value::Fix(f) => outputs.push(f.floor()),
+        Value::Bool(b) => outputs.push(i64::from(b)),
+        Value::IntArray(xs) => outputs.extend(xs),
+        Value::FixArray(fs) => outputs.extend(fs.iter().map(|f| f.floor())),
+    }
 }
 
 /// The evaluator state.
@@ -247,7 +260,6 @@ impl<'a> MpcEvaluator<'a> {
         mech_style: MechStyle,
     ) -> Self {
         let lift = |v| match v {
-            MVal::Shared(s) => MVal::Secret(s.into()),
             MVal::SharedArr(a) => MVal::SecretArr(a.into_iter().map(Sec::from).collect()),
             v => v,
         };
@@ -287,7 +299,7 @@ impl<'a> MpcEvaluator<'a> {
                 self.store(name, None, v)
             }
             Stmt::IndexAssign(name, idx, value) => {
-                let i = self.pub_index(idx)?;
+                let i = slot_index(&public(self.expr(idx)?)?)?;
                 let v = self.expr(value)?;
                 self.store(name, Some(i), v)
             }
@@ -297,10 +309,10 @@ impl<'a> MpcEvaluator<'a> {
                 to,
                 body,
             } => {
-                let a = self.pub_int(from)?;
-                let b = self.pub_int(to)?;
+                let a = public(self.expr(from)?)?.as_int()?;
+                let b = public(self.expr(to)?)?.as_int()?;
                 for i in a..=b {
-                    self.store(var, None, MVal::PubInt(i))?;
+                    self.store(var, None, MVal::Pub(Value::Int(i)))?;
                     self.stmts(body)?;
                 }
                 Ok(())
@@ -310,7 +322,11 @@ impl<'a> MpcEvaluator<'a> {
                 then_branch,
                 else_branch,
             } => match self.expr(cond)? {
-                MVal::PubBool(c) => self.stmts(if c { then_branch } else { else_branch }),
+                MVal::Pub(c) => self.stmts(if c.as_bool()? {
+                    then_branch
+                } else {
+                    else_branch
+                }),
                 MVal::Secret(bit) => self.oblivious_if(&bit, then_branch, else_branch),
                 other => err(format!("if condition must be bool, got {other:?}")),
             },
@@ -319,36 +335,50 @@ impl<'a> MpcEvaluator<'a> {
     }
 
     /// Writes a variable (`at == None`) or an array slot, logging the
-    /// write while a secret branch is running.
+    /// write while a secret branch is running. A public value written
+    /// into a public (or new) array is the interpreter's [`store`]; a
+    /// secret one promotes a public integer array to a secret one.
     fn store(&mut self, name: &str, at: Option<usize>, v: MVal) -> Result<(), MpcEvalError> {
         let Some(i) = at else {
             let old = self.env.insert(name.to_string(), v);
             self.log(name, at, Prior::Var(old));
             return Ok(());
         };
-        let constant = |x: i64| Sec::from(self.engine.constant(FGold::from_i64(x)));
-        // A write that creates or promotes the array replaces all of it.
-        let whole = match self.env.get_mut(name) {
-            None => {
-                let empty = match &v {
-                    MVal::Secret(_) => MVal::SecretArr(Vec::new()),
-                    MVal::PubFix(_) => MVal::PubFixArr(Vec::new()),
-                    _ => MVal::PubIntArr(Vec::new()),
+        let (arr, prior) = match (self.env.remove(name), v) {
+            (Some(MVal::SecretArr(mut a)), v) => {
+                let prior = put(&mut a, i, self.as_sec(&v)?, || self.constant(0));
+                (MVal::SecretArr(a), prior)
+            }
+            (None, MVal::Pub(x)) => (MVal::Pub(store(None, i, x)?), Prior::Var(None)),
+            (Some(MVal::Pub(arr)), MVal::Pub(x)) => {
+                // Undoing the write restores the slot and the length, or
+                // the whole array if it promoted integers to fixed point.
+                let prior = match (&arr, &x) {
+                    (Value::IntArray(_), Value::Fix(_)) => Prior::Var(Some(MVal::Pub(arr.clone()))),
+                    // (`store` refuses a scalar `arr`.)
+                    _ => Prior::Slot {
+                        len: len(&arr).unwrap_or(0),
+                        old: index(&arr, i).ok().map(MVal::Pub),
+                    },
                 };
-                self.env.insert(name.to_string(), empty);
-                Some(Prior::Var(None))
+                (MVal::Pub(store(Some(arr), i, x)?), prior)
             }
-            // Mixed public/shared array writes promote to shared.
-            Some(MVal::PubIntArr(old)) if matches!(v, MVal::Secret(_)) => {
-                let promoted = MVal::SecretArr(old.iter().map(|&x| constant(x)).collect());
-                let entry = self.env.get_mut(name).expect("just read");
-                Some(Prior::Var(Some(std::mem::replace(entry, promoted))))
+            // A secret write creates a secret array, or promotes a public
+            // integer one.
+            (old @ (None | Some(MVal::Pub(Value::IntArray(_)))), MVal::Secret(s)) => {
+                let mut a = match &old {
+                    Some(MVal::Pub(Value::IntArray(xs))) => {
+                        xs.iter().map(|&x| self.constant(x)).collect()
+                    }
+                    _ => Vec::new(),
+                };
+                put(&mut a, i, s, || self.constant(0));
+                (MVal::SecretArr(a), Prior::Var(old))
             }
-            Some(_) => None,
+            (old, v) => return err(format!("cannot store {v:?} into {old:?}")),
         };
-        let arr = self.env.get_mut(name).expect("present by now");
-        let slot = put(arr, i, v, || constant(0))?;
-        self.log(name, at, whole.unwrap_or(slot));
+        self.env.insert(name.to_string(), arr);
+        self.log(name, at, prior);
         Ok(())
     }
 
@@ -374,14 +404,22 @@ impl<'a> MpcEvaluator<'a> {
                 Prior::Var(None) => {
                     self.env.remove(&w.name);
                 }
-                Prior::Slot { len, old } => {
-                    let arr = self.env.get_mut(&w.name).expect("a logged array");
-                    truncate(arr, len);
-                    if let (Some(i), Some(old)) = (w.at, old) {
-                        put(arr, i, old, || unreachable!("slot below the old length"))
-                            .expect("the slot's own kind");
+                Prior::Slot { len, old } => match self.env.get_mut(&w.name) {
+                    Some(MVal::SecretArr(a)) => {
+                        a.truncate(len);
+                        if let (Some(i), Some(MVal::Secret(old))) = (w.at, old) {
+                            a[i] = old;
+                        }
                     }
-                }
+                    Some(MVal::Pub(a)) => {
+                        truncate(a, len);
+                        if let (Some(i), Some(MVal::Pub(old))) = (w.at, old) {
+                            let arr = std::mem::replace(a, Value::Bool(false));
+                            *a = store(Some(arr), i, old).expect("the slot's own kind");
+                        }
+                    }
+                    _ => {}
+                },
             }
         }
     }
@@ -451,15 +489,9 @@ impl<'a> MpcEvaluator<'a> {
 
     /// `bit ? t : f` for one written target.
     fn select(&mut self, bit: &Sec, t: &MVal, f: &MVal) -> Result<MVal, MpcEvalError> {
-        // Fast path: identical public values need no protocol.
-        match (t, f) {
-            (MVal::PubInt(a), MVal::PubInt(b)) if a == b => return Ok(MVal::PubInt(*a)),
-            (MVal::PubBool(a), MVal::PubBool(b)) if a == b => return Ok(MVal::PubBool(*a)),
-            (MVal::PubFix(a), MVal::PubFix(b)) if a == b => return Ok(MVal::PubFix(*a)),
-            (MVal::PubIntArr(a), MVal::PubIntArr(b)) if a == b => {
-                return Ok(MVal::PubIntArr(a.clone()))
-            }
-            _ => {}
+        // Identical public values need no protocol.
+        if matches!((t, f), (MVal::Pub(a), MVal::Pub(b)) if a == b) {
+            return Ok(t.clone());
         }
         match (self.as_sec(t), self.as_sec(f)) {
             (Ok(a), Ok(b)) => Ok(MVal::Secret(self.mux(bit, a, b))),
@@ -555,11 +587,15 @@ impl<'a> MpcEvaluator<'a> {
         Ok(self.ready(s).expect("flush ran every node"))
     }
 
+    /// A public integer as a (trivial) sharing.
+    fn constant(&self, x: i64) -> Sec {
+        self.engine.constant(FGold::from_i64(x)).into()
+    }
+
     fn as_sec(&self, v: &MVal) -> Result<Sec, MpcEvalError> {
         match v {
             MVal::Secret(s) => Ok(s.clone()),
-            MVal::PubInt(x) => Ok(self.engine.constant(FGold::from_i64(*x)).into()),
-            MVal::PubBool(b) => Ok(self.engine.constant(FGold::new(u64::from(*b))).into()),
+            MVal::Pub(x @ (Value::Int(_) | Value::Bool(_))) => Ok(self.constant(x.as_int()?)),
             other => err(format!("expected scalar, got {other:?}")),
         }
     }
@@ -567,10 +603,7 @@ impl<'a> MpcEvaluator<'a> {
     fn sec_array(&self, v: &MVal) -> Result<Vec<Sec>, MpcEvalError> {
         match v {
             MVal::SecretArr(a) => Ok(a.clone()),
-            MVal::PubIntArr(a) => Ok(a
-                .iter()
-                .map(|&x| self.engine.constant(FGold::from_i64(x)).into())
-                .collect()),
+            MVal::Pub(Value::IntArray(a)) => Ok(a.iter().map(|&x| self.constant(x)).collect()),
             MVal::Secret(s) => Ok(vec![s.clone()]),
             other => err(format!("expected array, got {other:?}")),
         }
@@ -587,46 +620,25 @@ impl<'a> MpcEvaluator<'a> {
             .collect())
     }
 
-    fn pub_int(&mut self, e: &Expr) -> Result<i64, MpcEvalError> {
-        match self.expr(e)? {
-            MVal::PubInt(v) => Ok(v),
-            other => err(format!("expected public int, got {other:?}")),
-        }
-    }
-
-    /// A public array index: non-negative and below the longest array a
-    /// schema row can seed, so a hostile literal is an error, not a
-    /// wrapped index or a terabyte `resize`.
-    fn pub_index(&mut self, e: &Expr) -> Result<usize, MpcEvalError> {
-        let i = self.pub_int(e)?;
-        usize::try_from(i)
-            .ok()
-            .filter(|&i| i < MAX_ARRAY_LEN)
-            .ok_or_else(|| fail(format!("index {i} outside 0..{MAX_ARRAY_LEN}")))
-    }
-
     fn expr(&mut self, e: &Expr) -> Result<MVal, MpcEvalError> {
         match e {
-            Expr::Int(v) => Ok(MVal::PubInt(*v)),
-            Expr::Fix(v) => Fix::from_f64(*v).map(MVal::PubFix).map_err(fail),
-            Expr::Bool(b) => Ok(MVal::PubBool(*b)),
+            Expr::Int(v) => Ok(MVal::Pub(Value::Int(*v))),
+            Expr::Fix(v) => Ok(MVal::Pub(Value::Fix(Fix::from_f64(*v).map_err(fail)?))),
+            Expr::Bool(b) => Ok(MVal::Pub(Value::Bool(*b))),
             Expr::Var(name) => self.var(name).cloned(),
             Expr::Index(base, idx) => {
-                let i = self.pub_index(idx)?;
+                let i = slot_index(&public(self.expr(idx)?)?)?;
                 match &**base {
                     // Reads one slot without copying the array.
                     Expr::Var(name) => element(self.var(name)?, i),
                     _ => element(&self.expr(base)?, i),
                 }
             }
-            Expr::Un(UnOp::Neg, inner) => {
-                let v = self.expr(inner)?;
-                self.bin(BinOp::Sub, MVal::PubInt(0), v)
-            }
-            Expr::Un(UnOp::Not, inner) => match self.expr(inner)? {
-                MVal::PubBool(b) => Ok(MVal::PubBool(!b)),
-                MVal::Secret(bit) => Ok(MVal::Secret(bit.not())),
-                other => err(format!("cannot negate {other:?}")),
+            Expr::Un(op, inner) => match (op, self.expr(inner)?) {
+                (_, MVal::Pub(v)) => Ok(MVal::Pub(unop(*op, v)?)),
+                (UnOp::Not, MVal::Secret(bit)) => Ok(MVal::Secret(bit.not())),
+                (UnOp::Neg, v) => self.bin(BinOp::Sub, MVal::Pub(Value::Int(0)), v),
+                (UnOp::Not, other) => err(format!("cannot negate {other:?}")),
             },
             Expr::Bin(op, l, r) => {
                 let lv = self.expr(l)?;
@@ -645,25 +657,24 @@ impl<'a> MpcEvaluator<'a> {
 
     fn bin(&mut self, op: BinOp, l: MVal, r: MVal) -> Result<MVal, MpcEvalError> {
         use BinOp::*;
-        // Fully public: delegate to clear arithmetic.
-        let secret = |v: &MVal| matches!(v, MVal::Secret(_) | MVal::SecretArr(_));
-        if !secret(&l) && !secret(&r) {
-            return self.pub_bin(op, l, r);
-        }
-        // At least one shared operand: integers only.
+        let (l, r) = match (l, r) {
+            (MVal::Pub(a), MVal::Pub(b)) => return Ok(MVal::Pub(binop(op, a, b)?)),
+            lr => lr,
+        };
+        // At least one secret operand: integers only.
         let ls = self.as_sec(&l)?;
         let rs = self.as_sec(&r)?;
         Ok(MVal::Secret(match op {
             Add => ls.plus(&rs),
             Sub => ls.minus(&rs),
-            // Shared × public is linear; shared × shared is deferred.
+            // Secret × public is linear; secret × secret is deferred.
             Mul => match (l, r) {
-                (_, MVal::PubInt(k)) => ls.scale(FGold::from_i64(k)),
-                (MVal::PubInt(k), _) => rs.scale(FGold::from_i64(k)),
+                (_, MVal::Pub(Value::Int(k))) => ls.scale(FGold::from_i64(k)),
+                (MVal::Pub(Value::Int(k)), _) => rs.scale(FGold::from_i64(k)),
                 _ => self.defer(Node::Mul(ls, rs)),
             },
             Div => {
-                let MVal::PubInt(k) = r else {
+                let MVal::Pub(Value::Int(k)) = r else {
                     return err("secure division requires a public divisor");
                 };
                 if k <= 0 || (k & (k - 1)) != 0 {
@@ -691,65 +702,9 @@ impl<'a> MpcEvaluator<'a> {
         }))
     }
 
-    fn pub_bin(&mut self, op: BinOp, l: MVal, r: MVal) -> Result<MVal, MpcEvalError> {
-        use BinOp::*;
-        let fixy = matches!(l, MVal::PubFix(_)) || matches!(r, MVal::PubFix(_));
-        if matches!(op, And | Or) {
-            let (MVal::PubBool(a), MVal::PubBool(b)) = (&l, &r) else {
-                return err("logical operators need booleans");
-            };
-            return Ok(MVal::PubBool(if op == And { *a && *b } else { *a || *b }));
-        }
-        if fixy {
-            let a = self.as_pub_fix(&l)?;
-            let b = self.as_pub_fix(&r)?;
-            return Ok(match op {
-                Add => MVal::PubFix(a.checked_add(b).map_err(fail)?),
-                Sub => MVal::PubFix(a.checked_sub(b).map_err(fail)?),
-                Mul => MVal::PubFix(a.checked_mul(b).map_err(fail)?),
-                Div => MVal::PubFix(a.checked_div(b).map_err(fail)?),
-                Lt => MVal::PubBool(a < b),
-                Le => MVal::PubBool(a <= b),
-                Gt => MVal::PubBool(a > b),
-                Ge => MVal::PubBool(a >= b),
-                Eq => MVal::PubBool(a == b),
-                Ne => MVal::PubBool(a != b),
-                And | Or => unreachable!(),
-            });
-        }
-        let (MVal::PubInt(a), MVal::PubInt(b)) = (&l, &r) else {
-            return err(format!("bad public operands: {l:?}, {r:?}"));
-        };
-        let (a, b) = (*a, *b);
-        let int = |v: Option<i64>| {
-            v.map(MVal::PubInt)
-                .ok_or_else(|| fail(format!("integer overflow in {a} {op:?} {b}")))
-        };
-        Ok(match op {
-            Add => int(a.checked_add(b))?,
-            Sub => int(a.checked_sub(b))?,
-            Mul => int(a.checked_mul(b))?,
-            Div if b == 0 => return err("division by zero"),
-            Div => int(a.checked_div(b))?,
-            Lt => MVal::PubBool(a < b),
-            Le => MVal::PubBool(a <= b),
-            Gt => MVal::PubBool(a > b),
-            Ge => MVal::PubBool(a >= b),
-            Eq => MVal::PubBool(a == b),
-            Ne => MVal::PubBool(a != b),
-            And | Or => unreachable!(),
-        })
-    }
-
-    fn as_pub_fix(&self, v: &MVal) -> Result<Fix, MpcEvalError> {
-        match v {
-            MVal::PubFix(f) => Ok(*f),
-            MVal::PubInt(i) => Fix::from_int(*i).map_err(fail),
-            other => err(format!("expected public numeric, got {other:?}")),
-        }
-    }
-
     fn call(&mut self, b: Builtin, args: &[Expr]) -> Result<MVal, MpcEvalError> {
+        use Builtin::{Em, EmGap, EmTopK, Laplace};
+        let mechanism = matches!(b, Em | EmTopK | EmGap | Laplace);
         match b {
             Builtin::Output => {
                 if self.oblivious_depth > 0 {
@@ -757,49 +712,48 @@ impl<'a> MpcEvaluator<'a> {
                 }
                 for a in args {
                     match self.expr(a)? {
-                        MVal::PubInt(v) => self.outputs.push(v),
-                        MVal::PubFix(f) => self.outputs.push(f.floor()),
-                        MVal::PubBool(v) => self.outputs.push(i64::from(v)),
-                        MVal::PubIntArr(vs) => self.outputs.extend(vs),
-                        MVal::PubFixArr(vs) => self.outputs.extend(vs.iter().map(|f| f.floor())),
+                        MVal::Pub(v) => release(v, &mut self.outputs),
                         other => return err(format!("cannot release secret value {other:?}")),
                     }
                 }
-                Ok(MVal::PubBool(true))
+                return Ok(MVal::Pub(Value::Bool(true)));
             }
-            Builtin::Declassify => {
+            _ if mechanism && self.oblivious_depth > 0 => {
+                return err("mechanisms inside secret branches are not supported");
+            }
+            Builtin::SampleUniform => return err("sampleUniform must be handled at input time"),
+            _ => {}
+        }
+        let vals = args
+            .iter()
+            .map(|a| self.expr(a))
+            .collect::<Result<Vec<_>, _>>()?;
+        // All-public operands are the interpreter's, a mechanism over
+        // public scores included: it needs no committee.
+        if vals.iter().all(|v| matches!(v, MVal::Pub(_))) {
+            let vals = vals.into_iter().map(public).collect::<Result<_, _>>()?;
+            return Ok(MVal::Pub(builtin(b, vals, self.rng)?));
+        }
+        // At least one secret argument.
+        match (b, vals.as_slice()) {
+            (_, [scores, tail @ ..]) if mechanism => {
+                let tail = tail.iter().cloned().map(public);
+                self.mechanism(b, scores, &tail.collect::<Result<Vec<_>, _>>()?)
+            }
+            (Builtin::Declassify, [MVal::Secret(s)]) => {
                 // The planner only inserts declassify on mechanism-safe
                 // values (§4.5); open the share.
-                match self.expr(&args[0])? {
-                    MVal::Secret(s) => {
-                        let s = self.force(&s)?;
-                        let v = self.engine.open(&s).map_err(fail)?;
-                        Ok(MVal::PubInt(v.signed_value()))
-                    }
-                    public => Ok(public),
-                }
+                let s = self.force(s)?;
+                let v = self.engine.open(&s).map_err(fail)?;
+                Ok(MVal::Pub(Value::Int(v.signed_value())))
             }
-            Builtin::Sum => match self.expr(&args[0])? {
-                MVal::SecretArr(a) => {
-                    let zero = Sec::from(self.engine.zero());
-                    Ok(MVal::Secret(a.iter().fold(zero, Sec::plus)))
-                }
-                MVal::PubIntArr(a) => a
-                    .iter()
-                    .try_fold(0i64, |acc, &x| acc.checked_add(x))
-                    .map(MVal::PubInt)
-                    .ok_or_else(|| fail("integer overflow in sum")),
-                other => err(format!("cannot sum {other:?} (db sums happen upstream)")),
-            },
-            Builtin::Len => match self.expr(&args[0])? {
-                MVal::SecretArr(a) => Ok(MVal::PubInt(a.len() as i64)),
-                MVal::PubIntArr(a) => Ok(MVal::PubInt(a.len() as i64)),
-                MVal::PubFixArr(a) => Ok(MVal::PubInt(a.len() as i64)),
-                other => err(format!("len of {other:?}")),
-            },
-            Builtin::Max | Builtin::ArgMax => {
-                let v = self.expr(&args[0])?;
-                let arr = self.shared_array(&v)?;
+            (Builtin::Sum, [MVal::SecretArr(a)]) => {
+                let zero = Sec::from(self.engine.zero());
+                Ok(MVal::Secret(a.iter().fold(zero, Sec::plus)))
+            }
+            (Builtin::Len, [MVal::SecretArr(a)]) => Ok(MVal::Pub(Value::Int(a.len() as i64))),
+            (Builtin::Max | Builtin::ArgMax, [v]) => {
+                let arr = self.shared_array(v)?;
                 let off = FGold::new(CMP_OFFSET);
                 let offs: Vec<Shared> = arr.iter().map(|s| self.engine.add_const(s, off)).collect();
                 let (mx, idx) = argmax_tournament(self.engine, &offs, CMP_BITS).map_err(fail)?;
@@ -809,79 +763,33 @@ impl<'a> MpcEvaluator<'a> {
                     Ok(MVal::Secret(idx.into()))
                 }
             }
-            Builtin::Clip => {
-                let v = self.expr(&args[0])?;
-                let lo = self.pub_int(&args[1])?;
-                let hi = self.pub_int(&args[2])?;
-                match v {
-                    MVal::PubInt(x) if lo <= hi => Ok(MVal::PubInt(x.clamp(lo, hi))),
-                    MVal::Secret(s) => {
-                        let lo = self.as_sec(&MVal::PubInt(lo))?;
-                        let hi = self.as_sec(&MVal::PubInt(hi))?;
-                        let below = self.lt(s.clone(), lo.clone());
-                        let clipped_lo = self.mux(&below, lo, s);
-                        let above = self.lt(hi.clone(), clipped_lo.clone());
-                        Ok(MVal::Secret(self.mux(&above, hi, clipped_lo)))
-                    }
-                    other => err(format!("cannot clip {other:?} to {lo}..{hi}")),
+            (Builtin::Clip, [MVal::Secret(s), MVal::Pub(lo), MVal::Pub(hi)]) => {
+                let (lo, hi) = (lo.as_int()?, hi.as_int()?);
+                if lo > hi {
+                    return err(format!("cannot clip to the empty range {lo}..{hi}"));
                 }
+                let (s, lo, hi) = (s.clone(), self.constant(lo), self.constant(hi));
+                let below = self.lt(s.clone(), lo.clone());
+                let clipped_lo = self.mux(&below, lo, s);
+                let above = self.lt(hi.clone(), clipped_lo.clone());
+                Ok(MVal::Secret(self.mux(&above, hi, clipped_lo)))
             }
-            Builtin::Em | Builtin::EmTopK | Builtin::EmGap | Builtin::Laplace => {
-                if self.oblivious_depth > 0 {
-                    return err("mechanisms inside secret branches are not supported");
-                }
-                self.mechanism(b, args)
-            }
-            Builtin::Random => {
-                let bound = self.pub_int(&args[0])?;
-                if bound <= 0 {
-                    return err("random bound must be positive");
-                }
-                Ok(MVal::PubInt(self.rng.gen_range(0..bound)))
-            }
-            Builtin::Exp | Builtin::Log => {
-                // Public-only transcendentals (secret ones would be FHE
-                // gadget vignettes, which the planner avoids for the
-                // corpus queries).
-                let x = self.expr(&args[0])?;
-                let f = self.as_pub_fix(&x)?;
-                let r = if b == Builtin::Exp { f.exp() } else { f.ln() };
-                r.map(MVal::PubFix).map_err(fail)
-            }
-            Builtin::SampleUniform => err("sampleUniform must be handled at input time"),
+            _ => err(format!("cannot {} a secret operand", b.name())),
         }
     }
 
-    /// Mechanism arguments: `(scores_expr, [k], [sens], eps)`.
-    fn mechanism(&mut self, b: Builtin, args: &[Expr]) -> Result<MVal, MpcEvalError> {
-        let scores_val = self.expr(&args[0])?;
-        // Parse tail arguments.
-        let tail: Vec<f64> = args[1..]
-            .iter()
-            .map(|a| {
-                let v = self.expr(a)?;
-                self.as_pub_fix(&v).map(|f| f.to_f64())
-            })
-            .collect::<Result<_, _>>()?;
-        let (k, sens, eps) = match (b, tail.as_slice()) {
-            (Builtin::Em | Builtin::EmGap, [eps]) => (1usize, 1.0, *eps),
-            (Builtin::Em | Builtin::EmGap, [sens, eps]) => (1, *sens, *eps),
-            (Builtin::EmTopK, [k, eps]) => (*k as usize, 1.0, *eps),
-            (Builtin::EmTopK, [k, sens, eps]) => (*k as usize, *sens, *eps),
-            (Builtin::Laplace, [sens, eps]) => (1, *sens, *eps),
-            _ => return err(format!("bad mechanism arity for {b:?}")),
-        };
-        if eps <= 0.0 || sens <= 0.0 {
-            return err("mechanism parameters must be positive");
-        }
-
+    /// A mechanism over secret scores, as a committee vignette; `tail`
+    /// holds its public parameters (`[k], [sens], eps`).
+    fn mechanism(
+        &mut self,
+        b: Builtin,
+        scores: &MVal,
+        tail: &[Value],
+    ) -> Result<MVal, MpcEvalError> {
+        let (k, sens, eps) = mech_params(b, tail)?;
         if b == Builtin::Laplace {
             let scale = Fix::from_f64(sens / eps).map_err(fail)?;
-            let shares = match &scores_val {
-                MVal::PubInt(x) => vec![self.engine.constant(FGold::from_i64(*x))],
-                MVal::Secret(_) | MVal::SecretArr(_) => self.shared_array(&scores_val)?,
-                other => return err(format!("laplace over {other:?}")),
-            };
+            let shares = self.shared_array(scores)?;
             // Lift each integer share to Q30.16, add its noise, and open
             // the whole vector in one round trip.
             let noised: Vec<Shared> = shares
@@ -901,18 +809,20 @@ impl<'a> MpcEvaluator<'a> {
                 .into_iter()
                 .map(|v| field_to_fix(v).map_err(fail))
                 .collect::<Result<Vec<Fix>, _>>()?;
-            return Ok(match scores_val {
-                MVal::SecretArr(_) => MVal::PubFixArr(released),
-                _ => MVal::PubFix(released.remove(0)),
-            });
+            return Ok(MVal::Pub(match scores {
+                MVal::SecretArr(_) => Value::FixArray(released),
+                _ => Value::Fix(released.remove(0)),
+            }));
         }
 
         // Exponential-mechanism family.
-        let arr = self.shared_array(&scores_val)?;
-        if arr.is_empty() {
-            return err("empty score vector");
+        let arr = self.shared_array(scores)?;
+        if arr.is_empty() || b == Builtin::EmGap && arr.len() < 2 {
+            return Err(fail(MechanismError::EmptyScores));
         }
-        let k = k.min(arr.len());
+        if k > arr.len() {
+            return Err(fail(MechanismError::KTooLarge { k, n: arr.len() }));
+        }
         match self.mech_style {
             MechStyle::ExpSample => {
                 // Metered ideal functionality: the committee scan +
@@ -941,7 +851,7 @@ impl<'a> MpcEvaluator<'a> {
                 }
                 // The gap variant also releases the noisy winner/runner-up
                 // margin (free under the same epsilon).
-                let gap = if b == Builtin::EmGap && clear.len() >= 2 {
+                let gap = if b == Builtin::EmGap {
                     let scale = Fix::from_f64(2.0 * sens / eps).map_err(fail)?;
                     let w = winners[0] as usize;
                     let runner = working
@@ -957,7 +867,7 @@ impl<'a> MpcEvaluator<'a> {
                 } else {
                     None
                 };
-                self.em_result(b, winners, gap)
+                Ok(MVal::Pub(em_result(b, winners, gap)))
             }
             MechStyle::Gumbel => {
                 let scale = Fix::from_f64(2.0 * sens / eps).map_err(fail)?;
@@ -983,7 +893,7 @@ impl<'a> MpcEvaluator<'a> {
                     let (orig, _) = remaining.remove(pos);
                     winners.push(orig as i64);
                     // The gap variant also releases best − runner-up.
-                    if b == Builtin::EmGap && pass == 0 && !remaining.is_empty() {
+                    if b == Builtin::EmGap && pass == 0 {
                         let rest: Vec<Shared> = remaining.iter().map(|(_, s)| s.clone()).collect();
                         let (mx2, _) =
                             argmax_tournament(self.engine, &rest, CMP_BITS + 2).map_err(fail)?;
@@ -992,73 +902,59 @@ impl<'a> MpcEvaluator<'a> {
                         gap = Some(opened);
                     }
                 }
-                self.em_result(b, winners, gap)
+                Ok(MVal::Pub(em_result(b, winners, gap)))
             }
-        }
-    }
-
-    fn em_result(
-        &mut self,
-        b: Builtin,
-        winners: Vec<i64>,
-        gap: Option<Fix>,
-    ) -> Result<MVal, MpcEvalError> {
-        match b {
-            Builtin::Em => Ok(MVal::PubInt(winners[0])),
-            Builtin::EmTopK => Ok(MVal::PubIntArr(winners)),
-            Builtin::EmGap => {
-                let g = gap.unwrap_or(Fix::ZERO);
-                Ok(MVal::PubFixArr(vec![
-                    Fix::from_int(winners[0]).unwrap_or(Fix::MAX),
-                    g,
-                ]))
-            }
-            _ => unreachable!("mechanism dispatch"),
         }
     }
 }
 
-/// Writes slot `i` of an array value, growing the array with `pad()`,
-/// and returns what the write replaced.
-fn put(arr: &mut MVal, i: usize, v: MVal, pad: impl Fn() -> Sec) -> Result<Prior, MpcEvalError> {
-    fn swap<T>(a: &mut Vec<T>, i: usize, x: T, pad: impl Fn() -> T, wrap: fn(T) -> MVal) -> Prior {
-        let len = a.len();
-        let old = if i < len {
-            Some(wrap(std::mem::replace(&mut a[i], x)))
-        } else {
-            a.resize_with(i, pad);
-            a.push(x);
-            None
-        };
-        Prior::Slot { len, old }
-    }
-    Ok(match (arr, v) {
-        (MVal::SecretArr(a), MVal::Secret(s)) => swap(a, i, s, pad, MVal::Secret),
-        (MVal::PubIntArr(a), MVal::PubInt(x)) => swap(a, i, x, || 0, MVal::PubInt),
-        (MVal::PubFixArr(a), MVal::PubFix(x)) => swap(a, i, x, || Fix::ZERO, MVal::PubFix),
-        (e, v) => return err(format!("cannot store {v:?} into {e:?}")),
-    })
-}
-
-/// Shortens an array value to `n` slots.
-fn truncate(v: &mut MVal, n: usize) {
+/// A value the program must know in the clear: a loop bound, an index
+/// or a mechanism parameter.
+fn public(v: MVal) -> Result<Value, MpcEvalError> {
     match v {
-        MVal::SecretArr(a) => a.truncate(n),
-        MVal::PubIntArr(a) => a.truncate(n),
-        MVal::PubFixArr(a) => a.truncate(n),
-        _ => {}
+        MVal::Pub(v) => Ok(v),
+        other => err(format!("expected a public value, got {other:?}")),
     }
+}
+
+/// An exponential-mechanism release in the interpreter's shape: `em`'s
+/// winner, `emTopK`'s winners, or `emGap`'s `[winner, gap]`.
+fn em_result(b: Builtin, winners: Vec<i64>, gap: Option<Fix>) -> Value {
+    match b {
+        Builtin::EmTopK => Value::IntArray(winners),
+        Builtin::EmGap => Value::FixArray(vec![
+            Fix::from_int(winners[0]).unwrap_or(Fix::MAX),
+            gap.unwrap_or(Fix::ZERO),
+        ]),
+        _ => Value::Int(winners[0]),
+    }
+}
+
+/// Writes slot `i` of a secret array, growing it with `pad()`, and
+/// returns what the write replaced.
+fn put(a: &mut Vec<Sec>, i: usize, x: Sec, pad: impl Fn() -> Sec) -> Prior {
+    let len = a.len();
+    let old = if i < len {
+        Some(MVal::Secret(std::mem::replace(&mut a[i], x)))
+    } else {
+        a.resize_with(i, pad);
+        a.push(x);
+        None
+    };
+    Prior::Slot { len, old }
 }
 
 /// Slot `i` of an array value.
 fn element(v: &MVal, i: usize) -> Result<MVal, MpcEvalError> {
-    let got = match v {
-        MVal::SecretArr(a) => a.get(i).cloned().map(MVal::Secret),
-        MVal::PubIntArr(a) => a.get(i).copied().map(MVal::PubInt),
-        MVal::PubFixArr(a) => a.get(i).copied().map(MVal::PubFix),
-        other => return err(format!("cannot index {other:?}")),
-    };
-    got.ok_or_else(|| fail(format!("index {i} out of bounds")))
+    match v {
+        MVal::Pub(arr) => Ok(MVal::Pub(index(arr, i)?)),
+        MVal::SecretArr(a) => a
+            .get(i)
+            .cloned()
+            .map(MVal::Secret)
+            .ok_or_else(|| fail(format!("index {i} out of bounds"))),
+        other => err(format!("cannot index {other:?}")),
+    }
 }
 
 #[cfg(test)]
@@ -1067,21 +963,26 @@ mod tests {
     use arboretum_lang::parser::parse;
     use rand::SeedableRng;
 
-    fn run(src: &str, counts: &[i64], style: MechStyle, seed: u64) -> Vec<i64> {
+    /// Runs `src` past its leading `aggr = sum(db);` on input-shared
+    /// `counts` (pre-bound, as the executor does), seeding the engine and
+    /// the evaluator's randomness.
+    fn run(
+        src: &str,
+        counts: &[i64],
+        style: MechStyle,
+        (engine_seed, seed): (u64, u64),
+    ) -> Result<Vec<i64>, MpcEvalError> {
         let program = parse(src).unwrap();
-        let mut engine = MpcEngine::new(5, 2, false, seed);
+        let mut engine = MpcEngine::new(5, 2, false, engine_seed);
         let shares: Vec<Shared> = counts
             .iter()
             .map(|&c| engine.input(0, FGold::from_i64(c)).unwrap())
             .collect();
-        let mut env = HashMap::new();
-        env.insert("aggr".to_string(), MVal::SharedArr(shares));
+        let env = HashMap::from([("aggr".to_string(), MVal::SharedArr(shares))]);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ev = MpcEvaluator::new(&mut engine, &mut rng, env, style);
-        // Skip the leading `aggr = sum(db);` statement — the shares are
-        // pre-bound, as the executor does.
-        ev.block(&program.stmts[1..]).unwrap();
-        ev.outputs
+        ev.block(&program.stmts[1..])?;
+        Ok(ev.outputs)
     }
 
     #[test]
@@ -1090,8 +991,9 @@ mod tests {
             "aggr = sum(db); r = em(aggr, 8.0); output(r);",
             &[3, 60, 5, 2],
             MechStyle::Gumbel,
-            1,
-        );
+            (1, 1),
+        )
+        .unwrap();
         assert_eq!(out, vec![1]);
     }
 
@@ -1112,7 +1014,7 @@ mod tests {
              endfor\n\
              r = em(score, 1, 9.0);\n\
              output(r);";
-        let out = run(src, &[3, 6, 10, 2], MechStyle::Gumbel, 3);
+        let out = run(src, &[3, 6, 10, 2], MechStyle::Gumbel, (3, 3)).unwrap();
         assert_eq!(out, vec![1]);
     }
 
@@ -1126,7 +1028,7 @@ mod tests {
              for r = 0 to 2 do score[r] = r * above[r]; endfor\n\
              w = em(score, 2, 9.0);\n\
              output(w);";
-        let out = run(src, &[1, 1, 10], MechStyle::Gumbel, 5);
+        let out = run(src, &[1, 1, 10], MechStyle::Gumbel, (5, 5)).unwrap();
         assert_eq!(out, vec![2]);
     }
 
@@ -1136,8 +1038,9 @@ mod tests {
             "aggr = sum(db); h = laplace(aggr, 1, 8.0); output(h);",
             &[30, 10, 20],
             MechStyle::Gumbel,
-            7,
-        );
+            (7, 7),
+        )
+        .unwrap();
         assert_eq!(out.len(), 3);
         for (got, want) in out.iter().zip([30i64, 10, 20]) {
             assert!((got - want).abs() <= 3, "{got} vs {want}");
@@ -1150,8 +1053,9 @@ mod tests {
             "aggr = sum(db); t = emTopK(aggr, 2, 9.0); output(t);",
             &[50, 2, 40, 1],
             MechStyle::Gumbel,
-            9,
-        );
+            (9, 9),
+        )
+        .unwrap();
         assert_eq!(out.len(), 2);
         assert!(out.contains(&0) && out.contains(&2), "{out:?}");
 
@@ -1159,8 +1063,9 @@ mod tests {
             "aggr = sum(db); g = emGap(aggr, 9.0); output(g);",
             &[100, 40, 5],
             MechStyle::Gumbel,
-            11,
-        );
+            (11, 11),
+        )
+        .unwrap();
         assert_eq!(out[0], 0, "winner");
         assert!((out[1] - 60).abs() <= 8, "gap {} far from 60", out[1]);
     }
@@ -1171,8 +1076,9 @@ mod tests {
             "aggr = sum(db); r = em(aggr, 8.0); output(r);",
             &[3, 60, 5],
             MechStyle::ExpSample,
-            13,
-        );
+            (13, 13),
+        )
+        .unwrap();
         assert_eq!(out, vec![1]);
     }
 
@@ -1184,53 +1090,37 @@ mod tests {
              thr = 25;\n\
              if noisy > thr then d = 1; else d = 0; endif\n\
              output(d);";
-        let out = run(src, &[40], MechStyle::Gumbel, 15);
+        let out = run(src, &[40], MechStyle::Gumbel, (15, 15)).unwrap();
         assert_eq!(out, vec![1]);
     }
 
     #[test]
     fn secret_outputs_rejected() {
-        let program = parse("aggr = sum(db); output(aggr[0]);").unwrap();
-        let mut engine = MpcEngine::new(5, 2, false, 1);
-        let shares = vec![engine.input(0, FGold::new(5)).unwrap()];
-        let mut env = HashMap::new();
-        env.insert("aggr".to_string(), MVal::SharedArr(shares));
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut ev = MpcEvaluator::new(&mut engine, &mut rng, env, MechStyle::Gumbel);
-        let errv = ev.block(&program.stmts[1..]).unwrap_err();
+        let errv = run(
+            "aggr = sum(db); output(aggr[0]);",
+            &[5],
+            MechStyle::Gumbel,
+            (1, 1),
+        )
+        .unwrap_err();
         assert!(errv.message.contains("secret"), "{errv}");
     }
 
     #[test]
     fn clip_on_shares() {
         let src = "aggr = sum(db); c = clip(aggr[0], 0, 10); r = laplace(c, 1, 50.0); output(r);";
-        let out = run(src, &[100], MechStyle::Gumbel, 17);
+        let out = run(src, &[100], MechStyle::Gumbel, (17, 17)).unwrap();
         assert!((out[0] - 10).abs() <= 1, "clipped to 10, got {}", out[0]);
     }
 
     #[test]
     fn division_by_secret_or_odd_divisor_rejected() {
-        let program = parse("aggr = sum(db); q = aggr[0] / aggr[1]; output(q);").unwrap();
-        let mut engine = MpcEngine::new(5, 2, false, 1);
-        let shares = vec![
-            engine.input(0, FGold::new(6)).unwrap(),
-            engine.input(0, FGold::new(3)).unwrap(),
-        ];
-        let mut env = HashMap::new();
-        env.insert("aggr".to_string(), MVal::SharedArr(shares));
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut ev = MpcEvaluator::new(&mut engine, &mut rng, env, MechStyle::Gumbel);
-        let e = ev.block(&program.stmts[1..]).unwrap_err();
+        let src = "aggr = sum(db); q = aggr[0] / aggr[1]; output(q);";
+        let e = run(src, &[6, 3], MechStyle::Gumbel, (1, 1)).unwrap_err();
         assert!(e.message.contains("public divisor"), "{e}");
 
-        let program = parse("aggr = sum(db); q = aggr[0] / 3; output(q);").unwrap();
-        let mut engine = MpcEngine::new(5, 2, false, 1);
-        let shares = vec![engine.input(0, FGold::new(6)).unwrap()];
-        let mut env = HashMap::new();
-        env.insert("aggr".to_string(), MVal::SharedArr(shares));
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut ev = MpcEvaluator::new(&mut engine, &mut rng, env, MechStyle::Gumbel);
-        let e = ev.block(&program.stmts[1..]).unwrap_err();
+        let src = "aggr = sum(db); q = aggr[0] / 3; output(q);";
+        let e = run(src, &[6], MechStyle::Gumbel, (1, 1)).unwrap_err();
         assert!(e.message.contains("power-of-two"), "{e}");
     }
 
@@ -1239,17 +1129,7 @@ mod tests {
         let src = "aggr = sum(db);
              if aggr[0] > aggr[1] then r = em(aggr, 8.0); else r = 0; endif
              output(r);";
-        let program = parse(src).unwrap();
-        let mut engine = MpcEngine::new(5, 2, false, 1);
-        let shares = vec![
-            engine.input(0, FGold::new(6)).unwrap(),
-            engine.input(0, FGold::new(3)).unwrap(),
-        ];
-        let mut env = HashMap::new();
-        env.insert("aggr".to_string(), MVal::SharedArr(shares));
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut ev = MpcEvaluator::new(&mut engine, &mut rng, env, MechStyle::Gumbel);
-        let e = ev.block(&program.stmts[1..]).unwrap_err();
+        let e = run(src, &[6, 3], MechStyle::Gumbel, (1, 1)).unwrap_err();
         assert!(e.message.contains("secret branch"), "{e}");
     }
 
@@ -1264,30 +1144,36 @@ mod tests {
              endif
              r = laplace(w, 1, 100.0);
              output(r);";
-        let program = parse(src).unwrap();
         for (counts, want) in [([9i64, 4, 2], 0i64), ([3, 8, 2], 1), ([1, 2, 9], 2)] {
-            let mut engine = MpcEngine::new(5, 2, false, 1);
-            let shares: Vec<Shared> = counts
-                .iter()
-                .map(|&c| engine.input(0, FGold::from_i64(c)).unwrap())
-                .collect();
-            let mut env = HashMap::new();
-            env.insert("aggr".to_string(), MVal::SharedArr(shares));
-            let mut rng = StdRng::seed_from_u64(2);
-            let mut ev = MpcEvaluator::new(&mut engine, &mut rng, env, MechStyle::Gumbel);
-            ev.block(&program.stmts[1..]).unwrap();
+            let out = run(src, &counts, MechStyle::Gumbel, (1, 2)).unwrap();
             assert!(
-                (ev.outputs[0] - want).abs() <= 1,
+                (out[0] - want).abs() <= 1,
                 "{counts:?}: {} vs {want}",
-                ev.outputs[0]
+                out[0]
             );
+        }
+    }
+
+    #[test]
+    fn public_slot_writes_in_secret_branches() {
+        // The then branch overwrites and grows `b` and promotes `f`. The
+        // else branch must see both as they were: `b[0]` and `b[1]` old,
+        // `len(b)` 2, and `f[0]` an integer (`1 / 2` is 0, not 0.5).
+        let src = "aggr = sum(db);
+             b[0] = 1; b[1] = 2; f[0] = 1;
+             if aggr[0] > aggr[1] then b[0] = 5; b[1] = 5; b[2] = 6; f[1] = 2.5;
+             else b[1] = b[1] + 5; b[2] = len(b) + 6; f[1] = 2.5 + f[0] / 2; endif
+             output(declassify(b[0]), declassify(b[1]), declassify(b[2]), f);";
+        for (counts, want) in [([9i64, 4], [5i64, 5, 6, 1, 2]), ([4, 9], [1, 7, 8, 1, 2])] {
+            let out = run(src, &counts, MechStyle::Gumbel, (1, 1)).unwrap();
+            assert_eq!(out, want, "{counts:?}");
         }
     }
 
     #[test]
     fn shared_division_by_power_of_two() {
         let src = "aggr = sum(db); h = aggr[0] / 4; r = laplace(h, 1, 60.0); output(r);";
-        let out = run(src, &[100], MechStyle::Gumbel, 19);
+        let out = run(src, &[100], MechStyle::Gumbel, (19, 19)).unwrap();
         assert!((out[0] - 25).abs() <= 1, "100/4: got {}", out[0]);
     }
 

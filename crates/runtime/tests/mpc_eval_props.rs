@@ -9,6 +9,9 @@
 //!   with comparisons feeding multiplications, open to exactly what the
 //!   interpreter computes on the clear inputs — the deferred, layered
 //!   execution is invisible in results.
+//! * Public values: a table of public-only programs (and post-processing
+//!   of released mechanism results) gives the same released values in
+//!   both evaluators, or an error in both.
 //! * Allocation churn: a 128-bucket `median` stays under a fixed count of
 //!   heap allocations, so a fresh sharing per linear term or an
 //!   environment clone per secret `if` cannot return unnoticed.
@@ -24,7 +27,7 @@ use arboretum_lang::interp::{Interp, Value};
 use arboretum_lang::parser::parse;
 use arboretum_mpc::engine::MpcEngine;
 use arboretum_queries::corpus;
-use arboretum_runtime::mpc_eval::{MVal, MechStyle, MpcEvalError, MpcEvaluator};
+use arboretum_runtime::mpc_eval::{release, MVal, MechStyle, MpcEvalError, MpcEvaluator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -245,6 +248,59 @@ proptest! {
             .collect();
         let got = secure_run(&program, &counts, MechStyle::Gumbel, seed);
         prop_assert_eq!(got, Ok(want), "{}", src);
+    }
+}
+
+#[test]
+fn public_values_follow_the_interpreter() {
+    // `(statements after aggr = sum(db), whether they run)`: both give
+    // the committee's release of the interpreter's outputs, or both
+    // refuse. Laplace draws from the same seeded stream in both, so
+    // released values post-process identically.
+    let rows = [
+        // Divergences: promotion to fixed point, a boolean slot, flooring.
+        ("b[0] = 1; b[1] = 2.5; output(b[0]); output(b);", true),
+        ("b[0] = 1; b[1] = true; output(b[0]);", true),
+        ("y = 5 * 2.5; output(y);", true),
+        // Each of these panicked in the interpreter.
+        ("x = 20000.5 * 200000.5;", false),
+        ("x = 1000000000.0 + 1000000000.0;", false),
+        ("x = clip(5, 10, 0);", false),
+        ("x = clip(aggr, 10, 0);", false),
+        ("b[0] = 9223372036854775807; b[1] = 1; output(sum(b));", false),
+        ("x = 0 - 9223372036854775807 - 1; y = -x;", false),
+        // Builtins over public arrays and scalars.
+        ("b[0] = 3; b[1] = 9; b[2] = 9; output(sum(b), max(b), argmax(b), clip(b, 4, 8));", true),
+        ("b[0] = 3.5; b[1] = 9.25; b[2] = 0 - 1.5; output(sum(b), max(b), argmax(b), clip(b, 0, 5));", true),
+        ("output(clip(2.5, 0, 1));", true),
+        ("b[0] = 2; output(len(b), exp(1.0), log(8.0), declassify(b));", true),
+        // Post-processing released mechanism results.
+        ("r = laplace(aggr, 1, 1.0); s = sum(r); output(s);", true),
+        ("r = laplace(aggr, 1, 1.0); x = max(r); output(x, argmax(r));", true),
+        ("r = laplace(aggr, 1, 1.0); t = laplace(sum(r), 1, 1.0); output(t);", true),
+        ("r = emTopK(aggr, 2, 100.0); c = clip(r, 0, 1); output(c);", true),
+        ("r = emTopK(aggr, 0 - 1, 1.0); output(r);", false),
+        // Noise scales at the edge of fixed point: Laplace's sens/ε
+        // (≈ 2^29.3) fits, the exponential mechanisms' 2·sens/ε does not.
+        ("r = laplace(aggr[1], 20000, 0.00003); output(r);", true),
+        ("r = laplace(aggr[1], 40000, 0.00003); output(r);", false),
+        ("r = em(aggr, 20000, 0.00003); output(r);", false),
+    ];
+    let counts = [7i64, 30, 12, 5];
+    for (stmts, runs) in rows {
+        let program = parse(&format!("aggr = sum(db); {stmts}")).unwrap();
+        let want = Interp::new(&[counts.to_vec()], 3).run(&program).map(|out| {
+            out.into_iter().fold(Vec::new(), |mut flat, v| {
+                release(v, &mut flat);
+                flat
+            })
+        });
+        let got = secure_run(&program, &counts, MechStyle::Gumbel, 3);
+        match (want, got) {
+            (Ok(want), Ok(got)) if runs => assert_eq!(got, want, "{stmts}"),
+            (Err(_), Err(_)) if !runs => {}
+            (want, got) => panic!("{stmts}: interpreter {want:?}, committee {got:?}"),
+        }
     }
 }
 

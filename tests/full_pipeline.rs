@@ -130,6 +130,42 @@ fn histogram_execution_accuracy() {
     }
 }
 
+/// Post-processing a released value is free under DP, so a certified
+/// query that sums, maximises or clips a released mechanism result runs
+/// at the committee.
+#[test]
+fn certified_post_processing_executes() {
+    let system = Arboretum::new(1 << 22);
+    for (source, len, range) in [
+        (
+            "r = laplace(aggr, 1, 1.0); s = sum(r); output(s);",
+            1,
+            0..=100,
+        ),
+        (
+            "r = laplace(aggr, 1, 1.0); x = max(r); output(x);",
+            1,
+            0..=40,
+        ),
+        (
+            "r = emTopK(aggr, 2, 1.0); c = clip(r, 0, 1); output(c);",
+            2,
+            0..=1,
+        ),
+    ] {
+        let prepared = system
+            .prepare(
+                &format!("aggr = sum(db); {source}"),
+                arboretum::DbSchema::one_hot(1 << 22, 4),
+                Default::default(),
+            )
+            .unwrap_or_else(|e| panic!("{source}: {e}"));
+        let out = run_small(&system, &prepared, &[12; 4]);
+        assert_eq!(out.len(), len, "{source}: {out:?}");
+        assert!(out.iter().all(|v| range.contains(v)), "{source}: {out:?}");
+    }
+}
+
 /// The planner's committee math holds up at the paper's headline scale:
 /// topK at N = 2^30 keeps the serving fraction below 1% and the keygen
 /// committee around 40 members.
