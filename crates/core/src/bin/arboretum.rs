@@ -15,7 +15,7 @@
 //!   --goal METRIC         agg-secs | agg-bytes | exp-secs | max-secs |
 //!                         exp-bytes | max-bytes               [default exp-secs]
 //!   --counts a,b,c,...    simulated per-category populations (run only;
-//!                         at most --participants devices in all)
+//!                         at most --participants and 2^20 devices in all)
 //!   --windows N           run only: ingest uploads in N streaming windows
 //!                         with seed-derived device churn, folding each
 //!                         window into a checkpointed accumulator and
@@ -31,7 +31,7 @@
 //!
 //! attack options:
 //!   --seed S              adversary schedule seed              [default 0]
-//!   --devices N           deployment size                      [default 48]
+//!   --devices N           deployment size, at most 2^20        [default 48]
 //!   --committees C        networked-MPC committees, each seated with 5
 //!                         of the devices                       [default 3]
 //!   --numeric             numeric (range-proof) pipeline instead of one-hot
@@ -48,7 +48,8 @@
 //!   --threads N           as for run
 //!
 //! serve options:
-//!   --devices N           simulated deployment size            [default 48]
+//!   --devices N           simulated deployment size, at most 2^20
+//!                                                              [default 48]
 //!   --categories C        one-hot categories                   [default 4]
 //!   --seed S              catalog seed                         [default 7]
 //!   --workers W           scheduler worker threads (0 = inline,
@@ -84,10 +85,16 @@ use arboretum::{Arboretum, DbSchema};
 /// count only exhausts memory or the thread limit before any work starts.
 const MAX_THREADS: usize = 1024;
 
-/// Refuses a thread or pool count above [`MAX_THREADS`].
-fn at_most_max_threads(flag: &str, n: usize) -> Result<(), String> {
-    if n > MAX_THREADS {
-        return Err(format!("{flag} {n} exceeds the maximum of {MAX_THREADS}"));
+/// The largest deployment `run --counts`, `attack --devices` and `serve
+/// --devices` may simulate: `--participants`' default. Every device's
+/// row, registry entry and upload is built up front, so a larger count
+/// only exhausts memory before any work starts.
+const MAX_DEVICES: usize = 1 << 20;
+
+/// Refuses a count above `max`.
+fn at_most(flag: &str, n: usize, max: usize) -> Result<(), String> {
+    if n > max {
+        return Err(format!("{flag} {n} exceeds the maximum of {max}"));
     }
     Ok(())
 }
@@ -233,8 +240,12 @@ fn attack(args: &[String]) -> ExitCode {
         }
         i += 1;
     }
+    if let Err(e) = at_most("--devices", cfg.n_devices, MAX_DEVICES) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
     if let Some(t) = threads {
-        if let Err(e) = at_most_max_threads("--threads", t) {
+        if let Err(e) = at_most("--threads", t, MAX_THREADS) {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
@@ -322,8 +333,9 @@ fn serve(args: &[String]) -> ExitCode {
         eprintln!("--devices and --categories must be positive");
         return ExitCode::FAILURE;
     }
-    if let Err(e) = at_most_max_threads("--workers", workers)
-        .and_then(|()| at_most_max_threads("--pool-capacity", pool_capacity))
+    if let Err(e) = at_most("--devices", devices, MAX_DEVICES)
+        .and_then(|()| at_most("--workers", workers, MAX_THREADS))
+        .and_then(|()| at_most("--pool-capacity", pool_capacity, MAX_THREADS))
     {
         eprintln!("{e}");
         return ExitCode::FAILURE;
@@ -433,7 +445,7 @@ fn main() -> ExitCode {
 
 fn dispatch(cmd: &str, source: &str, opts: &Options) -> ExitCode {
     if let Some(t) = opts.threads {
-        if let Err(e) = at_most_max_threads("--threads", t) {
+        if let Err(e) = at_most("--threads", t, MAX_THREADS) {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
@@ -527,11 +539,15 @@ fn dispatch(cmd: &str, source: &str, opts: &Options) -> ExitCode {
     // The plan was certified and sized for `--participants` devices; a
     // larger deployment is refused before its assignments are built.
     let placed = counts.iter().try_fold(0usize, |sum, &n| sum.checked_add(n));
-    if placed.is_none_or(|n| n as u64 > opts.participants) {
+    let Some(placed) = placed.filter(|&n| n as u64 <= opts.participants) else {
         eprintln!(
             "--counts places more devices than the {} --participants the plan was sized for",
             opts.participants
         );
+        return ExitCode::FAILURE;
+    };
+    if let Err(e) = at_most("--counts total", placed, MAX_DEVICES) {
+        eprintln!("{e}");
         return ExitCode::FAILURE;
     }
     let assignments: Vec<usize> = counts

@@ -5,7 +5,10 @@
 
 use arboretum_field::fixed::Fix;
 use arboretum_field::fp::Fp;
-use arboretum_field::primes::{BGV_Q1, BGV_Q2, BGV_Q_ROOTS, BGV_T_PRIME, BGV_T_ROOT, GOLDILOCKS};
+use arboretum_field::primes::{
+    is_prime, BGV_Q1, BGV_Q2, BGV_Q_ROOTS, BGV_T_PRIME, BGV_T_ROOT, GOLDILOCKS,
+};
+use arboretum_field::shamir::evaluate;
 use arboretum_field::zq::{
     mul_mod_shoup, mul_mod_shoup_lazy, pow_mod, shoup_precompute, Barrett, RtNttTable,
 };
@@ -307,6 +310,81 @@ proptest! {
         }
     }
 
+}
+
+/// The commitment group's scalar modulus (`arboretum_crypto::group::GROUP_Q`,
+/// which this crate cannot name): VSR's Shamir field, on `Fp`'s one-word
+/// Barrett path where the MPC engine's Goldilocks takes the fold.
+const SCALAR_Q: u64 = 2_305_843_009_213_688_669;
+
+/// Horner's rule at the party points `1..=m`: the evaluation the forward
+/// differences replaced, kept as their oracle.
+fn horner<const M: u64>(coeffs: &[Fp<M>], m: usize) -> Vec<Fp<M>> {
+    (1..=m as u64)
+        .map(|x| {
+            let fx = Fp::new(x);
+            coeffs.iter().rev().fold(Fp::ZERO, |acc, &c| acc * fx + c)
+        })
+        .collect()
+}
+
+/// Every degree `t ≤ 19` at every committee size `t + 1 ≤ m ≤ 40`: the
+/// forward-difference [`evaluate`] equals Horner, coefficient for
+/// coefficient drawn across the whole field.
+fn differences_match_horner<const M: u64>(seed: u64) {
+    let mut state = seed;
+    let mut draw = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        Fp::<M>::new(state ^ (state >> 29))
+    };
+    for t in 0..=19 {
+        for m in t + 1..=40 {
+            let coeffs: Vec<Fp<M>> = (0..=t).map(|_| draw()).collect();
+            let mut scratch = coeffs.clone();
+            let mut ys = vec![Fp::ZERO; m];
+            evaluate(&mut scratch, &mut ys);
+            assert_eq!(ys, horner(&coeffs, m), "M={M} t={t} m={m}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn forward_differences_match_horner(seed in any::<u64>()) {
+        assert!(is_prime(SCALAR_Q));
+        differences_match_horner::<GOLDILOCKS>(seed);
+        differences_match_horner::<SCALAR_Q>(seed);
+    }
+}
+
+/// At `t = 2` the differences are the closed form `f(1) = c₀ + c₁ + c₂`,
+/// `Δf(1) = c₁ + 3c₂`, `Δ²f(1) = 2c₂`, and coefficients at the field's
+/// edge evaluate as Horner does.
+#[test]
+fn forward_differences_at_the_field_edge() {
+    let c = [F::new(5), F::new(GOLDILOCKS - 1), F::new(7)];
+    let mut d = c;
+    evaluate(&mut d, &mut [F::ZERO]);
+    assert_eq!(
+        d,
+        [
+            c[0] + c[1] + c[2],
+            c[1] + F::new(3) * c[2],
+            F::new(2) * c[2]
+        ]
+    );
+    for edge in [0, 1, GOLDILOCKS - 1] {
+        for t in 0..=4 {
+            let coeffs = vec![F::new(edge); t + 1];
+            let mut ys = vec![F::ZERO; 9];
+            evaluate(&mut coeffs.clone(), &mut ys);
+            assert_eq!(ys, horner(&coeffs, 9), "edge={edge} t={t}");
+        }
+    }
 }
 
 /// Deterministic boundary sweep: values pinned near `q` (and near 0)

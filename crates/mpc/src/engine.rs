@@ -297,11 +297,13 @@ impl MpcEngine {
             let msg = self.frame(result.iter().copied());
             if self.m > 1 {
                 for p in 0..self.m {
-                    let sent = self.fabric.send(p, (p + 1) % self.m, &msg)? as u64;
+                    let next = if p + 1 == self.m { 0 } else { p + 1 };
+                    let sent = self.fabric.send(p, next, &msg)? as u64;
                     self.net.send(p, sent);
                 }
                 for p in 0..self.m {
-                    let got = self.fabric.recv(p, (p + self.m - 1) % self.m)?;
+                    let prev = if p == 0 { self.m - 1 } else { p - 1 };
+                    let got = self.fabric.recv(p, prev)?;
                     if self.unframe(got)? != result {
                         return Err(MpcError::OpenFailed(
                             "opening consistency echo mismatch".into(),

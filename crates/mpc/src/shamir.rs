@@ -23,7 +23,8 @@ pub struct Share {
 /// point `p + 1` — with reconstruction threshold `t + 1` (any `t` shares
 /// reveal nothing; `t + 1` reconstruct). The `t` random coefficients
 /// are drawn into `coeffs`, a scratch buffer the caller reuses across
-/// sharings, so a sharing allocates nothing of its own.
+/// sharings, so a sharing allocates nothing of its own, and the
+/// polynomial is evaluated by forward differences.
 ///
 /// # Panics
 ///
@@ -41,9 +42,7 @@ pub fn share<R: Rng + ?Sized>(
     coeffs.clear();
     coeffs.push(secret);
     coeffs.extend((0..t).map(|_| FGold::new(rng.gen())));
-    for (y, (_, fx)) in out.iter_mut().zip(evaluate(coeffs, m)) {
-        *y = fx;
-    }
+    evaluate(coeffs, out);
 }
 
 /// The Lagrange basis at zero over a committee's own points `1..=t+1`:
@@ -146,6 +145,32 @@ mod tests {
             basis_at_zero::<{ FGold::MODULUS }>(&[1, 1, 3], 2),
             Err(ShamirError::DuplicatePoint(1))
         );
+    }
+
+    /// A sharing draws exactly its `t` coefficients from the RNG, in
+    /// order, and its shares are Horner's evaluation of that polynomial:
+    /// forward differences change no draw and no share.
+    #[test]
+    fn share_draws_exactly_t_values() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut coeffs = Vec::new();
+        for t in 0..=19 {
+            for m in t + 1..=40 {
+                let secret = FGold::new(rng.gen());
+                let mut after = rng.clone();
+                let mut ys = vec![FGold::ZERO; m];
+                super::share(secret, t, &mut coeffs, &mut ys, &mut after);
+                let poly: Vec<FGold> = std::iter::once(secret)
+                    .chain((0..t).map(|_| FGold::new(rng.gen())))
+                    .collect();
+                assert_eq!(after, rng, "t={t} m={m}: draws");
+                for (x, y) in (1..).zip(&ys) {
+                    let fx = FGold::new(x);
+                    let horner = poly.iter().rev().fold(FGold::ZERO, |acc, &c| acc * fx + c);
+                    assert_eq!(*y, horner, "t={t} m={m} x={x}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -134,6 +134,16 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends `words` as 8-byte little-endian words, one slice at a time.
+fn put_words(out: &mut Vec<u8>, words: impl ExactSizeIterator<Item = u64>) {
+    let start = out.len();
+    out.resize(start + words.len() * ELEM_BYTES, 0);
+    let (slots, _) = out[start..].as_chunks_mut::<ELEM_BYTES>();
+    for (slot, w) in slots.iter_mut().zip(words) {
+        *slot = w.to_le_bytes();
+    }
+}
+
 fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
     if buf.len() < n {
         return Err(WireError::Truncated {
@@ -153,6 +163,17 @@ fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
     Ok(out)
 }
 
+/// Takes all of `buf` as 8-byte little-endian words, one slice at a
+/// time; a ragged tail makes the `n`-byte payload [`WireError::BadLength`].
+fn take_words<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [[u8; ELEM_BYTES]], WireError> {
+    let (words, tail) = buf.as_chunks::<ELEM_BYTES>();
+    if !tail.is_empty() {
+        return Err(WireError::BadLength(n));
+    }
+    *buf = &[];
+    Ok(words)
+}
+
 fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
     Ok(u32::from_le_bytes(take_array(buf)?))
 }
@@ -168,20 +189,6 @@ impl Wire for u64 {
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         get_u64(buf)
-    }
-}
-
-impl Wire for FGold {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.value());
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let v = get_u64(buf)?;
-        if v >= FGold::MODULUS {
-            return Err(WireError::InvalidValue);
-        }
-        Ok(FGold::new(v))
     }
 }
 
@@ -237,11 +244,7 @@ impl Message {
     /// Encodes the payload (no header) into `out`.
     fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
-            Self::FieldElems(vs) => {
-                for v in vs {
-                    v.encode(out);
-                }
-            }
+            Self::FieldElems(vs) => put_words(out, vs.iter().map(|v| v.value())),
             Self::CtChunk {
                 poly,
                 limb,
@@ -251,9 +254,7 @@ impl Message {
                 out.push(*poly);
                 out.push(*limb);
                 put_u32(out, *offset);
-                for &c in coeffs {
-                    put_u64(out, c);
-                }
+                put_words(out, coeffs.iter().copied());
             }
             Self::Commitments(cs) => {
                 for c in cs {
@@ -284,27 +285,28 @@ impl Message {
         let buf = &mut buf;
         let msg = match kind {
             0 => {
-                if !n.is_multiple_of(ELEM_BYTES) {
-                    return Err(WireError::BadLength(n));
-                }
-                let mut vs = Vec::with_capacity(n / ELEM_BYTES);
-                for _ in 0..n / ELEM_BYTES {
-                    vs.push(FGold::decode(buf)?);
+                let words = take_words(buf, n)?;
+                let mut vs = Vec::with_capacity(words.len());
+                for word in words {
+                    let v = u64::from_le_bytes(*word);
+                    if v >= FGold::MODULUS {
+                        return Err(WireError::InvalidValue);
+                    }
+                    vs.push(FGold::new(v));
                 }
                 Self::FieldElems(vs)
             }
             2 => {
-                if n < 6 || !(n - 6).is_multiple_of(ELEM_BYTES) {
+                if n < 6 {
                     return Err(WireError::BadLength(n));
                 }
                 let head = take(buf, 2)?;
                 let (poly, limb) = (head[0], head[1]);
                 let offset = get_u32(buf)?;
-                let k = (n - 6) / ELEM_BYTES;
-                let mut coeffs = Vec::with_capacity(k);
-                for _ in 0..k {
-                    coeffs.push(get_u64(buf)?);
-                }
+                let coeffs = take_words(buf, n)?
+                    .iter()
+                    .map(|word| u64::from_le_bytes(*word))
+                    .collect();
                 Self::CtChunk {
                     poly,
                     limb,
@@ -522,6 +524,36 @@ mod tests {
             Message::decode_frame(&frame[..frame.len() - 1]),
             Err(WireError::Truncated { .. })
         ));
+        // Every proper prefix of a frame of each kind is short of its
+        // header or of its declared payload.
+        let g = GroupElem::mul_base(Scalar::new(3));
+        let kinds = [
+            Message::FieldElems((1..=9).map(FGold::new).collect()),
+            Message::CtChunk {
+                poly: 1,
+                limb: 0,
+                offset: 8,
+                coeffs: vec![3, u64::MAX, 0],
+            },
+            Message::Commitments(vec![g; 3]),
+            Message::VsrSubshares {
+                from: 2,
+                shares: vec![(1, Scalar::new(5)), (2, Scalar::new(6))],
+                commitments: vec![g; 2],
+            },
+        ];
+        for msg in kinds {
+            let frame = msg.encode_frame();
+            for cut in 0..frame.len() {
+                assert!(
+                    matches!(
+                        Message::decode_frame(&frame[..cut]),
+                        Err(WireError::Truncated { .. })
+                    ),
+                    "{msg:?} cut at {cut}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -529,6 +561,19 @@ mod tests {
         let mut frame = Message::FieldElems(vec![FGold::new(0)]).encode_frame();
         frame[HEADER_BYTES..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(Message::decode_frame(&frame), Err(WireError::InvalidValue));
+        // The first, a middle and the last of nine elements, at the
+        // modulus itself (the smallest non-canonical representative).
+        let frame = Message::FieldElems((1..=9).map(FGold::new).collect()).encode_frame();
+        for at in [0, 4, 8] {
+            let mut bad = frame.clone();
+            let word = HEADER_BYTES + at * ELEM_BYTES;
+            bad[word..word + ELEM_BYTES].copy_from_slice(&FGold::MODULUS.to_le_bytes());
+            assert_eq!(
+                Message::decode_frame(&bad),
+                Err(WireError::InvalidValue),
+                "at {at}"
+            );
+        }
     }
 
     #[test]
@@ -547,6 +592,23 @@ mod tests {
             Message::decode_frame(&bad),
             Err(WireError::BadLength(9))
         ));
+        // Every ragged length, for field elements and for a ciphertext
+        // chunk's coefficient run (after its 6-byte head).
+        for (kind, head) in [(0u8, 0usize), (2, 6)] {
+            for n in
+                (head..head + 3 * ELEM_BYTES).filter(|n| !(n - head).is_multiple_of(ELEM_BYTES))
+            {
+                let mut frame = Message::FieldElems(Vec::new()).encode_frame();
+                frame[3] = kind;
+                frame[4..8].copy_from_slice(&(n as u32).to_le_bytes());
+                frame.resize(HEADER_BYTES + n, 0);
+                assert_eq!(
+                    Message::decode_frame(&frame),
+                    Err(WireError::BadLength(n)),
+                    "kind {kind}, {n} payload bytes"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! instantiations (§4.3) — e.g. `sum` as an aggregator loop or a
 //! committee sum tree; `em` as Gumbel-argmax or exponentiate-and-sample.
 
-use arboretum_lang::ast::{Builtin, DbSchema, Expr, Program, Stmt};
+use arboretum_lang::ast::{BinOp, Builtin, DbSchema, Expr, Program, Stmt};
+use arboretum_lang::interp::{self, Value};
 use arboretum_lang::privacy::{certify, Certificate, CertifyConfig, CertifyError};
 
 /// The mechanisms a logical plan can invoke.
@@ -230,17 +231,17 @@ impl Walker<'_> {
                 }
                 // Work between aggregation and mechanism counts as score
                 // prep; work after all mechanisms as post-processing.
-                let units = multiplier * expr_size(e);
+                let units = multiplier.saturating_mul(expr_size(e));
                 if mech_seen {
-                    self.post_ops += units;
+                    self.post_ops = self.post_ops.saturating_add(units);
                 } else if aggregated {
-                    self.tainted_loop_ops += units;
+                    self.tainted_loop_ops = self.tainted_loop_ops.saturating_add(units);
                     self.tainted_loop_cmps |= expr_has_comparison(e);
                 }
             }
             Stmt::For { from, to, body, .. } => {
                 let iters = match (const_int(from), const_int(to)) {
-                    (Some(a), Some(b)) if b >= a => (b - a + 1) as u64,
+                    (Some(a), Some(b)) if b >= a => b.abs_diff(a).saturating_add(1),
                     _ => self.schema.row_width as u64,
                 };
                 for s in body {
@@ -255,7 +256,7 @@ impl Walker<'_> {
                 self.expr(cond, multiplier);
                 if self.aggregated() && !self.mechanism_seen() {
                     self.tainted_loop_cmps |= expr_has_comparison(cond);
-                    self.tainted_loop_ops += multiplier;
+                    self.tainted_loop_ops = self.tainted_loop_ops.saturating_add(multiplier);
                 }
                 for s in then_branch.iter().chain(else_branch) {
                     self.stmt(s, multiplier);
@@ -293,8 +294,9 @@ impl Walker<'_> {
                         self.expr(a, multiplier);
                     }
                     if self.aggregated() && !self.mechanism_seen() {
-                        self.tainted_loop_ops +=
-                            multiplier.saturating_mul(self.schema.row_width as u64);
+                        self.tainted_loop_ops = self.tainted_loop_ops.saturating_add(
+                            multiplier.saturating_mul(self.schema.row_width as u64),
+                        );
                     }
                 }
             }
@@ -351,17 +353,15 @@ impl Walker<'_> {
     }
 }
 
+/// The value of an integer expression built from literals by `+`, `-`
+/// and `*`, computed by the interpreter's arithmetic: `None` for any
+/// other expression and for one that overflows.
 fn const_int(e: &Expr) -> Option<i64> {
     match e {
         Expr::Int(v) => Some(*v),
-        Expr::Bin(op, l, r) => {
-            let (a, b) = (const_int(l)?, const_int(r)?);
-            Some(match op {
-                arboretum_lang::ast::BinOp::Add => a + b,
-                arboretum_lang::ast::BinOp::Sub => a - b,
-                arboretum_lang::ast::BinOp::Mul => a * b,
-                _ => return None,
-            })
+        Expr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), l, r) => {
+            let (a, b) = (Value::Int(const_int(l)?), Value::Int(const_int(r)?));
+            interp::binop(*op, a, b).ok()?.as_int().ok()
         }
         _ => None,
     }
@@ -486,6 +486,41 @@ mod tests {
             .ops
             .iter()
             .any(|op| matches!(op, LogicalOp::PostProcess { .. })));
+    }
+
+    /// A loop bound that overflows `i64` is unknown, like any bound that
+    /// is not a constant: the loop counts `row_width` iterations. A
+    /// wrapped bound (`2^32 · 2^32 + 10` is 10 in wrapping arithmetic)
+    /// used to plan 11 iterations, and a debug build panicked. A bound
+    /// pair whose iteration count exceeds `u64` saturates.
+    #[test]
+    fn overflowing_loop_bounds_are_unknown() {
+        let post_ops = |bounds: &str| {
+            let lp = extract_src(&format!(
+                "aggr = sum(db);\n\
+                 r = em(aggr, 0.1);\n\
+                 s = 0;\n\
+                 for i = {bounds} do s = s + 1; endfor\n\
+                 output(r);"
+            ));
+            lp.ops
+                .iter()
+                .find_map(|op| match op {
+                    LogicalOp::PostProcess { ops } => Some(*ops),
+                    _ => None,
+                })
+                .expect("the loop is post-processing")
+        };
+        // `s = 0` is one unit; each iteration of `s = s + 1` is three.
+        let unknown = 1 + 3 * (1 << 15);
+        assert_eq!(post_ops("1 to 10"), 1 + 3 * 10);
+        assert_eq!(post_ops("0 to 9223372036854775807 + 1"), unknown);
+        assert_eq!(post_ops("0 to 4294967296 * 4294967296 + 10"), unknown);
+        assert_eq!(post_ops("0 - 9223372036854775807 - 2 to 0"), unknown);
+        assert_eq!(
+            post_ops("0 - 9223372036854775807 - 1 to 9223372036854775807"),
+            u64::MAX
+        );
     }
 
     #[test]

@@ -116,11 +116,13 @@ pub fn feldman_share<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> FeldmanSharing {
     assert!(m > 0 && t < m, "invalid access structure t={t}, m={m}");
-    let coeffs: Vec<Scalar> = std::iter::once(secret)
+    let mut coeffs: Vec<Scalar> = std::iter::once(secret)
         .chain((0..t).map(|_| Scalar::new(rng.gen())))
         .collect();
     let commitments = coeffs.iter().map(|&a| GroupElem::mul_base(a)).collect();
-    let shares = evaluate(&coeffs, m).map(|(x, y)| VShare { x, y }).collect();
+    let mut ys = vec![Scalar::ZERO; m];
+    evaluate(&mut coeffs, &mut ys);
+    let shares = (1..).zip(ys).map(|(x, y)| VShare { x, y }).collect();
     FeldmanSharing {
         shares,
         commitments,

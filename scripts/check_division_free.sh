@@ -8,7 +8,9 @@
 # exponent kernels (fixed-base tables, Straus, Pippenger) are loops over
 # that multiply; a stray `(a as u128 * b as u128) % q as u128`
 # or `c % q` quietly reintroduces a hardware divide per coefficient.
-# This script fails if one appears in those crates' sources, unless the
+# The committee MPC engine (`mpc`) and the wire codec (`net`) run once
+# per dealer sharing, opened element and frame, so they are held to the
+# same rule. This script fails if one appears in those crates' sources, unless the
 # line carries a `// div-ok` marker (reserved for sanctioned reference
 # implementations, e.g. `zq::mul_mod`, and once-per-context set-up).
 #
@@ -24,7 +26,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-hot_paths=(crates/field/src crates/bgv/src crates/crypto/src)
+hot_paths=(crates/field/src crates/bgv/src crates/crypto/src crates/mpc/src crates/net/src)
 
 wide='%[[:space:]]*[A-Za-z_][A-Za-z0-9_]*[[:space:]]+as[[:space:]]+u128|as[[:space:]]+u128[^;]*%'
 modulus='(self\.)?(q|m|p|t|kq|q[0-9]+|modulus)'

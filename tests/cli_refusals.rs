@@ -74,6 +74,33 @@ fn undersized_and_empty_deployments_exit_1_with_one_line() {
             vec!["attack", "--seed", "0", "--committees", "100000000000"],
             "registry of 48 devices cannot seat 100000000000 committees of 5",
         ),
+        // Deployments past the CLI's 2^20-device maximum: refused before
+        // their rows, registry and device assignments are built.
+        (
+            vec!["attack", "--devices", "100000000000"],
+            "--devices 100000000000 exceeds the maximum of 1048576",
+        ),
+        (
+            vec!["attack", "--devices", "1048577"],
+            "--devices 1048577 exceeds the maximum of 1048576",
+        ),
+        (
+            vec!["serve", "--devices", "100000000000"],
+            "--devices 100000000000 exceeds the maximum of 1048576",
+        ),
+        (
+            vec![
+                "run",
+                query,
+                "--participants",
+                "4194304",
+                "--categories",
+                "2",
+                "--counts",
+                "2097152,1",
+            ],
+            "--counts total 2097153 exceeds the maximum of 1048576",
+        ),
         // More windows than devices: refused at open, where walking
         // 4·10¹² mostly empty windows used to hold the process.
         (
