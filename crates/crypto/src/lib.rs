@@ -35,7 +35,7 @@ pub mod sha256;
 pub mod transcript;
 
 pub use group::{GroupElem, Scalar};
-pub use merkle::{MerkleProof, MerkleTree};
+pub use merkle::{MerklePath, MerkleProof, MerkleTree};
 pub use pedersen::{Commitment, Opening, PedersenParams};
 pub use schnorr::{
     verify_batch, BatchEntry, Keypair, PreparedPublicKey, PublicKey, SecretKey, Signature,

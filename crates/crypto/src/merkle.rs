@@ -6,6 +6,17 @@
 //!
 //! Leaves and interior nodes are domain-separated (prefix bytes `0x00` /
 //! `0x01`) to prevent second-preimage splicing attacks.
+//!
+//! A proof comes in two forms with one verifier: an owned
+//! [`MerkleProof`], what a device receives over the wire, and a
+//! [`MerklePath`] borrowed from the tree that made it, which reads the
+//! same siblings in place so a simulated audit answers a challenge
+//! without allocating.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::sha256::{Digest, Sha256};
 
@@ -63,26 +74,25 @@ impl MerkleTree {
     /// Panics if `leaves` is empty; an empty registry has no root.
     pub fn new<T: AsRef<[u8]>>(leaves: &[T]) -> Self {
         assert!(!leaves.is_empty(), "Merkle tree needs at least one leaf");
-        let mut levels = vec![leaves
-            .iter()
-            .map(|l| hash_leaf(l.as_ref()))
-            .collect::<Vec<_>>()];
-        while levels.last().expect("nonempty").len() > 1 {
-            let prev = levels.last().expect("nonempty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                next.push(if pair.len() == 2 {
-                    hash_node(&pair[0], &pair[1])
-                } else {
-                    pair[0]
-                });
-            }
-            levels.push(next);
+        let mut levels = Vec::new();
+        let mut level: Vec<Digest> = leaves.iter().map(|l| hash_leaf(l.as_ref())).collect();
+        while level.len() > 1 {
+            let next = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [l, r] => hash_node(l, r),
+                    _ => pair[0],
+                })
+                .collect();
+            levels.push(std::mem::replace(&mut level, next));
         }
+        levels.push(level);
         Self { levels }
     }
 
     /// The root digest.
+    // `new` refuses an empty leaf list, so the top level holds the root.
+    #[allow(clippy::expect_used)]
     pub fn root(&self) -> Digest {
         self.levels.last().expect("nonempty")[0]
     }
@@ -103,42 +113,107 @@ impl MerkleTree {
     ///
     /// Panics if `index` is out of bounds.
     pub fn prove(&self, index: usize) -> MerkleProof {
+        self.path(index).to_proof()
+    }
+
+    /// Borrows the inclusion proof for leaf `index`: the siblings
+    /// [`prove`](Self::prove) would copy out, read from the tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    pub fn path(&self, index: usize) -> MerklePath<'_> {
         assert!(index < self.len(), "leaf index {index} out of bounds");
-        let mut siblings = Vec::new();
-        let mut i = index;
-        for level in &self.levels[..self.levels.len() - 1] {
-            let sib = i ^ 1;
-            siblings.push(if sib < level.len() {
-                Some((level[sib], sib > i))
-            } else {
-                None
-            });
-            i /= 2;
-        }
-        MerkleProof { index, siblings }
+        MerklePath { tree: self, index }
     }
 
     /// Verifies that `leaf_data` sits at `proof.index` under `root`.
     pub fn verify(root: &Digest, leaf_data: &[u8], proof: &MerkleProof) -> bool {
-        let mut acc = hash_leaf(leaf_data);
-        let mut idx = proof.index;
-        for entry in &proof.siblings {
-            if let Some((sib, sib_is_right)) = entry {
-                // The recorded side must be consistent with the index path.
-                if *sib_is_right != idx.is_multiple_of(2) {
-                    return false;
-                }
-                acc = if *sib_is_right {
-                    hash_node(&acc, sib)
-                } else {
-                    hash_node(sib, &acc)
-                };
-            }
-            idx /= 2;
-        }
-        acc == *root
+        let siblings = proof
+            .siblings
+            .iter()
+            .map(|e| e.as_ref().map(|(d, r)| (d, *r)));
+        verify_siblings(root, leaf_data, proof.index, siblings)
     }
 }
+
+/// The one verifier: folds `leaf_data` up through `siblings` (leaf to
+/// root, `None` for a promoted node) from position `index` and compares
+/// the result with `root`.
+fn verify_siblings<'a>(
+    root: &Digest,
+    leaf_data: &[u8],
+    index: usize,
+    siblings: impl Iterator<Item = Option<(&'a Digest, bool)>>,
+) -> bool {
+    let mut acc = hash_leaf(leaf_data);
+    let mut idx = index;
+    for entry in siblings {
+        if let Some((sib, sib_is_right)) = entry {
+            // The recorded side must be consistent with the index path.
+            if sib_is_right != idx.is_multiple_of(2) {
+                return false;
+            }
+            acc = if sib_is_right {
+                hash_node(&acc, sib)
+            } else {
+                hash_node(sib, &acc)
+            };
+        }
+        idx /= 2;
+    }
+    acc == *root
+}
+
+/// An inclusion proof borrowed from its tree: the same index and
+/// siblings as the [`MerkleProof`] [`MerkleTree::prove`] returns, read
+/// in place, so making one costs nothing.
+///
+/// Two paths are equal when their proofs are: the same index and the
+/// same siblings, whichever trees they borrow.
+#[derive(Clone, Copy, Debug)]
+pub struct MerklePath<'a> {
+    tree: &'a MerkleTree,
+    index: usize,
+}
+
+impl<'a> MerklePath<'a> {
+    /// Per level, leaf to root: sibling digest and whether it sits on the
+    /// right, or `None` for a promoted (sibling-less) node.
+    fn siblings(&self) -> impl Iterator<Item = Option<(&'a Digest, bool)>> {
+        let levels = &self.tree.levels[..self.tree.levels.len() - 1];
+        levels.iter().scan(self.index, |i, level| {
+            let sib = *i ^ 1;
+            let entry = level.get(sib).map(|d| (d, sib > *i));
+            *i /= 2;
+            Some(entry)
+        })
+    }
+
+    /// The owned proof, as sent to a device.
+    pub fn to_proof(&self) -> MerkleProof {
+        MerkleProof {
+            index: self.index,
+            siblings: self.siblings().map(|e| e.map(|(d, r)| (*d, r))).collect(),
+        }
+    }
+
+    /// Verifies that `leaf_data` sits at this path's index under `root`:
+    /// [`MerkleTree::verify`] of [`to_proof`](Self::to_proof), without
+    /// the copy.
+    pub fn verify(&self, root: &Digest, leaf_data: &[u8]) -> bool {
+        verify_siblings(root, leaf_data, self.index, self.siblings())
+    }
+}
+
+impl PartialEq for MerklePath<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.index == other.index
+            && (std::ptr::eq(self.tree, other.tree) || self.siblings().eq(other.siblings()))
+    }
+}
+
+impl Eq for MerklePath<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -193,6 +268,35 @@ mod tests {
         let mut p = t.prove(3);
         p.index = 4; // Claim a different position with the same path.
         assert!(!MerkleTree::verify(&t.root(), b"leaf-3", &p));
+    }
+
+    #[test]
+    fn paths_are_the_proofs_read_in_place() {
+        for n in [1usize, 2, 3, 5, 8, 9, 33] {
+            let ls = leaves(n);
+            let t = MerkleTree::new(&ls);
+            let copy = MerkleTree::new(&ls);
+            for (i, l) in ls.iter().enumerate() {
+                let path = t.path(i);
+                let proof = t.prove(i);
+                assert_eq!(path.to_proof(), proof, "n={n} i={i}");
+                for data in [l.as_slice(), b"evil"] {
+                    assert_eq!(
+                        path.verify(&t.root(), data),
+                        MerkleTree::verify(&t.root(), data, &proof)
+                    );
+                }
+                // Equal by content, whichever tree is borrowed.
+                assert_eq!(path, copy.path(i));
+            }
+        }
+        // A path differs from another leaf's, and from the same leaf's in
+        // a tree with a different sibling.
+        let t = MerkleTree::new(&leaves(4));
+        assert_ne!(t.path(0), t.path(1));
+        let mut other = leaves(4);
+        other[1] = b"changed".to_vec();
+        assert_ne!(t.path(0), MerkleTree::new(&other).path(0));
     }
 
     #[test]

@@ -6,8 +6,22 @@
 //! aggregator that tampers with even one step is caught unless *every*
 //! auditor happens to miss it; the per-device challenge count is chosen
 //! so the overall miss probability stays below `p_max`.
+//!
+//! [`adversarial_audit`] checks each distinct response once. Its auditors
+//! draw far more challenges than a log has steps, so a response — step,
+//! contents and proof together — already verified is not hashed again,
+//! and a step's expected contents are looked up once. Every draw still
+//! gets its own response and its own record, in draw order: a forged or
+//! equivocating answer differs from the honest one, so it is verified on
+//! its own. Responses and records borrow from the logs; nothing is
+//! copied per draw.
 
-use arboretum_crypto::merkle::{MerkleProof, MerkleTree};
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use arboretum_crypto::merkle::{MerklePath, MerkleProof, MerkleTree};
 use arboretum_crypto::sha256::Digest;
 use rand::Rng;
 
@@ -54,6 +68,19 @@ impl StepLog {
     /// Answers a challenge: the step contents and an inclusion proof.
     pub fn respond(&self, index: usize) -> (Vec<u8>, MerkleProof) {
         (self.steps[index].clone(), self.tree.prove(index))
+    }
+
+    /// Answers a challenge by reference: [`respond`](Self::respond)'s
+    /// contents and proof, borrowed from the log.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    pub fn answer(&self, index: usize) -> StepResponse<'_> {
+        StepResponse {
+            contents: &self.steps[index],
+            proof: self.tree.path(index),
+        }
     }
 
     /// Tampers with one step *after* publishing the root (test helper for
@@ -110,23 +137,33 @@ pub fn audit<R: Rng + ?Sized>(
 /// accepted, so the mismatch is attributable as a dropped upload).
 pub const DROPPED_MARKER: &[u8] = b"-dropped";
 
+/// What a responder serves for one challenged step: contents and an
+/// inclusion proof, borrowed from the log it answers from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepResponse<'a> {
+    /// The served step contents.
+    pub contents: &'a [u8],
+    /// The served inclusion proof.
+    pub proof: MerklePath<'a>,
+}
+
 /// One auditor challenge against a published (possibly forged) log:
 /// what the responder served, what the device expected, and whether the
 /// inclusion proof verified against the published root.
-#[derive(Clone, Debug)]
-pub struct ChallengeRecord {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ChallengeRecord<'a> {
     /// The challenged step index.
     pub step: usize,
     /// The contents the responder served.
-    pub contents: Vec<u8>,
+    pub contents: &'a [u8],
     /// The contents the device's recomputation expects.
-    pub expected: Vec<u8>,
+    pub expected: &'a [u8],
     /// Whether the served inclusion proof verified against the
     /// published root.
     pub proof_ok: bool,
 }
 
-impl ChallengeRecord {
+impl ChallengeRecord<'_> {
     /// Whether the served contents match the device's recomputation.
     pub fn content_ok(&self) -> bool {
         self.contents == self.expected
@@ -140,31 +177,98 @@ impl ChallengeRecord {
 /// pool their evidence through [`collate_detection`].
 ///
 /// The responder is `FnMut` deliberately: an equivocating aggregator
-/// answers repeated challenges on the same step differently.
-pub fn adversarial_audit<R: Rng + ?Sized>(
+/// answers repeated challenges on the same step differently. It is
+/// called once per draw, in draw order. Each record's `proof_ok` is
+/// [`MerkleTree::verify`] of that draw's own response, computed once per
+/// distinct response; `recompute` is called once per distinct step.
+pub fn adversarial_audit<'a, R: Rng + ?Sized>(
     total_steps: usize,
     root: &Digest,
     n_auditors: usize,
     k: usize,
-    mut respond: impl FnMut(usize) -> (Vec<u8>, MerkleProof),
-    recompute: impl Fn(usize) -> Vec<u8>,
+    mut respond: impl FnMut(usize) -> StepResponse<'a>,
+    recompute: impl Fn(usize) -> &'a [u8],
     rng: &mut R,
-) -> Vec<ChallengeRecord> {
-    let mut records = Vec::with_capacity(n_auditors * k);
+) -> Vec<ChallengeRecord<'a>> {
+    let draws = n_auditors * k;
+    let mut checked = Checked::new(total_steps, draws);
+    let mut records = Vec::with_capacity(draws);
     for _ in 0..n_auditors {
         for _ in 0..k {
             let step = rng.gen_range(0..total_steps);
-            let (contents, proof) = respond(step);
-            let proof_ok = MerkleTree::verify(root, &contents, &proof);
+            let response = respond(step);
+            let (expected, proof_ok) = checked.check(step, response, root, &recompute);
             records.push(ChallengeRecord {
                 step,
-                expected: recompute(step),
-                contents,
+                contents: response.contents,
+                expected,
                 proof_ok,
             });
         }
     }
     records
+}
+
+/// The responses an audit has verified: for each, its step's expected
+/// contents and its proof's verdict. A step's distinct responses form a
+/// chain through `next`, so an equivocating step holds two entries and
+/// every other step one.
+struct Checked<'a> {
+    /// Per step, the index in `entries` of its first response.
+    first: Vec<Option<usize>>,
+    entries: Vec<CheckedResponse<'a>>,
+}
+
+struct CheckedResponse<'a> {
+    response: StepResponse<'a>,
+    expected: &'a [u8],
+    proof_ok: bool,
+    /// The step's next distinct response, if one was served.
+    next: Option<usize>,
+}
+
+impl<'a> Checked<'a> {
+    fn new(total_steps: usize, draws: usize) -> Self {
+        Self {
+            first: vec![None; total_steps],
+            entries: Vec::with_capacity(total_steps.min(draws)),
+        }
+    }
+
+    /// The expected contents of `step` and whether `response`'s proof
+    /// verifies against `root`, each computed only the first time.
+    fn check(
+        &mut self,
+        step: usize,
+        response: StepResponse<'a>,
+        root: &Digest,
+        recompute: &impl Fn(usize) -> &'a [u8],
+    ) -> (&'a [u8], bool) {
+        let mut last = None;
+        let mut link = self.first[step];
+        while let Some(i) = link {
+            let entry = &self.entries[i];
+            if entry.response == response {
+                return (entry.expected, entry.proof_ok);
+            }
+            last = Some(i);
+            link = entry.next;
+        }
+        let expected = last.map_or_else(|| recompute(step), |i| self.entries[i].expected);
+        let proof_ok = response.proof.verify(root, response.contents);
+        let new = Some(self.entries.len());
+        self.entries.push(CheckedResponse {
+            response,
+            expected,
+            proof_ok,
+            next: None,
+        });
+        match last {
+            Some(i) => self.entries[i].next = new,
+            None => self.first[step] = new,
+        }
+        (expected, proof_ok)
+    }
 }
 
 /// Pools the auditors' challenge records into at most one typed
@@ -304,11 +408,16 @@ mod tests {
         assert!(caught);
     }
 
-    fn record(step: usize, contents: &[u8], expected: &[u8], proof_ok: bool) -> ChallengeRecord {
+    fn record<'a>(
+        step: usize,
+        contents: &'a [u8],
+        expected: &'a [u8],
+        proof_ok: bool,
+    ) -> ChallengeRecord<'a> {
         ChallengeRecord {
             step,
-            contents: contents.to_vec(),
-            expected: expected.to_vec(),
+            contents,
+            expected,
             proof_ok,
         }
     }
@@ -377,8 +486,8 @@ mod tests {
             &root,
             10,
             3,
-            |i| log.respond(i),
-            |i| honest[i].clone(),
+            |i| log.answer(i),
+            |i| &honest[i],
             &mut rng,
         );
         assert_eq!(records.len(), 30);

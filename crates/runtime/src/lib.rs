@@ -27,7 +27,7 @@ pub use adversary::{
 };
 pub use audit::{
     adversarial_audit, audit, challenges_per_device, collate_detection, ChallengeRecord, StepLog,
-    DROPPED_MARKER,
+    StepResponse, DROPPED_MARKER,
 };
 pub use executor::{execute, Deployment, ExecError, ExecutionConfig, ExecutionReport, QueryCert};
 pub use mpc_eval::{MVal, MechStyle, MpcEvalError, MpcEvaluator};

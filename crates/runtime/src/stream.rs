@@ -1318,18 +1318,18 @@ impl<'a> StreamExecutor<'a> {
         let respond = |i: usize| {
             if let Some((step, forged)) = &tampered {
                 if i == *step {
-                    return forged.respond(i);
+                    return forged.answer(i);
                 }
             }
             if let Some((step, forged)) = &equivocation {
                 if i == *step {
                     equiv_hits += 1;
                     if equiv_hits.is_multiple_of(2) {
-                        return forged.respond(i);
+                        return forged.answer(i);
                     }
                 }
             }
-            published.respond(i)
+            published.answer(i)
         };
         let mut audit_rng = StdRng::seed_from_u64(self.cfg.seed ^ domain_tag(b"aggregator-audit"));
         let records = adversarial_audit(
@@ -1338,7 +1338,7 @@ impl<'a> StreamExecutor<'a> {
             self.deployment.db.len().min(50),
             k,
             respond,
-            |i| honest[i].clone(),
+            |i| &honest[i],
             &mut audit_rng,
         );
         collate_detection(&records)

@@ -6,9 +6,22 @@
 //! `(1 - k/s)^n <= p_max`. These properties pin the closed form
 //! exactly. The vendored proptest harness seeds its RNG from the test
 //! name, so every run draws the same cases — no CI flake surface.
+//!
+//! The device-side audit itself, `adversarial_audit`, is checked
+//! against a per-draw oracle under honest and cheating responders, and
+//! its allocations are bounded so that a per-draw copy fails.
 
-use arboretum_runtime::challenges_per_device;
+mod common;
+
+use arboretum_crypto::merkle::MerkleTree;
+use arboretum_crypto::sha256::Digest;
+use arboretum_runtime::{
+    adversarial_audit, challenges_per_device, collate_detection, ChallengeRecord, DetectionKind,
+    StepLog, StepResponse,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The escape probability of a fixed bad step when each of `n` devices
 /// audits `k` of `s` steps — the exact expression the bound quantifies
@@ -79,4 +92,191 @@ fn paper_scale_parameters_stay_modest() {
     assert!((1..36).contains(&k), "k={k}");
     // At population scale the per-device burden collapses to 1.
     assert_eq!(challenges_per_device(100, 100_000, 1e-9), 1);
+}
+
+/// The step count and draws of a `mechanism_mpc` query's audit: 50
+/// auditors × 19 challenges over a 68-step log.
+const STEPS: usize = 68;
+const AUDITORS: usize = 50;
+const K: usize = 19;
+
+fn honest_steps() -> Vec<Vec<u8>> {
+    (0..STEPS)
+        .map(|i| format!("step-{i}-ok").into_bytes())
+        .collect()
+}
+
+/// How the responder cheats, if it does.
+#[derive(Clone, Copy, Debug)]
+enum Responder {
+    Honest,
+    /// Serves rewritten contents for `step` with the honest proof.
+    ForgedLeaf {
+        step: usize,
+    },
+    /// Alternates the honest answer and a forged one for `step`.
+    Equivocating {
+        step: usize,
+    },
+    /// Publishes a root with one bit flipped.
+    FlippedRoot,
+    /// Commits a wrong result for `step` and answers from that log.
+    WrongContent {
+        step: usize,
+    },
+}
+
+/// The published logs and root a responder answers from.
+struct Published {
+    log: StepLog,
+    forged: StepLog,
+    root: Digest,
+}
+
+impl Published {
+    fn new(who: Responder, honest: &[Vec<u8>]) -> Self {
+        let log = StepLog::new(honest.to_vec());
+        let mut rewritten = honest.to_vec();
+        let mut root = log.root();
+        let log = match who {
+            Responder::ForgedLeaf { step } | Responder::Equivocating { step } => {
+                rewritten[step].extend_from_slice(b"-forged");
+                log
+            }
+            Responder::WrongContent { step } => {
+                rewritten[step] = b"sum:wrong".to_vec();
+                let committed = StepLog::new(rewritten.clone());
+                root = committed.root();
+                committed
+            }
+            Responder::FlippedRoot => {
+                root[0] ^= 0x01;
+                log
+            }
+            Responder::Honest => log,
+        };
+        Self {
+            log,
+            forged: StepLog::new(rewritten),
+            root,
+        }
+    }
+
+    /// A fresh responder: its equivocation count starts at zero.
+    fn responder<'a>(&'a self, who: Responder) -> impl FnMut(usize) -> StepResponse<'a> + 'a {
+        let mut hits = 0usize;
+        move |i| match who {
+            Responder::ForgedLeaf { step } if i == step => StepResponse {
+                contents: self.forged.answer(i).contents,
+                proof: self.log.answer(i).proof,
+            },
+            Responder::Equivocating { step } if i == step => {
+                hits += 1;
+                if hits.is_multiple_of(2) {
+                    self.forged.answer(i)
+                } else {
+                    self.log.answer(i)
+                }
+            }
+            _ => self.log.answer(i),
+        }
+    }
+}
+
+#[test]
+fn audit_records_match_a_per_draw_oracle() {
+    let honest = honest_steps();
+    for seed in 0..8u64 {
+        // The cheated step is one the audit draws, so each cheat shows.
+        let drawn = StdRng::seed_from_u64(seed).gen_range(0..STEPS);
+        let responders = [
+            (Responder::Honest, None),
+            (
+                Responder::ForgedLeaf { step: drawn },
+                Some(DetectionKind::AuditForgedProof { step: drawn }),
+            ),
+            (
+                Responder::Equivocating { step: drawn },
+                Some(DetectionKind::AuditEquivocation { step: drawn }),
+            ),
+            (
+                Responder::FlippedRoot,
+                Some(DetectionKind::AuditRootMismatch),
+            ),
+            (
+                Responder::WrongContent { step: drawn },
+                Some(DetectionKind::AuditStepMismatch { step: drawn }),
+            ),
+        ];
+        for (who, detection) in responders {
+            let published = Published::new(who, &honest);
+            let root = published.root;
+            let records = adversarial_audit(
+                STEPS,
+                &root,
+                AUDITORS,
+                K,
+                published.responder(who),
+                |i| &honest[i],
+                &mut StdRng::seed_from_u64(seed),
+            );
+
+            // The oracle: every draw answered, copied out and verified on
+            // its own, as a device receiving bytes would.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut respond = published.responder(who);
+            let mut draws: Vec<(usize, Vec<u8>, Vec<u8>, bool)> = Vec::with_capacity(AUDITORS * K);
+            for _ in 0..AUDITORS * K {
+                let step = rng.gen_range(0..STEPS);
+                let served = respond(step);
+                let (contents, proof) = (served.contents.to_vec(), served.proof.to_proof());
+                let proof_ok = MerkleTree::verify(&root, &contents, &proof);
+                draws.push((step, contents, honest[step].clone(), proof_ok));
+            }
+            let oracle: Vec<ChallengeRecord<'_>> = draws
+                .iter()
+                .map(|(step, contents, expected, proof_ok)| ChallengeRecord {
+                    step: *step,
+                    contents,
+                    expected,
+                    proof_ok: *proof_ok,
+                })
+                .collect();
+
+            assert_eq!(records, oracle, "seed {seed}, {who:?}");
+            assert_eq!(collate_detection(&records), collate_detection(&oracle));
+            assert_eq!(
+                collate_detection(&records),
+                detection,
+                "seed {seed}, {who:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn audit_allocates_far_less_than_once_per_draw() {
+    let honest = honest_steps();
+    let log = StepLog::new(honest.clone());
+    let root = log.root();
+    let (records, allocs) = common::allocs_during(|| {
+        adversarial_audit(
+            STEPS,
+            &root,
+            AUDITORS,
+            K,
+            |i| log.answer(i),
+            |i| &honest[i],
+            &mut StdRng::seed_from_u64(1),
+        )
+    });
+    assert_eq!(records.len(), AUDITORS * K);
+    assert_eq!(collate_detection(&records), None);
+    // Three vectors (per-step links, checked responses, records); a copy
+    // of each draw's contents or proof makes at least 950.
+    assert!(
+        allocs <= 16,
+        "{allocs} allocations for {} draws",
+        records.len()
+    );
 }

@@ -100,6 +100,7 @@ fn tally_during<T>(f: impl FnOnce() -> T) -> (T, Tally) {
 
 /// Runs `f` and returns its result with the largest single allocation
 /// the calling thread requested meanwhile.
+#[allow(dead_code)] // Not every suite bounds a single request.
 pub fn largest_alloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let (out, tally) = tally_during(f);
     (out, tally.largest)
