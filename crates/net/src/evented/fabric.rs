@@ -2,12 +2,12 @@
 //! queues, pooled buffers, and clock-expressed fault injection.
 //!
 //! [`EventedFabric`] is a single object that can send and receive as
-//! every party — the MPC engine and the population-scale wave driver run
-//! on it — and the per-party [`super::EventedEndpoint`]s are views of
-//! one such fabric. All latency, jitter, slow-party, and timeout
-//! semantics are *virtual*: each party carries a `u64`-nanosecond clock,
-//! a send schedules its frame at `clock[from] + modeled_delay`, and a
-//! delivery advances the receiver to `max(clock[at], deliver_at)`.
+//! every party — every MPC engine runs on it — and the per-party
+//! [`super::EventedEndpoint`]s are views of one such fabric. All
+//! latency, jitter, slow-party, and timeout semantics are *virtual*:
+//! each party carries a `u64`-nanosecond clock, a send schedules its
+//! frame at `clock[from] + modeled_delay`, and a delivery advances the
+//! receiver to `max(clock[at], deliver_at)`.
 //! Nothing ever sleeps, and link queues are allocated only once they
 //! carry traffic, so the fabric simulates 10^5–10^6 parties in one
 //! process at queue-push speed.

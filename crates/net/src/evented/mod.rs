@@ -5,13 +5,12 @@
 //! delays schedule frames on that clock, timeouts are decided by
 //! comparing modeled values (never wall time), faults are events on the
 //! same clock, and frames are encoded into a pooled buffer arena
-//! instead of fresh allocations. One process drives full sortition +
-//! upload waves for 10^5–10^6 simulated devices.
+//! instead of fresh allocations.
 //!
-//! [`EventedFabric`] acts as every party; every MPC engine and the
-//! population-scale wave driver run on it. [`evented_fabric`] hands out
-//! [`EventedEndpoint`]s, per-party views of one such fabric that each
-//! act only as their own party (the benchmark's frame probe uses them).
+//! [`EventedFabric`] acts as every party; every MPC engine runs on it.
+//! [`evented_fabric`] hands out [`EventedEndpoint`]s, per-party views of
+//! one such fabric that each act only as their own party (the
+//! benchmark's frame probe uses them).
 //! Everything runs on the caller's thread: a receive on an empty link
 //! is an immediate timeout.
 //!

@@ -2,7 +2,7 @@
 //!
 //! [`crate::EventedFabric`] implements it: it schedules frames on
 //! per-party virtual clocks with modeled link latency, timeouts and
-//! faults (what the MPC engine and the wave run on). A
+//! faults (what every MPC engine runs on). A
 //! [`crate::EventedEndpoint`] is one party's view of such a fabric. The
 //! metering is defined so measured and modeled costs can be compared
 //! exactly.

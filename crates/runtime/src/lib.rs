@@ -19,7 +19,6 @@ pub mod mpc_eval;
 pub mod net_exec;
 pub mod setup;
 pub mod stream;
-pub mod wave;
 
 pub use adversary::{
     Adversary, AggregatorBehavior, CommitteeBehavior, Detection, DetectionClass, DetectionKind,
@@ -39,4 +38,3 @@ pub use stream::{
     execute_stream, ArrivalSchedule, StreamExecutor, StreamReport, WindowCheckpoint,
     DEFAULT_STREAM_CHUNK,
 };
-pub use wave::{run_wave, sortition_parity, WaveConfig, WaveReport};

@@ -41,6 +41,11 @@
 //! batteries in `crates/runtime/tests/stream_props.rs` and
 //! `stream_determinism.rs` guard partition invariance.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use arboretum_bgv::{
     decrypt as bgv_decrypt, encode_coeffs, encrypt as bgv_encrypt, BgvContext, Ciphertext,
     PublicKey, RnsPoly,
@@ -987,9 +992,10 @@ impl<'a> StreamExecutor<'a> {
             handoff_bytes,
             handoff_frames,
         };
+        let idx = self.checkpoints.len();
         self.checkpoints.push(checkpoint);
         self.next_window += 1;
-        Ok(self.checkpoints.last().expect("just pushed"))
+        Ok(&self.checkpoints[idx])
     }
 
     /// Runs the boundary-`b` key handoff: every seat redistributes its
@@ -1275,10 +1281,9 @@ impl<'a> StreamExecutor<'a> {
                 let j = (draw % ok_steps.len() as u64) as usize;
                 let victim_ct = self.cheat_cts.get(j)?;
                 let victim_step = ok_steps[j];
-                let mut dropped = honest[victim_step]
-                    .strip_suffix(b"-ok")
-                    .expect("ok-step contents end in -ok")
-                    .to_vec();
+                // Every ok step is `input-{i}-ok` (see `ingest_next`).
+                let ok = &honest[victim_step];
+                let mut dropped = ok.strip_suffix(b"-ok").unwrap_or(ok).to_vec();
                 dropped.extend_from_slice(DROPPED_MARKER);
                 let forged = arboretum_bgv::scheme::sub(ctx, total_ct, victim_ct);
                 let mut steps = honest.to_vec();
@@ -1650,14 +1655,19 @@ fn take<'b>(bytes: &'b [u8], pos: &mut usize, k: usize) -> Result<&'b [u8], Exec
     Ok(s)
 }
 
+/// The next `N` checkpoint bytes as an array, advancing `pos`.
+fn take_array<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N], ExecError> {
+    let mut a = [0; N];
+    a.copy_from_slice(take(bytes, pos, N)?);
+    Ok(a)
+}
+
 fn get_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, ExecError> {
-    let b = take(bytes, pos, 4)?;
-    Ok(u32::from_be_bytes(b.try_into().expect("took 4 bytes")))
+    take_array(bytes, pos).map(u32::from_be_bytes)
 }
 
 fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, ExecError> {
-    let b = take(bytes, pos, 8)?;
-    Ok(u64::from_be_bytes(b.try_into().expect("took 8 bytes")))
+    take_array(bytes, pos).map(u64::from_be_bytes)
 }
 
 /// An element count whose elements each occupy at least `min_bytes`:
@@ -1674,11 +1684,9 @@ fn get_count(bytes: &[u8], pos: &mut usize, min_bytes: usize) -> Result<usize, E
 }
 
 fn get_digest(bytes: &[u8], pos: &mut usize) -> Result<Option<Digest>, ExecError> {
-    match take(bytes, pos, 1)?[0] {
-        0 => Ok(None),
-        1 => Ok(Some(
-            take(bytes, pos, 32)?.try_into().expect("took 32 bytes"),
-        )),
+    match take_array::<1>(bytes, pos)? {
+        [0] => Ok(None),
+        [1] => Ok(Some(take_array(bytes, pos)?)),
         _ => Err(ExecError::Checkpoint("bad digest flag".into())),
     }
 }

@@ -17,8 +17,8 @@ pub mod select;
 pub mod size;
 
 pub use select::{
-    make_ticket, make_ticket_with_msg, next_block, seat_committees, seat_committees_reference,
-    select_committees, select_committees_on, select_committees_reference, sortition_message,
-    verify_ticket, verify_tickets_batch, Committees, Device, Registry, Ticket,
+    make_ticket, make_ticket_with_msg, next_block, seat_committees, select_committees,
+    select_committees_on, sortition_message, verify_ticket, verify_tickets_batch, Committees,
+    Device, Registry, Ticket,
 };
 pub use size::{ln_committee_failure, min_committee_size, SortitionParams};

@@ -17,11 +17,11 @@
 //!   fixed-base exponentiation fast path under the signature.
 //! * Seating only needs the `c·m` *lowest* tickets, so selection uses
 //!   `select_nth_unstable`-style partial selection (O(n)) and sorts only
-//!   that prefix. [`select_committees_reference`] keeps the serial
-//!   full-sort path; both seat **identical** committees because both
-//!   order by the total key `(hash, device_idx)` — the explicit
-//!   `device_idx` tie-break also removes the latent order dependence the
-//!   plain `hash` key had on duplicate hashes.
+//!   that prefix. A test-only serial full-sort path seats **identical**
+//!   committees because both order by the total key
+//!   `(hash, device_idx)` — the explicit `device_idx` tie-break also
+//!   removes the latent order dependence the plain `hash` key had on
+//!   duplicate hashes.
 
 use std::sync::Arc;
 
@@ -216,7 +216,7 @@ fn ticket_order(a: &Ticket, b: &Ticket) -> std::cmp::Ordering {
 /// Seats `c` committees of `m` from a round's tickets using O(n)
 /// partial selection: `select_nth_unstable` partitions the `c·m` lowest
 /// tickets (by [`ticket_order`]) to the front, and only that prefix is
-/// sorted. Identical committees to [`seat_committees_reference`].
+/// sorted. Identical committees to a full sort of every ticket.
 ///
 /// # Panics
 ///
@@ -237,13 +237,13 @@ pub fn seat_committees(mut tickets: Vec<Ticket>, c: usize, m: usize) -> Committe
 }
 
 /// The pre-optimization seating path: a full O(n log n) sort of every
-/// ticket. Kept (and exercised by tests and `wave_smoke`) as the parity
-/// baseline for [`seat_committees`].
+/// ticket. Test-only: the parity baseline for [`seat_committees`].
 ///
 /// # Panics
 ///
 /// Panics if there are fewer than `c·m` tickets.
-pub fn seat_committees_reference(mut tickets: Vec<Ticket>, c: usize, m: usize) -> Committees {
+#[cfg(test)]
+fn seat_committees_reference(mut tickets: Vec<Ticket>, c: usize, m: usize) -> Committees {
     assert!(
         tickets.len() >= c * m,
         "{} tickets cannot seat {c} committees of {m}",
@@ -271,8 +271,8 @@ fn collect_committees(sorted: &[Ticket], c: usize, m: usize) -> Committees {
 /// Tickets are generated on the process-default `par` pool (ticket `i`
 /// is a pure function of `(registry, block, query_idx, i)`, so results
 /// are bitwise identical at any thread count) and seated by O(n)
-/// partial selection. Committees are identical to
-/// [`select_committees_reference`].
+/// partial selection. Committees are identical to a serial, fully
+/// sorted selection.
 ///
 /// # Panics
 ///
@@ -315,14 +315,14 @@ pub fn select_committees_on(
 }
 
 /// The pre-optimization selection path: serial ticket generation and a
-/// full sort. Bitwise-identical committees to [`select_committees`];
-/// kept as the parity baseline (asserted by tests and the 10^6-device
-/// wave profile).
+/// full sort. Test-only: the parity baseline for [`select_committees`],
+/// which must seat bitwise-identical committees.
 ///
 /// # Panics
 ///
 /// Panics if the registry holds fewer than `c·m` devices.
-pub fn select_committees_reference(
+#[cfg(test)]
+fn select_committees_reference(
     registry: &Registry,
     block: &Digest,
     query_idx: u64,
@@ -483,7 +483,7 @@ mod tests {
         // including when every device is seated (c·m == n) and when the
         // pool is the inline zero-worker one.
         let reg = registry(337);
-        for (c, m, q) in [(4, 10, 1), (1, 337, 0), (3, 5, 9), (5, 25, 2)] {
+        for (c, m, q) in [(4, 10, 1), (1, 337, 0), (3, 5, 9), (5, 25, 2), (5, 7, 0)] {
             let block = sha256(&[c as u8, m as u8]);
             let fast = select_committees(&reg, &block, q, c, m);
             let reference = select_committees_reference(&reg, &block, q, c, m);
