@@ -1,8 +1,9 @@
 //! Differential-privacy mechanisms for Arboretum (§2.1).
 //!
-//! * [`noise`] — Laplace and Gumbel samplers in mechanism-grade Q30.16
-//!   fixed point (deterministic inverse-CDF, avoiding floating-point
-//!   side channels).
+//! * [`noise`] — Laplace and Gumbel samplers in Q30.16 fixed point
+//!   (deterministic inverse-CDF, no floating-point rounding), the snap
+//!   of a release onto the integer grid, and the exact `δ(ε)` of the
+//!   finite Laplace sampler at a given release grid.
 //! * [`mechanisms`] — the two exponential-mechanism instantiations of
 //!   Figure 4 (exponentiate-and-sample, Gumbel argmax), one-shot top-k,
 //!   and the free-gap variant.

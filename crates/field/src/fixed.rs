@@ -77,10 +77,12 @@ impl Fix {
     ///
     /// Returns [`FixOverflow`] if `v` does not fit in 30 integer bits.
     pub fn from_int(v: i64) -> Result<Self, FixOverflow> {
-        v.checked_shl(FRAC_BITS)
-            .filter(|r| r.abs() < RAW_BOUND)
-            .map(Self)
-            .ok_or(FixOverflow)
+        // Range first: a shift wraps silently (`i64::MAX << 16` is −1.0).
+        if v.unsigned_abs() < 1 << INT_BITS {
+            Ok(Self(v << FRAC_BITS))
+        } else {
+            Err(FixOverflow)
+        }
     }
 
     /// Builds the rational `num / den` rounded to nearest.
@@ -385,6 +387,11 @@ mod tests {
     fn overflow_detected() {
         assert!(Fix::from_int(1 << 30).is_err());
         assert!(Fix::from_int((1 << 30) - 1).is_ok());
+        // Integers whose shift wraps back into range are out of range too.
+        for v in [i64::MAX, i64::MIN, i64::MAX >> 15, -(1 << 30), 1 << 48] {
+            assert!(Fix::from_int(v).is_err(), "{v}");
+        }
+        assert_eq!(Fix::from_int(1 - (1 << 30)).unwrap().floor(), 1 - (1 << 30));
         let big = Fix::from_int((1 << 29) + 5).unwrap();
         assert!(big.checked_mul(big).is_err());
         assert!(Fix::ONE.checked_div(Fix::ZERO).is_err());

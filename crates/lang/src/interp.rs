@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use arboretum_dp::mechanisms::{em_gumbel, em_with_gap, top_k_oneshot, MechanismError};
-use arboretum_dp::noise::laplace_fix;
+use arboretum_dp::noise::{laplace_fix, snap};
 use arboretum_field::fixed::{Fix, FixOverflow};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -376,7 +376,9 @@ pub fn mech_params(b: Builtin, tail: &[Value]) -> Result<(usize, f64, f64), Eval
     Ok((k, sens, eps))
 }
 
-/// A mechanism in the clear over public scores.
+/// A mechanism in the clear over public scores. A Laplace release and
+/// `emGap`'s gap are snapped onto the integer grid, so what follows the
+/// mechanism cannot read the noise's fractional bits.
 fn mechanism(
     b: Builtin,
     scores: &Value,
@@ -386,7 +388,7 @@ fn mechanism(
     let (k, sens, eps) = mech_params(b, tail)?;
     if b == Builtin::Laplace {
         let scale = Fix::from_f64(sens / eps)?;
-        let mut noisy = |x: Fix| x.checked_add(laplace_fix(rng, scale)).unwrap_or(Fix::MAX);
+        let mut noisy = |x: Fix| snap(x.checked_add(laplace_fix(rng, scale)).unwrap_or(Fix::MAX));
         return Ok(match scores {
             Value::IntArray(v) => Value::FixArray(
                 v.iter()
@@ -405,7 +407,7 @@ fn mechanism(
         Builtin::Em => Value::Int(em_gumbel(scores, sens, eps, rng)? as i64),
         Builtin::EmGap => {
             let (i, gap) = em_with_gap(scores, sens, eps, rng)?;
-            Value::FixArray(vec![Fix::from_int(i as i64)?, gap])
+            Value::FixArray(vec![Fix::from_int(i as i64)?, snap(gap)])
         }
         // `mech_params` admitted only the four mechanisms.
         _ => Value::IntArray(
@@ -755,6 +757,27 @@ mod tests {
         match out[1] {
             Value::Fix(gap) => assert!((gap.to_f64() - 60.0).abs() < 10.0, "{gap}"),
             ref other => panic!("expected fix, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn laplace_and_gap_releases_sit_on_the_integer_grid() {
+        // Post-processing that scales a release by 2^16 would expose the
+        // noise's fractional bits; snapped releases are whole numbers.
+        let db = one_hot_db(&[20, 9]);
+        for seed in 0..16 {
+            let out = run(
+                "a = sum(db); r = laplace(a, 1, 0.1); g = emGap(a, 1.0); \
+                 output(r[0] * 65536.0); output(g[1] * 65536.0);",
+                &db,
+                seed,
+            );
+            for v in out {
+                let Value::Fix(x) = v else {
+                    panic!("expected fix, got {v:?}")
+                };
+                assert_eq!(x.raw() % (1 << 32), 0, "seed {seed}: {x}");
+            }
         }
     }
 

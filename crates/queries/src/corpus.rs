@@ -251,7 +251,9 @@ pub fn bayes(n: u64, categories: usize) -> QuerySpec {
 
 /// `k-medians`: one round of DP k-medians (the Orchard query): noisy
 /// per-cluster counts and coordinate sums, medians recomputed in
-/// post-processing.
+/// post-processing. A noisy count divides as at least 1: releases sit on
+/// the integer grid, so an empty cluster's noisy count is often exactly
+/// 0 (and can be negative).
 pub fn k_medians(n: u64, k: usize) -> QuerySpec {
     QuerySpec {
         name: "k-medians",
@@ -261,7 +263,7 @@ pub fn k_medians(n: u64, k: usize) -> QuerySpec {
              for j = 0 to {last} do\n\
                nc = laplace(counts[j], 1, 0.05);\n\
                ns = laplace(counts[{k} + j], 1000, 0.05);\n\
-               med[j] = ns / nc;\n\
+               med[j] = ns / clip(nc, 1, {n});\n\
                output(med[j]);\n\
              endfor\n",
             last = k - 1

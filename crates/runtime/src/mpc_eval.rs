@@ -50,7 +50,7 @@
 use std::collections::{HashMap, HashSet};
 
 use arboretum_dp::mechanisms::{em_exponentiate, MechanismError};
-use arboretum_dp::noise::{gumbel_fix, laplace_fix};
+use arboretum_dp::noise::{gumbel_fix, laplace_fix, snap};
 use arboretum_field::fixed::Fix;
 use arboretum_field::FGold;
 use arboretum_lang::ast::{BinOp, Builtin, Expr, Stmt, UnOp};
@@ -790,8 +790,9 @@ impl<'a> MpcEvaluator<'a> {
         if b == Builtin::Laplace {
             let scale = Fix::from_f64(sens / eps).map_err(fail)?;
             let shares = self.shared_array(scores)?;
-            // Lift each integer share to Q30.16, add its noise, and open
-            // the whole vector in one round trip.
+            // Lift each integer share to Q30.16, add its noise, open the
+            // whole vector in one round trip, and snap each release onto
+            // the integer grid.
             let noised: Vec<Shared> = shares
                 .iter()
                 .map(|s| {
@@ -807,7 +808,7 @@ impl<'a> MpcEvaluator<'a> {
                 .open_batch(&noised.iter().collect::<Vec<_>>())
                 .map_err(fail)?
                 .into_iter()
-                .map(|v| field_to_fix(v).map_err(fail))
+                .map(|v| field_to_fix(v).map(snap).map_err(fail))
                 .collect::<Result<Vec<Fix>, _>>()?;
             return Ok(MVal::Pub(match scores {
                 MVal::SecretArr(_) => Value::FixArray(released),
@@ -918,13 +919,14 @@ fn public(v: MVal) -> Result<Value, MpcEvalError> {
 }
 
 /// An exponential-mechanism release in the interpreter's shape: `em`'s
-/// winner, `emTopK`'s winners, or `emGap`'s `[winner, gap]`.
+/// winner, `emTopK`'s winners, or `emGap`'s `[winner, gap]` with the gap
+/// snapped onto the integer grid.
 fn em_result(b: Builtin, winners: Vec<i64>, gap: Option<Fix>) -> Value {
     match b {
         Builtin::EmTopK => Value::IntArray(winners),
         Builtin::EmGap => Value::FixArray(vec![
             Fix::from_int(winners[0]).unwrap_or(Fix::MAX),
-            gap.unwrap_or(Fix::ZERO),
+            gap.map_or(Fix::ZERO, snap),
         ]),
         _ => Value::Int(winners[0]),
     }

@@ -14,11 +14,12 @@
 //!   any churn pattern replays bitwise from `(seed, n, windows)`;
 //! * a [`StreamExecutor`] opens the epoch (budget charge, signed
 //!   certificate, initial committee key sharing), runs one pass per
-//!   upload over each window's arrivals — prove, verify, sample and
-//!   encrypt inside one pooled map, so no proof outlives its check and
-//!   a window holds about one ciphertext per upload, not one proof —
-//!   and folds their BGV ⊞-partials into a checkpointed accumulator via
-//!   the chunk kernel (`arboretum_bgv::par_sum_chunks`);
+//!   upload over each window's arrivals — prove, verify, sample, encrypt
+//!   and ⊞-add into the block's sum inside one pooled map over blocks of
+//!   arrivals, so no proof outlives its check and a window holds one
+//!   ciphertext per block, not one per upload — and folds the block
+//!   sums into a checkpointed accumulator via the chunk kernel
+//!   (`arboretum_bgv::par_sum_chunks`);
 //! * committee key state crosses every window boundary — and, at close,
 //!   the keygen → decryption-committee boundary — through
 //!   `vsr::redistribute_share`, and each handoff is committed to the
@@ -46,6 +47,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+use arboretum_bgv::scheme::add_assign;
 use arboretum_bgv::{
     decrypt as bgv_decrypt, encode_coeffs, encrypt as bgv_encrypt, BgvContext, Ciphertext,
     PublicKey, RnsPoly,
@@ -59,7 +61,7 @@ use arboretum_mpc::engine::MpcEngine;
 use arboretum_mpc::fixp::{inject_with_cost, FunctionalityCost};
 use arboretum_net::wire::{message_to_vsr_batch, vsr_batch_to_message};
 use arboretum_net::Message;
-use arboretum_par::{par_map_arc, ThreadPool};
+use arboretum_par::{par_chunks, ThreadPool};
 use arboretum_planner::logical::LogicalPlan;
 use arboretum_planner::plan::{PhysOp, Plan};
 use arboretum_vsr::{
@@ -88,8 +90,9 @@ use crate::executor::{Deployment, ExecError, ExecutionConfig, ExecutionReport, Q
 use crate::mpc_eval::{MVal, MechStyle, MpcEvaluator};
 use crate::setup::{build_session_setup, SessionSetup, SetupCounters};
 
-/// ⊞-fold fan-in per accumulator chunk. Chunk width never changes
-/// results (modular addition is exact), only scheduling.
+/// Arrivals per block of the per-upload pass, and ⊞-fold fan-in per
+/// accumulator chunk. Neither width changes results (modular addition
+/// is exact), only scheduling and how many block sums a window holds.
 pub const DEFAULT_STREAM_CHUNK: usize = 32;
 
 /// Checkpoint wire-format version. Version 1 carried per-pool
@@ -356,26 +359,57 @@ enum Upload {
 }
 
 /// What the per-upload pass decided about one arrival. The proof is gone
-/// by the time this exists: it lived only inside the pass.
+/// by the time this exists: it lived only inside the pass. So is an
+/// accepted upload's ciphertext: it was folded into its block's sum.
 enum UploadOutcome {
     /// The proof failed verification, or the submitted ciphertext did
     /// not match the verified values.
     Rejected(DetectionKind),
     /// Verified, then left out by the secrecy-of-the-sample draw.
     BinnedOut,
-    /// Verified, sampled in and encrypted.
-    Accepted(Ciphertext),
+    /// Verified, sampled in, encrypted and folded.
+    Accepted,
 }
 
+/// Which accepted ciphertexts outlive their block's fold: the raw
+/// material of the two aggregator cheats that rewrite the published
+/// fold step. An honest epoch keeps none.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Keep {
+    /// None: the honest case and every other cheat.
+    None,
+    /// The first accepted ciphertext of each block (`WrongPartialSum`
+    /// needs the epoch's first).
+    First,
+    /// Every accepted ciphertext, in arrival order (`DropUpload`).
+    All,
+}
+
+/// One block of arrivals after the per-upload pass: an outcome per
+/// upload in arrival order, the ⊞-sum of the block's accepted
+/// ciphertexts (`None` when it accepted none), and the accepted
+/// ciphertexts [`Keep`] asked for.
+struct BlockSum {
+    outcomes: Vec<UploadOutcome>,
+    sum: Option<Ciphertext>,
+    kept: Vec<Ciphertext>,
+}
+
+/// One arrival's job: its registry index, its row and its behavior.
+type UploadJob = (usize, Vec<i64>, DeviceBehavior);
+
 /// The per-upload pass of §5.3: a device proves its upload, the
-/// aggregator verifies it, and an accepted device encrypts — one upload
-/// at a time, so no proof outlives its check.
+/// aggregator verifies it, an accepted device encrypts, and the
+/// aggregator ⊞-adds the ciphertext into its block's running sum — one
+/// upload at a time, so no proof outlives its check and no ciphertext
+/// outlives its fold.
 ///
 /// It holds what every upload of a window shares and moves into the
 /// pool's `'static` closure whole. Every draw it makes (proving RNG,
 /// sampling decision, encryption RNG) is keyed by the device's global
-/// registry index, so an outcome is byte-identical whichever window or
-/// thread computes it.
+/// registry index, so an outcome is byte-identical whichever window,
+/// block or thread computes it; ⊞ is exact modular addition, so the
+/// block sums fold to the same accumulator as a serial sum.
 struct UploadPass {
     pp: PedersenParams,
     ctx: Arc<BgvContext>,
@@ -390,10 +424,40 @@ struct UploadPass {
     encrypt_seed: u64,
     /// The certificate's sampling rate φ, if the query samples.
     sampling_rate: Option<f64>,
+    keep: Keep,
 }
 
 impl UploadPass {
-    /// Device `i`'s whole upload: prove, verify, sample, encrypt.
+    /// One block of arrivals, in order: each upload's whole pass, its
+    /// ciphertext folded into the block sum as soon as it is accepted.
+    ///
+    /// # Errors
+    ///
+    /// The first upload's [`ExecError`], in arrival order.
+    fn ingest_block(&self, jobs: &[UploadJob]) -> Result<BlockSum, ExecError> {
+        let mut block = BlockSum {
+            outcomes: Vec::with_capacity(jobs.len()),
+            sum: None,
+            kept: Vec::new(),
+        };
+        for (i, row, behavior) in jobs {
+            let Some(ct) = self.ingest(*i, row, *behavior, &mut block.outcomes)? else {
+                continue;
+            };
+            if self.keep == Keep::All || (self.keep == Keep::First && block.kept.is_empty()) {
+                block.kept.push(ct.clone());
+            }
+            match &mut block.sum {
+                Some(sum) => add_assign(&self.ctx, sum, &ct),
+                None => block.sum = Some(ct),
+            }
+        }
+        Ok(block)
+    }
+
+    /// Device `i`'s whole upload: prove, verify, sample, encrypt. The
+    /// upload's outcome goes to `outcomes`, and an accepted one also
+    /// returns its ciphertext.
     ///
     /// # Errors
     ///
@@ -404,23 +468,31 @@ impl UploadPass {
         i: usize,
         row: &[i64],
         behavior: DeviceBehavior,
-    ) -> Result<UploadOutcome, ExecError> {
+        outcomes: &mut Vec<UploadOutcome>,
+    ) -> Result<Option<Ciphertext>, ExecError> {
         let upload = self.prove(i, row, behavior);
         if let Some(kind) = self.verify(&upload) {
-            return Ok(UploadOutcome::Rejected(kind));
+            outcomes.push(UploadOutcome::Rejected(kind));
+            return Ok(None);
         }
         if let Some(phi) = self.sampling_rate {
             // 53 uniform bits → [0, 1), so φ = 1 keeps every device.
             let r = seed_draw(self.seed, b"stream-sample", i as u64) >> 11;
             if r as f64 / (1u64 << 53) as f64 >= phi {
-                return Ok(UploadOutcome::BinnedOut);
+                outcomes.push(UploadOutcome::BinnedOut);
+                return Ok(None);
             }
         }
         let vals = match upload {
             Upload::OneHot { bits, .. } => bits,
             Upload::Ranges { vals, .. } => vals,
         };
-        self.encrypt(i, &vals, behavior)
+        let ct = self.encrypt(i, &vals, behavior)?;
+        outcomes.push(match ct {
+            Some(_) => UploadOutcome::Accepted,
+            None => UploadOutcome::Rejected(DetectionKind::CiphertextMismatch),
+        });
+        Ok(ct)
     }
 
     /// The device builds its upload: the claimed values plus a proof of
@@ -568,13 +640,13 @@ impl UploadPass {
 
     /// The device encrypts its verified values from an encryption RNG
     /// seeded by its global index, and the aggregator cross-checks what
-    /// it submitted.
+    /// it submitted: `None` when the submitted ciphertext does not match.
     fn encrypt(
         &self,
         i: usize,
         vals: &[u64],
         behavior: DeviceBehavior,
-    ) -> Result<UploadOutcome, ExecError> {
+    ) -> Result<Option<Ciphertext>, ExecError> {
         let ctx = &self.ctx;
         let encode =
             |v: &[u64]| encode_coeffs(ctx, v).map_err(|e| ExecError::Unsupported(e.to_string()));
@@ -589,10 +661,10 @@ impl UploadPass {
             wrong[0] = wrong[0].wrapping_add(1);
             let submitted = bgv_encrypt(ctx, &self.pk, &encode(&wrong)?, &mut enc_rng);
             if ciphertext_digest(&submitted) != ciphertext_digest(&ct) {
-                return Ok(UploadOutcome::Rejected(DetectionKind::CiphertextMismatch));
+                return Ok(None);
             }
         }
-        Ok(UploadOutcome::Accepted(ct))
+        Ok(Some(ct))
     }
 }
 
@@ -641,7 +713,7 @@ pub struct StreamExecutor<'a> {
     detections: Vec<Detection>,
     checkpoints: Vec<WindowCheckpoint>,
 
-    /// Consulted once, at the first fold (see
+    /// Consulted once, before the first window's per-upload pass (see
     /// [`Adversary::aggregator_behavior`]).
     agg_behavior: Option<AggregatorBehavior>,
     /// Step-log indices of accepted input steps, in acceptance order.
@@ -847,14 +919,16 @@ impl<'a> StreamExecutor<'a> {
 
         // ---- The per-upload pass (parallel, pure per device): each
         // arrival proves, is verified, takes the sampling draw (§6's
-        // secrecy of the sample) and encrypts, inside one closure, so a
-        // window never holds more than one proof per worker. Behaviors
-        // are resolved serially up front (an adversary overrides the
-        // legacy malicious-fraction draw, which maps to the same two
-        // behaviors the executor always simulated), so the closure stays
-        // a pure function of its job. ----
+        // secrecy of the sample), encrypts and is ⊞-added into its
+        // block's running sum, inside one closure per block of
+        // `DEFAULT_STREAM_CHUNK` arrivals, so a window never holds more
+        // than one proof per worker or one ciphertext per block.
+        // Behaviors are resolved serially up front (an adversary
+        // overrides the legacy malicious-fraction draw, which maps to
+        // the same two behaviors the executor always simulated), so the
+        // closure stays a pure function of its jobs. ----
         let schema = &self.deployment.schema;
-        let jobs: Vec<(usize, Vec<i64>, DeviceBehavior)> = arrivals
+        let jobs: Vec<UploadJob> = arrivals
             .iter()
             .map(|&i| {
                 let behavior = match adversary {
@@ -871,6 +945,17 @@ impl<'a> StreamExecutor<'a> {
                 (i, self.deployment.db[i].clone(), behavior)
             })
             .collect();
+        // The aggregator hook is consulted exactly once, after the
+        // window's device behaviors and before its first ⊞, and decides
+        // which ciphertexts the pass keeps past their fold.
+        let agg_behavior = *self.agg_behavior.get_or_insert_with(|| {
+            adversary.map_or(AggregatorBehavior::Honest, |a| a.aggregator_behavior())
+        });
+        let keep = match agg_behavior {
+            AggregatorBehavior::WrongPartialSum if self.cheat_cts.is_empty() => Keep::First,
+            AggregatorBehavior::DropUpload { .. } => Keep::All,
+            _ => Keep::None,
+        };
         let pass = UploadPass {
             pp: PedersenParams::standard(),
             ctx: Arc::clone(&ctx),
@@ -883,26 +968,30 @@ impl<'a> StreamExecutor<'a> {
             upload_seed: self.cfg.seed ^ domain_tag(b"phase-a-uploads"),
             encrypt_seed: self.cfg.seed ^ domain_tag(b"stream-encrypt"),
             sampling_rate: self.logical.certificate.sampling_rate,
+            keep,
         };
-        let jobs = Arc::new(jobs);
-        let results = par_map_arc(&self.pool, &jobs, move |_, (i, row, behavior)| {
-            pass.ingest(*i, row, *behavior)
+        let results = par_chunks(&self.pool, jobs, DEFAULT_STREAM_CHUNK, move |_, jobs| {
+            pass.ingest_block(jobs)
         });
-        drop(jobs);
         // A window whose encoding fails errors here, before it touches
         // any executor state.
-        let outcomes: Vec<UploadOutcome> = results.into_iter().collect::<Result<_, _>>()?;
+        let blocks: Vec<BlockSum> = results.into_iter().collect::<Result<_, _>>()?;
 
-        // ---- Bookkeeping (serial, in arrival order). The aggregator
-        // hook is consulted exactly once, at the last deterministic
-        // serial point before the first ⊞ fold. ----
+        // ---- Bookkeeping (serial, in arrival order). ----
         self.verify_ops += arrivals.len() as u64;
-        let agg_behavior = *self.agg_behavior.get_or_insert_with(|| {
-            adversary.map_or(AggregatorBehavior::Honest, |a| a.aggregator_behavior())
-        });
         let mut window_accepted = 0usize;
         let mut window_rejected = 0usize;
-        let mut cts: Vec<Ciphertext> = Vec::new();
+        let mut partials: Vec<Ciphertext> = Vec::with_capacity(blocks.len() + 1);
+        let carries = self.acc.is_some();
+        partials.extend(self.acc.take());
+        let mut outcomes = Vec::with_capacity(arrivals.len());
+        for block in blocks {
+            partials.extend(block.sum);
+            if keep == Keep::All || self.cheat_cts.is_empty() {
+                self.cheat_cts.extend(block.kept);
+            }
+            outcomes.extend(block.outcomes);
+        }
         for (&i, outcome) in arrivals.iter().zip(outcomes) {
             match outcome {
                 UploadOutcome::Rejected(kind) => {
@@ -916,45 +1005,29 @@ impl<'a> StreamExecutor<'a> {
                 UploadOutcome::BinnedOut => self
                     .step_results
                     .push(format!("input-{i}-binned-out").into_bytes()),
-                UploadOutcome::Accepted(ct) => {
+                UploadOutcome::Accepted => {
                     window_accepted += 1;
-                    // Behaviors that perturb the *published* log need
-                    // ciphertexts the ⊞ kernels consume by value, so the
-                    // cheat's raw material is cloned up front.
-                    match agg_behavior {
-                        AggregatorBehavior::WrongPartialSum if self.cheat_cts.is_empty() => {
-                            self.cheat_cts.push(ct.clone());
-                        }
-                        AggregatorBehavior::DropUpload { .. } => self.cheat_cts.push(ct.clone()),
-                        _ => {}
-                    }
                     self.ok_steps.push(self.step_results.len());
                     self.step_results.push(format!("input-{i}-ok").into_bytes());
-                    cts.push(ct);
                 }
             }
         }
         self.accepted_count += window_accepted;
         self.rejected_count += window_rejected;
 
-        // ---- Fold this window's partials into the accumulator on the
+        // ---- Fold the carried accumulator and the block sums on the
         // pool. BGV ⊞ is associative row-wise modular addition, so the
-        // chunked merges are bitwise identical to a serial fold at every
-        // thread count (see `arboretum_bgv::batch`). ----
-        let mut partials: Vec<Ciphertext> = Vec::with_capacity(cts.len() + 1);
-        if let Some(acc) = self.acc.take() {
-            partials.push(acc);
+        // block sums and the chunked merges are bitwise identical to a
+        // serial fold of every accepted ciphertext, at every thread
+        // count (see `arboretum_bgv::batch`); counted as that fold's
+        // ⊞ calls, which is also how many the blocks and merges make. ----
+        let adds = (window_accepted + usize::from(carries)).saturating_sub(1) as u64;
+        while partials.len() > 1 {
+            partials =
+                arboretum_bgv::par_sum_chunks(&self.pool, &ctx, partials, DEFAULT_STREAM_CHUNK);
         }
-        partials.extend(cts);
-        let adds = partials.len().saturating_sub(1) as u64;
-        if !partials.is_empty() {
-            while partials.len() > 1 {
-                partials =
-                    arboretum_bgv::par_sum_chunks(&self.pool, &ctx, partials, DEFAULT_STREAM_CHUNK);
-            }
-            self.acc = Some(partials.remove(0));
-            self.aggregate_ops += adds;
-        }
+        self.acc = partials.pop();
+        self.aggregate_ops += adds;
         // The fold step commits its label *and* the accumulator's
         // digest, so a wrong partial sum is observable evidence in the
         // step log rather than an invisible lie.

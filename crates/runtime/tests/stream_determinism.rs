@@ -205,3 +205,120 @@ fn window_boundary_placement_cannot_change_the_epoch() {
         }
     }
 }
+
+/// Per-upload ⊞ sums cross block boundaries without a trace: windows of
+/// 1, 31, 32, 33 and 65 arrivals — one block short of, exactly, and one
+/// and two blocks past `DEFAULT_STREAM_CHUNK` — fold onto an accumulator
+/// carried from an earlier window. Every block of two or more holds one
+/// rejected and one binned-out upload; a lone upload is accepted. At
+/// every pool size the accumulator is the serial `bgv::sum` of the
+/// accepted uploads' ciphertexts, re-encrypted here from the per-device
+/// seeds, and `aggregate_ops` counts that sum's ⊞ calls.
+#[test]
+fn block_sums_fold_to_the_serial_sum_across_block_boundaries() {
+    use arboretum_bgv::{encode_coeffs, encrypt, sum, Ciphertext};
+    use arboretum_crypto::sha256::{domain_tag, seed_draw};
+    use arboretum_par::ThreadPool;
+    use arboretum_runtime::adversary::{ciphertext_digest, Adversary, DeviceBehavior};
+    use arboretum_runtime::stream::DEFAULT_STREAM_CHUNK;
+    use std::collections::HashSet;
+    use std::sync::Arc;
+
+    const N: usize = 320;
+    const PHI: f64 = 0.5;
+    const CARRIED: usize = 3;
+    struct Tamper(HashSet<usize>);
+    impl Adversary for Tamper {
+        fn device_behavior(&self, _: usize, device: usize) -> DeviceBehavior {
+            if self.0.contains(&device) {
+                DeviceBehavior::TamperSigmaProof
+            } else {
+                DeviceBehavior::Honest
+            }
+        }
+    }
+
+    let assignments: Vec<usize> = (0..N).map(|i| (i * 5 + i / 7) % CATEGORIES).collect();
+    let deployment = Deployment::one_hot(&assignments, CATEGORIES);
+    let schema = DbSchema::one_hot(N as u64, CATEGORIES);
+    let src = "s = sampleUniform(0.5); aggr = sum(s); r = em(aggr, 8.0); output(r);";
+    let lp = extract(&parse(src).unwrap(), &schema, CertifyConfig::default()).unwrap();
+    assert_eq!(lp.certificate.sampling_rate, Some(PHI));
+    let (physical, _) = plan(&lp, &PlannerConfig::paper_defaults(1 << 30)).unwrap();
+    let cfg = base_cfg(ParConfig::serial());
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let setup = build_session_setup(&deployment, cfg.committee_size, cfg.seed, &mut rng).unwrap();
+    // The two per-device draws the pass makes, keyed by registry index.
+    let sampled_in = |i: usize| {
+        ((seed_draw(cfg.seed, b"stream-sample", i as u64) >> 11) as f64 / (1u64 << 53) as f64) < PHI
+    };
+    let ciphertext = |i: usize| -> Ciphertext {
+        let bits: Vec<u64> = deployment.db[i].iter().map(|&v| v as u64).collect();
+        let pt = encode_coeffs(&setup.ctx, &bits).unwrap();
+        let seed = cfg.seed
+            ^ domain_tag(b"stream-encrypt")
+            ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        encrypt(&setup.ctx, &setup.pk, &pt, &mut StdRng::seed_from_u64(seed))
+    };
+
+    for arrivals in [1usize, 31, 32, 33, 65] {
+        // Lay the window out slot by slot in registry order, each slot
+        // taking the next device whose draws fit it.
+        let mut window = Vec::with_capacity(arrivals);
+        let mut tampered = HashSet::new();
+        let mut accepted = Vec::new();
+        let mut next = 0usize;
+        for slot in 0..arrivals {
+            let block_start = slot - slot % DEFAULT_STREAM_CHUNK;
+            let block_len = DEFAULT_STREAM_CHUNK.min(arrivals - block_start);
+            let pos = slot % DEFAULT_STREAM_CHUNK;
+            let (reject, bin) = (block_len > 1 && pos == 0, block_len > 1 && pos == 1);
+            while !reject && sampled_in(next) == bin {
+                next += 1;
+            }
+            if reject {
+                tampered.insert(next);
+            } else if !bin {
+                accepted.push(next);
+            }
+            window.push(next);
+            next += 1;
+        }
+        let carried: Vec<usize> = (next..N).filter(|&i| sampled_in(i)).take(CARRIED).collect();
+        assert_eq!(carried.len(), CARRIED, "the deployment ran out of devices");
+        let schedule = ArrivalSchedule::from_partition(&[carried.clone(), window], N);
+        let rejected = tampered.len();
+        let all: Vec<Ciphertext> = carried
+            .iter()
+            .chain(&accepted)
+            .map(|&i| ciphertext(i))
+            .collect();
+        let expected = ciphertext_digest(&sum(&setup.ctx, &all).unwrap());
+        let adversary = Tamper(tampered);
+
+        for workers in [0usize, 1, 2, 4] {
+            let pool = Arc::new(ThreadPool::new(workers));
+            let mut exec = StreamExecutor::open(
+                &physical,
+                &lp,
+                &deployment,
+                &cfg,
+                &schedule,
+                Some(&setup),
+                Some(&pool),
+                Some(&adversary),
+            )
+            .unwrap();
+            exec.ingest_next().unwrap();
+            let checkpoint = exec.ingest_next().unwrap().clone();
+            let tag = format!("{arrivals} arrivals, {workers} workers");
+            assert_eq!(checkpoint.arrivals, arrivals, "{tag}");
+            assert_eq!(checkpoint.accepted, accepted.len(), "{tag}");
+            assert_eq!(checkpoint.rejected, rejected, "{tag}");
+            assert_eq!(checkpoint.accumulator_digest, Some(expected), "{tag}");
+            let report = exec.close().unwrap().report;
+            assert_eq!(report.aggregate_ops, all.len() as u64 - 1, "{tag}");
+            assert_eq!(report.accepted_inputs, all.len(), "{tag}");
+        }
+    }
+}

@@ -2,19 +2,26 @@
 # Guards "one pass per upload" in the ingestion epoch.
 #
 # §5.3 has a device upload an encrypted input with a proof, and the
-# aggregator check the proof. `StreamExecutor::ingest_next` does exactly
-# that per upload: one pooled map whose closure proves, verifies, takes
-# the sampling draw and encrypts (`UploadPass::ingest`), so no proof
-# outlives its check. The design this replaced proved a whole window,
-# kept every proof alive for a second map that verified them, then
-# encrypted serially — about 7 MB of proofs and claimed rows live at
-# once on a 30 MB run. This script fails if, in
-# `crates/runtime/src/stream.rs` (non-test code, above `#[cfg(test)]`):
+# aggregator check the proof and ⊞-sum what it accepts.
+# `StreamExecutor::ingest_next` does exactly that per upload: one pooled
+# map over blocks of arrivals whose closure proves, verifies, takes the
+# sampling draw, encrypts and ⊞-adds each upload into its block's sum
+# (`UploadPass::ingest_block`), so no proof outlives its check and no
+# ciphertext outlives its fold. Two designs came before it: one proved a
+# whole window and kept every proof alive for a second map that verified
+# them (about 7 MB of proofs live at once on a 30 MB run), and one kept
+# every accepted ciphertext of a window until a fold after the map
+# (64 MB of ingest_narrow's 74 MB peak, 658 MB for a one-window epoch of
+# 10^5 devices). This script fails if, in `crates/runtime/src/stream.rs`
+# (non-test code, above `#[cfg(test)]`):
 #
-#   * `verify_one_hot_detailed`, `verify_range_detailed` or
-#     `bgv_encrypt` is called outside the `impl UploadPass` block — the
+#   * `verify_one_hot_detailed`, `verify_range_detailed`, `bgv_encrypt`
+#     or `add_assign` is called outside the `impl UploadPass` block — the
 #     per-upload pass;
-#   * `ingest_next` calls `par_map_arc` other than exactly once.
+#   * `ingest_next` calls `par_chunks` other than exactly once, or calls
+#     `par_map_arc` at all;
+#   * `enum UploadOutcome` names `Ciphertext`: an outcome that carries
+#     its ciphertext out of the pass is the collect-then-fold design.
 #
 # Usage: scripts/check_one_upload_pass.sh   (run from anywhere)
 
@@ -46,35 +53,60 @@ tagged_lines() {
   ' "$file" | grep -Ev '^[0-9]+:[^:]*:[[:space:]]*//' || true
 }
 
+single_upload='(verify_one_hot_detailed|verify_range_detailed|bgv_encrypt|add_assign)\('
+
 mapfile -t outside < <(
-  tagged_lines |
-    grep -E '(verify_one_hot_detailed|verify_range_detailed|bgv_encrypt)\(' |
-    grep -Ev '^[0-9]+:UploadPass:' || true
+  tagged_lines | grep -E "$single_upload" | grep -Ev '^[0-9]+:UploadPass:' || true
 )
 if [[ ${#outside[@]} -ne 0 ]]; then
-  report "a proof is verified or an upload encrypted outside the per-upload pass:" \
-    "prove, verify and encrypt inside UploadPass, one upload at a time" "${outside[@]}"
+  report "a proof is verified, an upload encrypted or a ciphertext folded outside the per-upload pass:" \
+    "prove, verify, encrypt and fold inside UploadPass, one upload at a time" "${outside[@]}"
 fi
 
 mapfile -t maps < <(
-  tagged_lines | grep -E '^[0-9]+:ingest_next:.*par_map_arc\(' || true
+  tagged_lines | grep -E '^[0-9]+:ingest_next:.*\bpar_chunks\(' || true
 )
 if [[ ${#maps[@]} -ne 1 ]]; then
-  report "ingest_next makes ${#maps[@]} par_map_arc calls, not one:" \
-    "one pooled map over the window's arrivals; bookkeeping is a serial pass after it" \
+  report "ingest_next makes ${#maps[@]} par_chunks calls, not one:" \
+    "one pooled map over the window's blocks of arrivals; bookkeeping is a serial pass after it" \
     "${maps[@]:-(no pooled map at all)}"
 fi
 
+mapfile -t per_upload_maps < <(
+  tagged_lines | grep -E '^[0-9]+:ingest_next:.*par_map_arc\(' || true
+)
+if [[ ${#per_upload_maps[@]} -ne 0 ]]; then
+  report "ingest_next maps uploads one by one:" \
+    "a per-upload map returns every ciphertext before any is folded; map blocks with par_chunks" \
+    "${per_upload_maps[@]}"
+fi
+
+mapfile -t carried < <(
+  awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^enum UploadOutcome \{/ { inside = 1 }
+    inside && !/^[[:space:]]*\/\// && /(^|[^A-Za-z0-9_])Ciphertext([^A-Za-z0-9_]|$)/ { print NR ":" $0 }
+    inside && /^}/ { inside = 0 }
+  ' "$file"
+)
+if [[ ${#carried[@]} -ne 0 ]]; then
+  report "an upload outcome carries a ciphertext out of the per-upload pass:" \
+    "fold each accepted ciphertext into its block's sum inside UploadPass" "${carried[@]}"
+fi
+
 mapfile -t inside < <(
-  tagged_lines |
-    grep -E '^[0-9]+:UploadPass:.*(verify_one_hot_detailed|verify_range_detailed|bgv_encrypt)\(' || true
+  tagged_lines | grep -E "^[0-9]+:UploadPass:.*$single_upload" || true
 )
 if [[ ${#inside[@]} -eq 0 ]]; then
-  report "the per-upload pass verifies and encrypts nothing:" \
+  report "the per-upload pass verifies, encrypts and folds nothing:" \
     "the guard no longer finds the pass it protects; update it with the code" "(impl UploadPass)"
+fi
+if ! grep -q '^enum UploadOutcome {' "$file"; then
+  report "no enum UploadOutcome:" \
+    "the guard no longer finds the outcome type it checks; update it with the code" "($file)"
 fi
 
 if [[ $fail -ne 0 ]]; then
   exit 1
 fi
-echo "ok: ${#inside[@]} verify/encrypt calls, all inside impl UploadPass; one pooled map in ingest_next (${file}:${maps[0]%%:*})"
+echo "ok: ${#inside[@]} verify/encrypt/fold calls, all inside impl UploadPass; one pooled block map in ingest_next (${file}:${maps[0]%%:*}); no ciphertext in UploadOutcome"

@@ -122,7 +122,7 @@ secrecy sig=f38e0703729a18c0 committees=2114 m=36 metrics=41716db0e9b035bd,43113
 median sig=37cf9fd0d7214534 committees=3138 m=36 metrics=417259b0ef9628cb,431179eaca3c5125,3fffa27ff2ed1095,4090207507507507,41317aaaca3c5125,41c1e1a300000000,4164855da272862f stats=3845/1618/572
 cms sig=35f3e06ee39bc80e committees=4 m=29 metrics=4171691a75d1cc10,42e10015d0820592,3fe0b4963594ffc3,4052200000000000,41010615d0820592,418ccf14d5555555,41647c30d306a2b2 stats=22/3/14
 bayes sig=5b52e42f3f991ed6 committees=11 m=29 metrics=4171691a75da1cac,42e10141347fce6e,3fe0daabf55e8bb1,407a1b6db6db6db7,41010741347fce6e,41a4f299db6db6db,41647c30d306a2b2 stats=56/13/26
-k-medians sig=0394a5e32add303b committees=14 m=29 metrics=4171691a75ddad3f,42e10082bdbc230d,3fe0bb124ab141c1,405ddb6db6db6db7,41010682bdbc230d,418ccf14d5555555,41647c30d306a2b2 stats=321/37/189
+k-medians sig=0ddd7bbb7c347c8e committees=14 m=29 metrics=4171691a75ddad8f,42e10082bdbc230d,3fe0bb124ab141c1,405ddb6db6db6db7,41010682bdbc230d,418ccf14d5555555,41647c30d306a2b2 stats=321/37/189
 ";
 
 const UNPRUNED: &str = "\
