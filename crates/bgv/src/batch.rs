@@ -12,10 +12,10 @@
 
 use std::sync::Arc;
 
-use arboretum_par::{par_chunks, par_reduce, ThreadPool};
+use arboretum_par::{par_chunks, ThreadPool};
 
 use crate::poly::BgvContext;
-use crate::scheme::{add, add_assign, Ciphertext};
+use crate::scheme::{add_assign, Ciphertext};
 
 /// Serial reference: left fold of ⊞ over the ciphertexts. Returns
 /// `None` on empty input. The fold accumulates in place, so summing
@@ -55,15 +55,13 @@ pub fn par_sum_chunks(
     })
 }
 
-/// ⊞-sums the ciphertexts with [`par_reduce`]'s fixed combine tree.
-/// 1b deletes this.
+/// Forwards to [`sum`]'s in-place fold. 1b deletes this.
 pub fn par_sum_sharded(
-    pool: &ThreadPool,
+    _pool: &ThreadPool,
     ctx: &Arc<BgvContext>,
     cts: Vec<Ciphertext>,
 ) -> Option<Ciphertext> {
-    let ctx = Arc::clone(ctx);
-    par_reduce(pool, cts, move |a, b| add(&ctx, a, b))
+    sum(ctx, &cts)
 }
 
 /// Forwards to [`par_sum_chunks`]. 1b deletes this.

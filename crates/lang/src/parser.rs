@@ -15,6 +15,11 @@
 //! `MAX_NESTING`): a program past the bound is a [`ParseError`], never a
 //! stack overflow here or in any later walk of the tree.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::ast::{BinOp, Builtin, Expr, Program, Stmt, UnOp};
 use crate::lexer::{lex, LexError, Token};
 
@@ -131,7 +136,8 @@ impl Parser {
         t
     }
 
-    fn expect(&mut self, t: &Token) -> Result<(), ParseError> {
+    /// Consumes `t` or names it in a [`ParseError`].
+    fn expect_token(&mut self, t: &Token) -> Result<(), ParseError> {
         if self.peek() == Some(t) {
             self.pos += 1;
             Ok(())
@@ -170,13 +176,13 @@ impl Parser {
             Some(Token::For) => {
                 self.bump();
                 let var = self.ident()?;
-                self.expect(&Token::Assign)?;
+                self.expect_token(&Token::Assign)?;
                 let from = self.expr()?;
-                self.expect(&Token::To)?;
+                self.expect_token(&Token::To)?;
                 let to = self.expr()?;
-                self.expect(&Token::Do)?;
+                self.expect_token(&Token::Do)?;
                 let body = self.stmt_list(&[Token::EndFor])?;
-                self.expect(&Token::EndFor)?;
+                self.expect_token(&Token::EndFor)?;
                 Ok(Stmt::For {
                     var,
                     from,
@@ -187,14 +193,14 @@ impl Parser {
             Some(Token::If) => {
                 self.bump();
                 let cond = self.expr()?;
-                self.expect(&Token::Then)?;
+                self.expect_token(&Token::Then)?;
                 let then_branch = self.stmt_list(&[Token::Else, Token::EndIf])?;
                 let else_branch = if self.eat(&Token::Else) {
                     self.stmt_list(&[Token::EndIf])?
                 } else {
                     Vec::new()
                 };
-                self.expect(&Token::EndIf)?;
+                self.expect_token(&Token::EndIf)?;
                 Ok(Stmt::If {
                     cond,
                     then_branch,
@@ -214,7 +220,7 @@ impl Parser {
                     Some(Token::LBracket) => {
                         self.bump();
                         let idx = self.expr()?;
-                        self.expect(&Token::RBracket)?;
+                        self.expect_token(&Token::RBracket)?;
                         if self.eat(&Token::Assign) {
                             let value = self.expr()?;
                             Ok(Stmt::IndexAssign(name, idx, value))
@@ -330,7 +336,7 @@ impl Parser {
         let (mut e, mut height) = self.atom()?;
         while self.eat(&Token::LBracket) {
             let (idx, idx_height) = self.expr_h()?;
-            self.expect(&Token::RBracket)?;
+            self.expect_token(&Token::RBracket)?;
             height = self.above(height.max(idx_height))?;
             e = Expr::Index(Box::new(e), Box::new(idx));
         }
@@ -345,7 +351,7 @@ impl Parser {
             Some(Token::False) => Ok((Expr::Bool(false), 1)),
             Some(Token::LParen) => {
                 let inner = self.expr_h()?;
-                self.expect(&Token::RParen)?;
+                self.expect_token(&Token::RParen)?;
                 Ok(inner)
             }
             Some(Token::Ident(name)) => {
@@ -363,7 +369,7 @@ impl Parser {
                             if self.eat(&Token::RParen) {
                                 break;
                             }
-                            self.expect(&Token::Comma)?;
+                            self.expect_token(&Token::Comma)?;
                         }
                     }
                     Ok((Expr::Call(builtin, args), self.above(tallest)?))

@@ -12,6 +12,11 @@
 //! are widened using the iteration count (linear extrapolation for
 //! accumulators) or to the full `i64` range.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::HashMap;
 
 use crate::ast::{BinOp, Builtin, DbSchema, Expr, Program, Stmt, UnOp};
@@ -107,15 +112,15 @@ impl Range {
 
     /// Interval multiplication (product hull of the corner products).
     pub fn mul(self, other: Self) -> Self {
-        let cs = [
+        let [a, b, c, d] = [
             self.lo.saturating_mul(other.lo),
             self.lo.saturating_mul(other.hi),
             self.hi.saturating_mul(other.lo),
             self.hi.saturating_mul(other.hi),
         ];
         Self {
-            lo: *cs.iter().min().expect("nonempty"),
-            hi: *cs.iter().max().expect("nonempty"),
+            lo: a.min(b).min(c.min(d)),
+            hi: a.max(b).max(c.max(d)),
         }
     }
 
@@ -415,9 +420,6 @@ fn infer_expr(
             if !li.ty.is_numeric_scalar() || !ri.ty.is_numeric_scalar() {
                 return err(format!("operator {op:?} requires numeric scalars"));
             }
-            if op.is_comparison() {
-                return Ok(TypeInfo::scalar(Ty::Bool, Range::new(0, 1)));
-            }
             let ty = if li.ty == Ty::Fixp || ri.ty == Ty::Fixp {
                 Ty::Fixp
             } else {
@@ -435,7 +437,8 @@ fn infer_expr(
                         Range::FULL
                     }
                 }
-                _ => unreachable!("comparisons handled above"),
+                // Comparisons: the logical operators returned above.
+                _ => return Ok(TypeInfo::scalar(Ty::Bool, Range::new(0, 1))),
             };
             Ok(TypeInfo::scalar(ty, range))
         }

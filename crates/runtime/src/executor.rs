@@ -24,19 +24,72 @@ use arboretum_par::{ParConfig, ThreadPool};
 use arboretum_planner::logical::LogicalPlan;
 use arboretum_planner::plan::Plan;
 use arboretum_sortition::select::Registry;
+use std::ops::Index;
 use std::sync::Arc;
 
 use crate::adversary::{Adversary, Detection};
 use crate::setup::{SessionSetup, SetupCounters};
 use crate::stream::{execute_stream, ArrivalSchedule};
 
+/// The deployment's private rows: one row-major table of `len` rows of
+/// `width` cells each, shared through an `Arc` like [`Registry`]'s
+/// devices. A clone is O(1) and row `i` is read in place, so the upload
+/// pass reads each device's row where it lies instead of copying it per
+/// window.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Rows {
+    len: usize,
+    width: usize,
+    cells: Arc<[i64]>,
+}
+
+impl Rows {
+    /// Packs explicit rows into one table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows are ragged.
+    pub(crate) fn from_rows(rows: Vec<Vec<i64>>) -> Self {
+        let width = rows.first().map_or(0, Vec::len);
+        assert!(rows.iter().all(|r| r.len() == width), "ragged rows");
+        Self {
+            len: rows.len(),
+            width,
+            cells: rows.concat().into(),
+        }
+    }
+
+    /// Number of rows (one per device).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the table holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Cells per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+}
+
+impl Index<usize> for Rows {
+    type Output = [i64];
+
+    fn index(&self, i: usize) -> &[i64] {
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+}
+
 /// A simulated deployment: registered devices plus their private rows.
 #[derive(Clone, Debug)]
 pub struct Deployment {
     /// The sortition registry.
     pub registry: Registry,
-    /// Private one-hot rows, one per device.
-    pub db: Vec<Vec<i64>>,
+    /// Private rows, one per device, in one shared table.
+    pub db: Rows,
     /// The declared schema.
     pub schema: DbSchema,
     /// The current random beacon.
@@ -52,8 +105,11 @@ impl Deployment {
     /// Panics if rows are empty or ragged.
     pub fn from_rows(db: Vec<Vec<i64>>, schema: DbSchema) -> Self {
         assert!(!db.is_empty(), "deployment needs at least one device");
-        let width = db[0].len();
-        assert!(db.iter().all(|r| r.len() == width), "ragged rows");
+        Self::new(Rows::from_rows(db), schema)
+    }
+
+    /// The deployment of `db`'s rows, device `i` holding row `i`.
+    fn new(db: Rows, schema: DbSchema) -> Self {
         let registry = Registry::new(
             (0..db.len() as u64)
                 .map(arboretum_sortition::select::Device::from_id)
@@ -74,26 +130,18 @@ impl Deployment {
     ///
     /// Panics if any assignment is out of range.
     pub fn one_hot(assignments: &[usize], categories: usize) -> Self {
-        let db: Vec<Vec<i64>> = assignments
-            .iter()
-            .map(|&c| {
-                assert!(c < categories, "category {c} out of range");
-                let mut row = vec![0i64; categories];
-                row[c] = 1;
-                row
-            })
-            .collect();
-        let registry = Registry::new(
-            (0..assignments.len() as u64)
-                .map(arboretum_sortition::select::Device::from_id)
-                .collect(),
-        );
-        Self {
-            registry,
-            db,
-            schema: DbSchema::one_hot(assignments.len() as u64, categories),
-            beacon: sha256(b"genesis-beacon"),
+        for &c in assignments {
+            assert!(c < categories, "category {c} out of range");
         }
+        // A ranged map collects straight into the shared allocation.
+        let db = Rows {
+            len: assignments.len(),
+            width: categories,
+            cells: (0..assignments.len() * categories)
+                .map(|j| i64::from(assignments[j / categories] == j % categories))
+                .collect(),
+        };
+        Self::new(db, DbSchema::one_hot(assignments.len() as u64, categories))
     }
 }
 
@@ -310,4 +358,32 @@ pub fn execute(
     let all = ArrivalSchedule::all_at_once(deployment.db.len());
     let epoch = execute_stream(plan, logical, deployment, cfg, &all, setup, pool, adversary)?;
     Ok((epoch.report, epoch.detections))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rows_round_trip_and_clones_share_the_table() {
+        let rows = vec![vec![3, -1, 0], vec![0, 7, 2]];
+        let table = Rows::from_rows(rows.clone());
+        assert_eq!((table.len(), table.width()), (2, 3));
+        let back: Vec<Vec<i64>> = (0..table.len()).map(|i| table[i].to_vec()).collect();
+        assert_eq!(back, rows);
+        let clone = table.clone();
+        assert!(Arc::ptr_eq(&clone.cells, &table.cells));
+        assert_eq!(clone, table);
+        // One-hot rows are written straight into the same layout.
+        assert_eq!(
+            Deployment::one_hot(&[2, 0, 1], 3).db,
+            Rows::from_rows(vec![vec![0, 0, 1], vec![1, 0, 0], vec![0, 1, 0]])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged rows")]
+    fn ragged_rows_panic() {
+        Rows::from_rows(vec![vec![1, 2], vec![3]]);
+    }
 }

@@ -16,10 +16,11 @@
 //!   certificate, initial committee key sharing), runs one pass per
 //!   upload over each window's arrivals — prove, verify, sample, encrypt
 //!   and ⊞-add into the block's sum inside one pooled map over blocks of
-//!   arrivals, so no proof outlives its check and a window holds one
-//!   ciphertext per block, not one per upload — and folds the block
-//!   sums into a checkpointed accumulator via the chunk kernel
-//!   (`arboretum_bgv::par_sum_chunks`);
+//!   arrivals, each device's row read in place from the deployment's
+//!   shared table, so no proof outlives its check, no row is copied and
+//!   a window holds one ciphertext per block, not one per upload — and
+//!   folds the block sums into a checkpointed accumulator via the chunk
+//!   kernel (`arboretum_bgv::par_sum_chunks`);
 //! * committee key state crosses every window boundary — and, at close,
 //!   the keygen → decryption-committee boundary — through
 //!   `vsr::redistribute_share`, and each handoff is committed to the
@@ -86,7 +87,7 @@ use crate::adversary::{
 use crate::audit::{
     adversarial_audit, challenges_per_device, collate_detection, StepLog, DROPPED_MARKER,
 };
-use crate::executor::{Deployment, ExecError, ExecutionConfig, ExecutionReport, QueryCert};
+use crate::executor::{Deployment, ExecError, ExecutionConfig, ExecutionReport, QueryCert, Rows};
 use crate::mpc_eval::{MVal, MechStyle, MpcEvaluator};
 use crate::setup::{build_session_setup, SessionSetup, SetupCounters};
 
@@ -395,8 +396,9 @@ struct BlockSum {
     kept: Vec<Ciphertext>,
 }
 
-/// One arrival's job: its registry index, its row and its behavior.
-type UploadJob = (usize, Vec<i64>, DeviceBehavior);
+/// One arrival's job: its registry index and its behavior. Its row
+/// stays in the deployment's table, read in place by the pass.
+type UploadJob = (usize, DeviceBehavior);
 
 /// The per-upload pass of §5.3: a device proves its upload, the
 /// aggregator verifies it, an accepted device encrypts, and the
@@ -411,6 +413,8 @@ type UploadJob = (usize, Vec<i64>, DeviceBehavior);
 /// block or thread computes it; ⊞ is exact modular addition, so the
 /// block sums fold to the same accumulator as a serial sum.
 struct UploadPass {
+    /// The deployment's rows, shared, not copied.
+    rows: Rows,
     pp: PedersenParams,
     ctx: Arc<BgvContext>,
     pk: Arc<PublicKey>,
@@ -440,8 +444,8 @@ impl UploadPass {
             sum: None,
             kept: Vec::new(),
         };
-        for (i, row, behavior) in jobs {
-            let Some(ct) = self.ingest(*i, row, *behavior, &mut block.outcomes)? else {
+        for &(i, behavior) in jobs {
+            let Some(ct) = self.ingest(i, behavior, &mut block.outcomes)? else {
                 continue;
             };
             if self.keep == Keep::All || (self.keep == Keep::First && block.kept.is_empty()) {
@@ -466,11 +470,10 @@ impl UploadPass {
     fn ingest(
         &self,
         i: usize,
-        row: &[i64],
         behavior: DeviceBehavior,
         outcomes: &mut Vec<UploadOutcome>,
     ) -> Result<Option<Ciphertext>, ExecError> {
-        let upload = self.prove(i, row, behavior);
+        let upload = self.prove(i, behavior);
         if let Some(kind) = self.verify(&upload) {
             outcomes.push(UploadOutcome::Rejected(kind));
             return Ok(None);
@@ -497,16 +500,18 @@ impl UploadPass {
 
     /// The device builds its upload: the claimed values plus a proof of
     /// well-formedness, from a proving RNG seeded by its global index.
-    fn prove(&self, i: usize, row: &[i64], behavior: DeviceBehavior) -> Upload {
+    /// Its row is read in place from the deployment's table.
+    fn prove(&self, i: usize, behavior: DeviceBehavior) -> Upload {
+        let row = &self.rows[i];
         let pp = &self.pp;
         let mut dev_rng = StdRng::seed_from_u64(self.upload_seed ^ mix(i as u64));
         if !self.one_hot {
             // Numerical inputs: per-field range proofs (§5.3's
             // "1,000 years old" defense).
-            let effective_row: Vec<i64> = if behavior == DeviceBehavior::OutOfRangeValue {
-                row.iter().map(|&v| v + (self.hi - self.lo + 1)).collect()
+            let effective_row: Cow<[i64]> = if behavior == DeviceBehavior::OutOfRangeValue {
+                Cow::Owned(row.iter().map(|&v| v + (self.hi - self.lo + 1)).collect())
             } else {
-                row.to_vec()
+                Cow::Borrowed(row)
             };
             let mut proofs: Option<Vec<_>> = effective_row
                 .iter()
@@ -942,7 +947,7 @@ impl<'a> StreamExecutor<'a> {
                     }
                     None => DeviceBehavior::Honest,
                 };
-                (i, self.deployment.db[i].clone(), behavior)
+                (i, behavior)
             })
             .collect();
         // The aggregator hook is consulted exactly once, after the
@@ -957,6 +962,7 @@ impl<'a> StreamExecutor<'a> {
             _ => Keep::None,
         };
         let pass = UploadPass {
+            rows: Rows::clone(&self.deployment.db),
             pp: PedersenParams::standard(),
             ctx: Arc::clone(&ctx),
             pk: Arc::clone(&self.pk),

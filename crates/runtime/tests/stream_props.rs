@@ -686,16 +686,19 @@ fn a_version_1_checkpoint_is_refused() {
     );
 }
 
-/// A window's peak memory is a row per upload and a ⊞-sum per block of
-/// `DEFAULT_STREAM_CHUNK` arrivals, plus what a single upload needs while
-/// it is proved, verified, encrypted and folded. Neither proofs nor
-/// ciphertexts pile up: a proof lives only until its check and a
-/// ciphertext only until its fold, so 256 uploads at k = 64 never hold
-/// 256 proofs (≈ 3.1 KB each) or 256 ciphertexts (≈ 8.3 KB each) at
-/// once. The bound models the peak to within a few hundred bytes, so a
-/// new per-upload allocation in the window fails it.
+/// A window's peak memory is a job, arrival entry and outcome per upload
+/// and a ⊞-sum per block of `DEFAULT_STREAM_CHUNK` arrivals, plus what a
+/// single upload needs while it is proved, verified, encrypted and
+/// folded. No row is copied: the pass reads each device's row in place
+/// from the deployment's table, so 256 uploads at k = 64 hold no
+/// 512-byte row apiece. Neither proofs nor ciphertexts pile up either: a
+/// proof lives only until its check and a ciphertext only until its
+/// fold, so the window never holds 256 proofs (≈ 3.1 KB each) or 256
+/// ciphertexts (≈ 8.3 KB each) at once. The per-upload term is
+/// 16 + 8 + 24 = 48 bytes, and the bound models the peak to within a few
+/// hundred bytes, so a new per-upload allocation in the window fails it.
 #[test]
-fn a_window_holds_a_row_per_upload_and_a_ciphertext_per_block() {
+fn a_window_copies_no_row_and_holds_a_ciphertext_per_block() {
     const UPLOADS: usize = 256;
     const K: usize = 64;
     let assignments: Vec<usize> = (0..UPLOADS).map(|i| i % K).collect();
@@ -740,16 +743,14 @@ fn a_window_holds_a_row_per_upload_and_a_ciphertext_per_block() {
     let limbs = params.moduli.len();
     let ciphertext = size_of::<Ciphertext>() + 2 * limbs * (size_of::<Vec<u64>>() + params.n * 8);
     // What the window holds per upload besides its block's sum: its job
-    // (registry index, row, behavior), its entry in the arrival list and
-    // its outcome (at most a detection kind).
-    let row = size_of::<(usize, Vec<i64>, DeviceBehavior)>()
-        + K * size_of::<i64>()
-        + size_of::<usize>()
-        + size_of::<DetectionKind>();
+    // (registry index, behavior), its entry in the arrival list and its
+    // outcome (at most a detection kind).
+    let per_upload =
+        size_of::<(usize, DeviceBehavior)>() + size_of::<usize>() + size_of::<DetectionKind>();
     let blocks = UPLOADS.div_ceil(DEFAULT_STREAM_CHUNK);
     let peak = window_peak(UPLOADS);
     assert!(
-        peak < UPLOADS * row + blocks * ciphertext + constant,
-        "{UPLOADS} uploads peaked at {peak} live bytes, past {UPLOADS} × {row} + {blocks} × {ciphertext} + {constant}"
+        peak < UPLOADS * per_upload + blocks * ciphertext + constant,
+        "{UPLOADS} uploads peaked at {peak} live bytes, past {UPLOADS} × {per_upload} + {blocks} × {ciphertext} + {constant}"
     );
 }

@@ -21,7 +21,13 @@
 #   * `ingest_next` calls `par_chunks` other than exactly once, or calls
 #     `par_map_arc` at all;
 #   * `enum UploadOutcome` names `Ciphertext`: an outcome that carries
-#     its ciphertext out of the pass is the collect-then-fold design.
+#     its ciphertext out of the pass is the collect-then-fold design;
+#   * `type UploadJob` names `Vec`, or `ingest_next` calls `.clone()` or
+#     `.to_vec()` on `db`: the pass reads each device's row in place from
+#     the deployment's shared table (`executor::Rows`). A job that carried
+#     a copy of its row made those copies a window's largest live set
+#     once ciphertexts were folded per block (137 KB of rows against
+#     67 KB of block sums in a 256-upload, k = 64 window).
 #
 # Usage: scripts/check_one_upload_pass.sh   (run from anywhere)
 
@@ -94,12 +100,37 @@ if [[ ${#carried[@]} -ne 0 ]]; then
     "fold each accepted ciphertext into its block's sum inside UploadPass" "${carried[@]}"
 fi
 
+mapfile -t job_vecs < <(
+  awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^type UploadJob[^A-Za-z0-9_]/ { inside = 1 }
+    inside && /(^|[^A-Za-z0-9_])Vec([^A-Za-z0-9_]|$)/ { print NR ":" $0 }
+    inside && /;/ { inside = 0 }
+  ' "$file"
+)
+if [[ ${#job_vecs[@]} -ne 0 ]]; then
+  report "an upload job carries a vector:" \
+    "a job is a registry index and a behavior; the pass reads the row in place from the shared table" "${job_vecs[@]}"
+fi
+
+mapfile -t row_copies < <(
+  tagged_lines | grep -E '^[0-9]+:ingest_next:.*\bdb\b[^;]*\.(clone|to_vec)\(' || true
+)
+if [[ ${#row_copies[@]} -ne 0 ]]; then
+  report "ingest_next copies the deployment's rows:" \
+    "hand the pass a Rows::clone of the table (O(1)) and read rows in place" "${row_copies[@]}"
+fi
+
 mapfile -t inside < <(
   tagged_lines | grep -E "^[0-9]+:UploadPass:.*$single_upload" || true
 )
 if [[ ${#inside[@]} -eq 0 ]]; then
   report "the per-upload pass verifies, encrypts and folds nothing:" \
     "the guard no longer finds the pass it protects; update it with the code" "(impl UploadPass)"
+fi
+if ! grep -q '^type UploadJob\b' "$file"; then
+  report "no type UploadJob:" \
+    "the guard no longer finds the job type it checks; update it with the code" "($file)"
 fi
 if ! grep -q '^enum UploadOutcome {' "$file"; then
   report "no enum UploadOutcome:" \
@@ -109,4 +140,4 @@ fi
 if [[ $fail -ne 0 ]]; then
   exit 1
 fi
-echo "ok: ${#inside[@]} verify/encrypt/fold calls, all inside impl UploadPass; one pooled block map in ingest_next (${file}:${maps[0]%%:*}); no ciphertext in UploadOutcome"
+echo "ok: ${#inside[@]} verify/encrypt/fold calls, all inside impl UploadPass; one pooled block map in ingest_next (${file}:${maps[0]%%:*}); no ciphertext in UploadOutcome; no row copied into a job"
