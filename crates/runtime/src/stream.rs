@@ -15,12 +15,14 @@
 //! * a [`StreamExecutor`] opens the epoch (budget charge, signed
 //!   certificate, initial committee key sharing), runs one pass per
 //!   upload over each window's arrivals — prove, verify, sample, encrypt
-//!   and ⊞-add into the block's sum inside one pooled map over blocks of
-//!   arrivals, each device's row read in place from the deployment's
-//!   shared table, so no proof outlives its check, no row is copied and
-//!   a window holds one ciphertext per block, not one per upload — and
-//!   folds the block sums into a checkpointed accumulator via the chunk
-//!   kernel (`arboretum_bgv::par_sum_chunks`);
+//!   and ⊞-add into the block's running sum inside one pooled map over
+//!   blocks of arrivals, each device's row read in place from the
+//!   deployment's shared table — and ⊞-adds each finished block's sum
+//!   into the window's one accumulator, so no proof outlives its check,
+//!   no row is copied and a window holds one running sum plus one block
+//!   sum per worker in flight, not a ciphertext per block or per upload;
+//!   the window's sum is then ⊞-added once into the checkpointed
+//!   accumulator the epoch carries;
 //! * committee key state crosses every window boundary — and, at close,
 //!   the keygen → decryption-committee boundary — through
 //!   `vsr::redistribute_share`, and each handoff is committed to the
@@ -38,7 +40,7 @@
 //! Consequently any window partition of the same surviving-device set
 //! produces a bitwise identical accumulator, and therefore bitwise
 //! identical outputs, budget ledger, and audit verdict, at every thread
-//! count and fold chunk width. One-window
+//! count and block width. One-window
 //! ≡ batch holds by construction (they are the same code); the test
 //! batteries in `crates/runtime/tests/stream_props.rs` and
 //! `stream_determinism.rs` guard partition invariance.
@@ -78,7 +80,7 @@ use rand::{Rng, SeedableRng};
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::adversary::{
     ciphertext_digest, forge_one_hot, Adversary, AggregatorBehavior, CommitteeBehavior, Detection,
@@ -91,9 +93,10 @@ use crate::executor::{Deployment, ExecError, ExecutionConfig, ExecutionReport, Q
 use crate::mpc_eval::{MVal, MechStyle, MpcEvaluator};
 use crate::setup::{build_session_setup, SessionSetup, SetupCounters};
 
-/// Arrivals per block of the per-upload pass, and ⊞-fold fan-in per
-/// accumulator chunk. Neither width changes results (modular addition
-/// is exact), only scheduling and how many block sums a window holds.
+/// Arrivals per block of the per-upload pass: a block keeps one running
+/// ⊞-sum and adds it into its window's accumulator when it ends, one lock
+/// per block. The width changes no result (modular addition is exact),
+/// only scheduling and how often a block takes that lock.
 pub const DEFAULT_STREAM_CHUNK: usize = 32;
 
 /// Checkpoint wire-format version. Version 1 carried per-pool
@@ -361,7 +364,8 @@ enum Upload {
 
 /// What the per-upload pass decided about one arrival. The proof is gone
 /// by the time this exists: it lived only inside the pass. So is an
-/// accepted upload's ciphertext: it was folded into its block's sum.
+/// accepted upload's ciphertext: it was folded into its block's sum,
+/// and that sum into the window's.
 enum UploadOutcome {
     /// The proof failed verification, or the submitted ciphertext did
     /// not match the verified values.
@@ -387,12 +391,10 @@ enum Keep {
 }
 
 /// One block of arrivals after the per-upload pass: an outcome per
-/// upload in arrival order, the ⊞-sum of the block's accepted
-/// ciphertexts (`None` when it accepted none), and the accepted
-/// ciphertexts [`Keep`] asked for.
-struct BlockSum {
+/// upload in arrival order and the accepted ciphertexts [`Keep`] asked
+/// for. The block's ⊞-sum is already in the window's accumulator.
+struct Block {
     outcomes: Vec<UploadOutcome>,
-    sum: Option<Ciphertext>,
     kept: Vec<Ciphertext>,
 }
 
@@ -404,14 +406,16 @@ type UploadJob = (usize, DeviceBehavior);
 /// aggregator verifies it, an accepted device encrypts, and the
 /// aggregator ⊞-adds the ciphertext into its block's running sum — one
 /// upload at a time, so no proof outlives its check and no ciphertext
-/// outlives its fold.
+/// outlives its fold. A finished block's sum goes into the window's one
+/// accumulator.
 ///
 /// It holds what every upload of a window shares and moves into the
 /// pool's `'static` closure whole. Every draw it makes (proving RNG,
 /// sampling decision, encryption RNG) is keyed by the device's global
 /// registry index, so an outcome is byte-identical whichever window,
 /// block or thread computes it; ⊞ is exact modular addition, so the
-/// block sums fold to the same accumulator as a serial sum.
+/// blocks reach the same accumulator as a serial sum in whatever order
+/// they finish.
 struct UploadPass {
     /// The deployment's rows, shared, not copied.
     rows: Rows,
@@ -429,21 +433,25 @@ struct UploadPass {
     /// The certificate's sampling rate φ, if the query samples.
     sampling_rate: Option<f64>,
     keep: Keep,
+    /// The window's running ⊞-sum, shared with `ingest_next`; every
+    /// finished block adds its sum here.
+    window_sum: Arc<Mutex<Option<Ciphertext>>>,
 }
 
 impl UploadPass {
     /// One block of arrivals, in order: each upload's whole pass, its
-    /// ciphertext folded into the block sum as soon as it is accepted.
+    /// ciphertext folded into the block's running sum as soon as it is
+    /// accepted, and that sum into the window's when the block ends.
     ///
     /// # Errors
     ///
     /// The first upload's [`ExecError`], in arrival order.
-    fn ingest_block(&self, jobs: &[UploadJob]) -> Result<BlockSum, ExecError> {
-        let mut block = BlockSum {
+    fn ingest_block(&self, jobs: &[UploadJob]) -> Result<Block, ExecError> {
+        let mut block = Block {
             outcomes: Vec::with_capacity(jobs.len()),
-            sum: None,
             kept: Vec::new(),
         };
+        let mut sum = None;
         for &(i, behavior) in jobs {
             let Some(ct) = self.ingest(i, behavior, &mut block.outcomes)? else {
                 continue;
@@ -451,12 +459,26 @@ impl UploadPass {
             if self.keep == Keep::All || (self.keep == Keep::First && block.kept.is_empty()) {
                 block.kept.push(ct.clone());
             }
-            match &mut block.sum {
-                Some(sum) => add_assign(&self.ctx, sum, &ct),
-                None => block.sum = Some(ct),
-            }
+            Self::fold(&self.ctx, &mut sum, ct);
+        }
+        if let Some(sum) = sum {
+            // A poisoned lock means another block panicked; the pool
+            // re-raises that panic before anyone reads the window's sum.
+            let mut window = self
+                .window_sum
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            Self::fold(&self.ctx, &mut window, sum);
         }
         Ok(block)
+    }
+
+    /// `acc ⊞= ct` in place, or `acc = ct` while `acc` holds nothing.
+    fn fold(ctx: &BgvContext, acc: &mut Option<Ciphertext>, ct: Ciphertext) {
+        match acc {
+            Some(sum) => add_assign(ctx, sum, &ct),
+            None => *acc = Some(ct),
+        }
     }
 
     /// Device `i`'s whole upload: prove, verify, sample, encrypt. The
@@ -696,8 +718,8 @@ pub struct StreamExecutor<'a> {
     /// The setup's public key, copied once per epoch so each window's
     /// per-upload pass shares it through an `Arc`.
     pk: Arc<PublicKey>,
-    /// Runs the per-upload pass and the ⊞ fold: leased from the
-    /// caller's pool bank, else the process-cached pool for `cfg.par`.
+    /// Runs the per-upload pass: leased from the caller's pool bank,
+    /// else the process-cached pool for `cfg.par`.
     pool: Arc<ThreadPool>,
     adversary: Option<&'a dyn Adversary>,
     /// The legacy malicious-fraction draw per device, consulted only
@@ -901,7 +923,7 @@ impl<'a> StreamExecutor<'a> {
     }
 
     /// Ingests the next window: runs the per-upload pass over this
-    /// window's arrivals, folds the accepted ⊞-partials into the
+    /// window's arrivals, ⊞-adds the window's sum into the carried
     /// accumulator, and (unless this was the final window) runs the VSR
     /// key handoff to the next window's committee, logging it as an
     /// audited step.
@@ -926,8 +948,9 @@ impl<'a> StreamExecutor<'a> {
         // arrival proves, is verified, takes the sampling draw (§6's
         // secrecy of the sample), encrypts and is ⊞-added into its
         // block's running sum, inside one closure per block of
-        // `DEFAULT_STREAM_CHUNK` arrivals, so a window never holds more
-        // than one proof per worker or one ciphertext per block.
+        // `DEFAULT_STREAM_CHUNK` arrivals, and each finished block adds
+        // its sum into the window's, so a window holds its own sum and
+        // at most one proof and one block sum per worker besides.
         // Behaviors are resolved serially up front (an adversary
         // overrides the legacy malicious-fraction draw, which maps to
         // the same two behaviors the executor always simulated), so the
@@ -961,6 +984,7 @@ impl<'a> StreamExecutor<'a> {
             AggregatorBehavior::DropUpload { .. } => Keep::All,
             _ => Keep::None,
         };
+        let window_sum = Arc::new(Mutex::new(None));
         let pass = UploadPass {
             rows: Rows::clone(&self.deployment.db),
             pp: PedersenParams::standard(),
@@ -975,64 +999,61 @@ impl<'a> StreamExecutor<'a> {
             encrypt_seed: self.cfg.seed ^ domain_tag(b"stream-encrypt"),
             sampling_rate: self.logical.certificate.sampling_rate,
             keep,
+            window_sum: Arc::clone(&window_sum),
         };
         let results = par_chunks(&self.pool, jobs, DEFAULT_STREAM_CHUNK, move |_, jobs| {
             pass.ingest_block(jobs)
         });
         // A window whose encoding fails errors here, before it touches
-        // any executor state.
-        let blocks: Vec<BlockSum> = results.into_iter().collect::<Result<_, _>>()?;
+        // any executor state; its partial sum is dropped with it.
+        let blocks: Vec<Block> = results.into_iter().collect::<Result<_, _>>()?;
 
         // ---- Bookkeeping (serial, in arrival order). ----
         self.verify_ops += arrivals.len() as u64;
         let mut window_accepted = 0usize;
         let mut window_rejected = 0usize;
-        let mut partials: Vec<Ciphertext> = Vec::with_capacity(blocks.len() + 1);
-        let carries = self.acc.is_some();
-        partials.extend(self.acc.take());
-        let mut outcomes = Vec::with_capacity(arrivals.len());
-        for block in blocks {
-            partials.extend(block.sum);
+        for (ids, block) in arrivals.chunks(DEFAULT_STREAM_CHUNK).zip(blocks) {
             if keep == Keep::All || self.cheat_cts.is_empty() {
                 self.cheat_cts.extend(block.kept);
             }
-            outcomes.extend(block.outcomes);
-        }
-        for (&i, outcome) in arrivals.iter().zip(outcomes) {
-            match outcome {
-                UploadOutcome::Rejected(kind) => {
-                    window_rejected += 1;
-                    self.detections.push(Detection {
-                        window: w,
-                        subject: Subject::Device(i),
-                        kind,
-                    });
-                }
-                UploadOutcome::BinnedOut => self
-                    .step_results
-                    .push(format!("input-{i}-binned-out").into_bytes()),
-                UploadOutcome::Accepted => {
-                    window_accepted += 1;
-                    self.ok_steps.push(self.step_results.len());
-                    self.step_results.push(format!("input-{i}-ok").into_bytes());
+            for (&i, outcome) in ids.iter().zip(block.outcomes) {
+                match outcome {
+                    UploadOutcome::Rejected(kind) => {
+                        window_rejected += 1;
+                        self.detections.push(Detection {
+                            window: w,
+                            subject: Subject::Device(i),
+                            kind,
+                        });
+                    }
+                    UploadOutcome::BinnedOut => self
+                        .step_results
+                        .push(format!("input-{i}-binned-out").into_bytes()),
+                    UploadOutcome::Accepted => {
+                        window_accepted += 1;
+                        self.ok_steps.push(self.step_results.len());
+                        self.step_results.push(format!("input-{i}-ok").into_bytes());
+                    }
                 }
             }
         }
         self.accepted_count += window_accepted;
         self.rejected_count += window_rejected;
 
-        // ---- Fold the carried accumulator and the block sums on the
-        // pool. BGV ⊞ is associative row-wise modular addition, so the
-        // block sums and the chunked merges are bitwise identical to a
-        // serial fold of every accepted ciphertext, at every thread
-        // count (see `arboretum_bgv::batch`); counted as that fold's
-        // ⊞ calls, which is also how many the blocks and merges make. ----
-        let adds = (window_accepted + usize::from(carries)).saturating_sub(1) as u64;
-        while partials.len() > 1 {
-            partials =
-                arboretum_bgv::par_sum_chunks(&self.pool, &ctx, partials, DEFAULT_STREAM_CHUNK);
+        // ---- Add the window's sum into the carried accumulator, once.
+        // BGV ⊞ is exact row-wise modular addition, so the accumulator
+        // is bitwise a serial fold of every accepted ciphertext, in
+        // whatever order the blocks finished and at every thread count;
+        // counted as that serial fold's ⊞ calls, which is also how many
+        // the blocks, the window's sum and this add make. ----
+        let adds = (window_accepted + usize::from(self.acc.is_some())).saturating_sub(1) as u64;
+        let window_sum = window_sum
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(sum) = window_sum {
+            UploadPass::fold(&ctx, &mut self.acc, sum);
         }
-        self.acc = partials.pop();
         self.aggregate_ops += adds;
         // The fold step commits its label *and* the accumulator's
         // digest, so a wrong partial sum is observable evidence in the

@@ -33,8 +33,10 @@ const THREAD_COUNTS: [usize; 4] = [0, 1, 2, 8];
 /// every sweep leaves a remainder shard.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
-/// The executor's ⊞ fold: fan-in rounds of [`par_sum_chunks`] down to
-/// one ciphertext.
+/// A fan-in ⊞ fold: rounds of [`par_sum_chunks`] down to one ciphertext.
+/// The executor runs no such tree (each block adds its running sum into
+/// the window's); this checks the pooled chunk kernel, which must agree
+/// bitwise with a serial sum whatever the grouping.
 fn fold(pool: &ThreadPool, ctx: &Arc<BgvContext>, cts: Vec<Ciphertext>) -> Ciphertext {
     let mut parts = cts;
     while parts.len() > 1 {

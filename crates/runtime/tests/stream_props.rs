@@ -26,9 +26,7 @@ use arboretum_planner::search::{plan, PlannerConfig};
 use arboretum_runtime::adversary::{Adversary, DetectionKind, DeviceBehavior};
 use arboretum_runtime::executor::{execute, Deployment, ExecError, ExecutionConfig};
 use arboretum_runtime::setup::{build_session_setup, SessionSetup};
-use arboretum_runtime::stream::{
-    execute_stream, ArrivalSchedule, StreamExecutor, StreamReport, DEFAULT_STREAM_CHUNK,
-};
+use arboretum_runtime::stream::{execute_stream, ArrivalSchedule, StreamExecutor, StreamReport};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -687,18 +685,22 @@ fn a_version_1_checkpoint_is_refused() {
 }
 
 /// A window's peak memory is a job, arrival entry and outcome per upload
-/// and a ⊞-sum per block of `DEFAULT_STREAM_CHUNK` arrivals, plus what a
-/// single upload needs while it is proved, verified, encrypted and
-/// folded. No row is copied: the pass reads each device's row in place
-/// from the deployment's table, so 256 uploads at k = 64 hold no
-/// 512-byte row apiece. Neither proofs nor ciphertexts pile up either: a
-/// proof lives only until its check and a ciphertext only until its
-/// fold, so the window never holds 256 proofs (≈ 3.1 KB each) or 256
-/// ciphertexts (≈ 8.3 KB each) at once. The per-upload term is
-/// 16 + 8 + 24 = 48 bytes, and the bound models the peak to within a few
-/// hundred bytes, so a new per-upload allocation in the window fails it.
+/// and two ciphertexts besides what a single upload needs while it is
+/// proved, verified, encrypted and folded: the window's one running
+/// ⊞-sum and the running sum of the block in flight (one block at a time
+/// on a zero-worker pool). A finished block adds its sum into the
+/// window's, so the window holds no ⊞-sum per block of
+/// `DEFAULT_STREAM_CHUNK` arrivals (8 × ≈ 8.3 KB here). No row is copied:
+/// the pass reads each device's row in place from the deployment's
+/// table, so 256 uploads at k = 64 hold no 512-byte row apiece. Neither
+/// proofs nor ciphertexts pile up either: a proof lives only until its
+/// check and a ciphertext only until its fold, so the window never holds
+/// 256 proofs (≈ 3.1 KB each) or 256 ciphertexts at once. The per-upload
+/// term is 16 + 8 + 24 = 48 bytes, and the bound models the peak to
+/// within a few hundred bytes, so a new per-upload allocation, or a
+/// ciphertext kept per block, fails it.
 #[test]
-fn a_window_copies_no_row_and_holds_a_ciphertext_per_block() {
+fn a_window_copies_no_row_and_holds_one_running_sum() {
     const UPLOADS: usize = 256;
     const K: usize = 64;
     let assignments: Vec<usize> = (0..UPLOADS).map(|i| i % K).collect();
@@ -736,21 +738,21 @@ fn a_window_copies_no_row_and_holds_a_ciphertext_per_block() {
     // The first window also pays one-time set-up (tables built on first
     // use), which another test of this binary may already have paid.
     window_peak(1);
-    // The constant: a one-upload window, warm.
+    // The constant: a one-upload window, warm. Its one ciphertext is
+    // also its block's and its window's sum.
     let constant = window_peak(1);
     // What holding one costs: the value itself plus its heap.
     let params = &setup.ctx.params;
     let limbs = params.moduli.len();
     let ciphertext = size_of::<Ciphertext>() + 2 * limbs * (size_of::<Vec<u64>>() + params.n * 8);
-    // What the window holds per upload besides its block's sum: its job
-    // (registry index, behavior), its entry in the arrival list and its
-    // outcome (at most a detection kind).
+    // What the window holds per upload: its job (registry index,
+    // behavior), its entry in the arrival list and its outcome (at most
+    // a detection kind).
     let per_upload =
         size_of::<(usize, DeviceBehavior)>() + size_of::<usize>() + size_of::<DetectionKind>();
-    let blocks = UPLOADS.div_ceil(DEFAULT_STREAM_CHUNK);
     let peak = window_peak(UPLOADS);
     assert!(
-        peak < UPLOADS * per_upload + blocks * ciphertext + constant,
-        "{UPLOADS} uploads peaked at {peak} live bytes, past {UPLOADS} × {per_upload} + {blocks} × {ciphertext} + {constant}"
+        peak < UPLOADS * per_upload + 2 * ciphertext + constant,
+        "{UPLOADS} uploads peaked at {peak} live bytes, past {UPLOADS} × {per_upload} + 2 × {ciphertext} + {constant}"
     );
 }

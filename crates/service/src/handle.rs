@@ -5,6 +5,10 @@
 //! [`crate::protocol`] is a thin text shim over it. A handle with
 //! `workers == 0` executes every query inline at submit time — the
 //! serial reference the determinism contract compares against.
+//!
+//! The snapshot getters read through a poisoned lock: admission charges
+//! all-or-nothing and logs last, so a submitter that panicked left the
+//! book and the log as they were before it.
 
 use arboretum_dp::budget::{BudgetLedger, PrivacyCost};
 use arboretum_par::PoolBank;
@@ -14,11 +18,11 @@ use arboretum_runtime::stream::StreamReport;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 
 use crate::catalog::{CatalogConfig, SessionCatalog};
-use crate::scheduler::{Admission, SchedulerState};
+use crate::scheduler::{poisoned, Admission, SchedulerState};
 use crate::session::{AuditRecord, QueryId, ServiceError};
 
 /// Configuration of a running service.
@@ -89,9 +93,10 @@ impl ServiceHandle {
     /// # Errors
     ///
     /// Returns [`ServiceError::Ledger`] if a session is already open
-    /// under that name or the allotment is negative or not finite.
+    /// under that name or the allotment is negative or not finite, and
+    /// [`ServiceError::Poisoned`] if the catalog lock is.
     pub fn open_session(&self, analyst: &str, allotment: PrivacyCost) -> Result<(), ServiceError> {
-        let mut catalog = self.state.catalog.write().expect("catalog lock poisoned");
+        let mut catalog = self.state.catalog.write().map_err(poisoned("catalog"))?;
         catalog
             .open_analyst(analyst, allotment)
             .map_err(ServiceError::Ledger)
@@ -166,33 +171,29 @@ impl ServiceHandle {
         self.state
             .admission
             .lock()
-            .expect("admission lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .log
             .clone()
     }
 
     /// A snapshot of the named analyst's ledger, if a session is open.
     pub fn ledger(&self, analyst: &str) -> Option<BudgetLedger> {
-        let catalog = self.state.catalog.read().expect("catalog lock poisoned");
-        catalog.book().analyst(analyst).cloned()
+        self.catalog().book().analyst(analyst).cloned()
     }
 
     /// A snapshot of the deployment-wide ledger.
     pub fn deployment_ledger(&self) -> BudgetLedger {
-        let catalog = self.state.catalog.read().expect("catalog lock poisoned");
-        catalog.book().deployment().clone()
+        self.catalog().book().deployment().clone()
     }
 
     /// `(hits, misses)` of the plan cache.
     pub fn plan_cache_stats(&self) -> (u64, u64) {
-        let catalog = self.state.catalog.read().expect("catalog lock poisoned");
-        catalog.plan_cache_stats()
+        self.catalog().plan_cache_stats()
     }
 
     /// The fixed setup cost the catalog paid once at start.
     pub fn setup_counters(&self) -> SetupCounters {
-        let catalog = self.state.catalog.read().expect("catalog lock poisoned");
-        catalog.setup().counters.clone()
+        self.catalog().setup().counters.clone()
     }
 
     /// Queries admitted so far (across all analysts).
@@ -200,8 +201,16 @@ impl ServiceHandle {
         self.state
             .admission
             .lock()
-            .expect("admission lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .next_id
+    }
+
+    /// The catalog, read through a poisoned lock (see the module docs).
+    fn catalog(&self) -> RwLockReadGuard<'_, SessionCatalog> {
+        self.state
+            .catalog
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Drains the queue, stops the workers, and joins them. Also runs
@@ -222,5 +231,48 @@ impl ServiceHandle {
 impl Drop for ServiceHandle {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use arboretum_dp::budget::PrivacyCost;
+
+    const QUERY: &str = "aggr = sum(db);\nr = em(aggr, 1.0);\noutput(r);";
+
+    #[test]
+    fn a_poisoned_catalog_is_a_typed_error_not_a_panic() {
+        let assignments: Vec<usize> = (0..30).map(|i| i % 3).collect();
+        let config = ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        };
+        let handle = ServiceHandle::start(Deployment::one_hot(&assignments, 3), config).unwrap();
+        handle
+            .open_session("alice", PrivacyCost::pure(5.0))
+            .unwrap();
+        let id = handle.submit("alice", QUERY).unwrap();
+        let ledger = handle.ledger("alice");
+        // A thread that panics holding the write lock poisons it.
+        let state = Arc::clone(&handle.state);
+        let _ = std::thread::spawn(move || {
+            let _guard = state.catalog.write();
+            panic!("panics holding the catalog lock");
+        })
+        .join();
+        assert!(handle.state.catalog.is_poisoned());
+        let poisoned = ServiceError::Poisoned("catalog");
+        assert_eq!(handle.submit("alice", QUERY), Err(poisoned.clone()));
+        assert_eq!(
+            handle.open_session("bob", PrivacyCost::pure(1.0)),
+            Err(poisoned)
+        );
+        // The refused submission left the book and the log as they were,
+        // and the snapshots still read them.
+        assert_eq!(handle.ledger("alice"), ledger);
+        assert_eq!(handle.queries_admitted(), 1);
+        assert_eq!(handle.audit_log().len(), 1);
+        assert!(handle.wait(id).is_ok());
     }
 }

@@ -14,6 +14,12 @@
 //! per-analyst sequence), *which* worker or pool runs it — or whether
 //! it runs at all concurrently with others — cannot change any result
 //! bit.
+//!
+//! A thread that panics while holding the admission or catalog lock
+//! poisons it. Whatever admits or executes afterwards answers
+//! [`ServiceError::Poisoned`] instead of panicking in turn. The queue
+//! and result locks cannot be poisoned (their critical sections only
+//! push, pop, insert and clone), so their poison flag is ignored.
 
 use arboretum_dp::budget::PrivacyCost;
 use arboretum_par::PoolBank;
@@ -22,7 +28,7 @@ use arboretum_runtime::stream::StreamReport;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 use crate::catalog::SessionCatalog;
 use crate::session::{AuditRecord, QueryId, ServiceError};
@@ -55,8 +61,10 @@ pub(crate) struct Admission {
 pub(crate) struct SchedulerState {
     pub catalog: RwLock<SessionCatalog>,
     pub admission: Mutex<Admission>,
+    /// Never poisoned: only pushed to and popped from.
     pub queue: Mutex<VecDeque<Job>>,
     pub queue_cv: Condvar,
+    /// Never poisoned: only inserted into and cloned from.
     pub results: Mutex<BTreeMap<u64, Result<StreamReport, ServiceError>>>,
     pub results_cv: Condvar,
     pub pools: PoolBank,
@@ -88,11 +96,11 @@ impl SchedulerState {
             return Err(ServiceError::ShutDown);
         }
         let job = {
-            let mut adm = self.admission.lock().expect("admission lock poisoned");
-            let mut catalog = self.catalog.write().expect("catalog lock poisoned");
-            if catalog.book().analyst(analyst).is_none() {
+            let mut adm = self.admission.lock().map_err(poisoned("admission"))?;
+            let mut catalog = self.catalog.write().map_err(poisoned("catalog"))?;
+            let Some(budget_before) = catalog.book().analyst(analyst).map(|l| l.remaining()) else {
                 return Err(ServiceError::UnknownAnalyst(analyst.to_string()));
-            }
+            };
             let devices = catalog.deployment().db.len();
             if let Some(windows) = windows.filter(|&w| w > devices) {
                 return Err(ServiceError::TooManyWindows { windows, devices });
@@ -100,11 +108,6 @@ impl SchedulerState {
             let prepared = catalog.prepare(source)?;
             let cost = prepared.logical.certificate.cost;
             let seq = adm.seqs.get(analyst).copied().unwrap_or(0);
-            let budget_before = catalog
-                .book()
-                .analyst(analyst)
-                .expect("checked above")
-                .remaining();
             let index = adm.next_index;
             adm.next_index += 1;
             match catalog.admit(analyst, cost) {
@@ -125,6 +128,14 @@ impl SchedulerState {
                     return Err(ServiceError::Ledger(refusal));
                 }
                 Ok(()) => {
+                    // Sessions never close, and the write lock has been
+                    // held since the analyst's ledger was found above.
+                    #[allow(clippy::expect_used)]
+                    let analyst_remaining = catalog
+                        .book()
+                        .analyst(analyst)
+                        .expect("the analyst's session is open")
+                        .remaining();
                     let id = QueryId(adm.next_id);
                     adm.next_id += 1;
                     adm.seqs.insert(analyst.to_string(), seq + 1);
@@ -135,11 +146,7 @@ impl SchedulerState {
                         query_id: Some(id),
                         cost,
                         refusal: None,
-                        analyst_remaining: catalog
-                            .book()
-                            .analyst(analyst)
-                            .expect("checked above")
-                            .remaining(),
+                        analyst_remaining,
                         deployment_remaining: catalog.book().deployment().remaining(),
                     });
                     Job {
@@ -157,30 +164,33 @@ impl SchedulerState {
         if self.inline {
             self.execute_job(job);
         } else {
-            let mut queue = self.queue.lock().expect("queue lock poisoned");
+            let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
             queue.push_back(job);
             self.queue_cv.notify_one();
         }
         Ok(id)
     }
 
-    /// Runs one admitted job on a leased pool and publishes its result.
+    /// Runs one admitted job on a leased pool and publishes its result
+    /// ([`ServiceError::Poisoned`] if the catalog lock is).
     pub fn execute_job(&self, job: Job) {
         let result = {
             let lease = self.pools.checkout();
-            let catalog = self.catalog.read().expect("catalog lock poisoned");
-            catalog
-                .execute(
-                    &job.prepared,
-                    &job.analyst,
-                    job.seq,
-                    job.budget_before,
-                    job.windows,
-                    Some(&lease),
-                )
-                .map_err(ServiceError::Exec)
+            let catalog = self.catalog.read().map_err(poisoned("catalog"));
+            catalog.and_then(|catalog| {
+                catalog
+                    .execute(
+                        &job.prepared,
+                        &job.analyst,
+                        job.seq,
+                        job.budget_before,
+                        job.windows,
+                        Some(&lease),
+                    )
+                    .map_err(ServiceError::Exec)
+            })
         };
-        let mut results = self.results.lock().expect("results lock poisoned");
+        let mut results = self.results.lock().unwrap_or_else(PoisonError::into_inner);
         results.insert(job.id.0, result);
         self.results_cv.notify_all();
     }
@@ -188,12 +198,12 @@ impl SchedulerState {
     /// Blocks until the query's result is available.
     pub fn wait(&self, id: QueryId) -> Result<StreamReport, ServiceError> {
         {
-            let adm = self.admission.lock().expect("admission lock poisoned");
+            let adm = self.admission.lock().map_err(poisoned("admission"))?;
             if id.0 >= adm.next_id {
                 return Err(ServiceError::UnknownQuery(id.0));
             }
         }
-        let mut results = self.results.lock().expect("results lock poisoned");
+        let mut results = self.results.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(result) = results.get(&id.0) {
                 return result.clone();
@@ -201,7 +211,7 @@ impl SchedulerState {
             results = self
                 .results_cv
                 .wait(results)
-                .expect("results lock poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -211,7 +221,7 @@ impl SchedulerState {
     pub fn worker_loop(self: &Arc<Self>) {
         loop {
             let job = {
-                let mut queue = self.queue.lock().expect("queue lock poisoned");
+                let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
                 loop {
                     if let Some(job) = queue.pop_front() {
                         break job;
@@ -219,10 +229,18 @@ impl SchedulerState {
                     if self.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
-                    queue = self.queue_cv.wait(queue).expect("queue lock poisoned");
+                    queue = self
+                        .queue_cv
+                        .wait(queue)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             };
             self.execute_job(job);
         }
     }
+}
+
+/// Maps a poisoned `lock` to [`ServiceError::Poisoned`].
+pub(crate) fn poisoned<G>(lock: &'static str) -> impl FnOnce(PoisonError<G>) -> ServiceError {
+    move |_| ServiceError::Poisoned(lock)
 }

@@ -51,6 +51,10 @@ pub enum ServiceError {
     UnknownQuery(u64),
     /// The service is shutting down.
     ShutDown,
+    /// A thread panicked while holding the named lock (`"admission"` or
+    /// `"catalog"`), so what it guards may be half-updated; nothing
+    /// further is admitted or executed under it.
+    Poisoned(&'static str),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -66,6 +70,7 @@ impl std::fmt::Display for ServiceError {
             Self::UnknownAnalyst(a) => write!(f, "no session open for analyst {a:?}"),
             Self::UnknownQuery(id) => write!(f, "unknown query id {id}"),
             Self::ShutDown => write!(f, "service is shutting down"),
+            Self::Poisoned(lock) => write!(f, "a thread panicked holding the {lock} lock"),
         }
     }
 }

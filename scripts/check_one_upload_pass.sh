@@ -5,21 +5,25 @@
 # aggregator check the proof and ⊞-sum what it accepts.
 # `StreamExecutor::ingest_next` does exactly that per upload: one pooled
 # map over blocks of arrivals whose closure proves, verifies, takes the
-# sampling draw, encrypts and ⊞-adds each upload into its block's sum
+# sampling draw, encrypts and ⊞-adds each upload into its block's sum,
+# then adds the finished block's sum into the window's one running sum
 # (`UploadPass::ingest_block`), so no proof outlives its check and no
-# ciphertext outlives its fold. Two designs came before it: one proved a
-# whole window and kept every proof alive for a second map that verified
-# them (about 7 MB of proofs live at once on a 30 MB run), and one kept
-# every accepted ciphertext of a window until a fold after the map
+# ciphertext outlives its fold. Three designs came before it: one proved
+# a whole window and kept every proof alive for a second map that
+# verified them (about 7 MB of proofs live at once on a 30 MB run), one
+# kept every accepted ciphertext of a window until a fold after the map
 # (64 MB of ingest_narrow's 74 MB peak, 658 MB for a one-window epoch of
-# 10^5 devices). This script fails if, in `crates/runtime/src/stream.rs`
-# (non-test code, above `#[cfg(test)]`):
+# 10^5 devices), and one kept every block's sum until a tree fold after
+# the map (one ciphertext per 32 arrivals: about 19 MB of a one-window
+# epoch of 10^5 devices). This script fails if, in
+# `crates/runtime/src/stream.rs` (non-test code, above `#[cfg(test)]`):
 #
 #   * `verify_one_hot_detailed`, `verify_range_detailed`, `bgv_encrypt`
 #     or `add_assign` is called outside the `impl UploadPass` block — the
 #     per-upload pass;
 #   * `ingest_next` calls `par_chunks` other than exactly once, or calls
-#     `par_map_arc` at all;
+#     `par_map_arc` or `par_sum_chunks` at all: a fan-in fold over the
+#     window's block sums means the window held every one of them;
 #   * `enum UploadOutcome` names `Ciphertext`: an outcome that carries
 #     its ciphertext out of the pass is the collect-then-fold design;
 #   * `type UploadJob` names `Vec`, or `ingest_next` calls `.clone()` or
@@ -87,6 +91,14 @@ if [[ ${#per_upload_maps[@]} -ne 0 ]]; then
     "${per_upload_maps[@]}"
 fi
 
+mapfile -t tree_folds < <(
+  tagged_lines | grep -E '^[0-9]+:ingest_next:.*\bpar_sum_chunks\(' || true
+)
+if [[ ${#tree_folds[@]} -ne 0 ]]; then
+  report "ingest_next folds the window's block sums in a tree after the pooled map:" \
+    "each block adds its sum into the window's one running sum inside UploadPass" "${tree_folds[@]}"
+fi
+
 mapfile -t carried < <(
   awk '
     /^#\[cfg\(test\)\]/ { exit }
@@ -140,4 +152,4 @@ fi
 if [[ $fail -ne 0 ]]; then
   exit 1
 fi
-echo "ok: ${#inside[@]} verify/encrypt/fold calls, all inside impl UploadPass; one pooled block map in ingest_next (${file}:${maps[0]%%:*}); no ciphertext in UploadOutcome; no row copied into a job"
+echo "ok: ${#inside[@]} verify/encrypt/fold calls, all inside impl UploadPass; one pooled block map and no tree fold in ingest_next (${file}:${maps[0]%%:*}); no ciphertext in UploadOutcome; no row copied into a job"
