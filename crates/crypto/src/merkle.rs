@@ -72,10 +72,10 @@ impl MerkleTree {
     /// # Panics
     ///
     /// Panics if `leaves` is empty; an empty registry has no root.
-    pub fn new<T: AsRef<[u8]>>(leaves: &[T]) -> Self {
-        assert!(!leaves.is_empty(), "Merkle tree needs at least one leaf");
+    pub fn new<T: AsRef<[u8]>>(leaves: impl IntoIterator<Item = T>) -> Self {
+        let mut level: Vec<Digest> = leaves.into_iter().map(|l| hash_leaf(l.as_ref())).collect();
+        assert!(!level.is_empty(), "Merkle tree needs at least one leaf");
         let mut levels = Vec::new();
-        let mut level: Vec<Digest> = leaves.iter().map(|l| hash_leaf(l.as_ref())).collect();
         while level.len() > 1 {
             let next = level
                 .chunks(2)
@@ -88,6 +88,32 @@ impl MerkleTree {
         }
         levels.push(level);
         Self { levels }
+    }
+
+    /// The root [`new`](Self::new) would give over `leaves`, without the
+    /// tree: the leaf hashes are folded in place, level by level, in one
+    /// `Vec<Digest>`, so the only allocation is one digest a leaf.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaves` is empty; an empty registry has no root.
+    pub fn root_of<T: AsRef<[u8]>>(leaves: impl IntoIterator<Item = T>) -> Digest {
+        let mut level: Vec<Digest> = leaves.into_iter().map(|l| hash_leaf(l.as_ref())).collect();
+        assert!(!level.is_empty(), "Merkle tree needs at least one leaf");
+        let mut len = level.len();
+        while len > 1 {
+            // Node `i` of the next level is read from `2i` and `2i + 1`,
+            // never left of `i`, so writing it in place overwrites only
+            // nodes already read. An odd last node is promoted as is.
+            for i in 0..len / 2 {
+                level[i] = hash_node(&level[2 * i], &level[2 * i + 1]);
+            }
+            if !len.is_multiple_of(2) {
+                level[len / 2] = level[len - 1];
+            }
+            len = len.div_ceil(2);
+        }
+        level[0]
     }
 
     /// The root digest.
@@ -225,7 +251,7 @@ mod tests {
 
     #[test]
     fn single_leaf() {
-        let t = MerkleTree::new(&leaves(1));
+        let t = MerkleTree::new(leaves(1));
         let p = t.prove(0);
         assert!(p.siblings.is_empty());
         assert!(MerkleTree::verify(&t.root(), b"leaf-0", &p));
@@ -292,7 +318,7 @@ mod tests {
         }
         // A path differs from another leaf's, and from the same leaf's in
         // a tree with a different sibling.
-        let t = MerkleTree::new(&leaves(4));
+        let t = MerkleTree::new(leaves(4));
         assert_ne!(t.path(0), t.path(1));
         let mut other = leaves(4);
         other[1] = b"changed".to_vec();
@@ -300,8 +326,21 @@ mod tests {
     }
 
     #[test]
+    fn root_in_place_is_the_tree_root() {
+        // 1..=70 crosses every odd-node promotion pattern up to 7 levels.
+        for n in 1..=70 {
+            let ls = leaves(n);
+            assert_eq!(
+                MerkleTree::root_of(&ls),
+                MerkleTree::new(&ls).root(),
+                "n={n}"
+            );
+        }
+    }
+
+    #[test]
     fn roots_differ_by_content_and_order() {
-        let a = MerkleTree::new(&leaves(4));
+        let a = MerkleTree::new(leaves(4));
         let mut swapped = leaves(4);
         swapped.swap(0, 1);
         let b = MerkleTree::new(&swapped);

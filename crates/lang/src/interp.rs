@@ -12,11 +12,6 @@
 //! every operation whose operands are all public, so the two evaluators
 //! cannot disagree on a public value.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use std::collections::HashMap;
 
 use arboretum_dp::mechanisms::{em_gumbel, em_with_gap, top_k_oneshot, MechanismError};

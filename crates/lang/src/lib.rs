@@ -18,6 +18,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Every module reads analyst-written source or runs it: none may panic
+// on it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod ast;
 pub mod interp;

@@ -15,11 +15,6 @@
 //! `MAX_NESTING`): a program past the bound is a [`ParseError`], never a
 //! stack overflow here or in any later walk of the tree.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use crate::ast::{BinOp, Builtin, Expr, Program, Stmt, UnOp};
 use crate::lexer::{lex, LexError, Token};
 

@@ -12,11 +12,6 @@
 //! are widened using the iteration count (linear extrapolation for
 //! accumulators) or to the full `i64` range.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use std::collections::HashMap;
 
 use crate::ast::{BinOp, Builtin, DbSchema, Expr, Program, Stmt, UnOp};

@@ -21,27 +21,155 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+use std::collections::HashMap;
+
 use arboretum_crypto::merkle::{MerklePath, MerkleProof, MerkleTree};
 use arboretum_crypto::sha256::Digest;
 use rand::Rng;
 
 use crate::adversary::DetectionKind;
 
+/// A step log's contents: every step's bytes back to back in one arena,
+/// and where each step ends.
+///
+/// A step costs its bytes and a 4-byte end, not a `Vec<u8>` header and a
+/// heap block of its own; an epoch reserves its room when it opens and
+/// writes each input step's label straight into the arena. Step `i` is
+/// `&steps[i]`. The arena holds at most `u32::MAX` bytes; an epoch whose
+/// log could pass that is refused when it opens.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Steps {
+    bytes: Vec<u8>,
+    ends: Vec<u32>,
+}
+
+impl Steps {
+    /// An empty log with room for `steps` steps of `bytes` bytes in all.
+    pub fn with_capacity(steps: usize, bytes: usize) -> Self {
+        Self {
+            bytes: Vec::with_capacity(bytes),
+            ends: Vec::with_capacity(steps),
+        }
+    }
+
+    /// Number of steps.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the log holds no step.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Removes every step, keeping the room.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    /// Appends one step.
+    pub fn push(&mut self, step: &[u8]) {
+        self.bytes.extend_from_slice(step);
+        self.end_step();
+    }
+
+    /// Appends the input step `input-{device}{verdict}`, writing the
+    /// decimal index in place.
+    pub(crate) fn push_input(&mut self, device: usize, verdict: &[u8]) {
+        self.bytes.extend_from_slice(b"input-");
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut rest = device;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        self.bytes.extend_from_slice(&digits[start..]);
+        self.bytes.extend_from_slice(verdict);
+        self.end_step();
+    }
+
+    fn end_step(&mut self) {
+        assert!(
+            self.bytes.len() <= u32::MAX as usize,
+            "a step log holds at most 4 GiB"
+        );
+        self.ends.push(self.bytes.len() as u32);
+    }
+
+    /// Where step `i` lies in the arena.
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        let start = match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        };
+        start..self.ends[i] as usize
+    }
+
+    /// Replaces step `i`'s contents, shifting the steps after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    pub fn replace(&mut self, i: usize, contents: &[u8]) {
+        let span = self.span(i);
+        let (old, new) = (span.len(), contents.len());
+        self.bytes.splice(span, contents.iter().copied());
+        assert!(
+            self.bytes.len() <= u32::MAX as usize,
+            "a step log holds at most 4 GiB"
+        );
+        for end in &mut self.ends[i..] {
+            *end = (*end as usize + new - old) as u32;
+        }
+    }
+
+    /// The steps, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        (0..self.len()).map(|i| &self[i])
+    }
+}
+
+impl std::ops::Index<usize> for Steps {
+    type Output = [u8];
+
+    fn index(&self, i: usize) -> &[u8] {
+        &self.bytes[self.span(i)]
+    }
+}
+
+impl From<Vec<Vec<u8>>> for Steps {
+    fn from(steps: Vec<Vec<u8>>) -> Self {
+        let mut out = Self::with_capacity(steps.len(), steps.iter().map(Vec::len).sum());
+        for step in &steps {
+            out.push(step);
+        }
+        out
+    }
+}
+
 /// The aggregator's side of the audit: the step log and its tree.
 #[derive(Clone, Debug)]
 pub struct StepLog {
-    steps: Vec<Vec<u8>>,
+    steps: Steps,
     tree: MerkleTree,
 }
 
 impl StepLog {
-    /// Builds the log from the serialized results of each step.
+    /// Builds the log from the serialized results of each step, as one
+    /// [`Steps`] arena or one `Vec<u8>` a step.
     ///
     /// # Panics
     ///
     /// Panics if `steps` is empty.
-    pub fn new(steps: Vec<Vec<u8>>) -> Self {
-        let tree = MerkleTree::new(&steps);
+    pub fn new(steps: impl Into<Steps>) -> Self {
+        let steps = steps.into();
+        let tree = MerkleTree::new(steps.iter());
         Self { steps, tree }
     }
 
@@ -51,7 +179,7 @@ impl StepLog {
     }
 
     /// The committed step contents, in order.
-    pub(crate) fn steps(&self) -> &[Vec<u8>] {
+    pub(crate) fn steps(&self) -> &Steps {
         &self.steps
     }
 
@@ -67,7 +195,7 @@ impl StepLog {
 
     /// Answers a challenge: the step contents and an inclusion proof.
     pub fn respond(&self, index: usize) -> (Vec<u8>, MerkleProof) {
-        (self.steps[index].clone(), self.tree.prove(index))
+        (self.steps[index].to_vec(), self.tree.prove(index))
     }
 
     /// Answers a challenge by reference: [`respond`](Self::respond)'s
@@ -86,7 +214,7 @@ impl StepLog {
     /// Tampers with one step *after* publishing the root (test helper for
     /// Byzantine behavior).
     pub fn tamper(&mut self, index: usize, new_contents: Vec<u8>) {
-        self.steps[index] = new_contents;
+        self.steps.replace(index, &new_contents);
     }
 }
 
@@ -214,8 +342,9 @@ pub fn adversarial_audit<'a, R: Rng + ?Sized>(
 /// chain through `next`, so an equivocating step holds two entries and
 /// every other step one.
 struct Checked<'a> {
-    /// Per step, the index in `entries` of its first response.
-    first: Vec<Option<usize>>,
+    /// Per challenged step, the index in `entries` of its first
+    /// response: at most one key a draw, however long the log.
+    first: HashMap<usize, usize>,
     entries: Vec<CheckedResponse<'a>>,
 }
 
@@ -229,9 +358,10 @@ struct CheckedResponse<'a> {
 
 impl<'a> Checked<'a> {
     fn new(total_steps: usize, draws: usize) -> Self {
+        let distinct = total_steps.min(draws);
         Self {
-            first: vec![None; total_steps],
-            entries: Vec::with_capacity(total_steps.min(draws)),
+            first: HashMap::with_capacity(distinct),
+            entries: Vec::with_capacity(distinct),
         }
     }
 
@@ -245,7 +375,7 @@ impl<'a> Checked<'a> {
         recompute: &impl Fn(usize) -> &'a [u8],
     ) -> (&'a [u8], bool) {
         let mut last = None;
-        let mut link = self.first[step];
+        let mut link = self.first.get(&step).copied();
         while let Some(i) = link {
             let entry = &self.entries[i];
             if entry.response == response {
@@ -256,7 +386,7 @@ impl<'a> Checked<'a> {
         }
         let expected = last.map_or_else(|| recompute(step), |i| self.entries[i].expected);
         let proof_ok = response.proof.verify(root, response.contents);
-        let new = Some(self.entries.len());
+        let new = self.entries.len();
         self.entries.push(CheckedResponse {
             response,
             expected,
@@ -264,8 +394,10 @@ impl<'a> Checked<'a> {
             next: None,
         });
         match last {
-            Some(i) => self.entries[i].next = new,
-            None => self.first[step] = new,
+            Some(i) => self.entries[i].next = Some(new),
+            None => {
+                self.first.insert(step, new);
+            }
         }
         (expected, proof_ok)
     }
@@ -358,6 +490,54 @@ mod tests {
         (0..n)
             .map(|i| format!("step-{i}-result").into_bytes())
             .collect()
+    }
+
+    /// A log as the epoch writes it: input labels written in place,
+    /// then whole steps, among them an empty one.
+    fn arena_and_vecs() -> (Steps, Vec<Vec<u8>>) {
+        let devices = [0usize, 7, 9, 10, 99, 100, 12_345, usize::MAX];
+        let mut arena = Steps::with_capacity(0, 0);
+        let mut vecs = Vec::new();
+        for (j, &i) in devices.iter().enumerate() {
+            let verdict: &[u8] = if j % 3 == 0 { b"-binned-out" } else { b"-ok" };
+            arena.push_input(i, verdict);
+            vecs.push([format!("input-{i}").as_bytes(), verdict].concat());
+        }
+        for step in [&b"window-0-fold"[..], b"", b"decrypt-to-shares"] {
+            arena.push(step);
+            vecs.push(step.to_vec());
+        }
+        (arena, vecs)
+    }
+
+    #[test]
+    fn the_arena_and_a_vec_a_step_commit_the_same_log() {
+        let (arena, vecs) = arena_and_vecs();
+        assert_eq!(Steps::from(vecs.clone()), arena);
+        assert_eq!(
+            arena.iter().collect::<Vec<_>>(),
+            vecs.iter().map(Vec::as_slice).collect::<Vec<_>>()
+        );
+        let from_arena = StepLog::new(arena);
+        let from_vecs = StepLog::new(vecs.clone());
+        assert_eq!(from_arena.root(), from_vecs.root());
+        assert_eq!(from_arena.root(), MerkleTree::new(&vecs).root());
+        for i in 0..vecs.len() {
+            assert_eq!(from_arena.answer(i), from_vecs.answer(i), "step {i}");
+            assert_eq!(from_arena.respond(i), from_vecs.respond(i), "step {i}");
+        }
+    }
+
+    #[test]
+    fn replacing_a_step_shifts_the_ones_after_it() {
+        for i in 0..11 {
+            for contents in [&b""[..], b"x", b"a much longer step than any other"] {
+                let (mut arena, mut vecs) = arena_and_vecs();
+                arena.replace(i, contents);
+                vecs[i] = contents.to_vec();
+                assert_eq!(arena, Steps::from(vecs), "step {i}");
+            }
+        }
     }
 
     #[test]

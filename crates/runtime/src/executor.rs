@@ -226,9 +226,7 @@ impl QueryCert {
         self.signatures
             .iter()
             .enumerate()
-            .filter(|(_, (idx, sig))| {
-                !schnorr_verify(&registry.device(*idx).keypair.pk, &body, sig)
-            })
+            .filter(|(_, (idx, sig))| !schnorr_verify(&registry.device(*idx).pk, &body, sig))
             .map(|(pos, _)| pos)
             .collect()
     }

@@ -47,6 +47,11 @@
 //! in place ([`MpcEngine::add_scaled`]), so an operation costs one
 //! allocation per result, not one per term.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::{HashMap, HashSet};
 
 use arboretum_dp::mechanisms::{em_exponentiate, MechanismError};
@@ -211,6 +216,12 @@ fn fail(e: impl std::fmt::Display) -> MpcEvalError {
 
 fn err<T>(msg: impl std::fmt::Display) -> Result<T, MpcEvalError> {
     Err(fail(msg))
+}
+
+/// A node a flush left pending: `flush` runs every node whose operands
+/// are concrete, layer by layer, so none is.
+fn unflushed() -> MpcEvalError {
+    fail("a flushed node is still pending")
 }
 
 /// Appends a released value to the committee's integer outputs: a
@@ -395,7 +406,12 @@ impl<'a> MpcEvaluator<'a> {
 
     /// Undoes `log`'s writes, newest first: the environment returns to
     /// its state before the first of them.
-    fn undo(&mut self, log: Vec<Write>) {
+    ///
+    /// # Errors
+    ///
+    /// A slot write that `store` refuses; a logged prior value is the
+    /// slot's own kind, so none is.
+    fn undo(&mut self, log: Vec<Write>) -> Result<(), MpcEvalError> {
         for w in log.into_iter().rev() {
             match w.prior {
                 Prior::Var(Some(old)) => {
@@ -415,13 +431,14 @@ impl<'a> MpcEvaluator<'a> {
                         truncate(a, len);
                         if let (Some(i), Some(MVal::Pub(old))) = (w.at, old) {
                             let arr = std::mem::replace(a, Value::Bool(false));
-                            *a = store(Some(arr), i, old).expect("the slot's own kind");
+                            *a = store(Some(arr), i, old)?;
                         }
                     }
                     _ => {}
                 },
             }
         }
+        Ok(())
     }
 
     /// A written target's current value, if it has one.
@@ -463,13 +480,13 @@ impl<'a> MpcEvaluator<'a> {
             targets.iter().map(|(n, at)| ev.slot(n, *at)).collect()
         };
         let mut thens = values(self, &targets);
-        self.undo(then_log);
+        self.undo(then_log)?;
         self.stmts(else_branch)?;
         self.oblivious_depth -= 1;
         let else_log = std::mem::replace(&mut self.log, outer);
         note(&else_log, &mut targets);
         let elses = values(self, &targets);
-        self.undo(else_log);
+        self.undo(else_log)?;
         // A target only the else branch wrote keeps its old value on
         // the then side.
         let n_then = thens.len();
@@ -584,7 +601,7 @@ impl<'a> MpcEvaluator<'a> {
     /// The concrete sharing of `s`, flushing the buffer first.
     fn force(&mut self, s: &Sec) -> Result<Shared, MpcEvalError> {
         self.flush()?;
-        Ok(self.ready(s).expect("flush ran every node"))
+        self.ready(s).ok_or_else(unflushed)
     }
 
     /// A public integer as a (trivial) sharing.
@@ -614,10 +631,11 @@ impl<'a> MpcEvaluator<'a> {
     fn shared_array(&mut self, v: &MVal) -> Result<Vec<Shared>, MpcEvalError> {
         let secs = self.sec_array(v)?;
         self.flush()?;
-        Ok(secs
-            .iter()
-            .map(|s| self.ready(s).expect("flush ran every node"))
-            .collect())
+        let mut shared = Vec::with_capacity(secs.len());
+        for s in &secs {
+            shared.push(self.ready(s).ok_or_else(unflushed)?);
+        }
+        Ok(shared)
     }
 
     fn expr(&mut self, e: &Expr) -> Result<MVal, MpcEvalError> {
@@ -859,7 +877,7 @@ impl<'a> MpcEvaluator<'a> {
                         .iter()
                         .copied()
                         .max()
-                        .expect("len >= 2 after one removal");
+                        .ok_or_else(|| fail("emGap over no scores"))?;
                     let noisy_diff = Fix::from_int(clear[w] - runner)
                         .unwrap_or(Fix::MAX)
                         .checked_add(gumbel_fix(self.rng, scale))

@@ -57,7 +57,7 @@ use arboretum_bgv::{
 };
 use arboretum_crypto::group::{scalar_from_hash, GroupElem, Scalar};
 use arboretum_crypto::pedersen::PedersenParams;
-use arboretum_crypto::sha256::{domain_tag, seed_draw, sha256, Digest};
+use arboretum_crypto::sha256::{domain_tag, seed_draw, sha256, Digest, Sha256};
 use arboretum_dp::budget::BudgetLedger;
 use arboretum_field::fixed::Fix;
 use arboretum_mpc::engine::MpcEngine;
@@ -87,7 +87,7 @@ use crate::adversary::{
     DetectionKind, DeviceBehavior, Subject,
 };
 use crate::audit::{
-    adversarial_audit, challenges_per_device, collate_detection, StepLog, DROPPED_MARKER,
+    adversarial_audit, challenges_per_device, collate_detection, StepLog, Steps, DROPPED_MARKER,
 };
 use crate::executor::{Deployment, ExecError, ExecutionConfig, ExecutionReport, QueryCert, Rows};
 use crate::mpc_eval::{MVal, MechStyle, MpcEvaluator};
@@ -144,6 +144,12 @@ fn find_aggregation(program: &arboretum_lang::ast::Program) -> Option<(String, u
 /// arrival does not retract the already-folded upload (streams cannot
 /// un-aggregate). The surviving-device set is therefore a pure function
 /// of the schedule, independent of window-boundary placement.
+///
+/// Windows are stored as `u32`, eight bytes a device, with
+/// [`Self::NEVER`] for "never drops". No epoch can run `u32::MAX` windows:
+/// [`StreamExecutor::open`] refuses more windows than devices, and no
+/// deployment has that many. A schedule of more windows than that draws
+/// its windows from the first `u32::MAX - 1`; it is only ever refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ArrivalSchedule {
     /// The seed everything was derived from (0 for explicit partitions).
@@ -153,12 +159,15 @@ pub struct ArrivalSchedule {
     /// Number of ingestion windows in the epoch (≥ 1).
     pub n_windows: usize,
     /// Per device: the window it arrives (uploads) in.
-    pub arrival: Vec<usize>,
-    /// Per device: the window it drops in, if it ever drops.
-    pub drop: Vec<Option<usize>>,
+    pub arrival: Vec<u32>,
+    /// Per device: the window it drops in, or [`Self::NEVER`].
+    pub drop: Vec<u32>,
 }
 
 impl ArrivalSchedule {
+    /// The drop window of a device that never drops.
+    pub const NEVER: u32 = u32::MAX;
+
     /// The one-window schedule in which every device arrives and none
     /// drops: a batch query.
     pub fn all_at_once(n_devices: usize) -> Self {
@@ -167,7 +176,7 @@ impl ArrivalSchedule {
             n_devices,
             n_windows: 1,
             arrival: vec![0; n_devices],
-            drop: vec![None; n_devices],
+            drop: vec![Self::NEVER; n_devices],
         }
     }
 
@@ -180,16 +189,18 @@ impl ArrivalSchedule {
     /// Panics if `n_windows` is zero.
     pub fn derive(seed: u64, n_devices: usize, n_windows: usize) -> Self {
         assert!(n_windows >= 1, "an epoch needs at least one window");
-        let w = n_windows as u64;
+        // Below `NEVER`, so a drawn window never reads as "never drops".
+        let w = (n_windows as u64).min(u64::from(Self::NEVER));
+        let draw = |label: &[u8], i: u64| (seed_draw(seed, label, i) % w) as u32;
         let mut arrival = Vec::with_capacity(n_devices);
         let mut drop = Vec::with_capacity(n_devices);
         for i in 0..n_devices as u64 {
-            arrival.push((seed_draw(seed, b"arrival", i) % w) as usize);
+            arrival.push(draw(b"arrival", i));
             let churns = seed_draw(seed, b"drop", i) % 100 < 25;
             drop.push(if churns {
-                Some((seed_draw(seed, b"drop-window", i) % w) as usize)
+                draw(b"drop-window", i)
             } else {
-                None
+                Self::NEVER
             });
         }
         Self {
@@ -208,24 +219,22 @@ impl ArrivalSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if `windows` is empty, a device index is out of range, or
-    /// a device is listed twice.
+    /// Panics if `windows` is empty or holds `u32::MAX` windows or more,
+    /// a device index is out of range, or a device is listed twice.
     pub fn from_partition(windows: &[Vec<usize>], n_devices: usize) -> Self {
         assert!(!windows.is_empty(), "need at least one window");
-        let mut arrival = vec![0usize; n_devices];
-        let mut drop: Vec<Option<usize>> = vec![Some(0); n_devices];
+        assert!(windows.len() < Self::NEVER as usize, "too many windows");
+        let mut arrival = vec![0u32; n_devices];
+        let mut drop = vec![0u32; n_devices];
         for (w, devices) in windows.iter().enumerate() {
             for &d in devices {
                 assert!(d < n_devices, "device {d} out of range");
-                assert!(
-                    drop[d] == Some(0) && arrival[d] == 0,
-                    "device {d} listed twice"
-                );
-                arrival[d] = w;
-                drop[d] = None;
+                assert!(drop[d] == 0 && arrival[d] == 0, "device {d} listed twice");
+                arrival[d] = w as u32;
+                drop[d] = Self::NEVER;
             }
         }
-        // `arrival[d] == 0 && drop[d].is_none()` is ambiguous for a
+        // `arrival[d] == 0 && drop[d] == NEVER` is ambiguous for a
         // device legitimately listed in window 0 — the double-listing
         // assertion above distinguishes via the drop marker, which is
         // only cleared when the device is first listed.
@@ -238,15 +247,20 @@ impl ArrivalSchedule {
         }
     }
 
+    /// The window device `i` drops in, if it ever drops.
+    pub fn drop_window(&self, i: usize) -> Option<usize> {
+        (self.drop[i] != Self::NEVER).then_some(self.drop[i] as usize)
+    }
+
     /// Whether device `i` ever contributes an upload.
     pub fn contributes(&self, i: usize) -> bool {
-        self.drop[i].is_none_or(|d| d > self.arrival[i])
+        self.drop[i] > self.arrival[i]
     }
 
     /// The devices uploading in window `w`, ascending by registry index.
     pub fn window(&self, w: usize) -> Vec<usize> {
         (0..self.n_devices)
-            .filter(|&i| self.arrival[i] == w && self.contributes(i))
+            .filter(|&i| self.arrival[i] as usize == w && self.contributes(i))
             .collect()
     }
 
@@ -265,17 +279,23 @@ impl ArrivalSchedule {
 
     /// Content digest binding `(seed, n, windows, arrival, drop)`;
     /// checkpoints embed it so a restore against a different schedule
-    /// is a typed error instead of silent divergence.
+    /// is a typed error instead of silent divergence. Each device's 16
+    /// bytes stream into the hasher as they are written.
     pub fn digest(&self) -> Digest {
-        let mut bytes = Vec::with_capacity(24 + self.n_devices * 16);
-        bytes.extend_from_slice(&self.seed.to_be_bytes());
-        bytes.extend_from_slice(&(self.n_devices as u64).to_be_bytes());
-        bytes.extend_from_slice(&(self.n_windows as u64).to_be_bytes());
-        for i in 0..self.n_devices {
-            bytes.extend_from_slice(&(self.arrival[i] as u64).to_be_bytes());
-            bytes.extend_from_slice(&self.drop[i].map_or(u64::MAX, |d| d as u64).to_be_bytes());
+        let mut h = Sha256::new();
+        h.update(&self.seed.to_be_bytes());
+        h.update(&(self.n_devices as u64).to_be_bytes());
+        h.update(&(self.n_windows as u64).to_be_bytes());
+        for (&arrival, &drop) in self.arrival.iter().zip(&self.drop) {
+            let drop = if drop == Self::NEVER {
+                u64::MAX
+            } else {
+                u64::from(drop)
+            };
+            h.update(&u64::from(arrival).to_be_bytes());
+            h.update(&drop.to_be_bytes());
         }
-        sha256(&bytes)
+        h.finalize()
     }
 }
 
@@ -732,7 +752,9 @@ pub struct StreamExecutor<'a> {
     rejected_count: usize,
     verify_ops: u64,
     aggregate_ops: u64,
-    step_results: Vec<Vec<u8>>,
+    /// The step log so far, one arena with room for the whole epoch
+    /// reserved at open.
+    step_results: Steps,
     shares: Vec<VShare>,
     commitments: Vec<GroupElem>,
     key_secret: Scalar,
@@ -789,6 +811,19 @@ impl<'a> StreamExecutor<'a> {
             return Err(ExecError::Unsupported(format!(
                 "{} windows exceed the deployment's {n} devices",
                 schedule.n_windows
+            )));
+        }
+        let contributors = (0..n).filter(|&i| schedule.contributes(i)).count();
+        let (log_steps, log_bytes) = log_capacity(
+            n,
+            contributors,
+            schedule.n_windows,
+            deployment.schema.row_width,
+            logical.certificate.sampling_rate.is_some(),
+        );
+        if log_bytes > u32::MAX as usize {
+            return Err(ExecError::Unsupported(format!(
+                "the step log of {n} devices would pass 4 GiB"
             )));
         }
         // ---- Setup (§5.1–§5.2): cached in a session catalog, or built
@@ -856,7 +891,7 @@ impl<'a> StreamExecutor<'a> {
                     }
                     _ => &body,
                 };
-                (d, deployment.registry.device(d).keypair.sign(signed))
+                (d, deployment.registry.device(d).keypair().sign(signed))
             })
             .collect();
         let mut detections = Vec::new();
@@ -904,7 +939,7 @@ impl<'a> StreamExecutor<'a> {
             rejected_count: 0,
             verify_ops: 0,
             aggregate_ops: 0,
-            step_results: Vec::new(),
+            step_results: Steps::with_capacity(log_steps, log_bytes),
             shares: sharing.shares,
             commitments: sharing.commitments,
             key_secret,
@@ -912,7 +947,7 @@ impl<'a> StreamExecutor<'a> {
             detections,
             checkpoints: Vec::new(),
             agg_behavior: None,
-            ok_steps: Vec::new(),
+            ok_steps: Vec::with_capacity(contributors),
             cheat_cts: Vec::new(),
         })
     }
@@ -1026,13 +1061,11 @@ impl<'a> StreamExecutor<'a> {
                             kind,
                         });
                     }
-                    UploadOutcome::BinnedOut => self
-                        .step_results
-                        .push(format!("input-{i}-binned-out").into_bytes()),
+                    UploadOutcome::BinnedOut => self.step_results.push_input(i, BINNED_OUT),
                     UploadOutcome::Accepted => {
                         window_accepted += 1;
                         self.ok_steps.push(self.step_results.len());
-                        self.step_results.push(format!("input-{i}-ok").into_bytes());
+                        self.step_results.push_input(i, ACCEPTED);
                     }
                 }
             }
@@ -1067,7 +1100,7 @@ impl<'a> StreamExecutor<'a> {
             }
             None => format!("window-{w}-empty").into_bytes(),
         };
-        self.step_results.push(fold_step);
+        self.step_results.push(&fold_step);
 
         // ---- VSR handoff to the next window's committee (audited). ----
         let (handoff_digest, handoff_bytes, handoff_frames) = if w + 1 < self.schedule.n_windows {
@@ -1178,7 +1211,7 @@ impl<'a> StreamExecutor<'a> {
         let digest = sha256(&commit_frame);
         let mut step = format!("vsr-handoff-{b}").into_bytes();
         step.extend_from_slice(&digest);
-        self.step_results.push(step);
+        self.step_results.push(&step);
         self.shares = new_shares;
         self.commitments = new_commitments;
         Ok((digest, handoff_bytes, handoff_frames))
@@ -1240,7 +1273,7 @@ impl<'a> StreamExecutor<'a> {
                 rounds: 4,
             },
         );
-        self.step_results.push(b"decrypt-to-shares".to_vec());
+        self.step_results.push(b"decrypt-to-shares");
 
         // ---- Mechanism and post-processing vignettes (§5.4). ----
         //
@@ -1277,15 +1310,11 @@ impl<'a> StreamExecutor<'a> {
                 .map_err(|e| ExecError::Mpc(e.to_string()))?;
             evaluator.outputs
         };
-        self.step_results.push(b"mechanism-vignettes".to_vec());
+        self.step_results.push(b"mechanism-vignettes");
 
         // ---- Output committee releases; aggregator logs steps (§5.5). ----
-        self.step_results.push(
-            outputs
-                .iter()
-                .flat_map(|o| o.to_be_bytes())
-                .collect::<Vec<u8>>(),
-        );
+        let released: Vec<u8> = outputs.iter().flat_map(|o| o.to_be_bytes()).collect();
+        self.step_results.push(&released);
         let log = StepLog::new(std::mem::take(&mut self.step_results));
         let k = challenges_per_device(log.len(), n as u64, self.cfg.p_max);
         let detection = self.aggregator_audit(&log, &total_ct, agg_step, k);
@@ -1365,16 +1394,21 @@ impl<'a> StreamExecutor<'a> {
         // `log` itself), and responder state for post-commitment cheats:
         // a tampered tree (ForgedLeaf) or an alternating second answer
         // (Equivocation).
-        let mut rewritten: Option<Vec<Vec<u8>>> = None;
+        let mut rewritten: Option<Steps> = None;
         let mut tampered: Option<(usize, StepLog)> = None;
         let mut equivocation: Option<(usize, StepLog)> = None;
+        let suffixed = |step: usize, suffix: &[u8]| {
+            let mut forged_steps = honest.clone();
+            forged_steps.replace(step, &[&honest[step], suffix].concat());
+            StepLog::new(forged_steps)
+        };
         match behavior {
             AggregatorBehavior::Honest => {}
             AggregatorBehavior::WrongPartialSum => {
                 let extra = self.cheat_cts.first()?;
                 let forged = arboretum_bgv::scheme::add(ctx, total_ct, extra);
-                let mut steps = honest.to_vec();
-                steps[agg_step] = forged_agg_step(&forged);
+                let mut steps = honest.clone();
+                steps.replace(agg_step, &forged_agg_step(&forged));
                 rewritten = Some(steps);
             }
             AggregatorBehavior::DropUpload { draw } => {
@@ -1383,34 +1417,31 @@ impl<'a> StreamExecutor<'a> {
                 let victim_step = ok_steps[j];
                 // Every ok step is `input-{i}-ok` (see `ingest_next`).
                 let ok = &honest[victim_step];
-                let mut dropped = ok.strip_suffix(b"-ok").unwrap_or(ok).to_vec();
-                dropped.extend_from_slice(DROPPED_MARKER);
+                let dropped = [ok.strip_suffix(ACCEPTED).unwrap_or(ok), DROPPED_MARKER].concat();
                 let forged = arboretum_bgv::scheme::sub(ctx, total_ct, victim_ct);
-                let mut steps = honest.to_vec();
-                steps[victim_step] = dropped;
-                steps[agg_step] = forged_agg_step(&forged);
+                let mut steps = honest.clone();
+                steps.replace(victim_step, &dropped);
+                steps.replace(agg_step, &forged_agg_step(&forged));
                 rewritten = Some(steps);
             }
             AggregatorBehavior::ForgedLeaf { draw } => {
                 let step = (draw % honest.len() as u64) as usize;
-                let mut forged_steps = honest.to_vec();
-                forged_steps[step].extend_from_slice(b"-forged");
-                tampered = Some((step, StepLog::new(forged_steps)));
+                tampered = Some((step, suffixed(step, b"-forged")));
             }
             // Perturbs the root below, once the log it should commit is
             // built.
             AggregatorBehavior::ForgedRoot => {}
             AggregatorBehavior::ReorderedSteps { draw } => {
                 let j = (draw % (ok_steps.len() - 1) as u64) as usize;
-                let mut steps = honest.to_vec();
-                steps.swap(ok_steps[j], ok_steps[j + 1]);
+                let (a, b) = (ok_steps[j], ok_steps[j + 1]);
+                let mut steps = honest.clone();
+                steps.replace(a, &honest[b]);
+                steps.replace(b, &honest[a]);
                 rewritten = Some(steps);
             }
             AggregatorBehavior::EquivocatingResponses { draw } => {
                 let step = (draw % honest.len() as u64) as usize;
-                let mut forged_steps = honest.to_vec();
-                forged_steps[step].extend_from_slice(b"-equivocated");
-                equivocation = Some((step, StepLog::new(forged_steps)));
+                equivocation = Some((step, suffixed(step, b"-equivocated")));
             }
         }
         let published =
@@ -1506,7 +1537,7 @@ impl<'a> StreamExecutor<'a> {
         out.extend_from_slice(&frame);
         // Step log so far.
         put_u32(&mut out, self.step_results.len() as u32);
-        for step in &self.step_results {
+        for step in self.step_results.iter() {
             put_u32(&mut out, step.len() as u32);
             out.extend_from_slice(step);
         }
@@ -1619,10 +1650,15 @@ impl<'a> StreamExecutor<'a> {
         }
         // A step is at least its 4-byte length prefix.
         let n_steps = get_count(bytes, &mut pos, 4)?;
-        let mut step_results = Vec::with_capacity(n_steps);
+        let log_start = pos;
         for _ in 0..n_steps {
             let len = get_u32(bytes, &mut pos)? as usize;
-            step_results.push(take(bytes, &mut pos, len)?.to_vec());
+            take(bytes, &mut pos, len)?;
+        }
+        // The arena is the log's bytes less one 4-byte length a step.
+        let log_bytes = pos - log_start - 4 * n_steps;
+        if log_bytes > u32::MAX as usize {
+            return Err(bad("checkpoint step log passes 4 GiB"));
         }
         let n_checkpoints = get_count(bytes, &mut pos, CHECKPOINT_MIN_BYTES)?;
         let mut checkpoints = Vec::with_capacity(n_checkpoints);
@@ -1662,7 +1698,7 @@ impl<'a> StreamExecutor<'a> {
         if cumulative != accepted_count {
             return Err(bad("accepted count does not match the checkpoint rows"));
         }
-        if step_results.len() < next_window {
+        if n_steps < next_window {
             return Err(bad("step log is shorter than the windows ingested"));
         }
         if acc.is_some() != (accepted_count > 0) {
@@ -1678,7 +1714,14 @@ impl<'a> StreamExecutor<'a> {
         self.acc = acc;
         self.shares = committee.sharing.shares;
         self.commitments = committee.sharing.commitments;
-        self.step_results = step_results;
+        // The step log goes into the arena reserved at open; its lengths
+        // and bytes were all read above, so the reads cannot fail.
+        self.step_results.clear();
+        let mut at = log_start;
+        for _ in 0..n_steps {
+            let len = get_u32(bytes, &mut at)? as usize;
+            self.step_results.push(take(bytes, &mut at, len)?);
+        }
         self.checkpoints = checkpoints;
         self.detections.clear();
         self.ok_steps.clear();
@@ -1714,6 +1757,38 @@ pub fn execute_stream(
         exec.ingest_next()?;
     }
     exec.close()
+}
+
+/// The verdict suffix of an accepted input step, `input-{i}-ok`.
+const ACCEPTED: &[u8] = b"-ok";
+/// The verdict suffix of an input step the sampling draw left out.
+const BINNED_OUT: &[u8] = b"-binned-out";
+
+/// Room for an epoch's whole step log, as `(steps, bytes)`: one input
+/// step per contributing device (its label at the longest of the
+/// `devices` indices, with the longer binned-out verdict if the query
+/// samples), a fold and a handoff step per window (a label and a 32-byte
+/// digest; the last handoff is close's), and at close two fixed labels
+/// and the releases, reserved at 8 bytes a category. Reserving it once
+/// keeps the arena from regrowing, and copying itself, as the epoch runs.
+fn log_capacity(
+    devices: usize,
+    contributors: usize,
+    windows: usize,
+    categories: usize,
+    sampled: bool,
+) -> (usize, usize) {
+    let digits = |n: usize| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let verdict = if sampled { BINNED_OUT } else { ACCEPTED };
+    let input = b"input-".len() + digits(devices) + verdict.len();
+    let per_window = 2 * (b"vsr-handoff-".len() + digits(windows) + 32);
+    let steps = contributors + 2 * windows + 3;
+    let close = b"decrypt-to-shares".len() + b"mechanism-vignettes".len() + 8 * categories;
+    let bytes = contributors
+        .saturating_mul(input)
+        .saturating_add(windows.saturating_mul(per_window))
+        .saturating_add(close);
+    (steps, bytes)
 }
 
 fn fold_label(window: usize) -> Vec<u8> {
@@ -1829,18 +1904,50 @@ mod tests {
         let a = ArrivalSchedule::derive(3, 20, 2);
         assert_eq!(a.digest(), a.digest());
         let mut b = a.clone();
-        b.arrival[7] = (b.arrival[7] + 1) % b.n_windows;
+        b.arrival[7] = (b.arrival[7] + 1) % b.n_windows as u32;
         assert_ne!(a.digest(), b.digest());
         let mut c = a.clone();
-        c.drop[0] = Some(0);
+        c.drop[0] = 0;
         assert_ne!(a.digest(), c.digest());
+    }
+
+    #[test]
+    fn the_streamed_digest_hashes_sixteen_bytes_a_device() {
+        // The bytes checkpoints have always bound: the header, then each
+        // device's arrival and drop window as big-endian u64s, u64::MAX
+        // for "never drops".
+        for s in [
+            ArrivalSchedule::derive(3, 20, 2),
+            ArrivalSchedule::derive(8, 33, 5),
+            ArrivalSchedule::all_at_once(7),
+            ArrivalSchedule::from_partition(&[vec![0, 3], vec![1], vec![], vec![2, 4]], 6),
+        ] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&s.seed.to_be_bytes());
+            bytes.extend_from_slice(&(s.n_devices as u64).to_be_bytes());
+            bytes.extend_from_slice(&(s.n_windows as u64).to_be_bytes());
+            for i in 0..s.n_devices {
+                bytes.extend_from_slice(&u64::from(s.arrival[i]).to_be_bytes());
+                let drop = s.drop_window(i).map_or(u64::MAX, |d| d as u64);
+                bytes.extend_from_slice(&drop.to_be_bytes());
+            }
+            assert_eq!(s.digest(), sha256(&bytes));
+        }
+    }
+
+    #[test]
+    fn windows_past_u32_draw_below_the_never_marker() {
+        let s = ArrivalSchedule::derive(0, 48, 4_000_000_000_000);
+        assert!(s.arrival.iter().all(|&a| a < ArrivalSchedule::NEVER));
+        let drops = s.drop.iter().filter(|&&d| d != ArrivalSchedule::NEVER);
+        assert!(drops.count() > 0);
     }
 
     #[test]
     fn drop_before_or_at_arrival_removes_the_contribution() {
         let mut s = ArrivalSchedule::derive(1, 4, 3);
         s.arrival = vec![1, 1, 1, 1];
-        s.drop = vec![None, Some(0), Some(1), Some(2)];
+        s.drop = vec![ArrivalSchedule::NEVER, 0, 1, 2];
         assert!(s.contributes(0));
         assert!(!s.contributes(1)); // dropped before arriving
         assert!(!s.contributes(2)); // dropped in the arrival window

@@ -272,7 +272,7 @@ fn audit_allocates_far_less_than_once_per_draw() {
     });
     assert_eq!(records.len(), AUDITORS * K);
     assert_eq!(collate_detection(&records), None);
-    // Three vectors (per-step links, checked responses, records); a copy
+    // Three blocks (the first-response map, checked responses, records); a copy
     // of each draw's contents or proof makes at least 950.
     assert!(
         allocs <= 16,

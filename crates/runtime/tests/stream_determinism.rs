@@ -132,7 +132,9 @@ fn dump_divergence(
         body.push_str(&format!(
             "  {i}: arrives w{}, drop {}\n",
             schedule.arrival[i],
-            schedule.drop[i].map_or("never".into(), |d| format!("w{d}")),
+            schedule
+                .drop_window(i)
+                .map_or("never".into(), |d| format!("w{d}")),
         ));
     }
     body.push_str(&format!(

@@ -133,13 +133,13 @@ impl Strategy for ScheduleStrategy {
 
     fn sample(&self, rng: &mut StdRng) -> ArrivalSchedule {
         let w = rng.gen_range(1usize..5);
-        let arrival = (0..N_DEVICES).map(|_| rng.gen_range(0..w)).collect();
+        let arrival = (0..N_DEVICES).map(|_| rng.gen_range(0..w) as u32).collect();
         let drop = (0..N_DEVICES)
             .map(|_| {
                 if rng.gen_range(0u32..3) == 0 {
-                    Some(rng.gen_range(0..w))
+                    rng.gen_range(0..w) as u32
                 } else {
-                    None
+                    ArrivalSchedule::NEVER
                 }
             })
             .collect();
@@ -494,7 +494,7 @@ fn all_devices_dropping_is_a_typed_error() {
         n_devices: N_DEVICES,
         n_windows: 3,
         arrival: vec![1; N_DEVICES],
-        drop: vec![Some(0); N_DEVICES],
+        drop: vec![0; N_DEVICES],
     };
     assert!(schedule.survivors().is_empty());
     assert_eq!(run_stream(&schedule).unwrap_err(), ExecError::NoSurvivors);
@@ -508,7 +508,7 @@ fn the_stream_matches_the_legacy_batch_executor_when_no_device_churns() {
     let f = fixture();
     let schedule = ArrivalSchedule::derive(99, N_DEVICES, 3);
     let schedule = ArrivalSchedule {
-        drop: vec![None; N_DEVICES],
+        drop: vec![ArrivalSchedule::NEVER; N_DEVICES],
         ..schedule
     };
     let streamed = run_stream(&schedule).unwrap();
@@ -754,5 +754,115 @@ fn a_window_copies_no_row_and_holds_one_running_sum() {
     assert!(
         peak < UPLOADS * per_upload + 2 * ciphertext + constant,
         "{UPLOADS} uploads peaked at {peak} live bytes, past {UPLOADS} × {per_upload} + 2 × {ciphertext} + {constant}"
+    );
+}
+
+/// The step log travels through a checkpoint as the steps it holds: one
+/// `u32` length and the bytes of each, in order, the same bytes a
+/// `Vec<u8>` a step wrote. Restoring into an executor that has already
+/// ingested a window replaces its log rather than appending to it.
+#[test]
+fn the_step_arena_round_trips_through_a_checkpoint() {
+    let f = fixture();
+    let schedule = ArrivalSchedule::derive(5, N_DEVICES, 3);
+    let open = || {
+        StreamExecutor::open(
+            &f.plan,
+            &f.lp,
+            &f.deployment,
+            &f.cfg,
+            &schedule,
+            Some(&f.setup),
+            None,
+            None,
+        )
+        .unwrap()
+    };
+    let mut exec = open();
+    exec.ingest_next().unwrap();
+    exec.ingest_next().unwrap();
+    let bytes = exec.checkpoint_bytes().unwrap();
+
+    // Every upload is honest, so each arrival of windows 0 and 1 logged
+    // `input-{i}-ok`, and each window a fold and a handoff step after.
+    let layout = CheckpointLayout::of(&bytes);
+    let u32_at = |at: usize| u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = layout.steps_at + 4;
+    let mut logged = Vec::new();
+    for _ in 0..u32_at(layout.steps_at) {
+        let len = u32_at(at);
+        logged.push(bytes[at + 4..at + 4 + len].to_vec());
+        at += 4 + len;
+    }
+    for w in 0..2 {
+        let (inputs, rest) = logged.split_at(schedule.window(w).len());
+        let want: Vec<Vec<u8>> = schedule
+            .window(w)
+            .iter()
+            .map(|i| format!("input-{i}-ok").into_bytes())
+            .collect();
+        assert_eq!(inputs, want.as_slice(), "window {w}");
+        assert!(rest[0].starts_with(format!("window-{w}-fold").as_bytes()));
+        assert!(rest[1].starts_with(format!("vsr-handoff-{w}").as_bytes()));
+        logged = rest[2..].to_vec();
+    }
+    assert!(logged.is_empty());
+
+    // A fresh executor and one a window in both restore to these bytes.
+    let mut fresh = open();
+    fresh.restore_from(&bytes).unwrap();
+    assert_eq!(fresh.checkpoint_bytes().unwrap(), bytes);
+    let mut behind = open();
+    behind.ingest_next().unwrap();
+    behind.restore_from(&bytes).unwrap();
+    assert_eq!(behind.checkpoint_bytes().unwrap(), bytes);
+    exec.ingest_next().unwrap();
+    behind.ingest_next().unwrap();
+    assert_eq!(exec.close().unwrap(), behind.close().unwrap());
+}
+
+/// Bookkeeping costs a few words a device: the peak live bytes of
+/// building a deployment and running its one-window epoch grow by less
+/// than `PER_DEVICE` bytes a device. What grows with the population is
+/// the registry's id and keys (24 bytes), the row (8 bytes a category),
+/// the arrival schedule (8), the malformed-upload draw (1), the step
+/// log's arena and ends (≈ 21 at these sizes), the accepted-step index
+/// (8) and, at close, the step log's Merkle levels (≈ 64): ≈ 158 bytes.
+/// The bound is about 1.2 times that. A registry that caches signing
+/// midstates or tree levels, a `Vec<u8>` a step, usize windows or a
+/// per-step audit memo each cost 16 to 128 bytes a device more and
+/// fail it.
+#[test]
+fn bookkeeping_grows_by_a_few_words_a_device() {
+    const PER_DEVICE: usize = 192;
+    // A zero-worker pool runs every upload on the measuring thread.
+    let cfg = ExecutionConfig {
+        par: ParConfig::serial(),
+        ..ExecutionConfig::default()
+    };
+    let src = "aggr = sum(db); r = em(aggr, 8.0); output(r);";
+    let peak = |n: usize| {
+        let schema = DbSchema::one_hot(n as u64, CATEGORIES);
+        let lp = extract(&parse(src).unwrap(), &schema, CertifyConfig::default()).unwrap();
+        let (physical, _) = plan(&lp, &PlannerConfig::paper_defaults(1 << 30)).unwrap();
+        let assignments: Vec<usize> = (0..n).map(|i| i % CATEGORIES).collect();
+        let (accepted, peak) = peak_live_bytes_during(|| {
+            let deployment = Deployment::one_hot(&assignments, CATEGORIES);
+            execute(&physical, &lp, &deployment, &cfg, None, None, None)
+                .map(|(report, _)| report.accepted_inputs)
+        });
+        assert_eq!(accepted, Ok(n));
+        peak
+    };
+    // The first epoch also pays one-time set-up (tables built on first
+    // use), which another test of this binary may already have paid.
+    peak(64);
+    let (small, large) = (2048, 8192);
+    let (low, high) = (peak(small), peak(large));
+    let slope = (high - low) as f64 / (large - small) as f64;
+    eprintln!("peak live bytes: {low} at {small} devices, {high} at {large}: {slope:.1} a device");
+    assert!(
+        slope < PER_DEVICE as f64,
+        "bookkeeping grew by {slope:.1} bytes a device ({low} at {small} devices, {high} at {large}), past {PER_DEVICE}"
     );
 }

@@ -26,44 +26,63 @@
 use std::sync::Arc;
 
 use arboretum_crypto::merkle::MerkleTree;
-use arboretum_crypto::schnorr::{verify, verify_batch, BatchEntry, Keypair, PublicKey, Signature};
+use arboretum_crypto::schnorr::{
+    verify, verify_batch, BatchEntry, Keypair, PublicKey, SecretKey, Signature,
+};
 use arboretum_crypto::sha256::{sha256, Digest};
 use arboretum_par::{par_map_arc, ThreadPool};
 
-/// A registered device: identity plus signing keys.
-#[derive(Clone, Debug)]
+/// A registered device: its identity and its signing keys, in three
+/// words.
+///
+/// The simulation holds every device's secret so that any of them can
+/// sign; a real deployment holds only its own. The registry keeps one of
+/// these per device, so it stores the secret scalar and the public point
+/// and nothing derived from them: [`Device::keypair`] rebuilds the
+/// signing state (the nonce key's HMAC midstates) when the device signs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Device {
     /// Stable device identifier.
     pub id: u64,
-    /// The device's signing keypair (simulation-side; a real deployment
-    /// holds only its own).
-    pub keypair: Keypair,
+    /// The device's public key, pinned by the registry root.
+    pub pk: PublicKey,
+    /// The device's secret key (simulation-side).
+    pub sk: SecretKey,
 }
 
 impl Device {
     /// Derives a device deterministically from its id (simulation).
     pub fn from_id(id: u64) -> Self {
-        Self {
-            id,
-            keypair: Keypair::from_seed(&id.to_be_bytes()),
-        }
+        let Keypair { sk, pk, .. } = Keypair::from_seed(&id.to_be_bytes());
+        Self { id, pk, sk }
+    }
+
+    /// The device's signing keypair, rebuilt from its secret.
+    pub fn keypair(&self) -> Keypair {
+        Keypair::from_secret(self.sk)
     }
 
     /// The registry leaf bytes: id plus public key.
-    pub fn leaf_bytes(&self) -> Vec<u8> {
-        let mut v = self.id.to_be_bytes().to_vec();
-        v.extend_from_slice(&self.keypair.pk.0.to_bytes());
-        v
+    pub fn leaf(&self) -> [u8; 16] {
+        let mut leaf = [0u8; 16];
+        leaf[..8].copy_from_slice(&self.id.to_be_bytes());
+        leaf[8..].copy_from_slice(&self.pk.0.to_bytes());
+        leaf
     }
 }
 
-/// The device registry: a Merkle tree over `(id, pk)` leaves.
+/// The device registry: the devices and the Merkle root over their
+/// `(id, pk)` leaves.
+///
+/// Only the root is kept: the registry is pinned by it, and nothing
+/// proves a device's inclusion, so the tree's levels would be a digest
+/// and more a device held for no reader.
 #[derive(Clone, Debug)]
 pub struct Registry {
     /// Shared so the parallel ticket kernels can borrow the device set
     /// without copying it per task.
     devices: Arc<Vec<Device>>,
-    tree: MerkleTree,
+    root: Digest,
 }
 
 impl Registry {
@@ -73,17 +92,16 @@ impl Registry {
     ///
     /// Panics if `devices` is empty.
     pub fn new(devices: Vec<Device>) -> Self {
-        let leaves: Vec<Vec<u8>> = devices.iter().map(Device::leaf_bytes).collect();
-        let tree = MerkleTree::new(&leaves);
+        let root = MerkleTree::root_of(devices.iter().map(Device::leaf));
         Self {
             devices: Arc::new(devices),
-            tree,
+            root,
         }
     }
 
     /// The Merkle root pinning the device set.
     pub fn root(&self) -> Digest {
-        self.tree.root()
+        self.root
     }
 
     /// Number of registered devices.
@@ -136,7 +154,7 @@ pub fn make_ticket(device: &Device, device_idx: usize, block: &Digest, query_idx
 /// [`make_ticket`] with the (round-constant) sortition message already
 /// built — the bulk paths construct it once per round, not per device.
 pub fn make_ticket_with_msg(device: &Device, device_idx: usize, msg: &[u8]) -> Ticket {
-    let signature = device.keypair.sign(msg);
+    let signature = device.keypair().sign(msg);
     Ticket {
         device_idx,
         signature,
@@ -177,7 +195,7 @@ pub fn verify_tickets_batch(
         } else {
             sig_positions.push(i);
             entries.push(BatchEntry {
-                pk: registry.device(t.device_idx).keypair.pk,
+                pk: registry.device(t.device_idx).pk,
                 msg: &msg,
                 sig: t.signature,
             });
@@ -367,6 +385,30 @@ mod tests {
     }
 
     #[test]
+    fn the_registry_root_is_the_tree_root_over_its_leaves() {
+        // 1..=70 devices crosses every odd-node promotion pattern up to
+        // seven levels.
+        for n in 1..=70u64 {
+            let devices: Vec<Device> = (0..n).map(Device::from_id).collect();
+            let leaves: Vec<Vec<u8>> = devices.iter().map(|d| d.leaf().to_vec()).collect();
+            assert_eq!(
+                Registry::new(devices).root(),
+                MerkleTree::new(&leaves).root(),
+                "n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_device_is_three_words_and_rebuilds_its_keypair() {
+        assert_eq!(size_of::<Device>(), 24);
+        let d = Device::from_id(7);
+        let kp = Keypair::from_seed(&7u64.to_be_bytes());
+        assert_eq!((d.keypair().sk, d.keypair().pk), (kp.sk, kp.pk));
+        assert_eq!(d.keypair().sign(b"m"), kp.sign(b"m"));
+    }
+
+    #[test]
     fn committees_are_disjoint_and_sized() {
         let reg = registry(200);
         let block = sha256(b"beacon-0");
@@ -412,16 +454,11 @@ mod tests {
         let reg = registry(10);
         let block = sha256(b"x");
         let t = make_ticket(reg.device(3), 3, &block, 0);
-        assert!(verify_ticket(&reg.device(3).keypair.pk, &block, 0, &t));
+        assert!(verify_ticket(&reg.device(3).pk, &block, 0, &t));
         // Wrong device, round, or block must fail.
-        assert!(!verify_ticket(&reg.device(4).keypair.pk, &block, 0, &t));
-        assert!(!verify_ticket(&reg.device(3).keypair.pk, &block, 1, &t));
-        assert!(!verify_ticket(
-            &reg.device(3).keypair.pk,
-            &sha256(b"y"),
-            0,
-            &t
-        ));
+        assert!(!verify_ticket(&reg.device(4).pk, &block, 0, &t));
+        assert!(!verify_ticket(&reg.device(3).pk, &block, 1, &t));
+        assert!(!verify_ticket(&reg.device(3).pk, &sha256(b"y"), 0, &t));
     }
 
     #[test]

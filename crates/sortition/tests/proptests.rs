@@ -29,9 +29,9 @@ proptest! {
         let d = Device::from_id(id);
         let block = sha256(b"b");
         let t = make_ticket(&d, 0, &block, round);
-        prop_assert!(verify_ticket(&d.keypair.pk, &block, round, &t));
+        prop_assert!(verify_ticket(&d.pk, &block, round, &t));
         if other_round != round {
-            prop_assert!(!verify_ticket(&d.keypair.pk, &block, other_round, &t));
+            prop_assert!(!verify_ticket(&d.pk, &block, other_round, &t));
         }
     }
 

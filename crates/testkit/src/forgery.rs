@@ -124,7 +124,7 @@ fn corrupt(ticket: &mut Ticket, mode: Corruption, registry: &Registry, msg: &[u8
         }
         Corruption::WrongSigner => {
             let other = (ticket.device_idx + 1) % registry.len();
-            ticket.signature = registry.device(other).keypair.sign(msg);
+            ticket.signature = registry.device(other).keypair().sign(msg);
             ticket.hash = sha256(&ticket.signature.to_bytes());
         }
     }
@@ -176,7 +176,7 @@ pub fn run_forgery_sweep(seed: u64, devices: usize) -> Result<(), String> {
     // Per-ticket oracle: the batch verdict must match `verify_ticket`
     // ticket by ticket.
     for (i, t) in tickets.iter().enumerate() {
-        let pk = &registry.device(t.device_idx).keypair.pk;
+        let pk = &registry.device(t.device_idx).pk;
         let single = verify_ticket(pk, &block, query_idx, t);
         let planned_bad = want.binary_search(&i).is_ok();
         if single == planned_bad {

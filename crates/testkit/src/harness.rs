@@ -251,7 +251,7 @@ fn expected_detections(
         .filter(|&(i, _)| arrivals.contributes(i))
         .filter_map(|(i, b)| {
             Some((
-                arrivals.arrival[i],
+                arrivals.arrival[i] as usize,
                 Subject::Device(i),
                 b.expected_class(one_hot)?,
             ))
@@ -582,7 +582,10 @@ fn cross_check(
     //    arrival the accumulator chain equals the all-honest epoch's,
     //    and before the crash boundary so does the handoff chain.
     let n_windows = o.arrivals.n_windows;
-    let first_corrupt = corrupt.iter().map(|&i| o.arrivals.arrival[i]).min();
+    let first_corrupt = corrupt
+        .iter()
+        .map(|&i| o.arrivals.arrival[i] as usize)
+        .min();
     let first_corrupt = first_corrupt.unwrap_or(n_windows);
     let crash_boundary = o.schedule.crash.map_or(n_windows, |(b, _)| b);
     for (x, h) in adv.checkpoints.iter().zip(&honest.checkpoints) {
