@@ -6,8 +6,8 @@
 //! proofs (Fiat–Shamir non-interactive) over the workspace Pedersen
 //! commitments (the paper's prototype uses ZoKrates/G16). Each proof is
 //! one transcript pass: all first moves are absorbed, the stream is
-//! sealed once, and every challenge is derived from the sealed digest
-//! (see [`sigma`]).
+//! sealed once, and every sub-proof answers the one challenge derived
+//! from the sealed digest (see [`sigma`]).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(

@@ -6,11 +6,12 @@
 //! The proof commits to each coordinate, proves each commitment holds a
 //! bit, and proves the product of commitments opens to exactly 1.
 //!
-//! One Fiat–Shamir pass per proof: the width, every commitment, every
-//! bit proof's `(a0, a1)` and the sum proof's `A` are absorbed once
-//! (`seal`), and the `k + 1` challenges — and the verifier's fold
-//! coefficient — all come from that sealed digest. Prover and verifier
-//! call the same `seal`, so the layout exists in one place.
+//! One Fiat–Shamir pass and one challenge per proof: the width, every
+//! commitment, every bit proof's `(a0, a1)` and the sum proof's `A` are
+//! absorbed once (`seal`), and the one challenge all `k + 1` sub-proofs
+//! answer — and the verifier's fold coefficient — come from that sealed
+//! digest. Prover and verifier call the same `seal`, so the layout
+//! exists in one place.
 
 use arboretum_crypto::group::{GroupElem, Scalar};
 use arboretum_crypto::pedersen::{Commitment, Opening, PedersenParams};
@@ -18,7 +19,7 @@ use arboretum_crypto::transcript::{Sealed, Transcript};
 use rand::Rng;
 
 use crate::sigma::{
-    absorb_bit_first_moves, bit_challenge_at, fold_holds, verify_bit, verify_dlog, BitProof,
+    absorb_bit_first_moves, fold_holds, proof_challenge, verify_bit, verify_dlog, BitProof,
     BitProvers, DlogFirstMove, DlogProof, TailEquation,
 };
 
@@ -115,7 +116,7 @@ pub fn prove_from_openings<R: Rng + ?Sized>(
     );
     let bit_provers = BitProvers::first_moves(pp, openings, rng);
     let sum_move = DlogFirstMove::new(pp, rng);
-    let sealed = seal(&commitments, bit_provers.sent(), &sum_move.a);
+    let e = proof_challenge(&seal(&commitments, bit_provers.sent(), &sum_move.a));
     // Sum proof: Π C_i · g^{-1} = h^{Σ r_i}, i.e. the sum of the values
     // is exactly 1.
     let total_blinding = openings
@@ -123,8 +124,8 @@ pub fn prove_from_openings<R: Rng + ?Sized>(
         .fold(Scalar::ZERO, |acc, o| acc + o.blinding);
     OneHotProof {
         commitments,
-        bit_proofs: bit_provers.respond(&sealed),
-        sum_proof: sum_move.respond(sum_challenge(&sealed), total_blinding),
+        bit_proofs: bit_provers.respond(e),
+        sum_proof: sum_move.respond(e, total_blinding),
     }
 }
 
@@ -182,25 +183,20 @@ fn seal(
     transcript.seal()
 }
 
-/// The sum proof's challenge.
-fn sum_challenge(sealed: &Sealed) -> Scalar {
-    sealed.challenge(0, b"sum/e")
-}
-
 /// Verifies a one-hot proof, reporting *which* check failed.
 ///
 /// A structurally sound proof is `2k + 1` equations (two per bit proof,
 /// one for the sum proof). They are first checked all at once: the
-/// transcript is absorbed in one pass and sealed, every challenge is
+/// transcript is absorbed in one pass and sealed, the one challenge is
 /// derived from the sealed digest, and the equations are folded into one
 /// multi-exponentiation (see `sigma`'s module docs; the fold accepts a
 /// proof with a failing equation with probability at most
 /// `(2k + 1)/q`). Only when the fold fails do the checks run one by one
-/// under the same challenges, in a fixed order — bit proofs in
+/// under the same challenge, in a fixed order — bit proofs in
 /// coordinate order, then the sum proof — so the reported error is the
 /// first failure, deterministically.
 ///
-/// Every challenge depends on every commitment and every first-move
+/// The challenge depends on every commitment and every first-move
 /// message (`a0ᵢ`, `a1ᵢ`, `A`), so a proof with any one of those changed
 /// fails at the first check, [`OneHotVerifyError::BitProof`]`(0)`; a
 /// changed response (`e0ᵢ`, `z0ᵢ`, `z1ᵢ`, `z`) fails at its own check.
@@ -220,7 +216,7 @@ pub fn verify_one_hot_detailed(
         proof.bit_proofs.iter().map(|bp| [bp.a0, bp.a1]),
         &proof.sum_proof.a,
     );
-    let e = sum_challenge(&sealed);
+    let e = proof_challenge(&sealed);
     // h^z == A · d^e, with d's g^{-1} moved to the left.
     let sum_equation = TailEquation {
         h_exp: proof.sum_proof.z,
@@ -235,12 +231,13 @@ pub fn verify_one_hot_detailed(
         &proof.bit_proofs,
         sum_equation,
         &sealed,
+        e,
     ) {
         return Ok(());
     }
 
     for (i, (c, bp)) in proof.commitments.iter().zip(&proof.bit_proofs).enumerate() {
-        if !verify_bit(pp, c, bp, bit_challenge_at(&sealed, i)) {
+        if !verify_bit(pp, c, bp, e) {
             return Err(OneHotVerifyError::BitProof(i));
         }
     }
@@ -259,6 +256,7 @@ pub fn verify_one_hot(pp: &PedersenParams, proof: &OneHotProof) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sigma::tests::extract_bit;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -316,6 +314,127 @@ mod tests {
         let mut proof = prove_one_hot(&pp, &[0, 1, 0], &mut rng).unwrap();
         proof.bit_proofs.pop();
         assert!(!verify_one_hot(&pp, &proof));
+    }
+
+    /// A proof of `bits` drawn from `seed` whose sub-proofs all answer
+    /// `challenge(D)`. Its draws are `prove_one_hot`'s, so two calls on
+    /// one seed send the same commitments and first moves.
+    fn answered(
+        pp: &PedersenParams,
+        bits: &[u64],
+        seed: u64,
+        challenge: impl Fn(&Sealed) -> Scalar,
+    ) -> (OneHotProof, Vec<Opening>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (commitments, openings): (Vec<_>, Vec<_>) = bits
+            .iter()
+            .map(|&b| pp.commit(Scalar::new(b), &mut rng))
+            .unzip();
+        let bit_provers = BitProvers::first_moves(pp, &openings, &mut rng);
+        let sum_move = DlogFirstMove::new(pp, &mut rng);
+        let e = challenge(&seal(&commitments, bit_provers.sent(), &sum_move.a));
+        let total = openings
+            .iter()
+            .fold(Scalar::ZERO, |acc, o| acc + o.blinding);
+        let proof = OneHotProof {
+            commitments,
+            bit_proofs: bit_provers.respond(e),
+            sum_proof: sum_move.respond(e, total),
+        };
+        (proof, openings)
+    }
+
+    fn proof_challenge_of(proof: &OneHotProof) -> Scalar {
+        let moves = proof.bit_proofs.iter().map(|bp| [bp.a0, bp.a1]);
+        proof_challenge(&seal(&proof.commitments, moves, &proof.sum_proof.a))
+    }
+
+    #[test]
+    fn two_challenges_on_one_set_of_first_moves_extract_every_opening() {
+        let pp = PedersenParams::standard();
+        for (k, hot) in [(1usize, 0usize), (4, 2), (64, 17)] {
+            let mut bits = vec![0u64; k];
+            bits[hot] = 1;
+            let seed = 0xe7 + k as u64;
+            let (proof, openings) = answered(&pp, &bits, seed, proof_challenge);
+            let (other, _) = answered(&pp, &bits, seed, |d| proof_challenge(d) + Scalar::ONE);
+            // The helper is the prover, and the second transcript shares
+            // every first move but answers e′ = e + 1.
+            let real = prove_one_hot(&pp, &bits, &mut StdRng::seed_from_u64(seed)).unwrap();
+            assert_eq!(real.commitments, proof.commitments);
+            assert_eq!(real.bit_proofs, proof.bit_proofs);
+            assert_eq!(real.sum_proof, proof.sum_proof);
+            assert_eq!(verify_one_hot_detailed(&pp, &proof), Ok(()));
+            let e = proof_challenge_of(&proof);
+            assert_eq!(proof_challenge_of(&other), e);
+            let e_other = e + Scalar::ONE;
+
+            for (i, (c, o)) in proof.commitments.iter().zip(&openings).enumerate() {
+                let (t, t_other) = (&proof.bit_proofs[i], &other.bit_proofs[i]);
+                assert_eq!((t.a0, t.a1), (t_other.a0, t_other.a1));
+                let extracted = extract_bit(e, t, e_other, t_other)
+                    .unwrap_or_else(|| panic!("k={k}: no branch's challenges differ at {i}"));
+                assert_eq!(extracted, *o, "k={k} coordinate {i}");
+                assert!(pp.verify(c, &extracted), "k={k} coordinate {i}");
+            }
+            // h^{z − z′} = d^{e − e′}: the sum proof yields Σ rᵢ, which
+            // opens Π Cᵢ to 1.
+            let total = (proof.sum_proof.z - other.sum_proof.z) * (e - e_other).inv();
+            assert_eq!(
+                total,
+                openings
+                    .iter()
+                    .fold(Scalar::ZERO, |acc, o| acc + o.blinding)
+            );
+            let product = proof.commitments[1..]
+                .iter()
+                .fold(proof.commitments[0], |acc, c| acc.add(*c));
+            let opening = Opening {
+                value: Scalar::ONE,
+                blinding: total,
+            };
+            assert!(pp.verify(&product, &opening), "k={k}");
+        }
+    }
+
+    #[test]
+    fn a_transplanted_bit_proof_is_named_at_its_coordinate() {
+        let pp = PedersenParams::standard();
+        let bits = [0, 0, 1, 0, 0];
+        let (host, _) = answered(&pp, &bits, 0x7a, proof_challenge);
+        // An honest proof on the same commitments and first moves that
+        // answers another challenge: the host's challenge does not move,
+        // and the copied bit proof splits the wrong one.
+        let (donor, _) = answered(&pp, &bits, 0x7a, |d| proof_challenge(d) + Scalar::ONE);
+        for i in 0..bits.len() {
+            let mut p = host.clone();
+            p.bit_proofs[i] = donor.bit_proofs[i];
+            assert_eq!(
+                verify_one_hot_detailed(&pp, &p),
+                Err(OneHotVerifyError::BitProof(i)),
+                "coordinate {i}"
+            );
+        }
+        // From an independent proof of the same width: its responses
+        // alone fail at their coordinate; its first moves too reseal the
+        // transcript, so every challenge moves and the first check names it.
+        let independent = prove_one_hot(&pp, &bits, &mut StdRng::seed_from_u64(0x7b)).unwrap();
+        for i in 0..bits.len() {
+            let mut p = host.clone();
+            let (bp, from) = (&mut p.bit_proofs[i], &independent.bit_proofs[i]);
+            (bp.e0, bp.z0, bp.z1) = (from.e0, from.z0, from.z1);
+            assert_eq!(
+                verify_one_hot_detailed(&pp, &p),
+                Err(OneHotVerifyError::BitProof(i)),
+                "responses at {i}"
+            );
+            p.bit_proofs[i] = *from;
+            assert_eq!(
+                verify_one_hot_detailed(&pp, &p),
+                Err(OneHotVerifyError::BitProof(0)),
+                "whole bit proof at {i}"
+            );
+        }
     }
 
     #[test]

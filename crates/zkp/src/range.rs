@@ -6,10 +6,11 @@
 //! its bits, proving each is a bit, and arranging the bit blindings so the
 //! weighted product of bit commitments *equals* the value commitment.
 //!
-//! One Fiat–Shamir pass per proof: the width, the value commitment, the
-//! bit commitments and every bit proof's `(a0, a1)` are absorbed once
-//! (`seal`), and the `k` challenges — and the verifier's fold
-//! coefficient — all come from that sealed digest.
+//! One Fiat–Shamir pass and one challenge per proof: the width, the
+//! value commitment, the bit commitments and every bit proof's
+//! `(a0, a1)` are absorbed once (`seal`), and the one challenge all `k`
+//! bit proofs answer — and the verifier's fold coefficient — come from
+//! that sealed digest.
 //!
 //! Widths stop at [`MAX_RANGE_BITS`]: the group's scalars live modulo a
 //! 61-bit prime `q`, so from 61 bits on `2^k > q`, a committed value is
@@ -21,7 +22,7 @@ use arboretum_crypto::transcript::{Sealed, Transcript};
 use rand::Rng;
 
 use crate::sigma::{
-    absorb_bit_first_moves, bit_challenge_at, fold_holds, verify_bit, BitProof, BitProvers,
+    absorb_bit_first_moves, fold_holds, proof_challenge, verify_bit, BitProof, BitProvers,
     TailEquation,
 };
 
@@ -124,12 +125,12 @@ pub fn prove_range<R: Rng + ?Sized>(
     );
     let commitment = pp.commit_with(total.value, total.blinding);
     let bit_provers = BitProvers::first_moves(pp, &bit_openings, rng);
-    let sealed = seal(&commitment, &bit_commitments, bit_provers.sent());
+    let e = proof_challenge(&seal(&commitment, &bit_commitments, bit_provers.sent()));
     Ok((
         RangeProof {
             commitment,
             bit_commitments,
-            bit_proofs: bit_provers.respond(&sealed),
+            bit_proofs: bit_provers.respond(e),
         },
         total,
     ))
@@ -183,15 +184,15 @@ fn seal(
 /// A structurally sound proof is `2k + 1` equations (the
 /// weighted-product binding and two per bit proof). They are first
 /// checked all at once: the transcript is absorbed in one pass and
-/// sealed, every challenge is derived from the sealed digest, and the
+/// sealed, the one challenge is derived from the sealed digest, and the
 /// equations are folded into one multi-exponentiation (see `sigma`'s
 /// module docs; the fold accepts a proof with a failing equation with
 /// probability at most `(2k + 1)/q`). Only when the fold fails do the
-/// checks run one by one under the same challenges, in a fixed order —
+/// checks run one by one under the same challenge, in a fixed order —
 /// the binding, then bit proofs least-significant first — so the
 /// reported error is the first failure, deterministically.
 ///
-/// Every challenge depends on every commitment and every first-move
+/// The challenge depends on every commitment and every first-move
 /// message (`a0ᵢ`, `a1ᵢ`), so a proof with one of those changed fails at
 /// the first check that involves a challenge,
 /// [`RangeVerifyError::BitProof`]`(0)` — after the binding, which
@@ -219,6 +220,7 @@ pub fn verify_range_detailed(
         &proof.bit_commitments,
         proof.bit_proofs.iter().map(|bp| [bp.a0, bp.a1]),
     );
+    let e = proof_challenge(&sealed);
     // 1 == C^{-1} · Π cᵢ^{2^i}.
     let binding = TailEquation {
         h_exp: Scalar::ZERO,
@@ -233,6 +235,7 @@ pub fn verify_range_detailed(
         &proof.bit_proofs,
         binding,
         &sealed,
+        e,
     ) {
         return Ok(());
     }
@@ -255,7 +258,7 @@ pub fn verify_range_detailed(
         .zip(&proof.bit_proofs)
         .enumerate()
     {
-        if !verify_bit(pp, c, bp, bit_challenge_at(&sealed, i)) {
+        if !verify_bit(pp, c, bp, e) {
             return Err(RangeVerifyError::BitProof(i));
         }
     }
@@ -270,6 +273,7 @@ pub fn verify_range(pp: &PedersenParams, proof: &RangeProof, bits: u32) -> bool 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sigma::tests::extract_bit;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -369,6 +373,34 @@ mod tests {
         let (two, _) = pp.commit(Scalar::new(2), &mut rng);
         proof.bit_commitments[3] = two;
         assert!(!verify_range(&pp, &proof, 8));
+    }
+
+    #[test]
+    fn two_challenges_on_one_set_of_first_moves_extract_every_bit() {
+        // `prove_range`'s draws, with the bit provers answering `e + shift`:
+        // two runs on one seed share every first move.
+        let pp = PedersenParams::standard();
+        let (value, bits, seed) = (0b1011_0110u64, 8u32, 0x5e);
+        let (honest, _) = prove_range(&pp, value, bits, &mut StdRng::seed_from_u64(seed)).unwrap();
+        let answered = |shift: Scalar| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (commitments, openings): (Vec<_>, Vec<_>) = (0..bits)
+                .map(|i| pp.commit(Scalar::new((value >> i) & 1), &mut rng))
+                .unzip();
+            let provers = BitProvers::first_moves(&pp, &openings, &mut rng);
+            let e = proof_challenge(&seal(&honest.commitment, &commitments, provers.sent()));
+            (provers.respond(e + shift), openings, e)
+        };
+        let (proofs, openings, e) = answered(Scalar::ZERO);
+        assert_eq!(honest.bit_proofs, proofs);
+        let (other, _, _) = answered(Scalar::ONE);
+        for (i, (c, o)) in honest.bit_commitments.iter().zip(&openings).enumerate() {
+            let extracted = extract_bit(e, &proofs[i], e + Scalar::ONE, &other[i])
+                .unwrap_or_else(|| panic!("no branch's challenges differ at bit {i}"));
+            assert_eq!(extracted, *o, "bit {i}");
+            assert_eq!(extracted.value, Scalar::new((value >> i) & 1), "bit {i}");
+            assert!(pp.verify(c, &extracted), "bit {i}");
+        }
     }
 
     #[test]

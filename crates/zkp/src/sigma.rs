@@ -9,13 +9,20 @@
 //! every sub-proof of a one-hot or range proof ([`BitFirstMove`],
 //! [`DlogFirstMove`] — this is where all randomness is drawn), the
 //! enclosing proof absorbs the statement and all of those first moves
-//! into one transcript and seals it, and only then does each sub-proof
-//! receive its challenge — one single-block hash of the sealed digest —
-//! and answer it (`respond`). Verification takes the same challenge as
-//! an argument ([`verify_bit`], [`verify_dlog`]); nothing in this module
-//! hashes. This is the parallel composition of the sub-proofs under
-//! Fiat–Shamir: each challenge depends on every first-move message of
-//! the whole proof, so changing any one of them changes all challenges.
+//! into one transcript and seals it into `D`, and only then does every
+//! sub-proof answer the proof's one challenge `e = H(D ‖ 0 ‖ "e")`
+//! (`respond`). Verification takes the same challenge as an argument
+//! ([`verify_bit`], [`verify_dlog`]); nothing in this module hashes but
+//! the challenge helper and the fold's coefficient. This is the
+//! AND-composition of the sub-proofs (Cramer–Damgård–Schoenmakers): the
+//! conjunction is one Σ-protocol whose challenge every conjunct answers,
+//! and it keeps special soundness — from two accepting transcripts on
+//! the same first moves with `e ≠ e′`, every bit proof has a branch
+//! whose sub-challenges differ (`e0 + e1 = e`), whose Schnorr extractor
+//! yields the bit and its blinding, and the sum proof yields the total
+//! blinding. The challenge depends on every first-move message of the
+//! whole proof, so changing any one of them changes it for every
+//! sub-proof.
 //!
 //! Both sides run at table speed. The prover only ever exponentiates `g`
 //! or `h`, so every exponentiation is a fixed-base table lookup
@@ -200,9 +207,10 @@ pub(crate) fn absorb_bit_first_moves(
     transcript.append_points(b"bit/a", moves);
 }
 
-/// The challenge of the bit proof at coordinate `i`.
-pub(crate) fn bit_challenge_at(sealed: &Sealed, i: usize) -> Scalar {
-    sealed.challenge(i as u64, b"bit/e")
+/// The one challenge of a proof, `e = H(D ‖ 0 ‖ "e")`: every bit proof
+/// splits it (`e0ᵢ + e1ᵢ = e`) and a one-hot proof's sum proof answers it.
+pub(crate) fn proof_challenge(sealed: &Sealed) -> Scalar {
+    sealed.challenge(0, b"e")
 }
 
 /// The `k` bit provers of one proof between their two moves.
@@ -237,11 +245,10 @@ impl BitProvers {
         self.moves.iter().map(|m| [m.a0, m.a1])
     }
 
-    /// Answers every bit proof's challenge from the sealed transcript.
-    pub(crate) fn respond(mut self, sealed: &Sealed) -> Vec<BitProof> {
-        let answers = self.moves.into_iter().enumerate();
+    /// Answers the proof's challenge `e` at every coordinate.
+    pub(crate) fn respond(mut self, e: Scalar) -> Vec<BitProof> {
         self.proofs
-            .extend(answers.map(|(i, m)| m.respond(bit_challenge_at(sealed, i))));
+            .extend(self.moves.into_iter().map(|m| m.respond(e)));
         self.proofs
     }
 }
@@ -291,15 +298,15 @@ fn fold_rho(bound: &Sealed) -> Scalar {
 
 /// Checks `k` bit proofs and one [`TailEquation`] as a single equation.
 ///
-/// `sealed` is the proof's sealed transcript, the one its challenges
-/// come from. The prover's responses — which Fiat–Shamir never absorbs,
-/// because no challenge depends on them — are bound to it here, in one
-/// hash, before the coefficients are drawn: a prover that could still
-/// move a response after seeing `ρ` could cancel one equation's error
-/// against another's.
+/// `sealed` is the proof's sealed transcript and `e` the challenge drawn
+/// from it ([`proof_challenge`]). The prover's responses — which
+/// Fiat–Shamir never absorbs, because no challenge depends on them — are
+/// bound to it here, in one hash, before the coefficients are drawn: a
+/// prover that could still move a response after seeing `ρ` could cancel
+/// one equation's error against another's.
 ///
 /// Equation by equation (coefficients `ρ₀ᵢ, ρ₁ᵢ` per coordinate, `ρₜ`
-/// for the tail, `e1ᵢ = eᵢ − e0ᵢ`):
+/// for the tail, `e1ᵢ = e − e0ᵢ`):
 ///
 /// ```text
 /// h^{z0ᵢ}          == a0ᵢ · cᵢ^{e0ᵢ}
@@ -317,6 +324,7 @@ pub(crate) fn fold_holds<W: Fn(usize) -> Scalar>(
     bit_proofs: &[BitProof],
     tail: TailEquation<W>,
     sealed: &Sealed,
+    e: Scalar,
 ) -> bool {
     let mut responses = Vec::with_capacity(bit_proofs.len() * 24 + 8);
     for s in bit_proofs
@@ -340,7 +348,7 @@ pub(crate) fn fold_holds<W: Fn(usize) -> Scalar>(
     let mut pairs = Vec::with_capacity(3 * commitments.len() + 1);
     pairs.push((tail.point, rho_t * tail.point_exp));
     for (i, (c, bp)) in commitments.iter().zip(bit_proofs).enumerate() {
-        let e1 = bit_challenge_at(sealed, i) - bp.e0;
+        let e1 = e - bp.e0;
         let (rho0, rho1) = (next(), next());
         h_exp += rho0 * bp.z0 + rho1 * bp.z1;
         g_exp += rho1 * e1;
@@ -352,10 +360,41 @@ pub(crate) fn fold_holds<W: Fn(usize) -> Scalar>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Special soundness of one bit proof. From two accepting answers on
+    /// the same first moves to challenges `e ≠ e′`, the branch whose
+    /// sub-challenges differ opens the commitment: branch `b` proves
+    /// `C·g^{-b} = h^r`, so `r = (z_b − z_b′)/(e_b − e_b′)` and the value
+    /// is `b`. `None` if neither branch's sub-challenges differ, which
+    /// `e0 + e1 = e` rules out when `e ≠ e′`.
+    pub(crate) fn extract_bit(
+        e: Scalar,
+        t: &BitProof,
+        e_other: Scalar,
+        t_other: &BitProof,
+    ) -> Option<Opening> {
+        let branches = [
+            (Scalar::ZERO, t.e0, t.z0, t_other.e0, t_other.z0),
+            (
+                Scalar::ONE,
+                e - t.e0,
+                t.z1,
+                e_other - t_other.e0,
+                t_other.z1,
+            ),
+        ];
+        branches
+            .into_iter()
+            .find(|&(_, eb, _, eb_other, _)| eb != eb_other)
+            .map(|(value, eb, zb, eb_other, zb_other)| Opening {
+                value,
+                blinding: (zb - zb_other) * (eb - eb_other).inv(),
+            })
+    }
 
     fn setup() -> (PedersenParams, StdRng) {
         (PedersenParams::standard(), StdRng::seed_from_u64(11))
@@ -386,7 +425,7 @@ mod tests {
         let mut t = Transcript::new(b"t");
         t.append_points(b"c", [[c.0]].into_iter());
         absorb_bit_first_moves(&mut t, [[*a0, *a1]].into_iter());
-        bit_challenge_at(&t.seal(), 0)
+        proof_challenge(&t.seal())
     }
 
     fn prove_bit(pp: &PedersenParams, c: &Commitment, o: &Opening, rng: &mut StdRng) -> BitProof {

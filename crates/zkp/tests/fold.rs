@@ -12,7 +12,8 @@
 //! compensating pairs an unweighted sum of the equations would accept.
 //!
 //! The test-local verifier also spells out the transcript layout frame
-//! by frame — labels, order, challenge names — from `crypto::transcript`'s
+//! by frame — labels, order, the one challenge `e = H(D ‖ 0 ‖ "e")` that
+//! every bit proof and the sum proof answer — from `crypto::transcript`'s
 //! public API alone, so a layout change in `zkp` that is not made here
 //! too fails every honest proof below.
 
@@ -29,16 +30,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 // ---- The sequential verifier, as it stood before the fold, on the
-// one-pass transcript: absorb everything, seal, then check. ----
+// one-pass transcript: absorb everything, seal, draw the one challenge,
+// then check. ----
 
 fn absorb_bit_first_moves(t: &mut Transcript, bit_proofs: &[BitProof]) {
     t.append_points(b"bit/a", bit_proofs.iter().map(|bp| [bp.a0, bp.a1]));
 }
 
-fn seq_bit(pp: &PedersenParams, c: &Commitment, bp: &BitProof, i: usize, sealed: &Sealed) -> bool {
+/// The proof's one challenge, answered by every sub-proof.
+fn challenge(sealed: &Sealed) -> Scalar {
+    sealed.challenge(0, b"e")
+}
+
+fn seq_bit(pp: &PedersenParams, c: &Commitment, bp: &BitProof, e: Scalar) -> bool {
     let s0 = c.0;
     let s1 = c.0 - pp.g;
-    let e = sealed.challenge(i as u64, b"bit/e");
     let e1 = e - bp.e0;
     pp.h.pow(bp.z0) == bp.a0 + s0.pow(bp.e0) && pp.h.pow(bp.z1) == bp.a1 + s1.pow(e1)
 }
@@ -52,9 +58,9 @@ fn seq_one_hot(pp: &PedersenParams, proof: &OneHotProof) -> Result<(), OneHotVer
     t.append_points(b"c", proof.commitments.iter().map(|c| [c.0]));
     absorb_bit_first_moves(&mut t, &proof.bit_proofs);
     t.append_points(b"sum/a", std::iter::once([proof.sum_proof.a]));
-    let sealed = t.seal();
+    let e = challenge(&t.seal());
     for (i, (c, bp)) in proof.commitments.iter().zip(&proof.bit_proofs).enumerate() {
-        if !seq_bit(pp, c, bp, i, &sealed) {
+        if !seq_bit(pp, c, bp, e) {
             return Err(OneHotVerifyError::BitProof(i));
         }
     }
@@ -64,7 +70,6 @@ fn seq_one_hot(pp: &PedersenParams, proof: &OneHotProof) -> Result<(), OneHotVer
         .skip(1)
         .fold(proof.commitments[0].0, |acc, c| acc + c.0)
         - pp.g;
-    let e = sealed.challenge(0, b"sum/e");
     if pp.h.pow(proof.sum_proof.z) != proof.sum_proof.a + d.pow(e) {
         return Err(OneHotVerifyError::SumProof);
     }
@@ -94,14 +99,14 @@ fn seq_range(pp: &PedersenParams, proof: &RangeProof, bits: u32) -> Result<(), R
     t.append_points(b"value", std::iter::once([proof.commitment.0]));
     t.append_points(b"bit", proof.bit_commitments.iter().map(|c| [c.0]));
     absorb_bit_first_moves(&mut t, &proof.bit_proofs);
-    let sealed = t.seal();
+    let e = challenge(&t.seal());
     for (i, (c, bp)) in proof
         .bit_commitments
         .iter()
         .zip(&proof.bit_proofs)
         .enumerate()
     {
-        if !seq_bit(pp, c, bp, i, &sealed) {
+        if !seq_bit(pp, c, bp, e) {
             return Err(RangeVerifyError::BitProof(i));
         }
     }

@@ -12,9 +12,12 @@
 //!   order and every group element the prover emits are the parent's.
 //! * The **full-proof** digest adds the challenge-dependent scalars
 //!   (`e0`, `z0`, `z1`, the sum proof's `z`). It was regenerated on the
-//!   commit that introduced the one-pass transcript — only those scalars
-//!   changed (the first-move digest above is the proof of "only") — and
-//!   pins the new layout: any later change to a label, a frame, the
+//!   commit that introduced the one-pass transcript, and again on the
+//!   commit after e282c84 that changed the challenge derivation from one
+//!   challenge per sub-proof (`H(D ‖ i ‖ "bit/e")`, `H(D ‖ 0 ‖ "sum/e")`)
+//!   to one per proof (`H(D ‖ 0 ‖ "e")`). Each time only those scalars
+//!   changed (the first-move digest above is the proof of "only"). It
+//!   pins the layout: any later change to a label, a frame, the
 //!   challenge derivation, a scalar or the draw order changes it.
 
 use arboretum_crypto::pedersen::PedersenParams;
@@ -82,6 +85,6 @@ fn first_moves_match_the_pre_rewrite_digest() {
 fn honest_proof_bytes_match_the_one_pass_digest() {
     assert_eq!(
         digest(true),
-        "1c3187cb2a692417237f4ea5a19367b64f9d5f16f98331048a91817c70d74408"
+        "258b8950a53c330bd540d7c75b027312895274d71f211bb61770b34e0eda7797"
     );
 }

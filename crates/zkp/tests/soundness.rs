@@ -176,14 +176,15 @@ fn one_hot_sealed(proof: &OneHotProof) -> Sealed {
     t.seal()
 }
 
+/// Whether one coordinate's bit proof answers the proof's one challenge
+/// `e = H(D ‖ 0 ‖ "e")`.
 fn coordinate_verifies(
     pp: &PedersenParams,
     c: &Commitment,
     bp: &BitProof,
-    i: usize,
     sealed: &Sealed,
 ) -> bool {
-    verify_bit(pp, c, bp, sealed.challenge(i as u64, b"bit/e"))
+    verify_bit(pp, c, bp, sealed.challenge(0, b"e"))
 }
 
 #[test]
@@ -202,7 +203,6 @@ fn a_first_move_flip_at_one_coordinate_fails_every_other_coordinate() {
             &pp,
             &honest.commitments[i],
             &honest.bit_proofs[i],
-            i,
             &sealed
         ));
     }
@@ -219,7 +219,7 @@ fn a_first_move_flip_at_one_coordinate_fails_every_other_coordinate() {
             let sealed = one_hot_sealed(&bad);
             for i in (0..k).filter(|&i| i != j) {
                 assert!(
-                    !coordinate_verifies(&pp, &bad.commitments[i], &bad.bit_proofs[i], i, &sealed),
+                    !coordinate_verifies(&pp, &bad.commitments[i], &bad.bit_proofs[i], &sealed),
                     "{name} flipped at {j}: untouched coordinate {i} still verifies"
                 );
             }
@@ -234,7 +234,6 @@ fn a_first_move_flip_at_one_coordinate_fails_every_other_coordinate() {
             &pp,
             &bad.commitments[i],
             &bad.bit_proofs[i],
-            i,
             &sealed
         ));
     }
